@@ -35,7 +35,13 @@ from .oscillator import TruncationSpec
 from .pauli import build_trotter_plan, count_resources, pauli_decompose, simulate_trotter, trotter_step_unitary
 from .projector import evolve_projector_method, perturbed_projector
 from .series import radius_estimate, strong_series, weak_series
-from .singularities import gap_scan, mollweide_project, refine_exceptional_point, sylvester_discriminant
+from .singularities import (
+    gap_scan,
+    min_sector_gaps,
+    mollweide_project,
+    refine_exceptional_point,
+    sylvester_discriminant,
+)
 from .spectral import dense_spectrum, exact_amplitude, lanczos_lowest
 
 ENV_PREFIX = "PHI4TRUNC_"
@@ -66,6 +72,11 @@ def _sector_handle(h, cfg):
 def _cmd_spectrum(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["nsites"] > 1:
+        # the lattice path diagonalizes the full weak-coupling chain
+        if cfg["sector"] != "full":
+            raise ValueError(f"--sector {cfg['sector']!r} needs --nsites 1 (lattice spectra are full)")
+        if cfg["domain"] != "weak":
+            raise ValueError(f"--domain {cfg['domain']!r} needs --nsites 1 (lattice spectra are weak coupling)")
         spec = LatticeSpec(cfg["nsites"], trunc, cfg["kappa"], cfg["lam"], cfg["boundary"])
         h = lattice_hamiltonian(spec)
         if cfg["method"] == "lanczos":
@@ -372,14 +383,12 @@ def _cmd_riemann(cfg, outdir):
     h0s, vs = family.sector_matrices(cfg["sector"])
     rows = []
     n_lat, n_lon = cfg["res"]
+    lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
     for lat in np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n_lat):
         radius = np.sqrt((1 + np.sin(lat)) / (1 - np.sin(lat)))
-        for lon in np.linspace(-np.pi, np.pi, n_lon, endpoint=False):
-            lam = radius * np.exp(1j * lon)
-            z = np.linalg.eigvals(h0s + lam * vs)
-            diff = np.abs(z[:, None] - z[None, :])
-            np.fill_diagonal(diff, np.inf)
-            gap = float(diff.min())
+        lams = radius * np.exp(1j * lons)
+        gaps = np.abs(min_sector_gaps(h0s, vs, lams))
+        for lon, lam, gap in zip(lons, lams, gaps):
             x, y = mollweide_project(lon, lat)
             rows.append((lam.real, lam.imag, gap, x, y))
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,

@@ -1,11 +1,12 @@
 """Exceptional points in the complex coupling plane.
 
 Three independent routes to the same objects: brute-force minimum-gap scans
-over a rectangular grid of complex couplings, local simplex refinement of a
-candidate until two sector eigenvalues coalesce, and the algebraic route --
-the determinant of the Sylvester-style matrix built from a sector's exact
-characteristic polynomial f and its z-derivative f', whose roots in lam are
-precisely the couplings where f has a double root.
+over a rectangular grid of complex couplings, local secant refinement of a
+candidate on the squared distance of the closest pair of sector eigenvalues,
+and the algebraic route -- the determinant of the Sylvester-style matrix
+built from a sector's exact characteristic polynomial f and its
+z-derivative f', whose roots in lam are precisely the couplings where f has
+a double root.
 
 Also provides the weak/strong inversion map and the Riemann-sphere
 (Mollweide) projection used to visualize that nothing pinches the positive
@@ -13,12 +14,13 @@ real axis.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from . import algebra
 from .hamiltonian import CouplingFamily
@@ -39,7 +41,11 @@ __all__ = [
     "EXCEPTIONAL_GAP_THRESHOLD",
 ]
 
-EXCEPTIONAL_GAP_THRESHOLD = 1e-7
+# an exceptional point's closest pair is split only by eigensolver noise, of
+# order sqrt(eps) ||H||; an avoided crossing keeps a gap far above this
+EXCEPTIONAL_GAP_THRESHOLD = 1e-6
+_ABERTH_SWEEPS = 100
+_SECANT_STEPS = 50
 
 
 @dataclass
@@ -98,19 +104,99 @@ class ResultantPolynomial:
         return self.expected_degree - self.degree
 
     def roots(self, dps: int = 60) -> np.ndarray:
-        """All complex roots, solved at high precision.
+        """All complex roots, each certified to dps significant digits.
 
         The integer coefficients span many orders of magnitude, so double
-        precision companion-matrix rooting fails already around degree 20;
-        mpmath's polished Durand-Kerner handles the degree-56 case of
-        n_max = 16 in a few seconds.
+        precision companion-matrix roots are up to 8% off at n_max = 16; they
+        only seed a simultaneous Aberth-Ehrlich polish at 2 dps working
+        digits (about 14 digits cancel when the degree-56 polynomial of
+        n_max = 16 is evaluated near its roots).  Each polished root z_i
+        carries the Weierstrass inclusion disk of radius
+        N |p(z_i) / (c_N prod_{j != i} (z_i - z_j))|; pairwise disjoint disks
+        hold one root each, and radii below 10^-dps |z_i| certify the digits.
+        When the polish stalls or the disks fail, mpmath's Durand-Kerner
+        `polyroots` solves at dps instead.  n_max = 16 takes about a second.
         """
-        import mpmath as mp
+        roots = _aberth_roots(self.coeffs, dps)
+        if roots is None:
+            import mpmath as mp
 
-        with mp.workdps(dps):
-            roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
-                                 maxsteps=200, extraprec=4 * dps)
+            with mp.workdps(dps):
+                roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
+                                     maxsteps=200, extraprec=4 * dps)
         return np.array([complex(z) for z in roots])
+
+
+def _aberth_roots(coeffs: list, dps: int) -> list | None:
+    """Certified roots of the integer polynomial sum_k coeffs[k] lam^k, or None.
+
+    The roots come rounded to dps digits and cleaned up as `mp.polyroots`
+    cleans its own (parts below its tolerance become exact zeros), so both
+    paths give the same doubles.
+    """
+    import mpmath as mp
+
+    n = len(coeffs) - 1
+    if n < 1 or not coeffs[0] or not coeffs[-1]:
+        return None
+    # seeds: roots of the polynomial in lam / rho, where rho = |c_0 / c_N|^(1/N)
+    # is the geometric mean of the root moduli, so its coefficients fit doubles
+    log_rho = (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / n
+    logs = [math.log(abs(c)) + k * log_rho if c else -math.inf for k, c in enumerate(coeffs)]
+    top = max(logs)
+    scaled = [math.copysign(math.exp(v - top), c) for v, c in zip(logs, coeffs)]
+    seeds = np.roots(scaled[::-1]) * math.exp(log_rho)
+    if len(seeds) != n or not np.all(np.isfinite(seeds)):
+        return None
+
+    with mp.workdps(2 * dps):
+        a = [mp.mpf(c) for c in reversed(coeffs)]
+        z = [mp.mpc(complex(s)) for s in seeds]
+        tol = mp.mpf(10) ** -dps
+        done = [False] * n
+        try:
+            for _ in range(_ABERTH_SWEEPS):
+                for i in range(n):
+                    if done[i]:
+                        continue
+                    zi = z[i]
+                    p, dp = mp.polyval(a, zi, derivative=True)
+                    w = p / dp
+                    pull = 0
+                    for j in range(n):
+                        if j != i:
+                            pull += 1 / (zi - z[j])
+                    step = w / (1 - w * pull)
+                    z[i] = zi - step
+                    done[i] = abs(step) <= tol * abs(z[i])
+                if all(done):
+                    break
+            else:
+                return None
+            radii = []
+            for i, zi in enumerate(z):
+                denom = a[0]
+                for j in range(n):
+                    if j != i:
+                        denom *= zi - z[j]
+                radii.append(n * abs(mp.polyval(a, zi) / denom))
+        except ZeroDivisionError:  # coinciding iterates or a vanishing derivative
+            return None
+        if any(r > tol * abs(zi) for r, zi in zip(radii, z)):
+            return None
+        if any(abs(z[i] - z[j]) <= radii[i] + radii[j] for i in range(n) for j in range(i)):
+            return None
+    with mp.workdps(dps):
+        chop = +mp.eps
+        out = []
+        for zi in z:
+            zi = +zi
+            if abs(zi.imag) < chop:
+                zi = mp.mpc(zi.real)
+            elif abs(zi.real) < chop:
+                zi = mp.mpc(0, zi.imag)
+            out.append(zi)
+    return out
 
 
 @dataclass
@@ -123,13 +209,30 @@ class RefineResult:
     estimate: SingularityEstimate | None
 
 
-def _min_sector_gap(h: np.ndarray) -> float:
-    z = np.linalg.eigvals(h)
-    if len(z) < 2:
-        return np.inf
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+def min_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams) -> np.ndarray:
+    """Closest eigenvalue pair of h0s + lam vs at each coupling, as z_i - z_j.
+
+    The modulus is the minimum gap; the square is analytic in lam near an
+    exceptional point, where it has a simple zero.  All couplings go to one
+    batched eigensolve; if that fails, they are solved one at a time and a
+    coupling whose own solve fails reads NaN.  A block with fewer than two
+    eigenvalues has an infinite gap.
+    """
+    lams = np.asarray(lams)
+    s = h0s.shape[0]
+    if s < 2:
+        return np.full(lams.shape, np.inf, dtype=complex)
+    stack = h0s[None, :, :] + lams[:, None, None] * vs[None, :, :]
+    try:
+        z = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError:
+        if len(lams) == 1:
+            return np.array([complex(np.nan, np.nan)])
+        return np.concatenate([min_sector_gaps(h0s, vs, lams[k:k + 1]) for k in range(len(lams))])
+    diff = (z[:, :, None] - z[:, None, :]).reshape(len(lams), -1)
+    dist = np.abs(diff)
+    dist[:, np.arange(s) * (s + 1)] = np.inf  # the flattened diagonal, i == j
+    return diff[np.arange(len(lams)), dist.argmin(axis=1)]
 
 
 def gap_scan(
@@ -150,26 +253,9 @@ def gap_scan(
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
     h0s, vs = family.sector_matrices(sector)
-    s = h0s.shape[0]
-    failures = 0
 
     def row(j: int) -> np.ndarray:
-        lams = res + 1j * ims[j]
-        stack = h0s[None, :, :] + lams[:, None, None] * vs[None, :, :]
-        try:
-            z = np.linalg.eigvals(stack)
-        except np.linalg.LinAlgError:
-            # batched solve failed somewhere: fall back point by point
-            out = np.empty(n_re)
-            for i, lam in enumerate(lams):
-                try:
-                    out[i] = _min_sector_gap(h0s + lam * vs)
-                except np.linalg.LinAlgError:
-                    out[i] = np.nan
-            return out
-        diff = np.abs(z[:, :, None] - z[:, None, :])
-        diff[:, np.arange(s), np.arange(s)] = np.inf
-        return diff.reshape(n_re, -1).min(axis=1)
+        return np.abs(min_sector_gaps(h0s, vs, res + 1j * ims[j]))
 
     values = np.empty((n_im, n_re))
     if workers > 1:
@@ -192,42 +278,59 @@ def refine_exceptional_point(
     guess: complex,
     sector: str = "even",
     gap_tol: float = EXCEPTIONAL_GAP_THRESHOLD,
-    rel_gap_tol: float = 1e-8,
     level_pair: tuple[int, int] = (-1, -1),
 ) -> RefineResult:
-    """Simplex descent on the minimum gap from an initial guess.
+    """Secant iteration on g(lam) = (z_i - z_j)^2 of the closest eigenvalue pair.
 
-    Classifies the minimum as exceptional when the gap drops below gap_tol,
-    or below rel_gap_tol times the local spectral spread (far from the
-    origin the eigenvalues, and hence the achievable gap floor, scale with
-    |lam|); an avoided crossing (plateau) is a result, not an error.  An
-    exactly real guess sits on the ridge between the two conjugate basins,
-    so the search is then confined to the real axis, where a Hermitian
-    family can only produce avoided crossings.  The reported estimate is
-    folded into the upper half-plane (the conjugate point is implied).
+    g is analytic with a simple zero at an exceptional point, so the secant
+    converges superlinearly where a search on the gap |z_i - z_j| itself
+    would crawl along its square-root valley.  The minimum is classified as
+    exceptional when the iteration converged and the gap is at most
+    gap_tol * max(1, ||H(lam)||_2), since the floating-point eigensolver
+    splits a coalesced pair by about sqrt(eps) ||H||; an avoided crossing is
+    a result, not an error.  An exactly real guess stays on the real axis,
+    where a bracketed 1-D search finds the smallest gap: there the family is
+    real symmetric, hence diagonalizable, so the minimum is an avoided
+    crossing.  The reported estimate is folded into the upper half-plane
+    (the conjugate point is implied).
     """
     h0s, vs = family.sector_matrices(sector)
-    options = {"xatol": 1e-14, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000}
+
+    def pair(lam: complex) -> complex:
+        return min_sector_gaps(h0s, vs, np.array([lam], dtype=complex))[0]
 
     if guess.imag == 0.0:
-        objective = lambda x: _min_sector_gap(h0s + complex(x[0], 0.0) * vs)
-        start = [guess.real]
-    else:
-        objective = lambda x: _min_sector_gap(h0s + complex(x[0], x[1]) * vs)
-        start = [guess.real, guess.imag]
-    result = minimize(objective, start, method="Nelder-Mead", options=options)
-    # one polish restart; Nelder-Mead stalls on narrow square-root valleys
-    result = minimize(objective, result.x, method="Nelder-Mead", options=options)
-    loc = complex(result.x[0], result.x[1]) if guess.imag != 0.0 else complex(result.x[0], 0.0)
-    gap = float(result.fun)
+        x0 = guess.real
+        found = minimize_scalar(lambda x: abs(pair(complex(x, 0.0))),
+                                bracket=(x0, x0 + 1e-3 * max(1.0, abs(x0))))
+        loc = complex(found.x, 0.0)
+        return RefineResult(loc, float(abs(pair(loc))), False, None)
 
-    z = np.linalg.eigvals(h0s + loc * vs)
-    spread = float(np.max(np.abs(z[:, None] - z[None, :]))) if len(z) > 1 else 1.0
-    exceptional = gap <= gap_tol or gap <= rel_gap_tol * spread
+    converged = False
+    prev, g_prev = guess, pair(guess) ** 2
+    loc = guess * (1 + 1e-3)
+    for _ in range(_SECANT_STEPS):
+        g = pair(loc) ** 2
+        if g == g_prev:
+            converged = g == 0
+            break
+        step = g * (loc - prev) / (g - g_prev)
+        prev, g_prev = loc, g
+        loc = loc - step
+        if not np.isfinite(loc):
+            break
+        # convergence is superlinear: after a step this small, loc sits at
+        # the eigensolver's noise floor
+        if abs(step) <= 1e-12 * abs(loc):
+            converged = True
+            break
+    loc = complex(loc)
+    gap = float(abs(pair(loc)))
+    exceptional = converged and gap <= gap_tol * max(1.0, np.linalg.norm(h0s + loc * vs, 2))
     estimate = None
     if exceptional and abs(loc.imag) > 0:
         estimate = SingularityEstimate(loc.real, abs(loc.imag), level_pair, "grid_scan")
-    return RefineResult(loc, gap, exceptional, estimate)
+    return RefineResult(loc, gap, bool(exceptional), estimate)
 
 
 def sylvester_discriminant(trunc: TruncationSpec, sector: str) -> ResultantPolynomial:

@@ -121,6 +121,16 @@ def test_numeric_failure_exit_code_and_manifest(tmp_path, capsys):
     assert manifest["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("flag, value", [("--sector", "even"), ("--domain", "strong")])
+def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
+    code, outdir = run_cli(["spectrum", "--nsites", "2", "--nmax", "2", "--kappa", "0.1",
+                            flag, value], tmp_path, "lat")
+    assert code == 1
+    error = json.loads((outdir / "manifest.json").read_text())["error"]
+    assert error["type"] == "ValueError"
+    assert repr(value) in error["message"]
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "phi4trunc.cli", "spectrum", "--no-such-flag"],

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from phi4trunc import (
     sylvester_discriminant,
     riemann_export,
 )
-from phi4trunc.singularities import lambda_to_sphere, mollweide_project
+from phi4trunc.singularities import ResultantPolynomial, lambda_to_sphere, min_sector_gaps, mollweide_project
 
 from oracles import coalescing_levels
 
@@ -111,6 +112,105 @@ def test_resultant_roots_match_refined_points(n_max, sector):
         target = complex(root.real, abs(root.imag))
         found = complex(res.location.real, abs(res.location.imag))
         assert abs(found - target) <= 1e-6
+
+
+def _polyroots_oracle(coeffs):
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=200, extraprec=240)
+    return np.array([complex(z) for z in roots])
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("mp.polyroots reached on a certified input")
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("n_max", [4, 6, 8, 10, 12])
+def test_certified_roots_equal_polyroots_oracle(n_max, sector, monkeypatch):
+    # the certified Aberth path never falls back here, and its doubles are
+    # those of mp.polyroots at 60 digits, the slow independent oracle
+    poly = sylvester_discriminant(TruncationSpec(n_max), sector)
+    with monkeypatch.context() as m:
+        m.setattr(mpmath, "polyroots", _fail)
+        roots = np.sort_complex(poly.roots())
+    s = n_max // 2
+    assert len(roots) == s * (s - 1)
+    assert np.array_equal(roots, np.sort_complex(roots.conj()))
+    assert np.array_equal(roots, np.sort_complex(_polyroots_oracle(poly.coeffs)))
+
+
+def test_certified_roots_chop_parts_like_polyroots(monkeypatch):
+    # (lam - 1)(lam - 2)(lam^2 + 1): real and imaginary roots come back with
+    # exactly zero imaginary and real parts, as mp.polyroots returns them
+    coeffs = [2, -3, 3, -3, 1]
+    with monkeypatch.context() as m:
+        m.setattr(mpmath, "polyroots", _fail)
+        roots = np.sort_complex(ResultantPolynomial(coeffs, "even", 4).roots())
+    assert list(roots) == [-1j, 1j, 1.0, 2.0]
+    assert np.array_equal(roots, np.sort_complex(_polyroots_oracle(coeffs)))
+
+
+def test_roots_fall_back_when_doubles_cannot_separate_them(monkeypatch):
+    # (lam - 1)(10^25 lam - 10^25 - 1): the roots 1 and 1 + 1e-25 share one
+    # double, so the companion-matrix seeds coincide and Aberth cannot start
+    big = 10**25
+    poly = ResultantPolynomial([big + 1, -(2 * big + 1), big], "even", 4)
+    calls = []
+    real_polyroots = mpmath.polyroots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", counting)
+    roots = poly.roots()
+    assert len(calls) == 1
+    assert list(roots) == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_refine_lands_on_every_nmax8_resultant_root(sector):
+    trunc = TruncationSpec(8)
+    fam = anharmonic_family(trunc)
+    for root in sylvester_discriminant(trunc, sector).roots():
+        res = refine_exceptional_point(fam, root, sector)
+        assert res.exceptional, f"root {root} did not refine to an exceptional point"
+        assert abs(res.location - root) <= 1e-12
+
+
+def test_refine_classifies_noise_floor_ep_at_ulp_neighbours():
+    # At this EP the double-precision gap reads 5e-8 to 1.5e-7 across 1-ulp
+    # nudges of lam, so a fixed 1e-7 gap threshold rejected correctly
+    # located points by chance.
+    trunc = TruncationSpec(8)
+    fam = anharmonic_family(trunc)
+    root = min(sylvester_discriminant(trunc, "even").roots(),
+               key=lambda z: abs(z - (-0.00933 + 0.03118j)))
+    assert abs(root - (-0.00933 + 0.03118j)) < 1e-5
+    seeds = [root]
+    for toward in (-1.0, 1.0):
+        seeds.append(complex(np.nextafter(root.real, toward), root.imag))
+        seeds.append(complex(root.real, np.nextafter(root.imag, toward)))
+    for seed in seeds:
+        res = refine_exceptional_point(fam, seed, "even")
+        assert res.exceptional, f"seed {seed!r}: gap {res.gap:.3g}"
+        assert abs(res.location - root) <= 1e-12
+
+
+def test_min_sector_gaps_matches_pointwise_solves():
+    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("odd")
+    lams = 0.3 * np.exp(1j * np.linspace(-np.pi, np.pi, 17))
+    gaps = np.abs(min_sector_gaps(h0s, vs, lams))
+    for lam, gap in zip(lams, gaps):
+        z = np.linalg.eigvals(h0s + lam * vs)
+        diff = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(diff, np.inf)
+        assert gap == diff.min()
+    # a point whose solve fails reads NaN and leaves the others as they were
+    broken = np.abs(min_sector_gaps(h0s, vs, np.insert(lams, 3, np.nan)))
+    assert np.isnan(broken[3])
+    assert np.array_equal(np.delete(broken, 3), gaps)
 
 
 # n_max=16 even-sector series-fit radii of levels 0, 2, ..., 14 (criterion 4b)
