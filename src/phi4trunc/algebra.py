@@ -5,6 +5,10 @@ matrix with superdiagonal (1, 2, ..., n_max-1) and subdiagonal ones, leaving
 the spectrum untouched.  In that weighted basis the quartic perturbation
 X^4/(4 omega^2) is a matrix of exact rationals, so perturbative recursions
 and characteristic polynomials can be carried out over Q with no rounding.
+The one Rayleigh-Schrodinger recursion of the package lives here and works
+over any scalar field: the weak series and projectors run it on Fractions,
+the strong series on mpmath floats and the sum-over-states derivatives on
+doubles.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int; the bivariate characteristic polynomial f(z, lam) of
@@ -20,8 +24,13 @@ from .oscillator import TruncationSpec
 
 __all__ = [
     "weighted_x_matrix",
+    "weighted_hamiltonian",
     "weighted_sector_blocks",
     "sector_indices",
+    "level_sector",
+    # rs_rational_series calls the engine rayleigh_schrodinger, which stays
+    # out: perfbench's tracer wraps only __all__ names, and a span around
+    # the engine would leave the algebra.rs kernel with no self time
     "rs_rational_series",
     "char_poly_fractions",
     "sector_char_poly",
@@ -68,22 +77,71 @@ def sector_indices(n_max: int, sector: str) -> list[int]:
     return [n for n in range(n_max) if n % 2 == rem]
 
 
-def weighted_sector_blocks(
-    trunc: TruncationSpec, sector: str
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Diagonal of H_har and the phi^4 block for one parity sector, exact.
+def level_sector(level: int, sector: str | None = None) -> str:
+    """Parity sector of a global harmonic level; a named sector must match it."""
+    derived = "even" if level % 2 == 0 else "odd"
+    if sector is not None and sector != derived:
+        raise ValueError(f"level {level} lies in the {derived} sector, not {sector!r}")
+    return derived
 
-    Requires omega to be rational.  Returns (h0_diagonal, v_block) where
-    v = X^4 / (4 omega^2) restricted to the sector.
+
+def weighted_hamiltonian(trunc: TruncationSpec) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Diagonal of H_har and the full phi^4 matrix X^4 / (4 omega^2), exact.
+
+    Requires omega to be rational.  Both live in the sqrt(n!)-weighted
+    basis, where H_har stays diagonal and the quartic term is rational.
     """
     omega = _as_fraction(trunc.omega, "omega")
     x = weighted_x_matrix(trunc.n_max)
     x2 = _frac_matmul(x, x)
-    x4 = _frac_matmul(x2, x2)
-    idx = sector_indices(trunc.n_max, sector)
-    v = [[x4[i][j] / (4 * omega**2) for j in idx] for i in idx]
-    h0 = [omega * (Fraction(n) + Fraction(1, 2)) for n in idx]
+    v = [[c / (4 * omega**2) for c in row] for row in _frac_matmul(x2, x2)]
+    h0 = [omega * (Fraction(n) + Fraction(1, 2)) for n in range(trunc.n_max)]
     return h0, v
+
+
+def weighted_sector_blocks(
+    trunc: TruncationSpec, sector: str
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """weighted_hamiltonian restricted to one parity sector: (h0_diagonal, v_block)."""
+    h0, v = weighted_hamiltonian(trunc)
+    idx = sector_indices(trunc.n_max, sector)
+    return [h0[i] for i in idx], [[v[i][j] for j in idx] for i in idx]
+
+
+def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> tuple[list, list]:
+    """Nondegenerate Rayleigh-Schrodinger series over any scalar field.
+
+    h0 is the diagonal unperturbed block and v the perturbation, both in
+    one field (Fraction, mpmath mpf or float).  Returns (energies, states):
+    energies [E_0, ..., E_max_order] of the level at diagonal position pos,
+    and the state corrections psi_k, normalised so that <pos|psi_k> is 1
+    for k = 0 and 0 above, which solve
+    h0 psi_k + v psi_{k-1} = sum_j E_j psi_{k-j}.  Products with an exact
+    zero are skipped.  Raises ValueError when h0[pos] is degenerate.
+    """
+    s = len(h0)
+    for m in range(s):
+        if m != pos and h0[m] == h0[pos]:
+            raise ValueError(f"unperturbed level at position {pos} is degenerate with {m}")
+    e0 = h0[pos]
+    zero = e0 - e0
+    one = zero + 1
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in v]
+    energies = [e0]
+    states = [[one if i == pos else zero for i in range(s)]]
+    resolvent = [zero if m == pos else 1 / (e0 - h0[m]) for m in range(s)]
+    for k in range(1, max_order + 1):
+        prev = states[k - 1]
+        rhs = [sum((x * prev[j] for j, x in row if prev[j]), zero) for row in rows]
+        energies.append(rhs[pos])
+        for j in range(1, k):
+            ej = energies[j]
+            if ej:
+                pk = states[k - j]
+                for i in range(s):
+                    rhs[i] -= ej * pk[i]
+        states.append([resolvent[i] * rhs[i] for i in range(s)])
+    return energies, states
 
 
 def rs_rational_series(
@@ -95,26 +153,7 @@ def rs_rational_series(
     perturbation; returns [E_0, E_1, ..., E_max_order] for the level at
     the given diagonal position.
     """
-    s = len(h0)
-    for m in range(s):
-        if m != pos and h0[m] == h0[pos]:
-            raise ValueError(f"unperturbed level at position {pos} is degenerate with {m}")
-    energies = [h0[pos]]
-    psi = [[Fraction(1) if i == pos else Fraction(0) for i in range(s)]]
-    resolvent = [Fraction(0) if m == pos else 1 / (h0[pos] - h0[m]) for m in range(s)]
-    for k in range(1, max_order + 1):
-        prev = psi[k - 1]
-        vp = [sum(row[j] * prev[j] for j in range(s) if prev[j]) for row in v]
-        energies.append(vp[pos])
-        rhs = list(vp)
-        for j in range(1, k):
-            ej = energies[j]
-            if ej:
-                pk = psi[k - j]
-                for i in range(s):
-                    rhs[i] -= ej * pk[i]
-        psi.append([resolvent[i] * rhs[i] for i in range(s)])
-    return energies
+    return rayleigh_schrodinger(h0, v, pos, max_order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from .hamiltonian import (
     strong_coupling_hamiltonian,
 )
 from .oscillator import TruncationSpec
-from .pauli import build_trotter_plan, count_resources, pauli_decompose, simulate_trotter, trotter_step_unitary
+from .pauli import (
+    build_trotter_plan,
+    count_resources,
+    pauli_decompose,
+    qubit_count,
+    simulate_trotter,
+    trotter_step_unitary,
+)
 from .projector import evolve_projector_method, perturbed_projector
 from .series import radius_estimate, strong_series, weak_series
 from .singularities import (
@@ -42,7 +49,13 @@ from .singularities import (
     refine_exceptional_point,
     sylvester_discriminant,
 )
-from .spectral import dense_spectrum, exact_amplitude, lanczos_lowest
+from .spectral import (
+    curvature_peak,
+    dense_spectrum,
+    exact_amplitude,
+    lanczos_lowest,
+    stencil_derivatives,
+)
 
 ENV_PREFIX = "PHI4TRUNC_"
 
@@ -178,11 +191,8 @@ def _cmd_evolve(cfg, outdir):
     t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
     sin, sout = cfg["state_in"], cfg["state_out"]
     if cfg["method"] == "trotter":
-        h = single_site_hamiltonian(trunc, cfg["lam"])
-        import math
-
-        n_q = int(math.log2(trunc.n_max))
-        dec = pauli_decompose(h, n_q)
+        n_q = qubit_count(trunc.n_max)
+        dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
         steps = cfg["steps"] if cfg["steps"] else int(round(cfg["tmax"] / cfg["dt"]))
         plan = build_trotter_plan(dec, cfg["dt"], steps, cfg["ordering"])
         sim = simulate_trotter(plan, sin, [sout])
@@ -266,12 +276,8 @@ def _cmd_resultant(cfg, outdir):
 
 
 def _cmd_pauli(cfg, outdir):
-    import math
-
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    n_q = int(math.log2(trunc.n_max))
-    if 2**n_q != trunc.n_max:
-        raise ValueError(f"n_max={trunc.n_max} is not a power of two")
+    n_q = qubit_count(trunc.n_max)
     dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
     rows = [(t.string, t.coeff) for t in dec.terms]
     path = csvio.write_csv(outdir / "pauli.csv", ["string", "coeff"], rows,
@@ -290,10 +296,8 @@ def _cmd_resources(cfg, outdir):
 
 
 def _cmd_trotter(cfg, outdir):
-    import math
-
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    n_q = int(math.log2(trunc.n_max))
+    n_q = qubit_count(trunc.n_max)
     h = single_site_hamiltonian(trunc, cfg["lam"])
     dec = pauli_decompose(h, n_q)
     w, u = np.linalg.eigh(h.entries)
@@ -327,49 +331,14 @@ def _cmd_lattice_sweep(cfg, outdir):
             res = lanczos_lowest(h, 1, cfg["tol"])
             energies.append(res.eigenvalues[0])
         energies = np.array(energies)
-        h_step = lams[1] - lams[0]
-        rows = []
-        d2 = np.full(len(lams), np.nan)
-        for i in range(len(lams)):
-            if 2 <= i < len(lams) - 2:
-                f = energies[i - 2: i + 3]
-                d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h_step)
-                d2[i] = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h_step**2)
-                d4 = (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / h_step**4
-            else:
-                d1 = d4 = float("nan")
-            rows.append((lams[i], energies[i], d1, d2[i], d4))
+        derivs = stencil_derivatives(lams, energies)
+        rows = [(lam, e, d1, d2, d4) for lam, e, (d1, d2, d4) in zip(lams, energies, derivs)]
         path = csvio.write_csv(outdir / f"sweep_kappa{kappa:g}.csv",
                                ["lambda", "E", "d1", "d2", "d4"], rows,
                                {"kappa": kappa, "nsites": cfg["nsites"], "nmax": cfg["nmax"],
                                 "boundary": cfg["boundary"], "scheme": "finite_difference_5pt"})
         outputs.append(str(path))
-        interior = slice(2, len(lams) - 2)
-        absd2 = np.abs(d2[interior])
-        ipk = int(np.nanargmax(absd2)) + 2
-        if ipk in (2, len(lams) - 3):
-            warnings.warn(
-                f"kappa={kappa}: |E0''| peaks at the grid boundary; widen lam_grid",
-                RuntimeWarning,
-            )
-            summary.append((kappa, float("nan"), float("nan")))
-            continue
-        peak_lam, peak_val = lams[ipk], abs(d2[ipk])
-        half = peak_val / 2.0
-        left = right = float("nan")
-        for i in range(ipk, 1, -1):
-            if abs(d2[i]) < half:
-                x0, x1, y0, y1 = lams[i], lams[i + 1], abs(d2[i]), abs(d2[i + 1])
-                left = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-                break
-        for i in range(ipk, len(lams) - 2):
-            if abs(d2[i]) < half:
-                x0, x1, y0, y1 = lams[i - 1], lams[i], abs(d2[i - 1]), abs(d2[i])
-                right = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-                break
-        width = right - left
-        im_est = width / (2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0))
-        summary.append((kappa, peak_lam, im_est))
+        summary.append((kappa, *curvature_peak(lams, derivs[:, 1], f"kappa={kappa}: ")))
     p = csvio.write_csv(outdir / "sweep_singularities.csv",
                         ["kappa", "re_estimate", "im_estimate"], summary,
                         {"nsites": cfg["nsites"], "nmax": cfg["nmax"], "boundary": cfg["boundary"]})

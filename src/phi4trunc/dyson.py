@@ -205,11 +205,7 @@ def dyson_series(
     if not (0 <= state_in < n and 0 <= state_out < n):
         raise ValueError(f"states must lie in 0..{n - 1}")
 
-    omega = Fraction(trunc.omega)
-    x = algebra.weighted_x_matrix(n)
-    x2 = algebra._frac_matmul(x, x)
-    v = [[c / (4 * omega**2) for c in row] for row in algebra._frac_matmul(x2, x2)]
-    energies = [omega * (Fraction(k) + Fraction(1, 2)) for k in range(n)]
+    energies, v = algebra.weighted_hamiltonian(trunc)
     lam_frac = Fraction(lam)
 
     # v_p[j] = <j| (p-fold nested integral of V_I) |in> as a PhasePolynomial

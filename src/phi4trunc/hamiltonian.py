@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops, build_ladder
+from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops, harmonic_hamiltonian
 
 __all__ = [
     "LatticeSpec",
@@ -101,14 +101,16 @@ def _phi4(spec: TruncationSpec) -> np.ndarray:
     return np.linalg.matrix_power(phi.entries, 4)
 
 
-def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> OperatorMatrix:
-    """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
-    a, adag = build_ladder(trunc)
-    h0 = trunc.omega * (adag.entries @ a.entries + 0.5 * np.eye(trunc.n_max))
+def _evaluate(family: "CouplingFamily", lam: complex) -> OperatorMatrix:
+    """family.matrix(lam), Hermitian (and real) exactly when lam is real."""
     lam_is_real = isinstance(lam, numbers.Real) or complex(lam).imag == 0.0
     lam_c = complex(lam).real if lam_is_real else complex(lam)
-    h = h0 + lam_c * _phi4(trunc)
-    return OperatorMatrix(h, "occupation", hermitian=lam_is_real)
+    return OperatorMatrix(family.matrix(lam_c), "occupation", hermitian=lam_is_real)
+
+
+def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> OperatorMatrix:
+    """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
+    return _evaluate(anharmonic_family(trunc), lam)
 
 
 def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> OperatorMatrix:
@@ -117,12 +119,7 @@ def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> Op
     Satisfies H_str(1/lam) = H_anh(lam)/lam entrywise for lam != 0, so both
     families share the same exceptional points up to inversion.
     """
-    a, adag = build_ladder(trunc)
-    h0 = trunc.omega * (adag.entries @ a.entries + 0.5 * np.eye(trunc.n_max))
-    lt_is_real = isinstance(lam_tilde, numbers.Real) or complex(lam_tilde).imag == 0.0
-    lt = complex(lam_tilde).real if lt_is_real else complex(lam_tilde)
-    h = _phi4(trunc) + lt * h0
-    return OperatorMatrix(h, "occupation", hermitian=lt_is_real)
+    return _evaluate(strong_coupling_family(trunc), lam_tilde)
 
 
 def lattice_hamiltonian(
@@ -194,10 +191,19 @@ def parity_of_index(index: int, n_max: int, n_sites: int = 1) -> int:
     return s % 2
 
 
+def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
+    """parity_of_index for every product-basis index, digit by digit in base n_max."""
+    idx = np.arange(n_max**n_sites)
+    par = np.zeros_like(idx)
+    for _ in range(n_sites):
+        par += idx % n_max
+        idx //= n_max
+    return par % 2
+
+
 def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    dim = n_max**n_sites
-    par = np.fromiter((parity_of_index(i, n_max, n_sites) for i in range(dim)), dtype=int, count=dim)
-    return np.nonzero(par == 0)[0], np.nonzero(par == 1)[0]
+    par = _parity_array(n_max, n_sites)
+    return np.flatnonzero(par == 0), np.flatnonzero(par)
 
 
 def parity_decompose(h, spec) -> ParityBlocks:
@@ -211,13 +217,11 @@ def parity_decompose(h, spec) -> ParityBlocks:
         n_max, n_sites = spec.trunc.n_max, spec.n_sites
     else:
         n_max, n_sites = spec.n_max, 1
-    even_idx, odd_idx = parity_indices(n_max, n_sites)
+    par = _parity_array(n_max, n_sites)
+    even_idx, odd_idx = np.flatnonzero(par == 0), np.flatnonzero(par)
 
     if isinstance(h, SparseOperator):
         coo = h.matrix.tocoo()
-        par = np.fromiter(
-            (parity_of_index(i, n_max, n_sites) for i in range(h.dim)), dtype=int, count=h.dim
-        )
         cross = par[coo.row] != par[coo.col]
         if np.any(cross):
             worst = np.max(np.abs(coo.data[cross]))
@@ -267,16 +271,14 @@ class CouplingFamily:
 
 def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
     """H(lam) = H_har + lam phi^4 for one site."""
-    a, adag = build_ladder(trunc)
-    h0 = trunc.omega * (adag.entries @ a.entries + 0.5 * np.eye(trunc.n_max))
-    return CouplingFamily(h0, _phi4(trunc), trunc.n_max, 1, "anharmonic")
+    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc), trunc.n_max, 1,
+                          "anharmonic")
 
 
 def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
     """H_str(lam_tilde) = phi^4 + lam_tilde H_har for one site."""
-    a, adag = build_ladder(trunc)
-    hhar = trunc.omega * (adag.entries @ a.entries + 0.5 * np.eye(trunc.n_max))
-    return CouplingFamily(_phi4(trunc), hhar, trunc.n_max, 1, "strong")
+    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries, trunc.n_max, 1,
+                          "strong")
 
 
 def lattice_family(spec: LatticeSpec, dim_cap: int = DEFAULT_DIM_CAP) -> CouplingFamily:

@@ -14,6 +14,7 @@ so that nothing overflows up to n_max = 128.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,18 +139,17 @@ def hermite_zeros(degree: int) -> np.ndarray:
     return np.sort(roots)
 
 
-def _hermite_normalized(n_top: int, x: float) -> np.ndarray:
-    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top.
+def _hermite_normalized(n_top: int, x, sqrt=math.sqrt) -> list:
+    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top, in x's field.
 
     The rescaling keeps the recurrence bounded by ~exp(x^2/2), so the
-    ratio formula below stays inside double range for n_max <= 128.
+    ratio formula below stays inside double range for n_max <= 128; pass
+    sqrt=mpmath.sqrt to run it on mpf values at working precision.
     """
-    h = np.empty(n_top + 1)
-    h[0] = 1.0
-    if n_top >= 1:
-        h[1] = x * np.sqrt(2.0)
+    one = x * 0 + 1
+    h = [one, x * sqrt(2 * one)][: n_top + 1]
     for n in range(1, n_top):
-        h[n + 1] = x * np.sqrt(2.0 / (n + 1)) * h[n] - np.sqrt(n / (n + 1.0)) * h[n - 1]
+        h.append(x * sqrt(2 * one / (n + 1)) * h[n] - sqrt(n * one / (n + 1)) * h[n - 1])
     return h
 
 
@@ -164,7 +164,7 @@ def field_eigenbasis(spec: TruncationSpec) -> list[FieldEigenpair]:
     xs = hermite_zeros(n)
     pairs = []
     for x in xs:
-        h = _hermite_normalized(n - 1, x)
+        h = np.array(_hermite_normalized(n - 1, x))
         vec = h / (np.sqrt(n) * h[n - 1])
         pairs.append(FieldEigenpair(phi=x / np.sqrt(spec.omega), vector=vec))
     return pairs

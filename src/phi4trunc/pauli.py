@@ -33,6 +33,7 @@ __all__ = [
     "trotter_step_unitary",
     "simulate_trotter",
     "pauli_matrix",
+    "qubit_count",
 ]
 
 DROP_THRESHOLD = 1e-12
@@ -99,6 +100,14 @@ def pauli_matrix(string: str) -> np.ndarray:
     for ch in string:
         m = np.kron(m, _PAULI[ch])
     return m
+
+
+def qubit_count(n_max: int) -> int:
+    """n_q with n_max = 2^n_q: the qubits that encode one truncated site."""
+    n_q = n_max.bit_length() - 1
+    if n_max < 2 or 2**n_q != n_max:
+        raise ValueError(f"n_max={n_max} is not a power of two, so no qubit register encodes it")
+    return n_q
 
 
 def _check_input(h: OperatorMatrix, n_q: int) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Perturbed eigenprojectors and projector-method time evolution.
 
-The projector onto a perturbed level is the contour integral of the
-resolvent around its unperturbed energy.  Expanding the resolvent in
-Lippmann-Schwinger form and collecting residues order by order gives the
-standard composition sum
+A nondegenerate level of H0 + lam V has the rank-one projector
 
-    P^(m) = - sum_{k_1+...+k_{m+1} = m} S^(k_1) V S^(k_2) V ... V S^(k_{m+1})
+    P(lam) = |psi_R(lam)><psi_L(lam)| / <psi_L(lam)|psi_R(lam)>
 
-with S^(0) = -P0 and S^(k) = [Q/(E_n - H0)]^k, which is evaluated here with
-exact rational arithmetic in the sqrt(n!)-weighted basis.  Time evolution
-follows by inserting the perturbed resolution of identity: each level
-contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak series
-at the same order, so phases stay bounded for all t.
+(Kato, Perturbation Theory for Linear Operators, ch. II), with psi_R and
+psi_L its right and left eigenvectors.  In the sqrt(n!)-weighted basis V is
+rational but not symmetric, so psi_R is the Rayleigh-Schrodinger state
+series on the level's sector block of V and psi_L the same series on its
+transpose; the normalisation series is inverted term by term.  Everything
+stays in exact rationals, and the cost is polynomial in the order.  Time
+evolution follows by inserting the perturbed resolution of identity: each
+level contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak
+series at the same order, so phases stay bounded for all t.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -83,18 +83,6 @@ class AmplitudeTrace:
         return np.abs(self.amplitude) ** 2
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
 def _convergence_warning(trunc: TruncationSpec, level: int, lam: float) -> None:
     try:
         ser = weak_series(trunc, level, max_order=40)
@@ -119,60 +107,44 @@ def perturbed_projector(
 ) -> tuple[ProjectorSeries, np.ndarray | None]:
     """Projector series for one level through the given order, plus its value.
 
-    The composition sum runs over the full truncated space (the harmonic
-    spectrum is nondegenerate there), with exact rationals throughout.
-    Returns (series, evaluated matrix at lam in the standard basis), the
-    second entry None when lam is not supplied.
+    Built from the Rayleigh-Schrodinger right and left state series on the
+    level's parity-sector block, with exact rationals throughout, then
+    embedded in the full weighted basis (entries outside the sector are
+    zero).  Returns (series, evaluated matrix at lam in the standard
+    basis), the second entry None when lam is not supplied.
     """
     n = trunc.n_max
     if not 0 <= level < n:
         raise ValueError(f"level {level} outside 0..{n - 1}")
-    derived = "even" if level % 2 == 0 else "odd"
-    if sector is not None and sector != derived:
-        raise ValueError(f"level {level} lies in the {derived} sector, not {sector!r}")
+    sector = algebra.level_sector(level, sector)
+    h0, v = algebra.weighted_sector_blocks(trunc, sector)
+    pos = level // 2
+    vt = [list(col) for col in zip(*v)]
+    _, right = algebra.rayleigh_schrodinger(h0, v, pos, order)
+    _, left = algebra.rayleigh_schrodinger(h0, vt, pos, order)
 
-    omega = Fraction(trunc.omega)
-    x = algebra.weighted_x_matrix(n)
-    x2 = algebra._frac_matmul(x, x)
-    v = [[c / (4 * omega**2) for c in row] for row in algebra._frac_matmul(x2, x2)]
-    h0 = [omega * (Fraction(k) + Fraction(1, 2)) for k in range(n)]
+    # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),
+    # and psi_R / <psi_L|psi_R>
+    s, orders = len(h0), range(order + 1)
+    norm = [sum(left[m - a][i] * right[a][i] for a in range(m + 1) for i in range(s))
+            for m in orders]
+    inv = [Fraction(1)]
+    for m in range(1, order + 1):
+        inv.append(-sum(norm[j] * inv[m - j] for j in range(1, m + 1)))
+    scaled = [[sum(inv[m - a] * right[a][i] for a in range(m + 1)) for i in range(s)]
+              for m in orders]
 
-    zero = Fraction(0)
-    denoms = [h0[level] - h0[m] for m in range(n)]
-
-    def apply_s(vec: list[list[Fraction]], k: int) -> list[list[Fraction]]:
-        """Left-multiply a matrix by S^(k): S^(0) = -P0, S^(k) = S^k."""
-        if k == 0:
-            out = [[zero] * n for _ in range(n)]
-            out[level] = [-c for c in vec[level]]
-            return out
-        return [
-            [vec[i][j] / denoms[i] ** k if i != level else zero for j in range(n)]
-            for i in range(n)
-        ]
-
-    def apply_v(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-        return algebra._frac_matmul(v, mat)
-
-    identity = [[Fraction(1) if i == j else zero for j in range(n)] for i in range(n)]
+    idx = algebra.sector_indices(n, sector)
     coeff_mats = []
-    for m in range(order + 1):
-        if m == 0:
-            p0 = [[zero] * n for _ in range(n)]
-            p0[level][level] = Fraction(1)
-            coeff_mats.append(p0)
-            continue
-        acc = [[zero] * n for _ in range(n)]
-        for ks in _compositions(m, m + 1):
-            term = apply_s(identity, ks[-1])
-            for k_exp in reversed(ks[:-1]):
-                term = apply_s(apply_v(term), k_exp)
-            for i in range(n):
-                row_t = term[i]
-                row_a = acc[i]
-                for j in range(n):
-                    row_a[j] -= row_t[j]
-        coeff_mats.append(acc)
+    for m in orders:
+        full = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(m + 1):
+            r, lft = scaled[a], left[m - a]
+            for i, ri in zip(idx, r):
+                if ri:
+                    for j, lj in zip(idx, lft):
+                        full[i][j] += ri * lj
+        coeff_mats.append(full)
 
     series = ProjectorSeries(level, order, coeff_mats, n)
     value = None

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import algebra
-from .oscillator import TruncationSpec
+from .oscillator import TruncationSpec, _hermite_normalized, hermite_zeros
 
 __all__ = [
     "PowerSeries",
@@ -78,13 +78,6 @@ class PowerSeries:
         return out
 
 
-def _sector_for_level(level: int, sector: str | None) -> str:
-    derived = "even" if level % 2 == 0 else "odd"
-    if sector is not None and sector != derived:
-        raise ValueError(f"level {level} lies in the {derived} sector, not {sector!r}")
-    return derived
-
-
 def weak_series(
     trunc: TruncationSpec, level: int, sector: str | None = None, max_order: int = 10
 ) -> PowerSeries:
@@ -94,7 +87,7 @@ def weak_series(
     sector the unperturbed spectrum is nondegenerate, so the plain
     nondegenerate recursion applies at every truncation.
     """
-    sector = _sector_for_level(level, sector)
+    sector = algebra.level_sector(level, sector)
     if not 0 <= level < trunc.n_max:
         raise ValueError(f"level {level} outside 0..{trunc.n_max - 1}")
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
@@ -111,7 +104,7 @@ def weak_series_charpoly(
     f(z, lam) and solves order by order; kept as an independent check on
     the recursion path.
     """
-    sector = _sector_for_level(level, sector)
+    sector = algebra.level_sector(level, sector)
     zc = algebra.sector_char_poly(trunc, sector)  # z-coeffs of integer lam-polys
     s = len(zc) - 1
     pos = level // 2
@@ -159,26 +152,16 @@ def _trunc_add(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction
 # ---------------------------------------------------------------------------
 # strong coupling
 
-def _hermite_pair_mp(degree: int, x):
-    """(h_degree(x), h_{degree-1}(x)) of the normalized Hermite family, mpmath."""
-    hm1, h = mp.mpf(0), mp.mpf(1)
-    for n in range(degree):
-        hm1, h = h, x * mp.sqrt(mp.mpf(2) / (n + 1)) * h - mp.sqrt(mp.mpf(n) / (n + 1)) * hm1
-    return h, hm1
-
-
 def _hermite_zeros_mp(degree: int) -> list:
     """Positive zeros of H_degree at working precision, by Newton refinement."""
-    from .oscillator import hermite_zeros
-
     seeds = [x for x in hermite_zeros(degree) if x > 0]
     out = []
     for seed in seeds:
         x = mp.mpf(seed)
         for _ in range(60):
-            h, hm1 = _hermite_pair_mp(degree, x)
-            dh = mp.sqrt(2 * mp.mpf(degree)) * hm1  # h'_n = sqrt(2n) h_{n-1}
-            step = h / dh
+            h = _hermite_normalized(degree, x, mp.sqrt)
+            dh = mp.sqrt(2 * mp.mpf(degree)) * h[-2]  # h'_n = sqrt(2n) h_{n-1}
+            step = h[-1] / dh
             x -= step
             if abs(step) < mp.mpf(10) ** (-mp.mp.dps + 2):
                 break
@@ -198,41 +181,15 @@ def _strong_coefficients(trunc: TruncationSpec, pos: int, sector: str, max_order
     # parity-projected field eigenvectors: u_j[m] = sqrt(2) <levels[m] | phi_j>
     basis = []
     for x in xs:
-        hvals = []
-        hm1, h = mp.mpf(0), mp.mpf(1)
-        hvals.append(h)
-        for k in range(n - 1):
-            hm1, h = h, x * mp.sqrt(mp.mpf(2) / (k + 1)) * h - mp.sqrt(mp.mpf(k) / (k + 1)) * hm1
-            hvals.append(h)
+        hvals = _hermite_normalized(n - 1, x, mp.sqrt)
         top = hvals[n - 1]
-        col = [mp.sqrt(mp.mpf(2)) * hvals[m] / (mp.sqrt(mp.mpf(n)) * top) for m in levels]
-        basis.append(col)
+        basis.append([mp.sqrt(mp.mpf(2)) * hvals[m] / (mp.sqrt(mp.mpf(n)) * top) for m in levels])
 
     # unperturbed energies x_j^4/omega^2 ascending; perturbation = harmonic term
     h0 = [x**4 / omega**2 for x in xs]
     w = [[sum(basis[j][m] * omega * (levels[m] + mp.mpf(1) / 2) * basis[k][m] for m in range(s))
           for k in range(s)] for j in range(s)]
-
-    for a in range(s):
-        for b in range(s):
-            if a != b and h0[a] == h0[b]:
-                raise ValueError(f"residual degeneracy in {sector} sector at positions {a},{b}")
-
-    energies = [h0[pos]]
-    psi = [[mp.mpf(1) if i == pos else mp.mpf(0) for i in range(s)]]
-    resolvent = [mp.mpf(0) if m == pos else 1 / (h0[pos] - h0[m]) for m in range(s)]
-    for k in range(1, max_order + 1):
-        prev = psi[k - 1]
-        vp = [sum(w[i][j] * prev[j] for j in range(s)) for i in range(s)]
-        energies.append(vp[pos])
-        rhs = list(vp)
-        for j in range(1, k):
-            ej = energies[j]
-            pk = psi[k - j]
-            for i in range(s):
-                rhs[i] -= ej * pk[i]
-        psi.append([resolvent[i] * rhs[i] for i in range(s)])
-    return energies
+    return algebra.rayleigh_schrodinger(h0, w, pos, max_order)[0]
 
 
 def strong_series(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from . import algebra
 from .hamiltonian import CouplingFamily, SparseOperator
 from .oscillator import OperatorMatrix
 
@@ -30,6 +31,8 @@ __all__ = [
     "energy_derivatives",
     "singularity_from_derivatives",
     "exact_amplitude",
+    "stencil_derivatives",
+    "curvature_peak",
     "LANCZOS_SEED",
 ]
 
@@ -150,23 +153,6 @@ def lanczos_lowest(
     return SpectrumResult(w, v, "full")
 
 
-def _rs_coefficients(h0_eigs: np.ndarray, v_eigbasis: np.ndarray, pos: int, order: int) -> list[float]:
-    """Rayleigh-Schrodinger energy coefficients E_k around a diagonalized point."""
-    s = len(h0_eigs)
-    coeffs = [float(h0_eigs[pos])]
-    psi = [np.eye(s)[pos]]
-    with np.errstate(divide="ignore"):
-        resolvent = np.where(np.arange(s) == pos, 0.0, 1.0 / (h0_eigs[pos] - h0_eigs))
-    for k in range(1, order + 1):
-        vp = v_eigbasis @ psi[k - 1]
-        coeffs.append(float(vp[pos]))
-        rhs = vp.copy()
-        for j in range(1, k):
-            rhs -= coeffs[j] * psi[k - j]
-        psi.append(resolvent * rhs)
-    return coeffs
-
-
 def _tracked_sector_level(family: CouplingFamily, sector: str, pos: int, lam: float,
                           ref_vec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     h0s, vs = family.sector_matrices(sector)
@@ -190,16 +176,13 @@ def energy_derivatives(
     """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector.
 
     level is the global harmonic label; its position inside the sector is
-    level // 2.  Near-degeneracy (sector gap < 1e-8) triggers a warning,
+    level // 2, and sector must be the one that holds it.  Near-degeneracy (sector gap < 1e-8) triggers a warning,
     since both schemes lose accuracy there.  With cross_check the other
     scheme is evaluated too and disagreements beyond 1% in d1 or d2 are
     flagged; d4 is exempt because the default finite-difference step is
     cancellation-limited for fourth differences in double precision.
     """
-    if sector not in ("even", "odd"):
-        sector = "even" if level % 2 == 0 else "odd"
-    if (level % 2 == 0) != (sector == "even"):
-        raise ValueError(f"level {level} is not in the {sector} sector")
+    sector = algebra.level_sector(level, sector)
     pos = level // 2
     h0s, vs = family.sector_matrices(sector)
     w, u = np.linalg.eigh(h0s + lambda0 * vs)
@@ -213,7 +196,7 @@ def energy_derivatives(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "sum_over_states":
         veig = u.T @ vs @ u
-        c = _rs_coefficients(w, veig, pos, 4)
+        c, _ = algebra.rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
         est = DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4], scheme)
         if cross_check:
             _compare_schemes(est, energy_derivatives(
@@ -230,12 +213,8 @@ def energy_derivatives(
     es = {k: energy(lambda0 + k * h / 2.0) for k in range(-4, 5)}
 
     def stencils(step_mult: int) -> tuple[float, float, float]:
-        f = [es[k * step_mult] for k in (-2, -1, 0, 1, 2)]
-        hh = h * step_mult / 2.0
-        d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * hh)
-        d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * hh * hh)
-        d4 = (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / hh**4
-        return d1, d2, d4
+        return _five_point_stencil([es[k * step_mult] for k in (-2, -1, 0, 1, 2)],
+                                  h * step_mult / 2.0)
 
     coarse = stencils(2)
     fine = stencils(1)
@@ -245,6 +224,56 @@ def energy_derivatives(
         _compare_schemes(
             energy_derivatives(family, level, sector, lambda0, "sum_over_states"), est)
     return est
+
+
+def _five_point_stencil(f, h: float) -> tuple[float, float, float]:
+    """d1, d2 and d4 at the middle of five samples f spaced h apart."""
+    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h**2)
+    d4 = (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / h**4
+    return d1, d2, d4
+
+
+def stencil_derivatives(lams: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Rows (d1, d2, d4) of five-point stencils on a uniform grid.
+
+    The two points at either end have no full stencil and get NaN.
+    """
+    n = len(lams)
+    h = lams[1] - lams[0]
+    out = np.full((n, 3), np.nan)
+    for i in range(2, n - 2):
+        out[i] = _five_point_stencil(energies[i - 2: i + 3], h)
+    return out
+
+
+def curvature_peak(lams: np.ndarray, d2: np.ndarray, label: str = "") -> tuple[float, float]:
+    """(lambda at the |d2| peak, Im lam_s from its width at half maximum).
+
+    The peak is sought among the stencil points lams[2:-2]; each half-maximum
+    crossing is interpolated linearly between grid points, and the width
+    converts to Im lam_s through HALF_WIDTH_FACTOR.  A peak on the first or
+    last stencil point warns (prefixed by label) and returns NaN for both.
+    """
+    n = len(lams)
+    ipk = int(np.nanargmax(np.abs(d2[2: n - 2]))) + 2
+    if ipk in (2, n - 3):
+        warnings.warn(f"{label}|E0''| peaks at the grid boundary lambda={lams[ipk]:.6g}; "
+                      "widen the lambda grid", RuntimeWarning)
+        return float("nan"), float("nan")
+    half = abs(d2[ipk]) / 2.0
+    left = right = float("nan")
+    for i in range(ipk, 1, -1):
+        if abs(d2[i]) < half:
+            x0, x1, y0, y1 = lams[i], lams[i + 1], abs(d2[i]), abs(d2[i + 1])
+            left = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
+            break
+    for i in range(ipk, n - 2):
+        if abs(d2[i]) < half:
+            x0, x1, y0, y1 = lams[i - 1], lams[i], abs(d2[i - 1]), abs(d2[i])
+            right = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
+            break
+    return lams[ipk], (right - left) / HALF_WIDTH_FACTOR
 
 
 def _compare_schemes(ref: DerivativeEstimate, other: DerivativeEstimate) -> None:

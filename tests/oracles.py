@@ -10,10 +10,13 @@ None of them imports the package:
   of the documented local terms and hop;
 - exceptional points are labelled by following eigenvalues along a ray in
   the complex coupling plane;
-- structural Pauli counts are exact integer Walsh-Hadamard transforms.
+- structural Pauli counts are exact integer Walsh-Hadamard transforms;
+- perturbed projectors come from Kato's composition sum over the whole
+  truncated space, whose cost grows like C(2m, m) with the order m.
 """
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -175,3 +178,64 @@ def structural_pauli_count(n_q: int) -> int:
         nonzero.setdefault(flip, set()).update(np.flatnonzero(_walsh_hadamard(vec)).tolist())
     nonzero[0].discard(0)  # the identity word is a global phase
     return sum(len(zs) for zs in nonzero.values())
+
+
+def weighted_quartic(n_max: int, omega: Fraction = Fraction(1)) -> tuple[list, list]:
+    """(diagonal of omega (n + 1/2), X^4 / (4 omega^2)) in the sqrt(n!)-weighted basis.
+
+    After the similarity by d_n = sqrt(n!), X = a + a^dag has superdiagonal
+    1, 2, ..., n_max-1 and subdiagonal ones, so every entry is rational.
+    """
+    x = [[Fraction(int(j == i + 1) * j + int(j == i - 1)) for j in range(n_max)]
+         for i in range(n_max)]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n_max)) for j in range(n_max)]
+                for i in range(n_max)]
+
+    x2 = mul(x, x)
+    v = [[c / (4 * omega * omega) for c in row] for row in mul(x2, x2)]
+    return [omega * (n + Fraction(1, 2)) for n in range(n_max)], v
+
+
+def kato_projector_series(n_max: int, level: int, order: int,
+                          omega: Fraction = Fraction(1)) -> list:
+    """Weighted-basis coefficients P^(0..order) of the perturbed projector, exact.
+
+    Kato's expansion of the Riesz projector around the unperturbed energy
+    E = omega (level + 1/2):
+
+        P^(m) = - sum over k_1 + ... + k_{m+1} = m of S_{k_1} V S_{k_2} V ... V S_{k_{m+1}},
+
+    with S_0 = -|level><level| and S_k = (Q / (E - H0))^k, Q the complement
+    of |level>.  The sum runs over all C(2m, m) compositions on the whole
+    truncated space; parity is not used.
+    """
+    h0, v = weighted_quartic(n_max, omega)
+    e = h0[level]
+    zero = Fraction(0)
+
+    def s_times(k: int, mat: list) -> list:
+        if k == 0:
+            return [[-c if i == level else zero for c in row] for i, row in enumerate(mat)]
+        return [[zero if i == level else c / (e - h0[i]) ** k for c in row]
+                for i, row in enumerate(mat)]
+
+    def v_times(mat: list) -> list:
+        return [[sum(v[i][k] * mat[k][j] for k in range(n_max) if v[i][k]) for j in range(n_max)]
+                for i in range(n_max)]
+
+    identity = [[Fraction(int(i == j)) for j in range(n_max)] for i in range(n_max)]
+    series = [[[Fraction(int(i == j == level)) for j in range(n_max)] for i in range(n_max)]]
+    for m in range(1, order + 1):
+        total = [[zero] * n_max for _ in range(n_max)]
+        # a composition of m into m + 1 parts is a choice of m bar positions
+        for bars in combinations(range(2 * m), m):
+            edges = (-1,) + bars + (2 * m,)
+            parts = [edges[i + 1] - edges[i] - 1 for i in range(m + 1)]
+            term = s_times(parts[-1], identity)
+            for k in reversed(parts[:-1]):
+                term = s_times(k, v_times(term))
+            total = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
+        series.append(total)
+    return series

@@ -37,6 +37,7 @@ from phi4trunc import (
     weak_series,
 )
 from phi4trunc.dyson import PhasePolynomial, QQi
+from phi4trunc.spectral import curvature_peak, stencil_derivatives
 
 from oracles import benderwu_continuum, dense_lattice_hamiltonian, structural_pauli_count
 
@@ -367,6 +368,21 @@ def _curvature_peak_and_width(lams, energies):
     width = right - left
     im_est = width / (2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0))
     return lams[ipk], im_est
+
+
+def test_shared_stencil_matches_the_oracle_stencil():
+    # one energy array through spectral's stencil and half-maximum width and
+    # through the copy above: the same floats.  E = -sqrt((lam - a)^2 + b^2)
+    # is a two-level branch point at a + i b, where the width rule is exact.
+    lams = np.linspace(-0.3, 0.02, 161)
+    energies = -np.sqrt((lams + 0.146) ** 2 + 0.03**2)
+    derivs = stencil_derivatives(lams, energies)
+    peak, im_est = curvature_peak(lams, derivs[:, 1])
+    assert (peak, im_est) == _curvature_peak_and_width(lams, energies)
+    assert abs(im_est - 0.03) <= 1e-3
+    assert np.isnan(derivs[:2]).all() and np.isnan(derivs[-2:]).all()
+    with pytest.warns(RuntimeWarning, match="grid boundary"):
+        assert np.isnan(curvature_peak(lams, -np.abs(lams - 0.01))).all()
 
 
 @criterion("11b", "lattice: E0'' peak at hop strength 2 kappa = 0.1 within 15% of -2/9")

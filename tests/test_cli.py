@@ -186,3 +186,16 @@ def test_lattice_sweep_outputs(tmp_path):
     assert kappa == 0.1
     assert -0.3 < re_est < -0.05
     assert im_est > 0
+
+
+@pytest.mark.parametrize("args, n_max", [
+    (["trotter", "--nmax", "6"], 6),
+    (["pauli", "--nmax", "6"], 6),
+    (["evolve", "--method", "trotter", "--nmax", "12", "--steps", "2"], 12),
+])
+def test_qubit_commands_name_a_non_power_of_two_nmax(tmp_path, args, n_max):
+    code, outdir = run_cli(args, tmp_path, "q")
+    assert code == 1
+    error = json.loads((outdir / "manifest.json").read_text())["error"]
+    assert error["type"] == "ValueError"
+    assert f"n_max={n_max} is not a power of two" in error["message"]

@@ -217,3 +217,30 @@ def test_sparse_triplets_sorted_and_hermitian():
     assert trips == sorted(trips, key=lambda t: (t[0], t[1]))
     lookup = {(r, c): v for r, c, v in trips}
     assert all(abs(lookup[(c, r)] - np.conj(v)) <= 1e-15 for (r, c), v in lookup.items())
+
+
+def test_single_site_builders_evaluate_their_families_with_exact_diagonal():
+    from phi4trunc import anharmonic_family, strong_coupling_family
+
+    trunc = TruncationSpec(16, 0.75)
+    harmonic = np.diag(0.75 * (np.arange(16) + 0.5))
+    assert np.array_equal(single_site_hamiltonian(trunc, 0.0).entries, harmonic)
+    assert np.array_equal(strong_coupling_family(trunc).v, harmonic)
+    for lam in (0.3, -0.05 + 0.02j, 1 + 0j):
+        h = single_site_hamiltonian(trunc, lam)
+        assert np.array_equal(h.entries, anharmonic_family(trunc).matrix(lam))
+        assert h.hermitian == (complex(lam).imag == 0.0)
+        hs = strong_coupling_hamiltonian(trunc, lam)
+        assert np.array_equal(hs.entries, strong_coupling_family(trunc).matrix(lam))
+        assert hs.hermitian == h.hermitian
+    assert single_site_hamiltonian(trunc, 1 + 0j).entries.dtype == float
+
+
+@pytest.mark.parametrize("n_max, n_sites", [(2, 1), (4, 1), (4, 3), (6, 2), (2, 5)])
+def test_parity_indices_match_per_index_parity(n_max, n_sites):
+    from phi4trunc.hamiltonian import parity_indices, parity_of_index
+
+    even, odd = parity_indices(n_max, n_sites)
+    par = [parity_of_index(i, n_max, n_sites) for i in range(n_max**n_sites)]
+    assert even.tolist() == [i for i, p in enumerate(par) if p == 0]
+    assert odd.tolist() == [i for i, p in enumerate(par) if p == 1]

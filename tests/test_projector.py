@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import kato_projector_series, weighted_quartic
 
 from phi4trunc import (
     TruncationSpec,
@@ -155,3 +158,49 @@ def test_probability_bounded_uniformly_in_time():
     t = np.linspace(0.0, 200.0, 2001)
     trace = evolve_projector_method(trunc, 4, 0.1, t, 0, 2, check_convergence=False)
     assert np.max(trace.probability) <= 1.0 + 1e-4
+
+
+@pytest.mark.parametrize("n_max", [4, 6])
+def test_projector_equals_kato_composition_sum(n_max):
+    # the rank-one |psi_R><psi_L| / <psi_L|psi_R> against the independent
+    # C(2m, m)-term composition sum, Fraction for Fraction, every level
+    for level in range(n_max):
+        ser, _ = perturbed_projector(TruncationSpec(n_max), level, order=4)
+        assert ser.weighted == kato_projector_series(n_max, level, 4)
+
+
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n) if a[i][k]) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(n_max=st.sampled_from([2, 4, 6, 8]), order=st.integers(0, 8),
+       omega=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+@example(n_max=8, order=8, omega=Fraction(1))
+def test_projector_algebra_exact_at_every_order(n_max, order, omega):
+    # with P = sum_m lam^m P_m and H = H0 + lam V, order by order and with
+    # no tolerance: sum over levels of P_m = delta_m0 I, sum_a P_a P_(m-a)
+    # = P_m, and [H0, P_m] + [V, P_(m-1)] = 0
+    h0, v = weighted_quartic(n_max, omega)
+    n = n_max
+    zero = [[Fraction(0)] * n for _ in range(n)]
+    total = [[[Fraction(0)] * n for _ in range(n)] for _ in range(order + 1)]
+    for level in range(n):
+        p = perturbed_projector(TruncationSpec(n, float(omega)), level, order=order)[0].weighted
+        for m in range(order + 1):
+            total[m] = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total[m], p[m])]
+            square = zero
+            for a in range(m + 1):
+                prod = _matmul(p[a], p[m - a])
+                square = [[x + y for x, y in zip(rs, rp)] for rs, rp in zip(square, prod)]
+            assert square == p[m]
+            comm = [[(h0[i] - h0[j]) * p[m][i][j] for j in range(n)] for i in range(n)]
+            if m:
+                vp, pv = _matmul(v, p[m - 1]), _matmul(p[m - 1], v)
+                comm = [[c + x - y for c, x, y in zip(rc, rx, ry)]
+                        for rc, rx, ry in zip(comm, vp, pv)]
+            assert comm == zero
+    assert total[0] == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert all(total[m] == zero for m in range(1, order + 1))

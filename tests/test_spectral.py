@@ -205,3 +205,21 @@ def test_mixed_parity_pair_rejected():
     fam = anharmonic_family(TruncationSpec(4))
     with pytest.raises(ValueError, match="parity"):
         singularity_from_derivatives(fam, (0, 1), (-0.3, -0.1))
+
+
+def test_energy_derivatives_rejects_a_misspelled_sector():
+    fam = anharmonic_family(TruncationSpec(4))
+    with pytest.raises(ValueError, match="'evn'"):
+        energy_derivatives(fam, 0, "evn", 0.1)
+    with pytest.raises(ValueError, match="level 1 lies in the odd sector, not 'even'"):
+        energy_derivatives(fam, 1, "even", 0.1)
+
+
+def test_sum_over_states_rejects_exact_degeneracy():
+    import phi4trunc.hamiltonian as ham
+
+    # the even sector (indices 0, 2) holds two equal unperturbed energies
+    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)), 4, 1, "synthetic")
+    with pytest.warns(RuntimeWarning, match="degenerate"), \
+            pytest.raises(ValueError, match="degenerate"):
+        energy_derivatives(fam, 0, "even", 0.0)
