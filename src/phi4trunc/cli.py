@@ -197,8 +197,10 @@ def _cmd_evolve(cfg, outdir):
         plan = build_trotter_plan(dec, cfg["dt"], steps, cfg["ordering"])
         sim = simulate_trotter(plan, sin, [sout])
         rows = [(k, sim["t"][k], sout, sim["probabilities"][k, 0]) for k in range(steps + 1)]
-        path = csvio.write_csv(outdir / "trotter_trace.csv", ["step", "t", "state", "prob"],
-                               rows, {"dt": cfg["dt"], "lambda": cfg["lam"], "ordering": plan.ordering})
+        drift = np.max(np.abs(sim["norms"] - 1.0))
+        path = csvio.write_csv(outdir / "trotter_trace.csv", ["step", "t", "state", "prob"], rows,
+                               {"dt": cfg["dt"], "lambda": cfg["lam"], "norm_drift": f"{drift:.17g}",
+                                "ordering": plan.ordering})
         return [str(path)]
     if cfg["method"] == "exact":
         amp = exact_amplitude(single_site_hamiltonian(trunc, cfg["lam"]), t, sin, sout)
@@ -282,7 +284,7 @@ def _cmd_pauli(cfg, outdir):
     rows = [(t.string, t.coeff) for t in dec.terms]
     path = csvio.write_csv(outdir / "pauli.csv", ["string", "coeff"], rows,
                            {"identity_coeff": f"{dec.identity_coeff:.17g}",
-                            "lambda": cfg["lam"], "n_qubits": n_q})
+                            "lambda": cfg["lam"], "n_dropped": dec.n_dropped, "n_qubits": n_q})
     return [str(path)]
 
 

@@ -1,23 +1,24 @@
 """Pauli-string decomposition, gate-resource counts, and Trotter evolution.
 
-A Hermitian matrix on n_q qubits expands uniquely on the 4^n_q tensor
-products of Pauli matrices with real coefficients tr(P H)/2^n_q.  The
-expansion is computed by a block recursion (split the matrix into qubit-0
-quadrants, recurse on the four combinations) rather than explicit traces;
-the trace route is retained as a slow oracle for tests.
-
 Occupation states map to qubits most-significant-bit first, so qubit 0 is
-the slowest-varying index, matching the lattice site ordering.  First-order
-Trotter steps apply each term's rotation exp(-i theta P) as a two-amplitude
-statevector update: P permutes basis states by the X/Y mask with a phase
-fixed by the Z/Y mask.
+the slowest-varying index, matching the lattice site ordering.  The Pauli
+word with X/Y mask f and Z/Y mask z maps |x> to
+i^popcount(f & z) (-1)^popcount(x & z) |x ^ f>, so its coefficient
+tr(P H)/2^n_q is i^popcount(f & z)/2^n_q times the Walsh-Hadamard
+transform at z of the diagonal i -> H[i, i ^ f].  One transform of all
+2^n_q diagonals gives all 4^n_q coefficients; the explicit traces are kept
+as a slow test oracle.  The gate-resource count runs the same transform on
+exact integers.  A Trotter plan compiles to one source permutation x ^ f
+and one phase vector per term; applied to the identity they give the step
+unitary, which then advances the state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .oscillator import OperatorMatrix
 
@@ -44,6 +45,8 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_LETTERS = np.array(list("IXYZ"))
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class TrotterPlan:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
+            raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         if any(len(t.string) != len(self.terms[0].string) for t in self.terms):
             raise ValueError("all Pauli strings in a plan must share one width")
         if any(set(t.string) == {"I"} for t in self.terms):
@@ -119,25 +124,45 @@ def _check_input(h: OperatorMatrix, n_q: int) -> np.ndarray:
     return m
 
 
-def _block_coefficients(m: np.ndarray) -> dict[str, complex]:
-    """Recursive quadrant split: coefficients of all Pauli words on m."""
-    dim = m.shape[0]
-    if dim == 1:
-        return {"": complex(m[0, 0])}
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised transform of each row: out[r, z] = sum_i (-1)^popcount(i & z) a[r, i].
+
+    Butterflies run from the most significant bit down, the order in which
+    a recursive split into qubit-0 quadrants adds the entries.
+    """
+    rows, dim = a.shape
     half = dim // 2
-    a, b = m[:half, :half], m[:half, half:]
-    c, d = m[half:, :half], m[half:, half:]
-    sub = {
-        "I": _block_coefficients((a + d) / 2.0),
-        "X": _block_coefficients((b + c) / 2.0),
-        "Y": _block_coefficients(1j * (b - c) / 2.0),
-        "Z": _block_coefficients((a - d) / 2.0),
-    }
-    out: dict[str, complex] = {}
-    for letter, coeffs in sub.items():
-        for rest, val in coeffs.items():
-            out[letter + rest] = val
-    return out
+    while half:
+        a = a.reshape(rows, -1, 2, half)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        half //= 2
+    return a.reshape(rows, dim)
+
+
+def _word_masks(n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, z, Y count) of all 4^n_q words, in lexicographic I < X < Y < Z order.
+
+    Word w has the base-4 digit (w >> 2(n_q-1-q)) & 3 on qubit q, 0..3 for
+    I, X, Y, Z, so f has a bit for digits 1 and 2 and z for digits 2 and 3.
+    """
+    w = np.arange(4**n_q)
+    f = np.zeros_like(w)
+    z = np.zeros_like(w)
+    ys = np.zeros_like(w)
+    for q in range(n_q):
+        digit = (w >> (2 * (n_q - 1 - q))) & 3
+        bit = 1 << (n_q - 1 - q)
+        f |= np.where((digit == 1) | (digit == 2), bit, 0)
+        z |= np.where(digit >= 2, bit, 0)
+        ys += digit == 2
+    return f, z, ys
+
+
+def _word_strings(words: np.ndarray, n_q: int) -> list[str]:
+    """Pauli strings of the words with the given lexicographic indices."""
+    shifts = 2 * np.arange(n_q - 1, -1, -1)
+    chars = _LETTERS[(np.asarray(words)[:, None] >> shifts) & 3]
+    return chars.view(f"<U{n_q}").ravel().tolist()
 
 
 def pauli_decompose(
@@ -147,27 +172,26 @@ def pauli_decompose(
 
     Coefficients are tr(P H)/2^n_q; the identity coefficient is reported
     separately because it only contributes a global phase.  Terms with
-    |coeff| <= drop_threshold are pruned and counted.
+    |coeff| <= drop_threshold are pruned and counted.  Terms come in
+    lexicographic I < X < Y < Z order.
     """
     m = _check_input(h, n_q)
-    raw = _block_coefficients(m)
-    terms = []
-    dropped = 0
-    identity = 0.0
-    for string in sorted(raw):
-        val = raw[string]
-        if abs(val.imag) > 1e-9:
-            raise ValueError(f"non-real coefficient {val} on {string}; input not Hermitian")
-        coeff = float(val.real)
-        if set(string) == {"I"}:
-            identity = coeff
-            continue
-        if abs(coeff) <= drop_threshold:
-            if coeff != 0.0:
-                dropped += 1
-            continue
-        terms.append(PauliTerm(string, coeff))
-    return PauliDecomposition(terms, identity, n_q, dropped)
+    dim = 2**n_q
+    idx = np.arange(dim)
+    # row f of the gather is the diagonal i -> m[i, i ^ f]
+    spectrum = _walsh_hadamard(m[idx, idx ^ idx[:, None]])
+    f, z, ys = _word_masks(n_q)
+    vals = spectrum[f, z] * _I_POWERS[ys % 4] / dim
+    bad = np.flatnonzero(np.abs(vals.imag) > 1e-9)
+    if bad.size:
+        word = _word_strings(bad[:1], n_q)[0]
+        raise ValueError(f"non-real coefficient {vals[bad[0]]} on {word}; input not Hermitian")
+    coeffs = vals.real
+    size = np.abs(coeffs[1:])  # word 0 is the identity
+    kept = np.flatnonzero(size > drop_threshold) + 1
+    dropped = int(np.count_nonzero((size <= drop_threshold) & (size != 0.0)))
+    terms = [PauliTerm(s, float(c)) for s, c in zip(_word_strings(kept, n_q), coeffs[kept])]
+    return PauliDecomposition(terms, float(coeffs[0]), n_q, dropped)
 
 
 def pauli_decompose_trace(h: OperatorMatrix, n_q: int) -> dict[str, float]:
@@ -183,103 +207,65 @@ def pauli_decompose_trace(h: OperatorMatrix, n_q: int) -> dict[str, float]:
     return out
 
 
-def _structural_strings(n_q: int, lam, omega, dps: int) -> set[str]:
-    """Nonzero non-identity Pauli words of H_anh at one coupling.
+def _surd_sqrt(factors) -> tuple[int, int]:
+    """sqrt of a product of positive integers as (m, s): m sqrt(s) with s squarefree."""
+    m, s = 1, 1
+    for k in factors:
+        p = 2
+        while p * p <= k:
+            while k % (p * p) == 0:
+                k //= p * p
+                m *= p
+            p += 1
+        g = math.gcd(s, k)  # k is squarefree now: sqrt(s k) = g sqrt((s/g)(k/g))
+        m, s = m * g, (s // g) * (k // g)
+    return m, s
 
-    The quadrant recursion runs in software floats at dps digits and keeps
-    every word above 10^-(dps-10).  The smallest genuine coefficients
-    shrink fast with n_q (2.4e-7, 7.4e-9 and 2.3e-10 at n_q = 6, 7, 8 for
-    lam = 1/3); doubles still resolve them, and at the default dps = 40
-    the threshold 1e-30 sits twenty orders of magnitude below them.
+
+def _structural_words(n_q: int) -> list[str]:
+    """Non-identity words of H = omega (n + 1/2) + lam phi^4 / omega^2 not identically zero.
+
+    In the sqrt(n!)-weighted basis X = a + a^dag has superdiagonal
+    1, ..., n-1 and subdiagonal ones, so X_w^4 is an integer matrix, and for
+    i <= j the occupation entry is X^4[i, j] = X_w^4[j, i] sqrt((i+1)...j),
+    which is N m sqrt(s) with N, m integers and s squarefree.  The entries
+    H[i, i ^ f] of each flip f are grouped by s, and the harmonic diagonal
+    is a group of its own.  A coefficient a + lam b is identically zero
+    exactly when every group's integer Walsh-Hadamard transform vanishes at
+    z, because square roots of distinct squarefree integers are linearly
+    independent over the rationals.  No threshold and no probe coupling
+    enter, and no omega > 0 changes the set.
     """
-    import mpmath as mp
-
     n = 2**n_q
-    with mp.workdps(dps):
-        x = [[mp.mpf(0)] * n for _ in range(n)]
-        for k in range(1, n):
-            root = mp.sqrt(k)
-            x[k - 1][k] = root
-            x[k][k - 1] = root
-
-        def banded_mul(a, b, band):
-            out = [[mp.mpf(0)] * n for _ in range(n)]
-            for i in range(n):
-                for k in range(max(0, i - band), min(n, i + band + 1)):
-                    aik = a[i][k]
-                    if aik:
-                        row = b[k]
-                        for j in range(max(0, k - band), min(n, k + band + 1)):
-                            if row[j]:
-                                out[i][j] += aik * row[j]
-            return out
-
-        x2 = banded_mul(x, x, 1)
-        x4 = banded_mul(x2, x2, 2)
-        lam_mp = mp.mpf(lam.numerator) / lam.denominator if hasattr(lam, "numerator") \
-            else mp.mpf(lam)
-        omega_mp = mp.mpf(omega)
-        h = [[lam_mp * x4[i][j] / (4 * omega_mp**2) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            h[k][k] += omega_mp * (k + mp.mpf(1) / 2)
-
-        half = mp.mpf(1) / 2
-
-        def coeffs(mat, dim):
-            if dim == 1:
-                return {"": mat[0][0]}
-            hdim = dim // 2
-            quads = {
-                "I": [[(mat[i][j] + mat[i + hdim][j + hdim]) * half for j in range(hdim)]
-                      for i in range(hdim)],
-                "X": [[(mat[i][j + hdim] + mat[i + hdim][j]) * half for j in range(hdim)]
-                      for i in range(hdim)],
-                "Y": [[(mat[i][j + hdim] - mat[i + hdim][j]) * half for j in range(hdim)]
-                      for i in range(hdim)],
-                "Z": [[(mat[i][j] - mat[i + hdim][j + hdim]) * half for j in range(hdim)]
-                      for i in range(hdim)],
-            }
-            out = {}
-            for letter, sub in quads.items():
-                for rest, val in coeffs(sub, hdim).items():
-                    out[letter + rest] = val
-            return out
-
-        raw = coeffs(h, n)
-        tol = mp.mpf(10) ** (-(dps - 10))
-        return {s for s, v in raw.items() if set(s) != {"I"} and abs(v) > tol}
+    x = sp.diags([np.ones(n - 1), np.arange(1, n)], [-1, 1], format="csr", dtype=np.int64)
+    x2 = x @ x
+    lower = sp.tril(x2 @ x2).tocoo()
+    groups = {(0, 0): 2 * np.arange(n, dtype=np.int64) + 1}  # harmonic: s = 0 is no surd
+    for hi, lo, big_n in zip(lower.row.tolist(), lower.col.tolist(), lower.data.tolist()):
+        m, s = _surd_sqrt(range(lo + 1, hi + 1))
+        vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
+        vec[hi] = vec[lo] = big_n * m
+    flips = np.array([flip for flip, _ in groups])
+    vecs = np.stack(list(groups.values()))
+    if int(np.abs(vecs).max()) * n >= 2**63:  # |transform| <= n max|v| at every butterfly
+        raise OverflowError(f"integer transform at n_q={n_q} exceeds int64")
+    hit = np.zeros((n, n), dtype=bool)
+    np.logical_or.at(hit, flips, _walsh_hadamard(vecs) != 0)
+    hit[0, 0] = False  # the identity word is a global phase
+    f, z, _ = _word_masks(n_q)
+    return _word_strings(np.flatnonzero(hit[f, z]), n_q)
 
 
-def count_resources(
-    n_q: int,
-    lam_probe: tuple = (Fraction(1, 3), Fraction(1, 7)),
-    omega: float = 1.0,
-    dps: int = 40,
-) -> ResourceEstimate:
+def count_resources(n_q: int) -> ResourceEstimate:
     """Structural nonzero Pauli terms of the single-site quartic Hamiltonian.
 
-    A term counts when its coefficient is nonzero at either of two generic
-    probe couplings, which filters coefficients that vanish identically in
-    lam without being fooled by accidental zeros at special values.  The
-    count runs at dps working digits (see _structural_strings for the
-    margin).  It agrees with an exact integer count, which groups each
-    Walsh-Hadamard sum of H[i, i ^ f] by the squarefree part of its
-    radicands: 5, 19, 55, 143, 351, 831 and 1919 terms for n_q = 2..8.
+    An exact count of the words whose coefficient is not identically zero
+    in the coupling (_structural_words): 5, 19, 55, 143, 351, 831 and 1919
+    terms for n_q = 2..8.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
-    per_probe = [_structural_strings(n_q, lam, omega, dps) for lam in lam_probe]
-    strings = set.union(*per_probe)
-    accidental = strings - set.intersection(*per_probe)
-    if accidental:
-        import warnings
-
-        warnings.warn(
-            f"{len(accidental)} coefficients vanish at one probe coupling only "
-            f"(accidental zeros): {sorted(accidental)[:4]}...",
-            RuntimeWarning,
-        )
-    return ResourceEstimate(n_q, len(strings))
+    return ResourceEstimate(n_q, len(_structural_words(n_q)))
 
 
 def build_trotter_plan(
@@ -299,47 +285,52 @@ def build_trotter_plan(
     return TrotterPlan(terms, dt, steps, ordering)
 
 
-def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
-    """Dense product of the plan's rotations, each in closed form.
+def _plan_width(plan: TrotterPlan) -> int:
+    return len(plan.terms[0].string) if plan.terms else 1
 
-    P^2 = 1 gives exp(-i theta P) = cos(theta) 1 - i sin(theta) P, so the
-    step is an exact product of cosine/sine combinations.
+
+def _compile(plan: TrotterPlan) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """One (source index x ^ f, cos theta, -i sin theta phase) triple per term.
+
+    exp(-i theta P) psi = cos(theta) psi + g * psi[x ^ f], where
+    g[x] = -i sin(theta) i^#Y (-1)^popcount((x ^ f) & z).
     """
-    n_q = len(plan.terms[0].string) if plan.terms else 1
-    dim = 2**n_q
-    u = np.eye(dim, dtype=complex)
+    n_q = _plan_width(plan)
+    idx = np.arange(2**n_q)
+    parity = np.zeros_like(idx)
+    for q in range(n_q):
+        parity ^= (idx >> q) & 1
+    sign = np.where(parity, -1.0, 1.0)  # (-1)^popcount(y), read at y = src & z
+    out = []
     for term in plan.terms:
+        f = z = 0
+        for ch in term.string:
+            f = 2 * f + (ch in "XY")
+            z = 2 * z + (ch in "ZY")
+        src = idx ^ f
         theta = plan.dt * term.coeff
-        p = pauli_matrix(term.string)
-        u = (np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * p) @ u
+        phase = _I_POWERS[term.string.count("Y") % 4] * sign[src & z]
+        out.append((src, np.cos(theta), -1j * np.sin(theta) * phase))
+    return out
+
+
+def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
+    """Product of the plan's rotations, each applied to the rows of the identity.
+
+    P^2 = 1 gives exp(-i theta P) = cos(theta) 1 - i sin(theta) P, so each
+    rotation is a row permutation with a phase: O(4^n_q) per term.
+    """
+    u = np.eye(2 ** _plan_width(plan), dtype=complex)
+    for src, c, g in _compile(plan):
+        u = c * u + g[:, None] * u[src]
     return OperatorMatrix(u, "occupation", hermitian=False)
 
 
-def _apply_pauli_rotation(state: np.ndarray, string: str, theta: float) -> np.ndarray:
-    """exp(-i theta P) |state> via one permutation and one phase array."""
-    n_q = len(string)
-    dim = state.shape[0]
-    flip = 0
-    zy_mask = 0
-    y_count = 0
-    for q, ch in enumerate(string):
-        bit = 1 << (n_q - 1 - q)  # qubit 0 is the most significant bit
-        if ch in ("X", "Y"):
-            flip |= bit
-        if ch in ("Z", "Y"):
-            zy_mask |= bit
-        if ch == "Y":
-            y_count += 1
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=int)
-    bits = idx & zy_mask
-    while np.any(bits):
-        parity ^= bits & 1
-        bits >>= 1
-    phase = (1j**y_count) * np.where(parity, -1.0, 1.0)
-    # (P psi)[x] = phase(x ^ flip) * psi[x ^ flip]
-    permuted = phase[idx ^ flip] * state[idx ^ flip]
-    return np.cos(theta) * state - 1j * np.sin(theta) * permuted
+def _basis_index(value, dim: int, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < dim:
+        raise ValueError(f"{what} {value!r} is not a basis index 0..{dim - 1} "
+                         f"of the {dim.bit_length() - 1}-qubit plan")
+    return int(value)
 
 
 def simulate_trotter(
@@ -351,26 +342,31 @@ def simulate_trotter(
 
     Returns arrays of shape (steps+1, len(observable_states)) of
     probabilities |<m|psi>|^2, plus the per-step norm for conservation
-    checks.  state_in may be a basis index or a normalized vector.
+    checks.  state_in may be a basis index or a normalized vector of 2^n_q
+    amplitudes.  Each step multiplies by the step unitary, formed once.
     """
-    n_q = len(plan.terms[0].string) if plan.terms else 1
-    dim = 2**n_q
+    dim = 2 ** _plan_width(plan)
     if isinstance(state_in, (int, np.integer)):
         psi = np.zeros(dim, dtype=complex)
-        psi[state_in] = 1.0
+        psi[_basis_index(state_in, dim, "input state")] = 1.0
     else:
-        psi = np.asarray(state_in, dtype=complex).copy()
+        psi = np.array(state_in, dtype=complex)
+        if psi.shape != (dim,):
+            raise ValueError(f"input state has shape {psi.shape}, but the "
+                             f"{dim.bit_length() - 1}-qubit plan needs {dim} amplitudes")
         if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
             raise ValueError("input state must be normalized")
+    obs = np.array([_basis_index(m, dim, "observable state") for m in observable_states],
+                   dtype=np.intp)
 
-    probs = np.empty((plan.steps + 1, len(observable_states)))
+    u = trotter_step_unitary(plan).entries
+    probs = np.empty((plan.steps + 1, obs.size))
     norms = np.empty(plan.steps + 1)
-    probs[0] = [abs(psi[m]) ** 2 for m in observable_states]
+    probs[0] = np.abs(psi[obs]) ** 2
     norms[0] = np.linalg.norm(psi)
     for step in range(1, plan.steps + 1):
-        for term in plan.terms:
-            psi = _apply_pauli_rotation(psi, term.string, plan.dt * term.coeff)
-        probs[step] = [abs(psi[m]) ** 2 for m in observable_states]
+        psi = u @ psi
+        probs[step] = np.abs(psi[obs]) ** 2
         norms[step] = np.linalg.norm(psi)
     t = plan.dt * np.arange(plan.steps + 1)
     return {"t": t, "probabilities": probs, "norms": norms, "state": psi}

@@ -11,6 +11,10 @@ None of them imports the package:
 - exceptional points are labelled by following eigenvalues along a ray in
   the complex coupling plane;
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
+- structural Pauli word sets also come from a 40-digit recursive split
+  into qubit-0 quadrants at a fixed coupling;
+- Trotter steps are dense products of cos(theta) 1 - i sin(theta) P, and
+  Trotter evolution applies each rotation to the statevector in turn;
 - perturbed projectors come from Kato's composition sum over the whole
   truncated space, whose cost grows like C(2m, m) with the order m.
 """
@@ -18,6 +22,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -178,6 +183,103 @@ def structural_pauli_count(n_q: int) -> int:
         nonzero.setdefault(flip, set()).update(np.flatnonzero(_walsh_hadamard(vec)).tolist())
     nonzero[0].discard(0)  # the identity word is a global phase
     return sum(len(zs) for zs in nonzero.values())
+
+
+def mp_pauli_words(n_q: int, lam: Fraction, dps: int = 40) -> set[str]:
+    """Non-identity Pauli words of (n + 1/2) + lam phi^4 above 10^-(dps-10) at one coupling.
+
+    The quadrant recursion runs in mpmath floats at dps digits: for each
+    split of the matrix into qubit-0 blocks [[a, b], [c, d]] the words
+    starting with I, X, Y, Z carry (a + d)/2, (b + c)/2, i(b - c)/2 and
+    (a - d)/2; the unit factor i is left out, since only |coefficient| is
+    tested.  The smallest genuine coefficients shrink fast with n_q
+    (2.4e-7, 7.4e-9 and 2.3e-10 at n_q = 6, 7, 8 for lam = 1/3); at
+    dps = 40 the threshold 1e-30 sits twenty orders below them.  Zeros
+    that happen only at this lam are not filtered; take the union over two
+    couplings for the structural set.
+    """
+    n = 2**n_q
+    with mp.workdps(dps):
+        x = [[mp.mpf(0)] * n for _ in range(n)]
+        for k in range(1, n):
+            x[k - 1][k] = x[k][k - 1] = mp.sqrt(k)
+
+        def banded_mul(a, b, band):
+            out = [[mp.mpf(0)] * n for _ in range(n)]
+            for i in range(n):
+                for k in range(max(0, i - band), min(n, i + band + 1)):
+                    if a[i][k]:
+                        for j in range(max(0, k - band), min(n, k + band + 1)):
+                            out[i][j] += a[i][k] * b[k][j]
+            return out
+
+        x2 = banded_mul(x, x, 1)
+        x4 = banded_mul(x2, x2, 2)
+        coupling = mp.mpf(lam.numerator) / lam.denominator
+        h = [[coupling * x4[i][j] / 4 for j in range(n)] for i in range(n)]
+        for k in range(n):
+            h[k][k] += k + mp.mpf(1) / 2
+
+        def coeffs(mat, dim):
+            if dim == 1:
+                return {"": mat[0][0]}
+            hd = dim // 2
+            blocks = {
+                "I": lambda i, j: (mat[i][j] + mat[i + hd][j + hd]) / 2,
+                "X": lambda i, j: (mat[i][j + hd] + mat[i + hd][j]) / 2,
+                "Y": lambda i, j: (mat[i][j + hd] - mat[i + hd][j]) / 2,
+                "Z": lambda i, j: (mat[i][j] - mat[i + hd][j + hd]) / 2,
+            }
+            out = {}
+            for letter, entry in blocks.items():
+                sub = [[entry(i, j) for j in range(hd)] for i in range(hd)]
+                for rest, val in coeffs(sub, hd).items():
+                    out[letter + rest] = val
+            return out
+
+        tol = mp.mpf(10) ** (-(dps - 10))
+        return {w for w, v in coeffs(h, n).items() if set(w) != {"I"} and abs(v) > tol}
+
+
+_PAULI_LETTERS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _pauli_dense(word: str) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for ch in word:
+        out = np.kron(out, _PAULI_LETTERS[ch])
+    return out
+
+
+def dense_trotter_step(terms: list[tuple[str, float]], dt: float) -> np.ndarray:
+    """Product over the terms, in order, of cos(dt c) 1 - i sin(dt c) P as dense matrices."""
+    dim = 2 ** len(terms[0][0])
+    u = np.eye(dim, dtype=complex)
+    for word, coeff in terms:
+        theta = dt * coeff
+        u = (np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * _pauli_dense(word)) @ u
+    return u
+
+
+def rotate_pauli(state: np.ndarray, word: str, theta: float) -> np.ndarray:
+    """exp(-i theta P) |state> as one permutation and one phase array on the amplitudes.
+
+    P |x> = i^#Y (-1)^popcount(x & z) |x ^ f> with f the X/Y and z the Z/Y
+    mask, qubit 0 the most significant bit.
+    """
+    n_q = len(word)
+    idx = np.arange(state.shape[0])
+    flip = sum(1 << (n_q - 1 - q) for q, ch in enumerate(word) if ch in "XY")
+    zmask = sum(1 << (n_q - 1 - q) for q, ch in enumerate(word) if ch in "ZY")
+    parity = np.array([bin(int(i) & zmask).count("1") % 2 for i in idx])
+    phase = (1j ** word.count("Y")) * np.where(parity, -1.0, 1.0)
+    permuted = phase[idx ^ flip] * state[idx ^ flip]
+    return np.cos(theta) * state - 1j * np.sin(theta) * permuted
 
 
 def weighted_quartic(n_max: int, omega: Fraction = Fraction(1)) -> tuple[list, list]:

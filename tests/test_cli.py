@@ -145,7 +145,18 @@ def test_pauli_csv_and_identity_metadata(tmp_path):
     assert code == 0
     text = (outdir / "pauli.csv").read_text()
     assert "# identity_coeff=2.375" in text
+    assert "# n_dropped=0" in text
     assert "IZ,-0.5" in text
+
+
+def test_trotter_trace_records_norm_drift(tmp_path):
+    code, outdir = run_cli(["evolve", "--method", "trotter", "--nmax", "8", "--lam", "0.2",
+                            "--dt", "0.01", "--steps", "300"], tmp_path, "e")
+    assert code == 0
+    lines = (outdir / "trotter_trace.csv").read_text().splitlines()
+    drift = float(next(l for l in lines if l.startswith("# norm_drift=")).partition("=")[2])
+    assert 0.0 <= drift <= 1e-12
+    assert len([l for l in lines if not l.startswith("#")]) == 302  # header plus steps 0..300
 
 
 def test_trotter_error_table(tmp_path):

@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phi4trunc import (
     TruncationSpec,
@@ -14,9 +18,15 @@ from phi4trunc import (
     trotter_step_unitary,
 )
 from phi4trunc.oscillator import OperatorMatrix
-from phi4trunc.pauli import PauliTerm, TrotterPlan, pauli_decompose_trace, pauli_matrix
+from phi4trunc.pauli import (
+    PauliTerm,
+    TrotterPlan,
+    _structural_words,
+    pauli_decompose_trace,
+    pauli_matrix,
+)
 
-from oracles import structural_pauli_count
+from oracles import dense_trotter_step, mp_pauli_words, rotate_pauli, structural_pauli_count
 
 REF_NNZ = {2: 5, 3: 19, 4: 55, 5: 143, 6: 351, 7: 831, 8: 1919}
 REF_BOUND = {2: 25, 3: 133, 4: 495, 5: 1573, 6: 4563, 7: 12465, 8: 32623}
@@ -104,7 +114,7 @@ def test_resource_counts_match_reference(n_q):
 
 @pytest.mark.parametrize("n_q", [6, 7, 8])
 def test_resource_counts_large_nq_exact(n_q):
-    # the 40-digit count against the exact integer count of tests/oracles.py
+    # the integer transform count against the surd matrix products of tests/oracles.py
     est = count_resources(n_q)
     assert est.n_nz == REF_NNZ[n_q] == structural_pauli_count(n_q)
     assert est.depth_bound == REF_BOUND[n_q]
@@ -117,6 +127,68 @@ def test_double_precision_decomposition_keeps_every_structural_term(n_q):
     dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(2**n_q), 1.0 / 3.0), n_q)
     assert len(dec.terms) == REF_NNZ[n_q]
     assert dec.n_dropped == 0
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6])
+def test_structural_words_match_the_40_digit_recursion(n_q):
+    words = set(_structural_words(n_q))
+    assert words == mp_pauli_words(n_q, Fraction(1, 3)) | mp_pauli_words(n_q, Fraction(1, 7))
+    assert len(words) == REF_NNZ[n_q]
+
+
+@pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6, 7, 8])
+def test_structural_words_are_the_float_decomposition_words(n_q):
+    dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(2**n_q), 1.0 / 3.0), n_q)
+    # same words, and both in lexicographic I < X < Y < Z order
+    assert [t.string for t in dec.terms] == _structural_words(n_q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n_q=st.integers(1, 5))
+def test_decomposition_rebuilds_random_hermitian(data, n_q):
+    dim = 2**n_q
+    parts = arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0))
+    re, im = data.draw(parts)
+    m = (re + 1j * im + (re + 1j * im).conj().T) / 2
+    h = OperatorMatrix(m, hermitian=True)
+    dec = pauli_decompose(h, n_q)
+    rebuilt = dec.identity_coeff * np.eye(dim, dtype=complex)
+    for term in dec.terms:
+        rebuilt += term.coeff * pauli_matrix(term.string)
+    assert np.max(np.abs(rebuilt - m)) <= 1e-12
+    if n_q <= 3:
+        oracle = pauli_decompose_trace(h, n_q)
+        assert dec.identity_coeff == pytest.approx(oracle["I" * n_q], abs=1e-12)
+        for term in dec.terms:
+            assert term.coeff == pytest.approx(oracle[term.string], abs=1e-12)
+
+
+def _random_plan(data, n_q, last_letters="IXYZ"):
+    prefix = st.text(alphabet="IXYZ", min_size=n_q - 1, max_size=n_q - 1)
+    word = st.builds(str.__add__, prefix, st.sampled_from(last_letters)).filter(
+        lambda w: set(w) != {"I"})
+    terms = data.draw(st.lists(st.tuples(word, st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    return [PauliTerm(w, c) for w, c in terms], data.draw(st.floats(0.01, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_q=st.integers(1, 4))
+def test_compiled_step_unitary_matches_dense_product(data, n_q):
+    terms, dt = _random_plan(data, n_q)
+    u = trotter_step_unitary(TrotterPlan(terms, dt, 1, "as_given")).entries
+    assert np.max(np.abs(u - dense_trotter_step([(t.string, t.coeff) for t in terms], dt))) <= 1e-13
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2**n_q))) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n_q=st.integers(1, 4), steps=st.integers(0, 30))
+def test_parity_even_plans_leak_nothing_into_odd_states(data, n_q, steps):
+    # a last letter I or Z leaves the occupation parity (bit 0) unflipped
+    terms, dt = _random_plan(data, n_q, last_letters="IZ")
+    start = data.draw(st.integers(0, 2 ** (n_q - 1) - 1)) * 2
+    odd = list(range(1, 2**n_q, 2))
+    sim = simulate_trotter(TrotterPlan(terms, dt, steps), start, odd)
+    assert np.all(sim["probabilities"] == 0.0)
 
 
 def test_nnz_growth_slower_than_4_to_nq():
@@ -166,6 +238,21 @@ def test_plan_rejects_identity_and_bad_ordering():
         TrotterPlan([PauliTerm("II", 1.0)], 0.1, 1)
     with pytest.raises(ValueError, match="positive"):
         TrotterPlan([PauliTerm("XI", 1.0)], -0.1, 1)
+
+
+def test_simulation_matches_rotation_by_rotation_update():
+    dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(8), 0.4), 3)
+    plan = build_trotter_plan(dec, 0.05, 60)
+    rng = np.random.default_rng(3)
+    start = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    start /= np.linalg.norm(start)
+    sim = simulate_trotter(plan, start, [0, 3, 6])
+    psi = start
+    for step in range(1, plan.steps + 1):
+        for term in plan.terms:
+            psi = rotate_pauli(psi, term.string, plan.dt * term.coeff)
+        assert np.max(np.abs(sim["probabilities"][step] - np.abs(psi[[0, 3, 6]]) ** 2)) <= 1e-12
+    assert np.max(np.abs(sim["state"] - psi)) <= 1e-12
 
 
 def test_simulation_matches_step_unitary_powers():
@@ -237,3 +324,25 @@ def test_unnormalized_state_rejected():
     plan = build_trotter_plan(dec, 0.1, 1)
     with pytest.raises(ValueError, match="normalized"):
         simulate_trotter(plan, np.array([1.0, 1.0, 0.0, 0.0]), [0])
+
+
+@pytest.mark.parametrize("state_in, observables, match", [
+    (-1, [0], "input state -1"),
+    (4, [0], "input state 4"),
+    (0, [-1], "observable state -1"),
+    (0, [1, 4], "observable state 4"),
+    (0, [1.0], "observable state 1.0"),
+    (np.eye(8)[0], [0], "needs 4 amplitudes"),
+])
+def test_simulation_rejects_states_outside_the_register(state_in, observables, match):
+    dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(4), 0.1), 2)
+    plan = build_trotter_plan(dec, 0.1, 1)
+    with pytest.raises(ValueError, match=match):
+        simulate_trotter(plan, state_in, observables)
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5])
+def test_plan_rejects_steps_that_are_not_a_count(steps):
+    dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(4), 0.1), 2)
+    with pytest.raises(ValueError, match=f"steps must be a non-negative integer, got {steps}"):
+        build_trotter_plan(dec, 0.1, steps)
