@@ -5,19 +5,23 @@ matrix with superdiagonal (1, 2, ..., n_max-1) and subdiagonal ones, leaving
 the spectrum untouched.  In that weighted basis the quartic perturbation
 X^4/(4 omega^2) is a matrix of exact rationals, so perturbative recursions
 and characteristic polynomials can be carried out over Q with no rounding.
-The one Rayleigh-Schrodinger recursion of the package lives here and works
-over any scalar field: the weak series and projectors run it on Fractions,
-the strong series on mpmath floats and the sum-over-states derivatives on
-doubles.
+The Rayleigh-Schrodinger recursion of the package lives here as two loops.
+_rs_scaled_integer runs it on exact rational blocks as integers scaled by
+Q^k, with one reduction per coefficient; the weak series and the projectors
+use it.  rayleigh_schrodinger is the generic loop over any scalar field:
+the strong series runs it on mpmath floats, the sum-over-states derivatives
+on doubles, and the tests on Fractions, as the oracle for the integer loop.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int; the bivariate characteristic polynomial f(z, lam) of
 a parity-sector block is recovered by exact Lagrange interpolation in lam
 of Faddeev-LeVerrier characteristic polynomials, then cleared to integers
-by the 4^s denominator of the block entries.
+by the 4^s omega^(2s) denominator of the block entries.
 """
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .oscillator import TruncationSpec
@@ -108,6 +112,14 @@ def weighted_sector_blocks(
     return [h0[i] for i in idx], [[v[i][j] for j in idx] for i in idx]
 
 
+def _resolvent(h0: list, pos: int) -> list:
+    """R_m = 1/(h0[pos] - h0[m]), zero at pos; ValueError when h0[pos] is degenerate."""
+    for m, e in enumerate(h0):
+        if m != pos and e == h0[pos]:
+            raise ValueError(f"unperturbed level at position {pos} is degenerate with {m}")
+    return [h0[pos] - e if m == pos else 1 / (h0[pos] - e) for m, e in enumerate(h0)]
+
+
 def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> tuple[list, list]:
     """Nondegenerate Rayleigh-Schrodinger series over any scalar field.
 
@@ -120,16 +132,13 @@ def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> t
     zero are skipped.  Raises ValueError when h0[pos] is degenerate.
     """
     s = len(h0)
-    for m in range(s):
-        if m != pos and h0[m] == h0[pos]:
-            raise ValueError(f"unperturbed level at position {pos} is degenerate with {m}")
+    resolvent = _resolvent(h0, pos)
     e0 = h0[pos]
     zero = e0 - e0
     one = zero + 1
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in v]
     energies = [e0]
     states = [[one if i == pos else zero for i in range(s)]]
-    resolvent = [zero if m == pos else 1 / (e0 - h0[m]) for m in range(s)]
     for k in range(1, max_order + 1):
         prev = states[k - 1]
         rhs = [sum((x * prev[j] for j, x in row if prev[j]), zero) for row in rows]
@@ -144,6 +153,63 @@ def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> t
     return energies, states
 
 
+def _rs_scaled_integer(
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, scale: int | None = None
+) -> tuple[list[Fraction], list[list[int]], int]:
+    """The Rayleigh-Schrodinger recursion of rayleigh_schrodinger on exact blocks, in integers.
+
+    With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of the denominators of
+    V[pos, i], R_m V[m, i] and R_m V[pos, i], the scaled states
+    psi~_k = Q^k psi_k and energies E~_k = Q^k E_k obey
+
+        E~_k      = sum_i (Q V[pos, i]) psi~_(k-1)[i]
+        psi~_k[m] = sum_i (Q R_m V[m, i]) psi~_(k-1)[i] - sum_j (R_m E~_j) psi~_(k-j)[m]
+
+    where R_m E~_j = sum_i (Q R_m V[pos, i]) psi~_(j-1)[i].  All three
+    coefficient matrices are integers, so no step divides and the only
+    reduction is E_k = Fraction(E~_k, Q^k), one per coefficient.  A given
+    scale (a multiple of Q, shared by several blocks) replaces Q.  Returns
+    (energies, scaled states psi~_k, scale).  Raises ValueError when
+    h0[pos] is degenerate and ArithmeticError when the scale does not clear
+    the blocks.
+    """
+    h0 = [Fraction(x) for x in h0]
+    s = len(h0)
+    res = _resolvent(h0, pos)
+    rows = [[(j, Fraction(x)) for j, x in enumerate(row) if x] for row in v]
+    top = rows[pos]
+    state_rows = [[(j, r * x) for j, x in row] if r else [] for r, row in zip(res, rows)]
+    shift_rows = [[(j, r * x) for j, x in top] if r else [] for r in res]
+    if scale is None:
+        scale = math.lcm(*(x.denominator for row in (top, *state_rows, *shift_rows) for _, x in row))
+
+    def integral(row: list) -> list[tuple[int, int]]:
+        row = [(j, x * scale) for j, x in row]
+        for _, y in row:
+            if y.denominator != 1:
+                raise ArithmeticError(f"scale {scale} leaves {y / scale} * {scale} = {y} "
+                                      f"non-integral (level at position {pos})")
+        return [(j, y.numerator) for j, y in row]
+
+    top = integral(top)
+    state_rows = [integral(row) for row in state_rows]
+    shift_rows = [integral(row) for row in shift_rows]
+    cols = [[int(m == pos)] for m in range(s)]  # cols[m][k] = psi~_k[m]
+    shifts: list[list[int]] = [[] for _ in range(s)]  # shifts[m][j - 1] = R_m E~_j
+    energies = [h0[pos]]
+    qk = 1
+    for _ in range(max_order):
+        prev = [col[-1] for col in cols]
+        qk *= scale
+        energies.append(Fraction(sum(x * prev[j] for j, x in top), qk))
+        for m in range(s):
+            col, shift = cols[m], shifts[m]
+            col.append(sum(x * prev[j] for j, x in state_rows[m])
+                       - sum(map(operator.mul, shift, col[:0:-1])))
+            shift.append(sum(x * prev[j] for j, x in shift_rows[m]))
+    return energies, [list(psi) for psi in zip(*cols)], scale
+
+
 def rs_rational_series(
     h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int
 ) -> list[Fraction]:
@@ -151,9 +217,9 @@ def rs_rational_series(
 
     h0 is the diagonal unperturbed block (all entries distinct), v the
     perturbation; returns [E_0, E_1, ..., E_max_order] for the level at
-    the given diagonal position.
+    the given diagonal position, from the scaled-integer recursion.
     """
-    return rayleigh_schrodinger(h0, v, pos, max_order)[0]
+    return _rs_scaled_integer(h0, v, pos, max_order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +328,16 @@ def char_poly_fractions(a: list[list[Fraction]]) -> list[Fraction]:
 def sector_char_poly(trunc: TruncationSpec, sector: str) -> list[list[int]]:
     """Integer-cleared bivariate characteristic polynomial of a sector block.
 
-    Returns f(z, lam) = 4^s omega^(2s) det(z I - H_sector(lam)) as a list of
-    z-coefficients (ascending), each an integer polynomial in lam (ascending).
-    With omega = 1 the clearing factor 4^s matches the entrywise denominator
-    of the weighted phi^4 block, so every coefficient is an exact integer.
+    Returns f(z, lam) = c det(z I - H_sector(lam)) as a list of
+    z-coefficients (ascending), each an integer polynomial in lam
+    (ascending).  c is 4^s omega^(2s), which matches the entrywise
+    denominator of the weighted block at integer omega, times the smallest
+    integer that clears what a fractional omega leaves (h0 = omega (n + 1/2)
+    has denominator 4 at omega = 1/2).
     """
     h0, v = weighted_sector_blocks(trunc, sector)
     s = len(h0)
     omega = _as_fraction(trunc.omega, "omega")
-    clear = (4 * omega**2) ** s
 
     # interpolate each z-coefficient in lam from s+1 integer nodes
     nodes = list(range(s + 1))
@@ -278,22 +345,10 @@ def sector_char_poly(trunc: TruncationSpec, sector: str) -> list[list[int]]:
     for t in nodes:
         block = [[(h0[i] if i == j else Fraction(0)) + t * v[i][j] for j in range(s)] for i in range(s)]
         per_node.append(char_poly_fractions(block))
-
-    zcoeffs: list[list[int]] = []
-    for j in range(s + 1):
-        values = [per_node[i][j] for i in range(len(nodes))]
-        poly = _lagrange_interpolate(nodes, values)
-        poly = [c * clear for c in poly]
-        ints = []
-        for c in poly:
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    f"char poly coefficient not integral after clearing: {c} "
-                    f"(n_max={trunc.n_max}, sector={sector})"
-                )
-            ints.append(int(c))
-        zcoeffs.append(poly_trim(ints))
-    return zcoeffs
+    polys = [_lagrange_interpolate(nodes, [row[j] for row in per_node]) for j in range(s + 1)]
+    clear = (4 * omega**2) ** s
+    clear *= math.lcm(*((c * clear).denominator for poly in polys for c in poly))
+    return [poly_trim([int(c * clear) for c in poly]) for poly in polys]
 
 
 def _lagrange_interpolate(nodes: list[int], values: list[Fraction]) -> list[Fraction]:

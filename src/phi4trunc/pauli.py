@@ -37,8 +37,6 @@ __all__ = [
     "qubit_count",
 ]
 
-DROP_THRESHOLD = 1e-12
-
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,7 +57,7 @@ class PauliTerm:
 
 @dataclass
 class PauliDecomposition:
-    """Non-identity terms above threshold, the identity coefficient, and drop count."""
+    """Non-identity terms above rounding level, the identity coefficient, and drop count."""
 
     terms: list[PauliTerm]
     identity_coeff: float
@@ -69,20 +67,28 @@ class PauliDecomposition:
 
 @dataclass
 class TrotterPlan:
-    """Ordered Pauli terms with step size and count for first-order evolution."""
+    """Ordered Pauli terms with step size and count for first-order evolution.
+
+    n_q is the register width; it may be left out when a term gives it.
+    """
 
     terms: list[PauliTerm]
     dt: float
     steps: int
     ordering: str = "by_magnitude_desc"
+    n_q: int | None = None
 
     def __post_init__(self):
+        if self.n_q is None:
+            if not self.terms:
+                raise ValueError("a plan with no terms needs its register width n_q")
+            self.n_q = len(self.terms[0].string)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if any(len(t.string) != len(self.terms[0].string) for t in self.terms):
-            raise ValueError("all Pauli strings in a plan must share one width")
+        if any(len(t.string) != self.n_q for t in self.terms):
+            raise ValueError(f"all Pauli strings in a plan must have the register width {self.n_q}")
         if any(set(t.string) == {"I"} for t in self.terms):
             raise ValueError("identity string is a global phase and must not enter a plan")
 
@@ -165,21 +171,22 @@ def _word_strings(words: np.ndarray, n_q: int) -> list[str]:
     return chars.view(f"<U{n_q}").ravel().tolist()
 
 
-def pauli_decompose(
-    h: OperatorMatrix, n_q: int, drop_threshold: float = DROP_THRESHOLD
-) -> PauliDecomposition:
+def pauli_decompose(h: OperatorMatrix, n_q: int) -> PauliDecomposition:
     """Expansion of a Hermitian matrix on the Pauli basis.
 
     Coefficients are tr(P H)/2^n_q; the identity coefficient is reported
-    separately because it only contributes a global phase.  Terms with
-    |coeff| <= drop_threshold are pruned and counted.  Terms come in
-    lexicographic I < X < Y < Z order.
+    separately because it only contributes a global phase.  A word whose
+    |coeff| is at most n_q eps max_i |H[i, i ^ f]|, the rounding error of
+    its flip f's transform, is pruned and counted; the cut scales with H,
+    so a change of units drops nothing new.  Terms come in lexicographic
+    I < X < Y < Z order.
     """
     m = _check_input(h, n_q)
     dim = 2**n_q
     idx = np.arange(dim)
     # row f of the gather is the diagonal i -> m[i, i ^ f]
-    spectrum = _walsh_hadamard(m[idx, idx ^ idx[:, None]])
+    diagonals = m[idx, idx ^ idx[:, None]]
+    spectrum = _walsh_hadamard(diagonals)
     f, z, ys = _word_masks(n_q)
     vals = spectrum[f, z] * _I_POWERS[ys % 4] / dim
     bad = np.flatnonzero(np.abs(vals.imag) > 1e-9)
@@ -187,9 +194,13 @@ def pauli_decompose(
         word = _word_strings(bad[:1], n_q)[0]
         raise ValueError(f"non-real coefficient {vals[bad[0]]} on {word}; input not Hermitian")
     coeffs = vals.real
-    size = np.abs(coeffs[1:])  # word 0 is the identity
-    kept = np.flatnonzero(size > drop_threshold) + 1
-    dropped = int(np.count_nonzero((size <= drop_threshold) & (size != 0.0)))
+    # n_q butterfly levels each round a partial sum bounded by dim max|H[i, i ^ f]|
+    # by eps; the structural words of the phi^4 site sit 39x or more above it
+    # at n_q <= 8, and the roundoff of summed Pauli words stays below 0.1x
+    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[f]
+    size, cut = np.abs(coeffs[1:]), cut[1:]  # word 0 is the identity
+    kept = np.flatnonzero(size > cut) + 1
+    dropped = int(np.count_nonzero((size <= cut) & (size != 0.0)))
     terms = [PauliTerm(s, float(c)) for s, c in zip(_word_strings(kept, n_q), coeffs[kept])]
     return PauliDecomposition(terms, float(coeffs[0]), n_q, dropped)
 
@@ -282,11 +293,7 @@ def build_trotter_plan(
         terms.sort(key=lambda t: t.string)
     elif ordering != "as_given":
         raise ValueError(f"unknown ordering {ordering!r}")
-    return TrotterPlan(terms, dt, steps, ordering)
-
-
-def _plan_width(plan: TrotterPlan) -> int:
-    return len(plan.terms[0].string) if plan.terms else 1
+    return TrotterPlan(terms, dt, steps, ordering, decomposition.n_qubits)
 
 
 def _compile(plan: TrotterPlan) -> list[tuple[np.ndarray, float, np.ndarray]]:
@@ -295,7 +302,7 @@ def _compile(plan: TrotterPlan) -> list[tuple[np.ndarray, float, np.ndarray]]:
     exp(-i theta P) psi = cos(theta) psi + g * psi[x ^ f], where
     g[x] = -i sin(theta) i^#Y (-1)^popcount((x ^ f) & z).
     """
-    n_q = _plan_width(plan)
+    n_q = plan.n_q
     idx = np.arange(2**n_q)
     parity = np.zeros_like(idx)
     for q in range(n_q):
@@ -320,7 +327,7 @@ def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
     P^2 = 1 gives exp(-i theta P) = cos(theta) 1 - i sin(theta) P, so each
     rotation is a row permutation with a phase: O(4^n_q) per term.
     """
-    u = np.eye(2 ** _plan_width(plan), dtype=complex)
+    u = np.eye(2**plan.n_q, dtype=complex)
     for src, c, g in _compile(plan):
         u = c * u + g[:, None] * u[src]
     return OperatorMatrix(u, "occupation", hermitian=False)
@@ -345,7 +352,7 @@ def simulate_trotter(
     checks.  state_in may be a basis index or a normalized vector of 2^n_q
     amplitudes.  Each step multiplies by the step unitary, formed once.
     """
-    dim = 2 ** _plan_width(plan)
+    dim = 2**plan.n_q
     if isinstance(state_in, (int, np.integer)):
         psi = np.zeros(dim, dtype=complex)
         psi[_basis_index(state_in, dim, "input state")] = 1.0

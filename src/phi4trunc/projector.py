@@ -9,10 +9,12 @@ psi_L its right and left eigenvectors.  In the sqrt(n!)-weighted basis V is
 rational but not symmetric, so psi_R is the Rayleigh-Schrodinger state
 series on the level's sector block of V and psi_L the same series on its
 transpose; the normalisation series is inverted term by term.  Everything
-stays in exact rationals, and the cost is polynomial in the order.  Time
-evolution follows by inserting the perturbed resolution of identity: each
-level contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak
-series at the same order, so phases stay bounded for all t.
+stays exact, as integers at a common scale Q^m with one rational per
+final entry, and the cost is polynomial in the order.  Time evolution
+follows by inserting the perturbed resolution of identity: each level
+contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak series
+at the same order, read off the same recursion, so phases stay bounded for
+all t.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import algebra
 from .oscillator import TruncationSpec
-from .series import radius_estimate, weak_series
+from .series import PowerSeries, radius_estimate, weak_series
 
 __all__ = [
     "ProjectorSeries",
@@ -97,6 +99,46 @@ def _convergence_warning(trunc: TruncationSpec, level: int, lam: float) -> None:
         )
 
 
+def _level_projector(
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, order: int, idx: list[int], n: int
+) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
+    """Energy series and projector coefficient matrices of one level of a sector block.
+
+    Both state series come from the scaled-integer recursion at one scale
+    Q that clears v and its transpose, so the order-m terms of
+    <psi_L|psi_R>, of its inverse and of the outer products are integers
+    at scale Q^m, and each matrix entry is reduced once.  The block sits at
+    rows and columns idx of an n x n matrix that is zero elsewhere.
+    """
+    vt = [list(col) for col in zip(*v)]
+    # an order-0 run returns the scale each block needs
+    q = math.lcm(algebra._rs_scaled_integer(h0, v, pos, 0)[2],
+                 algebra._rs_scaled_integer(h0, vt, pos, 0)[2])
+    energies, right, _ = algebra._rs_scaled_integer(h0, v, pos, order, q)
+    _, left, _ = algebra._rs_scaled_integer(h0, vt, pos, order, q)
+
+    # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),
+    # and psi_R / <psi_L|psi_R>, each order-m term scaled by Q^m
+    s, orders = len(h0), range(order + 1)
+    norm = [sum(left[m - a][i] * right[a][i] for a in range(m + 1) for i in range(s))
+            for m in orders]
+    inv = [1]
+    for m in range(1, order + 1):
+        inv.append(-sum(norm[j] * inv[m - j] for j in range(1, m + 1)))
+    scaled = [[sum(inv[m - a] * right[a][i] for a in range(m + 1)) for i in range(s)]
+              for m in orders]
+
+    coeff_mats = []
+    for m in orders:
+        full = [[Fraction(0)] * n for _ in range(n)]
+        for bi, i in enumerate(idx):
+            for bj, j in enumerate(idx):
+                full[i][j] = Fraction(sum(scaled[a][bi] * left[m - a][bj] for a in range(m + 1)),
+                                      q**m)
+        coeff_mats.append(full)
+    return energies, coeff_mats
+
+
 def perturbed_projector(
     trunc: TruncationSpec,
     level: int,
@@ -118,34 +160,7 @@ def perturbed_projector(
         raise ValueError(f"level {level} outside 0..{n - 1}")
     sector = algebra.level_sector(level, sector)
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
-    pos = level // 2
-    vt = [list(col) for col in zip(*v)]
-    _, right = algebra.rayleigh_schrodinger(h0, v, pos, order)
-    _, left = algebra.rayleigh_schrodinger(h0, vt, pos, order)
-
-    # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),
-    # and psi_R / <psi_L|psi_R>
-    s, orders = len(h0), range(order + 1)
-    norm = [sum(left[m - a][i] * right[a][i] for a in range(m + 1) for i in range(s))
-            for m in orders]
-    inv = [Fraction(1)]
-    for m in range(1, order + 1):
-        inv.append(-sum(norm[j] * inv[m - j] for j in range(1, m + 1)))
-    scaled = [[sum(inv[m - a] * right[a][i] for a in range(m + 1)) for i in range(s)]
-              for m in orders]
-
-    idx = algebra.sector_indices(n, sector)
-    coeff_mats = []
-    for m in orders:
-        full = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(m + 1):
-            r, lft = scaled[a], left[m - a]
-            for i, ri in zip(idx, r):
-                if ri:
-                    for j, lj in zip(idx, lft):
-                        full[i][j] += ri * lj
-        coeff_mats.append(full)
-
+    _, coeff_mats = _level_projector(h0, v, level // 2, order, algebra.sector_indices(n, sector), n)
     series = ProjectorSeries(level, order, coeff_mats, n)
     value = None
     if lam is not None:
@@ -168,8 +183,9 @@ def evolve_projector_method(
 
     Sums e^(-i E_n(lam) t) weighted by the projector matrix elements over
     every level in the input state's parity sector; both P_n and E_n are
-    partial sums through the same order.  States of opposite parity give an
-    identically zero trace.
+    partial sums through the same order, and both come from one
+    Rayleigh-Schrodinger run per level on the sector block, built once.
+    States of opposite parity give an identically zero trace.
     """
     t = np.asarray(t_grid, dtype=float)
     if state_in % 2 != state_out % 2:
@@ -177,12 +193,17 @@ def evolve_projector_method(
     if check_convergence:
         _convergence_warning(trunc, state_in, lam)
 
+    n = trunc.n_max
+    sector = algebra.level_sector(state_in)
+    h0, v = algebra.weighted_sector_blocks(trunc, sector)
+    idx = algebra.sector_indices(n, sector)
     amplitude = np.zeros(len(t), dtype=complex)
-    for level in range(state_in % 2, trunc.n_max, 2):
-        series, _ = perturbed_projector(trunc, level, None, order, None, False)
+    for pos, level in enumerate(idx):
+        energies, coeff_mats = _level_projector(h0, v, pos, order, idx, n)
+        series = ProjectorSeries(level, order, coeff_mats, n)
         weight = series.evaluate(lam)[state_out, state_in]
         if weight == 0.0:
             continue
-        energy = float(weak_series(trunc, level, max_order=order).evaluate(lam))
+        energy = float(PowerSeries(energies, "weak_lambda", level, sector).evaluate(lam))
         amplitude += weight * np.exp(-1j * energy * t)
     return AmplitudeTrace(t, amplitude)

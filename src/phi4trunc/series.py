@@ -2,9 +2,11 @@
 
 Weak coupling expands around the harmonic spectrum in powers of lam; since
 the unperturbed energies are half-integers, the Rayleigh-Schrodinger
-recursion restricted to a parity sector closes over exact rationals.  The
-same recursion run on a characteristic polynomial, order by order, is kept
-as an independent cross-check path.
+recursion restricted to a parity sector closes over exact rationals; it
+runs on integers scaled by powers of one block-derived Q, so each
+coefficient is reduced once (algebra._rs_scaled_integer).  The same
+expansion solved from the characteristic polynomial, order by order, is
+kept as an independent cross-check path.
 
 Strong coupling expands around phi^4 in powers of lam_tilde = 1/lam.  The
 unperturbed energies are fourth powers of Hermite zeros, so the recursion

@@ -108,7 +108,6 @@ def lanczos_lowest(
     h: SparseOperator,
     k: int,
     tol: float = 1e-12,
-    restart_dim: int | None = None,
     want_vectors: bool = False,
 ) -> SpectrumResult:
     """k lowest eigenvalues of a Hermitian sparse operator.
@@ -128,7 +127,7 @@ def lanczos_lowest(
         return SpectrumResult(w[:k], None, "full")
     rng = np.random.default_rng(LANCZOS_SEED)
     v0 = rng.standard_normal(dim)
-    ncv = restart_dim if restart_dim is not None else min(dim, max(2 * k + 10, 40))
+    ncv = min(dim, max(2 * k + 10, 40))
     import scipy.sparse as sp
 
     shift = 1.0 + float(abs(h.matrix).sum(axis=1).max())  # Gershgorin bound

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi4trunc import TruncationSpec, algebra
+from phi4trunc import TruncationSpec, algebra, weak_series, weak_series_charpoly
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -27,6 +27,45 @@ def test_rs_engine_solves_the_order_by_order_equations(data, s, max_order):
             lhs = h0[i] * states[k][i] + sum(v[i][j] * states[k - 1][j] for j in range(s))
             rhs = sum(energies[j] * states[k - j][i] for j in range(k + 1))
             assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 8))
+def test_scaled_integer_recursion_is_the_fraction_engine(data, s, max_order):
+    # the generic loop on Fractions is the oracle: the same energies, and
+    # integer states that are Q^k times its states
+    h0 = data.draw(st.lists(rationals, min_size=s, max_size=s, unique=True))
+    v = data.draw(st.lists(st.lists(rationals, min_size=s, max_size=s), min_size=s, max_size=s))
+    pos = data.draw(st.integers(0, s - 1))
+    energies, states = algebra.rayleigh_schrodinger(h0, v, pos, max_order)
+    e_int, scaled, q = algebra._rs_scaled_integer(h0, v, pos, max_order)
+    assert e_int == energies
+    assert all(type(e) is Fraction for e in e_int)
+    assert len(scaled) == max_order + 1
+    for k, (psi_int, psi) in enumerate(zip(scaled, states)):
+        assert all(type(x) is int for x in psi_int)
+        assert [Fraction(x, q**k) for x in psi_int] == psi
+
+
+def test_scaled_integer_recursion_rejects_a_scale_that_leaves_fractions():
+    h0, v = algebra.weighted_sector_blocks(TruncationSpec(8), "even")
+    q = algebra._rs_scaled_integer(h0, v, 1, 0)[2]
+    assert algebra._rs_scaled_integer(h0, v, 1, 6, 3 * q)[0] == algebra.rs_rational_series(h0, v, 1, 6)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        algebra._rs_scaled_integer(h0, v, 1, 6, q // 2)
+    with pytest.raises(ValueError, match="position 0 is degenerate with 2"):
+        algebra._rs_scaled_integer([Fraction(1), Fraction(2), Fraction(1)],
+                                   [[Fraction(1)] * 3] * 3, 0, 2)
+
+
+@pytest.mark.parametrize("omega", [1, Fraction(1, 2), Fraction(3, 2)])
+def test_weak_series_is_the_charpoly_series_at_rational_omega(omega):
+    # the integer recursion against the characteristic-equation path, which
+    # shares no code with it beyond the sector blocks
+    trunc = TruncationSpec(8, omega)
+    for level in range(8):
+        assert weak_series(trunc, level, max_order=16).coeffs == \
+            weak_series_charpoly(trunc, level, max_order=16).coeffs
 
 
 def test_rs_engine_rejects_degenerate_level():

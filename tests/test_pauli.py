@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -143,12 +143,28 @@ def test_structural_words_are_the_float_decomposition_words(n_q):
     assert [t.string for t in dec.terms] == _structural_words(n_q)
 
 
+@st.composite
+def _hermitian_parts(draw):
+    dim = 2 ** draw(st.integers(1, 5))
+    return draw(arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+
+
+def _tiny_parts(entry):
+    # every entry equal except one zero imaginary part: under an absolute
+    # 1e-12 cut its small genuine coefficients were dropped
+    parts = np.full((2, 16, 16), entry)
+    parts[1, 0, 1] = 0.0
+    return parts
+
+
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), n_q=st.integers(1, 5))
-def test_decomposition_rebuilds_random_hermitian(data, n_q):
-    dim = 2**n_q
-    parts = arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0))
-    re, im = data.draw(parts)
+@given(parts=_hermitian_parts())
+@example(parts=_tiny_parts(1e-12))
+@example(parts=_tiny_parts(1e-11))
+def test_decomposition_rebuilds_random_hermitian(parts):
+    re, im = parts
+    dim = re.shape[0]
+    n_q = dim.bit_length() - 1
     m = (re + 1j * im + (re + 1j * im).conj().T) / 2
     h = OperatorMatrix(m, hermitian=True)
     dec = pauli_decompose(h, n_q)
@@ -228,6 +244,26 @@ def test_step_unitarity():
         plan = build_trotter_plan(dec, 0.17, 1, ordering)
         u = trotter_step_unitary(plan).entries
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-12
+
+
+def test_identity_only_plan_keeps_its_register_width():
+    dec = pauli_decompose(OperatorMatrix(3.0 * np.eye(4), hermitian=True), 2)
+    plan = build_trotter_plan(dec, 0.1, 3)
+    assert dec.terms == [] and plan.n_q == 2
+    assert np.array_equal(trotter_step_unitary(plan).entries, np.eye(4))
+    sim = simulate_trotter(plan, 2, [3])
+    assert np.all(sim["probabilities"] == 0.0)
+    assert np.array_equal(sim["state"], np.eye(4)[2])
+
+
+def test_plan_width_must_be_known_and_shared():
+    assert TrotterPlan([PauliTerm("XZI", 1.0)], 0.1, 1).n_q == 3
+    with pytest.raises(ValueError, match="no terms needs its register width"):
+        TrotterPlan([], 0.1, 1)
+    with pytest.raises(ValueError, match="register width 2"):
+        TrotterPlan([PauliTerm("XZ", 1.0), PauliTerm("XZI", 1.0)], 0.1, 1)
+    with pytest.raises(ValueError, match="register width 3"):
+        TrotterPlan([PauliTerm("XZ", 1.0)], 0.1, 1, n_q=3)
 
 
 def test_plan_rejects_identity_and_bad_ordering():
