@@ -24,6 +24,7 @@ from .hamiltonian import (
     single_site_hamiltonian,
     strong_coupling_hamiltonian,
     lattice_hamiltonian,
+    lattice_sector,
     parity_decompose,
     anharmonic_family,
     strong_coupling_family,
@@ -35,6 +36,7 @@ from .spectral import (
     SingularityEstimate,
     dense_spectrum,
     lanczos_lowest,
+    lattice_ground_energies,
     energy_derivatives,
     singularity_from_derivatives,
     exact_amplitude,

@@ -27,7 +27,6 @@ from fractions import Fraction
 from .oscillator import TruncationSpec
 
 __all__ = [
-    "weighted_x_matrix",
     "weighted_hamiltonian",
     "weighted_sector_blocks",
     "sector_indices",
@@ -59,13 +58,16 @@ def _as_fraction(x, what: str) -> Fraction:
         raise ValueError(f"{what} must be exactly representable as a rational, got {x!r}") from exc
 
 
-def weighted_x_matrix(n_max: int) -> list[list[Fraction]]:
-    """X = a + a^dag after the sqrt(n!) similarity: integer tridiagonal."""
-    x = [[Fraction(0)] * n_max for _ in range(n_max)]
-    for n in range(n_max - 1):
-        x[n][n + 1] = Fraction(n + 1)
-        x[n + 1][n] = Fraction(1)
-    return x
+def _band_matmul(a: list[dict], b: list[dict]) -> list[dict]:
+    """Product of two integer matrices held as rows {column: entry} of their bands."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, aik in row.items():
+            for j, bkj in b[k].items():
+                acc[j] = acc.get(j, 0) + aik * bkj
+        out.append(acc)
+    return out
 
 
 def _frac_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -96,10 +98,16 @@ def weighted_hamiltonian(trunc: TruncationSpec) -> tuple[list[Fraction], list[li
     basis, where H_har stays diagonal and the quartic term is rational.
     """
     omega = _as_fraction(trunc.omega, "omega")
-    x = weighted_x_matrix(trunc.n_max)
-    x2 = _frac_matmul(x, x)
-    v = [[c / (4 * omega**2) for c in row] for row in _frac_matmul(x2, x2)]
-    h0 = [omega * (Fraction(n) + Fraction(1, 2)) for n in range(trunc.n_max)]
+    n_max = trunc.n_max
+    # X = a + a^dag after the similarity is integer tridiagonal, X[m][m+1] = m + 1
+    # and X[m+1][m] = 1; X^2 and X^4 (5 and 9 bands) follow from the bands alone
+    x = [{k: (m + 1 if k > m else 1) for k in (m - 1, m + 1) if 0 <= k < n_max}
+         for m in range(n_max)]
+    x2 = _band_matmul(x, x)
+    scale, zero = 4 * omega**2, Fraction(0)
+    v = [[Fraction(row[j]) / scale if j in row else zero for j in range(n_max)]
+         for row in _band_matmul(x2, x2)]
+    h0 = [omega * (Fraction(n) + Fraction(1, 2)) for n in range(n_max)]
     return h0, v
 
 

@@ -53,7 +53,7 @@ from .spectral import (
     curvature_peak,
     dense_spectrum,
     exact_amplitude,
-    lanczos_lowest,
+    lattice_ground_energies,
     stencil_derivatives,
 )
 
@@ -85,27 +85,28 @@ def _sector_handle(h, cfg):
 def _cmd_spectrum(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["nsites"] > 1:
-        # the lattice path diagonalizes the full weak-coupling chain
+        # the lattice path takes the whole weak-coupling chain, with no parity split
         if cfg["sector"] != "full":
             raise ValueError(f"--sector {cfg['sector']!r} needs --nsites 1 (lattice spectra are full)")
         if cfg["domain"] != "weak":
             raise ValueError(f"--domain {cfg['domain']!r} needs --nsites 1 (lattice spectra are weak coupling)")
         spec = LatticeSpec(cfg["nsites"], trunc, cfg["kappa"], cfg["lam"], cfg["boundary"])
-        h = lattice_hamiltonian(spec)
+        # the full-space matrix is built only for the dense path and the dump
+        h = lattice_hamiltonian(spec) if cfg["method"] != "lanczos" or cfg["dump_matrix"] else None
         if cfg["method"] == "lanczos":
-            result = lanczos_lowest(h, cfg["k"], cfg["tol"])
+            eigenvalues = lattice_ground_energies(spec, k=cfg["k"], tol=cfg["tol"])[0]
         else:
             from .oscillator import OperatorMatrix
 
-            result = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian))
+            eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian)).eigenvalues
     else:
         if cfg["domain"] == "strong":
             h = strong_coupling_hamiltonian(trunc, cfg["lam"])
         else:
             h = single_site_hamiltonian(trunc, cfg["lam"])
         h = _sector_handle(h, cfg)
-        result = dense_spectrum(h)
-    rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(result.eigenvalues)]
+        eigenvalues = dense_spectrum(h).eigenvalues
+    rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(eigenvalues)]
     path = csvio.write_csv(outdir / "spectrum.csv", ["index", "re", "im"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"]})
     outputs = [str(path)]
@@ -319,20 +320,28 @@ def _cmd_trotter(cfg, outdir):
     return [str(path)]
 
 
+def _sweep_grid(cfg) -> np.ndarray:
+    """The lambda grid of a lattice sweep, after checking it and the kappas."""
+    if not cfg["kappas"]:
+        raise ValueError(f"--kappas {cfg['kappas']!r} names no kappa")
+    if len(cfg["lam_grid"]) != 3:
+        raise ValueError(f"--lam-grid {cfg['lam_grid']!r} needs exactly 3 values: lo, hi, count")
+    lam_lo, lam_hi, n_lam = cfg["lam_grid"]
+    if not lam_lo < lam_hi:
+        raise ValueError(f"--lam-grid lo {lam_lo!r} must be below hi {lam_hi!r}")
+    if n_lam != int(n_lam) or n_lam < 5:
+        raise ValueError(f"--lam-grid count {n_lam!r} must be an integer >= 5 (one 5-point stencil)")
+    return np.linspace(lam_lo, lam_hi, int(n_lam))
+
+
 def _cmd_lattice_sweep(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    lam_lo, lam_hi, n_lam = cfg["lam_grid"]
-    lams = np.linspace(lam_lo, lam_hi, int(n_lam))
+    lams = _sweep_grid(cfg)
     outputs = []
     summary = []
     for kappa in cfg["kappas"]:
-        energies = []
-        for lam in lams:
-            spec = LatticeSpec(cfg["nsites"], trunc, kappa, lam, cfg["boundary"])
-            h = lattice_hamiltonian(spec)
-            res = lanczos_lowest(h, 1, cfg["tol"])
-            energies.append(res.eigenvalues[0])
-        energies = np.array(energies)
+        spec = LatticeSpec(cfg["nsites"], trunc, kappa, 0.0, cfg["boundary"])
+        energies = lattice_ground_energies(spec, lams, tol=cfg["tol"])[:, 0]
         derivs = stencil_derivatives(lams, energies)
         rows = [(lam, e, d1, d2, d4) for lam, e, (d1, d2, d4) in zip(lams, energies, derivs)]
         path = csvio.write_csv(outdir / f"sweep_kappa{kappa:g}.csv",
@@ -474,20 +483,29 @@ def main(argv: list[str] | None = None) -> int:
     from pathlib import Path
 
     outdir = Path(args.outdir) if args.outdir else Path("out") / args.command
+    run = {"warnings": []}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            show = warnings.showwarning
+
+            def record(message, category, *rest, **kwargs):
+                # kept for the manifest and still shown (stderr by default)
+                run["warnings"].append({"category": category.__name__, "message": str(message)})
+                show(message, category, *rest, **kwargs)
+
+            warnings.showwarning = record
             outputs = fn(cfg, outdir)
     except Exception as exc:  # numeric or configuration failure
         csvio.write_manifest(outdir, args.command, cfg, [], status="error",
-                             error={"type": type(exc).__name__, "message": str(exc)})
+                             error={"type": type(exc).__name__, "message": str(exc)}, run=run)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
         outputs = outputs + [
             str(csvio.mirror_csv_as_json(path)) for path in outputs if path.endswith(".csv")
         ]
-    csvio.write_manifest(outdir, args.command, cfg, outputs)
+    csvio.write_manifest(outdir, args.command, cfg, outputs, run=run)
     return 0
 
 

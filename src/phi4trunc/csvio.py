@@ -62,8 +62,12 @@ def write_matrix_csv(path, op, meta: dict | None = None) -> Path:
 
 
 def write_manifest(outdir, command: str, config: dict, outputs: list[str],
-                   status: str = "ok", error: dict | None = None) -> Path:
-    """Record the resolved run configuration next to its outputs."""
+                   status: str = "ok", error: dict | None = None, run: dict | None = None) -> Path:
+    """Record the resolved run configuration next to its outputs.
+
+    run holds what the run did rather than what it was asked (its warnings),
+    under its own key so that config and outputs stay deterministic.
+    """
     from . import __version__
 
     outdir = Path(outdir)
@@ -78,6 +82,8 @@ def write_manifest(outdir, command: str, config: dict, outputs: list[str],
     }
     if error is not None:
         body["error"] = error
+    if run is not None:
+        body["run"] = run
     path = outdir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True, default=str)

@@ -5,9 +5,15 @@ nearest-neighbor hops,
 
     H = sum_x [ omega (a_x^dag a_x + 1/2) + lam phi_x^4 ] - 2 kappa sum_x phi_x phi_{x+1},
 
-assembled by Kronecker placement with site 0 as the slowest-varying index.
-Couplings may be complex; the hermitian flag is cleared accordingly so the
-analytic family H(lam) can be scanned off the real axis.
+built once per kappa as the affine pair H(lam) = H0 + lam V: H0 holds the
+harmonic sites and the hop, V the phi^4 sites.  On the full product basis
+(site 0 the slowest-varying index) the pair comes from Kronecker placement
+and lattice_hamiltonian evaluates it.  lattice_sector builds the pair of a
+periodic chain directly in its momentum-0, even-occupation-parity sector,
+one basis state per translation orbit, by applying the local terms to the
+orbit representatives; the full-space matrix is never formed.  Couplings
+may be complex; the hermitian flag is cleared accordingly so the analytic
+family H(lam) can be scanned off the real axis.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ __all__ = [
     "single_site_hamiltonian",
     "strong_coupling_hamiltonian",
     "lattice_hamiltonian",
-    "parity_of_index",
+    "lattice_sector",
     "parity_indices",
     "parity_decompose",
     "CouplingFamily",
@@ -122,83 +128,166 @@ def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> Op
     return _evaluate(strong_coupling_family(trunc), lam_tilde)
 
 
-def lattice_hamiltonian(
-    spec: LatticeSpec,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    dedup_double_bond: bool = False,
-) -> SparseOperator:
-    """Sparse lattice Hamiltonian by Kronecker placement.
+def _bonds(spec: LatticeSpec, dedup_double_bond: bool = False) -> list[tuple[int, int]]:
+    """Nearest-neighbour bonds (x, x+1), wrapping at the end of a periodic chain."""
+    ns = spec.n_sites
+    if ns < 2:
+        return []
+    bonds = [(x, x + 1) for x in range(ns - 1)]
+    if spec.boundary == "periodic":
+        bonds.append((ns - 1, 0))
+    if dedup_double_bond:
+        bonds = sorted({tuple(sorted(b)) for b in bonds})
+    return bonds
 
-    The hop sum runs over positive directions literally, so n_sites=2 with
-    periodic boundary counts the single geometric bond twice (coefficient
-    -4 kappa); pass dedup_double_bond=True to keep it once.
+
+def _kronecker_pair(
+    spec: LatticeSpec, dim_cap: int = DEFAULT_DIM_CAP, dedup_double_bond: bool = False
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(H0, V) on the full product basis, H(lam) = H0 + lam V, by Kronecker placement.
+
+    H0 holds the harmonic sites and the hop, V the phi^4 sites.
     """
     if spec.dim > dim_cap:
         raise ValueError(f"lattice dimension {spec.dim} exceeds cap {dim_cap}")
     n = spec.trunc.n_max
     ns = spec.n_sites
+
+    def place(coeff: float, ops: dict) -> sp.coo_matrix:
+        """coeff times the Kronecker product of ops[x] at site x and identities elsewhere."""
+        out, done = sp.coo_matrix([[coeff]]), 0
+        for x in sorted(ops):
+            out = sp.kron(sp.kron(out, sp.identity(n ** (x - done)), format="coo"), ops[x], format="coo")
+            done = x + 1
+        return sp.kron(out, sp.identity(n ** (ns - done)), format="coo")
+
+    def total(terms: list[sp.coo_matrix]) -> sp.csr_matrix:
+        rows, cols, vals = (np.concatenate([getattr(t, a) for t in terms]) for a in ("row", "col", "data"))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(spec.dim, spec.dim)).tocsr()
+
+    # the harmonic sites sum to omega (total occupation + n_sites/2) on the diagonal
+    har = sp.diags(spec.trunc.omega * (_digit_sum(np.arange(spec.dim), n, ns) + ns / 2.0), format="coo")
+    phi4 = sp.coo_matrix(_phi4(spec.trunc))
+    phi = sp.coo_matrix(build_field_ops(spec.trunc)[0].entries)
+    hops = [place(-2.0 * spec.kappa, {x: phi, y: phi}) for x, y in _bonds(spec, dedup_double_bond)]
+    return total([har] + hops), total([place(1.0, {x: phi4}) for x in range(ns)])
+
+
+def lattice_hamiltonian(
+    spec: LatticeSpec,
+    dim_cap: int = DEFAULT_DIM_CAP,
+    dedup_double_bond: bool = False,
+) -> SparseOperator:
+    """Sparse lattice Hamiltonian H0 + lam V at lam = spec.lam on the full product basis.
+
+    The hop sum runs over positive directions literally, so n_sites=2 with
+    periodic boundary counts the single geometric bond twice (coefficient
+    -4 kappa); pass dedup_double_bond=True to keep it once.
+    """
+    h0, v = _kronecker_pair(spec, dim_cap, dedup_double_bond)
     lam_is_real = complex(spec.lam).imag == 0.0
-    dtype = float if lam_is_real else complex
     lam = complex(spec.lam).real if lam_is_real else complex(spec.lam)
-
-    h_site = sp.coo_matrix(single_site_hamiltonian(spec.trunc, lam).entries.astype(dtype))
-    phi, _ = build_field_ops(spec.trunc)
-    phi_s = sp.coo_matrix(phi.entries)
-
-    def place(op: sp.spmatrix, site: int) -> sp.coo_matrix:
-        left = sp.identity(n**site, format="coo")
-        right = sp.identity(n ** (ns - site - 1), format="coo")
-        return sp.kron(sp.kron(left, op, format="coo"), right, format="coo")
-
-    total = sp.coo_matrix((spec.dim, spec.dim), dtype=dtype)
-    for x in range(ns):
-        total = total + place(h_site, x)
-
-    bonds: list[tuple[int, int]] = []
-    if ns >= 2:
-        for x in range(ns):
-            y = x + 1
-            if y >= ns:
-                if spec.boundary != "periodic":
-                    continue
-                y = 0
-            bonds.append((x, y))
-        if dedup_double_bond:
-            bonds = sorted({tuple(sorted(b)) for b in bonds})
-    for x, y in bonds:
-        if x == y:
-            continue
-        px, py = sorted((x, y))
-        left = sp.identity(n**px, format="coo")
-        mid = sp.identity(n ** (py - px - 1), format="coo")
-        right = sp.identity(n ** (ns - py - 1), format="coo")
-        op = sp.kron(sp.kron(sp.kron(sp.kron(left, phi_s), mid), phi_s), right, format="coo")
-        total = total - 2.0 * spec.kappa * op
-
-    csr = total.tocsr()
+    csr = (h0 + lam * v).tocsr()
     csr.sum_duplicates()
     csr.eliminate_zeros()
     csr.sort_indices()
     return SparseOperator(csr, hermitian=lam_is_real)
 
 
-def parity_of_index(index: int, n_max: int, n_sites: int = 1) -> int:
-    """Total occupation mod 2 of a product-basis index (site 0 most significant)."""
-    s = 0
+def _digit_sum(index: np.ndarray, n_max: int, n_sites: int) -> np.ndarray:
+    """Total occupation of each product-basis index, digit by digit in base n_max."""
+    index = np.array(index)
+    total = np.zeros_like(index)
     for _ in range(n_sites):
-        s += index % n_max
+        total += index % n_max
         index //= n_max
-    return s % 2
+    return total
+
+
+def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per product index: its orbit representative (least index) and orbit size.
+
+    Also returns the representatives of even total occupation, ascending.
+    One translation moves site 0's digit to the last site.
+    """
+    index = np.arange(n_max**n_sites, dtype=np.int64)
+    top = n_max ** (n_sites - 1)
+    rep = index.copy()
+    size = np.zeros_like(index)
+    shifted = index
+    for j in range(1, n_sites + 1):
+        shifted = (shifted % top) * n_max + shifted // top
+        np.minimum(rep, shifted, out=rep)
+        size[(size == 0) & (shifted == index)] = j
+    even = _digit_sum(index, n_max, n_sites) % 2 == 0
+    return rep, size, np.flatnonzero((rep == index) & even)
+
+
+def _band(op: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Nonzero diagonals of a local operator as (offset, entry op[d + offset, d] by digit d)."""
+    n = op.shape[0]
+    bands = [(k, np.pad(np.diagonal(op, -k), (max(0, -k), max(0, k)))) for k in range(1 - n, n)]
+    return [(k, vals) for k, vals in bands if vals.any()]
+
+
+def lattice_sector(spec: LatticeSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(H0, V) of the periodic chain in its momentum-0, even-parity sector.
+
+    A sector state |R> is the normalised sum over the translation orbit O_R
+    of a representative r of even total occupation.  Applying the local
+    terms of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
+    sum_{s' in O_R'} H_{s',r} without the full-space matrix.  Same terms
+    and bond convention as lattice_hamiltonian.
+    """
+    if spec.boundary != "periodic":
+        raise ValueError(f"the momentum sector needs a periodic chain, got {spec.boundary!r}")
+    if spec.dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"lattice dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
+    n, ns = spec.trunc.n_max, spec.n_sites
+    rep, size, reps = _translation_orbits(n, ns)
+    pos = np.full(n**ns, -1, dtype=np.int64)
+    pos[reps] = np.arange(reps.size)
+    place = [n ** (ns - 1 - x) for x in range(ns)]
+    digits = [(reps // place[x]) % n for x in range(ns)]
+
+    def apply(coeff: float, ops: list[tuple[int, list]], acc: tuple[list, list, list]) -> None:
+        """Add coeff * prod_x op_x |r> to the sector entries, for each representative r.
+
+        A digit moved out of range picks up a zero amplitude and is dropped.
+        """
+        parts = [(reps, np.full(reps.size, coeff))]
+        for x, band in ops:
+            parts = [(target + offset * place[x], amp * vals[digits[x]])
+                     for target, amp in parts for offset, vals in band]
+        for target, amp in parts:
+            keep = amp != 0.0
+            target, amp = target[keep], amp[keep]
+            acc[0].append(pos[rep[target]])
+            acc[1].append(np.flatnonzero(keep))
+            acc[2].append(amp * np.sqrt(size[reps[keep]] / size[target]))
+
+    har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc).entries,
+                                           _phi4(spec.trunc), build_field_ops(spec.trunc)[0].entries))
+    h0_acc, v_acc = ([], [], []), ([], [], [])
+    for x in range(ns):
+        apply(1.0, [(x, har)], h0_acc)
+        apply(1.0, [(x, phi4)], v_acc)
+    for x, y in _bonds(spec):
+        apply(-2.0 * spec.kappa, [(x, phi), (y, phi)], h0_acc)
+
+    def assemble(acc) -> sp.csr_matrix:
+        rows, cols, vals = (np.concatenate(a) for a in acc)
+        m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        return m
+
+    return assemble(h0_acc), assemble(v_acc)
 
 
 def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
-    """parity_of_index for every product-basis index, digit by digit in base n_max."""
-    idx = np.arange(n_max**n_sites)
-    par = np.zeros_like(idx)
-    for _ in range(n_sites):
-        par += idx % n_max
-        idx //= n_max
-    return par % 2
+    """Total occupation mod 2 of every product-basis index (site 0 most significant)."""
+    return _digit_sum(np.arange(n_max**n_sites), n_max, n_sites) % 2
 
 
 def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -283,10 +372,5 @@ def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
 
 def lattice_family(spec: LatticeSpec, dim_cap: int = DEFAULT_DIM_CAP) -> CouplingFamily:
     """Lattice family in lam at fixed kappa, as dense arrays (small lattices only)."""
-    base = lattice_hamiltonian(
-        LatticeSpec(spec.n_sites, spec.trunc, spec.kappa, 0.0, spec.boundary), dim_cap
-    ).matrix.toarray()
-    withv = lattice_hamiltonian(
-        LatticeSpec(spec.n_sites, spec.trunc, spec.kappa, 1.0, spec.boundary), dim_cap
-    ).matrix.toarray()
-    return CouplingFamily(base, withv - base, spec.trunc.n_max, spec.n_sites, "lattice")
+    h0, v = _kronecker_pair(spec, dim_cap)
+    return CouplingFamily(h0.toarray(), v.toarray(), spec.trunc.n_max, spec.n_sites, "lattice")

@@ -6,9 +6,8 @@ word with X/Y mask f and Z/Y mask z maps |x> to
 i^popcount(f & z) (-1)^popcount(x & z) |x ^ f>, so its coefficient
 tr(P H)/2^n_q is i^popcount(f & z)/2^n_q times the Walsh-Hadamard
 transform at z of the diagonal i -> H[i, i ^ f].  One transform of all
-2^n_q diagonals gives all 4^n_q coefficients; the explicit traces are kept
-as a slow test oracle.  The gate-resource count runs the same transform on
-exact integers.  A Trotter plan compiles to one source permutation x ^ f
+2^n_q diagonals gives all 4^n_q coefficients.  The gate-resource count runs
+the same transform on exact integers.  A Trotter plan compiles to one source permutation x ^ f
 and one phase vector per term; applied to the identity they give the step
 unitary, which then advances the state.
 """
@@ -28,21 +27,13 @@ __all__ = [
     "TrotterPlan",
     "ResourceEstimate",
     "pauli_decompose",
-    "pauli_decompose_trace",
     "count_resources",
     "build_trotter_plan",
     "trotter_step_unitary",
     "simulate_trotter",
-    "pauli_matrix",
     "qubit_count",
 ]
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _LETTERS = np.array(list("IXYZ"))
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -103,14 +94,6 @@ class ResourceEstimate:
     @property
     def depth_bound(self) -> int:
         return self.n_nz * (2 * self.n_q + 1)
-
-
-def pauli_matrix(string: str) -> np.ndarray:
-    """Dense tensor product of the word's single-qubit Pauli factors."""
-    m = np.array([[1.0 + 0j]])
-    for ch in string:
-        m = np.kron(m, _PAULI[ch])
-    return m
 
 
 def qubit_count(n_max: int) -> int:
@@ -203,19 +186,6 @@ def pauli_decompose(h: OperatorMatrix, n_q: int) -> PauliDecomposition:
     dropped = int(np.count_nonzero((size <= cut) & (size != 0.0)))
     terms = [PauliTerm(s, float(c)) for s, c in zip(_word_strings(kept, n_q), coeffs[kept])]
     return PauliDecomposition(terms, float(coeffs[0]), n_q, dropped)
-
-
-def pauli_decompose_trace(h: OperatorMatrix, n_q: int) -> dict[str, float]:
-    """Direct-trace decomposition over all 4^n_q words; slow test oracle."""
-    m = _check_input(h, n_q)
-    dim = 2**n_q
-    out = {}
-    words = [""]
-    for _ in range(n_q):
-        words = [w + ch for w in words for ch in "IXYZ"]
-    for w in words:
-        out[w] = float(np.trace(pauli_matrix(w) @ m).real) / dim
-    return out
 
 
 def _surd_sqrt(factors) -> tuple[int, int]:

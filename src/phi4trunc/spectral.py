@@ -13,13 +13,19 @@ from the curvature ratio Im lam_s = sqrt(-3 E''/E'''') at the peak.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import algebra
-from .hamiltonian import CouplingFamily, SparseOperator
+from .hamiltonian import (
+    CouplingFamily,
+    LatticeSpec,
+    SparseOperator,
+    lattice_hamiltonian,
+    lattice_sector,
+)
 from .oscillator import OperatorMatrix
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "SingularityEstimate",
     "dense_spectrum",
     "lanczos_lowest",
+    "lattice_ground_energies",
     "energy_derivatives",
     "singularity_from_derivatives",
     "exact_amplitude",
@@ -150,6 +157,37 @@ def lanczos_lowest(
     if v is not None:
         v = v[:, order]
     return SpectrumResult(w, v, "full")
+
+
+def lattice_ground_energies(spec: LatticeSpec, lams=None, k: int = 1,
+                            tol: float = 1e-12) -> np.ndarray:
+    """The k lowest lattice energies at each coupling of lams, shape (len(lams), k).
+
+    lams defaults to (spec.lam,); spec.lam is otherwise unused.  A k past the
+    lattice dimension gives every eigenvalue.  For the
+    ground energy (k = 1) of a periodic chain with kappa > 0 at real
+    couplings, the momentum-0, even-parity sector holds the ground state:
+    its H0 and V are built once (hamiltonian.lattice_sector) and every
+    coupling is solved by dense eigvalsh up to DENSE_CAP, by Lanczos above.
+    Every other case (open boundary, kappa <= 0, k > 1, a complex
+    coupling) runs full-space Lanczos on lattice_hamiltonian at each
+    coupling.
+    """
+    lams = [spec.lam] if lams is None else list(lams)
+    if not (k == 1 and spec.boundary == "periodic" and spec.kappa > 0
+            and all(complex(lam).imag == 0.0 for lam in lams)):
+        rows = [lanczos_lowest(lattice_hamiltonian(replace(spec, lam=lam)), k, tol).eigenvalues
+                for lam in lams]
+        return np.array(rows) if rows else np.empty((0, k))
+    h0, v = lattice_sector(spec)
+    lams = [complex(lam).real for lam in lams]
+    if h0.shape[0] <= DENSE_CAP:
+        h0, v = h0.toarray(), v.toarray()
+        energies = [np.linalg.eigvalsh(h0 + lam * v)[0] for lam in lams]
+    else:
+        energies = [lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), 1, tol).eigenvalues[0]
+                    for lam in lams]
+    return np.array(energies).reshape(-1, 1)
 
 
 def _tracked_sector_level(family: CouplingFamily, sector: str, pos: int, lam: float,

@@ -13,6 +13,9 @@ None of them imports the package:
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
 - structural Pauli word sets also come from a 40-digit recursive split
   into qubit-0 quadrants at a fixed coupling;
+- Pauli coefficients also come from explicit traces tr(P H)/2^n_q of
+  dense Kronecker-product words;
+- occupation parity is summed digit by digit, one product index at a time;
 - Trotter steps are dense products of cos(theta) 1 - i sin(theta) P, and
   Trotter evolution applies each rotation to the statevector in turn;
 - perturbed projectors come from Kato's composition sum over the whole
@@ -71,6 +74,15 @@ def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: compl
         for x in range(n_sites):
             h = h - 2.0 * kappa * place({x: phi, (x + 1) % n_sites: phi})
     return h
+
+
+def parity_of_index(index: int, n_max: int, n_sites: int = 1) -> int:
+    """Total occupation mod 2 of a product-basis index (site 0 most significant)."""
+    s = 0
+    for _ in range(n_sites):
+        s += index % n_max
+        index //= n_max
+    return s % 2
 
 
 def coalescing_levels(n_max: int, point: complex) -> tuple[int, int]:
@@ -249,11 +261,20 @@ _PAULI_LETTERS = {
 }
 
 
-def _pauli_dense(word: str) -> np.ndarray:
+def pauli_matrix(word: str) -> np.ndarray:
+    """Dense tensor product of the word's single-qubit Pauli factors."""
     out = np.eye(1, dtype=complex)
     for ch in word:
         out = np.kron(out, _PAULI_LETTERS[ch])
     return out
+
+
+def pauli_decompose_trace(m: np.ndarray, n_q: int) -> dict[str, float]:
+    """Coefficient tr(P m) / 2^n_q of every one of the 4^n_q words, by explicit traces."""
+    words = [""]
+    for _ in range(n_q):
+        words = [w + ch for w in words for ch in "IXYZ"]
+    return {w: float(np.trace(pauli_matrix(w) @ m).real) / 2**n_q for w in words}
 
 
 def dense_trotter_step(terms: list[tuple[str, float]], dt: float) -> np.ndarray:
@@ -262,7 +283,7 @@ def dense_trotter_step(terms: list[tuple[str, float]], dt: float) -> np.ndarray:
     u = np.eye(dim, dtype=complex)
     for word, coeff in terms:
         theta = dt * coeff
-        u = (np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * _pauli_dense(word)) @ u
+        u = (np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * pauli_matrix(word)) @ u
     return u
 
 

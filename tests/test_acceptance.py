@@ -21,6 +21,7 @@ from phi4trunc import (
     exact_amplitude,
     gap_scan,
     lanczos_lowest,
+    lattice_ground_energies,
     lattice_hamiltonian,
     parity_decompose,
     pauli_decompose,
@@ -334,13 +335,9 @@ def test_c11a_lattice_lanczos_vs_dense():
 
 
 def _lattice_peak_and_width(kappa, lo, hi, n=161):
-    trunc = TruncationSpec(4)
     lams = np.linspace(lo, hi, n)
-    energies = np.array([
-        lanczos_lowest(lattice_hamiltonian(LatticeSpec(4, trunc, kappa, lam, "periodic")),
-                       1, tol=1e-11).eigenvalues[0]
-        for lam in lams
-    ])
+    spec = LatticeSpec(4, TruncationSpec(4), kappa, 0.0, "periodic")
+    energies = lattice_ground_energies(spec, lams, tol=1e-11)[:, 0]
     return _curvature_peak_and_width(lams, energies)
 
 
@@ -394,8 +391,9 @@ def test_c11b_lattice_peak_location():
     assert abs(peak - target) <= 0.15 * abs(target), \
         f"peak at {peak:.4f} vs single-site {target:.4f}"
 
-    # At kappa = 0.1 the peak sits at -0.146 for the package's sparse build
-    # and Lanczos, and for an independent dense build of the same H.
+    # At kappa = 0.1 the peak sits at -0.146 for the package's sweep (the
+    # momentum-0, even-parity sector) and for an independent dense build of
+    # the same H on the full space.
     spec = LatticeSpec(4, TruncationSpec(4), 0.1, -0.146, "periodic")
     assert np.max(np.abs(lattice_hamiltonian(spec).matrix.toarray()
                          - dense_lattice_hamiltonian(4, 4, 0.1, -0.146))) <= 1e-13
@@ -403,8 +401,8 @@ def test_c11b_lattice_peak_location():
     dense = np.array([np.linalg.eigvalsh(dense_lattice_hamiltonian(4, 4, 0.1, lam))[0]
                       for lam in lams])
     dense_peak, _ = _curvature_peak_and_width(lams, dense)
-    lanczos_peak, _ = _lattice_peak_and_width(0.1, -0.30, 0.02)
-    assert lanczos_peak == dense_peak
+    swept_peak, _ = _lattice_peak_and_width(0.1, -0.30, 0.02)
+    assert swept_peak == dense_peak
     assert abs(dense_peak - (-0.146)) <= 1e-9
 
 

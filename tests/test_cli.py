@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -210,3 +211,35 @@ def test_qubit_commands_name_a_non_power_of_two_nmax(tmp_path, args, n_max):
     error = json.loads((outdir / "manifest.json").read_text())["error"]
     assert error["type"] == "ValueError"
     assert f"n_max={n_max} is not a power of two" in error["message"]
+
+
+@pytest.mark.parametrize("flag, named", [
+    ("--kappas=", "[]"),
+    ("--lam-grid=-0.3,0.1", "[-0.3, 0.1]"),
+    ("--lam-grid=0.1,-0.3,41", "0.1"),
+    ("--lam-grid=-0.3,0.1,4", "4.0"),
+    ("--lam-grid=-0.3,0.1,40.5", "40.5"),
+])
+def test_lattice_sweep_rejects_bad_grids_before_any_work(tmp_path, flag, named):
+    code, outdir = run_cli(["lattice-sweep", "--nsites", "2", "--nmax", "2", flag], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):
+    # the warning still reaches the installed showwarning (stderr by default)
+    shown = []
+    monkeypatch.setattr(warnings, "showwarning", lambda message, *rest, **kw: shown.append(str(message)))
+    # a window that ends before the curvature peak warns once per kappa
+    code, outdir = run_cli(["lattice-sweep", "--nsites", "4", "--nmax", "4", "--kappas", "0.1",
+                            "--lam-grid=-0.30,-0.25,9"], tmp_path, "w")
+    assert code == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [w["category"] for w in manifest["run"]["warnings"]] == ["RuntimeWarning"]
+    assert "grid boundary" in manifest["run"]["warnings"][0]["message"]
+    assert shown == [manifest["run"]["warnings"][0]["message"]]
+    code, outdir = run_cli(["series", "--orders", "2"], tmp_path, "quiet")
+    assert json.loads((outdir / "manifest.json").read_text())["run"] == {"warnings": []}

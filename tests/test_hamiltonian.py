@@ -238,9 +238,82 @@ def test_single_site_builders_evaluate_their_families_with_exact_diagonal():
 
 @pytest.mark.parametrize("n_max, n_sites", [(2, 1), (4, 1), (4, 3), (6, 2), (2, 5)])
 def test_parity_indices_match_per_index_parity(n_max, n_sites):
-    from phi4trunc.hamiltonian import parity_indices, parity_of_index
+    from phi4trunc.hamiltonian import parity_indices
+
+    from oracles import parity_of_index
 
     even, odd = parity_indices(n_max, n_sites)
     par = [parity_of_index(i, n_max, n_sites) for i in range(n_max**n_sites)]
     assert even.tolist() == [i for i, p in enumerate(par) if p == 0]
     assert odd.tolist() == [i for i, p in enumerate(par) if p == 1]
+
+
+def _burnside_even_orbits(n_max, n_sites):
+    """Translation orbits of even total occupation, by Burnside's lemma (even n_max).
+
+    A state fixed by a shift of j sites repeats a block of g = gcd(j, N)
+    digits N/g times; its occupation is even when N/g is even, and for odd
+    N/g when the block sum is, which half of the n^g blocks satisfy.
+    """
+    fixed = 0
+    for j in range(n_sites):
+        g = math.gcd(j, n_sites)
+        fixed += n_max**g if (n_sites // g) % 2 == 0 else n_max**g // 2
+    return fixed // n_sites
+
+
+@pytest.mark.parametrize("n_max, n_sites, count", [(4, 4, 38), (4, 8, 4134), (2, 5, 4),
+                                                   (6, 3, 38), (4, 1, 2)])
+def test_sector_dimension_is_the_burnside_count(n_max, n_sites, count):
+    from phi4trunc import lattice_sector
+
+    assert _burnside_even_orbits(n_max, n_sites) == count
+    h0, v = lattice_sector(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1))
+    assert h0.shape == v.shape == (count, count)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_sector_matrix_is_the_projected_full_matrix(n_sites):
+    # P^T H P with the columns of P the normalised orbit sums of the even
+    # representatives, built from the independent dense Hamiltonian
+    from phi4trunc import lattice_sector
+
+    from oracles import dense_lattice_hamiltonian
+
+    n_max, kappa, lam = 4, 0.3, -0.2
+    dim = n_max**n_sites
+    digits = np.array(np.unravel_index(np.arange(dim), (n_max,) * n_sites)).T
+    orbits = {}
+    for i, d in enumerate(digits):
+        if d.sum() % 2 == 0:
+            shifts = {int(np.ravel_multi_index(np.roll(d, -j), (n_max,) * n_sites))
+                      for j in range(n_sites)}
+            orbits.setdefault(min(shifts), shifts)
+    p = np.zeros((dim, len(orbits)))
+    for col, rep in enumerate(sorted(orbits)):
+        p[sorted(orbits[rep]), col] = 1.0 / np.sqrt(len(orbits[rep]))
+    projected = p.T @ dense_lattice_hamiltonian(n_sites, n_max, kappa, lam) @ p
+    h0, v = lattice_sector(LatticeSpec(n_sites, TruncationSpec(n_max), kappa))
+    assert np.max(np.abs((h0 + lam * v).toarray() - projected)) <= 1e-13
+
+
+def test_sector_needs_a_periodic_chain():
+    from phi4trunc import lattice_sector
+
+    with pytest.raises(ValueError, match="'open'"):
+        lattice_sector(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_lattice_family_is_the_affine_lattice(boundary):
+    from phi4trunc import lattice_family
+
+    from oracles import dense_lattice_hamiltonian
+
+    spec = LatticeSpec(3, TruncationSpec(4), 0.2, 0.0, boundary)
+    fam = lattice_family(spec)
+    for lam in (-0.3, 0.25):
+        h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.2, lam, boundary))
+        assert np.max(np.abs(fam.matrix(lam) - h.matrix.toarray())) <= 1e-13
+        if boundary == "periodic":
+            assert np.max(np.abs(fam.matrix(lam) - dense_lattice_hamiltonian(3, 4, 0.2, lam))) <= 1e-13

@@ -22,11 +22,16 @@ from phi4trunc.pauli import (
     PauliTerm,
     TrotterPlan,
     _structural_words,
-    pauli_decompose_trace,
-    pauli_matrix,
 )
 
-from oracles import dense_trotter_step, mp_pauli_words, rotate_pauli, structural_pauli_count
+from oracles import (
+    dense_trotter_step,
+    mp_pauli_words,
+    pauli_decompose_trace,
+    pauli_matrix,
+    rotate_pauli,
+    structural_pauli_count,
+)
 
 REF_NNZ = {2: 5, 3: 19, 4: 55, 5: 143, 6: 351, 7: 831, 8: 1919}
 REF_BOUND = {2: 25, 3: 133, 4: 495, 5: 1573, 6: 4563, 7: 12465, 8: 32623}
@@ -92,7 +97,7 @@ def test_roundtrip_random_hermitian(n_q):
         rebuilt += term.coeff * pauli_matrix(term.string)
     assert np.max(np.abs(rebuilt - m)) <= 1e-12
     if n_q <= 3:  # the 4^n_q explicit traces get slow beyond this
-        oracle = pauli_decompose_trace(h, n_q)
+        oracle = pauli_decompose_trace(m, n_q)
         for term in dec.terms:
             assert term.coeff == pytest.approx(oracle[term.string], abs=1e-12)
 
@@ -173,7 +178,7 @@ def test_decomposition_rebuilds_random_hermitian(parts):
         rebuilt += term.coeff * pauli_matrix(term.string)
     assert np.max(np.abs(rebuilt - m)) <= 1e-12
     if n_q <= 3:
-        oracle = pauli_decompose_trace(h, n_q)
+        oracle = pauli_decompose_trace(m, n_q)
         assert dec.identity_coeff == pytest.approx(oracle["I" * n_q], abs=1e-12)
         for term in dec.terms:
             assert term.coeff == pytest.approx(oracle[term.string], abs=1e-12)

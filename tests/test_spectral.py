@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phi4trunc import (
     LatticeSpec,
@@ -9,6 +11,7 @@ from phi4trunc import (
     dense_spectrum,
     energy_derivatives,
     lanczos_lowest,
+    lattice_ground_energies,
     lattice_hamiltonian,
     parity_decompose,
     single_site_hamiltonian,
@@ -223,3 +226,46 @@ def test_sum_over_states_rejects_exact_degeneracy():
     with pytest.warns(RuntimeWarning, match="degenerate"), \
             pytest.raises(ValueError, match="degenerate"):
         energy_derivatives(fam, 0, "even", 0.0)
+
+
+SECTOR_GRID = [(2, 4), (2, 5), (4, 3), (4, 4), (4, 5), (6, 3), (6, 4), (8, 3)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SECTOR_GRID),
+       st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(-2.0, 2.0))
+def test_sector_ground_energy_is_the_dense_ground_energy(size, kappa, lam):
+    from oracles import dense_lattice_hamiltonian
+
+    n_max, n_sites = size
+    got = lattice_ground_energies(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), [lam])
+    dense = np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam))[0]
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - dense) <= 1e-10
+
+
+def test_eight_site_sector_lanczos_is_the_full_space_lanczos():
+    # the sector (4134 states) is past DENSE_CAP, so both sides are Lanczos
+    trunc = TruncationSpec(4)
+    points = [(0.05, 0.1), (0.1, 0.15), (0.15, 0.2)]
+    for kappa, lam in points:
+        spec = LatticeSpec(8, trunc, kappa, lam)
+        full = lanczos_lowest(lattice_hamiltonian(spec), 1, tol=1e-12).eigenvalues[0]
+        assert abs(lattice_ground_energies(spec)[0, 0] - full) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa, boundary, k", [(0.1, "open", 1), (0.0, "periodic", 1),
+                                                (-0.3, "periodic", 1), (0.1, "periodic", 3)])
+def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k):
+    lams = [-0.2, 0.1]
+    spec = LatticeSpec(4, TruncationSpec(4), kappa, 0.0, boundary)
+    full = np.array([lanczos_lowest(lattice_hamiltonian(LatticeSpec(4, spec.trunc, kappa, lam, boundary)),
+                                    k, tol=1e-12).eigenvalues for lam in lams])
+    assert np.array_equal(lattice_ground_energies(spec, lams, k), full)
+
+
+def test_complex_coupling_keeps_the_full_space_error():
+    spec = LatticeSpec(4, TruncationSpec(4), 0.1, -0.1 + 0.05j)
+    with pytest.raises(ValueError, match="Hermitian"):
+        lattice_ground_energies(spec)
