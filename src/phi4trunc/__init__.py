@@ -24,7 +24,6 @@ from .hamiltonian import (
     single_site_hamiltonian,
     strong_coupling_hamiltonian,
     lattice_hamiltonian,
-    lattice_sector,
     parity_decompose,
     anharmonic_family,
     strong_coupling_family,

@@ -94,7 +94,7 @@ def _cmd_spectrum(cfg, outdir):
         # the full-space matrix is built only for the dense path and the dump
         h = lattice_hamiltonian(spec) if cfg["method"] != "lanczos" or cfg["dump_matrix"] else None
         if cfg["method"] == "lanczos":
-            eigenvalues = lattice_ground_energies(spec, k=cfg["k"], tol=cfg["tol"])[0]
+            eigenvalues = lattice_ground_energies(spec, [cfg["lam"]], cfg["k"], cfg["tol"])[0]
         else:
             from .oscillator import OperatorMatrix
 
@@ -340,7 +340,7 @@ def _cmd_lattice_sweep(cfg, outdir):
     outputs = []
     summary = []
     for kappa in cfg["kappas"]:
-        spec = LatticeSpec(cfg["nsites"], trunc, kappa, 0.0, cfg["boundary"])
+        spec = LatticeSpec(cfg["nsites"], trunc, kappa, boundary=cfg["boundary"])
         energies = lattice_ground_energies(spec, lams, tol=cfg["tol"])[:, 0]
         derivs = stencil_derivatives(lams, energies)
         rows = [(lam, e, d1, d2, d4) for lam, e, (d1, d2, d4) in zip(lams, energies, derivs)]

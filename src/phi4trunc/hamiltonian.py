@@ -8,12 +8,12 @@ nearest-neighbor hops,
 built once per kappa as the affine pair H(lam) = H0 + lam V: H0 holds the
 harmonic sites and the hop, V the phi^4 sites.  On the full product basis
 (site 0 the slowest-varying index) the pair comes from Kronecker placement
-and lattice_hamiltonian evaluates it.  lattice_sector builds the pair of a
-periodic chain directly in its momentum-0, even-occupation-parity sector,
-one basis state per translation orbit, by applying the local terms to the
-orbit representatives; the full-space matrix is never formed.  Couplings
-may be complex; the hermitian flag is cleared accordingly so the analytic
-family H(lam) can be scanned off the real axis.
+and lattice_hamiltonian evaluates it.  _lattice_sectors builds the pair of
+a periodic chain directly in its two momentum-0 sectors, one per occupation
+parity, with one basis state per translation orbit, by applying the local
+terms to the orbit representatives; the full-space matrix is never formed.
+Couplings may be complex; the hermitian flag is cleared accordingly so the
+analytic family H(lam) can be scanned off the real axis.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
     "single_site_hamiltonian",
     "strong_coupling_hamiltonian",
     "lattice_hamiltonian",
-    "lattice_sector",
     "parity_indices",
     "parity_decompose",
     "CouplingFamily",
@@ -204,10 +203,9 @@ def _digit_sum(index: np.ndarray, n_max: int, n_sites: int) -> np.ndarray:
     return total
 
 
-def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """Per product index: its orbit representative (least index) and orbit size.
 
-    Also returns the representatives of even total occupation, ascending.
     One translation moves site 0's digit to the last site.
     """
     index = np.arange(n_max**n_sites, dtype=np.int64)
@@ -219,8 +217,7 @@ def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarra
         shifted = (shifted % top) * n_max + shifted // top
         np.minimum(rep, shifted, out=rep)
         size[(size == 0) & (shifted == index)] = j
-    even = _digit_sum(index, n_max, n_sites) % 2 == 0
-    return rep, size, np.flatnonzero((rep == index) & even)
+    return rep, size
 
 
 def _band(op: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -230,59 +227,66 @@ def _band(op: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(k, vals) for k, vals in bands if vals.any()]
 
 
-def lattice_sector(spec: LatticeSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(H0, V) of the periodic chain in its momentum-0, even-parity sector.
+def _lattice_sectors(spec: LatticeSpec) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+    """(H0, V) of the periodic chain in its momentum-0 sectors: even, then odd parity.
 
     A sector state |R> is the normalised sum over the translation orbit O_R
-    of a representative r of even total occupation.  Applying the local
-    terms of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
-    sum_{s' in O_R'} H_{s',r} without the full-space matrix.  Same terms
-    and bond convention as lattice_hamiltonian.
+    of a representative r of the sector's total-occupation parity.  Applying
+    the local terms of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
+    sum_{s' in O_R'} H_{s',r} without the full-space matrix.  Same terms and
+    bond convention as lattice_hamiltonian.
     """
     if spec.boundary != "periodic":
         raise ValueError(f"the momentum sector needs a periodic chain, got {spec.boundary!r}")
     if spec.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"lattice dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
     n, ns = spec.trunc.n_max, spec.n_sites
-    rep, size, reps = _translation_orbits(n, ns)
+    rep, size = _translation_orbits(n, ns)
+    index = np.arange(n**ns, dtype=np.int64)
+    odd = _digit_sum(index, n, ns) % 2
+    # each index sits in one parity, so one array holds its position within its sector
     pos = np.full(n**ns, -1, dtype=np.int64)
-    pos[reps] = np.arange(reps.size)
     place = [n ** (ns - 1 - x) for x in range(ns)]
-    digits = [(reps // place[x]) % n for x in range(ns)]
-
-    def apply(coeff: float, ops: list[tuple[int, list]], acc: tuple[list, list, list]) -> None:
-        """Add coeff * prod_x op_x |r> to the sector entries, for each representative r.
-
-        A digit moved out of range picks up a zero amplitude and is dropped.
-        """
-        parts = [(reps, np.full(reps.size, coeff))]
-        for x, band in ops:
-            parts = [(target + offset * place[x], amp * vals[digits[x]])
-                     for target, amp in parts for offset, vals in band]
-        for target, amp in parts:
-            keep = amp != 0.0
-            target, amp = target[keep], amp[keep]
-            acc[0].append(pos[rep[target]])
-            acc[1].append(np.flatnonzero(keep))
-            acc[2].append(amp * np.sqrt(size[reps[keep]] / size[target]))
-
     har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc).entries,
                                            _phi4(spec.trunc), build_field_ops(spec.trunc)[0].entries))
-    h0_acc, v_acc = ([], [], []), ([], [], [])
-    for x in range(ns):
-        apply(1.0, [(x, har)], h0_acc)
-        apply(1.0, [(x, phi4)], v_acc)
-    for x, y in _bonds(spec):
-        apply(-2.0 * spec.kappa, [(x, phi), (y, phi)], h0_acc)
 
-    def assemble(acc) -> sp.csr_matrix:
-        rows, cols, vals = (np.concatenate(a) for a in acc)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        return m
+    def sector(parity: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        reps = np.flatnonzero((rep == index) & (odd == parity))
+        pos[reps] = np.arange(reps.size)
+        digits = [(reps // place[x]) % n for x in range(ns)]
 
-    return assemble(h0_acc), assemble(v_acc)
+        def apply(coeff: float, ops: list[tuple[int, list]], acc: tuple[list, list, list]) -> None:
+            """Add coeff * prod_x op_x |r> to the sector entries, for each representative r.
+
+            A digit moved out of range picks up a zero amplitude and is dropped.
+            """
+            parts = [(reps, np.full(reps.size, coeff))]
+            for x, band in ops:
+                parts = [(target + offset * place[x], amp * vals[digits[x]])
+                         for target, amp in parts for offset, vals in band]
+            for target, amp in parts:
+                keep = amp != 0.0
+                target, amp = target[keep], amp[keep]
+                acc[0].append(pos[rep[target]])
+                acc[1].append(np.flatnonzero(keep))
+                acc[2].append(amp * np.sqrt(size[reps[keep]] / size[target]))
+
+        def assemble(acc) -> sp.csr_matrix:
+            rows, cols, vals = (np.concatenate(a) for a in acc)
+            m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
+            m.sum_duplicates()
+            m.eliminate_zeros()
+            return m
+
+        h0_acc, v_acc = ([], [], []), ([], [], [])
+        for x in range(ns):
+            apply(1.0, [(x, har)], h0_acc)
+            apply(1.0, [(x, phi4)], v_acc)
+        for x, y in _bonds(spec):
+            apply(-2.0 * spec.kappa, [(x, phi), (y, phi)], h0_acc)
+        return assemble(h0_acc), assemble(v_acc)
+
+    return [sector(0), sector(1)]
 
 
 def _parity_array(n_max: int, n_sites: int) -> np.ndarray:

@@ -23,8 +23,8 @@ from .hamiltonian import (
     CouplingFamily,
     LatticeSpec,
     SparseOperator,
+    _lattice_sectors,
     lattice_hamiltonian,
-    lattice_sector,
 )
 from .oscillator import OperatorMatrix
 
@@ -44,6 +44,19 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
+# Above this dimension Lanczos beats dense eigvalsh per coupling on the
+# lattice sectors (2-core x86-64, OpenBLAS; tools/sector_bench.py: dense
+# 0.16 ms against Lanczos 1.9 ms at 56 states, 8.0 against 4.8 ms at 88,
+# 7.2 against 2.7 ms at 356, 122 against 6.7 ms at 1172).
+SECTOR_DENSE_DIM = 64
+# (n_max, n_sites) whose momentum-0 ground energy was compared with the
+# full-space one for 0 < kappa <= 1 and 0 < lam <= 2: by the dense oracle
+# (tests/test_spectral.py) and, at 8 sites, by full-space Lanczos on a
+# 6 x 5 grid (tools/sector_bench.py, largest difference 1.1e-11).
+SECTOR_CHECKED = frozenset({(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (2, 4), (2, 5),
+                            (4, 3), (4, 4), (4, 5), (6, 3), (6, 4), (8, 3), (4, 8)})
+SECTOR_CHECKED_KAPPA = 1.0
+SECTOR_CHECKED_LAM = 2.0
 LANCZOS_SEED = 0x5EED
 HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
@@ -159,35 +172,59 @@ def lanczos_lowest(
     return SpectrumResult(w, v, "full")
 
 
-def lattice_ground_energies(spec: LatticeSpec, lams=None, k: int = 1,
-                            tol: float = 1e-12) -> np.ndarray:
-    """The k lowest lattice energies at each coupling of lams, shape (len(lams), k).
+def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
+    """Whether the two momentum-0 sectors hold the ground energy at every coupling of lams.
 
-    lams defaults to (spec.lam,); spec.lam is otherwise unused.  A k past the
-    lattice dimension gives every eigenvalue.  For the
-    ground energy (k = 1) of a periodic chain with kappa > 0 at real
-    couplings, the momentum-0, even-parity sector holds the ground state:
-    its H0 and V are built once (hamiltonian.lattice_sector) and every
-    coupling is solved by dense eigvalsh up to DENSE_CAP, by Lanczos above.
-    Every other case (open boundary, kappa <= 0, k > 1, a complex
-    coupling) runs full-space Lanczos on lattice_hamiltonian at each
-    coupling.
+    For kappa > 0 and lam <= 0 every off-diagonal entry of H in the product
+    occupation basis is <= 0 (phi has nonnegative entries), so the ground
+    space holds a nonnegative vector; its translation average is a nonzero
+    momentum-0 ground state, and so is its even or its odd part.  For
+    lam > 0 no such argument holds, and the sectors are used only on the
+    lattices and coupling ranges of SECTOR_CHECKED, in the dimensionless
+    couplings kappa/omega^2 and lam/omega^3 (H(omega, kappa, lam) is
+    omega H(1, kappa/omega^2, lam/omega^3)).
     """
-    lams = [spec.lam] if lams is None else list(lams)
     if not (k == 1 and spec.boundary == "periodic" and spec.kappa > 0
             and all(complex(lam).imag == 0.0 for lam in lams)):
+        return False
+    top = max((complex(lam).real for lam in lams), default=0.0)
+    if top <= 0:
+        return True
+    omega = spec.trunc.omega
+    return ((spec.trunc.n_max, spec.n_sites) in SECTOR_CHECKED
+            and spec.kappa / omega**2 <= SECTOR_CHECKED_KAPPA
+            and top / omega**3 <= SECTOR_CHECKED_LAM)
+
+
+def _sector_ground(h0, v, lams: list[float], tol: float) -> np.ndarray:
+    """Lowest eigenvalue of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM."""
+    if h0.shape[0] <= SECTOR_DENSE_DIM:
+        h0, v = h0.toarray(), v.toarray()
+        return np.array([dense_spectrum(OperatorMatrix(h0 + lam * v, hermitian=True)).eigenvalues[0]
+                         for lam in lams])
+    return np.array([lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), 1, tol).eigenvalues[0]
+                     for lam in lams])
+
+
+def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e-12) -> np.ndarray:
+    """The k lowest lattice energies at each coupling of lams, shape (len(lams), k).
+
+    spec.lam is not used.  A k past the lattice dimension gives every
+    eigenvalue.  Where the momentum-0 sectors hold the ground state
+    (_sectors_hold_ground: a periodic chain, kappa > 0, k = 1, real
+    couplings, and lam <= 0 or a checked lattice), H0 and V of the even and
+    the odd sector are built once (hamiltonian._lattice_sectors) and the
+    ground energy is the lower of the two sector minima.  Every other case
+    runs full-space Lanczos on lattice_hamiltonian at each coupling.
+    """
+    lams = list(lams)
+    if not _sectors_hold_ground(spec, lams, k):
         rows = [lanczos_lowest(lattice_hamiltonian(replace(spec, lam=lam)), k, tol).eigenvalues
                 for lam in lams]
         return np.array(rows) if rows else np.empty((0, k))
-    h0, v = lattice_sector(spec)
     lams = [complex(lam).real for lam in lams]
-    if h0.shape[0] <= DENSE_CAP:
-        h0, v = h0.toarray(), v.toarray()
-        energies = [np.linalg.eigvalsh(h0 + lam * v)[0] for lam in lams]
-    else:
-        energies = [lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), 1, tol).eigenvalues[0]
-                    for lam in lams]
-    return np.array(energies).reshape(-1, 1)
+    even, odd = (_sector_ground(h0, v, lams, tol) for h0, v in _lattice_sectors(spec))
+    return np.minimum(even, odd).reshape(-1, 1)
 
 
 def _tracked_sector_level(family: CouplingFamily, sector: str, pos: int, lam: float,

@@ -336,7 +336,7 @@ def test_c11a_lattice_lanczos_vs_dense():
 
 def _lattice_peak_and_width(kappa, lo, hi, n=161):
     lams = np.linspace(lo, hi, n)
-    spec = LatticeSpec(4, TruncationSpec(4), kappa, 0.0, "periodic")
+    spec = LatticeSpec(4, TruncationSpec(4), kappa)
     energies = lattice_ground_energies(spec, lams, tol=1e-11)[:, 0]
     return _curvature_peak_and_width(lams, energies)
 

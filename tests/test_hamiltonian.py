@@ -14,6 +14,7 @@ from phi4trunc import (
     strong_coupling_hamiltonian,
 )
 from phi4trunc.algebra import sector_char_poly
+from phi4trunc.hamiltonian import _lattice_sectors
 from phi4trunc.oscillator import OperatorMatrix
 
 
@@ -248,60 +249,57 @@ def test_parity_indices_match_per_index_parity(n_max, n_sites):
     assert odd.tolist() == [i for i, p in enumerate(par) if p == 1]
 
 
-def _burnside_even_orbits(n_max, n_sites):
-    """Translation orbits of even total occupation, by Burnside's lemma (even n_max).
+def _burnside_orbits(n_max, n_sites):
+    """Translation orbits of even and of odd total occupation, by Burnside's lemma (even n_max).
 
     A state fixed by a shift of j sites repeats a block of g = gcd(j, N)
     digits N/g times; its occupation is even when N/g is even, and for odd
     N/g when the block sum is, which half of the n^g blocks satisfy.
     """
-    fixed = 0
+    fixed_even = fixed_all = 0
     for j in range(n_sites):
         g = math.gcd(j, n_sites)
-        fixed += n_max**g if (n_sites // g) % 2 == 0 else n_max**g // 2
-    return fixed // n_sites
+        fixed_all += n_max**g
+        fixed_even += n_max**g if (n_sites // g) % 2 == 0 else n_max**g // 2
+    return fixed_even // n_sites, (fixed_all - fixed_even) // n_sites
 
 
 @pytest.mark.parametrize("n_max, n_sites, count", [(4, 4, 38), (4, 8, 4134), (2, 5, 4),
-                                                   (6, 3, 38), (4, 1, 2)])
+                                                   (6, 3, 38), (4, 1, 2), (4, 2, 6)])
 def test_sector_dimension_is_the_burnside_count(n_max, n_sites, count):
-    from phi4trunc import lattice_sector
+    even, odd = _burnside_orbits(n_max, n_sites)
+    assert even == count
+    sectors = _lattice_sectors(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1))
+    assert [(h0.shape, v.shape) for h0, v in sectors] == [((even, even),) * 2, ((odd, odd),) * 2]
 
-    assert _burnside_even_orbits(n_max, n_sites) == count
-    h0, v = lattice_sector(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1))
-    assert h0.shape == v.shape == (count, count)
 
-
-@pytest.mark.parametrize("n_sites", [2, 3, 4])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
 def test_sector_matrix_is_the_projected_full_matrix(n_sites):
-    # P^T H P with the columns of P the normalised orbit sums of the even
-    # representatives, built from the independent dense Hamiltonian
-    from phi4trunc import lattice_sector
-
+    # P^T H P with the columns of P the normalised orbit sums of the
+    # representatives of each parity, built from the independent dense Hamiltonian
     from oracles import dense_lattice_hamiltonian
 
     n_max, kappa, lam = 4, 0.3, -0.2
     dim = n_max**n_sites
     digits = np.array(np.unravel_index(np.arange(dim), (n_max,) * n_sites)).T
-    orbits = {}
-    for i, d in enumerate(digits):
-        if d.sum() % 2 == 0:
-            shifts = {int(np.ravel_multi_index(np.roll(d, -j), (n_max,) * n_sites))
-                      for j in range(n_sites)}
-            orbits.setdefault(min(shifts), shifts)
-    p = np.zeros((dim, len(orbits)))
-    for col, rep in enumerate(sorted(orbits)):
-        p[sorted(orbits[rep]), col] = 1.0 / np.sqrt(len(orbits[rep]))
-    projected = p.T @ dense_lattice_hamiltonian(n_sites, n_max, kappa, lam) @ p
-    h0, v = lattice_sector(LatticeSpec(n_sites, TruncationSpec(n_max), kappa))
-    assert np.max(np.abs((h0 + lam * v).toarray() - projected)) <= 1e-13
+    h = dense_lattice_hamiltonian(n_sites, n_max, kappa, lam)
+    sectors = _lattice_sectors(LatticeSpec(n_sites, TruncationSpec(n_max), kappa))
+    for parity, (h0, v) in enumerate(sectors):
+        orbits = {}
+        for d in digits:
+            if d.sum() % 2 == parity:
+                shifts = {int(np.ravel_multi_index(np.roll(d, -j), (n_max,) * n_sites))
+                          for j in range(n_sites)}
+                orbits.setdefault(min(shifts), shifts)
+        p = np.zeros((dim, len(orbits)))
+        for col, rep in enumerate(sorted(orbits)):
+            p[sorted(orbits[rep]), col] = 1.0 / np.sqrt(len(orbits[rep]))
+        assert np.max(np.abs((h0 + lam * v).toarray() - p.T @ h @ p)) <= 1e-13
 
 
 def test_sector_needs_a_periodic_chain():
-    from phi4trunc import lattice_sector
-
     with pytest.raises(ValueError, match="'open'"):
-        lattice_sector(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"))
+        _lattice_sectors(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])

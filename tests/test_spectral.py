@@ -18,7 +18,12 @@ from phi4trunc import (
     singularity_from_derivatives,
 )
 from phi4trunc.hamiltonian import SparseOperator
-from phi4trunc.spectral import SingularityEstimate
+from phi4trunc.spectral import (
+    SECTOR_CHECKED,
+    SECTOR_CHECKED_KAPPA,
+    SECTOR_CHECKED_LAM,
+    SingularityEstimate,
+)
 
 
 def even_levels_nmax4(lam):
@@ -228,44 +233,91 @@ def test_sum_over_states_rejects_exact_degeneracy():
         energy_derivatives(fam, 0, "even", 0.0)
 
 
-SECTOR_GRID = [(2, 4), (2, 5), (4, 3), (4, 4), (4, 5), (6, 3), (6, 4), (8, 3)]
+# the checked lattices small enough for the dense oracle; 8 sites is checked below
+SECTOR_GRID = sorted(SECTOR_CHECKED - {(4, 8)})
+
+
+def _dense_ground(n_sites, n_max, kappa, lam):
+    from oracles import dense_lattice_hamiltonian
+
+    return np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SECTOR_GRID),
+       st.floats(0.0, SECTOR_CHECKED_KAPPA, exclude_min=True),
+       st.floats(-2.0, SECTOR_CHECKED_LAM))
+def test_sector_ground_energy_is_the_dense_ground_energy(size, kappa, lam):
+    n_max, n_sites = size
+    got = lattice_ground_energies(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), [lam])
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - _dense_ground(n_sites, n_max, kappa, lam)) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(SECTOR_GRID),
-       st.floats(0.0, 1.0, exclude_min=True),
-       st.floats(-2.0, 2.0))
-def test_sector_ground_energy_is_the_dense_ground_energy(size, kappa, lam):
-    from oracles import dense_lattice_hamiltonian
-
+@given(st.sampled_from([(2, 3), (6, 2), (10, 2), (2, 6), (4, 4)]),
+       st.floats(0.0, 5.0, exclude_min=True),
+       st.floats(-100.0, 0.0))
+def test_sector_ground_energy_at_negative_coupling_on_any_lattice(size, kappa, lam):
+    # lam <= 0 needs no checked lattice: the sectors provably hold the ground state
     n_max, n_sites = size
     got = lattice_ground_energies(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), [lam])
-    dense = np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam))[0]
-    assert got.shape == (1, 1)
-    assert abs(got[0, 0] - dense) <= 1e-10
+    dense = _dense_ground(n_sites, n_max, kappa, lam)
+    assert abs(got[0, 0] - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_ground_energy_is_the_lower_of_the_two_sector_minima(monkeypatch):
+    import phi4trunc.spectral as spectral
+
+    spec, lams = LatticeSpec(4, TruncationSpec(4), 0.1), [-0.2, 0.1]
+    want = lattice_ground_energies(spec, lams)
+    sectors = spectral._lattice_sectors(spec)
+    monkeypatch.setattr(spectral, "_lattice_sectors", lambda _: sectors[::-1])
+    assert np.array_equal(lattice_ground_energies(spec, lams), want)
 
 
 def test_eight_site_sector_lanczos_is_the_full_space_lanczos():
-    # the sector (4134 states) is past DENSE_CAP, so both sides are Lanczos
+    # both sectors (4134 and 4096 states) are past SECTOR_DENSE_DIM, so both sides are Lanczos
     trunc = TruncationSpec(4)
     points = [(0.05, 0.1), (0.1, 0.15), (0.15, 0.2)]
     for kappa, lam in points:
         spec = LatticeSpec(8, trunc, kappa, lam)
         full = lanczos_lowest(lattice_hamiltonian(spec), 1, tol=1e-12).eigenvalues[0]
-        assert abs(lattice_ground_energies(spec)[0, 0] - full) <= 1e-10
+        assert abs(lattice_ground_energies(spec, [lam])[0, 0] - full) <= 1e-10
 
 
-@pytest.mark.parametrize("kappa, boundary, k", [(0.1, "open", 1), (0.0, "periodic", 1),
-                                                (-0.3, "periodic", 1), (0.1, "periodic", 3)])
-def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k):
-    lams = [-0.2, 0.1]
-    spec = LatticeSpec(4, TruncationSpec(4), kappa, 0.0, boundary)
-    full = np.array([lanczos_lowest(lattice_hamiltonian(LatticeSpec(4, spec.trunc, kappa, lam, boundary)),
+def test_sector_takes_omega_into_the_dimensionless_couplings():
+    from phi4trunc.spectral import _sectors_hold_ground
+
+    # omega = 2 puts kappa = 3 and lam = 12 at kappa/omega^2 = 0.75, lam/omega^3 = 1.5
+    spec = LatticeSpec(4, TruncationSpec(4, 2.0), 3.0, 12.0)
+    assert _sectors_hold_ground(spec, [12.0], 1)
+    dense = np.linalg.eigvalsh(lattice_hamiltonian(spec).matrix.toarray())[0]
+    assert abs(lattice_ground_energies(spec, [12.0])[0, 0] - dense) <= 1e-10
+    # omega = 1/2 puts lam = 0.5 at lam/omega^3 = 4, past the checked range
+    assert not _sectors_hold_ground(LatticeSpec(4, TruncationSpec(4, 0.5), 0.1), [0.5], 1)
+
+
+@pytest.mark.parametrize("kappa, boundary, k, lams, n_max, n_sites", [
+    (0.1, "open", 1, [-0.2, 0.1], 4, 4),
+    (0.0, "periodic", 1, [-0.2, 0.1], 4, 4),
+    (-0.3, "periodic", 1, [-0.2, 0.1], 4, 4),
+    (0.1, "periodic", 3, [-0.2, 0.1], 4, 4),
+    # positive couplings past the checked lattices and ranges
+    (0.1, "periodic", 1, [-0.2, 0.1], 6, 2),
+    (1.5, "periodic", 1, [-0.2, 0.1], 4, 4),
+    (0.1, "periodic", 1, [-0.2, 2.5], 4, 4),
+])
+def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k, lams,
+                                                                   n_max, n_sites):
+    trunc = TruncationSpec(n_max)
+    spec = LatticeSpec(n_sites, trunc, kappa, boundary=boundary)
+    full = np.array([lanczos_lowest(lattice_hamiltonian(LatticeSpec(n_sites, trunc, kappa, lam, boundary)),
                                     k, tol=1e-12).eigenvalues for lam in lams])
     assert np.array_equal(lattice_ground_energies(spec, lams, k), full)
 
 
 def test_complex_coupling_keeps_the_full_space_error():
-    spec = LatticeSpec(4, TruncationSpec(4), 0.1, -0.1 + 0.05j)
+    spec = LatticeSpec(4, TruncationSpec(4), 0.1)
     with pytest.raises(ValueError, match="Hermitian"):
-        lattice_ground_energies(spec)
+        lattice_ground_energies(spec, [-0.1 + 0.05j])

@@ -11,7 +11,8 @@ Each run is the record perfbench writes to `.perfbench/<run>/result.json`
 raw per-pass samples are left out.  `pairs` lines up the metrics of each
 named run side by side.  Each side also gets `wc -l src/phi4trunc/*.py`
 and the wall time and summary line of the Tier-1 suite, run in that
-checkout.  Standard library only.
+checkout.  --extra merges the keys of a JSON object file (for example the
+rows of tools/sector_bench.py) into the output.  Standard library only.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--runs", nargs="+", required=True, help="run directory names under .perfbench/")
+    parser.add_argument("--extra", type=Path, help="JSON object whose keys are added to the output")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
@@ -72,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
                       for side in sides}}
         for n in args.runs
     ]
+    if args.extra:
+        bench.update(json.loads(args.extra.read_text()))
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {args.out}: {len(args.runs)} runs per side")
     return 0
