@@ -83,6 +83,10 @@ def _sector_handle(h, cfg):
 # subcommand bodies: each returns a list of output paths
 
 def _cmd_spectrum(cfg, outdir):
+    if cfg["method"] not in ("dense", "lanczos"):
+        raise ValueError(f"--method {cfg['method']!r} must be 'dense' or 'lanczos'")
+    if cfg["nsites"] < 1:
+        raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["nsites"] > 1:
         # the lattice path takes the whole weak-coupling chain, with no parity split

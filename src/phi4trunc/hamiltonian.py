@@ -6,12 +6,14 @@ nearest-neighbor hops,
     H = sum_x [ omega (a_x^dag a_x + 1/2) + lam phi_x^4 ] - 2 kappa sum_x phi_x phi_{x+1},
 
 built once per kappa as the affine pair H(lam) = H0 + lam V: H0 holds the
-harmonic sites and the hop, V the phi^4 sites.  On the full product basis
-(site 0 the slowest-varying index) the pair comes from Kronecker placement
-and lattice_hamiltonian evaluates it.  _lattice_sectors builds the pair of
-a periodic chain directly in its two momentum-0 sectors, one per occupation
-parity, with one basis state per translation orbit, by applying the local
-terms to the orbit representatives; the full-space matrix is never formed.
+harmonic sites and the hop, V the phi^4 sites.  One builder, _orbit_pair,
+forms the pair by applying the local terms to the digits of basis states
+(site 0 the slowest-varying index).  _lattice_blocks gives it one of three
+bases: the full product basis, its two occupation-parity blocks, and the
+two momentum-0 sectors of a periodic chain, one state per translation
+orbit.  The product basis is the case where every state is its own orbit;
+lattice_hamiltonian and lattice_family evaluate it.  No other basis forms
+the full-space matrix.
 Couplings may be complex; the hermitian flag is cleared accordingly so the
 analytic family H(lam) can be scanned off the real axis.
 """
@@ -127,7 +129,7 @@ def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> Op
     return _evaluate(strong_coupling_family(trunc), lam_tilde)
 
 
-def _bonds(spec: LatticeSpec, dedup_double_bond: bool = False) -> list[tuple[int, int]]:
+def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
     """Nearest-neighbour bonds (x, x+1), wrapping at the end of a periodic chain."""
     ns = spec.n_sites
     if ns < 2:
@@ -135,72 +137,22 @@ def _bonds(spec: LatticeSpec, dedup_double_bond: bool = False) -> list[tuple[int
     bonds = [(x, x + 1) for x in range(ns - 1)]
     if spec.boundary == "periodic":
         bonds.append((ns - 1, 0))
-    if dedup_double_bond:
-        bonds = sorted({tuple(sorted(b)) for b in bonds})
     return bonds
 
 
-def _kronecker_pair(
-    spec: LatticeSpec, dim_cap: int = DEFAULT_DIM_CAP, dedup_double_bond: bool = False
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(H0, V) on the full product basis, H(lam) = H0 + lam V, by Kronecker placement.
-
-    H0 holds the harmonic sites and the hop, V the phi^4 sites.
-    """
-    if spec.dim > dim_cap:
-        raise ValueError(f"lattice dimension {spec.dim} exceeds cap {dim_cap}")
-    n = spec.trunc.n_max
-    ns = spec.n_sites
-
-    def place(coeff: float, ops: dict) -> sp.coo_matrix:
-        """coeff times the Kronecker product of ops[x] at site x and identities elsewhere."""
-        out, done = sp.coo_matrix([[coeff]]), 0
-        for x in sorted(ops):
-            out = sp.kron(sp.kron(out, sp.identity(n ** (x - done)), format="coo"), ops[x], format="coo")
-            done = x + 1
-        return sp.kron(out, sp.identity(n ** (ns - done)), format="coo")
-
-    def total(terms: list[sp.coo_matrix]) -> sp.csr_matrix:
-        rows, cols, vals = (np.concatenate([getattr(t, a) for t in terms]) for a in ("row", "col", "data"))
-        return sp.coo_matrix((vals, (rows, cols)), shape=(spec.dim, spec.dim)).tocsr()
-
-    # the harmonic sites sum to omega (total occupation + n_sites/2) on the diagonal
-    har = sp.diags(spec.trunc.omega * (_digit_sum(np.arange(spec.dim), n, ns) + ns / 2.0), format="coo")
-    phi4 = sp.coo_matrix(_phi4(spec.trunc))
-    phi = sp.coo_matrix(build_field_ops(spec.trunc)[0].entries)
-    hops = [place(-2.0 * spec.kappa, {x: phi, y: phi}) for x, y in _bonds(spec, dedup_double_bond)]
-    return total([har] + hops), total([place(1.0, {x: phi4}) for x in range(ns)])
-
-
-def lattice_hamiltonian(
-    spec: LatticeSpec,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    dedup_double_bond: bool = False,
-) -> SparseOperator:
+def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     """Sparse lattice Hamiltonian H0 + lam V at lam = spec.lam on the full product basis.
 
     The hop sum runs over positive directions literally, so n_sites=2 with
     periodic boundary counts the single geometric bond twice (coefficient
-    -4 kappa); pass dedup_double_bond=True to keep it once.
+    -4 kappa).
     """
-    h0, v = _kronecker_pair(spec, dim_cap, dedup_double_bond)
+    [(h0, v)] = _lattice_blocks(spec, "full")
     lam_is_real = complex(spec.lam).imag == 0.0
     lam = complex(spec.lam).real if lam_is_real else complex(spec.lam)
-    csr = (h0 + lam * v).tocsr()
-    csr.sum_duplicates()
+    csr = h0 + lam * v
     csr.eliminate_zeros()
-    csr.sort_indices()
     return SparseOperator(csr, hermitian=lam_is_real)
-
-
-def _digit_sum(index: np.ndarray, n_max: int, n_sites: int) -> np.ndarray:
-    """Total occupation of each product-basis index, digit by digit in base n_max."""
-    index = np.array(index)
-    total = np.zeros_like(index)
-    for _ in range(n_sites):
-        total += index % n_max
-        index //= n_max
-    return total
 
 
 def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,71 +179,101 @@ def _band(op: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(k, vals) for k, vals in bands if vals.any()]
 
 
-def _lattice_sectors(spec: LatticeSpec) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
-    """(H0, V) of the periodic chain in its momentum-0 sectors: even, then odd parity.
+def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+    """(H0, V) with H(lam) = H0 + lam V on each block of a basis of the chain.
 
-    A sector state |R> is the normalised sum over the translation orbit O_R
-    of a representative r of the sector's total-occupation parity.  Applying
-    the local terms of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
-    sum_{s' in O_R'} H_{s',r} without the full-space matrix.  Same terms and
-    bond convention as lattice_hamiltonian.
+    basis "full" is the product basis as one block.  "parity" is its even
+    and its odd total-occupation block, exact on every chain: phi changes
+    one occupation by one, so phi^4 and the hop phi_x phi_y change the
+    total by an even number.  "momentum" is the even and the odd
+    momentum-0 sector of a periodic chain, one state per translation orbit.
     """
-    if spec.boundary != "periodic":
+    if basis == "momentum" and spec.boundary != "periodic":
         raise ValueError(f"the momentum sector needs a periodic chain, got {spec.boundary!r}")
     if spec.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"lattice dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
     n, ns = spec.trunc.n_max, spec.n_sites
+    if basis == "full":
+        return [_orbit_pair(spec, np.arange(spec.dim))]
+    odd = _parity_array(n, ns)
+    if basis == "parity":
+        return [_orbit_pair(spec, np.flatnonzero(odd == parity)) for parity in (0, 1)]
     rep, size = _translation_orbits(n, ns)
-    index = np.arange(n**ns, dtype=np.int64)
-    odd = _digit_sum(index, n, ns) % 2
-    # each index sits in one parity, so one array holds its position within its sector
-    pos = np.full(n**ns, -1, dtype=np.int64)
+    own = rep == np.arange(spec.dim)
+    return [_orbit_pair(spec, np.flatnonzero(own & (odd == parity)), rep, size) for parity in (0, 1)]
+
+
+def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = None,
+                size: np.ndarray | None = None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(H0, V) on the orbit states |R>, one per representative r in reps.
+
+    |R> is the normalised sum over the orbit O_R of r.  rep maps each
+    product index to the representative of its orbit and size gives |O_R|;
+    without them every index is its own orbit.  Applying the local terms
+    of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
+    sum_{s' in O_R'} H_{s',r} without the full-space matrix.
+    """
+    n, ns = spec.trunc.n_max, spec.n_sites
     place = [n ** (ns - 1 - x) for x in range(ns)]
+    digits = [(reps // place[x]) % n for x in range(ns)]
+    # 32-bit indices, as scipy stores them below its int32 limit (the cap is 2^20)
+    reps = reps.astype(np.int32)
+    pos = np.full(n**ns, -1, dtype=np.int32)
+    pos[reps] = np.arange(reps.size, dtype=np.int32)
     har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc).entries,
                                            _phi4(spec.trunc), build_field_ops(spec.trunc)[0].entries))
 
-    def sector(parity: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        reps = np.flatnonzero((rep == index) & (odd == parity))
-        pos[reps] = np.arange(reps.size)
-        digits = [(reps // place[x]) % n for x in range(ns)]
+    def assemble(terms: list[tuple[float, list]]) -> sp.csr_matrix:
+        """Sum over terms (coeff, [(x, band of op_x), ...]) of coeff * prod_x op_x on the block.
 
-        def apply(coeff: float, ops: list[tuple[int, list]], acc: tuple[list, list, list]) -> None:
-            """Add coeff * prod_x op_x |r> to the sector entries, for each representative r.
-
-            A digit moved out of range picks up a zero amplitude and is dropped.
-            """
-            parts = [(reps, np.full(reps.size, coeff))]
+        On the product basis and its parity blocks a part that moves no
+        digit is summed into the diagonal, term by term.  In an orbit basis
+        a hop can also land in its own orbit, so there every part stays an
+        entry of its own and tocsr adds them.  A digit moved out of range
+        picks up a zero amplitude and is dropped.
+        """
+        rows, cols, vals = [], [], []
+        diag = np.zeros(reps.size) if rep is None else None
+        for coeff, ops in terms:
+            parts = [(0, coeff)]
             for x, band in ops:
-                parts = [(target + offset * place[x], amp * vals[digits[x]])
-                         for target, amp in parts for offset, vals in band]
-            for target, amp in parts:
-                keep = amp != 0.0
-                target, amp = target[keep], amp[keep]
-                acc[0].append(pos[rep[target]])
-                acc[1].append(np.flatnonzero(keep))
-                acc[2].append(amp * np.sqrt(size[reps[keep]] / size[target]))
+                parts = [(shift + offset * place[x], amp * entries[digits[x]])
+                         for shift, amp in parts for offset, entries in band]
+            for shift, amp in parts:
+                if shift == 0 and diag is not None:
+                    diag += amp
+                    continue
+                keep = np.flatnonzero(amp).astype(np.int32)
+                rows.append(reps[keep] + shift)
+                cols.append(keep)
+                vals.append(amp[keep])
+        if diag is not None:
+            rows.append(reps)
+            cols.append(np.arange(reps.size, dtype=np.int32))
+            vals.append(diag)
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        if rep is not None:
+            vals *= np.sqrt(size[reps[cols]] / size[rows])
+            rows = rep[rows]
+        if reps.size < pos.size:  # the whole product basis is its own position map
+            rows = pos[rows]
+        m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
+        m.eliminate_zeros()
+        return m
 
-        def assemble(acc) -> sp.csr_matrix:
-            rows, cols, vals = (np.concatenate(a) for a in acc)
-            m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
-            m.sum_duplicates()
-            m.eliminate_zeros()
-            return m
-
-        h0_acc, v_acc = ([], [], []), ([], [], [])
-        for x in range(ns):
-            apply(1.0, [(x, har)], h0_acc)
-            apply(1.0, [(x, phi4)], v_acc)
-        for x, y in _bonds(spec):
-            apply(-2.0 * spec.kappa, [(x, phi), (y, phi)], h0_acc)
-        return assemble(h0_acc), assemble(v_acc)
-
-    return [sector(0), sector(1)]
+    h0 = assemble([(1.0, [(x, har)]) for x in range(ns)]
+                  + [(-2.0 * spec.kappa, [(x, phi), (y, phi)]) for x, y in _bonds(spec)])
+    return h0, assemble([(1.0, [(x, phi4)]) for x in range(ns)])
 
 
 def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
-    """Total occupation mod 2 of every product-basis index (site 0 most significant)."""
-    return _digit_sum(np.arange(n_max**n_sites), n_max, n_sites) % 2
+    """Total occupation mod 2 of every product-basis index, digit by digit in base n_max."""
+    index = np.arange(n_max**n_sites)
+    total = np.zeros_like(index)
+    for _ in range(n_sites):
+        total += index % n_max
+        index //= n_max
+    return total % 2
 
 
 def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -299,30 +281,13 @@ def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray
     return np.flatnonzero(par == 0), np.flatnonzero(par)
 
 
-def parity_decompose(h, spec) -> ParityBlocks:
-    """Split an operator into even/odd occupation-parity blocks.
+def parity_decompose(h: OperatorMatrix, trunc: TruncationSpec) -> ParityBlocks:
+    """Split a dense single-site operator into even/odd occupation-parity blocks.
 
-    Accepts an OperatorMatrix or SparseOperator together with the
-    TruncationSpec or LatticeSpec it was built from.  Raises ParityError,
-    reporting the largest offender, if any cross-parity entry is nonzero.
+    Raises ParityError, reporting the largest offender, if any cross-parity
+    entry is nonzero.  Lattice parity blocks come from the lattice builder.
     """
-    if isinstance(spec, LatticeSpec):
-        n_max, n_sites = spec.trunc.n_max, spec.n_sites
-    else:
-        n_max, n_sites = spec.n_max, 1
-    par = _parity_array(n_max, n_sites)
-    even_idx, odd_idx = np.flatnonzero(par == 0), np.flatnonzero(par)
-
-    if isinstance(h, SparseOperator):
-        coo = h.matrix.tocoo()
-        cross = par[coo.row] != par[coo.col]
-        if np.any(cross):
-            worst = np.max(np.abs(coo.data[cross]))
-            raise ParityError(f"operator couples parity sectors; max cross entry {worst:.3e}")
-        even = SparseOperator(h.matrix[np.ix_(even_idx, even_idx)].tocsr(), h.hermitian)
-        odd = SparseOperator(h.matrix[np.ix_(odd_idx, odd_idx)].tocsr(), h.hermitian)
-        return ParityBlocks(even, odd, even_idx, odd_idx)
-
+    even_idx, odd_idx = parity_indices(trunc.n_max)
     m = h.entries
     cross_block = np.abs(m[np.ix_(even_idx, odd_idx)])
     cross_block2 = np.abs(m[np.ix_(odd_idx, even_idx)])
@@ -357,10 +322,6 @@ class CouplingFamily:
         idx = even_idx if sector == "even" else odd_idx
         return self.h0[np.ix_(idx, idx)], self.v[np.ix_(idx, idx)]
 
-    def sector_block(self, lam: complex, sector: str) -> np.ndarray:
-        h0s, vs = self.sector_matrices(sector)
-        return h0s + lam * vs
-
 
 def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
     """H(lam) = H_har + lam phi^4 for one site."""
@@ -374,7 +335,7 @@ def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
                           "strong")
 
 
-def lattice_family(spec: LatticeSpec, dim_cap: int = DEFAULT_DIM_CAP) -> CouplingFamily:
+def lattice_family(spec: LatticeSpec) -> CouplingFamily:
     """Lattice family in lam at fixed kappa, as dense arrays (small lattices only)."""
-    h0, v = _kronecker_pair(spec, dim_cap)
+    [(h0, v)] = _lattice_blocks(spec, "full")
     return CouplingFamily(h0.toarray(), v.toarray(), spec.trunc.n_max, spec.n_sites, "lattice")

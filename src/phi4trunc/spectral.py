@@ -13,19 +13,13 @@ from the curvature ratio Im lam_s = sqrt(-3 E''/E'''') at the peak.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import algebra
-from .hamiltonian import (
-    CouplingFamily,
-    LatticeSpec,
-    SparseOperator,
-    _lattice_sectors,
-    lattice_hamiltonian,
-)
+from .hamiltonian import CouplingFamily, LatticeSpec, SparseOperator, _lattice_blocks
 from .oscillator import OperatorMatrix
 
 __all__ = [
@@ -44,10 +38,11 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
-# Above this dimension Lanczos beats dense eigvalsh per coupling on the
-# lattice sectors (2-core x86-64, OpenBLAS; tools/sector_bench.py: dense
-# 0.16 ms against Lanczos 1.9 ms at 56 states, 8.0 against 4.8 ms at 88,
-# 7.2 against 2.7 ms at 356, 122 against 6.7 ms at 1172).
+# Above this dimension Lanczos beats dense eigvalsh per coupling on a
+# lattice block (2-core x86-64, OpenBLAS; tools/sector_bench.py on the
+# momentum-0 sectors: dense 0.16 ms against Lanczos 1.9 ms at 56 states,
+# 8.0 against 4.8 ms at 88, 7.2 against 2.7 ms at 356, 122 against 6.7 ms
+# at 1172).
 SECTOR_DENSE_DIM = 64
 # (n_max, n_sites) whose momentum-0 ground energy was compared with the
 # full-space one for 0 < kappa <= 1 and 0 < lam <= 2: by the dense oracle
@@ -100,11 +95,10 @@ class SingularityEstimate:
         return float(np.hypot(self.re, self.im))
 
 
-def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = "full",
-                   dense_cap: int = DENSE_CAP) -> SpectrumResult:
+def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = "full") -> SpectrumResult:
     """Full dense spectrum; Hermitian solver when the flag allows it."""
-    if h.dim > dense_cap:
-        raise ValueError(f"dimension {h.dim} exceeds dense cap {dense_cap}")
+    if h.dim > DENSE_CAP:
+        raise ValueError(f"dimension {h.dim} exceeds dense cap {DENSE_CAP}")
     try:
         if h.hermitian:
             if want_vectors:
@@ -196,35 +190,39 @@ def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
             and top / omega**3 <= SECTOR_CHECKED_LAM)
 
 
-def _sector_ground(h0, v, lams: list[float], tol: float) -> np.ndarray:
-    """Lowest eigenvalue of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM."""
-    if h0.shape[0] <= SECTOR_DENSE_DIM:
+def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
+    """The min(k, dim) lowest eigenvalues of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM."""
+    dim = h0.shape[0]
+    if dim <= SECTOR_DENSE_DIM:
         h0, v = h0.toarray(), v.toarray()
-        return np.array([dense_spectrum(OperatorMatrix(h0 + lam * v, hermitian=True)).eigenvalues[0]
-                         for lam in lams])
-    return np.array([lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), 1, tol).eigenvalues[0]
-                     for lam in lams])
+        rows = [dense_spectrum(OperatorMatrix(h0 + lam * v, hermitian=True)).eigenvalues[:k]
+                for lam in lams]
+    else:
+        rows = [lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), k, tol).eigenvalues
+                for lam in lams]
+    return np.array(rows).reshape(len(lams), min(k, dim))
 
 
 def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e-12) -> np.ndarray:
     """The k lowest lattice energies at each coupling of lams, shape (len(lams), k).
 
     spec.lam is not used.  A k past the lattice dimension gives every
-    eigenvalue.  Where the momentum-0 sectors hold the ground state
-    (_sectors_hold_ground: a periodic chain, kappa > 0, k = 1, real
-    couplings, and lam <= 0 or a checked lattice), H0 and V of the even and
-    the odd sector are built once (hamiltonian._lattice_sectors) and the
-    ground energy is the lower of the two sector minima.  Every other case
-    runs full-space Lanczos on lattice_hamiltonian at each coupling.
+    eigenvalue.  H0 and V are built once, block by block
+    (hamiltonian._lattice_blocks): in the even and the odd momentum-0
+    sector where those hold the ground state (_sectors_hold_ground: a
+    periodic chain, kappa > 0, k = 1, and lam <= 0 or a checked lattice),
+    and in the even and the odd parity block of the full basis everywhere
+    else.  Each block gives its k lowest energies at each coupling, and the
+    k lowest of their union are returned.
     """
     lams = list(lams)
-    if not _sectors_hold_ground(spec, lams, k):
-        rows = [lanczos_lowest(lattice_hamiltonian(replace(spec, lam=lam)), k, tol).eigenvalues
-                for lam in lams]
-        return np.array(rows) if rows else np.empty((0, k))
+    for lam in lams:
+        if complex(lam).imag != 0.0:
+            raise ValueError(f"lattice ground energies need a Hermitian H(lam); coupling {lam!r} is complex")
     lams = [complex(lam).real for lam in lams]
-    even, odd = (_sector_ground(h0, v, lams, tol) for h0, v in _lattice_sectors(spec))
-    return np.minimum(even, odd).reshape(-1, 1)
+    basis = "momentum" if _sectors_hold_ground(spec, lams, k) else "parity"
+    levels = np.hstack([_sector_ground(h0, v, lams, k, tol) for h0, v in _lattice_blocks(spec, basis)])
+    return np.sort(levels, axis=1)[:, :k]
 
 
 def _tracked_sector_level(family: CouplingFamily, sector: str, pos: int, lam: float,

@@ -50,13 +50,15 @@ def benderwu_continuum(max_order: int) -> list[Fraction]:
     return a
 
 
-def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: complex) -> np.ndarray:
+def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: complex,
+                              boundary: str = "periodic") -> np.ndarray:
     """Dense H = sum_x [(n_x + 1/2) + lam phi_x^4] - 2 kappa sum_x phi_x phi_{x+1}, omega = 1.
 
-    Periodic chain with site 0 the slowest-varying Kronecker factor and the
-    bond sum taken literally over x = 0 .. n_sites-1 (so two sites carry the
-    one geometric bond twice).  Built from numpy kron products alone; a
-    single site with kappa = 0 is the anharmonic oscillator itself.
+    Site 0 is the slowest-varying Kronecker factor.  On a periodic chain the
+    bond sum runs literally over x = 0 .. n_sites-1 (so two sites carry the
+    one geometric bond twice); an open chain drops the wrap bond x =
+    n_sites-1.  Built from numpy kron products alone; a single site with
+    kappa = 0 is the anharmonic oscillator itself.
     """
     a = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
     phi = (a + a.T) / np.sqrt(2.0)
@@ -71,7 +73,7 @@ def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: compl
 
     h = sum(place({x: local}) for x in range(n_sites))
     if n_sites > 1:
-        for x in range(n_sites):
+        for x in range(n_sites if boundary == "periodic" else n_sites - 1):
             h = h - 2.0 * kappa * place({x: phi, (x + 1) % n_sites: phi})
     return h
 

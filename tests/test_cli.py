@@ -132,6 +132,21 @@ def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     assert repr(value) in error["message"]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--nsites", "4", "--kappa", "0.1", "--method", "lanzcos"], "--method 'lanzcos'"),
+    (["--method", "lanzcos"], "--method 'lanzcos'"),
+    (["--nsites", "0"], "--nsites 0"),
+    (["--nsites", "-3"], "--nsites -3"),
+])
+def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
+    code, outdir = run_cli(["spectrum"] + args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "phi4trunc.cli", "spectrum", "--no-such-flag"],

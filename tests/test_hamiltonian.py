@@ -14,7 +14,7 @@ from phi4trunc import (
     strong_coupling_hamiltonian,
 )
 from phi4trunc.algebra import sector_char_poly
-from phi4trunc.hamiltonian import _lattice_sectors
+from phi4trunc.hamiltonian import _lattice_blocks
 from phi4trunc.oscillator import OperatorMatrix
 
 
@@ -100,14 +100,12 @@ def test_lattice_two_site_explicit_kron():
     assert {1.9, 2.1} <= {round(float(e), 10) for e in eig}
 
 
-def test_lattice_two_site_periodic_double_bond_and_dedup():
+def test_lattice_two_site_periodic_double_bond():
     trunc = TruncationSpec(2)
     phi2 = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
     spec = LatticeSpec(2, trunc, kappa=0.1, lam=0.0, boundary="periodic")
     doubled = lattice_hamiltonian(spec).matrix.toarray()
     assert np.allclose(doubled, np.diag([1.0, 2, 2, 3]) - 0.4 * np.kron(phi2, phi2), atol=1e-15)
-    single = lattice_hamiltonian(spec, dedup_double_bond=True).matrix.toarray()
-    assert np.allclose(single, np.diag([1.0, 2, 2, 3]) - 0.2 * np.kron(phi2, phi2), atol=1e-15)
 
 
 def test_lattice_decoupled_spectrum_is_tensor_sum():
@@ -151,7 +149,7 @@ def test_lattice_translation_invariance_periodic():
 
 def test_lattice_dimension_cap():
     with pytest.raises(ValueError, match="cap"):
-        lattice_hamiltonian(LatticeSpec(6, TruncationSpec(16), 0.1, 0.1), dim_cap=2**20)
+        lattice_hamiltonian(LatticeSpec(6, TruncationSpec(16), 0.1, 0.1))
 
 
 def test_parity_blocks_nmax4_and_characteristic_factor():
@@ -200,15 +198,16 @@ def test_parity_decompose_rejects_parity_breaking():
 
 
 def test_parity_decompose_sparse_lattice():
-    spec = LatticeSpec(2, TruncationSpec(4), kappa=0.1, lam=0.2, boundary="open")
-    h = lattice_hamiltonian(spec)
-    blocks = parity_decompose(h, spec)
-    assert blocks.even.dim + blocks.odd.dim == spec.dim
-    union = np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks.even.matrix.toarray()),
-        np.linalg.eigvalsh(blocks.odd.matrix.toarray()),
-    ]))
-    assert np.max(np.abs(union - np.linalg.eigvalsh(h.matrix.toarray()))) <= 1e-12
+    # the builder's parity blocks split the whole lattice spectrum, on both boundaries
+    for n_sites in (1, 2, 3, 4):
+        for boundary in ("open", "periodic"):
+            spec = LatticeSpec(n_sites, TruncationSpec(4), kappa=0.1, lam=0.2, boundary=boundary)
+            blocks = _lattice_blocks(spec, "parity")
+            assert sum(h0.shape[0] for h0, _ in blocks) == spec.dim
+            union = np.sort(np.concatenate([np.linalg.eigvalsh((h0 + 0.2 * v).toarray())
+                                            for h0, v in blocks]))
+            full = np.linalg.eigvalsh(lattice_hamiltonian(spec).matrix.toarray())
+            assert np.max(np.abs(union - full)) <= 1e-12
 
 
 def test_sparse_triplets_sorted_and_hermitian():
@@ -269,7 +268,7 @@ def _burnside_orbits(n_max, n_sites):
 def test_sector_dimension_is_the_burnside_count(n_max, n_sites, count):
     even, odd = _burnside_orbits(n_max, n_sites)
     assert even == count
-    sectors = _lattice_sectors(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1))
+    sectors = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
     assert [(h0.shape, v.shape) for h0, v in sectors] == [((even, even),) * 2, ((odd, odd),) * 2]
 
 
@@ -283,7 +282,7 @@ def test_sector_matrix_is_the_projected_full_matrix(n_sites):
     dim = n_max**n_sites
     digits = np.array(np.unravel_index(np.arange(dim), (n_max,) * n_sites)).T
     h = dense_lattice_hamiltonian(n_sites, n_max, kappa, lam)
-    sectors = _lattice_sectors(LatticeSpec(n_sites, TruncationSpec(n_max), kappa))
+    sectors = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), "momentum")
     for parity, (h0, v) in enumerate(sectors):
         orbits = {}
         for d in digits:
@@ -299,7 +298,7 @@ def test_sector_matrix_is_the_projected_full_matrix(n_sites):
 
 def test_sector_needs_a_periodic_chain():
     with pytest.raises(ValueError, match="'open'"):
-        _lattice_sectors(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"))
+        _lattice_blocks(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"), "momentum")
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -313,5 +312,4 @@ def test_lattice_family_is_the_affine_lattice(boundary):
     for lam in (-0.3, 0.25):
         h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.2, lam, boundary))
         assert np.max(np.abs(fam.matrix(lam) - h.matrix.toarray())) <= 1e-13
-        if boundary == "periodic":
-            assert np.max(np.abs(fam.matrix(lam) - dense_lattice_hamiltonian(3, 4, 0.2, lam))) <= 1e-13
+        assert np.max(np.abs(fam.matrix(lam) - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13

@@ -71,12 +71,10 @@ def test_dense_complex_coupling_uses_general_solver():
 
 
 def test_dense_cap():
-    big = SparseOperator(sp.identity(5000, format="csr"))
     from phi4trunc.oscillator import OperatorMatrix
 
     with pytest.raises(ValueError, match="cap"):
         dense_spectrum(OperatorMatrix(np.eye(5000), hermitian=True))
-    del big
 
 
 def test_lanczos_matches_dense_on_small_lattice():
@@ -271,8 +269,8 @@ def test_ground_energy_is_the_lower_of_the_two_sector_minima(monkeypatch):
 
     spec, lams = LatticeSpec(4, TruncationSpec(4), 0.1), [-0.2, 0.1]
     want = lattice_ground_energies(spec, lams)
-    sectors = spectral._lattice_sectors(spec)
-    monkeypatch.setattr(spectral, "_lattice_sectors", lambda _: sectors[::-1])
+    sectors = spectral._lattice_blocks(spec, "momentum")
+    monkeypatch.setattr(spectral, "_lattice_blocks", lambda _, basis: sectors[::-1])
     assert np.array_equal(lattice_ground_energies(spec, lams), want)
 
 
@@ -309,15 +307,29 @@ def test_sector_takes_omega_into_the_dimensionless_couplings():
     (0.1, "periodic", 1, [-0.2, 2.5], 4, 4),
 ])
 def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k, lams,
-                                                                   n_max, n_sites):
+                                                                   n_max, n_sites, monkeypatch):
+    # the parity blocks give the k lowest full-space energies without the full-space matrix
+    import phi4trunc.spectral as spectral
+
     trunc = TruncationSpec(n_max)
     spec = LatticeSpec(n_sites, trunc, kappa, boundary=boundary)
-    full = np.array([lanczos_lowest(lattice_hamiltonian(LatticeSpec(n_sites, trunc, kappa, lam, boundary)),
-                                    k, tol=1e-12).eigenvalues for lam in lams])
-    assert np.array_equal(lattice_ground_energies(spec, lams, k), full)
+    dense = np.array([np.linalg.eigvalsh(lattice_hamiltonian(LatticeSpec(n_sites, trunc, kappa, lam, boundary))
+                                         .matrix.toarray())[:k] for lam in lams])
+
+    build, bases = spectral._lattice_blocks, []
+
+    def recorded(spec, basis):
+        bases.append(basis)
+        return build(spec, basis)
+
+    monkeypatch.setattr(spectral, "_lattice_blocks", recorded)
+    got = lattice_ground_energies(spec, lams, k)
+    assert bases == ["parity"]
+    assert got.shape == dense.shape
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 
 def test_complex_coupling_keeps_the_full_space_error():
     spec = LatticeSpec(4, TruncationSpec(4), 0.1)
-    with pytest.raises(ValueError, match="Hermitian"):
-        lattice_ground_energies(spec, [-0.1 + 0.05j])
+    with pytest.raises(ValueError, match=r"Hermitian.*\(-0\.1\+0\.05j\)"):
+        lattice_ground_energies(spec, [-0.2, -0.1 + 0.05j])

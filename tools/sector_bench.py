@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from phi4trunc import LatticeSpec, TruncationSpec, lattice_hamiltonian
-from phi4trunc.hamiltonian import SparseOperator, _lattice_sectors
+from phi4trunc.hamiltonian import SparseOperator, _lattice_blocks
 from phi4trunc.oscillator import OperatorMatrix
 from phi4trunc.spectral import dense_spectrum, lanczos_lowest, lattice_ground_energies
 
@@ -48,7 +48,7 @@ def crossover() -> list[dict]:
     lanczos_lowest(SparseOperator(sp.identity(64, format="csr")), 1)
     rows = []
     for n_max, n_sites in CROSSOVER:
-        (h0, v), _ = _lattice_sectors(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1))
+        (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
         d0, dv = h0.toarray(), v.toarray()
         lams = np.linspace(-0.3, 0.3, 5)
         dense = best_of(lambda: [dense_spectrum(OperatorMatrix(d0 + lam * dv, hermitian=True))
