@@ -41,9 +41,7 @@ __all__ = [
     "poly_sub",
     "poly_mul",
     "poly_scale",
-    "poly_eval",
     "poly_divexact",
-    "poly_deriv",
     "poly_trim",
     "bareiss_det_poly",
 ]
@@ -263,19 +261,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 def poly_scale(p: Poly, c) -> Poly:
     return poly_trim([a * c for a in p])
-
-
-def poly_eval(p: Poly, x):
-    acc = 0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
-
-
-def poly_deriv(p: Poly) -> Poly:
-    if len(p) <= 1:
-        return [0]
-    return [i * a for i, a in enumerate(p)][1:]
 
 
 def poly_divexact(p: Poly, q: Poly) -> Poly:

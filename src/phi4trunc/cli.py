@@ -44,9 +44,8 @@ from .projector import evolve_projector_method, perturbed_projector
 from .series import radius_estimate, strong_series, weak_series
 from .singularities import (
     gap_scan,
-    min_sector_gaps,
-    mollweide_project,
     refine_exceptional_point,
+    riemann_export,
     sylvester_discriminant,
 )
 from .spectral import (
@@ -177,8 +176,7 @@ def _cmd_projector(cfg, outdir):
     p2 = csvio.write_csv(outdir / "projector_value.csv", ["row", "col", "value"], rows,
                          {"lambda": cfg["lam"], "level": cfg["level"]})
     r, c = cfg["entry"]
-    ser_e = weak_series(trunc, cfg["level"], None, cfg["order"])
-    esums = ser_e.partial_sums(Fraction(str(cfg["lam"])))
+    esums = series.energy.partial_sums(Fraction(str(cfg["lam"])))
     entry_sums = []
     acc = 0.0
     for m in range(series.order + 1):
@@ -223,12 +221,27 @@ def _cmd_evolve(cfg, outdir):
     return [str(path)]
 
 
+def _grid_shape(cfg) -> tuple[int, int]:
+    """The --res of a scan or riemann grid, after checking it."""
+    res = cfg["res"]
+    if len(res) != 2 or min(res) < 1:
+        raise ValueError(f"--res {res!r} needs exactly 2 integers >= 1")
+    return res[0], res[1]
+
+
+def _scan_window(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The --re and --im ranges of a scan, after checking them."""
+    for key in ("re", "im"):
+        if len(cfg[key]) != 2 or not cfg[key][0] < cfg[key][1]:
+            raise ValueError(f"--{key} {cfg[key]!r} needs exactly 2 values, lo < hi")
+    return (cfg["re"][0], cfg["re"][1]), (cfg["im"][0], cfg["im"][1])
+
+
 def _cmd_scan(cfg, outdir):
+    (re_lo, re_hi), (im_lo, im_hi) = _scan_window(cfg)
+    n_re, n_im = _grid_shape(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
-    re_lo, re_hi = cfg["re"]
-    im_lo, im_hi = cfg["im"]
-    n_re, n_im = cfg["res"]
     grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im),
                     cfg["sector"], cfg["jobs"])
     meta = {"nmax": cfg["nmax"], "sector": cfg["sector"], "domain": cfg["domain"],
@@ -239,13 +252,9 @@ def _cmd_scan(cfg, outdir):
     if cfg["refine"]:
         flat = np.sort(grid.values[~np.isnan(grid.values)].ravel())
         cut = flat[max(0, int(0.01 * flat.size) - 1)]
-        seeds = sorted(
-            (complex(re, im) for re, im, gap in grid.points() if gap <= cut and im > 0),
-            key=lambda z: grid.values[
-                np.argmin(np.abs(grid.im_axis() - z.imag)),
-                np.argmin(np.abs(grid.re_axis() - z.real)),
-            ],
-        )
+        candidates = sorted((row for row in grid.points() if row[2] <= cut and row[1] > 0),
+                            key=lambda row: row[2])
+        seeds = [complex(re, im) for re, im, _ in candidates]
         # deepest candidates first; one refinement per basin, where a basin
         # is taken as 2% of the window diagonal around an accepted point
         basin = 0.02 * np.hypot(re_hi - re_lo, im_hi - im_lo)
@@ -362,19 +371,9 @@ def _cmd_lattice_sweep(cfg, outdir):
 
 
 def _cmd_riemann(cfg, outdir):
-    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    family = anharmonic_family(trunc)
-    h0s, vs = family.sector_matrices(cfg["sector"])
-    rows = []
-    n_lat, n_lon = cfg["res"]
-    lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
-    for lat in np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n_lat):
-        radius = np.sqrt((1 + np.sin(lat)) / (1 - np.sin(lat)))
-        lams = radius * np.exp(1j * lons)
-        gaps = np.abs(min_sector_gaps(h0s, vs, lams))
-        for lon, lam, gap in zip(lons, lams, gaps):
-            x, y = mollweide_project(lon, lat)
-            rows.append((lam.real, lam.imag, gap, x, y))
+    n_lat, n_lon = _grid_shape(cfg)
+    family = anharmonic_family(TruncationSpec(cfg["nmax"], cfg["omega"]))
+    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon))
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"],
                             "orientation": "0->south,inf->north,arg(lambda)->longitude",
@@ -459,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=key, default=None, type=str,
                                help=f"default: {default}")
             else:
-                p.add_argument(flag, dest=key, default=None,
-                               type=caster if caster is not None else str,
+                p.add_argument(flag, dest=key, default=None, type=caster,
                                help=f"default: {default}")
     return parser
 
@@ -477,9 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         if raw is None:
             env = os.environ.get(ENV_PREFIX + key.upper())
             if env is not None:
-                raw = caster(env) if caster is not None else env
+                raw = caster(env)
             elif key in config_file:
-                raw = caster(config_file[key]) if caster is not None else config_file[key]
+                raw = caster(config_file[key])
             else:
                 raw = default
         cfg[key] = raw

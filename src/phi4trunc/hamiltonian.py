@@ -318,6 +318,8 @@ class CouplingFamily:
         return self.h0 + lam * self.v
 
     def sector_matrices(self, sector: str) -> tuple[np.ndarray, np.ndarray]:
+        if sector not in ("even", "odd"):
+            raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
         even_idx, odd_idx = parity_indices(self.n_max, self.n_sites)
         idx = even_idx if sector == "even" else odd_idx
         return self.h0[np.ix_(idx, idx)], self.v[np.ix_(idx, idx)]

@@ -39,17 +39,19 @@ __all__ = [
 
 @dataclass
 class ProjectorSeries:
-    """Coefficient matrices of |n><n| in powers of lam.
+    """Coefficient matrices of |n><n| in powers of lam, and the level's energy series.
 
     weighted[m][i][j] are exact rationals in the sqrt(n!)-weighted basis;
     the standard-basis entry carries an extra sqrt(i!/j!), which is folded
-    in by coefficient_matrix / matrices.
+    in by coefficient_matrix / matrices.  energy holds E_n through the same
+    order, exact, from the recursion that gives the right states.
     """
 
     level: int
     order: int
     weighted: list = field(repr=False)
-    n_max: int = 0
+    n_max: int
+    energy: PowerSeries = field(repr=False)
 
     def entry_exact(self, m: int, i: int, j: int) -> Fraction:
         """Rational part of the order-m (i, j) entry; multiply by sqrt(i!/j!)."""
@@ -100,16 +102,17 @@ def _convergence_warning(trunc: TruncationSpec, level: int, lam: float) -> None:
 
 
 def _level_projector(
-    h0: list[Fraction], v: list[list[Fraction]], pos: int, order: int, idx: list[int], n: int
-) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
-    """Energy series and projector coefficient matrices of one level of a sector block.
+    h0: list[Fraction], v: list[list[Fraction]], level: int, sector: str, order: int, n: int
+) -> ProjectorSeries:
+    """Projector and energy series of one level of its sector block.
 
     Both state series come from the scaled-integer recursion at one scale
     Q that clears v and its transpose, so the order-m terms of
     <psi_L|psi_R>, of its inverse and of the outer products are integers
     at scale Q^m, and each matrix entry is reduced once.  The block sits at
-    rows and columns idx of an n x n matrix that is zero elsewhere.
+    the sector's rows and columns of an n x n matrix that is zero elsewhere.
     """
+    pos, idx = level // 2, algebra.sector_indices(n, sector)
     vt = [list(col) for col in zip(*v)]
     # an order-0 run returns the scale each block needs
     q = math.lcm(algebra._rs_scaled_integer(h0, v, pos, 0)[2],
@@ -136,7 +139,8 @@ def _level_projector(
                 full[i][j] = Fraction(sum(scaled[a][bi] * left[m - a][bj] for a in range(m + 1)),
                                       q**m)
         coeff_mats.append(full)
-    return energies, coeff_mats
+    energy = PowerSeries(energies, "weak_lambda", level, sector)
+    return ProjectorSeries(level, order, coeff_mats, n, energy)
 
 
 def perturbed_projector(
@@ -160,8 +164,7 @@ def perturbed_projector(
         raise ValueError(f"level {level} outside 0..{n - 1}")
     sector = algebra.level_sector(level, sector)
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
-    _, coeff_mats = _level_projector(h0, v, level // 2, order, algebra.sector_indices(n, sector), n)
-    series = ProjectorSeries(level, order, coeff_mats, n)
+    series = _level_projector(h0, v, level, sector, order, n)
     value = None
     if lam is not None:
         if check_convergence:
@@ -196,14 +199,12 @@ def evolve_projector_method(
     n = trunc.n_max
     sector = algebra.level_sector(state_in)
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
-    idx = algebra.sector_indices(n, sector)
     amplitude = np.zeros(len(t), dtype=complex)
-    for pos, level in enumerate(idx):
-        energies, coeff_mats = _level_projector(h0, v, pos, order, idx, n)
-        series = ProjectorSeries(level, order, coeff_mats, n)
+    for level in algebra.sector_indices(n, sector):
+        series = _level_projector(h0, v, level, sector, order, n)
         weight = series.evaluate(lam)[state_out, state_in]
         if weight == 0.0:
             continue
-        energy = float(PowerSeries(energies, "weak_lambda", level, sector).evaluate(lam))
+        energy = float(series.energy.evaluate(lam))
         amplitude += weight * np.exp(-1j * energy * t)
     return AmplitudeTrace(t, amplitude)

@@ -8,9 +8,10 @@ built from a sector's exact characteristic polynomial f and its
 z-derivative f', whose roots in lam are precisely the couplings where f has
 a double root.
 
-Also provides the weak/strong inversion map and the Riemann-sphere
-(Mollweide) projection used to visualize that nothing pinches the positive
-real axis.
+Also provides the weak/strong inversion map and the one sphere path,
+`riemann_export`: the minimum gaps over the whole Riemann sphere of
+couplings, from lam = 0 to lam = infinity, in Mollweide plot coordinates,
+which show that nothing pinches the positive real axis.
 """
 from __future__ import annotations
 
@@ -35,8 +36,6 @@ __all__ = [
     "refine_exceptional_point",
     "sylvester_discriminant",
     "strong_weak_map",
-    "lambda_to_sphere",
-    "mollweide_project",
     "riemann_export",
     "EXCEPTIONAL_GAP_THRESHOLD",
 ]
@@ -380,64 +379,55 @@ def strong_weak_map(point: complex, direction: str = "to_weak") -> complex:
     return 1.0 / point
 
 
-def lambda_to_sphere(lam: complex) -> tuple[float, float]:
-    """(longitude, latitude) of lam under inverse stereographic projection.
+def _mollweide(lon, lat) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-area Mollweide (x, y) of longitudes and latitudes in radians, elementwise.
 
-    lam = 0 maps to the south pole, infinity to the north pole, and the
-    positive real axis to the zero meridian.
+    Solves 2 theta + sin 2 theta = pi sin(lat) by Newton iteration.  Each
+    element stops once its own step is below 1e-10, so it takes the steps it
+    would take alone; raises naming the first element still moving after
+    100 steps.  The derivative 2 + 2 cos 2 theta vanishes at the poles, so
+    |lat| must stay below pi/2.
     """
-    r2 = abs(lam) ** 2
-    z = (r2 - 1.0) / (r2 + 1.0)
-    lat = np.arcsin(z)
-    lon = np.arctan2(lam.imag, lam.real)
-    return float(lon), float(lat)
-
-
-def mollweide_project(lon: float, lat: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Equal-area Mollweide coordinates from longitude/latitude (radians).
-
-    Solves 2 theta + sin 2 theta = pi sin(lat) by Newton iteration to tol;
-    raises if the iteration stalls (it converges in a handful of steps away
-    from the poles, where the closed form takes over).
-    """
-    if abs(abs(lat) - np.pi / 2) < 1e-12:
-        theta = np.sign(lat) * np.pi / 2
+    lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
+    theta = lat.copy()
+    target = np.pi * np.sin(lat)
+    moving = np.ones(theta.shape, dtype=bool)
+    for _ in range(100):
+        t = theta[moving]
+        step = (2 * t + np.sin(2 * t) - target[moving]) / (2 + 2 * np.cos(2 * t))
+        theta[moving] = t - step
+        moving[moving] = ~(np.abs(step) < 1e-10)
+        if not moving.any():
+            break
     else:
-        theta = lat
-        target = np.pi * np.sin(lat)
-        for _ in range(100):
-            f = 2 * theta + np.sin(2 * theta) - target
-            df = 2 + 2 * np.cos(2 * theta)
-            if abs(df) < 1e-14:
-                theta = np.sign(lat) * np.pi / 2
-                break
-            step = f / df
-            theta -= step
-            if abs(step) < tol:
-                break
-        else:
-            raise RuntimeError(f"Mollweide iteration failed at lon={lon}, lat={lat}")
+        first = tuple(np.argwhere(moving)[0])
+        raise RuntimeError(f"Mollweide iteration failed at lon={lon[first]}, lat={lat[first]}")
     x = 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(theta)
     y = np.sqrt(2.0) * np.sin(theta)
-    return float(x), float(y)
+    return x, y
 
 
-def riemann_export(source) -> list[tuple]:
-    """Project a GapGrid or a point set onto Mollweide plot coordinates.
+def riemann_export(family: CouplingFamily, sector: str, resolution: tuple[int, int]) -> np.ndarray:
+    """Minimum sector gaps over the Riemann sphere, in Mollweide plot coordinates.
 
-    For a GapGrid the rows are (re, im, gap, x, y); for an iterable of
-    complex points they are (re, im, x, y).  Points at the origin map to
-    the bottom pole image (0, -sqrt(2)).
+    The sphere is sampled at n_lat latitudes from -0.98 pi/2 to 0.98 pi/2
+    and n_lon longitudes from -pi up to (not including) pi, resolution =
+    (n_lat, n_lon).  Inverse stereographic projection puts lam = 0 at the
+    south pole, infinity at the north pole and the positive real axis on the
+    zero meridian, so each point is the coupling r e^(i lon) with
+    r = sqrt((1 + sin lat) / (1 - sin lat)).  Returns the rows
+    (re lam, im lam, gap, x, y), latitude by latitude from the south; each
+    latitude's gaps come from one batched eigensolve.
     """
-    rows = []
-    if isinstance(source, GapGrid):
-        for re, im, gap in source.points():
-            lam = complex(re, im)
-            x, y = mollweide_project(*lambda_to_sphere(lam))
-            rows.append((re, im, gap, x, y))
-    else:
-        for lam in source:
-            lam = complex(lam)
-            x, y = mollweide_project(*lambda_to_sphere(lam))
-            rows.append((lam.real, lam.imag, x, y))
-    return rows
+    n_lat, n_lon = resolution
+    h0s, vs = family.sector_matrices(sector)
+    lats = np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n_lat)
+    lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
+    rows = np.empty((n_lat, n_lon, 5))
+    rows[..., 3], rows[..., 4] = _mollweide(lons, lats[:, None])
+    for j, lat in enumerate(lats):
+        radius = np.sqrt((1 + np.sin(lat)) / (1 - np.sin(lat)))
+        lams = radius * np.exp(1j * lons)
+        rows[j, :, 0], rows[j, :, 1] = lams.real, lams.imag
+        rows[j, :, 2] = np.abs(min_sector_gaps(h0s, vs, lams))
+    return rows.reshape(-1, 5)

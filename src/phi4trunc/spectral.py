@@ -118,12 +118,7 @@ def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = 
     return SpectrumResult(w, v, sector)
 
 
-def lanczos_lowest(
-    h: SparseOperator,
-    k: int,
-    tol: float = 1e-12,
-    want_vectors: bool = False,
-) -> SpectrumResult:
+def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12) -> SpectrumResult:
     """k lowest eigenvalues of a Hermitian sparse operator.
 
     Uses implicitly restarted Lanczos with a deterministic start vector
@@ -147,23 +142,13 @@ def lanczos_lowest(
     shift = 1.0 + float(abs(h.matrix).sum(axis=1).max())  # Gershgorin bound
     shifted = (h.matrix + shift * sp.identity(dim, format="csr", dtype=h.matrix.dtype)).tocsr()
     try:
-        if want_vectors:
-            w, v = spla.eigsh(shifted, k=k, which="SA", v0=v0, tol=tol, ncv=ncv)
-        else:
-            w = spla.eigsh(shifted, k=k, which="SA", v0=v0, tol=tol, ncv=ncv,
-                           return_eigenvectors=False)
-            v = None
+        w = spla.eigsh(shifted, k=k, which="SA", v0=v0, tol=tol, ncv=ncv, return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(
             f"Lanczos failed to converge: {len(exc.eigenvalues)}/{k} eigenvalues "
             f"converged (ncv={ncv}, tol={tol})"
         ) from exc
-    w = w - shift
-    order = np.argsort(w)
-    w = w[order]
-    if v is not None:
-        v = v[:, order]
-    return SpectrumResult(w, v, "full")
+    return SpectrumResult(np.sort(w - shift), None, "full")
 
 
 def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
@@ -243,16 +228,12 @@ def energy_derivatives(
     lambda0: float,
     scheme: str = "sum_over_states",
     fd_step: float | None = None,
-    cross_check: bool = False,
 ) -> DerivativeEstimate:
     """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector.
 
     level is the global harmonic label; its position inside the sector is
     level // 2, and sector must be the one that holds it.  Near-degeneracy (sector gap < 1e-8) triggers a warning,
-    since both schemes lose accuracy there.  With cross_check the other
-    scheme is evaluated too and disagreements beyond 1% in d1 or d2 are
-    flagged; d4 is exempt because the default finite-difference step is
-    cancellation-limited for fourth differences in double precision.
+    since both schemes lose accuracy there.
     """
     sector = algebra.level_sector(level, sector)
     pos = level // 2
@@ -269,11 +250,7 @@ def energy_derivatives(
     if scheme == "sum_over_states":
         veig = u.T @ vs @ u
         c, _ = algebra.rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
-        est = DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4], scheme)
-        if cross_check:
-            _compare_schemes(est, energy_derivatives(
-                family, level, sector, lambda0, "finite_difference", fd_step))
-        return est
+        return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4], scheme)
 
     h = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(lambda0))
     ref = u[:, pos]
@@ -291,11 +268,7 @@ def energy_derivatives(
     coarse = stencils(2)
     fine = stencils(1)
     d1, d2, d4 = ((4 * fi - co) / 3.0 for fi, co in zip(fine, coarse))
-    est = DerivativeEstimate(level, lambda0, d1, d2, d4, scheme)
-    if cross_check:
-        _compare_schemes(
-            energy_derivatives(family, level, sector, lambda0, "sum_over_states"), est)
-    return est
+    return DerivativeEstimate(level, lambda0, d1, d2, d4, scheme)
 
 
 def _five_point_stencil(f, h: float) -> tuple[float, float, float]:
@@ -346,18 +319,6 @@ def curvature_peak(lams: np.ndarray, d2: np.ndarray, label: str = "") -> tuple[f
             right = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
             break
     return lams[ipk], (right - left) / HALF_WIDTH_FACTOR
-
-
-def _compare_schemes(ref: DerivativeEstimate, other: DerivativeEstimate) -> None:
-    for name in ("d1", "d2"):
-        a, b = getattr(ref, name), getattr(other, name)
-        scale = max(abs(a), abs(b), 1e-30)
-        if abs(a - b) / scale > 0.01:
-            warnings.warn(
-                f"derivative schemes disagree on {name} at lambda0={ref.lambda0}: "
-                f"{a:.6g} vs {b:.6g}",
-                RuntimeWarning,
-            )
 
 
 def _pair_d2(family: CouplingFamily, sector: str, pos: int, lam: float, scheme: str) -> float:

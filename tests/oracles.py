@@ -19,7 +19,10 @@ None of them imports the package:
 - Trotter steps are dense products of cos(theta) 1 - i sin(theta) P, and
   Trotter evolution applies each rotation to the statevector in turn;
 - perturbed projectors come from Kato's composition sum over the whole
-  truncated space, whose cost grows like C(2m, m) with the order m.
+  truncated space, whose cost grows like C(2m, m) with the order m;
+- sphere coordinates come from the inverse stereographic projection of one
+  coupling at a time, and Mollweide coordinates from a scalar Newton
+  iteration per point.
 """
 import math
 from fractions import Fraction
@@ -364,3 +367,45 @@ def kato_projector_series(n_max: int, level: int, order: int,
             total = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
         series.append(total)
     return series
+
+
+def lambda_to_sphere(lam: complex) -> tuple[float, float]:
+    """(longitude, latitude) of lam under inverse stereographic projection.
+
+    lam = 0 maps to the south pole, infinity to the north pole, and the
+    positive real axis to the zero meridian.
+    """
+    r2 = abs(lam) ** 2
+    z = (r2 - 1.0) / (r2 + 1.0)
+    lat = np.arcsin(z)
+    lon = np.arctan2(lam.imag, lam.real)
+    return float(lon), float(lat)
+
+
+def mollweide_project(lon: float, lat: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Equal-area Mollweide coordinates from longitude/latitude (radians).
+
+    Solves 2 theta + sin 2 theta = pi sin(lat) by Newton iteration to tol;
+    raises if the iteration stalls (it converges in a handful of steps away
+    from the poles, where the closed form takes over).
+    """
+    if abs(abs(lat) - np.pi / 2) < 1e-12:
+        theta = np.sign(lat) * np.pi / 2
+    else:
+        theta = lat
+        target = np.pi * np.sin(lat)
+        for _ in range(100):
+            f = 2 * theta + np.sin(2 * theta) - target
+            df = 2 + 2 * np.cos(2 * theta)
+            if abs(df) < 1e-14:
+                theta = np.sign(lat) * np.pi / 2
+                break
+            step = f / df
+            theta -= step
+            if abs(step) < tol:
+                break
+        else:
+            raise RuntimeError(f"Mollweide iteration failed at lon={lon}, lat={lat}")
+    x = 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(theta)
+    y = np.sqrt(2.0) * np.sin(theta)
+    return float(x), float(y)

@@ -244,6 +244,28 @@ def test_lattice_sweep_rejects_bad_grids_before_any_work(tmp_path, flag, named):
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args, named", [
+    (["riemann", "--res=0,5"], "[0, 5]"),
+    (["riemann", "--res=3,0"], "[3, 0]"),
+    (["riemann", "--res=3,4,5"], "[3, 4, 5]"),
+    (["scan", "--res=0,5"], "[0, 5]"),
+    (["scan", "--res=7"], "[7]"),
+    (["scan", "--res=5,0", "--refine=1"], "[5, 0]"),
+    (["scan", "--re=-0.1"], "--re [-0.1]"),
+    (["scan", "--re=0.1,-0.4"], "--re [0.1, -0.4]"),
+    (["scan", "--im=0.3,0.3"], "--im [0.3, 0.3]"),
+    (["scan", "--sector=evn"], "'evn'"),
+    (["riemann", "--sector=evn"], "'evn'"),
+])
+def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
+    code, outdir = run_cli(args + ["--nmax", "2"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):
     # the warning still reaches the installed showwarning (stderr by default)
     shown = []

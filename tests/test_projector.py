@@ -169,6 +169,17 @@ def test_projector_equals_kato_composition_sum(n_max):
         assert ser.weighted == kato_projector_series(n_max, level, 4)
 
 
+@pytest.mark.parametrize("n_max, omega", [(4, 1.0), (8, 1.0), (12, 1.0), (8, 0.5), (6, 1.5)])
+def test_projector_energy_is_the_weak_series(n_max, omega):
+    # successive.csv and the projector method read E_n off the projector's
+    # own recursion in place of a second weak-series run
+    trunc = TruncationSpec(n_max, omega)
+    for level in range(n_max):
+        ser, _ = perturbed_projector(trunc, level, order=6)
+        assert ser.energy.coeffs == weak_series(trunc, level, max_order=6).coeffs
+        assert ser.energy.sector == ("even" if level % 2 == 0 else "odd")
+
+
 def _matmul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n) if a[i][k]) for j in range(n)]

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phi4trunc import (
     TruncationSpec,
@@ -12,9 +14,9 @@ from phi4trunc import (
     sylvester_discriminant,
     riemann_export,
 )
-from phi4trunc.singularities import ResultantPolynomial, lambda_to_sphere, min_sector_gaps, mollweide_project
+from phi4trunc.singularities import ResultantPolynomial, _mollweide, min_sector_gaps
 
-from oracles import coalescing_levels
+from oracles import coalescing_levels, lambda_to_sphere, mollweide_project
 
 EP4_EVEN = -(2 - 1j * np.sqrt(2)) / 9
 EP4_ODD = 1j * np.sqrt(2.0 / 27.0)
@@ -298,37 +300,70 @@ def test_strong_family_shares_inverted_singularities():
     assert abs(res.location - target) <= 1e-5 * abs(target)
 
 
+# riemann_export samples latitudes from -SPHERE_BAND to SPHERE_BAND, away from the poles
+SPHERE_BAND = np.pi / 2 * 0.98
+
+
+def _grid_angles(resolution):
+    n_lat, n_lon = resolution
+    lats = np.linspace(-SPHERE_BAND, SPHERE_BAND, n_lat)
+    lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
+    return np.repeat(lats, n_lon), np.tile(lons, n_lat)
+
+
 def test_sphere_projection_orientation():
-    lon, lat = lambda_to_sphere(0.0 + 0j)
-    assert lat == pytest.approx(-np.pi / 2)
-    lon, lat = lambda_to_sphere(1e12 + 0j)
-    assert lat == pytest.approx(np.pi / 2, abs=1e-6)
-    lon, lat = lambda_to_sphere(0.7 + 0j)
-    assert lon == 0.0
-    lon, lat = lambda_to_sphere(1.0 + 0j)
-    assert lat == pytest.approx(0.0)
+    for resolution in [(5, 4), (7, 12)]:
+        rows = riemann_export(anharmonic_family(TruncationSpec(4)), "even", resolution)
+        lats, lons = _grid_angles(resolution)
+        back = np.array([lambda_to_sphere(complex(re, im)) for re, im in rows[:, :2]])
+        # the longitudes -pi and pi are one meridian
+        assert np.allclose(np.exp(1j * back[:, 0]), np.exp(1j * lons), atol=1e-12)
+        assert np.allclose(back[:, 1], lats, atol=1e-12)
+        # lam = 0 is the south pole, infinity the north
+        modulus = np.abs(rows[:, 0] + 1j * rows[:, 1])
+        n_lon = resolution[1]
+        assert modulus[:n_lon].max() < 0.02 and modulus[-n_lon:].min() > 50
+        assert np.all(np.diff(modulus[::n_lon]) > 0)
 
 
 def test_mollweide_anchor_points():
-    x, y = mollweide_project(0.0, -np.pi / 2)
-    assert (x, y) == pytest.approx((0.0, -np.sqrt(2)))
-    x, y = mollweide_project(0.0, 0.0)
-    assert (x, y) == pytest.approx((0.0, 0.0))
+    assert _mollweide(0.0, 0.0) == (0.0, 0.0)
+    x, y = _mollweide(np.pi, 0.0)
+    assert (x, y) == pytest.approx((2 * np.sqrt(2), 0.0))
+    with pytest.raises(RuntimeError, match="lon=1.0, lat=nan"):
+        _mollweide([0.0, 1.0], [0.3, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-np.pi, np.pi),
+                          st.floats(-SPHERE_BAND, SPHERE_BAND, exclude_min=True, exclude_max=True)),
+                min_size=1, max_size=40))
+@example(list(zip(*_grid_angles((80, 1))[::-1])))
+def test_mollweide_matches_the_scalar_oracle_bit_for_bit(points):
+    lons, lats = (np.array(c) for c in zip(*points))
+    x, y = _mollweide(lons, lats)
+    assert list(zip(x, y)) == [mollweide_project(lon, lat) for lon, lat in points]
 
 
 def test_riemann_export_positive_axis_and_mirror():
-    rows = riemann_export([0.5 + 0j, 2.0 + 0j, 10.0 + 0j])
-    assert all(abs(r[2]) <= 1e-12 for r in rows)  # x = 0 on the central line
-    rows = riemann_export([1.0 + 0.5j, 1.0 - 0.5j])
-    (x1, y1), (x2, y2) = rows[0][2:], rows[1][2:]
-    assert x1 == pytest.approx(-x2) and y1 == pytest.approx(y2)
-    rows = riemann_export([0.0 + 0j])
-    assert rows[0][2:] == pytest.approx((0.0, -np.sqrt(2)))
+    for n_lat, n_lon in [(5, 4), (7, 12)]:
+        rows = riemann_export(anharmonic_family(TruncationSpec(4)), "even", (n_lat, n_lon))
+        grid = rows.reshape(n_lat, n_lon, 5)
+        zero = grid[:, n_lon // 2]  # longitude 0
+        assert np.all(np.abs(zero[:, 3]) <= 1e-12)
+        assert np.all(zero[:, 0] > 0) and np.all(np.abs(zero[:, 1]) <= 1e-12 * zero[:, 0])
+        for k in range(1, n_lon // 2):
+            left, right = grid[:, n_lon // 2 - k], grid[:, n_lon // 2 + k]
+            assert np.allclose(left[:, 3], -right[:, 3], rtol=1e-12, atol=0)
+            assert np.array_equal(left[:, 4], right[:, 4])
+            assert np.allclose(left[:, 2], right[:, 2], rtol=1e-9, atol=1e-12)
 
 
 def test_riemann_export_of_grid_includes_gap_column():
     fam = anharmonic_family(TruncationSpec(4))
-    grid = gap_scan(fam, ((0.1, 0.5), (0.1, 0.3)), (5, 4), "even")
-    rows = riemann_export(grid)
-    assert len(rows) == 20
-    assert all(len(r) == 5 for r in rows)
+    for sector in ("even", "odd"):
+        rows = riemann_export(fam, sector, (5, 4))
+        assert rows.shape == (20, 5)
+        h0s, vs = fam.sector_matrices(sector)
+        gaps = np.abs(min_sector_gaps(h0s, vs, rows[:, 0] + 1j * rows[:, 1]))
+        assert np.array_equal(rows[:, 2], gaps)
