@@ -14,9 +14,12 @@ on doubles, and the tests on Fractions, as the oracle for the integer loop.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int; the bivariate characteristic polynomial f(z, lam) of
-a parity-sector block is recovered by exact Lagrange interpolation in lam
+a parity-sector block is recovered by exact Newton interpolation in lam
 of Faddeev-LeVerrier characteristic polynomials, then cleared to integers
-by the 4^s omega^(2s) denominator of the block entries.
+by the 4^s omega^(2s) denominator of the block entries.  The same
+interpolator and a scalar integer Bareiss determinant give the resultant
+of f and its z-derivative from its values at integer couplings
+(singularities.sylvester_discriminant).
 """
 from __future__ import annotations
 
@@ -37,13 +40,7 @@ __all__ = [
     "rs_rational_series",
     "char_poly_fractions",
     "sector_char_poly",
-    "poly_add",
-    "poly_sub",
-    "poly_mul",
-    "poly_scale",
-    "poly_divexact",
     "poly_trim",
-    "bareiss_det_poly",
 ]
 
 Poly = list  # coefficient list, index = power
@@ -229,7 +226,7 @@ def rs_rational_series(
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists over Fraction or int)
+# exact polynomial helpers (coefficient lists over Fraction or int)
 
 def poly_trim(p: Poly) -> Poly:
     while len(p) > 1 and p[-1] == 0:
@@ -237,60 +234,58 @@ def poly_trim(p: Poly) -> Poly:
     return p
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+def _newton_interpolate(nodes: list[int], values: list) -> Poly:
+    """Ascending coefficients of the polynomial of degree < len(nodes) through the points, exact.
 
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if (len(p) == 1 and p[0] == 0) or (len(q) == 1 and q[0] == 0):
-        return [0]
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
+    Newton divided differences over the distinct integer nodes, then the
+    nested form expanded from the top.  Fraction values divide exactly; int
+    values divide as integers, which is exact whenever the interpolant has
+    integer coefficients, and raise ArithmeticError when it has not.
+    """
+    c = list(values)
+    n = len(c)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            num, den = c[i] - c[i - 1], nodes[i] - nodes[i - k]
+            if isinstance(num, int):
+                q, r = divmod(num, den)
+                if r:
+                    raise ArithmeticError(f"divided difference {num}/{den} of integer values is not integral")
+                c[i] = q
+            else:
+                c[i] = num / den
+    out = [c[-1]]
+    for i in range(n - 2, -1, -1):  # out <- out * (lam - nodes[i]) + c[i]
+        x = nodes[i]
+        out = [c[i] - x * out[0]] + [out[j - 1] - x * out[j] for j in range(1, len(out))] + [out[-1]]
     return poly_trim(out)
 
 
-def poly_scale(p: Poly, c) -> Poly:
-    return poly_trim([a * c for a in p])
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
 
-
-def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Exact polynomial division over the integers; raises if not exact."""
-    p = poly_trim(list(p))
-    q = poly_trim(list(q))
-    if q == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    if p == [0]:
-        return [0]
-    if len(p) < len(q):
-        raise ArithmeticError("non-exact polynomial division (degree too low)")
-    rem = list(p)
-    out = [0] * (len(p) - len(q) + 1)
-    lead = q[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(q) - 1]
-        if isinstance(c, int) and isinstance(lead, int):
-            coef, r = divmod(c, lead)
-            if r != 0:
-                raise ArithmeticError("non-exact polynomial division (leading coefficient)")
-        else:
-            coef = c / lead
-        out[k] = coef
-        if coef:
-            for j, b in enumerate(q):
-                rem[k + j] -= coef * b
-    if any(r != 0 for r in rem):
-        raise ArithmeticError("non-exact polynomial division (nonzero remainder)")
-    return poly_trim(out)
+    Every intermediate entry is the exact integer quotient of the previous
+    pivot; a zero pivot is swapped for a nonzero one below it, flipping the
+    sign.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +333,7 @@ def sector_char_poly(trunc: TruncationSpec, sector: str) -> list[list[int]]:
     for t in nodes:
         block = [[(h0[i] if i == j else Fraction(0)) + t * v[i][j] for j in range(s)] for i in range(s)]
         per_node.append(char_poly_fractions(block))
-    polys = [_lagrange_interpolate(nodes, [row[j] for row in per_node]) for j in range(s + 1)]
+    polys = [_newton_interpolate(nodes, [row[j] for row in per_node]) for j in range(s + 1)]
     clear = (4 * omega**2) ** s
     clear *= math.lcm(*((c * clear).denominator for poly in polys for c in poly))
     return [poly_trim([int(c * clear) for c in poly]) for poly in polys]
-
-
-def _lagrange_interpolate(nodes: list[int], values: list[Fraction]) -> list[Fraction]:
-    """Exact Lagrange interpolation; returns ascending coefficients over Q."""
-    n = len(nodes)
-    acc: Poly = [Fraction(0)]
-    for i in range(n):
-        basis: Poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [Fraction(-nodes[j]), Fraction(1)])
-            denom *= Fraction(nodes[i] - nodes[j])
-        acc = poly_add(acc, poly_scale(basis, values[i] / denom))
-    return acc
-
-
-def bareiss_det_poly(matrix: list[list[Poly]]) -> Poly:
-    """Determinant of a matrix of integer polynomials, fraction-free.
-
-    Bareiss elimination keeps every intermediate entry an exact integer
-    polynomial; row swaps on zero pivots flip the sign.
-    """
-    n = len(matrix)
-    m = [[poly_trim(list(e)) for e in row] for row in matrix]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if m[k][k] == [0]:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != [0]), None)
-            if pivot_row is None:
-                return [0]
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_sub(poly_mul(m[k][k], m[i][j]), poly_mul(m[i][k], m[k][j]))
-                m[i][j] = poly_divexact(num, prev)
-            m[i][k] = [0]
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return poly_scale(det, sign) if sign < 0 else det

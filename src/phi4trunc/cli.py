@@ -463,30 +463,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    fn, spec = COMMANDS[args.command]
+def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    """Each key's value by precedence, cast, and the values that do not cast.
+
+    argparse casts the scalar flags; list flags, PHI4TRUNC_ variables and
+    --config lines arrive as text and are cast here.  A value that does not
+    cast stays text in the config and is named, with where it came from, in
+    the second list, so that main records the failure in the manifest.
+    """
     config_file = csvio.read_config_file(args.config) if args.config else {}
-    cfg = {}
+    cfg, bad = {}, []
     for key, (caster, default) in spec.items():
-        raw = getattr(args, key, None)
-        if raw is not None and caster in (_int_list, _float_list):
-            raw = caster(raw)
+        raw, origin = getattr(args, key, None), ""
         if raw is None:
             env = os.environ.get(ENV_PREFIX + key.upper())
             if env is not None:
-                raw = caster(env)
+                raw, origin = env, f" (from {ENV_PREFIX}{key.upper()})"
             elif key in config_file:
-                raw = caster(config_file[key])
+                raw, origin = config_file[key], f" (from {args.config})"
             else:
                 raw = default
+        if isinstance(raw, str) and caster is not str:
+            try:
+                raw = caster(raw)
+            except ValueError as exc:
+                bad.append(f"--{key.replace('_', '-')}{origin} {raw!r}: {exc}")
         cfg[key] = raw
+    return cfg, bad
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    fn, spec = COMMANDS[args.command]
+    cfg, bad = _resolve(spec, args)
 
     from pathlib import Path
 
     outdir = Path(args.outdir) if args.outdir else Path("out") / args.command
     run = {"warnings": []}
     try:
+        if bad:
+            raise ValueError("; ".join(bad))
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             show = warnings.showwarning

@@ -12,23 +12,38 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["fmt", "write_csv", "write_matrix_csv", "mirror_csv_as_json",
            "write_manifest", "read_config_file"]
 
 
+# the cell types the commands write, looked up by exact type first
+_FORMAT = {
+    float: "{:.17g}".format,
+    int: str,
+    str: str,
+    Fraction: lambda x: f"{x.numerator}/{x.denominator}",
+    complex: lambda x: f"{x.real:.17g}+{x.imag:.17g}j",
+}
+
+
 def fmt(x) -> str:
     """Fixed-width deterministic rendering of one CSV cell."""
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, complex):
-        return f"{x.real:.17g}+{x.imag:.17g}j"
-    if isinstance(x, float):
-        return f"{x:.17g}"
+    exact = _FORMAT.get(type(x))
+    if exact is not None:
+        return exact(x)
+    for kind in (Fraction, complex, float):  # subclasses: numpy scalars, bool
+        if isinstance(x, kind):
+            return _FORMAT[kind](x)
     return str(x)
 
 
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
-    """Write rows under a one-line header, with optional '#' metadata lines."""
+    """Write rows under a one-line header, with optional '#' metadata lines.
+
+    Rows are written as they come; an ndarray row becomes Python scalars first.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -37,7 +52,9 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
                 fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(c) for c in row) + "\n")
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            fh.write(",".join(map(fmt, row)) + "\n")
     return path
 
 

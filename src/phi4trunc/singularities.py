@@ -44,6 +44,12 @@ __all__ = [
 # order sqrt(eps) ||H||; an avoided crossing keeps a gap far above this
 EXCEPTIONAL_GAP_THRESHOLD = 1e-6
 _ABERTH_SWEEPS = 100
+# grid bits beyond 2 dps digits and the root spread: they hold the Horner
+# error of at most 2n grid units with 32 bits to spare up to n = 2^30
+_GUARD_BITS = 64
+# fixed-point scale of the double-precision Aberth factor
+_G_BITS = 60
+_G = 1 << _G_BITS
 _SECANT_STEPS = 50
 
 
@@ -73,12 +79,11 @@ class GapGrid:
         return complex(self.re_axis()[i], self.im_axis()[j]), float(vals[j, i])
 
     def points(self):
-        """Yield (re, im, gap) rows in deterministic row-major order."""
-        res = self.re_axis()
-        ims = self.im_axis()
-        for j, im in enumerate(ims):
-            for i, re in enumerate(res):
-                yield re, im, self.values[j, i]
+        """Yield (re, im, gap) rows of Python floats in deterministic row-major order."""
+        res = self.re_axis().tolist()
+        for im, gaps in zip(self.im_axis().tolist(), self.values):
+            for re, gap in zip(res, gaps.tolist()):
+                yield re, im, gap
 
 
 @dataclass
@@ -107,14 +112,16 @@ class ResultantPolynomial:
 
         The integer coefficients span many orders of magnitude, so double
         precision companion-matrix roots are up to 8% off at n_max = 16; they
-        only seed a simultaneous Aberth-Ehrlich polish at 2 dps working
-        digits (about 14 digits cancel when the degree-56 polynomial of
-        n_max = 16 is evaluated near its roots).  Each polished root z_i
-        carries the Weierstrass inclusion disk of radius
+        only seed a simultaneous Aberth-Ehrlich polish on fixed-point Python
+        ints that resolve 2 dps digits below the smallest root (about 14
+        digits cancel when the degree-56 polynomial of n_max = 16 is
+        evaluated near its roots).  Each polished root z_i carries the
+        Weierstrass inclusion disk of radius
         N |p(z_i) / (c_N prod_{j != i} (z_i - z_j))|; pairwise disjoint disks
-        hold one root each, and radii below 10^-dps |z_i| certify the digits.
+        hold one root each, and radii below 10^-dps |z_i| certify the digits
+        (D. A. Bini and G. Fiorentino, Numer. Algorithms 23, 127 (2000)).
         When the polish stalls or the disks fail, mpmath's Durand-Kerner
-        `polyroots` solves at dps instead.  n_max = 16 takes about a second.
+        `polyroots` solves at dps instead.  n_max = 16 takes about 0.2 s.
         """
         roots = _aberth_roots(self.coeffs, dps)
         if roots is None:
@@ -126,12 +133,78 @@ class ResultantPolynomial:
         return np.array([complex(z) for z in roots])
 
 
+def _horner(fixed: list[int], x: int, y: int, bits: int) -> tuple[int, int, int, int]:
+    """p(z) and p'(z) at z = (x + i y) 2^-bits, both as (re, im) ints scaled by 2^bits.
+
+    fixed are the ascending coefficients of p times 2^bits.
+    Each product is truncated to the grid by a floor shift; for |z| < 1 the
+    value of p is then within 2n grid units of the exact one (the floor
+    errors, under sqrt(2) each, reach the result multiplied by z^k).
+    """
+    pr, pi, dr, di = fixed[-1], 0, 0, 0
+    for c in reversed(fixed[:-1]):
+        dr, di = ((dr * x - di * y) >> bits) + pr, ((dr * y + di * x) >> bits) + pi
+        pr, pi = ((pr * x - pi * y) >> bits) + c, (pr * y + pi * x) >> bits
+    return pr, pi, dr, di
+
+
+def _disks_certify(fixed: list[int], xs: list[int], ys: list[int], bits: int, dps: int) -> bool:
+    """Whether the Weierstrass disks of the iterates certify each to dps digits.
+
+    fixed are the ascending integer coefficients of p times 2^bits and the
+    iterates are z_i = (xs[i] + i ys[i]) 2^-bits, inside the unit disk.  The
+    disk around z_i has the radius n |p(z_i) / (c_n prod_{j != i} (z_i - z_j))|;
+    pairwise disjoint disks hold one root each.  Each radius must be at most
+    10^-dps |z_i| and the disks must be pairwise disjoint, compared exactly
+    in ints on radii rounded up: |p(z_i)| is taken at its Horner value plus
+    the Horner error bound, and the product of distances is bounded below.
+    """
+    n = len(fixed) - 1
+    one = 1 << bits
+    # the 2n-unit Horner bound holds inside the unit disk only
+    if any(x * x + y * y >= one * one for x, y in zip(xs, ys)):
+        return False
+    dist2 = [[(xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2 for j in range(n)] for i in range(n)]
+    radii = []
+    for i in range(n):
+        pr, pi, _, _ = _horner(fixed, xs[i], ys[i], bits)
+        p_up = math.isqrt(pr * pr + pi * pi) + 1 + 2 * n  # >= |p(z_i)| 2^bits
+        # prod_{j != i} |z_i - z_j|^2 2^(2 bits (n-1)) >= low 2^(2 half), cut to 128 bits
+        low, half = 1, 0
+        for j in range(n):
+            if j != i:
+                low *= dist2[i][j]
+                cut = max(0, low.bit_length() - 128) // 2
+                low >>= 2 * cut
+                half += cut
+        if not low:
+            return False
+        # the radius on the grid, rounded up: n p_up 2^(bits n - half) / (|c_n| 2^bits isqrt(low))
+        num, den, k = n * p_up, abs(fixed[-1]) * math.isqrt(low), bits * n - half
+        num, den = (num << k, den) if k >= 0 else (num, den << -k)
+        radii.append(-(-num // den))
+    tol2 = 10 ** (2 * dps)
+    if any(r * r * tol2 > x * x + y * y for r, x, y in zip(radii, xs, ys)):
+        return False
+    return all(dist2[i][j] > (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i))
+
+
 def _aberth_roots(coeffs: list, dps: int) -> list | None:
     """Certified roots of the integer polynomial sum_k coeffs[k] lam^k, or None.
 
-    The roots come rounded to dps digits and cleaned up as `mp.polyroots`
-    cleans its own (parts below its tolerance become exact zeros), so both
-    paths give the same doubles.
+    The iteration runs on mu = lam / 2^e, with 2^e above twice the largest
+    seed modulus, so that every root lies well inside |mu| < 1.  Each iterate
+    is a pair of Python ints on the grid 2^-F, where F holds 2 dps digits,
+    the bits by which the smallest seed lies below |mu| = 1, and
+    _GUARD_BITS.  The Newton quotient p/p' is exact to the grid, and the
+    stopping rule, the Weierstrass radii and the disjointness of the disks
+    are compared exactly in ints, with every rounding taken against
+    certification: |p(z_i)| is bounded above by the Horner error bound and
+    the product of root distances below.  Only the Aberth correction
+    sum_{j != i} 1/(z_i - z_j) runs in doubles; it sets how fast the
+    iteration converges, not where.  The roots come rounded to dps digits
+    and cleaned up as `mp.polyroots` cleans its own (parts below its
+    tolerance become exact zeros), so both paths give the same doubles.
     """
     import mpmath as mp
 
@@ -148,48 +221,51 @@ def _aberth_roots(coeffs: list, dps: int) -> list | None:
     if len(seeds) != n or not np.all(np.isfinite(seeds)):
         return None
 
-    with mp.workdps(2 * dps):
-        a = [mp.mpf(c) for c in reversed(coeffs)]
-        z = [mp.mpc(complex(s)) for s in seeds]
-        tol = mp.mpf(10) ** -dps
-        done = [False] * n
-        try:
-            for _ in range(_ABERTH_SWEEPS):
-                for i in range(n):
-                    if done[i]:
-                        continue
-                    zi = z[i]
-                    p, dp = mp.polyval(a, zi, derivative=True)
-                    w = p / dp
-                    pull = 0
-                    for j in range(n):
-                        if j != i:
-                            pull += 1 / (zi - z[j])
-                    step = w / (1 - w * pull)
-                    z[i] = zi - step
-                    done[i] = abs(step) <= tol * abs(z[i])
-                if all(done):
-                    break
-            else:
-                return None
-            radii = []
-            for i, zi in enumerate(z):
-                denom = a[0]
-                for j in range(n):
-                    if j != i:
-                        denom *= zi - z[j]
-                radii.append(n * abs(mp.polyval(a, zi) / denom))
-        except ZeroDivisionError:  # coinciding iterates or a vanishing derivative
+    mods = np.abs(seeds)
+    e = max(0, math.frexp(mods.max())[1] + 1)
+    bits = math.ceil(2 * dps * math.log2(10)) + max(0, -math.frexp(mods.min() / 2**e)[1]) + _GUARD_BITS
+    one = 1 << bits
+    # p(2^e mu) has the integer coefficients c_k 2^(e k), here put on the grid
+    fixed = [c << (e * k + bits) for k, c in enumerate(coeffs)]
+    xs, ys = [], []
+    for z in seeds:
+        for part, out in ((z.real, xs), (z.imag, ys)):
+            num, den = float(part).as_integer_ratio()
+            out.append((num << bits) // (den << e))
+    approx = [complex(x / one, y / one) for x, y in zip(xs, ys)]
+    tol2 = 10 ** (2 * dps)
+    done = [False] * n
+    try:
+        for _ in range(_ABERTH_SWEEPS):
+            for i in range(n):
+                if done[i]:
+                    continue
+                x, y = xs[i], ys[i]
+                pr, pi, dr, di = _horner(fixed, x, y, bits)
+                norm = dr * dr + di * di
+                wr = ((pr * dr + pi * di) << bits) // norm
+                wi = ((pi * dr - pr * di) << bits) // norm
+                zi = approx[i]
+                pull = sum(1 / (zi - zj) for j, zj in enumerate(approx) if j != i)
+                g = 1 / (1 - complex(wr / one, wi / one) * pull)
+                gr, gi = round(g.real * _G), round(g.imag * _G)
+                sr, si = (wr * gr - wi * gi) >> _G_BITS, (wr * gi + wi * gr) >> _G_BITS
+                x, y = xs[i], ys[i] = x - sr, y - si
+                approx[i] = complex(x / one, y / one)
+                done[i] = (sr * sr + si * si) * tol2 <= x * x + y * y
+            if all(done):
+                break
+        else:
             return None
-        if any(r > tol * abs(zi) for r, zi in zip(radii, z)):
-            return None
-        if any(abs(z[i] - z[j]) <= radii[i] + radii[j] for i in range(n) for j in range(i)):
-            return None
+    except (ZeroDivisionError, OverflowError, ValueError):  # coinciding iterates, p' = 0, g not finite
+        return None
+    if not _disks_certify(fixed, xs, ys, bits, dps):
+        return None
     with mp.workdps(dps):
         chop = +mp.eps
         out = []
-        for zi in z:
-            zi = +zi
+        for x, y in zip(xs, ys):
+            zi = mp.mpc(mp.mpf((x, e - bits)), mp.mpf((y, e - bits)))
             if abs(zi.imag) < chop:
                 zi = mp.mpc(zi.real)
             elif abs(zi.real) < chop:
@@ -335,31 +411,43 @@ def refine_exceptional_point(
 def sylvester_discriminant(trunc: TruncationSpec, sector: str) -> ResultantPolynomial:
     """Exact resultant of the sector characteristic polynomial and its z-derivative.
 
-    The matrix rows are f, z f, ..., z^(s-2) f followed by f', z f', ...,
-    z^(s-1) f' written on the monomial basis 1, z, ..., z^(2s-2); its
-    determinant is expanded fraction-free over integer polynomials in lam.
-    A degree below s(s-1) is reported via degree_deficit, not an error.
+    The Sylvester matrix has the rows f, z f, ..., z^(s-2) f followed by
+    f', z f', ..., z^(s-1) f', written on the monomial basis 1, z, ...,
+    z^(2s-2), where s is the sector block size and f = f(z, lam) comes
+    from algebra.sector_char_poly.  Its determinant is an integer
+    polynomial in lam of degree at most s(s-1):
+
+    - the z^j coefficient of f = c det(z I - H0 - lam V) has lam-degree at
+      most s - j, because each power of lam in the expansion of the
+      determinant takes the place of a power of z;
+    - so f has total degree s in (z, lam), and f' total degree s - 1;
+    - the entry in column c of the i-th f row (counting from 0) then has
+      lam-degree at most s + i - c, and that of the i-th f' row
+      s - 1 + i - c; every product of one entry per row and column has
+      lam-degree at most sum_i (s + i) + sum_i (s - 1 + i) - sum_c c
+      = s(s-1), the degree bound of the resultant of two polynomials of
+      total degrees s and s - 1.
+
+    The determinant is therefore taken at the s(s-1) + 1 integer couplings
+    -s(s-1)/2, ..., s(s-1)/2, each by scalar integer Bareiss elimination,
+    and recovered by exact Newton interpolation (G. E. Collins, J. ACM 18,
+    515 (1971)).  A degree below s(s-1) is reported via degree_deficit,
+    not an error.
     """
     zc = algebra.sector_char_poly(trunc, sector)
     s = len(zc) - 1
     if s < 2:
         raise ValueError(f"sector block of size {s} has no level pairs (n_max=2 is trivial)")
-    fprime = [algebra.poly_trim([c * k for c in zc[k]]) for k in range(1, s + 1)]
-
-    ncols = 2 * s - 1
-    rows: list[list[list[int]]] = []
-    for shift in range(s - 1):
-        row = [[0] for _ in range(ncols)]
-        for j, c in enumerate(zc):
-            row[j + shift] = list(c)
-        rows.append(row)
-    for shift in range(s):
-        row = [[0] for _ in range(ncols)]
-        for j, c in enumerate(fprime):
-            row[j + shift] = list(c)
-        rows.append(row)
-
-    det = algebra.bareiss_det_poly(rows)
+    half = s * (s - 1) // 2
+    nodes = list(range(-half, half + 1))
+    values = []
+    for t in nodes:
+        f = [sum(c * t**k for k, c in enumerate(poly)) for poly in zc]
+        df = [k * f[k] for k in range(1, s + 1)]
+        rows = [[0] * i + f + [0] * (s - 2 - i) for i in range(s - 1)]
+        rows += [[0] * i + df + [0] * (s - 1 - i) for i in range(s)]
+        values.append(algebra._bareiss_det(rows))
+    det = algebra._newton_interpolate(nodes, values)
     poly = ResultantPolynomial(det, sector, trunc.n_max)
     if poly.degree_deficit != 0:
         warnings.warn(

@@ -22,7 +22,10 @@ None of them imports the package:
   truncated space, whose cost grows like C(2m, m) with the order m;
 - sphere coordinates come from the inverse stereographic projection of one
   coupling at a time, and Mollweide coordinates from a scalar Newton
-  iteration per point.
+  iteration per point;
+- determinants of matrices of polynomials (the Sylvester resultant in lam,
+  characteristic polynomials in z) come from fraction-free Bareiss
+  elimination on the polynomial entries themselves.
 """
 import math
 from fractions import Fraction
@@ -409,3 +412,95 @@ def mollweide_project(lon: float, lat: float, tol: float = 1e-10) -> tuple[float
     x = 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(theta)
     y = np.sqrt(2.0) * np.sin(theta)
     return float(x), float(y)
+
+
+def _poly_trim(p: list) -> list:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_sub(p: list, q: list) -> list:
+    n = max(len(p), len(q))
+    return _poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _poly_mul(p: list, q: list) -> list:
+    if _poly_trim(p) == [0] or _poly_trim(q) == [0]:
+        return [0]
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _poly_trim(out)
+
+
+def _poly_divexact(p: list, q: list) -> list:
+    """Exact polynomial division (over int or Fraction); raises if not exact."""
+    p, q = _poly_trim(list(p)), _poly_trim(list(q))
+    if q == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p == [0]:
+        return [0]
+    if len(p) < len(q):
+        raise ArithmeticError("non-exact polynomial division (degree too low)")
+    rem = list(p)
+    out = [0] * (len(p) - len(q) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = rem[k + len(q) - 1]
+        if isinstance(c, int) and isinstance(q[-1], int):
+            coef, r = divmod(c, q[-1])
+            if r:
+                raise ArithmeticError("non-exact polynomial division (leading coefficient)")
+        else:
+            coef = c / q[-1]
+        out[k] = coef
+        for j, b in enumerate(q):
+            rem[k + j] -= coef * b
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division (nonzero remainder)")
+    return _poly_trim(out)
+
+
+def bareiss_det_poly(matrix: list[list[list]]) -> list:
+    """Determinant of a matrix of polynomials (ascending coefficient lists), exact.
+
+    Bareiss elimination on the polynomial entries: every intermediate entry
+    is the exact quotient of a 2x2 minor by the previous pivot, so integer
+    entries stay integer polynomials.  Row swaps on zero pivots flip the sign.
+    """
+    n = len(matrix)
+    m = [[_poly_trim(list(e)) for e in row] for row in matrix]
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if m[k][k] == [0]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != [0]), None)
+            if pivot_row is None:
+                return [0]
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _poly_sub(_poly_mul(m[k][k], m[i][j]), _poly_mul(m[i][k], m[k][j]))
+                m[i][j] = _poly_divexact(num, prev)
+            m[i][k] = [0]
+        prev = m[k][k]
+    return [sign * c for c in m[n - 1][n - 1]]
+
+
+def sylvester_rows(zc: list[list]) -> list[list[list]]:
+    """Sylvester matrix of f = sum_j zc[j] z^j and df/dz, with polynomial entries.
+
+    Rows f, z f, ..., z^(s-2) f, then f', z f', ..., z^(s-1) f', on the
+    monomial basis 1, z, ..., z^(2s-2); its determinant is the resultant.
+    """
+    s = len(zc) - 1
+    fprime = [[c * k for c in zc[k]] for k in range(1, s + 1)]
+    rows = []
+    for poly, shifts in ((zc, s - 1), (fprime, s)):
+        for shift in range(shifts):
+            row = [[0] for _ in range(2 * s - 1)]
+            for j, c in enumerate(poly):
+                row[j + shift] = list(c)
+            rows.append(row)
+    return rows

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from phi4trunc import TruncationSpec, algebra, weak_series, weak_series_charpoly
 
+from oracles import bareiss_det_poly, weighted_quartic
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 
@@ -98,3 +100,23 @@ def test_level_sector_names_the_mismatch():
     assert algebra.level_sector(4, "even") == "even"
     with pytest.raises(ValueError, match="level 0 lies in the even sector, not 'evn'"):
         algebra.level_sector(0, "evn")
+
+
+@pytest.mark.parametrize("omega", [1, Fraction(1, 2), Fraction(3, 2)])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("n_max", [4, 6, 8, 10, 12])
+def test_sector_char_poly_is_the_exact_characteristic_polynomial(n_max, sector, omega):
+    # the z^j coefficient has lam-degree at most s - j, so agreement with
+    # c det(z I - H(lam)) at s + 1 couplings off the interpolation nodes
+    # 0..s pins every coefficient; the determinants come from Bareiss
+    # elimination on polynomials in z
+    zc = algebra.sector_char_poly(TruncationSpec(n_max, omega), sector)
+    s = len(zc) - 1
+    assert all(len(poly) - 1 <= s - j for j, poly in enumerate(zc))
+    h0, v = weighted_quartic(n_max, Fraction(omega))
+    idx = range(0 if sector == "even" else 1, n_max, 2)
+    for lam in [Fraction(-k, 3) for k in range(1, s + 2)]:
+        matrix = [[[-(h0[i] if i == j else 0) - lam * v[i][j]] + ([1] if i == j else [])
+                   for j in idx] for i in idx]
+        det = bareiss_det_poly(matrix)
+        assert [sum(c * lam**k for k, c in enumerate(poly)) for poly in zc] == [zc[s][0] * c for c in det]

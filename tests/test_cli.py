@@ -256,12 +256,31 @@ def test_lattice_sweep_rejects_bad_grids_before_any_work(tmp_path, flag, named):
     (["scan", "--im=0.3,0.3"], "--im [0.3, 0.3]"),
     (["scan", "--sector=evn"], "'evn'"),
     (["riemann", "--sector=evn"], "'evn'"),
+    (["riemann", "--res", "7.5 3"], "--res '7.5 3': invalid literal for int()"),
+    (["scan", "--re", "abc"], "--re 'abc': could not convert string to float"),
 ])
 def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
     code, outdir = run_cli(args + ["--nmax", "2"], tmp_path, "bad")
     assert code == 1
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_list_values_from_variables_and_files_that_do_not_cast_are_recorded(tmp_path, monkeypatch, source):
+    if source == "env":
+        monkeypatch.setenv("PHI4TRUNC_RES", "4 x")
+        args, named = ["riemann"], "--res (from PHI4TRUNC_RES) '4 x'"
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("dts = 0.1, zz\n")
+        args, named = ["trotter", "--config", str(conf)], f"--dts (from {conf}) '0.1, zz'"
+    code, outdir = run_cli(args + ["--nmax", "2"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"]["type"] == "ValueError"
     assert named in manifest["error"]["message"]
     assert not list(outdir.glob("*.csv"))
 

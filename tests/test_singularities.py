@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,9 +16,22 @@ from phi4trunc import (
     sylvester_discriminant,
     riemann_export,
 )
-from phi4trunc.singularities import ResultantPolynomial, _mollweide, min_sector_gaps
+from phi4trunc.algebra import sector_char_poly
+from phi4trunc.singularities import (
+    ResultantPolynomial,
+    _aberth_roots,
+    _disks_certify,
+    _mollweide,
+    min_sector_gaps,
+)
 
-from oracles import coalescing_levels, lambda_to_sphere, mollweide_project
+from oracles import (
+    bareiss_det_poly,
+    coalescing_levels,
+    lambda_to_sphere,
+    mollweide_project,
+    sylvester_rows,
+)
 
 EP4_EVEN = -(2 - 1j * np.sqrt(2)) / 9
 EP4_ODD = 1j * np.sqrt(2.0 / 27.0)
@@ -100,6 +115,17 @@ def test_resultant_nmax8_even_matches_reference_integers():
     assert poly.degree == 12 and poly.degree_deficit == 0
 
 
+@pytest.mark.parametrize("omega", [1, Fraction(1, 2), Fraction(3, 2)])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("n_max", [4, 6, 8, 10, 12])
+def test_interpolated_resultant_is_the_polynomial_bareiss_oracle(n_max, sector, omega):
+    # values at s(s-1) + 1 integer couplings, interpolated, against Bareiss
+    # elimination on the integer polynomial entries of the Sylvester matrix
+    trunc = TruncationSpec(n_max, omega)
+    oracle = bareiss_det_poly(sylvester_rows(sector_char_poly(trunc, sector)))
+    assert sylvester_discriminant(trunc, sector).coeffs == oracle
+
+
 @pytest.mark.parametrize("sector", ["even", "odd"])
 @pytest.mark.parametrize("n_max", [4, 8])
 def test_resultant_roots_match_refined_points(n_max, sector):
@@ -169,6 +195,52 @@ def test_roots_fall_back_when_doubles_cannot_separate_them(monkeypatch):
     roots = poly.roots()
     assert len(calls) == 1
     assert list(roots) == [1.0, 1.0]
+
+
+def _expand(factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(reals=st.lists(st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 7)),
+                      max_size=4, unique=True),
+       pairs=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=3, unique=True))
+@example(reals=[Fraction(1, 7), Fraction(1, 6)], pairs=[(0, 1)])
+def test_certified_roots_are_the_exact_roots(reals, pairs):
+    # distinct rational roots and conjugate pairs a +- b i of Gaussian integers
+    if not reals and not pairs:
+        reals = [Fraction(1)]
+    coeffs = _expand([[-r.numerator, r.denominator] for r in reals]
+                     + [[a * a + b * b, -2 * a, 1] for a, b in pairs])
+    roots = _aberth_roots(coeffs, 60)
+    assert roots is not None
+    got = np.sort_complex(np.array([complex(z) for z in roots]))
+    exact = [complex(float(r)) for r in reals] + [complex(a, sign * b) for a, b in pairs for sign in (1, -1)]
+    assert np.array_equal(got, np.sort_complex(np.array(exact)))
+    assert np.array_equal(got, np.sort_complex(_polyroots_oracle(coeffs)))
+
+
+def test_disks_need_every_radius_small_and_every_pair_apart():
+    bits = 480
+    eighth, delta = 1 << (bits - 3), 1 << (bits - 230)
+
+    def certify(factors, xs):
+        return _disks_certify([c << bits for c in _expand(factors)], xs, [0] * len(xs), bits, 60)
+
+    # (8 lam - 1)(8 lam - 2) with iterates on its roots 1/8 and 2/8: point disks
+    assert certify([[-1, 8], [-2, 8]], [eighth, 2 * eighth])
+    # one iterate 2^-150 off: the disks stay apart, but that one is too wide
+    assert not certify([[-1, 8], [-2, 8]], [eighth, 2 * eighth + (1 << (bits - 150))])
+    # (8 lam - 1)^2 with iterates 1/8 -+ 2^-230: both radii, 2^-230, are
+    # small enough, but the two disks touch
+    assert not certify([[-1, 8], [-1, 8]], [eighth - delta, eighth + delta])
 
 
 @pytest.mark.parametrize("sector", ["even", "odd"])
