@@ -13,12 +13,13 @@ the strong series runs it on mpmath floats, the sum-over-states derivatives
 on doubles, and the tests on Fractions, as the oracle for the integer loop.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
-over Fraction or int; the bivariate characteristic polynomial f(z, lam) of
-a parity-sector block is recovered by exact Newton interpolation in lam
-of Faddeev-LeVerrier characteristic polynomials, then cleared to integers
-by the 4^s omega^(2s) denominator of the block entries.  The same
-interpolator and a scalar integer Bareiss determinant give the resultant
-of f and its z-derivative from its values at integer couplings
+over Fraction or int.  Two integer kernels carry the exact polynomial work:
+a scalar Bareiss determinant and a Newton interpolator.  The bivariate
+characteristic polynomial f(z, lam) of a parity-sector block comes from
+Bareiss determinants of the integer matrices w I - d H(t) at integer nodes
+w and t, interpolated first in w, then in lam, and is cleared to integers
+by the 4^s omega^(2s) denominator of the block entries.  The resultant of
+f and its z-derivative takes the same two kernels at integer couplings
 (singularities.sylvester_discriminant).
 """
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     # out: perfbench's tracer wraps only __all__ names, and a span around
     # the engine would leave the algebra.rs kernel with no self time
     "rs_rational_series",
-    "char_poly_fractions",
     "sector_char_poly",
     "poly_trim",
 ]
@@ -53,22 +53,23 @@ def _as_fraction(x, what: str) -> Fraction:
         raise ValueError(f"{what} must be exactly representable as a rational, got {x!r}") from exc
 
 
-def _band_matmul(a: list[dict], b: list[dict]) -> list[dict]:
-    """Product of two integer matrices held as rows {column: entry} of their bands."""
-    out = []
-    for row in a:
-        acc: dict[int, int] = {}
-        for k, aik in row.items():
-            for j, bkj in b[k].items():
-                acc[j] = acc.get(j, 0) + aik * bkj
-        out.append(acc)
-    return out
+def _x4_band(n: int) -> list[dict]:
+    """X_w^4 on n levels as rows {column: entry}: the 9 integer bands of the weighted quartic.
 
-
-def _frac_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(ra[k] * cb[k] for k in range(n) if ra[k]) for cb in bt] for ra in a]
+    X_w is integer tridiagonal, X_w[m][m+1] = m + 1 and X_w[m+1][m] = 1, so
+    squaring its band twice gives X_w^2 and X_w^4 with no dense product.
+    """
+    x = [{k: (m + 1 if k > m else 1) for k in (m - 1, m + 1) if 0 <= k < n} for m in range(n)]
+    for _ in range(2):
+        square = []
+        for row in x:
+            acc: dict[int, int] = {}
+            for k, xik in row.items():
+                for j, xkj in x[k].items():
+                    acc[j] = acc.get(j, 0) + xik * xkj
+            square.append(acc)
+        x = square
+    return x
 
 
 def sector_indices(n_max: int, sector: str) -> list[int]:
@@ -94,14 +95,9 @@ def weighted_hamiltonian(trunc: TruncationSpec) -> tuple[list[Fraction], list[li
     """
     omega = _as_fraction(trunc.omega, "omega")
     n_max = trunc.n_max
-    # X = a + a^dag after the similarity is integer tridiagonal, X[m][m+1] = m + 1
-    # and X[m+1][m] = 1; X^2 and X^4 (5 and 9 bands) follow from the bands alone
-    x = [{k: (m + 1 if k > m else 1) for k in (m - 1, m + 1) if 0 <= k < n_max}
-         for m in range(n_max)]
-    x2 = _band_matmul(x, x)
     scale, zero = 4 * omega**2, Fraction(0)
     v = [[Fraction(row[j]) / scale if j in row else zero for j in range(n_max)]
-         for row in _band_matmul(x2, x2)]
+         for row in _x4_band(n_max)]
     h0 = [omega * (Fraction(n) + Fraction(1, 2)) for n in range(n_max)]
     return h0, v
 
@@ -291,49 +287,33 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 
-def char_poly_fractions(a: list[list[Fraction]]) -> list[Fraction]:
-    """det(z I - A) for a Fraction matrix, by Faddeev-LeVerrier.
-
-    Returns coefficients ascending in z; the leading coefficient is 1.
-    """
-    s = len(a)
-    coeffs = [Fraction(0)] * s + [Fraction(1)]  # index = power of z
-    m = [[Fraction(0)] * s for _ in range(s)]
-    c_prev = Fraction(1)
-    for k in range(1, s + 1):
-        # M_k = A M_{k-1} + c_{s-k+1} I
-        am = _frac_matmul(a, m)
-        for i in range(s):
-            am[i][i] += c_prev
-        m = am
-        tr = sum(sum(a[i][j] * m[j][i] for j in range(s)) for i in range(s))
-        c = -tr / k
-        coeffs[s - k] = c
-        c_prev = c
-    return coeffs
-
-
 def sector_char_poly(trunc: TruncationSpec, sector: str) -> list[list[int]]:
     """Integer-cleared bivariate characteristic polynomial of a sector block.
 
     Returns f(z, lam) = c det(z I - H_sector(lam)) as a list of
     z-coefficients (ascending), each an integer polynomial in lam
-    (ascending).  c is 4^s omega^(2s), which matches the entrywise
-    denominator of the weighted block at integer omega, times the smallest
-    integer that clears what a fractional omega leaves (h0 = omega (n + 1/2)
-    has denominator 4 at omega = 1/2).
+    (ascending).  With d the lcm of the block's denominators, the Bareiss
+    determinants of w I - d H(t) at integer w, t = 0..s give, by exact
+    interpolation in w, p_t(w) = det(w I - d H(t)), whose w^j coefficient
+    times d^(j-s) is interpolated in lam.  c is 4^s omega^(2s), the
+    entrywise denominator of the weighted block at integer omega, times the
+    smallest integer that clears what a fractional omega leaves (h0 =
+    omega (n + 1/2) has denominator 4 at omega = 1/2).
     """
     h0, v = weighted_sector_blocks(trunc, sector)
     s = len(h0)
     omega = _as_fraction(trunc.omega, "omega")
-
-    # interpolate each z-coefficient in lam from s+1 integer nodes
+    d = math.lcm(*(x.denominator for x in h0), *(x.denominator for row in v for x in row))
+    dh0 = [int(d * x) for x in h0]
+    dv = [[int(d * x) for x in row] for row in v]
     nodes = list(range(s + 1))
     per_node = []
     for t in nodes:
-        block = [[(h0[i] if i == j else Fraction(0)) + t * v[i][j] for j in range(s)] for i in range(s)]
-        per_node.append(char_poly_fractions(block))
-    polys = [_newton_interpolate(nodes, [row[j] for row in per_node]) for j in range(s + 1)]
+        dets = [_bareiss_det([[(w - dh0[i] if i == j else 0) - t * x for j, x in enumerate(row)]
+                              for i, row in enumerate(dv)]) for w in nodes]
+        per_node.append(_newton_interpolate(nodes, dets))  # monic, degree s
+    polys = [[Fraction(c, d ** (s - j)) for c in _newton_interpolate(nodes, [row[j] for row in per_node])]
+             for j in range(s + 1)]
     clear = (4 * omega**2) ** s
     clear *= math.lcm(*((c * clear).denominator for poly in polys for c in poly))
     return [poly_trim([int(c * clear) for c in poly]) for poly in polys]

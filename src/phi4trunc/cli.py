@@ -469,10 +469,15 @@ def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
     argparse casts the scalar flags; list flags, PHI4TRUNC_ variables and
     --config lines arrive as text and are cast here.  A value that does not
     cast stays text in the config and is named, with where it came from, in
-    the second list, so that main records the failure in the manifest.
+    the second list, so that main records the failure in the manifest; so
+    is a --config file that cannot be read or parsed.
     """
-    config_file = csvio.read_config_file(args.config) if args.config else {}
     cfg, bad = {}, []
+    try:
+        config_file = csvio.read_config_file(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:
+        config_file = {}
+        bad.append(f"--config {args.config}: {exc}")
     for key, (caster, default) in spec.items():
         raw, origin = getattr(args, key, None), ""
         if raw is None:

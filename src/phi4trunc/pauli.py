@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .algebra import _x4_band
 from .oscillator import OperatorMatrix
 
 __all__ = [
@@ -218,14 +218,13 @@ def _structural_words(n_q: int) -> list[str]:
     enter, and no omega > 0 changes the set.
     """
     n = 2**n_q
-    x = sp.diags([np.ones(n - 1), np.arange(1, n)], [-1, 1], format="csr", dtype=np.int64)
-    x2 = x @ x
-    lower = sp.tril(x2 @ x2).tocoo()
     groups = {(0, 0): 2 * np.arange(n, dtype=np.int64) + 1}  # harmonic: s = 0 is no surd
-    for hi, lo, big_n in zip(lower.row.tolist(), lower.col.tolist(), lower.data.tolist()):
-        m, s = _surd_sqrt(range(lo + 1, hi + 1))
-        vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
-        vec[hi] = vec[lo] = big_n * m
+    for hi, row in enumerate(_x4_band(n)):
+        for lo, big_n in row.items():
+            if lo <= hi:
+                m, s = _surd_sqrt(range(lo + 1, hi + 1))
+                vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
+                vec[hi] = vec[lo] = big_n * m
     flips = np.array([flip for flip, _ in groups])
     vecs = np.stack(list(groups.values()))
     if int(np.abs(vecs).max()) * n >= 2**63:  # |transform| <= n max|v| at every butterfly

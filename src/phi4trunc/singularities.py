@@ -21,12 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import algebra
 from .hamiltonian import CouplingFamily
 from .oscillator import TruncationSpec
-from .spectral import SingularityEstimate
+from .spectral import SingularityEstimate, _golden_max
 
 __all__ = [
     "GapGrid",
@@ -51,6 +50,7 @@ _GUARD_BITS = 64
 _G_BITS = 60
 _G = 1 << _G_BITS
 _SECANT_STEPS = 50
+_WALK_STEPS = 60  # doublings of the real-axis step: 1e-3 2^60 is past any resolved coupling
 
 
 @dataclass
@@ -366,8 +366,10 @@ def refine_exceptional_point(
     a result, not an error.  An exactly real guess stays on the real axis,
     where a bracketed 1-D search finds the smallest gap: there the family is
     real symmetric, hence diagonalizable, so the minimum is an avoided
-    crossing.  The reported estimate is folded into the upper half-plane
-    (the conjugate point is implied).
+    crossing.  It doubles a downhill step from 1e-3 max(1, |guess|) until
+    the gap rises, then runs golden section in that bracket; ValueError
+    names a guess whose walk never turns.  The reported estimate is folded
+    into the upper half-plane (the conjugate point is implied).
     """
     h0s, vs = family.sector_matrices(sector)
 
@@ -375,10 +377,22 @@ def refine_exceptional_point(
         return min_sector_gaps(h0s, vs, np.array([lam], dtype=complex))[0]
 
     if guess.imag == 0.0:
-        x0 = guess.real
-        found = minimize_scalar(lambda x: abs(pair(complex(x, 0.0))),
-                                bracket=(x0, x0 + 1e-3 * max(1.0, abs(x0))))
-        loc = complex(found.x, 0.0)
+        def gap(x: float) -> float:
+            return abs(pair(complex(x, 0.0)))
+
+        step = 1e-3 * max(1.0, abs(guess.real))
+        a, b = guess.real, guess.real + step
+        if gap(b) > gap(a):
+            a, b, step = b, a, -step
+        for _ in range(_WALK_STEPS):  # gap(b) <= gap(a) holds throughout
+            step *= 2
+            c = b + step
+            if gap(c) > gap(b):
+                break
+            a, b = b, c
+        else:
+            raise ValueError(f"no real-axis gap minimum bracketed downhill of the guess {guess}")
+        loc = complex(_golden_max(lambda x: -gap(x), min(a, c), max(a, c)), 0.0)
         return RefineResult(loc, float(abs(pair(loc))), False, None)
 
     converged = False

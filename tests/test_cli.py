@@ -285,6 +285,37 @@ def test_list_values_from_variables_and_files_that_do_not_cast_are_recorded(tmp_
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, named", [("dts 0.1\n", "expected 'key = value'"),
+                                         (None, "No such file")], ids=["unparsed-line", "missing-file"])
+def test_config_files_that_cannot_be_read_are_recorded(tmp_path, text, named):
+    conf = tmp_path / "run.conf"
+    if text is not None:
+        conf.write_text(text)
+    code, outdir = run_cli(["trotter", "--config", str(conf), "--nmax", "2"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert str(conf) in manifest["error"]["message"] and named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_exact_and_scan_commands_leave_scipy_optimize_unimported(tmp_path):
+    script = (
+        "import sys\n"
+        "from phi4trunc.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert main(['resultant', '--nmax', '4', '--outdir', out + '/r']) == 0\n"
+        "assert main(['scan', '--nmax', '4', '--res', '20 20', '--refine', '1', '--jobs', '1',"
+        " '--outdir', out + '/s']) == 0\n"
+        "assert main(['resources', '--nq', '2 3', '--outdir', out + '/q']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):
     # the warning still reaches the installed showwarning (stderr by default)
     shown = []

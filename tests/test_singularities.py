@@ -17,6 +17,7 @@ from phi4trunc import (
     riemann_export,
 )
 from phi4trunc.algebra import sector_char_poly
+from phi4trunc.hamiltonian import CouplingFamily
 from phi4trunc.singularities import (
     ResultantPolynomial,
     _aberth_roots,
@@ -92,6 +93,29 @@ def test_real_axis_guess_classified_avoided():
     assert not res.exceptional
     assert res.gap > 1e-3
     assert res.location.imag == 0.0
+    # with V = 0 the gap never rises, so the downhill walk runs out
+    flat = CouplingFamily(fam.h0, np.zeros_like(fam.v), 4)
+    with pytest.raises(ValueError, match=r"guess \(0\.3\+0j\)"):
+        refine_exceptional_point(flat, 0.3 + 0.0j, "even")
+
+
+@pytest.mark.parametrize("n_max, sector, x0", [(4, "even", 0.3), (8, "even", -0.05), (8, "odd", 0.1)])
+def test_real_axis_minimum_is_the_scipy_minimum(n_max, sector, x0):
+    # scipy's Brent search from the same first step is the reference; at
+    # (8, even, -0.05) the minimum lies 0.015 away, past that first step
+    from scipy.optimize import minimize_scalar
+
+    fam = anharmonic_family(TruncationSpec(n_max))
+    h0s, vs = fam.sector_matrices(sector)
+
+    def gap(x):
+        return abs(min_sector_gaps(h0s, vs, np.array([complex(x, 0.0)]))[0])
+
+    ref = minimize_scalar(gap, bracket=(x0, x0 + 1e-3 * max(1.0, abs(x0))))
+    res = refine_exceptional_point(fam, complex(x0, 0.0), sector)
+    assert res.location.imag == 0.0 and not res.exceptional
+    assert abs(res.location.real - ref.x) <= 1e-6
+    assert abs(res.gap - gap(ref.x)) <= 1e-9
 
 
 def test_resultant_nmax4_even_exact():
