@@ -13,6 +13,8 @@ Exit codes: 0 success, 1 numeric failure (recorded in the manifest),
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 import warnings
@@ -441,6 +443,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phi4trunc",
@@ -532,6 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     csvio.write_manifest(outdir, args.command, cfg, outputs, run=run)
     return 0
 
+
+# Everything import left alive is permanent: without this, the first full
+# collection of a process traverses it all inside whichever command runs first.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

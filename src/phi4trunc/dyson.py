@@ -8,6 +8,16 @@ coupling and omega are rational the coefficients stay exact Gaussian
 rationals, which is what lets low orders be compared symbolically against
 closed forms.
 
+The series itself never needs the Gaussian arithmetic.  Every Omega is
+omega m with m an integer (the levels are omega (n + 1/2)), so terms are
+keyed by (k, m).  Integrating t^k e^(i omega m t) by parts brings one
+factor 1/(i omega m) = -i/(omega m) per power of t it removes, plus one, so
+each int_0^t raises (number of such factors + t-degree) by exactly one.
+At order p the coefficient of t^k e^(i omega m t) is therefore a real
+rational times (-i)^(p-k), and the recursion carries only that real
+rational (_integrate_graded).  Order p enters the Gaussian total once, as
+lam^p (-i)^(2p-k) times it.
+
 The amplitude <out|U(t)|in> is assembled in the sqrt(n!)-weighted basis
 (where the quartic term is rational) and carries the basis weight
 sqrt(out!/in!) as an explicit prefactor.
@@ -47,18 +57,6 @@ class QQi:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "QQi") -> "QQi":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -74,7 +72,41 @@ class QQi:
         return QQi(Fraction(x))
 
 
-_I = QQi(Fraction(0), Fraction(1))
+def _turn(re: Fraction, im: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Components of (re + i im) i^n: quarter turns, swaps and sign flips only."""
+    for _ in range(n % 4):
+        re, im = -im, re
+    return re, im
+
+
+def _integrate_graded(terms, omega) -> dict:
+    """int_0^t of sum r t^k e^(i omega m t) over ((k, m), r) in terms, graded.
+
+    A real r at (k, m) stands for the coefficient r (-i)^(-k) u with one
+    unit u common to all terms; the result, keyed the same way, stands for
+    its coefficients with unit -i u.  For m != 0 the reduction
+    I_k = t^k e^(i w t)/(i w) - (k/(i w)) I_(k-1), w = omega m, unrolls
+    down to k = 0 and the lower limit lands at (0, 0); for m = 0, t^k
+    integrates to t^(k+1)/(k+1).  Zero coefficients are pruned.
+    """
+    out: dict = {}
+
+    def add(key, c):
+        old = out.get(key)
+        out[key] = c if old is None else old + c
+
+    for (k, m), r in terms:
+        if m == 0:
+            add((k + 1, m), r / (k + 1))
+            continue
+        w = omega * m
+        q = r / w
+        for j in range(k, 0, -1):
+            add((j, m), q)
+            q = q * -j / w
+        add((0, m), q)
+        add((0, 0), -q)
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass
@@ -122,41 +154,40 @@ class PhasePolynomial:
     def integrate(self) -> "PhasePolynomial":
         """int_0^t of every term, exactly.
 
-        For Omega != 0 the reduction t^k e^(i Omega t) integrates by parts
-        down to k = 0; the constant lower-limit contributions land at
-        (0, 0).  For Omega = 0, t^k integrates to t^(k+1)/(k+1).
+        The graded real and imaginary parts, x + i y = c (-i)^k, each go
+        through _integrate_graded (units 1 and i), and each result turns
+        back by i^(j-1) at its degree j.
         """
-        out: dict = {}
-
-        def add(key, c):
-            if c:
-                out[key] = out.get(key, QQi()) + c
-
+        parts: tuple[dict, dict] = ({}, {})
         for (k, w), c in self.terms.items():
-            if w == 0:
-                add((k + 1, w), c / QQi.of(k + 1))
-                continue
-            iw = _I * QQi.of(w)
-            # I_k = t^k e^(iwt)/(iw) - (k/(iw)) I_{k-1}; unroll the recursion
-            coef = c
-            for j in range(k, -1, -1):
-                add((j, w), coef / iw)
-                if j > 0:
-                    coef = -(coef * QQi.of(j)) / iw
-                else:
-                    add((0, Fraction(0)), -(coef / iw))
+            for part, r in zip(parts, _turn(c.re, c.im, -k)):
+                if r:
+                    part[(k, w)] = r
+        out: dict = {}
+        for unit, part in enumerate(parts):
+            for (j, w), r in _integrate_graded(part.items(), 1).items():
+                key = (j, Fraction(w))
+                out[key] = out.get(key, QQi()) + QQi(*_turn(r, Fraction(0), j - 1 + unit))
         return PhasePolynomial(out).canonical()
 
+    def _float_terms(self) -> list[tuple[complex, int, complex]]:
+        """(c, k, i Omega) of every term as floats, the inputs of evaluate."""
+        return [(complex(c), k, 1j * float(w)) for (k, w), c in self.terms.items()]
+
     def evaluate(self, t: float) -> complex:
-        val = 0j
-        for (k, w), c in self.terms.items():
-            val += complex(c) * t**k * np.exp(1j * float(w) * t)
-        return complex(val)
+        return _evaluate_terms(self._float_terms(), t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasePolynomial):
             return NotImplemented
         return self.canonical().terms == other.canonical().terms
+
+
+def _evaluate_terms(float_terms, t: float) -> complex:
+    val = 0j
+    for c, k, iw in float_terms:
+        val += c * t**k * np.exp(iw * t)
+    return complex(val)
 
 
 @dataclass
@@ -181,7 +212,10 @@ class DysonAmplitude:
         return self.prefactor * self.poly.evaluate(t)
 
     def trace(self, t_grid) -> np.ndarray:
-        return np.array([self.evaluate(t) for t in np.asarray(t_grid, dtype=float)])
+        """evaluate at every t, with each coefficient and frequency converted once."""
+        prefactor, terms = self.prefactor, self.poly._float_terms()
+        return np.array([prefactor * _evaluate_terms(terms, t)
+                         for t in np.asarray(t_grid, dtype=float)])
 
 
 def dyson_series(
@@ -206,25 +240,41 @@ def dyson_series(
         raise ValueError(f"states must lie in 0..{n - 1}")
 
     energies, v = algebra.weighted_hamiltonian(trunc)
+    omega = energies[1] - energies[0]  # E_j - E_k = omega (j - k)
     lam_frac = Fraction(lam)
 
-    # v_p[j] = <j| (p-fold nested integral of V_I) |in> as a PhasePolynomial
-    current: dict[int, PhasePolynomial] = {state_in: PhasePolynomial.constant(1)}
+    # current[j] = <j| (p-fold nested integral of V_I) |in>, graded: (k, m) -> r
+    # stands for r (-i)^(p-k) t^k e^(i omega m t)
+    current: dict[int, dict] = {state_in: {(0, 0): Fraction(1)}}
     total = PhasePolynomial.constant(1 if state_in == state_out else 0)
-    factor = QQi(Fraction(1))
     for p in range(1, order + 1):
-        nxt: dict[int, PhasePolynomial] = {}
+        nxt: dict[int, dict] = {}
         for k_state, poly in current.items():
             for j in range(n):
-                if not v[j][k_state]:
+                vjk = v[j][k_state]
+                if not vjk:
                     continue
-                phase = PhasePolynomial.phase(energies[j] - energies[k_state], v[j][k_state])
-                contrib = (phase * poly).integrate()
-                nxt[j] = nxt.get(j, PhasePolynomial()) + contrib
+                shift = j - k_state
+                contrib = _integrate_graded(
+                    (((k, m + shift), vjk * r) for (k, m), r in poly.items()), omega)
+                acc = nxt.setdefault(j, {})
+                cancelled = False
+                for key, c in contrib.items():
+                    old = acc.get(key)
+                    if old is None:
+                        acc[key] = c
+                    else:
+                        acc[key] = c = old + c
+                        cancelled = cancelled or not c
+                if cancelled:  # prune as PhasePolynomial.__add__ does, so key order matches
+                    nxt[j] = {key: c for key, c in acc.items() if c}
         current = nxt
-        factor = factor * (-_I) * QQi(lam_frac)
-        if state_out in current:
-            total = total + current[state_out].scaled(factor)
+        lam_p = lam_frac**p
+        if state_out in current and lam_p:
+            # (-i lam)^p times r (-i)^(p-k) is lam^p r i^(k-2p)
+            total = total + PhasePolynomial({
+                (k, omega * m): QQi(*_turn(lam_p * r, Fraction(0), k - 2 * p))
+                for (k, m), r in current[state_out].items()})
 
     # Schroedinger picture: multiply by the global phase e^(-i E_out t)
     total = total * PhasePolynomial.phase(-energies[state_out])

@@ -203,6 +203,23 @@ def _surd_sqrt(factors) -> tuple[int, int]:
     return m, s
 
 
+def _surd_groups(n: int) -> dict[tuple[int, int], np.ndarray]:
+    """Integer vectors v of H on n levels by (flip f, squarefree s), see _structural_words.
+
+    Each occupation entry X^4[i, i ^ f] is v[i] sqrt(s) in exactly one
+    group (f, s) and zero in the others; the key (0, 0) holds 2i + 1, the
+    harmonic diagonal in units of omega / 2.
+    """
+    groups = {(0, 0): 2 * np.arange(n, dtype=np.int64) + 1}  # harmonic: s = 0 is no surd
+    for hi, row in enumerate(_x4_band(n)):
+        for lo, big_n in row.items():
+            if lo <= hi:
+                m, s = _surd_sqrt(range(lo + 1, hi + 1))
+                vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
+                vec[hi] = vec[lo] = big_n * m
+    return groups
+
+
 def _structural_words(n_q: int) -> list[str]:
     """Non-identity words of H = omega (n + 1/2) + lam phi^4 / omega^2 not identically zero.
 
@@ -218,13 +235,7 @@ def _structural_words(n_q: int) -> list[str]:
     enter, and no omega > 0 changes the set.
     """
     n = 2**n_q
-    groups = {(0, 0): 2 * np.arange(n, dtype=np.int64) + 1}  # harmonic: s = 0 is no surd
-    for hi, row in enumerate(_x4_band(n)):
-        for lo, big_n in row.items():
-            if lo <= hi:
-                m, s = _surd_sqrt(range(lo + 1, hi + 1))
-                vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
-                vec[hi] = vec[lo] = big_n * m
+    groups = _surd_groups(n)
     flips = np.array([flip for flip, _ in groups])
     vecs = np.stack(list(groups.values()))
     if int(np.abs(vecs).max()) * n >= 2**63:  # |transform| <= n max|v| at every butterfly

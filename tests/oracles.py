@@ -25,7 +25,9 @@ None of them imports the package:
   iteration per point;
 - determinants of matrices of polynomials (the Sylvester resultant in lam,
   characteristic polynomials in z) come from fraction-free Bareiss
-  elimination on the polynomial entries themselves.
+  elimination on the polynomial entries themselves;
+- Dyson amplitudes come from the nested time integrals on Gaussian
+  rationals, each integral by parts with division by i Omega.
 """
 import math
 from fractions import Fraction
@@ -504,3 +506,88 @@ def sylvester_rows(zc: list[list]) -> list[list[list]]:
                 row[j + shift] = list(c)
             rows.append(row)
     return rows
+
+
+def _gauss_mul(a: tuple, b: tuple) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_div(a: tuple, b: tuple) -> tuple:
+    d = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+
+def _phase_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for key, c in q.items():
+        old = out.get(key, (Fraction(0), Fraction(0)))
+        out[key] = (old[0] + c[0], old[1] + c[1])
+    return {key: c for key, c in out.items() if any(c)}
+
+
+def _phase_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (k1, w1), c1 in p.items():
+        for (k2, w2), c2 in q.items():
+            key = (k1 + k2, w1 + w2)
+            old, prod = out.get(key, (Fraction(0), Fraction(0))), _gauss_mul(c1, c2)
+            out[key] = (old[0] + prod[0], old[1] + prod[1])
+    return {key: c for key, c in out.items() if any(c)}
+
+
+def _phase_integrate(p: dict) -> dict:
+    """int_0^t of sum c t^k e^(i w t), by parts on Gaussian rationals."""
+    zero = (Fraction(0), Fraction(0))
+    out: dict = {}
+
+    def add(key, c):
+        if any(c):
+            old = out.get(key, zero)
+            out[key] = (old[0] + c[0], old[1] + c[1])
+
+    for (k, w), c in p.items():
+        if w == 0:
+            add((k + 1, w), _gauss_div(c, (Fraction(k + 1), Fraction(0))))
+            continue
+        iw = (Fraction(0), w)
+        coef = c
+        for j in range(k, -1, -1):
+            add((j, w), _gauss_div(coef, iw))
+            if j > 0:
+                step = _gauss_div(_gauss_mul(coef, (Fraction(j), Fraction(0))), iw)
+                coef = (-step[0], -step[1])
+            else:
+                last = _gauss_div(coef, iw)
+                add((0, Fraction(0)), (-last[0], -last[1]))
+    return {key: c for key, c in out.items() if any(c)}
+
+
+def dyson_terms(n_max: int, omega: Fraction, order: int, lam: Fraction,
+                state_in: int) -> dict[int, dict]:
+    """Dyson amplitudes <out|U(t)|in> for every out, as {(k, Omega): (re, im)}.
+
+    The nested integrals of V_I(t) = e^(i H0 t) V e^(-i H0 t) in the
+    sqrt(n!)-weighted basis, each a sum of c t^k e^(i Omega t) with c a
+    Gaussian rational (re, im) and Omega a Fraction, times (-i lam)^p at
+    order p, then the global phase e^(-i E_out t).  Terms are kept in the
+    order of first insertion and zero sums are dropped after every sum.
+    """
+    energies, v = weighted_quartic(n_max, omega)
+    one = (Fraction(1), Fraction(0))
+    current = {state_in: {(0, Fraction(0)): one}}
+    totals = {out: ({(0, Fraction(0)): one} if out == state_in else {}) for out in range(n_max)}
+    factor = one
+    for _ in range(order):
+        nxt: dict[int, dict] = {}
+        for k_state, poly in current.items():
+            for j in range(n_max):
+                if not v[j][k_state]:
+                    continue
+                phase = {(0, energies[j] - energies[k_state]): (v[j][k_state], Fraction(0))}
+                nxt[j] = _phase_add(nxt.get(j, {}), _phase_integrate(_phase_mul(phase, poly)))
+        current = nxt
+        factor = _gauss_mul(_gauss_mul(factor, (Fraction(0), Fraction(-1))), (Fraction(lam), Fraction(0)))
+        for out, poly in current.items():
+            scaled = {key: _gauss_mul(c, factor) for key, c in poly.items()}
+            totals[out] = _phase_add(totals[out], {key: c for key, c in scaled.items() if any(c)})
+    return {out: _phase_mul(total, {(0, -energies[out]): one}) for out, total in totals.items()}

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from phi4trunc.cli import main
+from phi4trunc.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name):
@@ -330,3 +330,54 @@ def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):
     assert shown == [manifest["run"]["warnings"][0]["message"]]
     code, outdir = run_cli(["series", "--orders", "2"], tmp_path, "quiet")
     assert json.loads((outdir / "manifest.json").read_text())["run"] == {"warnings": []}
+
+
+def test_first_commands_run_no_full_collection(tmp_path):
+    # the objects import leaves alive are frozen, out of reach of every later
+    # collection, so the first full (generation 2) collection of a process
+    # does not traverse them inside its first commands
+    script = (
+        "import gc\n"
+        "from phi4trunc.cli import main\n"
+        "print(len(gc.get_objects()), gc.get_freeze_count())\n"
+        f"out = {str(tmp_path)!r}\n"
+        "full = []\n"
+        "gc.callbacks.append(lambda phase, info: full.append(1)"
+        " if phase == 'start' and info['generation'] == 2 else None)\n"
+        "assert main(['series', '--nmax', '8', '--level', '3', '--orders', '200',"
+        " '--outdir', out + '/s']) == 0\n"
+        "assert main(['radius', '--nmax', '8', '--level', '3', '--orders', '200',"
+        " '--fit', '100,200', '--outdir', out + '/r']) == 0\n"
+        "print(len(full))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ})
+    assert proc.returncode == 0, proc.stderr
+    counts, collections = proc.stdout.splitlines()
+    tracked, frozen = map(int, counts.split())
+    assert tracked < frozen // 10
+    assert collections == "0"
+
+
+def test_successive_commands_match_fresh_calls(tmp_path):
+    # one parser serves every main() of a process; no value set by one call
+    # reaches the next, so outputs and manifests equal those of fresh parsers
+    commands = [
+        ["evolve", "--method", "dyson", "--nmax", "4", "--order", "2", "--lam", "0.05", "--nt", "11"],
+        ["series", "--nmax", "4", "--orders", "6"],
+        ["evolve", "--nmax", "4", "--nt", "11"],
+    ]
+
+    def outputs(i):
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / f"c{i}").iterdir())}
+
+    fresh = []
+    for i, args in enumerate(commands):
+        build_parser.cache_clear()
+        assert main(args + ["--outdir", str(tmp_path / f"c{i}")]) == 0
+        fresh.append(outputs(i))
+    build_parser.cache_clear()
+    for i, args in enumerate(commands):
+        assert main(args + ["--outdir", str(tmp_path / f"c{i}")]) == 0
+        assert outputs(i) == fresh[i]
+    assert build_parser.cache_info().misses == 1

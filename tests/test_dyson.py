@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phi4trunc import (
     TruncationSpec,
@@ -11,6 +13,8 @@ from phi4trunc import (
     single_site_hamiltonian,
 )
 from phi4trunc.dyson import PhasePolynomial, QQi
+
+from oracles import dyson_terms
 
 F = Fraction
 
@@ -171,3 +175,25 @@ def test_order_cap():
 def test_parity_forbidden_transition_is_zero():
     amp = dyson_series(TruncationSpec(4), 3, F(1, 5), 0, 1)
     assert not amp.poly.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.sampled_from([2, 4, 6, 8]), order=st.integers(0, 5),
+       lam=st.fractions(-1, 1, max_denominator=1000),
+       omega=st.sampled_from([F(1), F(1, 2), F(3, 2), F(2)]))
+def test_dyson_series_is_the_gaussian_oracle(n_max, order, lam, omega):
+    # the real graded recursion gives the oracle's Gaussian rationals exactly,
+    # term by term and in the same key order, for every pair of states
+    trunc = TruncationSpec(n_max, omega)
+    for state_in in range(n_max):
+        expected = dyson_terms(n_max, omega, order, lam, state_in)
+        for state_out in range(n_max):
+            terms = dyson_series(trunc, order, lam, state_in, state_out).poly.terms
+            got = [((k, w), (c.re, c.im)) for (k, w), c in terms.items()]
+            assert got == list(expected[state_out].items()), (state_in, state_out)
+
+
+def test_trace_is_evaluate_at_every_point():
+    amp = dyson_series(TruncationSpec(8), 4, F(3, 2000), 2, 4)
+    t = np.linspace(0.0, 3.0, 31)
+    assert amp.trace(t).tobytes() == np.array([amp.evaluate(x) for x in t]).tobytes()

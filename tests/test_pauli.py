@@ -22,6 +22,7 @@ from phi4trunc.pauli import (
     PauliTerm,
     TrotterPlan,
     _structural_words,
+    _surd_groups,
 )
 
 from oracles import (
@@ -146,6 +147,23 @@ def test_structural_words_are_the_float_decomposition_words(n_q):
     dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(2**n_q), 1.0 / 3.0), n_q)
     # same words, and both in lexicographic I < X < Y < Z order
     assert [t.string for t in dec.terms] == _structural_words(n_q)
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4])
+def test_surd_groups_sum_to_the_occupation_quartic(n_q):
+    # each group's entries times sqrt(s), summed over the groups, rebuild
+    # the float X^4 of X = a + a^dag entry by entry; the harmonic group is
+    # the diagonal 2n + 1
+    n = 2**n_q
+    x = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    x4 = np.linalg.matrix_power(x + x.T, 4)
+    groups = _surd_groups(n)
+    assert np.array_equal(groups.pop((0, 0)), 2 * np.arange(n) + 1)
+    rebuilt = np.zeros((n, n))
+    for (flip, s), vec in groups.items():
+        for i in np.flatnonzero(vec):
+            rebuilt[i, i ^ flip] += vec[i] * math.sqrt(s)
+    np.testing.assert_allclose(rebuilt, x4, rtol=1e-13, atol=1e-13 * np.abs(x4).max())
 
 
 @st.composite
