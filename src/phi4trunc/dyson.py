@@ -233,6 +233,8 @@ def dyson_series(
     multiplying the float's binary value.  The nested integrals grow
     combinatorially with order, hence the configurable cap.
     """
+    if order < 0:
+        raise ValueError(f"order {order} must be at least 0")
     if order > order_cap:
         raise ValueError(f"order {order} exceeds cap {order_cap}")
     n = trunc.n_max

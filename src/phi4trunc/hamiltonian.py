@@ -13,7 +13,9 @@ bases: the full product basis, its two occupation-parity blocks, and the
 two momentum-0 sectors of a periodic chain, one state per translation
 orbit.  The product basis is the case where every state is its own orbit;
 lattice_hamiltonian and lattice_family evaluate it.  No other basis forms
-the full-space matrix.
+the full-space matrix.  H0 and V are numpy CSR arrays (CSRMatrix) on one
+shared pattern; lattice_hamiltonian alone converts its matrix for callers
+outside the package.
 Couplings may be complex; the hermitian flag is cleared accordingly so the
 analytic family H(lam) can be scanned off the real axis.
 """
@@ -23,12 +25,12 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops, harmonic_hamiltonian
 
 __all__ = [
     "LatticeSpec",
+    "CSRMatrix",
     "SparseOperator",
     "ParityBlocks",
     "ParityError",
@@ -67,11 +69,47 @@ class LatticeSpec:
         return self.trunc.n_max**self.n_sites
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Square sparse matrix as plain numpy compressed-sparse-row arrays.
+
+    Row i holds entries indptr[i]:indptr[i + 1] of indices and data; its
+    column indices ascend, with no duplicates.  They are intp, the index
+    type np.take gathers with, so a matvec does not convert them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.indptr.size - 1
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[_csr_rows(self), self.indices] = self.data
+        return out
+
+
+def _csr_rows(m) -> np.ndarray:
+    """The row of every stored entry of CSR arrays m."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+
+
 @dataclass
 class SparseOperator:
-    """Hermitian-by-construction sparse operator stored as CSR with triplet access."""
+    """Hermitian-by-construction sparse operator on CSR arrays, with triplet access.
 
-    matrix: sp.csr_matrix
+    matrix is a CSRMatrix, or the sparse matrix lattice_hamiltonian returns;
+    only their indptr, indices, data and shape are read here.
+    """
+
+    matrix: object
     hermitian: bool = True
 
     @property
@@ -84,9 +122,10 @@ class SparseOperator:
 
     def triplets(self) -> list[tuple[int, int, complex]]:
         """Deterministic (row, col, value) list sorted by (row, col)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return [(int(coo.row[i]), int(coo.col[i]), complex(coo.data[i])) for i in order]
+        m = self.matrix
+        rows = _csr_rows(m)
+        order = np.lexsort((m.indices, rows))
+        return [(int(rows[i]), int(m.indices[i]), complex(m.data[i])) for i in order]
 
 
 @dataclass
@@ -143,14 +182,17 @@ def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
 def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     """Sparse lattice Hamiltonian H0 + lam V at lam = spec.lam on the full product basis.
 
-    The hop sum runs over positive directions literally, so n_sites=2 with
-    periodic boundary counts the single geometric bond twice (coefficient
-    -4 kappa).
+    The matrix is a scipy.sparse.csr_matrix, for callers that hand it to
+    scipy; scipy is imported here and nowhere else in the package.  The hop
+    sum runs over positive directions literally, so n_sites=2 with periodic
+    boundary counts the single geometric bond twice (coefficient -4 kappa).
     """
+    import scipy.sparse as sp
+
     [(h0, v)] = _lattice_blocks(spec, "full")
     lam_is_real = complex(spec.lam).imag == 0.0
     lam = complex(spec.lam).real if lam_is_real else complex(spec.lam)
-    csr = h0 + lam * v
+    csr = sp.csr_matrix((h0.data + lam * v.data, h0.indices, h0.indptr), shape=h0.shape)
     csr.eliminate_zeros()
     return SparseOperator(csr, hermitian=lam_is_real)
 
@@ -158,9 +200,11 @@ def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
 def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """Per product index: its orbit representative (least index) and orbit size.
 
-    One translation moves site 0's digit to the last site.
+    One translation moves site 0's digit to the last site.  The arithmetic
+    runs in int32, which halves its time; indices stay below the lattice
+    dimension cap.
     """
-    index = np.arange(n_max**n_sites, dtype=np.int64)
+    index = np.arange(n_max**n_sites, dtype=np.int32)
     top = n_max ** (n_sites - 1)
     rep = index.copy()
     size = np.zeros_like(index)
@@ -179,8 +223,11 @@ def _band(op: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(k, vals) for k, vals in bands if vals.any()]
 
 
-def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[CSRMatrix, CSRMatrix]]:
     """(H0, V) with H(lam) = H0 + lam V on each block of a basis of the chain.
+
+    H0 and V of a block share indptr and indices, so H(lam) has data
+    H0.data + lam V.data on the same pattern.
 
     basis "full" is the product basis as one block.  "parity" is its even
     and its odd total-occupation block, exact on every chain: phi changes
@@ -204,7 +251,7 @@ def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[sp.csr_matrix, 
 
 
 def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = None,
-                size: np.ndarray | None = None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+                size: np.ndarray | None = None) -> tuple[CSRMatrix, CSRMatrix]:
     """(H0, V) on the orbit states |R>, one per representative r in reps.
 
     |R> is the normalised sum over the orbit O_R of r.  rep maps each
@@ -214,61 +261,95 @@ def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = No
     sum_{s' in O_R'} H_{s',r} without the full-space matrix.
     """
     n, ns = spec.trunc.n_max, spec.n_sites
+    dim = reps.size
     place = [n ** (ns - 1 - x) for x in range(ns)]
     digits = [(reps // place[x]) % n for x in range(ns)]
-    # 32-bit indices, as scipy stores them below its int32 limit (the cap is 2^20)
-    reps = reps.astype(np.int32)
-    pos = np.full(n**ns, -1, dtype=np.int32)
-    pos[reps] = np.arange(reps.size, dtype=np.int32)
+    pos = np.full(n**ns, -1, dtype=np.int64)
+    pos[reps] = np.arange(dim)
+    # keys source * dim + target in int32 where they fit
+    itype = np.int32 if dim * dim < 2**31 else np.int64
     har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc).entries,
                                            _phi4(spec.trunc), build_field_ops(spec.trunc)[0].entries))
 
-    def assemble(terms: list[tuple[float, list]]) -> sp.csr_matrix:
-        """Sum over terms (coeff, [(x, band of op_x), ...]) of coeff * prod_x op_x on the block.
+    def assemble(terms: list[tuple[float, list]]) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of the entries of a sum of products of local operators.
 
-        On the product basis and its parity blocks a part that moves no
-        digit is summed into the diagonal, term by term.  In an orbit basis
-        a hop can also land in its own orbit, so there every part stays an
-        entry of its own and tocsr adds them.  A digit moved out of range
-        picks up a zero amplitude and is dropped.
+        terms are (coeff, [(x, band of op_x), ...]), each standing for
+        coeff * prod_x op_x.  A part that moves no digit is summed into the
+        diagonal, term by term.  Every other part is an entry of its own:
+        in an orbit basis a hop can land in its own orbit or two parts in
+        one orbit, and _shared_csr adds those.  A digit moved out of range
+        picks up a zero amplitude and is dropped.  Each part is mapped to
+        its key on its own, so that no array of the block's size is made
+        but the last.
         """
-        rows, cols, vals = [], [], []
-        diag = np.zeros(reps.size) if rep is None else None
+        keys, vals = [], []
+        diag = np.zeros(dim)
         for coeff, ops in terms:
             parts = [(0, coeff)]
             for x, band in ops:
                 parts = [(shift + offset * place[x], amp * entries[digits[x]])
                          for shift, amp in parts for offset, entries in band]
             for shift, amp in parts:
-                if shift == 0 and diag is not None:
+                if shift == 0:
                     diag += amp
                     continue
-                keep = np.flatnonzero(amp).astype(np.int32)
-                rows.append(reps[keep] + shift)
-                cols.append(keep)
-                vals.append(amp[keep])
-        if diag is not None:
-            rows.append(reps)
-            cols.append(np.arange(reps.size, dtype=np.int32))
-            vals.append(diag)
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        if rep is not None:
-            vals *= np.sqrt(size[reps[cols]] / size[rows])
-            rows = rep[rows]
-        if reps.size < pos.size:  # the whole product basis is its own position map
-            rows = pos[rows]
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(reps.size, reps.size)).tocsr()
-        m.eliminate_zeros()
-        return m
+                keep = np.flatnonzero(amp)
+                target, val = reps[keep] + shift, amp[keep]
+                if rep is not None:
+                    val *= np.sqrt(size[reps[keep]] / size[target])
+                    target = rep[target]
+                if dim < pos.size:  # the whole product basis is its own position map
+                    target = pos[target]
+                keys.append((keep * dim + target).astype(itype))
+                vals.append(val)
+        index = np.arange(dim, dtype=itype)
+        return np.concatenate(keys + [index * itype(dim + 1)]), np.concatenate(vals + [diag])
 
     h0 = assemble([(1.0, [(x, har)]) for x in range(ns)]
                   + [(-2.0 * spec.kappa, [(x, phi), (y, phi)]) for x, y in _bonds(spec)])
-    return h0, assemble([(1.0, [(x, phi4)]) for x in range(ns)])
+    return _shared_csr(dim, h0, assemble([(1.0, [(x, phi4)]) for x in range(ns)]))
+
+
+def _shared_csr(dim: int, *parts: tuple[np.ndarray, np.ndarray]) -> tuple[CSRMatrix, ...]:
+    """One CSRMatrix per (keys, values) entry list, all on their union pattern.
+
+    A key is source * dim + target.  The entries are sorted stably by key,
+    which is fast because each term's sources come as an ascending run.  H
+    is symmetric, so that order is also the CSR order of its rows (where
+    the two sides of an entry round differently, the source side's
+    rounding is kept).  Entries of one matrix at the same place are summed
+    in list order.  The pattern keeps the places where some matrix is
+    nonzero, so a matrix can hold explicit zeros where only another one has
+    entries.  The steps work in place where they can: each array of this
+    size is fresh memory whose pages cost a fault apiece.
+    """
+    keys = np.concatenate([k for k, _ in parts])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = np.concatenate([v for _, v in parts])[order]
+    first = np.empty(keys.size, bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    # the place of each entry, offset by the place count for each list before its own
+    slot = np.cumsum(first, dtype=np.intp)
+    slot -= 1
+    for bound in np.cumsum([k.size for k, _ in parts])[:-1]:
+        np.add(slot, keys.size, out=slot, where=order >= bound)
+    data = np.bincount(slot, vals, keys.size * len(parts)).reshape(len(parts), keys.size)
+    live = data.any(axis=0)
+    if not live.all():
+        data, keys = data[:, live], keys[live]
+    rows = keys // keys.dtype.type(dim)
+    indptr = np.searchsorted(rows, np.arange(dim + 1, dtype=rows.dtype)).astype(np.int32)
+    keys -= rows * keys.dtype.type(dim)
+    return tuple(CSRMatrix(indptr, keys.astype(np.intp), d) for d in data)
 
 
 def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
-    """Total occupation mod 2 of every product-basis index, digit by digit in base n_max."""
-    index = np.arange(n_max**n_sites)
+    """Total occupation mod 2 of every product-basis index, digit by digit in base n_max (in int32)."""
+    index = np.arange(n_max**n_sites, dtype=np.int32)
     total = np.zeros_like(index)
     for _ in range(n_sites):
         total += index % n_max

@@ -57,6 +57,7 @@ class TruncationSpec:
 class OperatorMatrix:
     """Dense operator with basis metadata.
 
+    entries is one square matrix, or a stack of them along leading axes.
     basis is 'occupation' or 'field'; the hermitian flag is an assertion
     made by the constructor, not something recomputed on access.
     """
@@ -67,12 +68,12 @@ class OperatorMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+        if self.entries.ndim < 2 or self.entries.shape[-2] != self.entries.shape[-1]:
             raise ValueError(f"operator must be square, got shape {self.entries.shape}")
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass

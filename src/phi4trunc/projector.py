@@ -162,6 +162,8 @@ def perturbed_projector(
     n = trunc.n_max
     if not 0 <= level < n:
         raise ValueError(f"level {level} outside 0..{n - 1}")
+    if order < 0:
+        raise ValueError(f"order {order} must be at least 0")
     sector = algebra.level_sector(level, sector)
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
     series = _level_projector(h0, v, level, sector, order, n)
@@ -190,6 +192,8 @@ def evolve_projector_method(
     Rayleigh-Schrodinger run per level on the sector block, built once.
     States of opposite parity give an identically zero trace.
     """
+    if order < 0:
+        raise ValueError(f"order {order} must be at least 0")
     t = np.asarray(t_grid, dtype=float)
     if state_in % 2 != state_out % 2:
         return AmplitudeTrace(t, np.zeros(len(t), dtype=complex))

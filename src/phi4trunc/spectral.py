@@ -16,10 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import algebra
-from .hamiltonian import CouplingFamily, LatticeSpec, SparseOperator, _lattice_blocks
+from .hamiltonian import CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _csr_rows, _lattice_blocks
 from .oscillator import OperatorMatrix
 
 __all__ = [
@@ -53,6 +52,8 @@ SECTOR_CHECKED = frozenset({(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (2, 
 SECTOR_CHECKED_KAPPA = 1.0
 SECTOR_CHECKED_LAM = 2.0
 LANCZOS_SEED = 0x5EED
+# the most Lanczos steps between two checks of the Ritz residuals
+LANCZOS_CHECK = 8
 HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
 
@@ -96,7 +97,10 @@ class SingularityEstimate:
 
 
 def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = "full") -> SpectrumResult:
-    """Full dense spectrum; Hermitian solver when the flag allows it."""
+    """Full dense spectrum; Hermitian solver when the flag allows it.
+
+    A stack of matrices gives one row of eigenvalues per matrix.
+    """
     if h.dim > DENSE_CAP:
         raise ValueError(f"dimension {h.dim} exceeds dense cap {DENSE_CAP}")
     try:
@@ -107,9 +111,9 @@ def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = 
                 w, v = np.linalg.eigvalsh(h.entries), None
         else:
             w, v = np.linalg.eig(h.entries)
-            order = np.argsort(w.real, kind="stable")
-            w = w[order]
-            v = v[:, order] if want_vectors else None
+            order = np.argsort(w.real, axis=-1, kind="stable")
+            w = np.take_along_axis(w, order, axis=-1)
+            v = np.take_along_axis(v, order[..., None, :], axis=-1) if want_vectors else None
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"dense eigensolver failed on {h.dim}x{h.dim} "
@@ -118,37 +122,176 @@ def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = 
     return SpectrumResult(w, v, sector)
 
 
-def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12) -> SpectrumResult:
-    """k lowest eigenvalues of a Hermitian sparse operator.
+def _csr_matvec(m):
+    """x -> m @ x for CSR arrays m: gather x by column, multiply, and sum each row by reduceat."""
+    indices, data = np.asarray(m.indices, dtype=np.intp), m.data
+    n = m.shape[0]
+    full = np.flatnonzero(np.diff(m.indptr))
+    starts = m.indptr[full].astype(np.intp)
+    prod = np.empty(indices.size, dtype=np.result_type(data, np.float64))
 
-    Uses implicitly restarted Lanczos with a deterministic start vector
-    seeded from LANCZOS_SEED, so repeated runs are bit-identical.  The
-    matrix is shifted positive definite internally (an eigenvalue exactly
-    at zero leaves no Krylov component and regular-mode ARPACK misses it);
-    the shift is removed from the returned eigenvalues.
+    def matvec(x: np.ndarray) -> np.ndarray:
+        if full.size < n:
+            y = np.zeros(n, dtype=prod.dtype)
+            if full.size:
+                y[full] = matvec_rows(x)
+            return y
+        return matvec_rows(x)
+
+    def matvec_rows(x: np.ndarray) -> np.ndarray:
+        # with out=, the default mode="raise" buffers the gather; CSR column
+        # indices are in range, so mode="clip" changes nothing but the speed
+        np.multiply(np.take(x, indices, out=prod, mode="clip"), data, out=prod)
+        return np.add.reduceat(prod, starts)
+
+    return matvec
+
+
+def _csr_diagonal(m) -> np.ndarray:
+    rows = _csr_rows(m)
+    on = np.flatnonzero(rows == m.indices)
+    diag = np.zeros(m.shape[0], dtype=m.data.dtype)
+    diag[rows[on]] = m.data[on]
+    return diag
+
+
+def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12) -> SpectrumResult:
+    """k lowest eigenvalues of a Hermitian sparse operator, by Lanczos with full reorthogonalisation.
+
+    The start is the first LANCZOS_SEED random vector (_random_vectors)
+    plus an equal-norm vector weighted by exp(-(H_ii - min H_ii)), so
+    repeated runs are bit-identical (see _lanczos for one run).  A Krylov
+    space holds a single vector of each eigenspace, so for k > 1 the k Ritz
+    vectors found are locked and a run from a fresh random vector,
+    orthogonal to them, looks for the lowest eigenvalue left; while that
+    falls below the k-th, it joins the k lowest and the search repeats.
+    This finds repeated eigenvalues, such as the +-k momentum pairs of a
+    periodic chain's parity blocks.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if not h.hermitian:
         raise ValueError("lanczos_lowest requires a Hermitian operator")
     dim = h.dim
     if k >= dim - 1:
-        # ARPACK cannot ask for (almost) the full spectrum; fall back to dense.
-        w = np.linalg.eigvalsh(h.matrix.toarray())
-        return SpectrumResult(w[:k], None, "full")
-    rng = np.random.default_rng(LANCZOS_SEED)
-    v0 = rng.standard_normal(dim)
-    ncv = min(dim, max(2 * k + 10, 40))
-    import scipy.sparse as sp
+        return SpectrumResult(np.linalg.eigvalsh(h.matrix.toarray())[:k], None, "full")
+    matvec = _csr_matvec(h.matrix)
+    fresh = _random_vectors(dim, LANCZOS_SEED)
+    start = next(fresh)
+    diag = _csr_diagonal(h.matrix).real
+    weight = np.exp(-(diag - diag.min()))
+    start = start / _norm(start) + weight / _norm(weight)
+    dtype = np.result_type(h.matrix.data, np.float64)
+    theta, y = _lanczos(matvec, start.astype(dtype), k, tol, fresh, np.empty((0, dim), dtype))
+    while k > 1:
+        mu, u = _lanczos(matvec, next(fresh).astype(dtype), 1, tol, fresh, y)
+        if not mu[0] < theta[-1] - tol * max(1.0, abs(theta[-1])):
+            break
+        order = np.argsort(np.r_[theta, mu], kind="stable")[:k]
+        theta, y = np.r_[theta, mu][order], np.concatenate([y, u])[order]
+    return SpectrumResult(theta, None, "full")
 
-    shift = 1.0 + float(abs(h.matrix).sum(axis=1).max())  # Gershgorin bound
-    shifted = (h.matrix + shift * sp.identity(dim, format="csr", dtype=h.matrix.dtype)).tocsr()
-    try:
-        w = spla.eigsh(shifted, k=k, which="SA", v0=v0, tol=tol, ncv=ncv, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError(
-            f"Lanczos failed to converge: {len(exc.eigenvalues)}/{k} eigenvalues "
-            f"converged (ncv={ncv}, tol={tol})"
-        ) from exc
-    return SpectrumResult(np.sort(w - shift), None, "full")
+
+def _lanczos(matvec, q: np.ndarray, k: int, tol: float, fresh,
+             locked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest Ritz values and vectors (rows) of one Lanczos process from q, orthogonal to locked.
+
+    Each Lanczos vector is orthogonalised against the rows of locked and
+    all earlier vectors (Paige, 1972), and the Rayleigh quotient
+    T = Q^H H Q keeps every coefficient that removes.  The process stops
+    once each of the k lowest Ritz values theta_i has a residual bound
+    sum_j beta_j |s_ji| <= tol max(1, |theta_i|), over the last vector j of
+    every Krylov run.  The Ritz values are checked every LANCZOS_CHECK
+    steps at first, then when the bound's decay so far predicts it to pass.
+    A run that breaks down (its Krylov space is invariant) is continued
+    from a fresh random vector orthogonalised against the basis.
+    """
+    dim, held = q.size, locked.shape[0]
+    project = (lambda b, x: b.conj() @ x) if np.iscomplexobj(q) else (lambda b, x: b @ x)
+    tiny = 64 * np.finfo(float).eps
+    # rows of basis hold memory only once written, so a roomy first size costs
+    # nothing, and growing it (which copies) is rare
+    cap = min(dim, held + 128 + 2 * k)
+    basis, t = np.empty((cap, dim), q.dtype), np.zeros((cap - held, cap - held), q.dtype)
+    basis[:held] = locked
+    ends, beta, anorm, m = [], 0.0, 0.0, 0
+    due, last_check = LANCZOS_CHECK, None
+    q = _orthonormal(q, basis[:held], project)
+    while True:
+        if held + m == cap:
+            cap = min(dim, 2 * cap)
+            basis = np.concatenate([basis, np.empty((cap - held - m, dim), q.dtype)])
+            t = np.pad(t, (0, cap - held - m))
+        basis[held + m] = q
+        z = matvec(q)
+        if beta:
+            z -= beta * basis[held + m - 1]
+            t[m - 1, m] = beta
+        t[m, m] = np.vdot(q, z).real
+        z -= t[m, m] * q
+        beta = _norm(z)
+        for _ in range(2):  # a second pass only when the first removed much (Daniel et al., 1976)
+            before = beta
+            c = project(basis[:held + m + 1], z)
+            z -= c @ basis[:held + m + 1]
+            t[:m + 1, m] += c[held:]
+            beta = _norm(z)
+            if beta > 0.7 * before:
+                break
+        anorm = max(anorm, abs(t[m, m]), beta)
+        m += 1
+        broken = beta <= tiny * anorm or held + m == dim
+        if m >= k and (m >= due or broken):
+            theta, s = np.linalg.eigh(t[:m, :m], UPLO="U")
+            bound = sum(b * np.abs(s[j, :k]) for j, b in [*ends, (m - 1, beta)])
+            worst = float(np.max(bound / (tol * np.maximum(1.0, np.abs(theta[:k])))))
+            if worst <= 1.0 or held + m == dim:
+                return theta[:k], s[:, :k].T @ basis[held:held + m]
+            due = m + _steps_to(worst, m, last_check)
+            last_check = (m, worst)
+        if broken:
+            ends.append((m - 1, beta))
+            q = _orthonormal(next(fresh).astype(q.dtype), basis[:held + m], project)
+            beta = 0.0
+        else:
+            q = z / beta
+
+
+def _random_vectors(dim: int, seed: int):
+    """Endless vectors of dim doubles, uniform in [-1, 1), from SplitMix64 (Steele, Lea and Flood, 2014).
+
+    A counter-based generator on numpy integers: bit-identical on every
+    platform, and numpy.random, whose import costs more than an 8-site
+    solve, is not imported.
+    """
+    mix1, mix2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    gamma = 0x9E3779B97F4A7C15
+    state = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(gamma) + np.uint64(seed)
+    step = np.uint64(gamma * dim % 2**64)
+    while True:
+        z = (state ^ (state >> np.uint64(30))) * mix1
+        z = (z ^ (z >> np.uint64(27))) * mix2
+        yield ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-52 - 1.0
+        state += step
+
+
+def _orthonormal(q: np.ndarray, rows: np.ndarray, project) -> np.ndarray:
+    """q with its components along the orthonormal rows removed (two passes), normalised."""
+    for _ in range(2):
+        q = q - project(rows, q) @ rows
+    return q / _norm(q)
+
+
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
+def _steps_to(worst: float, m: int, last: tuple[int, float] | None) -> int:
+    """Lanczos steps until the residual ratio worst reaches 1, at its decay rate since the last check."""
+    if last is None or not 0.0 < worst < last[1]:
+        return LANCZOS_CHECK
+    rate = np.log(last[1] / worst) / (m - last[0])
+    return int(min(LANCZOS_CHECK, max(1.0, np.ceil(np.log(worst) / rate))))
 
 
 def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
@@ -176,15 +319,17 @@ def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
 
 
 def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
-    """The min(k, dim) lowest eigenvalues of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM."""
+    """The min(k, dim) lowest eigenvalues of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM.
+
+    h0 and v are CSRMatrix blocks on one pattern.  The dense path solves
+    the stack of every coupling's matrix in one call.
+    """
     dim = h0.shape[0]
     if dim <= SECTOR_DENSE_DIM:
-        h0, v = h0.toarray(), v.toarray()
-        rows = [dense_spectrum(OperatorMatrix(h0 + lam * v, hermitian=True)).eigenvalues[:k]
-                for lam in lams]
-    else:
-        rows = [lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), k, tol).eigenvalues
-                for lam in lams]
+        stack = h0.toarray() + np.reshape(lams, (-1, 1, 1)) * v.toarray()
+        return dense_spectrum(OperatorMatrix(stack, hermitian=True)).eigenvalues[:, :k]
+    rows = [lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data)), k, tol)
+            .eigenvalues for lam in lams]
     return np.array(rows).reshape(len(lams), min(k, dim))
 
 
@@ -200,6 +345,8 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
     else.  Each block gives its k lowest energies at each coupling, and the
     k lowest of their union are returned.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     lams = list(lams)
     for lam in lams:
         if complex(lam).imag != 0.0:

@@ -147,6 +147,21 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args, named", [
+    (["evolve", "--method", "dyson", "--order", "-2"], "order -2"),
+    (["evolve", "--method", "projector", "--order", "-1"], "order -1"),
+    (["spectrum", "--nsites", "4", "--kappa", "0.1", "--method", "lanczos", "--k", "0"],
+     "k must be at least 1, got 0"),
+])
+def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
+    code, outdir = run_cli(args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "phi4trunc.cli", "spectrum", "--no-such-flag"],
@@ -314,6 +329,27 @@ def test_exact_and_scan_commands_leave_scipy_optimize_unimported(tmp_path):
                           env={**os.environ})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_commands_leave_scipy_unimported(tmp_path):
+    # every op of the three benchmark workloads, at their small sizes; scipy
+    # enters only through lattice_hamiltonian, which none of them calls
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import workloads\n"
+        "from phi4trunc.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for name in workloads.WORKLOADS:\n"
+        "    for i, op in enumerate(workloads.generate(name, 1, small=True)):\n"
+        "        assert main(op['argv'] + [f'--outdir={out}/{name}{i}']) == 0, op['argv']\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):

@@ -172,6 +172,12 @@ def test_order_cap():
         dyson_series(TruncationSpec(4), 7, F(1, 10), 0, 2)
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+def test_negative_order_is_rejected(order):
+    with pytest.raises(ValueError, match=f"order {order} must be at least 0"):
+        dyson_series(TruncationSpec(4), order, F(1, 10), 0, 2)
+
+
 def test_parity_forbidden_transition_is_zero():
     amp = dyson_series(TruncationSpec(4), 3, F(1, 5), 0, 1)
     assert not amp.poly.terms

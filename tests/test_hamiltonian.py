@@ -204,7 +204,7 @@ def test_parity_decompose_sparse_lattice():
             spec = LatticeSpec(n_sites, TruncationSpec(4), kappa=0.1, lam=0.2, boundary=boundary)
             blocks = _lattice_blocks(spec, "parity")
             assert sum(h0.shape[0] for h0, _ in blocks) == spec.dim
-            union = np.sort(np.concatenate([np.linalg.eigvalsh((h0 + 0.2 * v).toarray())
+            union = np.sort(np.concatenate([np.linalg.eigvalsh(h0.toarray() + 0.2 * v.toarray())
                                             for h0, v in blocks]))
             full = np.linalg.eigvalsh(lattice_hamiltonian(spec).matrix.toarray())
             assert np.max(np.abs(union - full)) <= 1e-12
@@ -293,7 +293,7 @@ def test_sector_matrix_is_the_projected_full_matrix(n_sites):
         p = np.zeros((dim, len(orbits)))
         for col, rep in enumerate(sorted(orbits)):
             p[sorted(orbits[rep]), col] = 1.0 / np.sqrt(len(orbits[rep]))
-        assert np.max(np.abs((h0 + lam * v).toarray() - p.T @ h @ p)) <= 1e-13
+        assert np.max(np.abs(h0.toarray() + lam * v.toarray() - p.T @ h @ p)) <= 1e-13
 
 
 def test_sector_needs_a_periodic_chain():

@@ -128,6 +128,15 @@ def test_harmonic_limit_no_transition():
     assert np.max(trace.probability) == 0.0
 
 
+@pytest.mark.parametrize("state_out", [2, 1])
+def test_negative_order_is_rejected(state_out):
+    # also for states of opposite parity, whose trace is zero at every order
+    with pytest.raises(ValueError, match="order -1 must be at least 0"):
+        evolve_projector_method(TruncationSpec(4), -1, 0.01, np.linspace(0, 1, 3), 0, state_out)
+    with pytest.raises(ValueError, match="order -2 must be at least 0"):
+        perturbed_projector(TruncationSpec(4), 0, order=-2, lam=0.01)
+
+
 def test_opposite_parity_amplitude_is_zero():
     trace = evolve_projector_method(TruncationSpec(4), 4, 0.1, np.linspace(0, 5, 6), 0, 1,
                                     check_convergence=False)

@@ -17,7 +17,7 @@ from phi4trunc import (
     single_site_hamiltonian,
     singularity_from_derivatives,
 )
-from phi4trunc.hamiltonian import SparseOperator
+from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
 from phi4trunc.spectral import (
     SECTOR_CHECKED,
     SECTOR_CHECKED_KAPPA,
@@ -97,6 +97,75 @@ def test_lanczos_deterministic():
     a = lanczos_lowest(h, 3).eigenvalues
     b = lanczos_lowest(h, 3).eigenvalues
     assert np.array_equal(a, b)
+
+
+def _operator(m) -> SparseOperator:
+    """The scipy matrix m as a SparseOperator on a CSRMatrix."""
+    m = sp.csr_matrix(m)
+    m.sort_indices()
+    return SparseOperator(CSRMatrix(m.indptr, m.indices, m.data))
+
+
+def _sparse_symmetric(seed: int, dim: int, copies: int):
+    """A random sparse symmetric matrix of size dim, with one block repeated copies times.
+
+    The basis is shuffled, so the repeated eigenvalues sit in no visible block.
+    """
+    rng = np.random.default_rng(seed)
+    size = dim // copies
+    a = sp.random(size, size, density=min(1.0, 6.0 / size), random_state=rng, data_rvs=rng.standard_normal)
+    blocks = [a + a.T + sp.diags(rng.uniform(-2.0, 2.0, size))] * copies
+    if dim > size * copies:
+        blocks.append(sp.diags(rng.uniform(-2.0, 2.0, dim - size * copies)))
+    perm = rng.permutation(dim)
+    return sp.block_diag(blocks, format="csr")[perm][:, perm]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(65, 300), st.sampled_from([1, 2, 3, 5]), st.integers(1, 4))
+def test_lanczos_is_dense_eigvalsh_on_random_sparse_matrices(seed, dim, copies, k):
+    # scipy only builds the matrices here; copies > 1 repeats every eigenvalue of the block
+    m = _sparse_symmetric(seed, dim, copies)
+    want = np.linalg.eigvalsh(m.toarray())[:k]
+    got = lanczos_lowest(_operator(m), k).eigenvalues
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+BLOCK = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 3.0]])
+
+
+@pytest.mark.parametrize("m, k, want", [
+    # 22 copies of a 3x3 block: a Krylov space has 3 dimensions at most
+    (sp.kron(sp.identity(22), BLOCK), 4, np.linalg.eigvalsh(BLOCK)[0]),
+    # every vector is an eigenvector: each Krylov space has one dimension,
+    # and for the zero matrix the residual is exactly zero
+    (sp.csr_matrix((70, 70)), 3, 0.0),
+    (3.0 * sp.identity(70), 3, 3.0),
+])
+def test_lanczos_restarts_when_the_krylov_space_is_exhausted(m, k, want):
+    got = lanczos_lowest(_operator(m), k).eigenvalues
+    assert np.allclose(got, [want] * k, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_lanczos_is_arpack_on_the_eight_site_sectors(k):
+    # both momentum-0 sectors of the benchmark's 8-site chain (4134 and 4096 states)
+    import scipy.sparse.linalg as spla
+
+    lam = 0.15
+    for h0, v in _lattice_blocks(LatticeSpec(8, TruncationSpec(4), 0.1), "momentum"):
+        m = sp.csr_matrix((h0.data + lam * v.data, h0.indices, h0.indptr), shape=h0.shape)
+        want = np.sort(spla.eigsh(m, k=k, which="SA", tol=1e-14, v0=np.ones(m.shape[0]),
+                                  return_eigenvectors=False))
+        got = lanczos_lowest(_operator(m), k).eigenvalues
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def test_lanczos_and_lattice_energies_reject_k_below_one():
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        lanczos_lowest(_operator(sp.identity(80)), 0)
+    with pytest.raises(ValueError, match="k must be at least 1, got -2"):
+        lattice_ground_energies(LatticeSpec(4, TruncationSpec(4), 0.1), [0.1], k=-2)
 
 
 def test_lanczos_rejects_non_hermitian():

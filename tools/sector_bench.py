@@ -21,10 +21,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from phi4trunc import LatticeSpec, TruncationSpec, lattice_hamiltonian
-from phi4trunc.hamiltonian import SparseOperator, _lattice_blocks
+from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
 from phi4trunc.oscillator import OperatorMatrix
 from phi4trunc.spectral import dense_spectrum, lanczos_lowest, lattice_ground_energies
 
@@ -45,7 +44,8 @@ def best_of(fn, repeats: int = 3) -> float:
 
 def crossover() -> list[dict]:
     dense_spectrum(OperatorMatrix(np.eye(8), hermitian=True))
-    lanczos_lowest(SparseOperator(sp.identity(64, format="csr")), 1)
+    eye = np.arange(65, dtype=np.int32)
+    lanczos_lowest(SparseOperator(CSRMatrix(eye, eye[:-1], np.arange(64.0))), 1)
     rows = []
     for n_max, n_sites in CROSSOVER:
         (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
@@ -53,7 +53,8 @@ def crossover() -> list[dict]:
         lams = np.linspace(-0.3, 0.3, 5)
         dense = best_of(lambda: [dense_spectrum(OperatorMatrix(d0 + lam * dv, hermitian=True))
                                  for lam in lams])
-        lanczos = best_of(lambda: [lanczos_lowest(SparseOperator((h0 + lam * v).tocsr()), 1)
+        lanczos = best_of(lambda: [lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices,
+                                                                           h0.data + lam * v.data)), 1)
                                    for lam in lams])
         rows.append({"n_max": n_max, "n_sites": n_sites, "sector_dim": h0.shape[0],
                      "dense_per_lam_s": float(f"{dense / len(lams):.3g}"),
