@@ -52,8 +52,16 @@ SECTOR_CHECKED = frozenset({(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (2, 
 SECTOR_CHECKED_KAPPA = 1.0
 SECTOR_CHECKED_LAM = 2.0
 LANCZOS_SEED = 0x5EED
-# the most Lanczos steps between two checks of the Ritz residuals
-LANCZOS_CHECK = 8
+# Lanczos steps between two checks of the Ritz residuals, and the most
+# steps of one run: at 300, the basis of a 10-site momentum-0 sector
+# (52,536 states) stays under 130 MB
+LANCZOS_CHECK = 4
+LANCZOS_MAX_STEPS = 300
+# the random vector's share of a start from a given near vector: small, so
+# the start stays near, but not zero, so that no level orthogonal to near
+# is hidden (a 10-site, 11-coupling sweep: 1480 matvecs from cold starts,
+# 1356 at this share, 1216 from near alone)
+LANCZOS_WARM_SHARE = 1e-2
 HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
 
@@ -155,32 +163,43 @@ def _csr_diagonal(m) -> np.ndarray:
     return diag
 
 
-def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12) -> SpectrumResult:
-    """k lowest eigenvalues of a Hermitian sparse operator, by Lanczos with full reorthogonalisation.
+def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
+                   near: np.ndarray | None = None) -> SpectrumResult:
+    """k lowest eigenpairs of a Hermitian sparse operator, by Lanczos with full reorthogonalisation.
 
     The start is the first LANCZOS_SEED random vector (_random_vectors)
-    plus an equal-norm vector weighted by exp(-(H_ii - min H_ii)), so
-    repeated runs are bit-identical (see _lanczos for one run).  A Krylov
-    space holds a single vector of each eigenspace, so for k > 1 the k Ritz
+    plus an equal-norm vector weighted by exp(-(H_ii - min H_ii)), or,
+    when a vector near the ground state is given (such as the ground
+    vector at a nearby coupling), near plus LANCZOS_WARM_SHARE of the
+    random vector; repeated runs are bit-identical (see _lanczos for one
+    run).  A tol <= 0 means machine epsilon, as in ARPACK.  A Krylov space
+    holds a single vector of each eigenspace, so for k > 1 the k Ritz
     vectors found are locked and a run from a fresh random vector,
     orthogonal to them, looks for the lowest eigenvalue left; while that
     falls below the k-th, it joins the k lowest and the search repeats.
     This finds repeated eigenvalues, such as the +-k momentum pairs of a
-    periodic chain's parity blocks.
+    periodic chain's parity blocks.  The eigenvectors are the Ritz
+    vectors, one column each.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not h.hermitian:
         raise ValueError("lanczos_lowest requires a Hermitian operator")
+    if tol <= 0:
+        tol = float(np.finfo(float).eps)
     dim = h.dim
     if k >= dim - 1:
-        return SpectrumResult(np.linalg.eigvalsh(h.matrix.toarray())[:k], None, "full")
+        w, u = np.linalg.eigh(h.matrix.toarray())
+        return SpectrumResult(w[:k], u[:, :k], "full")
+    if k > LANCZOS_MAX_STEPS:
+        raise ValueError(f"k={k} needs more than the {LANCZOS_MAX_STEPS} steps of one Lanczos run")
     matvec = _csr_matvec(h.matrix)
     fresh = _random_vectors(dim, LANCZOS_SEED)
-    start = next(fresh)
-    diag = _csr_diagonal(h.matrix).real
-    weight = np.exp(-(diag - diag.min()))
-    start = start / _norm(start) + weight / _norm(weight)
+    noise, share = next(fresh), LANCZOS_WARM_SHARE
+    if near is None:
+        diag = _csr_diagonal(h.matrix).real
+        near, share = np.exp(-(diag - diag.min())), 1.0
+    start = share * noise / _norm(noise) + near / _norm(near)
     dtype = np.result_type(h.matrix.data, np.float64)
     theta, y = _lanczos(matvec, start.astype(dtype), k, tol, fresh, np.empty((0, dim), dtype))
     while k > 1:
@@ -189,7 +208,7 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12) -> SpectrumRes
             break
         order = np.argsort(np.r_[theta, mu], kind="stable")[:k]
         theta, y = np.r_[theta, mu][order], np.concatenate([y, u])[order]
-    return SpectrumResult(theta, None, "full")
+    return SpectrumResult(theta, y.T, "full")
 
 
 def _lanczos(matvec, q: np.ndarray, k: int, tol: float, fresh,
@@ -198,57 +217,52 @@ def _lanczos(matvec, q: np.ndarray, k: int, tol: float, fresh,
 
     Each Lanczos vector is orthogonalised against the rows of locked and
     all earlier vectors (Paige, 1972), and the Rayleigh quotient
-    T = Q^H H Q keeps every coefficient that removes.  The process stops
-    once each of the k lowest Ritz values theta_i has a residual bound
-    sum_j beta_j |s_ji| <= tol max(1, |theta_i|), over the last vector j of
-    every Krylov run.  The Ritz values are checked every LANCZOS_CHECK
-    steps at first, then when the bound's decay so far predicts it to pass.
-    A run that breaks down (its Krylov space is invariant) is continued
-    from a fresh random vector orthogonalised against the basis.
+    T = Q^H H Q keeps every coefficient that removes.  Every LANCZOS_CHECK
+    steps the process stops if each of the k lowest Ritz values theta_i
+    has a residual bound sum_j beta_j |s_ji| <= tol max(1, |theta_i|), over
+    the last vector j of every Krylov run.  A run that breaks down (its
+    Krylov space is invariant) is continued from a fresh random vector
+    orthogonalised against the basis.  A run that fills the space is exact;
+    one that has not converged in LANCZOS_MAX_STEPS steps raises
+    RuntimeError, which bounds the basis to that many vectors.
     """
     dim, held = q.size, locked.shape[0]
     project = (lambda b, x: b.conj() @ x) if np.iscomplexobj(q) else (lambda b, x: b @ x)
     tiny = 64 * np.finfo(float).eps
-    # rows of basis hold memory only once written, so a roomy first size costs
-    # nothing, and growing it (which copies) is rare
-    cap = min(dim, held + 128 + 2 * k)
-    basis, t = np.empty((cap, dim), q.dtype), np.zeros((cap - held, cap - held), q.dtype)
+    steps = min(dim - held, LANCZOS_MAX_STEPS)
+    # rows of basis hold memory only once written, so the unused ones cost nothing
+    basis, t = np.empty((held + steps, dim), q.dtype), np.zeros((steps, steps), q.dtype)
     basis[:held] = locked
-    ends, beta, anorm, m = [], 0.0, 0.0, 0
-    due, last_check = LANCZOS_CHECK, None
+    ends, beta, anorm = [], 0.0, 0.0
     q = _orthonormal(q, basis[:held], project)
-    while True:
-        if held + m == cap:
-            cap = min(dim, 2 * cap)
-            basis = np.concatenate([basis, np.empty((cap - held - m, dim), q.dtype)])
-            t = np.pad(t, (0, cap - held - m))
-        basis[held + m] = q
+    for m in range(1, steps + 1):
+        basis[held + m - 1] = q
         z = matvec(q)
         if beta:
-            z -= beta * basis[held + m - 1]
-            t[m - 1, m] = beta
-        t[m, m] = np.vdot(q, z).real
-        z -= t[m, m] * q
+            z -= beta * basis[held + m - 2]
+            t[m - 2, m - 1] = beta
+        t[m - 1, m - 1] = np.vdot(q, z).real
+        z -= t[m - 1, m - 1] * q
         beta = _norm(z)
         for _ in range(2):  # a second pass only when the first removed much (Daniel et al., 1976)
             before = beta
-            c = project(basis[:held + m + 1], z)
-            z -= c @ basis[:held + m + 1]
-            t[:m + 1, m] += c[held:]
+            c = project(basis[:held + m], z)
+            z -= c @ basis[:held + m]
+            t[:m, m - 1] += c[held:]
             beta = _norm(z)
             if beta > 0.7 * before:
                 break
-        anorm = max(anorm, abs(t[m, m]), beta)
-        m += 1
-        broken = beta <= tiny * anorm or held + m == dim
-        if m >= k and (m >= due or broken):
+        anorm = max(anorm, abs(t[m - 1, m - 1]), beta)
+        broken = beta <= tiny * anorm
+        if m >= k and (m % LANCZOS_CHECK == 0 or broken or m == steps):
             theta, s = np.linalg.eigh(t[:m, :m], UPLO="U")
             bound = sum(b * np.abs(s[j, :k]) for j, b in [*ends, (m - 1, beta)])
-            worst = float(np.max(bound / (tol * np.maximum(1.0, np.abs(theta[:k])))))
-            if worst <= 1.0 or held + m == dim:
+            done = bound <= tol * np.maximum(1.0, np.abs(theta[:k]))
+            if done.all() or held + m == dim:
                 return theta[:k], s[:, :k].T @ basis[held:held + m]
-            due = m + _steps_to(worst, m, last_check)
-            last_check = (m, worst)
+            if m == steps:
+                raise RuntimeError(f"Lanczos failed to converge: {done.sum()}/{k} eigenvalues converged "
+                                   f"in {steps} steps (tol={tol})")
         if broken:
             ends.append((m - 1, beta))
             q = _orthonormal(next(fresh).astype(q.dtype), basis[:held + m], project)
@@ -286,14 +300,6 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _steps_to(worst: float, m: int, last: tuple[int, float] | None) -> int:
-    """Lanczos steps until the residual ratio worst reaches 1, at its decay rate since the last check."""
-    if last is None or not 0.0 < worst < last[1]:
-        return LANCZOS_CHECK
-    rate = np.log(last[1] / worst) / (m - last[0])
-    return int(min(LANCZOS_CHECK, max(1.0, np.ceil(np.log(worst) / rate))))
-
-
 def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
     """Whether the two momentum-0 sectors hold the ground energy at every coupling of lams.
 
@@ -322,14 +328,19 @@ def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
     """The min(k, dim) lowest eigenvalues of h0 + lam v at each coupling, dense up to SECTOR_DENSE_DIM.
 
     h0 and v are CSRMatrix blocks on one pattern.  The dense path solves
-    the stack of every coupling's matrix in one call.
+    the stack of every coupling's matrix in one call; the Lanczos path
+    starts each coupling from the previous one's ground vector.
     """
     dim = h0.shape[0]
     if dim <= SECTOR_DENSE_DIM:
         stack = h0.toarray() + np.reshape(lams, (-1, 1, 1)) * v.toarray()
         return dense_spectrum(OperatorMatrix(stack, hermitian=True)).eigenvalues[:, :k]
-    rows = [lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data)), k, tol)
-            .eigenvalues for lam in lams]
+    rows, near = [], None
+    for lam in lams:
+        found = lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data)),
+                               k, tol, near)
+        rows.append(found.eigenvalues)
+        near = found.eigenvectors[:, 0]
     return np.array(rows).reshape(len(lams), min(k, dim))
 
 

@@ -162,6 +162,31 @@ def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
+def test_lanczos_spectrum_takes_a_tol_of_zero(tmp_path):
+    args = ["spectrum", "--nsites", "6", "--nmax", "4", "--kappa", "0.1", "--lam", "0.15",
+            "--method", "lanczos", "--k", "1", "--tol"]
+    energies = []
+    for tol in ("0", "1e-12"):
+        code, outdir = run_cli(args + [tol], tmp_path, f"tol{tol}")
+        assert code == 0
+        rows = [l for l in (outdir / "spectrum.csv").read_text().splitlines() if not l.startswith("#")]
+        energies.append(float(rows[1].split(",")[1]))
+    assert abs(energies[0] - energies[1]) <= 1e-12 * abs(energies[1])
+
+
+def test_lanczos_past_its_step_limit_is_recorded(tmp_path, monkeypatch):
+    from phi4trunc import spectral
+
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 10)
+    code, outdir = run_cli(["spectrum", "--nsites", "6", "--nmax", "4", "--kappa", "0.1",
+                            "--method", "lanczos", "--k", "1"], tmp_path, "capped")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "RuntimeError"
+    assert manifest["error"]["message"].startswith("Lanczos failed to converge: 0/1 eigenvalues converged in 10 steps")
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "phi4trunc.cli", "spectrum", "--no-such-flag"],

@@ -17,6 +17,7 @@ from phi4trunc import (
     single_site_hamiltonian,
     singularity_from_derivatives,
 )
+from phi4trunc import spectral
 from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
 from phi4trunc.spectral import (
     SECTOR_CHECKED,
@@ -166,6 +167,51 @@ def test_lanczos_and_lattice_energies_reject_k_below_one():
         lanczos_lowest(_operator(sp.identity(80)), 0)
     with pytest.raises(ValueError, match="k must be at least 1, got -2"):
         lattice_ground_energies(LatticeSpec(4, TruncationSpec(4), 0.1), [0.1], k=-2)
+
+
+def test_lanczos_reads_a_tol_of_zero_or_below_as_machine_epsilon():
+    # as ARPACK does: the parent solver's eigsh read tol <= 0 so
+    h0, v = _lattice_blocks(LatticeSpec(6, TruncationSpec(4), 0.1), "momentum")[0]
+    m = sp.csr_matrix((h0.data + 0.15 * v.data, h0.indices, h0.indptr), shape=h0.shape)
+    eps = lanczos_lowest(_operator(m), 2, tol=np.finfo(float).eps).eigenvalues
+    for tol in (0.0, -1.0):
+        assert np.array_equal(lanczos_lowest(_operator(m), 2, tol=tol).eigenvalues, eps)
+    want = np.linalg.eigvalsh(m.toarray())[:2]
+    assert np.all(np.abs(eps - want) <= 1e-12 * np.abs(want))
+
+
+def test_lanczos_fails_cleanly_past_its_step_limit(monkeypatch):
+    # the limit bounds the basis to LANCZOS_MAX_STEPS vectors, whatever tol asks for
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 20)
+    with pytest.raises(RuntimeError, match="Lanczos failed to converge: 0/2 eigenvalues converged in 20 steps"):
+        lanczos_lowest(_operator(sp.diags(np.arange(200.0))), 2)
+    with pytest.raises(ValueError, match="k=21 needs more than the 20 steps of one Lanczos run"):
+        lanczos_lowest(_operator(sp.diags(np.arange(200.0))), 21)
+
+
+def test_lanczos_warm_start_keeps_levels_orthogonal_to_near():
+    # near is the ground vector of the upper block alone; the lower block's
+    # ground level is reached only through the start's random share
+    a = _sparse_symmetric(7, 100, 1)
+    m = sp.block_diag([a, a - 10.0 * sp.identity(100)], format="csr")
+    near = np.r_[np.linalg.eigh(a.toarray())[1][:, 0], np.zeros(100)]
+    got = lanczos_lowest(_operator(m), 1, near=near)
+    want = np.linalg.eigvalsh(m.toarray())[0]
+    assert abs(got.eigenvalues[0] - want) <= 1e-10 * abs(want)
+    vec = got.eigenvectors[:, 0]
+    assert np.linalg.norm(m @ vec - want * vec) <= 1e-8
+
+
+def test_warm_started_sweep_is_the_dense_sector_minimum():
+    # the 6-site sectors (about 350 states each) take the Lanczos path, each
+    # coupling started from the previous one's ground vector
+    spec = LatticeSpec(6, TruncationSpec(4), 0.2)
+    lams = np.linspace(-0.3, -0.05, 6)
+    got = lattice_ground_energies(spec, lams)[:, 0]
+    blocks = [(h0.toarray(), v.toarray()) for h0, v in _lattice_blocks(spec, "momentum")]
+    assert min(h0.shape[0] for h0, _ in blocks) > 64
+    want = [min(np.linalg.eigvalsh(h0 + lam * v)[0] for h0, v in blocks) for lam in lams]
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_lanczos_rejects_non_hermitian():

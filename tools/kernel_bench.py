@@ -12,8 +12,9 @@ against scipy's ARPACK called the way the parent's lanczos_lowest called it
 odd momentum-0 sectors of the 8- and 10-site chains (n_max 4, kappa 0.1,
 lam 0.15), median per solve after a warm-up, alternating the solvers.
 `sweep` runs the 10-site chain's lattice_ground_energies over 11 couplings
-in [-0.3, -0.05] (the k = 0 sectors) in fresh interpreters, alternating
-sides: wall time and peak RSS.  Every process runs with perfbench's pinned settings
+in [-0.3, -0.05] (the k = 0 sectors; this checkout starts each coupling
+from the previous one's ground vector, ARPACK started cold) in fresh
+interpreters, alternating sides: wall time and peak RSS.  Every process runs with perfbench's pinned settings
 (one BLAS thread, fixed mmap threshold, no numpy huge pages); the glibc
 setting takes effect only in the spawned interpreters.  Pass the file to
 tools/bench_collect.py with --extra.
