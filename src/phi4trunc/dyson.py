@@ -125,9 +125,9 @@ class PhasePolynomial:
         return PhasePolynomial({(0, Fraction(0)): QQi.of(c)}).canonical()
 
     @staticmethod
-    def phase(omega, c=1) -> "PhasePolynomial":
-        """c e^(i omega t)."""
-        return PhasePolynomial({(0, Fraction(omega)): QQi.of(c)}).canonical()
+    def phase(omega) -> "PhasePolynomial":
+        """e^(i omega t)."""
+        return PhasePolynomial({(0, Fraction(omega)): QQi.of(1)}).canonical()
 
     def canonical(self) -> "PhasePolynomial":
         self.terms = {key: c for key, c in self.terms.items() if c}
@@ -224,19 +224,18 @@ def dyson_series(
     lam,
     state_in: int,
     state_out: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> DysonAmplitude:
     """Dyson amplitude <out|exp(-iHt)|in> truncated at the given order.
 
     With a rational lam (int or Fraction) and rational omega the result is
     exact; a float lam degrades gracefully to exact-rational coefficients
     multiplying the float's binary value.  The nested integrals grow
-    combinatorially with order, hence the configurable cap.
+    combinatorially with order, hence the cap DEFAULT_ORDER_CAP.
     """
     if order < 0:
         raise ValueError(f"order {order} must be at least 0")
-    if order > order_cap:
-        raise ValueError(f"order {order} exceeds cap {order_cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     n = trunc.n_max
     if not (0 <= state_in < n and 0 <= state_out < n):
         raise ValueError(f"states must lie in 0..{n - 1}")

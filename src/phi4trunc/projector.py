@@ -43,8 +43,8 @@ class ProjectorSeries:
 
     weighted[m][i][j] are exact rationals in the sqrt(n!)-weighted basis;
     the standard-basis entry carries an extra sqrt(i!/j!), which is folded
-    in by coefficient_matrix / matrices.  energy holds E_n through the same
-    order, exact, from the recursion that gives the right states.
+    in by coefficient_matrix.  energy holds E_n through the same order,
+    exact, from the recursion that gives the right states.
     """
 
     level: int
@@ -62,14 +62,9 @@ class ProjectorSeries:
         w = np.array([[float(x) for x in row] for row in self.weighted[m]])
         return (d[:, None] * w) / d[None, :]
 
-    @property
-    def matrices(self) -> list[np.ndarray]:
-        return [self.coefficient_matrix(m) for m in range(self.order + 1)]
-
-    def evaluate(self, lam: float, order: int | None = None) -> np.ndarray:
-        upto = self.order if order is None else min(order, self.order)
+    def evaluate(self, lam: float) -> np.ndarray:
         acc = np.zeros((self.n_max, self.n_max))
-        for m in range(upto, -1, -1):
+        for m in range(self.order, -1, -1):
             acc = acc * lam + self.coefficient_matrix(m)
         return acc
 

@@ -63,11 +63,10 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x, order: int | None = None):
-        """Horner partial sum through the given order (default: all)."""
-        upto = self.order if order is None else min(order, self.order)
+    def evaluate(self, x):
+        """The sum of every term at x, by Horner's rule."""
         acc = 0
-        for c in reversed(self.coeffs[: upto + 1]):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
@@ -200,15 +199,14 @@ def strong_series(
     sector: str = "even",
     max_order: int = 10,
     precision_digits: int | None = None,
-    certify: bool = True,
 ) -> PowerSeries:
     """Expansion of E_str in lam_tilde around the phi^4 spectrum.
 
     level indexes the sector's unperturbed states by ascending phi^4
     eigenvalue (0 = smallest).  Exact arithmetic is impractical here, so the
     recursion runs at precision_digits decimal digits (default
-    4 * max_order, floor 30); when certify is set the run is repeated at
-    double precision and the agreement recorded in certified_digits.
+    4 * max_order, floor 30), and then repeated at double precision; the
+    agreement is recorded in certified_digits.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
@@ -219,23 +217,21 @@ def strong_series(
 
     with mp.workdps(digits + 10):
         coeffs = _strong_coefficients(trunc, level, sector, max_order)
-    certified = None
-    if certify:
-        with mp.workdps(2 * digits + 10):
-            ref = _strong_coefficients(trunc, level, sector, max_order)
-        certified = digits
-        for a, b in zip(coeffs, ref):
-            if a == b == 0:
-                continue
-            denom = abs(b) if abs(b) > 0 else mp.mpf(10) ** (-digits)
-            err = abs(a - b) / denom
-            agree = digits if err == 0 else min(digits, int(-mp.log10(err)))
-            certified = min(certified, max(agree, 0))
-        if certified < 6:
-            raise PrecisionExhausted(
-                f"strong series certified only {certified} digits at dps={digits}; "
-                "raise precision_digits"
-            )
+    with mp.workdps(2 * digits + 10):
+        ref = _strong_coefficients(trunc, level, sector, max_order)
+    certified = digits
+    for a, b in zip(coeffs, ref):
+        if a == b == 0:
+            continue
+        denom = abs(b) if abs(b) > 0 else mp.mpf(10) ** (-digits)
+        err = abs(a - b) / denom
+        agree = digits if err == 0 else min(digits, int(-mp.log10(err)))
+        certified = min(certified, max(agree, 0))
+    if certified < 6:
+        raise PrecisionExhausted(
+            f"strong series certified only {certified} digits at dps={digits}; "
+            "raise precision_digits"
+        )
     return PowerSeries(
         coeffs, "strong_lambda_tilde", level, sector,
         precision_digits=digits, certified_digits=certified,

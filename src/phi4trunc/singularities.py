@@ -352,8 +352,6 @@ def refine_exceptional_point(
     family: CouplingFamily,
     guess: complex,
     sector: str = "even",
-    gap_tol: float = EXCEPTIONAL_GAP_THRESHOLD,
-    level_pair: tuple[int, int] = (-1, -1),
 ) -> RefineResult:
     """Secant iteration on g(lam) = (z_i - z_j)^2 of the closest eigenvalue pair.
 
@@ -361,12 +359,12 @@ def refine_exceptional_point(
     converges superlinearly where a search on the gap |z_i - z_j| itself
     would crawl along its square-root valley.  The minimum is classified as
     exceptional when the iteration converged and the gap is at most
-    gap_tol * max(1, ||H(lam)||_2), since the floating-point eigensolver
-    splits a coalesced pair by about sqrt(eps) ||H||; an avoided crossing is
-    a result, not an error.  An exactly real guess stays on the real axis,
-    where a bracketed 1-D search finds the smallest gap: there the family is
-    real symmetric, hence diagonalizable, so the minimum is an avoided
-    crossing.  It doubles a downhill step from 1e-3 max(1, |guess|) until
+    EXCEPTIONAL_GAP_THRESHOLD * max(1, ||H(lam)||_2), since the
+    floating-point eigensolver splits a coalesced pair by about
+    sqrt(eps) ||H||; an avoided crossing is a result, not an error.  An
+    exactly real guess stays on the real axis, where a bracketed 1-D search
+    finds the smallest gap: there the family is real symmetric, hence
+    diagonalizable, so the minimum is an avoided crossing.  It doubles a downhill step from 1e-3 max(1, |guess|) until
     the gap rises, then runs golden section in that bracket; ValueError
     names a guess whose walk never turns.  The reported estimate is folded
     into the upper half-plane (the conjugate point is implied).
@@ -415,10 +413,10 @@ def refine_exceptional_point(
             break
     loc = complex(loc)
     gap = float(abs(pair(loc)))
-    exceptional = converged and gap <= gap_tol * max(1.0, np.linalg.norm(h0s + loc * vs, 2))
+    exceptional = converged and gap <= EXCEPTIONAL_GAP_THRESHOLD * max(1.0, np.linalg.norm(h0s + loc * vs, 2))
     estimate = None
     if exceptional and abs(loc.imag) > 0:
-        estimate = SingularityEstimate(loc.real, abs(loc.imag), level_pair, "grid_scan")
+        estimate = SingularityEstimate(loc.real, abs(loc.imag), (-1, -1), "grid_scan")
     return RefineResult(loc, gap, bool(exceptional), estimate)
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .hamiltonian import CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _csr_rows, _lattice_blocks
-from .oscillator import OperatorMatrix
+from .hamiltonian import (CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _csr_rows, _lattice_blocks,
+                          anharmonic_family, parity_indices)
+from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops
 
 __all__ = [
     "SpectrumResult",
@@ -37,20 +38,12 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
-# Above this dimension Lanczos beats dense eigvalsh per coupling on a
-# lattice block (2-core x86-64, OpenBLAS; tools/sector_bench.py on the
-# momentum-0 sectors: dense 0.16 ms against Lanczos 1.9 ms at 56 states,
-# 8.0 against 4.8 ms at 88, 7.2 against 2.7 ms at 356, 122 against 6.7 ms
-# at 1172).
-SECTOR_DENSE_DIM = 64
-# (n_max, n_sites) whose momentum-0 ground energy was compared with the
-# full-space one for 0 < kappa <= 1 and 0 < lam <= 2: by the dense oracle
-# (tests/test_spectral.py) and, at 8 sites, by full-space Lanczos on a
-# 6 x 5 grid (tools/sector_bench.py, largest difference 1.1e-11).
-SECTOR_CHECKED = frozenset({(2, 1), (4, 1), (8, 1), (2, 2), (4, 2), (8, 2), (2, 4), (2, 5),
-                            (4, 3), (4, 4), (4, 5), (6, 3), (6, 4), (8, 3), (4, 8)})
-SECTOR_CHECKED_KAPPA = 1.0
-SECTOR_CHECKED_LAM = 2.0
+# Above this dimension a warm-started Lanczos sweep beats one stacked dense
+# eigvalsh over the couplings of a lattice block (2-core x86-64, OpenBLAS,
+# one thread; tools/sector_bench.py, 41 couplings on momentum-0 sectors,
+# per coupling: dense 1.9 against Lanczos 2.6 ms at 174 states, 1.8 against
+# 1.7 ms at 180, 5.4 against 4.9 ms at 292, 8.4 against 3.5 ms at 356).
+SECTOR_DENSE_DIM = 180
 LANCZOS_SEED = 0x5EED
 # Lanczos steps between two checks of the Ritz residuals, and the most
 # steps of one run: at 300, the basis of a 10-site momentum-0 sector
@@ -300,28 +293,45 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _sectors_hold_ground(spec: LatticeSpec, lams: list, k: int) -> bool:
-    """Whether the two momentum-0 sectors hold the ground energy at every coupling of lams.
+def _sectors_hold_ground(spec: LatticeSpec, lams: list[float], k: int) -> bool:
+    """Whether the two momentum-0 sectors provably hold the ground energy at every coupling of lams.
 
-    For kappa > 0 and lam <= 0 every off-diagonal entry of H in the product
-    occupation basis is <= 0 (phi has nonnegative entries), so the ground
-    space holds a nonnegative vector; its translation average is a nonzero
-    momentum-0 ground state, and so is its even or its odd part.  For
-    lam > 0 no such argument holds, and the sectors are used only on the
-    lattices and coupling ranges of SECTOR_CHECKED, in the dimensionless
-    couplings kappa/omega^2 and lam/omega^3 (H(omega, kappa, lam) is
-    omega H(1, kappa/omega^2, lam/omega^3)).
+    If every off-diagonal entry of H is <= 0 in a product basis that
+    translations permute, the ground space holds a nonnegative vector
+    (Perron-Frobenius; Bravyi, DiVincenzo, Oliveira and Terhal, Quantum
+    Inf. Comput. 8, 361 (2008)).  On a periodic chain its translation
+    average is a nonzero momentum-0 ground state, and so is its even or its
+    odd part.  For kappa > 0 and lam <= 0 the occupation basis is one:
+    phi and phi^4 have nonnegative entries.  For lam > 0 the product of site
+    eigenstates is one when _site_field_gauges shows it.
     """
-    if not (k == 1 and spec.boundary == "periodic" and spec.kappa > 0
-            and all(complex(lam).imag == 0.0 for lam in lams)):
+    if not (k == 1 and spec.boundary == "periodic" and spec.kappa > 0):
         return False
-    top = max((complex(lam).real for lam in lams), default=0.0)
-    if top <= 0:
-        return True
-    omega = spec.trunc.omega
-    return ((spec.trunc.n_max, spec.n_sites) in SECTOR_CHECKED
-            and spec.kappa / omega**2 <= SECTOR_CHECKED_KAPPA
-            and top / omega**3 <= SECTOR_CHECKED_LAM)
+    positive = [lam for lam in lams if lam > 0]
+    return not positive or _site_field_gauges(spec.trunc, positive)
+
+
+def _site_field_gauges(trunc: TruncationSpec, lams: list[float]) -> bool:
+    """Whether, at every coupling, signs of the site eigenstates make every entry of phi >= 0.
+
+    The site Hamiltonian omega (n + 1/2) + lam phi^4 keeps occupation
+    parity and phi is odd, so in its eigenbasis phi has one block B =
+    <even|phi|odd>.  The even states take the signs of B's first column,
+    each odd state the sign of its column's sum over the re-signed rows,
+    which entries at rounding level (near lam = 0) do not flip.  Any +-1
+    signs that pass are a proof: each hop entry of H in the product of
+    these states is then -2 kappa b b' <= 0.  Entries down to -n_max eps
+    max|B| count as zero, a change of H at rounding level (Weyl).
+    """
+    lam = np.reshape(lams, (-1, 1, 1))
+    blocks = map(anharmonic_family(trunc).sector_matrices, ("even", "odd"))
+    _, u = np.linalg.eigh([h0 + lam * v for h0, v in blocks])
+    phi = build_field_ops(trunc)[0].entries[np.ix_(*parity_indices(trunc.n_max))]
+    b = np.swapaxes(u[0], 1, 2) @ phi @ u[1]
+    b *= np.where(b[:, :, :1] < 0, -1.0, 1.0)
+    b *= np.where(b.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
+    tol = trunc.n_max * np.finfo(float).eps * np.abs(b).max(axis=(1, 2), keepdims=True)
+    return bool((b >= -tol).all())
 
 
 def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
@@ -350,11 +360,12 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
     spec.lam is not used.  A k past the lattice dimension gives every
     eigenvalue.  H0 and V are built once, block by block
     (hamiltonian._lattice_blocks): in the even and the odd momentum-0
-    sector where those hold the ground state (_sectors_hold_ground: a
-    periodic chain, kappa > 0, k = 1, and lam <= 0 or a checked lattice),
-    and in the even and the odd parity block of the full basis everywhere
-    else.  Each block gives its k lowest energies at each coupling, and the
-    k lowest of their union are returned.
+    sector where those provably hold the ground state (_sectors_hold_ground:
+    a periodic chain, kappa > 0, k = 1, and at each coupling lam <= 0 or
+    site eigenstates in which phi is nonnegative), and in the even and the
+    odd parity block of the full basis everywhere else.  Each block gives
+    its k lowest energies at each coupling, and the k lowest of their union
+    are returned.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -479,9 +490,9 @@ def curvature_peak(lams: np.ndarray, d2: np.ndarray, label: str = "") -> tuple[f
     return lams[ipk], (right - left) / HALF_WIDTH_FACTOR
 
 
-def _pair_d2(family: CouplingFamily, sector: str, pos: int, lam: float, scheme: str) -> float:
+def _pair_d2(family: CouplingFamily, sector: str, pos: int, lam: float) -> float:
     level = 2 * pos + (0 if sector == "even" else 1)
-    return energy_derivatives(family, level, sector, lam, scheme).d2
+    return energy_derivatives(family, level, sector, lam).d2
 
 
 def _golden_max(f, a: float, b: float, tol: float = 1e-12) -> float:
@@ -504,16 +515,14 @@ def singularity_from_derivatives(
     family: CouplingFamily,
     level_pair: tuple[int, int],
     scan_range: tuple[float, float],
-    scheme: str = "sum_over_states",
     member: str = "upper",
-    n_scan: int = 101,
 ) -> tuple[SingularityEstimate, SingularityEstimate]:
     """Width-based and curvature-ratio estimates of the pair's singularity.
 
-    Scans |E''| of the chosen pair member (upper or lower level) across
-    scan_range, refines the interior extremum by golden section, then reads
-    the imaginary part from the width at half maximum and from the
-    fourth-derivative ratio.  Both estimates are returned so callers can
+    Scans the sum-over-states |E''| of the chosen pair member (upper or
+    lower level) at 101 points across scan_range, refines the interior
+    extremum by golden section, then reads the imaginary part from the
+    width at half maximum and from the fourth-derivative ratio.  Both estimates are returned so callers can
     cross-check them against each other.
     """
     lo, hi = scan_range
@@ -527,12 +536,12 @@ def singularity_from_derivatives(
     pos = level // 2
 
     def absd2(x: float) -> float:
-        return abs(_pair_d2(family, sector, pos, x, scheme))
+        return abs(_pair_d2(family, sector, pos, x))
 
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, 101)
     vals = np.array([absd2(x) for x in grid])
     imax = int(np.argmax(vals))
-    if imax in (0, n_scan - 1):
+    if imax in (0, grid.size - 1):
         raise ValueError(
             f"no interior |E''| extremum of pair {level_pair} in {scan_range}; "
             f"max sits at boundary lambda={grid[imax]:.6g}"
@@ -551,7 +560,7 @@ def singularity_from_derivatives(
                 b = m
         return 0.5 * (a + b)
 
-    step = (hi - lo) / (n_scan - 1)
+    step = (hi - lo) / (grid.size - 1)
     left = re
     while absd2(left) > half:
         left -= step
@@ -565,7 +574,7 @@ def singularity_from_derivatives(
     width = cross(re, right) - cross(re, left)
     im_width = width / HALF_WIDTH_FACTOR
 
-    est = energy_derivatives(family, level, sector, re, scheme)
+    est = energy_derivatives(family, level, sector, re)
     ratio = -3.0 * est.d2 / est.d4
     if ratio <= 0:
         warnings.warn(

@@ -59,8 +59,8 @@ def benderwu_continuum(max_order: int) -> list[Fraction]:
 
 
 def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: complex,
-                              boundary: str = "periodic") -> np.ndarray:
-    """Dense H = sum_x [(n_x + 1/2) + lam phi_x^4] - 2 kappa sum_x phi_x phi_{x+1}, omega = 1.
+                              boundary: str = "periodic", omega: float = 1.0) -> np.ndarray:
+    """Dense H = sum_x [omega (n_x + 1/2) + lam phi_x^4] - 2 kappa sum_x phi_x phi_{x+1}.
 
     Site 0 is the slowest-varying Kronecker factor.  On a periodic chain the
     bond sum runs literally over x = 0 .. n_sites-1 (so two sites carry the
@@ -69,8 +69,8 @@ def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: compl
     kappa = 0 is the anharmonic oscillator itself.
     """
     a = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
-    phi = (a + a.T) / np.sqrt(2.0)
-    local = np.diag(np.arange(n_max) + 0.5) + lam * np.linalg.matrix_power(phi, 4)
+    phi = (a + a.T) / np.sqrt(2.0 * omega)
+    local = omega * np.diag(np.arange(n_max) + 0.5) + lam * np.linalg.matrix_power(phi, 4)
     eye = np.eye(n_max)
 
     def place(ops: dict) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_order_by_order_convergence_at_small_time():
 
 
 def test_order_cap():
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="order 7 exceeds cap 6"):
         dyson_series(TruncationSpec(4), 7, F(1, 10), 0, 2)
 
 

@@ -19,12 +19,7 @@ from phi4trunc import (
 )
 from phi4trunc import spectral
 from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
-from phi4trunc.spectral import (
-    SECTOR_CHECKED,
-    SECTOR_CHECKED_KAPPA,
-    SECTOR_CHECKED_LAM,
-    SingularityEstimate,
-)
+from phi4trunc.spectral import SingularityEstimate, _sectors_hold_ground
 
 
 def even_levels_nmax4(lam):
@@ -209,7 +204,7 @@ def test_warm_started_sweep_is_the_dense_sector_minimum():
     lams = np.linspace(-0.3, -0.05, 6)
     got = lattice_ground_energies(spec, lams)[:, 0]
     blocks = [(h0.toarray(), v.toarray()) for h0, v in _lattice_blocks(spec, "momentum")]
-    assert min(h0.shape[0] for h0, _ in blocks) > 64
+    assert min(h0.shape[0] for h0, _ in blocks) > spectral.SECTOR_DENSE_DIM
     want = [min(np.linalg.eigvalsh(h0 + lam * v)[0] for h0, v in blocks) for lam in lams]
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
@@ -346,25 +341,58 @@ def test_sum_over_states_rejects_exact_degeneracy():
         energy_derivatives(fam, 0, "even", 0.0)
 
 
-# the checked lattices small enough for the dense oracle; 8 sites is checked below
-SECTOR_GRID = sorted(SECTOR_CHECKED - {(4, 8)})
-
-
-def _dense_ground(n_sites, n_max, kappa, lam):
+def _dense_ground(n_sites, n_max, kappa, lam, omega=1.0):
     from oracles import dense_lattice_hamiltonian
 
-    return np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam))[0]
+    return np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam, omega=omega))[0]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(SECTOR_GRID),
-       st.floats(0.0, SECTOR_CHECKED_KAPPA, exclude_min=True),
-       st.floats(-2.0, SECTOR_CHECKED_LAM))
-def test_sector_ground_energy_is_the_dense_ground_energy(size, kappa, lam):
+def _basis_used(spec, lams, k=1):
+    """The basis lattice_ground_energies builds its blocks in, and its energies."""
+    build, bases = spectral._lattice_blocks, []
+
+    def recorded(spec, basis):
+        bases.append(basis)
+        return build(spec, basis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_lattice_blocks", recorded)
+        got = lattice_ground_energies(spec, lams, k)
+    [basis] = bases
+    return basis, got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 4), (2, 7), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+                        (6, 2), (6, 3), (8, 2), (8, 3)]),
+       st.sampled_from([0.5, 1.0, 2.0]),
+       st.floats(0.0, 3.0, exclude_min=True),
+       st.floats(-2.0, 20.0))
+def test_sector_ground_energy_is_the_dense_ground_energy(size, omega, kappa, lam):
+    # whichever basis the proof picks, the energy is the full-space one
     n_max, n_sites = size
-    got = lattice_ground_energies(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), [lam])
+    basis, got = _basis_used(LatticeSpec(n_sites, TruncationSpec(n_max, omega), kappa), [lam])
+    if n_max <= 4:  # the site field gauges nonnegative at every coupling
+        assert basis == "momentum"
+    dense = _dense_ground(n_sites, n_max, kappa, lam, omega)
     assert got.shape == (1, 1)
-    assert abs(got[0, 0] - _dense_ground(n_sites, n_max, kappa, lam)) <= 1e-10
+    assert abs(got[0, 0] - dense) <= 1e-10
+
+
+@pytest.mark.parametrize("n_max, lam, basis", [
+    # 1.39e-17 is the coupling linspace puts in some benchmark lattice-sweep grids
+    (4, 1.3877787807814457e-17, "momentum"),
+    (4, 1e-16, "momentum"),
+    (4, 1e-12, "momentum"),
+    (8, 0.1, "parity"),
+])
+def test_the_sign_proof_picks_the_basis(n_max, lam, basis):
+    spec = LatticeSpec(3, TruncationSpec(n_max), 0.1)
+    assert _sectors_hold_ground(spec, [-0.2, lam], 1) is (basis == "momentum")
+    used, got = _basis_used(spec, [lam])
+    assert used == basis
+    dense = _dense_ground(3, n_max, 0.1, lam)
+    assert abs(got[0, 0] - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 @settings(max_examples=20, deadline=None)
@@ -399,16 +427,34 @@ def test_eight_site_sector_lanczos_is_the_full_space_lanczos():
         assert abs(lattice_ground_energies(spec, [lam])[0, 0] - full) <= 1e-10
 
 
-def test_sector_takes_omega_into_the_dimensionless_couplings():
-    from phi4trunc.spectral import _sectors_hold_ground
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_one_and_two_qubit_sites_are_proven_at_every_positive_coupling(omega):
+    # near lam = 0 the even-odd block has entries at rounding level, which
+    # must neither choose a sign nor fail the check
+    lams = list(np.geomspace(1e-18, 1e3, 400))
+    for n_max in (2, 4):
+        assert spectral._site_field_gauges(TruncationSpec(n_max, omega), lams)
 
-    # omega = 2 puts kappa = 3 and lam = 12 at kappa/omega^2 = 0.75, lam/omega^3 = 1.5
-    spec = LatticeSpec(4, TruncationSpec(4, 2.0), 3.0, 12.0)
-    assert _sectors_hold_ground(spec, [12.0], 1)
-    dense = np.linalg.eigvalsh(lattice_hamiltonian(spec).matrix.toarray())[0]
-    assert abs(lattice_ground_energies(spec, [12.0])[0, 0] - dense) <= 1e-10
-    # omega = 1/2 puts lam = 0.5 at lam/omega^3 = 4, past the checked range
-    assert not _sectors_hold_ground(LatticeSpec(4, TruncationSpec(4, 0.5), 0.1), [0.5], 1)
+
+def test_sector_takes_omega_into_the_dimensionless_couplings():
+    # H(omega, kappa, lam) = omega H(1, kappa/omega^2, lam/omega^3), and the proof gives both one verdict
+    for n_max, omega, lam, proven in [(8, 2.0, 0.1, True), (6, 2.0, 0.8, True), (6, 0.5, 0.0125, True),
+                                      (8, 0.5, 0.0125, False)]:
+        spec = LatticeSpec(3, TruncationSpec(n_max, omega), 0.1 * omega**2)
+        assert _sectors_hold_ground(spec, [lam], 1) is proven
+        assert _sectors_hold_ground(LatticeSpec(3, TruncationSpec(n_max), 0.1), [lam / omega**3], 1) is proven
+    # n_max = 4 is proven at lam/omega^3 = 1.5 and 4 (omega = 2 and 1/2)
+    for spec, lam in [(LatticeSpec(4, TruncationSpec(4, 2.0), 3.0), 12.0),
+                      (LatticeSpec(4, TruncationSpec(4, 0.5), 0.1), 0.5)]:
+        assert _sectors_hold_ground(spec, [lam], 1)
+        dense = _dense_ground(4, 4, spec.kappa, lam, spec.trunc.omega)
+        assert abs(lattice_ground_energies(spec, [lam])[0, 0] - dense) <= 1e-10
+
+
+def _dense_lowest(spec, lams, k):
+    return np.array([np.linalg.eigvalsh(lattice_hamiltonian(LatticeSpec(spec.n_sites, spec.trunc, spec.kappa, lam,
+                                                                         spec.boundary)).matrix.toarray())[:k]
+                     for lam in lams])
 
 
 @pytest.mark.parametrize("kappa, boundary, k, lams, n_max, n_sites", [
@@ -416,31 +462,31 @@ def test_sector_takes_omega_into_the_dimensionless_couplings():
     (0.0, "periodic", 1, [-0.2, 0.1], 4, 4),
     (-0.3, "periodic", 1, [-0.2, 0.1], 4, 4),
     (0.1, "periodic", 3, [-0.2, 0.1], 4, 4),
-    # positive couplings past the checked lattices and ranges
-    (0.1, "periodic", 1, [-0.2, 0.1], 6, 2),
-    (1.5, "periodic", 1, [-0.2, 0.1], 4, 4),
-    (0.1, "periodic", 1, [-0.2, 2.5], 4, 4),
+    # positive couplings at which the site field does not gauge nonnegative
+    (0.1, "periodic", 1, [-0.2, 0.1], 8, 2),
+    (1.5, "periodic", 1, [-0.2, 0.1], 8, 2),
+    (0.1, "periodic", 1, [-0.2, 2.5], 6, 2),
 ])
-def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k, lams,
-                                                                   n_max, n_sites, monkeypatch):
+def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, boundary, k, lams, n_max, n_sites):
     # the parity blocks give the k lowest full-space energies without the full-space matrix
-    import phi4trunc.spectral as spectral
-
-    trunc = TruncationSpec(n_max)
-    spec = LatticeSpec(n_sites, trunc, kappa, boundary=boundary)
-    dense = np.array([np.linalg.eigvalsh(lattice_hamiltonian(LatticeSpec(n_sites, trunc, kappa, lam, boundary))
-                                         .matrix.toarray())[:k] for lam in lams])
-
-    build, bases = spectral._lattice_blocks, []
-
-    def recorded(spec, basis):
-        bases.append(basis)
-        return build(spec, basis)
-
-    monkeypatch.setattr(spectral, "_lattice_blocks", recorded)
-    got = lattice_ground_energies(spec, lams, k)
-    assert bases == ["parity"]
+    spec = LatticeSpec(n_sites, TruncationSpec(n_max), kappa, boundary=boundary)
+    dense = _dense_lowest(spec, lams, k)
+    basis, got = _basis_used(spec, lams, k)
+    assert basis == "parity"
     assert got.shape == dense.shape
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("kappa, lams, n_max, n_sites", [
+    (0.1, [-0.2, 0.1], 6, 2),
+    (1.5, [-0.2, 0.1], 4, 4),
+    (0.1, [-0.2, 2.5], 4, 4),
+])
+def test_ground_energies_in_the_proven_sector_are_the_full_space_ones(kappa, lams, n_max, n_sites):
+    spec = LatticeSpec(n_sites, TruncationSpec(n_max), kappa)
+    dense = _dense_lowest(spec, lams, 1)
+    basis, got = _basis_used(spec, lams)
+    assert basis == "momentum"
     assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 

@@ -1,4 +1,4 @@
-"""Kernel rows of the scipy-free lattice path: import cost, Lanczos against ARPACK, a 10-site sweep.
+"""Kernel rows of the lattice path: import cost, Lanczos against ARPACK, lattice sweeps.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -11,13 +11,16 @@ against scipy's ARPACK called the way the parent's lanczos_lowest called it
 (Gershgorin shift, start vector from LANCZOS_SEED, ncv 40), on the even and
 odd momentum-0 sectors of the 8- and 10-site chains (n_max 4, kappa 0.1,
 lam 0.15), median per solve after a warm-up, alternating the solvers.
-`sweep` runs the 10-site chain's lattice_ground_energies over 11 couplings
-in [-0.3, -0.05] (the k = 0 sectors; this checkout starts each coupling
-from the previous one's ground vector, ARPACK started cold) in fresh
-interpreters, alternating sides: wall time and peak RSS.  Every process runs with perfbench's pinned settings
-(one BLAS thread, fixed mmap threshold, no numpy huge pages); the glibc
-setting takes effect only in the spawned interpreters.  Pass the file to
-tools/bench_collect.py with --extra.
+`sweep` runs lattice_ground_energies over the couplings of each of SWEEPS
+(n_sites, n_max, kappa, and count couplings in [lo, hi]) in fresh
+interpreters, alternating sides: wall time, peak RSS, whether
+spectral._sectors_hold_ground chose the momentum-0 sectors, and the
+largest relative difference of the two sides' ground energies.  On the
+parent side a sweep may stop after its first few couplings, where the
+parent's path would take minutes and gigabytes.  Every process runs with
+perfbench's pinned settings (one BLAS thread, fixed mmap threshold, no
+numpy huge pages); the glibc setting takes effect only in the spawned
+interpreters.  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
 
@@ -38,26 +41,46 @@ os.environ.update(PINNED)
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
-IMPORT = ("import resource, sys, time\n"
+# a child's peak RSS in MB: Linux's ru_maxrss keeps, across fork and exec, the
+# peak of the process that forked it, which here may be far larger than the child's
+PEAK_MB = ("def peak_mb():\n"
+           "    [kb] = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
+           "    return int(kb) / 1024\n")
+IMPORT = (PEAK_MB + "import time\n"
           "t = time.perf_counter()\n"
           "import phi4trunc.cli\n"
-          "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
-SWEEP = ("import resource, time\n"
+          "print(time.perf_counter() - t, peak_mb())\n")
+SWEEP = (PEAK_MB + "import json, sys, time\n"
          "import numpy as np\n"
          "from phi4trunc import LatticeSpec, TruncationSpec, lattice_ground_energies\n"
+         "from phi4trunc.spectral import _sectors_hold_ground\n"
+         "n_sites, n_max, kappa, lo, hi, count, first = json.loads(sys.argv[1])\n"
+         "spec, lams = LatticeSpec(n_sites, TruncationSpec(n_max), kappa), np.linspace(lo, hi, count)[:first]\n"
          "t = time.perf_counter()\n"
-         "e = lattice_ground_energies(LatticeSpec(10, TruncationSpec(4), 0.1), np.linspace(-0.3, -0.05, 11))\n"
-         "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, e[0, 0])\n")
+         "e = lattice_ground_energies(spec, lams)[:, 0]\n"
+         "print(time.perf_counter() - t, peak_mb(),\n"
+         "      int(_sectors_hold_ground(spec, list(lams), 1)), *e)\n")
+# name: (n_sites, n_max, kappa, lo, hi, count), samples, couplings run on the parent side
+SWEEPS = {
+    "sweep_10_sites_kappa_0.1_lam_0.05_0.3": ((10, 4, 0.1, 0.05, 0.3, 11), 1, 2),
+    "sweep_3_sites_nmax_6_kappa_0.1_lam_0.05_2": ((3, 6, 0.1, 0.05, 2.0, 11), 5, 11),
+    "sweep_4_sites_nmax_6_kappa_0.1_lam_0.05_2": ((4, 6, 0.1, 0.05, 2.0, 11), 5, 11),
+    "sweep_3_sites_nmax_8_kappa_0.1_lam_0.05_2": ((3, 8, 0.1, 0.05, 2.0, 11), 5, 11),
+}
 
 
-def alternate(sides: dict[str, Path], script: str, samples: int) -> dict[str, list[list[float]]]:
-    """The numbers script prints, per side, from fresh interpreters, alternating which side runs first."""
+def alternate(sides: dict[str, Path], script: str, samples: int,
+              args: dict[str, list[str]] | None = None) -> dict[str, list[list[float]]]:
+    """The numbers script prints, per side, from fresh interpreters, alternating which side runs first.
+
+    args gives each side's command-line arguments to the script.
+    """
     got = {side: [] for side in sides}
     for i in range(samples):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             env = {**os.environ, **PINNED, "PYTHONPATH": str(sides[side] / "src")}
-            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                                 check=True)
+            out = subprocess.run([sys.executable, "-c", script, *(args or {}).get(side, [])], env=env,
+                                 capture_output=True, text=True, check=True)
             got[side].append([float(x) for x in out.stdout.split()])
     return got
 
@@ -117,11 +140,21 @@ def solve_rows(repeats: int) -> list[dict]:
     return rows
 
 
-def sweep_rows(sides: dict[str, Path], samples: int) -> dict:
-    return {side: {"wall_s": round(statistics.median(r[0] for r in rows), 2),
-                   "peak_rss_mb": round(statistics.median(r[1] for r in rows), 1),
-                   "e0_first": rows[0][2], "samples": samples}
-            for side, rows in alternate(sides, SWEEP, samples).items()}
+def sweep_rows(sides: dict[str, Path]) -> dict:
+    out = {}
+    for name, (config, samples, parent_first) in SWEEPS.items():
+        firsts = {"parent": parent_first, "change": config[-1]}
+        got = alternate(sides, SWEEP, samples, {side: [json.dumps([*config, firsts[side]])] for side in sides})
+        row = {side: {"couplings": firsts[side], "wall_s": round(statistics.median(r[0] for r in rows), 3),
+                      "peak_rss_mb": round(statistics.median(r[1] for r in rows), 1),
+                      "momentum_sectors": bool(rows[0][2]), "e0": rows[0][3:], "samples": samples}
+               for side, rows in got.items()}
+        both = min(firsts.values())
+        e, ref = np.array(row["change"]["e0"][:both]), np.array(row["parent"]["e0"][:both])
+        row["e0_max_rel_diff"] = float(f"{np.max(np.abs(e - ref) / np.abs(ref)):.1e}")
+        out[name] = row
+        print(json.dumps({name: row}), flush=True)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,15 +163,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--import-samples", type=int, default=15)
     parser.add_argument("--solve-repeats", type=int, default=7)
-    parser.add_argument("--sweep-samples", type=int, default=3)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
-    out = {"kernels_13": {
+    out = {"kernels": {
         "note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per sample, "
                 "alternating which side runs first",
         "import_phi4trunc_cli": import_rows(sides, args.import_samples),
         "lanczos_per_solve_lam_0.15_kappa_0.1": solve_rows(args.solve_repeats),
-        "sweep_10_sites_11_couplings_lam_le_0": sweep_rows(sides, args.sweep_samples),
+        **sweep_rows(sides),
     }}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -1,36 +1,38 @@
-"""Measure the lattice momentum-sector solver: dense/Lanczos crossover and 8-site checks.
+"""Measure the lattice sector solver's dense/Lanczos crossover.
 
 Usage:
 
     PYTHONPATH=src python3 tools/sector_bench.py --out sector.json
 
-`crossover` times, per coupling, dense eigvalsh (via spectral.dense_spectrum)
-against spectral.lanczos_lowest on the even momentum-0 sector of several
-lattices (best of 3 over 5 couplings); spectral.SECTOR_DENSE_DIM is read off
-it.  `checks` compares spectral.lattice_ground_energies with full-space
-Lanczos on the 8-site, n_max = 4 chain over the checked kappa and lambda
-ranges (spectral.SECTOR_CHECKED).  Pass the file to tools/bench_collect.py
-with --extra.
+`crossover` times a sweep of spectral._sector_ground over 41 couplings on
+the even momentum-0 sector of several lattices, once with
+spectral.SECTOR_DENSE_DIM at the sector's size (one stacked dense
+eigvalsh) and once just below it (a Lanczos sweep, each coupling started
+from the previous one's ground vector), best of 3, with one BLAS thread as
+in perfbench; spectral.SECTOR_DENSE_DIM is read off it.  Pass the file to
+tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import time
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from phi4trunc import LatticeSpec, TruncationSpec, lattice_hamiltonian
-from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
-from phi4trunc.oscillator import OperatorMatrix
-from phi4trunc.spectral import dense_spectrum, lanczos_lowest, lattice_ground_energies
+import argparse  # noqa: E402  (after the thread pinning)
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
-CROSSOVER = [(2, 8), (6, 3), (2, 10), (8, 3), (2, 11), (4, 5), (6, 4), (12, 3), (4, 6),
-             (8, 4), (6, 5), (4, 7)]
-CHECK_KAPPAS = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-CHECK_LAMS = [0.01, 0.1, 0.5, 1.0, 2.0]
+import numpy as np  # noqa: E402
+
+from phi4trunc import LatticeSpec, TruncationSpec, spectral  # noqa: E402
+from phi4trunc.hamiltonian import _lattice_blocks  # noqa: E402
+
+CROSSOVER = [(2, 8), (6, 3), (2, 10), (8, 3), (2, 11), (4, 5), (10, 3), (6, 4), (2, 12), (12, 3),
+             (2, 13), (4, 6), (8, 4), (6, 5), (4, 7)]
+LAMS = list(np.linspace(-0.3, 0.3, 41))
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -43,36 +45,20 @@ def best_of(fn, repeats: int = 3) -> float:
 
 
 def crossover() -> list[dict]:
-    dense_spectrum(OperatorMatrix(np.eye(8), hermitian=True))
-    eye = np.arange(65, dtype=np.int32)
-    lanczos_lowest(SparseOperator(CSRMatrix(eye, eye[:-1], np.arange(64.0))), 1)
-    rows = []
-    for n_max, n_sites in CROSSOVER:
-        (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
-        d0, dv = h0.toarray(), v.toarray()
-        lams = np.linspace(-0.3, 0.3, 5)
-        dense = best_of(lambda: [dense_spectrum(OperatorMatrix(d0 + lam * dv, hermitian=True))
-                                 for lam in lams])
-        lanczos = best_of(lambda: [lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices,
-                                                                           h0.data + lam * v.data)), 1)
-                                   for lam in lams])
-        rows.append({"n_max": n_max, "n_sites": n_sites, "sector_dim": h0.shape[0],
-                     "dense_per_lam_s": float(f"{dense / len(lams):.3g}"),
-                     "lanczos_per_lam_s": float(f"{lanczos / len(lams):.3g}")})
-        print(json.dumps(rows[-1]), flush=True)
-    return rows
-
-
-def checks() -> list[dict]:
-    rows = []
-    for kappa in CHECK_KAPPAS:
-        for lam in CHECK_LAMS:
-            spec = LatticeSpec(8, TruncationSpec(4), kappa, lam)
-            sector = lattice_ground_energies(spec, [lam])[0, 0]
-            full = lanczos_lowest(lattice_hamiltonian(spec), 1).eigenvalues[0]
-            rows.append({"kappa": kappa, "lam": lam, "sector": float(sector), "full": float(full),
-                         "diff": float(f"{sector - full:.2e}")})
+    rows, dense_dim = [], spectral.SECTOR_DENSE_DIM
+    try:
+        for n_max, n_sites in CROSSOVER:
+            (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
+            dim, times = h0.shape[0], {}
+            for path, limit in (("dense", dim), ("lanczos", dim - 1)):
+                spectral.SECTOR_DENSE_DIM = limit
+                spectral._sector_ground(h0, v, LAMS[:2], 1, 1e-12)  # warm-up
+                times[path] = best_of(lambda: spectral._sector_ground(h0, v, LAMS, 1, 1e-12))
+            rows.append({"n_max": n_max, "n_sites": n_sites, "sector_dim": dim,
+                         **{f"{path}_per_lam_s": float(f"{t / len(LAMS):.3g}") for path, t in times.items()}})
             print(json.dumps(rows[-1]), flush=True)
+    finally:
+        spectral.SECTOR_DENSE_DIM = dense_dim
     return rows
 
 
@@ -80,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    out = {"machine": platform.machine(), "numpy": np.__version__,
-           "sector_crossover": crossover(), "sector_checks": checks()}
+    out = {"machine": platform.machine(), "numpy": np.__version__, "sector_crossover": crossover()}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
