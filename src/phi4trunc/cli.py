@@ -239,24 +239,35 @@ def _scan_window(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
     return (cfg["re"][0], cfg["re"][1]), (cfg["im"][0], cfg["im"][1])
 
 
+def _jobs(cfg) -> int:
+    """The --jobs of a scan or riemann grid, after checking it."""
+    if cfg["jobs"] < 1:
+        raise ValueError(f"--jobs {cfg['jobs']!r} must be at least 1")
+    return cfg["jobs"]
+
+
 def _cmd_scan(cfg, outdir):
     (re_lo, re_hi), (im_lo, im_hi) = _scan_window(cfg)
     n_re, n_im = _grid_shape(cfg)
+    jobs = _jobs(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
-    grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im),
-                    cfg["sector"], cfg["jobs"])
+    grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
     meta = {"nmax": cfg["nmax"], "sector": cfg["sector"], "domain": cfg["domain"],
             "re_range": f"[{re_lo},{re_hi}]", "im_range": f"[{im_lo},{im_hi}]",
             "resolution": f"{n_re}x{n_im}"}
-    p1 = csvio.write_csv(outdir / "scan.csv", ["re", "im", "gap"], grid.points(), meta)
+    # (re, im, gap) rows in row-major order, im outermost
+    table = np.column_stack([np.tile(grid.re_axis(), n_im), np.repeat(grid.im_axis(), n_re),
+                             grid.values.ravel()])
+    p1 = csvio.write_csv(outdir / "scan.csv", ["re", "im", "gap"], table, meta)
     outputs = [str(p1)]
     if cfg["refine"]:
         flat = np.sort(grid.values[~np.isnan(grid.values)].ravel())
         cut = flat[max(0, int(0.01 * flat.size) - 1)]
-        candidates = sorted((row for row in grid.points() if row[2] <= cut and row[1] > 0),
-                            key=lambda row: row[2])
-        seeds = [complex(re, im) for re, im, _ in candidates]
+        gaps = table[:, 2]
+        picked = np.flatnonzero((gaps <= cut) & (table[:, 1] > 0))
+        picked = picked[np.argsort(gaps[picked], kind="stable")]
+        seeds = [complex(re, im) for re, im in table[picked, :2].tolist()]
         # deepest candidates first; one refinement per basin, where a basin
         # is taken as 2% of the window diagonal around an accepted point
         basin = 0.02 * np.hypot(re_hi - re_lo, im_hi - im_lo)
@@ -374,8 +385,9 @@ def _cmd_lattice_sweep(cfg, outdir):
 
 def _cmd_riemann(cfg, outdir):
     n_lat, n_lon = _grid_shape(cfg)
+    jobs = _jobs(cfg)
     family = anharmonic_family(TruncationSpec(cfg["nmax"], cfg["omega"]))
-    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon))
+    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon), jobs)
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"],
                             "orientation": "0->south,inf->north,arg(lambda)->longitude",
@@ -438,7 +450,7 @@ COMMANDS = {
     }),
     "riemann": (_cmd_riemann, {
         "nmax": (int, 8), "omega": (float, 1.0), "sector": (str, "even"),
-        "res": (_int_list, [60, 120]),
+        "res": (_int_list, [60, 120]), "jobs": (int, os.cpu_count() or 1),
     }),
 }
 

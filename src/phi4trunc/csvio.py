@@ -18,6 +18,8 @@ __all__ = ["fmt", "write_csv", "write_matrix_csv", "mirror_csv_as_json",
            "write_manifest", "read_config_file"]
 
 
+# rows of an array formatted per write: a whole-file join costs megabytes of peak RSS
+_BLOCK_ROWS = 1024
 # the cell types the commands write, looked up by exact type first
 _FORMAT = {
     float: "{:.17g}".format,
@@ -43,6 +45,8 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
     """Write rows under a one-line header, with optional '#' metadata lines.
 
     Rows are written as they come; an ndarray row becomes Python scalars first.
+    A 2-D float64 ndarray is written block by block, each row through one
+    '%.17g,...' template, which prints every float as fmt does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -51,10 +55,15 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
             for key in sorted(meta):
                 fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if isinstance(row, np.ndarray):
-                row = row.tolist()
-            fh.write(",".join(map(fmt, row)) + "\n")
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                fh.write("".join([line % tuple(row) for row in rows[start:start + _BLOCK_ROWS].tolist()]))
+        else:
+            for row in rows:
+                if isinstance(row, np.ndarray):
+                    row = row.tolist()
+                fh.write(",".join(map(fmt, row)) + "\n")
     return path
 
 

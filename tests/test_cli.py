@@ -298,6 +298,8 @@ def test_lattice_sweep_rejects_bad_grids_before_any_work(tmp_path, flag, named):
     (["riemann", "--sector=evn"], "'evn'"),
     (["riemann", "--res", "7.5 3"], "--res '7.5 3': invalid literal for int()"),
     (["scan", "--re", "abc"], "--re 'abc': could not convert string to float"),
+    (["scan", "--jobs=0"], "--jobs 0 must be at least 1"),
+    (["riemann", "--jobs=-3"], "--jobs -3 must be at least 1"),
 ])
 def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
     code, outdir = run_cli(args + ["--nmax", "2"], tmp_path, "bad")

@@ -19,10 +19,12 @@ from phi4trunc import (
 from phi4trunc.algebra import sector_char_poly
 from phi4trunc.hamiltonian import CouplingFamily
 from phi4trunc.singularities import (
+    _GRID_CHUNK,
     ResultantPolynomial,
     _aberth_roots,
     _disks_certify,
     _mollweide,
+    grid_gaps,
     min_sector_gaps,
 )
 
@@ -63,8 +65,10 @@ def test_gap_scan_conjugation_symmetry():
 def test_gap_scan_threaded_matches_serial():
     fam = anharmonic_family(TruncationSpec(4))
     region = ((-0.3, 0.0), (0.0, 0.25))
-    serial = gap_scan(fam, region, (31, 31), "even", workers=1)
-    threaded = gap_scan(fam, region, (31, 31), "even", workers=4)
+    # 61 x 41 couplings, none mirrored: four chunks of the grid kernel
+    assert 61 * 41 >= 4 * _GRID_CHUNK
+    serial = gap_scan(fam, region, (61, 41), "even", workers=1)
+    threaded = gap_scan(fam, region, (61, 41), "even", workers=4)
     assert np.array_equal(serial.values, threaded.values)
 
 
@@ -311,6 +315,110 @@ def test_min_sector_gaps_matches_pointwise_solves():
     assert np.array_equal(np.delete(broken, 3), gaps)
 
 
+def _representatives(lams):
+    lams = np.asarray(lams, dtype=complex)
+    return lams.real + 1j * np.abs(lams.imag)
+
+
+def _pointwise_gaps(h0s, vs, lams):
+    """The smallest |z_i - z_j| of each coupling, one eigensolve a coupling."""
+    out = []
+    for lam in np.ravel(lams):
+        z = np.linalg.eigvals(h0s + lam * vs)
+        diff = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(diff, np.inf)
+        out.append(diff.min())
+    return np.reshape(out, np.shape(lams))
+
+
+# (re range, im range, n_re, n_im): exactly mirrored rows, no mirrors, and an
+# odd n_im whose middle row is im = 0
+FOLD_GRIDS = {
+    "mirrored": ((-0.1, 0.02), (-0.05, 0.05), 9, 10),
+    "unmirrored": ((-0.1, 0.02), (0.01, 0.05), 9, 4),
+    "real-row": ((-0.3, 0.3), (-0.3, 0.3), 6, 5),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("n_max", [4, 6, 8, 12, 16])
+@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
+def test_grid_gaps_are_the_pointwise_gaps_at_the_representatives(make_family, n_max, sector, grid):
+    (re_lo, re_hi), (im_lo, im_hi), n_re, n_im = FOLD_GRIDS[grid]
+    ims = np.linspace(im_lo, im_hi, n_im)
+    lams = np.linspace(re_lo, re_hi, n_re) + 1j * ims[:, None]
+    mirrored = np.isin(ims, -ims[ims < 0]).sum()
+    assert mirrored == {"mirrored": 3, "unmirrored": 0, "real-row": 1}[grid]
+    assert (0.0 in ims) == (grid == "real-row")
+    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    gaps = grid_gaps(h0s, vs, lams)
+    assert gaps.shape == lams.shape
+    assert np.array_equal(gaps, _pointwise_gaps(h0s, vs, _representatives(lams)))
+
+
+@pytest.mark.parametrize("resolution", [(37, 41), (3 * _GRID_CHUNK + 1, 1), (10, 10), (1, 1)],
+                         ids=["not-a-multiple", "three-chunks-and-one", "below-one-chunk", "one-point"])
+def test_grid_gaps_on_two_workers_are_the_serial_ones(resolution):
+    n_re, n_im = resolution
+    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("even")
+    lams = np.linspace(-0.1, 0.02, n_re) + 1j * np.linspace(0.01, 0.05, n_im)[:, None]
+    serial = grid_gaps(h0s, vs, lams, workers=1)
+    assert np.array_equal(grid_gaps(h0s, vs, lams, workers=2), serial)
+    assert np.array_equal(grid_gaps(h0s, vs, lams, workers=3), serial)
+    with pytest.raises(ValueError, match="workers 0 must be at least 1"):
+        grid_gaps(h0s, vs, lams, workers=0)
+
+
+@pytest.mark.parametrize("resolution, solves", [((100, 100), 8500), ((80, 160), 8480)],
+                         ids=["scan", "riemann"])
+def test_benchmark_grids_solve_each_conjugate_pair_once(monkeypatch, resolution, solves):
+    """The scan and riemann grids of the benchmark, in couplings handed to the eigensolver."""
+    import phi4trunc.singularities as sing
+
+    solved = []
+
+    def count(h0s, vs, lams):
+        solved.extend(lams)
+        return np.ones(len(lams), dtype=complex)
+
+    monkeypatch.setattr(sing, "min_sector_gaps", count)
+    fam = anharmonic_family(TruncationSpec(8))
+    if resolution == (100, 100):
+        grid = gap_scan(fam, ((-0.1, 0.02), (-0.05, 0.05)), resolution, "even", workers=2)
+        assert grid.values.shape == (100, 100)
+    else:
+        assert riemann_export(fam, "even", resolution, workers=2).shape == (80 * 160, 5)
+    assert len(solved) == len(set(solved)) == solves
+    assert min(z.imag for z in solved) >= 0
+
+
+def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
+    fam = anharmonic_family(TruncationSpec(8))
+    region, resolution = ((-0.1, 0.02), (-0.05, 0.05)), (9, 10)
+    h0s, vs = fam.sector_matrices("even")
+    ims = np.linspace(-0.05, 0.05, 10)
+    # a coupling in the upper half-plane whose conjugate is on the grid too
+    up = next(j for j in range(10) if ims[j] > 0 and -ims[j] in ims)
+    down = int(np.flatnonzero(ims == -ims[up])[0])
+    bad = np.linspace(-0.1, 0.02, 9)[4] + 1j * ims[up]
+    poison = h0s + bad * vs
+    eigvals = np.linalg.eigvals
+
+    def failing(stack):
+        if np.any(np.all(stack == poison, axis=(1, 2))):
+            raise np.linalg.LinAlgError("poisoned coupling")
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.warns(RuntimeWarning, match="2 grid points failed"):
+        grid = gap_scan(fam, region, resolution, "even", workers=2)
+    assert grid.failures == 2
+    assert np.isnan(grid.values[up, 4]) and np.isnan(grid.values[down, 4])
+    assert np.isnan(grid.values).sum() == 2
+    assert grid.min_point()[1] > 0
+
+
 # n_max=16 even-sector series-fit radii of levels 0, 2, ..., 14 (criterion 4b)
 N16_LEVEL_RADII = {0: 0.0245, 2: 0.0205, 4: 0.0170, 6: 0.0144,
                    8: 0.0113, 10: 0.00864, 12: 0.00621, 14: 0.00621}
@@ -461,5 +569,9 @@ def test_riemann_export_of_grid_includes_gap_column():
         rows = riemann_export(fam, sector, (5, 4))
         assert rows.shape == (20, 5)
         h0s, vs = fam.sector_matrices(sector)
-        gaps = np.abs(min_sector_gaps(h0s, vs, rows[:, 0] + 1j * rows[:, 1]))
-        assert np.array_equal(rows[:, 2], gaps)
+        lams = rows[:, 0] + 1j * rows[:, 1]
+        # the gap at lam is the one solved at its representative re + i |im| ...
+        assert np.array_equal(rows[:, 2], _pointwise_gaps(h0s, vs, _representatives(lams)))
+        # ... and within rounding of the one solved at lam itself (the odd 2 x 2 block
+        # differs by an ulp at some conjugate points)
+        assert np.allclose(rows[:, 2], _pointwise_gaps(h0s, vs, lams), rtol=1e-15, atol=0)
