@@ -6,9 +6,12 @@ the spectrum untouched.  In that weighted basis the quartic perturbation
 X^4/(4 omega^2) is a matrix of exact rationals, so perturbative recursions
 and characteristic polynomials can be carried out over Q with no rounding.
 The Rayleigh-Schrodinger recursion of the package lives here as two loops.
-_rs_scaled_integer runs it on exact rational blocks as integers scaled by
-Q^k, with one reduction per coefficient; the weak series and the projectors
-use it.  rayleigh_schrodinger is the generic loop over any scalar field:
+_rs_scaled_integer runs it on exact rational blocks as integers at a scale
+A B^k, with one reduction per coefficient.  The projectors keep B = Q, the
+lcm of the one-step denominators, and A = 1.  The weak series reads a
+tighter B dividing Q and a small offset A off its first orders, and the
+loop widens that scale in place at any order whose exact division leaves a
+remainder.  rayleigh_schrodinger is the generic loop over any scalar field:
 the strong series runs it on mpmath floats, the sum-over-states derivatives
 on doubles, and the tests on Fractions, as the oracle for the integer loop.
 
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 Poly = list  # coefficient list, index = power
+
+# orders of the exact weak series run at Q^k before its scale is tightened
+PROBE_ORDERS = 16
 
 
 def _as_fraction(x, what: str) -> Fraction:
@@ -152,25 +158,60 @@ def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> t
     return energies, states
 
 
+def _prime_exponents(n: int) -> dict[int, int]:
+    """{p: e} for the primes p below 1024 that divide n, by trial division.
+
+    The rest of n is left out: an omega read from a float puts primes of
+    up to 16 digits into a block denominator, which trial division would
+    take minutes to find.
+    """
+    out = {}
+    for p in range(2, 1024):
+        if n == 1:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    return out
+
+
+def _valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 def _rs_scaled_integer(
-    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, scale: int | None = None
-) -> tuple[list[Fraction], list[list[int]], int]:
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int,
+    base: int | None = None, offset: int = 1,
+) -> tuple[list[Fraction], list[list[int]], int, int, list[int]]:
     """The Rayleigh-Schrodinger recursion of rayleigh_schrodinger on exact blocks, in integers.
 
-    With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of the denominators of
-    V[pos, i], R_m V[m, i] and R_m V[pos, i], the scaled states
-    psi~_k = Q^k psi_k and energies E~_k = Q^k E_k obey
+    With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of base and of the
+    denominators of V[pos, i], R_m V[m, i] and R_m V[pos, i], the states
+    are kept at the scale A B^k of an offset A and a base B dividing Q,
+    psi~_k = A B^k psi_k.  B holds every prime of Q past _prime_exponents'
+    reach to its full power in Q, and A none.  With integer rows Q V and
+    Q R V,
 
-        E~_k      = sum_i (Q V[pos, i]) psi~_(k-1)[i]
-        psi~_k[m] = sum_i (Q R_m V[m, i]) psi~_(k-1)[i] - sum_j (R_m E~_j) psi~_(k-j)[m]
+        X         = sum_i (Q R_m V[m, i]) psi~_(k-1)[i]            at Q A B^(k-1)
+        Y         = sum_(j<k) shift_j psi~_(k-j)[m]                at Q A^2 B^(k-1)
+        shift_j   = sum_i (Q R_m V[pos, i]) psi~_(j-1)[i]          at Q A B^(j-1)
+        psi~_k[m] = (A X - Y) / (Q A / B)
+        E_k       = Fraction(sum_i (Q V[pos, i]) psi~_(k-1)[i], Q A B^(k-1))
 
-    where R_m E~_j = sum_i (Q R_m V[pos, i]) psi~_(j-1)[i].  All three
-    coefficient matrices are integers, so no step divides and the only
-    reduction is E_k = Fraction(E~_k, Q^k), one per coefficient.  A given
-    scale (a multiple of Q, shared by several blocks) replaces Q.  Returns
-    (energies, scaled states psi~_k, scale).  Raises ValueError when
-    h0[pos] is degenerate and ArithmeticError when the scale does not clear
-    the blocks.
+    Every term of the convolution Y sits at the one scale, so it needs no
+    multiplier, and each new entry costs one exact division.  The default,
+    A = 1 and B = Q, divides by 1 and keeps Q^k psi_k.  A smaller scale is
+    checked entry by entry: when a division leaves a remainder, the rate of
+    each prime short in that order's denominator is raised towards its
+    exponent in Q, the stored columns and shifts are multiplied up to the
+    wider scale in place, and the order is redone.  Returns (energies,
+    scaled states psi~_k, A, B, the orders at which the scale widened).
+    Raises ValueError when h0[pos] is degenerate.
     """
     h0 = [Fraction(x) for x in h0]
     s = len(h0)
@@ -179,46 +220,109 @@ def _rs_scaled_integer(
     top = rows[pos]
     state_rows = [[(j, r * x) for j, x in row] if r else [] for r, row in zip(res, rows)]
     shift_rows = [[(j, r * x) for j, x in top] if r else [] for r in res]
-    if scale is None:
-        scale = math.lcm(*(x.denominator for row in (top, *state_rows, *shift_rows) for _, x in row))
-
-    def integral(row: list) -> list[tuple[int, int]]:
-        row = [(j, x * scale) for j, x in row]
-        for _, y in row:
-            if y.denominator != 1:
-                raise ArithmeticError(f"scale {scale} leaves {y / scale} * {scale} = {y} "
-                                      f"non-integral (level at position {pos})")
-        return [(j, y.numerator) for j, y in row]
-
-    top = integral(top)
-    state_rows = [integral(row) for row in state_rows]
-    shift_rows = [integral(row) for row in shift_rows]
-    cols = [[int(m == pos)] for m in range(s)]  # cols[m][k] = psi~_k[m]
-    shifts: list[list[int]] = [[] for _ in range(s)]  # shifts[m][j - 1] = R_m E~_j
+    q = math.lcm(base or 1, *(x.denominator for row in (top, *state_rows, *shift_rows) for _, x in row))
+    if base is None:
+        base = q
+    top = [(j, int(x * q)) for j, x in top]
+    shift_rows = [[(j, int(x * q)) for j, x in row] for row in shift_rows]
+    lifted = [[(j, int(x * q) * offset) for j, x in row] for row in state_rows]  # A Q R_m V[m, i]
+    cols = [[offset * (m == pos)] for m in range(s)]  # cols[m][k] = psi~_k[m]
+    shifts: list[list[int]] = [[] for _ in range(s)]  # shifts[m][j - 1] = shift_j
     energies = [h0[pos]]
-    qk = 1
-    for _ in range(max_order):
+    widened: list[int] = []
+    scale = offset  # A B^(k-1), the scale of the newest column
+    k = 1
+    while k <= max_order:
         prev = [col[-1] for col in cols]
-        qk *= scale
-        energies.append(Fraction(sum(x * prev[j] for j, x in top), qk))
+        new = [sum(x * prev[j] for j, x in row) - sum(map(operator.mul, shift, reversed(col)))
+               for row, shift, col in zip(lifted, shifts, cols)]
+        div = q * offset // base
+        if div != 1:
+            split = [divmod(x, div) for x in new]
+            if any(r for _, r in split):
+                short = math.lcm(*(div // math.gcd(r, div) for _, r in split))
+                grow = 1
+                for p, e in _prime_exponents(short).items():
+                    rate = _valuation(base, p)
+                    grow *= p ** (min(_valuation(q, p), rate - -e // k) - rate)
+                powers = [grow**j for j in range(k)]
+                for col, shift in zip(cols, shifts):
+                    col[:] = map(operator.mul, col, powers)
+                    shift[:] = map(operator.mul, shift, powers)
+                base, scale = base * grow, scale * powers[-1]
+                widened.append(k)
+                continue
+            new = [x for x, _ in split]
+        energies.append(Fraction(sum(x * prev[j] for j, x in top), q * scale))
         for m in range(s):
-            col, shift = cols[m], shifts[m]
-            col.append(sum(x * prev[j] for j, x in state_rows[m])
-                       - sum(map(operator.mul, shift, col[:0:-1])))
-            shift.append(sum(x * prev[j] for j, x in shift_rows[m]))
-    return energies, [list(psi) for psi in zip(*cols)], scale
+            cols[m].append(new[m])
+            shifts[m].append(sum(x * prev[j] for j, x in shift_rows[m]))
+        scale *= base
+        k += 1
+    return energies, [list(psi) for psi in zip(*cols)], offset, base, widened
+
+
+def _reach(v: list[list], pos: int) -> int:
+    """Orders it takes the states psi_k of the level at pos to touch every position they reach."""
+    into = [[m for m, row in enumerate(v) if row[i]] for i in range(len(v))]
+    seen, front, k = {pos}, {pos}, 0
+    while front := {m for i in front for m in into[i]} - seen:
+        seen |= front
+        k += 1
+    return k
+
+
+def _tight_scale(states: list[list[int]], q: int) -> tuple[int, int]:
+    """An offset A and a base B | Q with A B^k a multiple of the denominator of psi_k at every order given.
+
+    states are the scaled states Q^k psi_k.  Per prime p of Q, e_k is the
+    exponent of p in the denominator of psi_k.  The rate of p in B is the
+    slope of e_k over the later half of the orders, rounded to the nearest
+    integer; its exponent in A is the least offset that keeps the line at
+    or above every e_k.  A rate read too low costs the recursion a widening,
+    one too high costs bits in every later order.
+    """
+    dens, qk = [], 1
+    for psi in states:
+        dens.append(qk // math.gcd(qk, *psi))
+        qk *= q
+    last = len(dens) - 1
+    mid = last // 2
+    primes = _prime_exponents(q)
+    offset, base = 1, q // math.prod(p**cap for p, cap in primes.items())  # larger primes stay whole
+    for p, cap in primes.items():
+        e = [_valuation(d, p) for d in dens]
+        rise, run = max(0, e[last] - e[mid]), last - mid
+        rate = min(cap, (2 * rise + run) // (2 * run)) if run else cap
+        offset *= p ** max(0, *(x - rate * k for k, x in enumerate(e)))
+        base *= p**rate
+    return offset, base
 
 
 def rs_rational_series(
-    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, record: dict | None = None
 ) -> list[Fraction]:
     """Nondegenerate Rayleigh-Schrodinger energy coefficients, exact.
 
     h0 is the diagonal unperturbed block (all entries distinct), v the
     perturbation; returns [E_0, E_1, ..., E_max_order] for the level at
-    the given diagonal position, from the scaled-integer recursion.
+    the given diagonal position, from the scaled-integer recursion.  A
+    probe runs the first orders at Q^k: PROBE_ORDERS of them, or twice the
+    block's reach if that is more, so that the later half from which
+    _tight_scale reads the rates starts once every resolvent has entered.
+    The series then runs again from order zero at the tight scale A B^k.
+    A given record dict receives q, offset, base and the orders at which
+    the scale widened.
     """
-    return _rs_scaled_integer(h0, v, pos, max_order)[0]
+    probe = min(max_order, max(PROBE_ORDERS, 2 * _reach(v, pos)))
+    energies, states, _, q, _ = _rs_scaled_integer(h0, v, pos, probe)
+    offset, base, widened = 1, q, []
+    if max_order > probe:
+        offset, base = _tight_scale(states, q)
+        energies, _, offset, base, widened = _rs_scaled_integer(h0, v, pos, max_order, base, offset)
+    if record is not None:
+        record.update(q=q, offset=offset, base=base, widened=widened)
+    return energies
 
 
 # ---------------------------------------------------------------------------

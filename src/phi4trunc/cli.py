@@ -122,14 +122,22 @@ def _cmd_spectrum(cfg, outdir):
     return outputs
 
 
+def _orders(cfg) -> int:
+    """The --orders of a series or radius, after checking it."""
+    if cfg["orders"] < 0:
+        raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
+    return cfg["orders"]
+
+
 def _cmd_series(cfg, outdir):
+    orders = _orders(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["domain"] == "weak":
-        ser = weak_series(trunc, cfg["level"], None, cfg["orders"])
+        ser = weak_series(trunc, cfg["level"], None, orders)
         rows = [(m, c.numerator, c.denominator) for m, c in enumerate(ser.coeffs)]
         header = ["order", "numerator", "denominator"]
     else:
-        ser = strong_series(trunc, cfg["level"], cfg["sector"], cfg["orders"], cfg["precision"])
+        ser = strong_series(trunc, cfg["level"], cfg["sector"], orders, cfg["precision"])
         rows = [(m, mp_str(c, ser.precision_digits), ser.precision_digits)
                 for m, c in enumerate(ser.coeffs)]
         header = ["order", "coefficient", "precision"]
@@ -145,12 +153,13 @@ def mp_str(c, digits: int) -> str:
 
 
 def _cmd_radius(cfg, outdir):
+    orders = _orders(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     fit_lo, fit_hi = cfg["fit"]
     if cfg["domain"] == "weak":
-        ser = weak_series(trunc, cfg["level"], None, cfg["orders"])
+        ser = weak_series(trunc, cfg["level"], None, orders)
     else:
-        ser = strong_series(trunc, cfg["level"], cfg["sector"], cfg["orders"], cfg["precision"])
+        ser = strong_series(trunc, cfg["level"], cfg["sector"], orders, cfg["precision"])
     radius, slope = radius_estimate(ser, fit_lo, fit_hi)
     path = csvio.write_csv(
         outdir / "radius.csv",
@@ -253,6 +262,9 @@ def _cmd_scan(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
     grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
+    if cfg["refine"] and grid.failures == grid.values.size:
+        raise np.linalg.LinAlgError(f"scan grid {n_re}x{n_im}: all {grid.failures} points failed to "
+                                    "diagonalize, so no gap is left to refine")
     meta = {"nmax": cfg["nmax"], "sector": cfg["sector"], "domain": cfg["domain"],
             "re_range": f"[{re_lo},{re_hi}]", "im_range": f"[{im_lo},{im_hi}]",
             "resolution": f"{n_re}x{n_im}"}

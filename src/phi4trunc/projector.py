@@ -109,11 +109,12 @@ def _level_projector(
     """
     pos, idx = level // 2, algebra.sector_indices(n, sector)
     vt = [list(col) for col in zip(*v)]
-    # an order-0 run returns the scale each block needs
-    q = math.lcm(algebra._rs_scaled_integer(h0, v, pos, 0)[2],
-                 algebra._rs_scaled_integer(h0, vt, pos, 0)[2])
-    energies, right, _ = algebra._rs_scaled_integer(h0, v, pos, order, q)
-    _, left, _ = algebra._rs_scaled_integer(h0, vt, pos, order, q)
+    # an order-0 run returns the base Q each block needs; at the shared base,
+    # with offset 1, both state series are Q^m psi_m
+    q = math.lcm(algebra._rs_scaled_integer(h0, v, pos, 0)[3],
+                 algebra._rs_scaled_integer(h0, vt, pos, 0)[3])
+    energies, right = algebra._rs_scaled_integer(h0, v, pos, order, q)[:2]
+    left = algebra._rs_scaled_integer(h0, vt, pos, order, q)[1]
 
     # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),
     # and psi_R / <psi_L|psi_R>, each order-m term scaled by Q^m

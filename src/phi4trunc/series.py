@@ -3,8 +3,9 @@
 Weak coupling expands around the harmonic spectrum in powers of lam; since
 the unperturbed energies are half-integers, the Rayleigh-Schrodinger
 recursion restricted to a parity sector closes over exact rationals; it
-runs on integers scaled by powers of one block-derived Q, so each
-coefficient is reduced once (algebra._rs_scaled_integer).  The same
+runs on integers at a scale A B^k read off the block's first orders and
+widened where an exact division fails, so each coefficient is reduced
+once (algebra.rs_rational_series).  The same
 expansion solved from the characteristic polynomial, order by order, is
 kept as an independent cross-check path.
 
@@ -86,14 +87,17 @@ def weak_series(
 
     level is the global harmonic label (0 .. n_max-1); within its parity
     sector the unperturbed spectrum is nondegenerate, so the plain
-    nondegenerate recursion applies at every truncation.
+    nondegenerate recursion applies at every truncation.  meta["scale"]
+    records the integer scale the recursion ran at: q, offset, base and
+    the orders at which it widened (algebra.rs_rational_series).
     """
     sector = algebra.level_sector(level, sector)
     if not 0 <= level < trunc.n_max:
         raise ValueError(f"level {level} outside 0..{trunc.n_max - 1}")
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
-    coeffs = algebra.rs_rational_series(h0, v, level // 2, max_order)
-    return PowerSeries(coeffs, "weak_lambda", level, sector)
+    scale: dict = {}
+    coeffs = algebra.rs_rational_series(h0, v, level // 2, max_order, scale)
+    return PowerSeries(coeffs, "weak_lambda", level, sector, meta={"scale": scale})
 
 
 def weak_series_charpoly(

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -35,26 +37,88 @@ def test_rs_engine_solves_the_order_by_order_equations(data, s, max_order):
 @given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 8))
 def test_scaled_integer_recursion_is_the_fraction_engine(data, s, max_order):
     # the generic loop on Fractions is the oracle: the same energies, and
-    # integer states that are Q^k times its states
+    # integer states that are Q^k times its states by default, and A B^k
+    # times them at a drawn offset A and a base B dividing Q, at the A and
+    # B returned once the scale has widened where it had to
     h0 = data.draw(st.lists(rationals, min_size=s, max_size=s, unique=True))
     v = data.draw(st.lists(st.lists(rationals, min_size=s, max_size=s), min_size=s, max_size=s))
     pos = data.draw(st.integers(0, s - 1))
     energies, states = algebra.rayleigh_schrodinger(h0, v, pos, max_order)
-    e_int, scaled, q = algebra._rs_scaled_integer(h0, v, pos, max_order)
+    e_int, scaled, offset, q, widened = algebra._rs_scaled_integer(h0, v, pos, max_order)
     assert e_int == energies
     assert all(type(e) is Fraction for e in e_int)
+    assert (offset, widened) == (1, [])
     assert len(scaled) == max_order + 1
     for k, (psi_int, psi) in enumerate(zip(scaled, states)):
         assert all(type(x) is int for x in psi_int)
         assert [Fraction(x, q**k) for x in psi_int] == psi
 
+    base = math.prod(p ** data.draw(st.integers(0, e)) for p, e in algebra._prime_exponents(q).items())
+    offset = data.draw(st.integers(1, 12))
+    e_int, scaled, a, b, widened = algebra._rs_scaled_integer(h0, v, pos, max_order, base, offset)
+    assert e_int == energies
+    assert a == offset and b % base == 0 and q % b == 0
+    assert widened == sorted(set(widened)) and all(1 <= k <= max_order for k in widened)
+    for k, (psi_int, psi) in enumerate(zip(scaled, states)):
+        assert all(type(x) is int for x in psi_int)
+        assert [Fraction(x, a * b**k) for x in psi_int] == psi
 
-def test_scaled_integer_recursion_rejects_a_scale_that_leaves_fractions():
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 10), probe=st.integers(0, 3))
+def test_rs_rational_series_is_the_fraction_engine_on_random_blocks(data, s, max_order, probe):
+    # a short probe leaves most of each series to the tight scale, and rates
+    # read off two or three orders of a random block often fall short, so
+    # the property meets the tight path and the widening path alike
+    h0 = data.draw(st.lists(rationals, min_size=s, max_size=s, unique=True))
+    v = data.draw(st.lists(st.lists(rationals, min_size=s, max_size=s), min_size=s, max_size=s))
+    pos = data.draw(st.integers(0, s - 1))
+    record: dict = {}
+    with patch.object(algebra, "PROBE_ORDERS", probe):
+        coeffs = algebra.rs_rational_series(h0, v, pos, max_order, record)
+    assert coeffs == algebra.rayleigh_schrodinger(h0, v, pos, max_order)[0]
+    assert set(record) == {"q", "offset", "base", "widened"}
+    assert record["q"] % record["base"] == 0
+
+
+def test_tight_scale_widens_in_place_where_a_prime_enters_after_the_probe():
+    # n_max 24, level 18: the prime 3 first divides the denominator of psi_k
+    # at order 22, after the 16-order probe, so the rates read off the probe
+    # leave 3 out of B, and the recursion widens at order 22 without a restart
+    h0, v = algebra.weighted_sector_blocks(TruncationSpec(24), "even")
+    pos, order = 9, 40
+    assert max(algebra.PROBE_ORDERS, 2 * algebra._reach(v, pos)) == 16
+    energies, states, _, q, _ = algebra._rs_scaled_integer(h0, v, pos, order)
+    offset, base = algebra._tight_scale(states[:17], q)
+    assert base % 3
+    record: dict = {}
+    assert algebra.rs_rational_series(h0, v, pos, order, record) == energies
+    assert record == {"q": q, "offset": offset, "base": 3 * base, "widened": [22]}
+    tight, a, b, widened = algebra._rs_scaled_integer(h0, v, pos, order, base, offset)[1:]
+    assert (a, b, widened) == (offset, 3 * base, [22])
+    assert all(x * q**k == y * a * b**k for k in range(order + 1) for x, y in zip(tight[k], states[k]))
+
+
+def test_tight_scale_keeps_the_large_primes_of_q_whole():
+    # omega = 1.1 read from a float brings primes of up to 16 digits into Q,
+    # which trial division would take minutes to split; they stay in B at
+    # their full power
+    h0, v = algebra.weighted_sector_blocks(TruncationSpec(8, 1.1), "even")
+    record: dict = {}
+    assert algebra.rs_rational_series(h0, v, 1, 24, record) == algebra.rayleigh_schrodinger(h0, v, 1, 24)[0]
+    small = math.prod(p**e for p, e in algebra._prime_exponents(record["q"]).items())
+    assert record["q"] // small > 2**40
+    assert record["base"] % (record["q"] // small) == 0
+
+
+def test_scaled_integer_recursion_widens_a_base_that_leaves_fractions():
     h0, v = algebra.weighted_sector_blocks(TruncationSpec(8), "even")
-    q = algebra._rs_scaled_integer(h0, v, 1, 0)[2]
-    assert algebra._rs_scaled_integer(h0, v, 1, 6, 3 * q)[0] == algebra.rs_rational_series(h0, v, 1, 6)
-    with pytest.raises(ArithmeticError, match="non-integral"):
-        algebra._rs_scaled_integer(h0, v, 1, 6, q // 2)
+    q = algebra._rs_scaled_integer(h0, v, 1, 0)[3]
+    energies = algebra.rs_rational_series(h0, v, 1, 6)
+    # a multiple of Q runs as Q does; half of Q widens back to Q at order 1
+    assert algebra._rs_scaled_integer(h0, v, 1, 6, 3 * q)[0] == energies
+    e_int, _, offset, base, widened = algebra._rs_scaled_integer(h0, v, 1, 6, q // 2)
+    assert (e_int, offset, base, widened) == (energies, 1, q, [1])
     with pytest.raises(ValueError, match="position 0 is degenerate with 2"):
         algebra._rs_scaled_integer([Fraction(1), Fraction(2), Fraction(1)],
                                    [[Fraction(1)] * 3] * 3, 0, 2)

@@ -152,6 +152,12 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     (["evolve", "--method", "projector", "--order", "-1"], "order -1"),
     (["spectrum", "--nsites", "4", "--kappa", "0.1", "--method", "lanczos", "--k", "0"],
      "k must be at least 1, got 0"),
+    (["series", "--nmax", "8", "--level", "2", "--orders", "-1"], "--orders -1 must be at least 0"),
+    (["series", "--nmax", "8", "--level", "2", "--domain", "strong", "--orders", "-3"],
+     "--orders -3 must be at least 0"),
+    (["radius", "--nmax", "8", "--level", "2", "--orders", "-1"], "--orders -1 must be at least 0"),
+    (["radius", "--nmax", "8", "--level", "2", "--domain", "strong", "--orders", "-2"],
+     "--orders -2 must be at least 0"),
 ])
 def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
     code, outdir = run_cli(args, tmp_path, "bad")
@@ -307,6 +313,22 @@ def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["error"]["type"] == "ValueError"
     assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_scan_whose_every_point_fails_names_the_grid(tmp_path, monkeypatch):
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.warns(RuntimeWarning, match="9 grid points failed"):
+        code, outdir = run_cli(["scan", "--nmax", "4", "--res", "3 3"], tmp_path, "failed")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "LinAlgError", "message": "scan grid 3x3: all 9 points failed to "
+                                 "diagonalize, so no gap is left to refine"}
     assert not list(outdir.glob("*.csv"))
 
 

@@ -43,6 +43,17 @@ def test_weak_series_rational_omega():
     assert ser.coeffs == [F(1), F(3, 16)]
 
 
+def test_weak_series_records_the_scale_it_ran_at():
+    # a series inside the probe runs at Q^k; n_max 8 past it keeps the
+    # tight 2 * 8^k throughout, and n_max 24, level 18 widens at order 22
+    assert weak_series(TruncationSpec(8), 2, max_order=10).meta == \
+        {"scale": {"q": 16, "offset": 1, "base": 16, "widened": []}}
+    assert weak_series(TruncationSpec(8), 2, max_order=30).meta == \
+        {"scale": {"q": 16, "offset": 2, "base": 8, "widened": []}}
+    assert weak_series(TruncationSpec(24), 18, max_order=40).meta == \
+        {"scale": {"q": 20160, "offset": 2, "base": 24, "widened": [22]}}
+
+
 def test_weak_series_level_validation():
     with pytest.raises(ValueError, match="sector"):
         weak_series(TruncationSpec(4), 1, sector="even", max_order=2)

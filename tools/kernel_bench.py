@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the exact weak series.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -28,7 +28,13 @@ batched min_sector_gaps per grid row, no folding), and counts the solves
 before and after folding conjugates; then it writes the 12,800 x 5 sphere
 table with csvio.write_csv cell by cell (rows handed over one by one, the
 parent's path) and as an array (one row template), with the time and the
-traced allocation peak of each.  --parts picks the parts to run (default:
+traced allocation peak of each.  `rs` loads the parent's package next to
+this checkout's in one process and times weak_series on each side for
+every row of RS_ROWS (n_max, omega, level, orders), alternating the sides,
+median of --rs-repeats after a warm-up; each row records whether the two
+sides' coefficients are equal and the scale this checkout ran at (q,
+offset, base, the orders at which it widened, and the bits of Q^K and of
+A B^K at the last order K).  --parts picks the parts to run (default:
 all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
@@ -222,7 +228,48 @@ def grid_rows(repeats: int) -> dict:
     return out
 
 
-PARTS = ("import", "solve", "sweep", "grid")
+# (n_max, omega, level, orders): the benchmark's weak-series blocks, two wide
+# n_max 64 blocks, and two blocks at a rational omega
+RS_ROWS = [(8, "1", level, 200) for level in (2, 3, 4)] + [(12, "1", level, 150) for level in (4, 5)] \
+    + [(32, "1", level, 100) for level in (8, 12, 16, 20)] + [(64, "1", level, 100) for level in (8, 30)] \
+    + [(16, "1/2", 0, 120), (16, "3/2", 1, 120)]
+
+
+def _load_package(name: str, root: Path):
+    """The phi4trunc package under root/src, imported as the module name."""
+    import importlib.util
+
+    pkg = root / "src" / "phi4trunc"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def rs_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    import math
+    from fractions import Fraction
+
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    rows = []
+    for n_max, omega, level, orders in RS_ROWS:
+        calls = {f"{side}_s": (lambda pkg=pkg: pkg.weak_series(pkg.TruncationSpec(n_max, Fraction(omega)),
+                                                              level, max_order=orders))
+                 for side, pkg in packages.items()}
+        series = {name: call() for name, call in calls.items()}
+        scale = series["change_s"].meta["scale"]
+        row = {"n_max": n_max, "omega": omega, "level": level, "orders": orders, **_median_times(calls, repeats),
+               "same": series["parent_s"].coeffs == series["change_s"].coeffs, **scale,
+               "bits_q": round(orders * math.log2(scale["q"])),
+               "bits_scale": round(math.log2(scale["offset"]) + orders * math.log2(scale["base"]))}
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,12 +279,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--import-samples", type=int, default=15)
     parser.add_argument("--solve-repeats", type=int, default=7)
     parser.add_argument("--grid-repeats", type=int, default=9)
+    parser.add_argument("--rs-repeats", type=int, default=7)
     parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve and grid rows are medians "
-                       "in this process after a warm-up"}
+                       "sample, alternating which side runs first; solve, grid and rs rows are medians "
+                       "in this process after a warm-up, rs alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -246,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels.update(sweep_rows(sides))
     if "grid" in args.parts:
         kernels["grid"] = grid_rows(args.grid_repeats)
+    if "rs" in args.parts:
+        kernels["rs"] = rs_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
