@@ -33,7 +33,7 @@ from .hamiltonian import (
     strong_coupling_family,
     strong_coupling_hamiltonian,
 )
-from .oscillator import TruncationSpec
+from .oscillator import OperatorMatrix, TruncationSpec
 from .pauli import (
     build_trotter_plan,
     count_resources,
@@ -101,8 +101,6 @@ def _cmd_spectrum(cfg, outdir):
         if cfg["method"] == "lanczos":
             eigenvalues = lattice_ground_energies(spec, [cfg["lam"]], cfg["k"], cfg["tol"])[0]
         else:
-            from .oscillator import OperatorMatrix
-
             eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian)).eigenvalues
     else:
         if cfg["domain"] == "strong":
@@ -122,22 +120,22 @@ def _cmd_spectrum(cfg, outdir):
     return outputs
 
 
-def _orders(cfg) -> int:
-    """The --orders of a series or radius, after checking it."""
+def _series(cfg):
+    """The weak or strong series of a series or radius run, after checking --orders."""
     if cfg["orders"] < 0:
         raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
-    return cfg["orders"]
+    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
+    if cfg["domain"] == "weak":
+        return weak_series(trunc, cfg["level"], None, cfg["orders"])
+    return strong_series(trunc, cfg["level"], cfg["sector"], cfg["orders"], cfg["precision"])
 
 
 def _cmd_series(cfg, outdir):
-    orders = _orders(cfg)
-    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
+    ser = _series(cfg)
     if cfg["domain"] == "weak":
-        ser = weak_series(trunc, cfg["level"], None, orders)
         rows = [(m, c.numerator, c.denominator) for m, c in enumerate(ser.coeffs)]
         header = ["order", "numerator", "denominator"]
     else:
-        ser = strong_series(trunc, cfg["level"], cfg["sector"], orders, cfg["precision"])
         rows = [(m, mp_str(c, ser.precision_digits), ser.precision_digits)
                 for m, c in enumerate(ser.coeffs)]
         header = ["order", "coefficient", "precision"]
@@ -153,13 +151,8 @@ def mp_str(c, digits: int) -> str:
 
 
 def _cmd_radius(cfg, outdir):
-    orders = _orders(cfg)
-    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     fit_lo, fit_hi = cfg["fit"]
-    if cfg["domain"] == "weak":
-        ser = weak_series(trunc, cfg["level"], None, orders)
-    else:
-        ser = strong_series(trunc, cfg["level"], cfg["sector"], orders, cfg["precision"])
+    ser = _series(cfg)
     radius, slope = radius_estimate(ser, fit_lo, fit_hi)
     path = csvio.write_csv(
         outdir / "radius.csv",
@@ -172,6 +165,8 @@ def _cmd_radius(cfg, outdir):
 
 def _cmd_projector(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
+    if len(cfg["entry"]) != 2 or not all(0 <= i < trunc.n_max for i in cfg["entry"]):
+        raise ValueError(f"--entry {cfg['entry']!r} needs exactly 2 indices in 0..{trunc.n_max - 1}")
     series, value = perturbed_projector(trunc, cfg["level"], None, cfg["order"], cfg["lam"])
     rows = []
     for m in range(series.order + 1):
@@ -262,9 +257,9 @@ def _cmd_scan(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
     grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
-    if cfg["refine"] and grid.failures == grid.values.size:
+    if grid.failures == grid.values.size:
         raise np.linalg.LinAlgError(f"scan grid {n_re}x{n_im}: all {grid.failures} points failed to "
-                                    "diagonalize, so no gap is left to refine")
+                                    "diagonalize, so no gap is left")
     meta = {"nmax": cfg["nmax"], "sector": cfg["sector"], "domain": cfg["domain"],
             "re_range": f"[{re_lo},{re_hi}]", "im_range": f"[{im_lo},{im_hi}]",
             "resolution": f"{n_re}x{n_im}"}
@@ -480,13 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--outdir", default=None, help="output directory (default: out/<command>)")
         p.add_argument("--json", type=int, default=0, help="also mirror each CSV as JSON")
         for key, (caster, default) in spec.items():
-            flag = "--" + key.replace("_", "-")
-            if caster in (_int_list, _float_list):
-                p.add_argument(flag, dest=key, default=None, type=str,
-                               help=f"default: {default}")
-            else:
-                p.add_argument(flag, dest=key, default=None, type=caster,
-                               help=f"default: {default}")
+            # list flags arrive as text and are cast in _resolve
+            kind = str if caster in (_int_list, _float_list) else caster
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind, help=f"default: {default}")
     return parser
 
 

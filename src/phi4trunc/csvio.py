@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hamiltonian import SparseOperator
+
 __all__ = ["fmt", "write_csv", "write_matrix_csv", "mirror_csv_as_json",
            "write_manifest", "read_config_file"]
 
@@ -73,17 +75,12 @@ def write_matrix_csv(path, op, meta: dict | None = None) -> Path:
     Accepts a dense OperatorMatrix or a SparseOperator; only nonzero
     entries are emitted, in (row, col) order.
     """
-    rows = []
-    if hasattr(op, "triplets"):
-        for r, c, v in op.triplets():
-            rows.append((r, c, v.real, v.imag))
+    if isinstance(op, SparseOperator):
+        entries = op.triplets()
     else:
-        m = op.entries
-        for r in range(m.shape[0]):
-            for c in range(m.shape[1]):
-                v = complex(m[r, c])
-                if v != 0:
-                    rows.append((r, c, v.real, v.imag))
+        rows, cols = np.nonzero(op.entries)
+        entries = zip(rows.tolist(), cols.tolist(), op.entries[rows, cols].astype(complex).tolist())
+    rows = [(r, c, v.real, v.imag) for r, c, v in entries if v != 0]
     return write_csv(path, ["row", "col", "re", "im"], rows, meta)
 
 

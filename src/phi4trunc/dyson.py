@@ -238,7 +238,7 @@ def dyson_series(
         raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     n = trunc.n_max
     if not (0 <= state_in < n and 0 <= state_out < n):
-        raise ValueError(f"states must lie in 0..{n - 1}")
+        raise ValueError(f"states {state_in}->{state_out} outside 0..{n - 1}")
 
     energies, v = algebra.weighted_hamiltonian(trunc)
     omega = energies[1] - energies[0]  # E_j - E_k = omega (j - k)

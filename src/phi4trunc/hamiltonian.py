@@ -13,9 +13,10 @@ bases: the full product basis, its two occupation-parity blocks, and the
 two momentum-0 sectors of a periodic chain, one state per translation
 orbit.  The product basis is the case where every state is its own orbit;
 lattice_hamiltonian and lattice_family evaluate it.  No other basis forms
-the full-space matrix.  H0 and V are numpy CSR arrays (CSRMatrix) on one
-shared pattern; lattice_hamiltonian alone converts its matrix for callers
-outside the package.
+the full-space matrix.  H0 and V are CSRMatrix blocks on one shared pattern.
+CSRMatrix is the package's one sparse matrix and the one place that reads
+the CSR layout; lattice_hamiltonian hands one out, which scipy's sparse
+solvers take as a linear operator.
 Couplings may be complex; the hermitian flag is cleared accordingly so the
 analytic family H(lam) can be scanned off the real axis.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,8 +76,10 @@ class CSRMatrix:
     """Square sparse matrix as plain numpy compressed-sparse-row arrays.
 
     Row i holds entries indptr[i]:indptr[i + 1] of indices and data; its
-    column indices ascend, with no duplicates.  They are intp, the index
-    type np.take gathers with, so a matvec does not convert them.
+    column indices ascend, with no duplicates, so the entries run in (row,
+    col) order.  They are intp, the index type np.take gathers with, so a
+    matvec does not convert them.  shape, dtype and matvec make it a linear
+    operator for scipy.sparse.linalg.
     """
 
     indptr: np.ndarray
@@ -90,26 +94,60 @@ class CSRMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[_csr_rows(self), self.indices] = self.data
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.rows, self.indices] = self.data
         return out
 
+    def diagonal(self) -> np.ndarray:
+        on = np.flatnonzero(self.rows == self.indices)
+        diag = np.zeros(self.shape[0], dtype=self.dtype)
+        diag[self.rows[on]] = self.data[on]
+        return diag
 
-def _csr_rows(m) -> np.ndarray:
-    """The row of every stored entry of CSR arrays m."""
-    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The non-empty rows, where each starts among the entries, and a buffer for the products."""
+        full = np.flatnonzero(np.diff(self.indptr))
+        return full, self.indptr[full].astype(np.intp), np.empty(self.nnz, np.result_type(self.dtype, np.float64))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a vector x: gather x by column, multiply, and sum each row by reduceat.
+
+        The products go to one buffer per matrix when x has its dtype, so
+        two threads must not multiply by one matrix at once.
+        """
+        x = np.asarray(x)
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by a vector of shape {x.shape}")
+        full, starts, buffer = self._plan
+        out = buffer if x.dtype == buffer.dtype else None
+        # with out=, the default mode="raise" buffers the gather; CSR column
+        # indices are in range, so mode="clip" changes nothing but the speed
+        prod = np.multiply(np.take(x, self.indices, out=out, mode="clip"), self.data, out=out)
+        if full.size == self.shape[0]:
+            return np.add.reduceat(prod, starts)
+        y = np.zeros(self.shape[0], dtype=prod.dtype)
+        y[full] = np.add.reduceat(prod, starts)
+        return y
+
+    __matmul__ = matvec
 
 
 @dataclass
 class SparseOperator:
-    """Hermitian-by-construction sparse operator on CSR arrays, with triplet access.
+    """Hermitian-by-construction sparse operator: a CSRMatrix and its Hermitian flag."""
 
-    matrix is a CSRMatrix, or the sparse matrix lattice_hamiltonian returns;
-    only their indptr, indices, data and shape are read here.
-    """
-
-    matrix: object
+    matrix: CSRMatrix
     hermitian: bool = True
 
     @property
@@ -121,11 +159,9 @@ class SparseOperator:
         return self.matrix.nnz
 
     def triplets(self) -> list[tuple[int, int, complex]]:
-        """Deterministic (row, col, value) list sorted by (row, col)."""
+        """Deterministic (row, col, value) list sorted by (row, col), the order of the CSR entries."""
         m = self.matrix
-        rows = _csr_rows(m)
-        order = np.lexsort((m.indices, rows))
-        return [(int(rows[i]), int(m.indices[i]), complex(m.data[i])) for i in order]
+        return list(zip(m.rows.tolist(), m.indices.tolist(), m.data.astype(complex).tolist()))
 
 
 @dataclass
@@ -182,19 +218,19 @@ def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
 def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     """Sparse lattice Hamiltonian H0 + lam V at lam = spec.lam on the full product basis.
 
-    The matrix is a scipy.sparse.csr_matrix, for callers that hand it to
-    scipy; scipy is imported here and nowhere else in the package.  The hop
-    sum runs over positive directions literally, so n_sites=2 with periodic
-    boundary counts the single geometric bond twice (coefficient -4 kappa).
+    Entries that cancel at spec.lam are dropped, so at lam = 0 the entries
+    of V alone are absent.  The hop sum runs over positive directions
+    literally, so n_sites=2 with periodic boundary counts the single
+    geometric bond twice (coefficient -4 kappa).
     """
-    import scipy.sparse as sp
-
     [(h0, v)] = _lattice_blocks(spec, "full")
     lam_is_real = complex(spec.lam).imag == 0.0
     lam = complex(spec.lam).real if lam_is_real else complex(spec.lam)
-    csr = sp.csr_matrix((h0.data + lam * v.data, h0.indices, h0.indptr), shape=h0.shape)
-    csr.eliminate_zeros()
-    return SparseOperator(csr, hermitian=lam_is_real)
+    data = h0.data + lam * v.data
+    live = data != 0
+    # the live entries before each row start
+    indptr = np.concatenate(([0], np.cumsum(live)))[h0.indptr].astype(h0.indptr.dtype)
+    return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]), hermitian=lam_is_real)
 
 
 def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:

@@ -190,6 +190,8 @@ def evolve_projector_method(
     """
     if order < 0:
         raise ValueError(f"order {order} must be at least 0")
+    if not (0 <= state_in < trunc.n_max and 0 <= state_out < trunc.n_max):
+        raise ValueError(f"states {state_in}->{state_out} outside 0..{trunc.n_max - 1}")
     t = np.asarray(t_grid, dtype=float)
     if state_in % 2 != state_out % 2:
         return AmplitudeTrace(t, np.zeros(len(t), dtype=complex))

@@ -91,6 +91,8 @@ def weak_series(
     records the integer scale the recursion ran at: q, offset, base and
     the orders at which it widened (algebra.rs_rational_series).
     """
+    if max_order < 0:
+        raise ValueError(f"order {max_order} must be at least 0")
     sector = algebra.level_sector(level, sector)
     if not 0 <= level < trunc.n_max:
         raise ValueError(f"level {level} outside 0..{trunc.n_max - 1}")
@@ -212,6 +214,8 @@ def strong_series(
     4 * max_order, floor 30), and then repeated at double precision; the
     agreement is recorded in certified_digits.
     """
+    if max_order < 0:
+        raise ValueError(f"order {max_order} must be at least 0")
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
     s = trunc.n_max // 2

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .hamiltonian import (CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _csr_rows, _lattice_blocks,
-                          anharmonic_family, parity_indices)
+from .hamiltonian import (CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, anharmonic_family,
+                          parity_indices)
 from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops
 
 __all__ = [
@@ -123,39 +123,6 @@ def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = 
     return SpectrumResult(w, v, sector)
 
 
-def _csr_matvec(m):
-    """x -> m @ x for CSR arrays m: gather x by column, multiply, and sum each row by reduceat."""
-    indices, data = np.asarray(m.indices, dtype=np.intp), m.data
-    n = m.shape[0]
-    full = np.flatnonzero(np.diff(m.indptr))
-    starts = m.indptr[full].astype(np.intp)
-    prod = np.empty(indices.size, dtype=np.result_type(data, np.float64))
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        if full.size < n:
-            y = np.zeros(n, dtype=prod.dtype)
-            if full.size:
-                y[full] = matvec_rows(x)
-            return y
-        return matvec_rows(x)
-
-    def matvec_rows(x: np.ndarray) -> np.ndarray:
-        # with out=, the default mode="raise" buffers the gather; CSR column
-        # indices are in range, so mode="clip" changes nothing but the speed
-        np.multiply(np.take(x, indices, out=prod, mode="clip"), data, out=prod)
-        return np.add.reduceat(prod, starts)
-
-    return matvec
-
-
-def _csr_diagonal(m) -> np.ndarray:
-    rows = _csr_rows(m)
-    on = np.flatnonzero(rows == m.indices)
-    diag = np.zeros(m.shape[0], dtype=m.data.dtype)
-    diag[rows[on]] = m.data[on]
-    return diag
-
-
 def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
                    near: np.ndarray | None = None) -> SpectrumResult:
     """k lowest eigenpairs of a Hermitian sparse operator, by Lanczos with full reorthogonalisation.
@@ -186,14 +153,14 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
         return SpectrumResult(w[:k], u[:, :k], "full")
     if k > LANCZOS_MAX_STEPS:
         raise ValueError(f"k={k} needs more than the {LANCZOS_MAX_STEPS} steps of one Lanczos run")
-    matvec = _csr_matvec(h.matrix)
+    matvec = h.matrix.matvec
     fresh = _random_vectors(dim, LANCZOS_SEED)
     noise, share = next(fresh), LANCZOS_WARM_SHARE
     if near is None:
-        diag = _csr_diagonal(h.matrix).real
+        diag = h.matrix.diagonal().real
         near, share = np.exp(-(diag - diag.min())), 1.0
     start = share * noise / _norm(noise) + near / _norm(near)
-    dtype = np.result_type(h.matrix.data, np.float64)
+    dtype = np.result_type(h.matrix.dtype, np.float64)
     theta, y = _lanczos(matvec, start.astype(dtype), k, tol, fresh, np.empty((0, dim), dtype))
     while k > 1:
         mu, u = _lanczos(matvec, next(fresh).astype(dtype), 1, tol, fresh, y)
@@ -593,6 +560,8 @@ def exact_amplitude(
     h: OperatorMatrix, t_grid: np.ndarray, state_in: int, state_out: int
 ) -> np.ndarray:
     """<out| exp(-i H t) |in> on a grid of times, via full diagonalization."""
+    if not (0 <= state_in < h.dim and 0 <= state_out < h.dim):
+        raise ValueError(f"states {state_in}->{state_out} outside 0..{h.dim - 1}")
     if h.hermitian:
         w, u = np.linalg.eigh(h.entries)
         w = w.astype(complex)

@@ -46,12 +46,25 @@ def test_spectrum_matrix_dump(tmp_path):
     assert rows[0] == "row,col,re,im"
     first = rows[1].split(",")
     assert first[:2] == ["0", "0"] and float(first[2]) == pytest.approx(0.575)
-    # sparse lattice dump goes through the triplet path
-    code, outdir = run_cli(["spectrum", "--nsites", "2", "--nmax", "2", "--kappa", "0.1",
-                            "--lam", "0", "--dump-matrix", "1", "--method", "lanczos",
-                            "--k", "2"], tmp_path, "dm2")
+
+
+@pytest.mark.parametrize("method, lam", [("dense", 0.0), ("lanczos", 0.0), ("dense", 0.25), ("lanczos", -0.2),
+                                         ("dense", 0.1 + 0.05j)])
+def test_lattice_matrix_dump_is_the_nonzero_dense_entries(tmp_path, lam, method):
+    # at lam = 0 the entries of phi^4 alone (two steps on one site) are absent
+    import numpy as np
+
+    from oracles import dense_lattice_hamiltonian
+
+    code, outdir = run_cli(["spectrum", "--nsites", "3", "--nmax", "4", "--kappa", "0.1", "--lam", str(lam),
+                            "--method", method, "--k", "2", "--dump-matrix", "1"], tmp_path, "dm")
     assert code == 0
-    assert (outdir / "matrix.csv").exists()
+    rows = [l.split(",") for l in (outdir / "matrix.csv").read_text().splitlines() if not l.startswith("#")]
+    assert rows[0] == ["row", "col", "re", "im"]
+    want = dense_lattice_hamiltonian(3, 4, 0.1, lam, "periodic")
+    assert [(int(r), int(c)) for r, c, _, _ in rows[1:]] == list(zip(*np.nonzero(want)))
+    got = np.array([complex(float(re), float(im)) for _, _, re, im in rows[1:]])
+    assert np.allclose(got, want[np.nonzero(want)], rtol=1e-14, atol=1e-15)
 
 
 def test_resources_row(tmp_path):
@@ -161,6 +174,24 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
 ])
 def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
     code, outdir = run_cli(args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args, named", [
+    (["evolve", "--method", "exact", "--state-in", "-1", "--state-out", "1"], "states -1->1 outside 0..3"),
+    (["evolve", "--method", "exact", "--state-out", "6"], "states 0->6 outside 0..3"),
+    (["evolve", "--method", "projector", "--state-in", "-1", "--state-out", "1"], "states -1->1 outside 0..3"),
+    (["evolve", "--method", "projector", "--state-out", "6"], "states 0->6 outside 0..3"),
+    (["evolve", "--method", "dyson", "--state-out", "4"], "states 0->4 outside 0..3"),
+    (["projector", "--entry", "9,0"], "--entry [9, 0] needs exactly 2 indices in 0..3"),
+    (["projector", "--entry", "1"], "--entry [1] needs exactly 2 indices in 0..3"),
+])
+def test_bad_state_and_entry_indices_are_recorded_before_any_output(tmp_path, args, named):
+    code, outdir = run_cli(args + ["--nmax", "4"], tmp_path, "bad")
     assert code == 1
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "error" and manifest["error"]["type"] == "ValueError"
@@ -316,7 +347,8 @@ def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
-def test_scan_whose_every_point_fails_names_the_grid(tmp_path, monkeypatch):
+@pytest.mark.parametrize("refine", ["0", "1"])
+def test_scan_whose_every_point_fails_names_the_grid(tmp_path, monkeypatch, refine):
     import numpy as np
 
     def fail(*args, **kwargs):
@@ -324,11 +356,11 @@ def test_scan_whose_every_point_fails_names_the_grid(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.warns(RuntimeWarning, match="9 grid points failed"):
-        code, outdir = run_cli(["scan", "--nmax", "4", "--res", "3 3"], tmp_path, "failed")
+        code, outdir = run_cli(["scan", "--nmax", "4", "--res", "3 3", "--refine", refine], tmp_path, "failed")
     assert code == 1
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["error"] == {"type": "LinAlgError", "message": "scan grid 3x3: all 9 points failed to "
-                                 "diagonalize, so no gap is left to refine"}
+                                 "diagonalize, so no gap is left"}
     assert not list(outdir.glob("*.csv"))
 
 
@@ -381,8 +413,8 @@ def test_exact_and_scan_commands_leave_scipy_optimize_unimported(tmp_path):
 
 
 def test_benchmark_commands_leave_scipy_unimported(tmp_path):
-    # every op of the three benchmark workloads, at their small sizes; scipy
-    # enters only through lattice_hamiltonian, which none of them calls
+    # every op of the three benchmark workloads, at their small sizes, and the
+    # lattice paths that build the full sparse matrix: the package imports no scipy
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     script = (
         "import sys\n"
@@ -393,6 +425,9 @@ def test_benchmark_commands_leave_scipy_unimported(tmp_path):
         "for name in workloads.WORKLOADS:\n"
         "    for i, op in enumerate(workloads.generate(name, 1, small=True)):\n"
         "        assert main(op['argv'] + [f'--outdir={out}/{name}{i}']) == 0, op['argv']\n"
+        "for method in ('dense', 'lanczos'):\n"
+        "    assert main(['spectrum', '--nsites', '3', '--nmax', '4', '--kappa', '0.1', '--method', method,"
+        " '--dump-matrix', '1', f'--outdir={out}/{method}']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -313,3 +313,55 @@ def test_lattice_family_is_the_affine_lattice(boundary):
         h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.2, lam, boundary))
         assert np.max(np.abs(fam.matrix(lam) - h.matrix.toarray())) <= 1e-13
         assert np.max(np.abs(fam.matrix(lam) - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13
+
+
+@pytest.mark.parametrize("data_dtype, x_dtype", [(float, float), (float, complex), (complex, float),
+                                                 (complex, complex)])
+def test_csr_matrix_is_its_dense_array(data_dtype, x_dtype):
+    # rows 0, 3 and 6 are empty; scipy only builds the reference
+    import scipy.sparse as sp
+
+    from phi4trunc.hamiltonian import CSRMatrix
+
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((7, 7)).astype(data_dtype) * (rng.uniform(size=(7, 7)) < 0.5)
+    if data_dtype is complex:
+        dense += 1j * rng.standard_normal((7, 7)) * (dense != 0)
+    dense[[0, 3, 6]] = 0.0
+    dense[2, 2] = 0.0
+    ref = sp.csr_matrix(dense)
+    m = CSRMatrix(ref.indptr, ref.indices.astype(np.intp), ref.data)
+    assert m.shape == (7, 7) and m.nnz == ref.nnz and m.dtype == dense.dtype
+    assert np.array_equal(m.toarray(), dense)
+    assert np.array_equal(m.rows, np.nonzero(dense)[0])
+    assert np.array_equal(m.diagonal(), np.diagonal(dense))
+    for seed in (0, 1):  # the second product reuses the matrix's buffer
+        x = np.random.default_rng(seed).standard_normal(7).astype(x_dtype)
+        assert np.allclose(m @ x, dense @ x, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(m @ x, m.matvec(x))
+    with pytest.raises(ValueError, match=r"cannot multiply a \(7, 7\) matrix by a vector of shape \(6,\)"):
+        m @ np.ones(6)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, -0.35])
+def test_scipy_eigsh_takes_the_lattice_matrix(lam):
+    # the benchmark's spectrum check hands this matrix to eigsh and to @
+    import scipy.sparse.linalg as spla
+
+    h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.1, lam)).matrix
+    want = np.linalg.eigvalsh(h.toarray())
+    w, v = spla.eigsh(h, k=2, which="SA", v0=np.ones(h.shape[0]), tol=1e-12)
+    assert np.allclose(np.sort(w), want[:2], rtol=1e-10, atol=0)
+    assert np.linalg.norm(h @ v[:, 0] - w[0] * v[:, 0]) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 0.1 + 0.05j])
+def test_lattice_matrix_stores_only_the_nonzero_entries(lam):
+    # at lam = 0 the entries of phi^4 alone cancel and are not stored
+    from oracles import dense_lattice_hamiltonian
+
+    h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.1, lam)).matrix
+    want = dense_lattice_hamiltonian(3, 4, 0.1, lam)
+    rows, cols = np.nonzero(want)
+    assert np.array_equal(h.rows, rows) and np.array_equal(h.indices, cols)
+    assert np.allclose(h.data, want[rows, cols], rtol=1e-14, atol=1e-15)

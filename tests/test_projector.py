@@ -137,6 +137,17 @@ def test_negative_order_is_rejected(state_out):
         perturbed_projector(TruncationSpec(4), 0, order=-2, lam=0.01)
 
 
+@pytest.mark.parametrize("state_in, state_out", [(-1, 1), (0, 4), (5, 0)])
+def test_states_outside_the_truncation_are_rejected(state_in, state_out):
+    # -1 -> 1 passes the parity shortcut, 0 -> 4 and 5 -> 0 would index past the matrix
+    t = np.linspace(0, 1, 3)
+    named = f"states {state_in}->{state_out} outside 0..3"
+    with pytest.raises(ValueError, match=named):
+        evolve_projector_method(TruncationSpec(4), 2, 0.1, t, state_in, state_out)
+    with pytest.raises(ValueError, match=named):
+        exact_amplitude(single_site_hamiltonian(TruncationSpec(4), 0.1), t, state_in, state_out)
+
+
 def test_opposite_parity_amplitude_is_zero():
     trace = evolve_projector_method(TruncationSpec(4), 4, 0.1, np.linspace(0, 5, 6), 0, 1,
                                     check_convergence=False)

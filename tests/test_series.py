@@ -31,6 +31,13 @@ def test_weak_series_nmax4_level2_exact():
     assert ser.coeffs == [F(5, 2), F(27, 4), F(9, 4), F(-27, 4), F(567, 32)]
 
 
+def test_series_reject_a_negative_order():
+    with pytest.raises(ValueError, match="order -1 must be at least 0"):
+        weak_series(TruncationSpec(8), 2, max_order=-1)
+    with pytest.raises(ValueError, match="order -2 must be at least 0"):
+        strong_series(TruncationSpec(8), 2, "even", -2)
+
+
 def test_weak_series_order_zero_is_unperturbed_energy():
     for level in (1, 3, 5):
         ser = weak_series(TruncationSpec(8), level, max_order=2)

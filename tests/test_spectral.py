@@ -82,8 +82,7 @@ def test_lanczos_matches_dense_on_small_lattice():
 
 
 def test_lanczos_diagonal_matrix_exact():
-    diag = sp.diags(np.arange(200.0)).tocsr()
-    low = lanczos_lowest(SparseOperator(diag), 5, tol=1e-13)
+    low = lanczos_lowest(_operator(sp.diags(np.arange(200.0))), 5, tol=1e-13)
     assert np.allclose(low.eigenvalues, np.arange(5.0), atol=1e-10)
 
 
@@ -210,7 +209,7 @@ def test_warm_started_sweep_is_the_dense_sector_minimum():
 
 
 def test_lanczos_rejects_non_hermitian():
-    m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    m = _operator(np.array([[0.0, 1.0], [0.0, 0.0]])).matrix
     with pytest.raises(ValueError, match="Hermitian"):
         lanczos_lowest(SparseOperator(m, hermitian=False), 1)
 
