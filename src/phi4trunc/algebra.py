@@ -12,8 +12,9 @@ lcm of the one-step denominators, and A = 1.  The weak series reads a
 tighter B dividing Q and a small offset A off its first orders, and the
 loop widens that scale in place at any order whose exact division leaves a
 remainder.  rayleigh_schrodinger is the generic loop over any scalar field:
-the strong series runs it on mpmath floats, the sum-over-states derivatives
-on doubles, and the tests on Fractions, as the oracle for the integer loop.
+the sum-over-states derivatives run it on doubles, and the tests on
+Fractions, as the oracle for the integer loop, and on mpmath floats, as
+the oracle for the strong series' fixed-point loop (series._rs_fixed).
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int.  Two integer kernels carry the exact polynomial work:
@@ -129,10 +130,11 @@ def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> t
     """Nondegenerate Rayleigh-Schrodinger series over any scalar field.
 
     h0 is the diagonal unperturbed block and v the perturbation, both in
-    one field (Fraction, mpmath mpf or float).  Returns (energies, states):
-    energies [E_0, ..., E_max_order] of the level at diagonal position pos,
-    and the state corrections psi_k, normalised so that <pos|psi_k> is 1
-    for k = 0 and 0 above, which solve
+    one field: float for the sum-over-states derivatives; Fraction and
+    mpmath mpf in the tests, as the oracles of the two integer loops.
+    Returns (energies, states): energies [E_0, ..., E_max_order] of the
+    level at diagonal position pos, and the state corrections psi_k,
+    normalised so that <pos|psi_k> is 1 for k = 0 and 0 above, which solve
     h0 psi_k + v psi_{k-1} = sum_j E_j psi_{k-j}.  Products with an exact
     zero are skipped.  Raises ValueError when h0[pos] is degenerate.
     """

@@ -43,7 +43,7 @@ from .pauli import (
     trotter_step_unitary,
 )
 from .projector import evolve_projector_method, perturbed_projector
-from .series import radius_estimate, strong_series, weak_series
+from .series import MIN_DIGITS, radius_estimate, strong_series, weak_series
 from .singularities import (
     gap_scan,
     refine_exceptional_point,
@@ -121,9 +121,11 @@ def _cmd_spectrum(cfg, outdir):
 
 
 def _series(cfg):
-    """The weak or strong series of a series or radius run, after checking --orders."""
+    """The weak or strong series of a series or radius run, after checking --orders and --precision."""
     if cfg["orders"] < 0:
         raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
+    if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
+        raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["domain"] == "weak":
         return weak_series(trunc, cfg["level"], None, cfg["orders"])
@@ -151,6 +153,8 @@ def mp_str(c, digits: int) -> str:
 
 
 def _cmd_radius(cfg, outdir):
+    if len(cfg["fit"]) != 2:
+        raise ValueError(f"--fit {cfg['fit']!r} needs exactly 2 orders")
     fit_lo, fit_hi = cfg["fit"]
     ser = _series(cfg)
     radius, slope = radius_estimate(ser, fit_lo, fit_hi)

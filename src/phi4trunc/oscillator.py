@@ -144,8 +144,10 @@ def _hermite_normalized(n_top: int, x, sqrt=math.sqrt) -> list:
     """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top, in x's field.
 
     The rescaling keeps the recurrence bounded by ~exp(x^2/2), so the
-    ratio formula below stays inside double range for n_max <= 128; pass
-    sqrt=mpmath.sqrt to run it on mpf values at working precision.
+    ratio formula below stays inside double range for n_max <= 128.  With
+    sqrt=mpmath.sqrt it runs on mpf values at working precision, as the
+    tests' strong-series oracle does; the strong series itself runs the
+    same recurrence on fixed-point integers (series._field_zeros).
     """
     one = x * 0 + 1
     h = [one, x * sqrt(2 * one)][: n_top + 1]

@@ -10,13 +10,17 @@ expansion solved from the characteristic polynomial, order by order, is
 kept as an independent cross-check path.
 
 Strong coupling expands around phi^4 in powers of lam_tilde = 1/lam.  The
-unperturbed energies are fourth powers of Hermite zeros, so the recursion
-runs in software floating point at a configurable number of decimal digits,
-with a doubled-precision rerun to certify how many digits survived.
+unperturbed energies are fourth powers of Hermite zeros, so the zeros, the
+field eigenbasis and the recursion run on Python integers at a binary
+precision set by a number of decimal digits, each value an integer
+mantissa at an explicit power-of-two scale, rounded where a product is
+cut back to the working bits.  A rerun at twice the digits certifies how
+many survived, and the coefficients come back as mpmath floats.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +28,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import algebra
-from .oscillator import TruncationSpec, _hermite_normalized, hermite_zeros
+from .oscillator import TruncationSpec, hermite_zeros
 
 __all__ = [
     "PowerSeries",
@@ -36,6 +40,14 @@ __all__ = [
     "benderwu_asymptote",
     "log_abs_coefficient",
 ]
+
+
+# the fewest digits a strong series may certify
+MIN_DIGITS = 6
+# bits the strong series carries past its working precision, and the bits
+# its Newton refinement takes from the double Hermite zeros
+GUARD_BITS = 32
+SEED_BITS = 52
 
 
 class PrecisionExhausted(RuntimeError):
@@ -159,44 +171,112 @@ def _trunc_add(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction
 # ---------------------------------------------------------------------------
 # strong coupling
 
-def _hermite_zeros_mp(degree: int) -> list:
-    """Positive zeros of H_degree at working precision, by Newton refinement."""
-    seeds = [x for x in hermite_zeros(degree) if x > 0]
-    out = []
-    for seed in seeds:
-        x = mp.mpf(seed)
-        for _ in range(60):
-            h = _hermite_normalized(degree, x, mp.sqrt)
-            dh = mp.sqrt(2 * mp.mpf(degree)) * h[-2]  # h'_n = sqrt(2n) h_{n-1}
-            step = h[-1] / dh
-            x -= step
-            if abs(step) < mp.mpf(10) ** (-mp.mp.dps + 2):
-                break
-        out.append(x)
-    return out
+def _field_zeros(n: int, p: int) -> list[tuple[int, list[int]]]:
+    """Positive zeros x of H_n, ascending, each with h_0(x), ..., h_n(x); integers at the scale 2^p.
+
+    h_k are the values of oscillator._hermite_normalized, from its
+    recurrence h_(k+1) = x a_k h_k - b_k h_(k-1) with the constants
+    a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)) rounded by math.isqrt.
+    Newton's method, h'_n = sqrt(2n) h_(n-1), starts from the double
+    zeros and runs on a ladder of precisions that about doubles per step
+    up to p, then takes one more step at p.
+    """
+    a = [math.isqrt((2 << 2 * p) // (k + 1)) for k in range(n)]
+    b = [math.isqrt((k << 2 * p) // (k + 1)) for k in range(n)]
+    c = math.isqrt(2 * n << 2 * p)
+    ladder = [p, p]  # each step about doubles the correct bits, so each rung may be 8 more than half the next
+    while ladder[-1] // 2 + 8 > SEED_BITS:
+        ladder.append(ladder[-1] // 2 + 8)
+    xs, q = [int(math.ldexp(x, SEED_BITS)) for x in hermite_zeros(n) if x > 0], SEED_BITS
+    for r in reversed(ladder):
+        d = p - r
+        ar, br, cr = [x >> d for x in a], [x >> d for x in b], c >> d
+        xs, q = [x << (r - q) for x in xs], r
+        for i, x in enumerate(xs):
+            h = _hermite_rows(x, ar, br, r)
+            xs[i] = x - (h[n] << r) // (cr * h[n - 1] >> r)
+    return [(x, _hermite_rows(x, a, b, p)) for x in xs]
 
 
-def _strong_coefficients(trunc: TruncationSpec, pos: int, sector: str, max_order: int) -> list:
-    """One strong-coupling recursion pass at the current mpmath precision."""
+def _hermite_rows(x: int, a: list[int], b: list[int], p: int) -> list[int]:
+    """h_0(x), ..., h_len(a)(x) at the scale 2^p, each product floored once."""
+    h, last = [1 << p], 0
+    for ak, bk in zip(a, b):
+        h.append(((x * ak >> p) * h[-1] - bk * last) >> p)
+        last = h[-2]
+    return h
+
+
+def _strong_blocks(trunc: TruncationSpec, sector: str, p: int) -> tuple[list[int], list[list[int]]]:
+    """h0 = x_j^4 / omega^2 and the harmonic term w in the sector's field eigenbasis, at the scale 2^p.
+
+    The parity-projected field eigenvectors are u_j[m] = sqrt(2) <l_m | phi_j>
+    = sqrt(2/n) h_(l_m)(x_j) / h_(n-1)(x_j) over the sector's levels l_m, and
+    w[j][k] = omega sum_m (l_m + 1/2) u_j[m] u_k[m] is summed exactly.
+    """
     n = trunc.n_max
-    omega = mp.mpf(trunc.omega)
-    xs = _hermite_zeros_mp(n)  # positive zeros, ascending
-    s = n // 2
-    rem = 0 if sector == "even" else 1
-    levels = [2 * k + rem for k in range(s)]
+    omega = Fraction(trunc.omega)
+    levels = algebra.sector_indices(n, sector)
+    root = math.isqrt((2 << 2 * p) // n)
+    zeros = _field_zeros(n, p)
+    u = [[h[m] * root // h[n - 1] for m in levels] for _, h in zeros]
+    weighted = [[(2 * m + 1) * x for m, x in zip(levels, row)] for row in u]
+    den = 2 * omega.denominator << p
+    w = [[sum(map(operator.mul, wj, uk)) * omega.numerator // den for uk in u] for wj in weighted]
+    h0 = [x**4 * omega.denominator**2 // (omega.numerator**2 << 3 * p) for x, _ in zeros]
+    return h0, w
 
-    # parity-projected field eigenvectors: u_j[m] = sqrt(2) <levels[m] | phi_j>
-    basis = []
-    for x in xs:
-        hvals = _hermite_normalized(n - 1, x, mp.sqrt)
-        top = hvals[n - 1]
-        basis.append([mp.sqrt(mp.mpf(2)) * hvals[m] / (mp.sqrt(mp.mpf(n)) * top) for m in levels])
 
-    # unperturbed energies x_j^4/omega^2 ascending; perturbation = harmonic term
-    h0 = [x**4 / omega**2 for x in xs]
-    w = [[sum(basis[j][m] * omega * (levels[m] + mp.mpf(1) / 2) * basis[k][m] for m in range(s))
-          for k in range(s)] for j in range(s)]
-    return algebra.rayleigh_schrodinger(h0, w, pos, max_order)[0]
+def _rs_fixed(h0: list[int], w: list[list[int]], pos: int, max_order: int, p: int) -> list[tuple[int, int]]:
+    """algebra.rayleigh_schrodinger on integers in binary block floating point.
+
+    h0 and w are integers at the scale 2^p.  Each state psi_k is kept as
+    integers P_k at its own scale 2^t_k, chosen so that its largest entry
+    has p bits, so the precision follows the state however fast the series
+    grows or falls.  E_k = sum_i w[pos][i] psi_(k-1)[i] is exact from
+    P_(k-1), at the scale 2^(p + t_(k-1)); the convolution takes it rounded
+    to p bits.  The right-hand side w psi_(k-1) - sum_j E_j psi_(k-j) is
+    summed exactly, each E_j shifted so that every term sits at the finest
+    of their scales, and its product with the resolvent is rounded once to
+    P_k.  A state that cancels to below 2^-(p - GUARD_BITS) of its terms
+    holds no working digit and is set to zero, as exact arithmetic would
+    leave it.  Returns the energies as (mantissa, scale) pairs,
+    E_k = mantissa / 2^scale.
+    """
+    s = len(h0)
+    res = [0 if m == pos else (1 << 2 * p) // (h0[pos] - e) for m, e in enumerate(h0)]
+    res_bits = [abs(r).bit_length() for r in res]
+    lost = p - GUARD_BITS  # bits a sum may cancel before it holds no working digit
+    cols = [[1 << p if m == pos else 0] for m in range(s)]  # cols[m][k] = P_k[m]
+    scales = [p]  # t_k
+    energies = [(h0[pos], p)]
+    short = []  # (E_j rounded to p bits, its scale) for j >= 1
+    for k in range(1, max_order + 1):
+        prev = [col[-1] for col in cols]
+        t = scales[-1]
+        e = sum(map(operator.mul, w[pos], prev))
+        energies.append((e, p + t))
+        # scales of the terms E_j psi_(k-j), j = 1 .. k-1, and of w psi_(k-1)
+        conv = [u + tj for (_, u), tj in zip(short, reversed(scales))]
+        top = max([p + t, *conv])
+        lifted = [x << (top - d) for (x, _), d in zip(short, conv)]
+        vals, terms = [], 0
+        for m in range(s):
+            x = sum(map(operator.mul, w[m], prev)) << (top - p - t)
+            y = sum(map(operator.mul, lifted, reversed(cols[m])))
+            terms = max(terms, res_bits[m] + max(abs(x).bit_length(), abs(y).bit_length()))
+            vals.append(res[m] * (x - y))
+        held = max(abs(v) for v in vals).bit_length()
+        if held <= terms - lost:
+            vals, held = [0] * s, 0
+        drop = max(0, held - p)
+        half = (1 << drop) >> 1
+        for col, v in zip(cols, vals):
+            col.append((v + half) >> drop)
+        scales.append(top + p - drop)
+        cut = max(0, abs(e).bit_length() - p)
+        short.append((e >> cut, p + t - cut))
+    return energies
 
 
 def strong_series(
@@ -222,24 +302,30 @@ def strong_series(
     if not 0 <= level < s:
         raise ValueError(f"strong-coupling level must be in 0..{s - 1}, got {level}")
     digits = precision_digits if precision_digits is not None else max(30, 4 * max_order)
+    if digits < MIN_DIGITS:
+        raise ValueError(f"precision {digits} must be at least {MIN_DIGITS} digits, the fewest it can certify")
 
-    with mp.workdps(digits + 10):
-        coeffs = _strong_coefficients(trunc, level, sector, max_order)
-    with mp.workdps(2 * digits + 10):
-        ref = _strong_coefficients(trunc, level, sector, max_order)
+    passes = []
+    for dps in (digits + 10, 2 * digits + 10):
+        p = mp.libmp.dps_to_prec(dps) + GUARD_BITS
+        h0, w = _strong_blocks(trunc, sector, p)
+        passes.append(_rs_fixed(h0, w, level, max_order, p))
     certified = digits
-    for a, b in zip(coeffs, ref):
-        if a == b == 0:
+    for (a, x), (b, y) in zip(*passes):
+        z = max(x, y)
+        a, b = a << (z - x), b << (z - y)
+        if a == b:
             continue
-        denom = abs(b) if abs(b) > 0 else mp.mpf(10) ** (-digits)
-        err = abs(a - b) / denom
-        agree = digits if err == 0 else min(digits, int(-mp.log10(err)))
-        certified = min(certified, max(agree, 0))
-    if certified < 6:
+        # log10 of |a - b| / |b|, with 10^-digits in place of a zero b
+        err = math.log10(abs(a - b)) - (math.log10(abs(b)) if b else z * math.log10(2) - digits)
+        certified = min(certified, max(0, min(digits, int(-err))))
+    if certified < MIN_DIGITS:
         raise PrecisionExhausted(
             f"strong series certified only {certified} digits at dps={digits}; "
             "raise precision_digits"
         )
+    with mp.workdps(digits + 10):
+        coeffs = [mp.mpf((m, -e)) for m, e in passes[0]]
     return PowerSeries(
         coeffs, "strong_lambda_tilde", level, sector,
         precision_digits=digits, certified_digits=certified,

@@ -1,6 +1,6 @@
 """Independent oracles used only by the tests.
 
-None of them imports the package:
+All but one of them leave the package alone:
 
 - the continuum quartic-oscillator coefficients come from the classic
   wavefunction recursion: write psi = e^(-x^2/2) sum_m lam^m B_m(x) with
@@ -27,7 +27,10 @@ None of them imports the package:
   characteristic polynomials in z) come from fraction-free Bareiss
   elimination on the polynomial entries themselves;
 - Dyson amplitudes come from the nested time integrals on Gaussian
-  rationals, each integral by parts with division by i Omega.
+  rationals, each integral by parts with division by i Omega;
+- strong-coupling series run on mpmath floats: Newton-refined Hermite
+  zeros, the field eigenbasis from the package's Hermite recurrence, and
+  the package's generic Rayleigh-Schrodinger engine, at two precisions.
 """
 import math
 from fractions import Fraction
@@ -36,6 +39,9 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from phi4trunc.algebra import rayleigh_schrodinger
+from phi4trunc.oscillator import _hermite_normalized, hermite_zeros
 
 
 def benderwu_continuum(max_order: int) -> list[Fraction]:
@@ -591,3 +597,61 @@ def dyson_terms(n_max: int, omega: Fraction, order: int, lam: Fraction,
             scaled = {key: _gauss_mul(c, factor) for key, c in poly.items()}
             totals[out] = _phase_add(totals[out], {key: c for key, c in scaled.items() if any(c)})
     return {out: _phase_mul(total, {(0, -energies[out]): one}) for out, total in totals.items()}
+
+
+def _hermite_zeros_mp(degree: int) -> list:
+    """Positive zeros of H_degree at working precision, by Newton refinement."""
+    seeds = [x for x in hermite_zeros(degree) if x > 0]
+    out = []
+    for seed in seeds:
+        x = mp.mpf(seed)
+        for _ in range(60):
+            h = _hermite_normalized(degree, x, mp.sqrt)
+            dh = mp.sqrt(2 * mp.mpf(degree)) * h[-2]  # h'_n = sqrt(2n) h_{n-1}
+            step = h[-1] / dh
+            x -= step
+            if abs(step) < mp.mpf(10) ** (-mp.mp.dps + 2):
+                break
+        out.append(x)
+    return out
+
+
+def strong_coefficients_mp(n_max: int, omega: float, pos: int, sector: str, max_order: int) -> list:
+    """One strong-coupling recursion pass at the current mpmath precision."""
+    n = n_max
+    omega = mp.mpf(omega)
+    xs = _hermite_zeros_mp(n)  # positive zeros, ascending
+    s = n // 2
+    rem = 0 if sector == "even" else 1
+    levels = [2 * k + rem for k in range(s)]
+
+    # parity-projected field eigenvectors: u_j[m] = sqrt(2) <levels[m] | phi_j>
+    basis = []
+    for x in xs:
+        hvals = _hermite_normalized(n - 1, x, mp.sqrt)
+        top = hvals[n - 1]
+        basis.append([mp.sqrt(mp.mpf(2)) * hvals[m] / (mp.sqrt(mp.mpf(n)) * top) for m in levels])
+
+    # unperturbed energies x_j^4/omega^2 ascending; perturbation = harmonic term
+    h0 = [x**4 / omega**2 for x in xs]
+    w = [[sum(basis[j][m] * omega * (levels[m] + mp.mpf(1) / 2) * basis[k][m] for m in range(s))
+          for k in range(s)] for j in range(s)]
+    return rayleigh_schrodinger(h0, w, pos, max_order)[0]
+
+
+def strong_series_mp(n_max: int, omega: float, level: int, sector: str, max_order: int,
+                     digits: int) -> tuple[list, int]:
+    """(coefficients at digits + 10 dps, certified digits against a rerun at 2 digits + 10 dps)."""
+    with mp.workdps(digits + 10):
+        coeffs = strong_coefficients_mp(n_max, omega, level, sector, max_order)
+    with mp.workdps(2 * digits + 10):
+        ref = strong_coefficients_mp(n_max, omega, level, sector, max_order)
+    certified = digits
+    for a, b in zip(coeffs, ref):
+        if a == b == 0:
+            continue
+        denom = abs(b) if abs(b) > 0 else mp.mpf(10) ** (-digits)
+        err = abs(a - b) / denom
+        agree = digits if err == 0 else min(digits, int(-mp.log10(err)))
+        certified = min(certified, max(agree, 0))
+    return coeffs, certified

@@ -171,6 +171,12 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     (["radius", "--nmax", "8", "--level", "2", "--orders", "-1"], "--orders -1 must be at least 0"),
     (["radius", "--nmax", "8", "--level", "2", "--domain", "strong", "--orders", "-2"],
      "--orders -2 must be at least 0"),
+    (["radius", "--nmax", "4", "--orders", "20", "--fit", "5,10,15"], "--fit [5, 10, 15] needs exactly 2 orders"),
+    (["radius", "--nmax", "4", "--orders", "20", "--fit", "5"], "--fit [5] needs exactly 2 orders"),
+    (["series", "--nmax", "8", "--level", "2", "--domain", "strong", "--precision", "-4"],
+     "--precision -4 must be at least 6"),
+    (["radius", "--nmax", "8", "--level", "2", "--domain", "strong", "--precision", "5"],
+     "--precision 5 must be at least 6"),
 ])
 def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
     code, outdir = run_cli(args, tmp_path, "bad")

@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phi4trunc import (
     TruncationSpec,
@@ -13,10 +15,11 @@ from phi4trunc import (
     weak_series,
     weak_series_charpoly,
 )
+from phi4trunc import series
 from phi4trunc.oscillator import build_field_ops
-from phi4trunc.series import PowerSeries, log_abs_coefficient
+from phi4trunc.series import MIN_DIGITS, PowerSeries, PrecisionExhausted, log_abs_coefficient
 
-from oracles import benderwu_continuum
+from oracles import benderwu_continuum, strong_series_mp
 
 F = Fraction
 
@@ -128,6 +131,81 @@ def test_strong_series_duality_against_dense():
     h = single_site_hamiltonian(trunc, lam)
     target = np.linalg.eigvalsh(h.entries)[0] / lam
     assert abs(val - target) <= 1e-10
+
+
+def _agree_to(got: list, want: list, digits: int, certified: int) -> bool:
+    """Whether want is within 2.2 10^-certified of got everywhere: relative to got, or to
+    10^-digits where got is zero, as strong_series certifies."""
+    with mp.workdps(30):
+        return all(abs(a - b) <= 2.2 * mp.mpf(10) ** -certified * (abs(a) if a else mp.mpf(10) ** -digits)
+                   for a, b in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_max=st.integers(1, 8).map(lambda k: 2 * k), omega=st.sampled_from([1.0, 0.5, 1.5, 1.1]),
+       odd=st.booleans(), data=st.data(), max_order=st.integers(0, 60))
+def test_strong_series_matches_the_mpf_oracle_to_its_certified_digits(n_max, omega, odd, data, max_order):
+    # each path's first pass is within 10^-certified of its second, so the
+    # two first passes are within twice the larger error; the integer path
+    # carries guard bits and never certifies fewer digits than the oracle
+    level = data.draw(st.integers(0, n_max // 2 - 1))
+    sector = "odd" if odd else "even"
+    digits = max(30, 4 * max_order)
+    want, certified = strong_series_mp(n_max, omega, level, sector, max_order, digits)
+    try:
+        ser = strong_series(TruncationSpec(n_max, omega), level, sector, max_order)
+    except PrecisionExhausted:
+        assert certified < MIN_DIGITS
+        return
+    assert ser.certified_digits >= certified
+    assert len(ser.coeffs) == max_order + 1
+    assert _agree_to(ser.coeffs, want, digits, min(ser.certified_digits, certified))
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("level", range(4))
+def test_strong_series_of_the_benchmark_prints_the_oracle_digits(sector, level):
+    ser = strong_series(TruncationSpec(8), level, sector, 40)
+    want, certified = strong_series_mp(8, 1.0, level, sector, 40, 160)
+    assert ser.precision_digits == 160 and ser.certified_digits == certified == 160
+    assert [mp.nstr(c, 160, strip_zeros=False) for c in ser.coeffs] == \
+        [mp.nstr(c, 160, strip_zeros=False) for c in want]
+
+
+def test_strong_series_two_level_block_has_exact_zeros():
+    # the odd sector of n_max 4 is a two-level block whose harmonic term has
+    # equal diagonal elements, so every odd order past the first vanishes:
+    # the integer path cancels those to exact zeros and certifies the rest,
+    # where the mpf oracle keeps rounding residues and certifies nothing
+    ser = strong_series(TruncationSpec(4, 1.5), 1, "odd", 20)
+    assert ser.certified_digits == 80
+    assert all(c == 0 for c in ser.coeffs[3::2]) and all(c != 0 for c in ser.coeffs[:2] + ser.coeffs[2::2])
+    assert strong_series_mp(4, 1.5, 1, "odd", 20, 80)[1] == 0
+
+
+def test_strong_series_whose_passes_disagree_is_exhausted(monkeypatch):
+    # the rerun at twice the digits moves E_1 in its 5th digit
+    run, passes = series._rs_fixed, []
+
+    def recorded(*args):
+        energies = run(*args)
+        if passes:
+            m, e = energies[1]
+            energies[1] = (m + m // 10**4, e)
+        passes.append(energies)
+        return energies
+
+    monkeypatch.setattr(series, "_rs_fixed", recorded)
+    with pytest.raises(PrecisionExhausted, match="certified only 4 digits at dps=30"):
+        strong_series(TruncationSpec(8), 0, "even", 4)
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("digits", [5, 0, -4])
+def test_strong_series_rejects_a_precision_that_cannot_certify(monkeypatch, digits):
+    monkeypatch.setattr(series, "_strong_blocks", None)  # no pass may start
+    with pytest.raises(ValueError, match=f"precision {digits} must be at least 6 digits"):
+        strong_series(TruncationSpec(8), 0, "even", 4, precision_digits=digits)
 
 
 def test_strong_series_certification_and_levels():

@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the exact weak series.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the weak and strong series.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -34,8 +34,11 @@ every row of RS_ROWS (n_max, omega, level, orders), alternating the sides,
 median of --rs-repeats after a warm-up; each row records whether the two
 sides' coefficients are equal and the scale this checkout ran at (q,
 offset, base, the orders at which it widened, and the bits of Q^K and of
-A B^K at the last order K).  --parts picks the parts to run (default:
-all).  Pass the file to tools/bench_collect.py with --extra.
+A B^K at the last order K).  `strong` does the same for strong_series
+on every row of STRONG_ROWS (n_max, sector, level, orders) at the default
+precision; each row records whether the two sides print the same digits
+(mpmath.nstr at the precision) and each side's certified digits.  --parts
+picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
 
@@ -269,7 +272,33 @@ def rs_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
     return rows
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs")
+# (n_max, sector, level, orders): the benchmark's eight strong-series ops and two larger blocks
+STRONG_ROWS = [(8, sector, level, 40) for sector in ("even", "odd") for level in range(4)] \
+    + [(16, "even", 0, 60), (32, "even", 0, 80)]
+
+
+def strong_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    import mpmath as mp
+
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    rows = []
+    for n_max, sector, level, orders in STRONG_ROWS:
+        calls = {f"{side}_s": (lambda pkg=pkg: pkg.strong_series(pkg.TruncationSpec(n_max), level, sector, orders))
+                 for side, pkg in packages.items()}
+        series = {name: call() for name, call in calls.items()}
+        printed = {name: [mp.nstr(c, ser.precision_digits, strip_zeros=False) for c in ser.coeffs]
+                   for name, ser in series.items()}
+        row = {"n_max": n_max, "sector": sector, "level": level, "orders": orders,
+               "digits": series["change_s"].precision_digits, **_median_times(calls, repeats),
+               "same": printed["parent_s"] == printed["change_s"],
+               "certified": {name[:-2]: ser.certified_digits for name, ser in series.items()}}
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -280,12 +309,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--solve-repeats", type=int, default=7)
     parser.add_argument("--grid-repeats", type=int, default=9)
     parser.add_argument("--rs-repeats", type=int, default=7)
+    parser.add_argument("--strong-repeats", type=int, default=7)
     parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid and rs rows are medians "
-                       "in this process after a warm-up, rs alternating the sides"}
+                       "sample, alternating which side runs first; solve, grid, rs and strong rows are "
+                       "medians in this process after a warm-up, rs and strong alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -296,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["grid"] = grid_rows(args.grid_repeats)
     if "rs" in args.parts:
         kernels["rs"] = rs_rows(sides, args.rs_repeats)
+    if "strong" in args.parts:
+        kernels["strong"] = strong_rows(sides, args.strong_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
