@@ -121,14 +121,14 @@ def _cmd_spectrum(cfg, outdir):
 
 
 def _series(cfg):
-    """The weak or strong series of a series or radius run, after checking --orders and --precision."""
+    """The weak or strong series of a series or radius run, after checking --orders (and --precision if strong)."""
     if cfg["orders"] < 0:
         raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
-    if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
-        raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["domain"] == "weak":
         return weak_series(trunc, cfg["level"], None, cfg["orders"])
+    if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
+        raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
     return strong_series(trunc, cfg["level"], cfg["sector"], cfg["orders"], cfg["precision"])
 
 

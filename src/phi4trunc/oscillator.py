@@ -140,19 +140,17 @@ def hermite_zeros(degree: int) -> np.ndarray:
     return np.sort(roots)
 
 
-def _hermite_normalized(n_top: int, x, sqrt=math.sqrt) -> list:
-    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top, in x's field.
+def _hermite_normalized(n_top: int, x: float) -> list[float]:
+    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top.
 
     The rescaling keeps the recurrence bounded by ~exp(x^2/2), so the
-    ratio formula below stays inside double range for n_max <= 128.  With
-    sqrt=mpmath.sqrt it runs on mpf values at working precision, as the
-    tests' strong-series oracle does; the strong series itself runs the
-    same recurrence on fixed-point integers (series._field_zeros).
+    ratio formula below stays inside double range for n_max <= 128.  The
+    strong series runs the same recurrence on fixed-point integers
+    (series._field_zeros).
     """
-    one = x * 0 + 1
-    h = [one, x * sqrt(2 * one)][: n_top + 1]
+    h = [1.0, x * math.sqrt(2)][: n_top + 1]
     for n in range(1, n_top):
-        h.append(x * sqrt(2 * one / (n + 1)) * h[n] - sqrt(n * one / (n + 1)) * h[n - 1])
+        h.append(x * math.sqrt(2 / (n + 1)) * h[n] - math.sqrt(n / (n + 1)) * h[n - 1])
     return h
 
 

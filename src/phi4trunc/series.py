@@ -238,15 +238,11 @@ def _rs_fixed(h0: list[int], w: list[list[int]], pos: int, max_order: int, p: in
     to p bits.  The right-hand side w psi_(k-1) - sum_j E_j psi_(k-j) is
     summed exactly, each E_j shifted so that every term sits at the finest
     of their scales, and its product with the resolvent is rounded once to
-    P_k.  A state that cancels to below 2^-(p - GUARD_BITS) of its terms
-    holds no working digit and is set to zero, as exact arithmetic would
-    leave it.  Returns the energies as (mantissa, scale) pairs,
+    P_k.  Returns the energies as (mantissa, scale) pairs,
     E_k = mantissa / 2^scale.
     """
     s = len(h0)
     res = [0 if m == pos else (1 << 2 * p) // (h0[pos] - e) for m, e in enumerate(h0)]
-    res_bits = [abs(r).bit_length() for r in res]
-    lost = p - GUARD_BITS  # bits a sum may cancel before it holds no working digit
     cols = [[1 << p if m == pos else 0] for m in range(s)]  # cols[m][k] = P_k[m]
     scales = [p]  # t_k
     energies = [(h0[pos], p)]
@@ -260,15 +256,9 @@ def _rs_fixed(h0: list[int], w: list[list[int]], pos: int, max_order: int, p: in
         conv = [u + tj for (_, u), tj in zip(short, reversed(scales))]
         top = max([p + t, *conv])
         lifted = [x << (top - d) for (x, _), d in zip(short, conv)]
-        vals, terms = [], 0
-        for m in range(s):
-            x = sum(map(operator.mul, w[m], prev)) << (top - p - t)
-            y = sum(map(operator.mul, lifted, reversed(cols[m])))
-            terms = max(terms, res_bits[m] + max(abs(x).bit_length(), abs(y).bit_length()))
-            vals.append(res[m] * (x - y))
+        vals = [res[m] * ((sum(map(operator.mul, w[m], prev)) << (top - p - t))
+                          - sum(map(operator.mul, lifted, reversed(cols[m])))) for m in range(s)]
         held = max(abs(v) for v in vals).bit_length()
-        if held <= terms - lost:
-            vals, held = [0] * s, 0
         drop = max(0, held - p)
         half = (1 << drop) >> 1
         for col, v in zip(cols, vals):

@@ -29,8 +29,9 @@ All but one of them leave the package alone:
 - Dyson amplitudes come from the nested time integrals on Gaussian
   rationals, each integral by parts with division by i Omega;
 - strong-coupling series run on mpmath floats: Newton-refined Hermite
-  zeros, the field eigenbasis from the package's Hermite recurrence, and
-  the package's generic Rayleigh-Schrodinger engine, at two precisions.
+  zeros from the package's double seeds, the field eigenbasis from the
+  normalized Hermite recurrence, and the package's generic
+  Rayleigh-Schrodinger engine, at two precisions.
 """
 import math
 from fractions import Fraction
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from phi4trunc.algebra import rayleigh_schrodinger
-from phi4trunc.oscillator import _hermite_normalized, hermite_zeros
+from phi4trunc.oscillator import hermite_zeros
 
 
 def benderwu_continuum(max_order: int) -> list[Fraction]:
@@ -599,6 +600,14 @@ def dyson_terms(n_max: int, omega: Fraction, order: int, lam: Fraction,
     return {out: _phase_mul(total, {(0, -energies[out]): one}) for out, total in totals.items()}
 
 
+def _hermite_mp(n_top: int, x) -> list:
+    """h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top on mpf values, by the normalized three-term recurrence."""
+    h = [mp.mpf(1), x * mp.sqrt(2)][: n_top + 1]
+    for n in range(1, n_top):
+        h.append(x * mp.sqrt(mp.mpf(2) / (n + 1)) * h[n] - mp.sqrt(mp.mpf(n) / (n + 1)) * h[n - 1])
+    return h
+
+
 def _hermite_zeros_mp(degree: int) -> list:
     """Positive zeros of H_degree at working precision, by Newton refinement."""
     seeds = [x for x in hermite_zeros(degree) if x > 0]
@@ -606,7 +615,7 @@ def _hermite_zeros_mp(degree: int) -> list:
     for seed in seeds:
         x = mp.mpf(seed)
         for _ in range(60):
-            h = _hermite_normalized(degree, x, mp.sqrt)
+            h = _hermite_mp(degree, x)
             dh = mp.sqrt(2 * mp.mpf(degree)) * h[-2]  # h'_n = sqrt(2n) h_{n-1}
             step = h[-1] / dh
             x -= step
@@ -628,7 +637,7 @@ def strong_coefficients_mp(n_max: int, omega: float, pos: int, sector: str, max_
     # parity-projected field eigenvectors: u_j[m] = sqrt(2) <levels[m] | phi_j>
     basis = []
     for x in xs:
-        hvals = _hermite_normalized(n - 1, x, mp.sqrt)
+        hvals = _hermite_mp(n - 1, x)
         top = hvals[n - 1]
         basis.append([mp.sqrt(mp.mpf(2)) * hvals[m] / (mp.sqrt(mp.mpf(n)) * top) for m in levels])
 

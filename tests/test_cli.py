@@ -187,6 +187,14 @@ def test_bad_orders_and_level_counts_are_recorded(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
+def test_weak_series_ignores_precision(tmp_path):
+    # --precision sets the digits of a strong series only; a weak run is exact
+    code, outdir = run_cli(["series", "--nmax", "4", "--level", "0", "--orders", "4", "--precision", "5"],
+                           tmp_path, "s")
+    assert code == 0
+    assert (outdir / "series.csv").read_text().splitlines()[-1] == "4,-567,32"
+
+
 @pytest.mark.parametrize("args, named", [
     (["evolve", "--method", "exact", "--state-in", "-1", "--state-out", "1"], "states -1->1 outside 0..3"),
     (["evolve", "--method", "exact", "--state-out", "6"], "states 0->6 outside 0..3"),

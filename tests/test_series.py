@@ -172,17 +172,6 @@ def test_strong_series_of_the_benchmark_prints_the_oracle_digits(sector, level):
         [mp.nstr(c, 160, strip_zeros=False) for c in want]
 
 
-def test_strong_series_two_level_block_has_exact_zeros():
-    # the odd sector of n_max 4 is a two-level block whose harmonic term has
-    # equal diagonal elements, so every odd order past the first vanishes:
-    # the integer path cancels those to exact zeros and certifies the rest,
-    # where the mpf oracle keeps rounding residues and certifies nothing
-    ser = strong_series(TruncationSpec(4, 1.5), 1, "odd", 20)
-    assert ser.certified_digits == 80
-    assert all(c == 0 for c in ser.coeffs[3::2]) and all(c != 0 for c in ser.coeffs[:2] + ser.coeffs[2::2])
-    assert strong_series_mp(4, 1.5, 1, "odd", 20, 80)[1] == 0
-
-
 def test_strong_series_whose_passes_disagree_is_exhausted(monkeypatch):
     # the rerun at twice the digits moves E_1 in its 5th digit
     run, passes = series._rs_fixed, []

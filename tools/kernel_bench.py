@@ -309,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--solve-repeats", type=int, default=7)
     parser.add_argument("--grid-repeats", type=int, default=9)
     parser.add_argument("--rs-repeats", type=int, default=7)
-    parser.add_argument("--strong-repeats", type=int, default=7)
     parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
@@ -327,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     if "rs" in args.parts:
         kernels["rs"] = rs_rows(sides, args.rs_repeats)
     if "strong" in args.parts:
-        kernels["strong"] = strong_rows(sides, args.strong_repeats)
+        kernels["strong"] = strong_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
