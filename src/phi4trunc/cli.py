@@ -156,6 +156,9 @@ def _cmd_radius(cfg, outdir):
     if len(cfg["fit"]) != 2:
         raise ValueError(f"--fit {cfg['fit']!r} needs exactly 2 orders")
     fit_lo, fit_hi = cfg["fit"]
+    # a negative --orders is named by _series
+    if cfg["orders"] >= 0 and not 0 <= fit_lo < fit_hi <= cfg["orders"]:
+        raise ValueError(f"--fit {cfg['fit']!r} needs 0 <= first < second <= --orders {cfg['orders']}")
     ser = _series(cfg)
     radius, slope = radius_estimate(ser, fit_lo, fit_hi)
     path = csvio.write_csv(

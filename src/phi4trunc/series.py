@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import algebra
 from .oscillator import TruncationSpec, hermite_zeros
 
@@ -294,6 +292,7 @@ def strong_series(
     digits = precision_digits if precision_digits is not None else max(30, 4 * max_order)
     if digits < MIN_DIGITS:
         raise ValueError(f"precision {digits} must be at least {MIN_DIGITS} digits, the fewest it can certify")
+    import mpmath as mp
 
     passes = []
     for dps in (digits + 10, 2 * digits + 10):
@@ -329,7 +328,9 @@ def log_abs_coefficient(c) -> float:
     """ln|c| that stays finite for huge exact rationals."""
     if isinstance(c, Fraction):
         return math.log(abs(c.numerator)) - math.log(c.denominator)
-    if isinstance(c, mp.mpf):
+    if hasattr(c, "_mpf_"):  # an mpmath float, whose exponent may be past a double's
+        import mpmath as mp
+
         return float(mp.log(abs(c)))
     return math.log(abs(c))
 

@@ -16,8 +16,8 @@ which show that nothing pinches the positive real axis.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,24 +314,40 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
     solved once, at its representative re lam + i |im lam|, so the gap at
     lam is by definition the gap solved there.  The representatives go to
     the eigensolver in chunks of _GRID_CHUNK to 2 _GRID_CHUNK - 1
-    couplings, on a pool of `workers` threads when there is more than one
-    chunk, and are put back by chunk index, so the result never depends on
-    scheduling.  A coupling whose solve fails reads NaN.
+    couplings.  With more than one chunk, the calling thread and up to
+    workers - 1 plain threads take the next unsolved chunk in turn, and the
+    gaps are put back by chunk index, so the result never depends on
+    scheduling.  A coupling whose solve fails reads NaN; an exception in
+    any thread stops the others taking chunks and is raised in the caller
+    once every thread has finished.
     """
     if workers < 1:
         raise ValueError(f"workers {workers!r} must be at least 1")
     lams = np.asarray(lams, dtype=complex)
     reps, where = np.unique(lams.real + 1j * np.abs(lams.imag), return_inverse=True)
     chunks = np.array_split(reps, max(1, reps.size // _GRID_CHUNK))
+    gaps, errors = [None] * len(chunks), []
+    todo, lock = iter(range(len(chunks))), threading.Lock()
 
-    def solve(chunk: np.ndarray) -> np.ndarray:
-        return np.abs(min_sector_gaps(h0s, vs, chunk))
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                gaps[k] = np.abs(min_sector_gaps(h0s, vs, chunks[k]))
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(solve, chunks))
-    else:
-        gaps = [solve(chunk) for chunk in chunks]
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(workers, len(chunks)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return np.concatenate(gaps)[where].reshape(lams.shape)
 
 

@@ -173,6 +173,10 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
      "--orders -2 must be at least 0"),
     (["radius", "--nmax", "4", "--orders", "20", "--fit", "5,10,15"], "--fit [5, 10, 15] needs exactly 2 orders"),
     (["radius", "--nmax", "4", "--orders", "20", "--fit", "5"], "--fit [5] needs exactly 2 orders"),
+    (["radius", "--nmax", "8", "--level", "2", "--orders", "200", "--fit", "100,250"],
+     "--fit [100, 250] needs 0 <= first < second <= --orders 200"),
+    (["radius", "--nmax", "8", "--level", "2", "--orders", "200", "--fit", "150,100"],
+     "--fit [150, 100] needs 0 <= first < second <= --orders 200"),
     (["series", "--nmax", "8", "--level", "2", "--domain", "strong", "--precision", "-4"],
      "--precision -4 must be at least 6"),
     (["radius", "--nmax", "8", "--level", "2", "--domain", "strong", "--precision", "5"],
@@ -448,6 +452,40 @@ def test_benchmark_commands_leave_scipy_unimported(tmp_path):
                           env={**os.environ})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_start_up_leaves_mpmath_and_thread_pools_unimported(tmp_path):
+    # import loads numpy and the package only; the lattice-qubit ops never load
+    # mpmath, and the grid commands run their threads without concurrent.futures
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    script = (
+        "import sys, threading\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import workloads\n"
+        "def loaded():\n"
+        "    return [m for m in ('mpmath', 'concurrent.futures') if m in sys.modules]\n"
+        "import phi4trunc\n"
+        "print(loaded())\n"
+        "from phi4trunc.cli import main\n"
+        "print(loaded())\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for i, op in enumerate(workloads.generate('lattice-qubit', 1, small=True)):\n"
+        "    assert main(op['argv'] + [f'--outdir={out}/{i}']) == 0, op['argv']\n"
+        "print(loaded())\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+        "assert main(['scan', '--nmax', '8', '--re', '-0.1 0.02', '--im', '-0.05 0.05', '--res', '60 60',"
+        " '--jobs', '2', f'--outdir={out}/s']) == 0\n"
+        "assert main(['riemann', '--nmax', '8', '--res', '40 80', '--jobs', '2', f'--outdir={out}/r']) == 0\n"
+        "print(len(started), 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ})
+    assert proc.returncode == 0, proc.stderr
+    package, cli, lattice, grids = proc.stdout.splitlines()
+    assert package == cli == lattice == "[]"
+    threads, futures = grids.split()
+    assert int(threads) >= 2 and futures == "False"
 
 
 def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):

@@ -254,6 +254,10 @@ def test_ground_radius_scales_like_inverse_nmax(n8_even_series_200, n16_even_ser
 def test_log_abs_coefficient_handles_huge_rationals():
     huge = F(10**400, 3**200)
     assert log_abs_coefficient(huge) == pytest.approx(400 * np.log(10) - 200 * np.log(3))
+    assert log_abs_coefficient(-0.25) == pytest.approx(np.log(0.25))
+    # an mpf below the smallest double still has its logarithm
+    assert log_abs_coefficient(mp.mpf("1e-400")) == pytest.approx(-400 * np.log(10))
+    assert log_abs_coefficient(mp.mpf("-1e400")) == pytest.approx(400 * np.log(10))
 
 
 def test_partial_sums_match_horner():

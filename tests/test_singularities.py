@@ -370,6 +370,41 @@ def test_grid_gaps_on_two_workers_are_the_serial_ones(resolution):
         grid_gaps(h0s, vs, lams, workers=0)
 
 
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_grid_gaps_raises_a_failed_chunk_once_every_thread_has_ended(monkeypatch, failing):
+    import threading
+    import time
+
+    import phi4trunc.singularities as sing
+
+    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("even")
+    lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
+    solve, worker_busy, finished = sing.min_sector_gaps, threading.Event(), []
+
+    def solve_or_fail(h0s, vs, chunk):
+        # the failing side raises only once the other one is inside a chunk
+        if threading.current_thread() is threading.main_thread():
+            assert worker_busy.wait(10)
+            if failing == "caller":
+                raise RuntimeError("chunk failed")
+            return solve(h0s, vs, chunk)
+        worker_busy.set()
+        if failing == "worker":
+            raise RuntimeError("chunk failed")
+        time.sleep(0.05)
+        finished.append(len(chunk))
+        return solve(h0s, vs, chunk)
+
+    monkeypatch.setattr(sing, "min_sector_gaps", solve_or_fail)
+    threads = threading.active_count()
+    assert lams.size // _GRID_CHUNK > 2
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        grid_gaps(h0s, vs, lams, workers=2)
+    assert threading.active_count() == threads
+    if failing == "caller":
+        assert finished  # the caller's failure waited for the chunk the worker was solving
+
+
 @pytest.mark.parametrize("resolution, solves", [((100, 100), 8500), ((80, 160), 8480)],
                          ids=["scan", "riemann"])
 def test_benchmark_grids_solve_each_conjugate_pair_once(monkeypatch, resolution, solves):

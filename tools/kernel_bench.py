@@ -6,7 +6,9 @@ Usage, from the root of a checkout, with the parent commit checked out at PARENT
 
 `import` spawns fresh interpreters that import `phi4trunc.cli` from each
 side's src/, alternating sides, and records the median wall time and peak
-RSS of the import.  `solve` times, in this checkout, spectral.lanczos_lowest
+RSS of the import, whether the interpreter ran with PYTHONDONTWRITEBYTECODE
+(so that src/ was compiled from source), and the sorted third-party
+top-level modules the import left in sys.modules.  `solve` times, in this checkout, spectral.lanczos_lowest
 against scipy's ARPACK called the way the parent's lanczos_lowest called it
 (Gershgorin shift, start vector from LANCZOS_SEED, ncv 40), on the even and
 odd momentum-0 sectors of the 8- and 10-site chains (n_max 4, kappa 0.1,
@@ -64,10 +66,15 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 PEAK_MB = ("def peak_mb():\n"
            "    [kb] = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
            "    return int(kb) / 1024\n")
-IMPORT = (PEAK_MB + "import time\n"
+IMPORT = (PEAK_MB + "import sys, time\n"
+          "before = set(sys.modules)\n"
           "t = time.perf_counter()\n"
           "import phi4trunc.cli\n"
-          "print(time.perf_counter() - t, peak_mb())\n")
+          "t = time.perf_counter() - t\n"
+          "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+          "import json\n"
+          "print(json.dumps([t, peak_mb(), sys.flags.dont_write_bytecode,\n"
+          "                  sorted(new - set(sys.stdlib_module_names) - {'phi4trunc'})]))\n")
 SWEEP = (PEAK_MB + "import json, sys, time\n"
          "import numpy as np\n"
          "from phi4trunc import LatticeSpec, TruncationSpec, lattice_ground_energies\n"
@@ -76,8 +83,8 @@ SWEEP = (PEAK_MB + "import json, sys, time\n"
          "spec, lams = LatticeSpec(n_sites, TruncationSpec(n_max), kappa), np.linspace(lo, hi, count)[:first]\n"
          "t = time.perf_counter()\n"
          "e = lattice_ground_energies(spec, lams)[:, 0]\n"
-         "print(time.perf_counter() - t, peak_mb(),\n"
-         "      int(_sectors_hold_ground(spec, list(lams), 1)), *e)\n")
+         "print(json.dumps([time.perf_counter() - t, peak_mb(),\n"
+         "                  int(_sectors_hold_ground(spec, list(lams), 1)), *e]))\n")
 # name: (n_sites, n_max, kappa, lo, hi, count), samples, couplings run on the parent side
 SWEEPS = {
     "sweep_10_sites_kappa_0.1_lam_0.05_0.3": ((10, 4, 0.1, 0.05, 0.3, 11), 1, 2),
@@ -88,8 +95,8 @@ SWEEPS = {
 
 
 def alternate(sides: dict[str, Path], script: str, samples: int,
-              args: dict[str, list[str]] | None = None) -> dict[str, list[list[float]]]:
-    """The numbers script prints, per side, from fresh interpreters, alternating which side runs first.
+              args: dict[str, list[str]] | None = None) -> dict[str, list[list]]:
+    """The JSON list script prints, per side, from fresh interpreters, alternating which side runs first.
 
     args gives each side's command-line arguments to the script.
     """
@@ -99,13 +106,14 @@ def alternate(sides: dict[str, Path], script: str, samples: int,
             env = {**os.environ, **PINNED, "PYTHONPATH": str(sides[side] / "src")}
             out = subprocess.run([sys.executable, "-c", script, *(args or {}).get(side, [])], env=env,
                                  capture_output=True, text=True, check=True)
-            got[side].append([float(x) for x in out.stdout.split()])
+            got[side].append(json.loads(out.stdout))
     return got
 
 
 def import_rows(sides: dict[str, Path], samples: int) -> dict:
     return {side: {"import_s": round(statistics.median(r[0] for r in rows), 4),
-                   "import_rss_mb": round(statistics.median(r[1] for r in rows), 1), "samples": samples}
+                   "import_rss_mb": round(statistics.median(r[1] for r in rows), 1),
+                   "dont_write_bytecode": bool(rows[0][2]), "third_party": rows[0][3], "samples": samples}
             for side, rows in alternate(sides, IMPORT, samples).items()}
 
 
