@@ -21,8 +21,10 @@ over Fraction or int.  Two integer kernels carry the exact polynomial work:
 a scalar Bareiss determinant and a Newton interpolator.  The bivariate
 characteristic polynomial f(z, lam) of a parity-sector block comes from
 Bareiss determinants of the integer matrices w I - d H(t) at integer nodes
-w and t, interpolated first in w, then in lam, and is cleared to integers
-by the 4^s omega^(2s) denominator of the block entries.  The resultant of
+w and t, interpolated first in w, then in lam (_pencil_char_poly), and is
+cleared to integers by the 4^s omega^(2s) denominator of the block
+entries.  The same core gives the exact characteristic polynomial of a
+float block, whose entries are dyadic (singularities.grid_gaps).  The resultant of
 f and its z-derivative takes the same two kernels at integer couplings
 (singularities.sylvester_discriminant).
 """
@@ -393,33 +395,43 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 
+def _pencil_char_poly(a: list[list[int]], b: list[list[int]]) -> list[Poly]:
+    """Integer coefficients of det(w I - a - t b) for square integer matrices a and b.
+
+    Returns the w-coefficients (ascending), each an integer polynomial in t
+    (ascending).  The w^j coefficient has t-degree at most s - j, so the
+    Bareiss determinants at the integer nodes w, t = 0..s determine it:
+    they are interpolated exactly, first in w at each t, then in t.
+    """
+    s = len(a)
+    nodes = list(range(s + 1))
+    per_node = []
+    for t in nodes:
+        dets = [_bareiss_det([[(w if i == j else 0) - x - t * y for j, (x, y) in enumerate(zip(row_a, row_b))]
+                              for i, (row_a, row_b) in enumerate(zip(a, b))]) for w in nodes]
+        per_node.append(_newton_interpolate(nodes, dets))  # monic, degree s
+    return [_newton_interpolate(nodes, [row[j] for row in per_node]) for j in range(s + 1)]
+
+
 def sector_char_poly(trunc: TruncationSpec, sector: str) -> list[list[int]]:
     """Integer-cleared bivariate characteristic polynomial of a sector block.
 
     Returns f(z, lam) = c det(z I - H_sector(lam)) as a list of
     z-coefficients (ascending), each an integer polynomial in lam
-    (ascending).  With d the lcm of the block's denominators, the Bareiss
-    determinants of w I - d H(t) at integer w, t = 0..s give, by exact
-    interpolation in w, p_t(w) = det(w I - d H(t)), whose w^j coefficient
-    times d^(j-s) is interpolated in lam.  c is 4^s omega^(2s), the
-    entrywise denominator of the weighted block at integer omega, times the
-    smallest integer that clears what a fractional omega leaves (h0 =
+    (ascending).  With d the lcm of the block's denominators,
+    _pencil_char_poly gives det(w I - d H(t)), whose w^j coefficient times
+    d^(j-s) is the z^j coefficient of det(z I - H(t)).  c is 4^s omega^(2s),
+    the entrywise denominator of the weighted block at integer omega, times
+    the smallest integer that clears what a fractional omega leaves (h0 =
     omega (n + 1/2) has denominator 4 at omega = 1/2).
     """
     h0, v = weighted_sector_blocks(trunc, sector)
     s = len(h0)
     omega = _as_fraction(trunc.omega, "omega")
     d = math.lcm(*(x.denominator for x in h0), *(x.denominator for row in v for x in row))
-    dh0 = [int(d * x) for x in h0]
+    dh0 = [[int(d * x) if i == j else 0 for j in range(s)] for i, x in enumerate(h0)]
     dv = [[int(d * x) for x in row] for row in v]
-    nodes = list(range(s + 1))
-    per_node = []
-    for t in nodes:
-        dets = [_bareiss_det([[(w - dh0[i] if i == j else 0) - t * x for j, x in enumerate(row)]
-                              for i, row in enumerate(dv)]) for w in nodes]
-        per_node.append(_newton_interpolate(nodes, dets))  # monic, degree s
-    polys = [[Fraction(c, d ** (s - j)) for c in _newton_interpolate(nodes, [row[j] for row in per_node])]
-             for j in range(s + 1)]
+    polys = [[Fraction(c, d ** (s - j)) for c in poly] for j, poly in enumerate(_pencil_char_poly(dh0, dv))]
     clear = (4 * omega**2) ** s
     clear *= math.lcm(*((c * clear).denominator for poly in polys for c in poly))
     return [poly_trim([int(c * clear) for c in poly]) for poly in polys]

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import csvio
+from .algebra import sector_indices
 from .dyson import dyson_series
 from .hamiltonian import (
     LatticeSpec,
@@ -257,11 +258,21 @@ def _jobs(cfg) -> int:
     return cfg["jobs"]
 
 
+def _grid_trunc(cfg) -> TruncationSpec:
+    """The truncation of a scan or riemann grid, after checking that its sector has a level pair."""
+    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
+    levels = len(sector_indices(trunc.n_max, cfg["sector"]))
+    if levels < 2:
+        raise ValueError(f"--nmax {trunc.n_max} leaves the {cfg['sector']} sector {levels} level, "
+                         "and a gap needs a pair of levels")
+    return trunc
+
+
 def _cmd_scan(cfg, outdir):
     (re_lo, re_hi), (im_lo, im_hi) = _scan_window(cfg)
     n_re, n_im = _grid_shape(cfg)
     jobs = _jobs(cfg)
-    trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
+    trunc = _grid_trunc(cfg)
     family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
     grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
     if grid.failures == grid.values.size:
@@ -400,7 +411,7 @@ def _cmd_lattice_sweep(cfg, outdir):
 def _cmd_riemann(cfg, outdir):
     n_lat, n_lon = _grid_shape(cfg)
     jobs = _jobs(cfg)
-    family = anharmonic_family(TruncationSpec(cfg["nmax"], cfg["omega"]))
+    family = anharmonic_family(_grid_trunc(cfg))
     rows = riemann_export(family, cfg["sector"], (n_lat, n_lon), jobs)
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"],

@@ -1,8 +1,10 @@
 """Exceptional points in the complex coupling plane.
 
-Three independent routes to the same objects: brute-force minimum-gap scans
-over a rectangular grid of complex couplings, local secant refinement of a
-candidate on the squared distance of the closest pair of sector eigenvalues,
+Three routes to the same objects: brute-force minimum-gap scans over a
+rectangular grid of complex couplings (closed-form roots of the block's
+exact characteristic polynomial up to four levels, batched eigensolves
+above), local secant refinement of a candidate on the squared distance of
+the closest pair of sector eigenvalues (one eigensolve per step),
 and the algebraic route -- the determinant of the Sylvester-style matrix
 built from a sector's exact characteristic polynomial f and its
 z-derivative f', whose roots in lam are precisely the couplings where f has
@@ -51,9 +53,17 @@ _G_BITS = 60
 _G = 1 << _G_BITS
 _SECANT_STEPS = 50
 _WALK_STEPS = 60  # doublings of the real-axis step: 1e-3 2^60 is past any resolved coupling
-# couplings per batched eigensolve of a grid: on 4 x 4 blocks a second
-# thread gains nothing on batches of 100 couplings and 1.5-2x from about 500
+# couplings per chunk of a grid: on 4 x 4 blocks a second thread gains
+# nothing on batched eigensolves of 100 couplings and 1.5-2x from about 500
 _GRID_CHUNK = 512
+# grids of blocks of 2 to this many levels take closed-form roots of the
+# characteristic polynomial (quadratic, Cardano, Ferrari)
+_CLOSED_FORM_LEVELS = 4
+# largest Newton step a closed-form root may take, relative to the closest
+# pair's gap: the step leaves an error of order (s - 1) step^2 / gap, below
+# 1e-11 of the gap, where a larger step marks roots the formula lost
+_NEWTON_STEP_TOL = 1e-6
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
 
 
 @dataclass
@@ -280,6 +290,15 @@ class RefineResult:
     estimate: SingularityEstimate | None
 
 
+def _closest_pair(z: np.ndarray) -> np.ndarray:
+    """z_i - z_j of the closest pair in each row of z, the first in row-major order on ties."""
+    n, s = z.shape
+    diff = (z[:, :, None] - z[:, None, :]).reshape(n, -1)
+    dist = np.abs(diff)
+    dist[:, np.arange(s) * (s + 1)] = np.inf  # the flattened diagonal, i == j
+    return diff[np.arange(n), dist.argmin(axis=1)]
+
+
 def min_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams) -> np.ndarray:
     """Closest eigenvalue pair of h0s + lam vs at each coupling, as z_i - z_j.
 
@@ -300,10 +319,116 @@ def min_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams) -> np.ndarray:
         if len(lams) == 1:
             return np.array([complex(np.nan, np.nan)])
         return np.concatenate([min_sector_gaps(h0s, vs, lams[k:k + 1]) for k in range(len(lams))])
-    diff = (z[:, :, None] - z[:, None, :]).reshape(len(lams), -1)
-    dist = np.abs(diff)
-    dist[:, np.arange(s) * (s + 1)] = np.inf  # the flattened diagonal, i == j
-    return diff[np.arange(len(lams)), dist.argmin(axis=1)]
+    return _closest_pair(z)
+
+
+def _float_char_poly(h0s: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """det(z I - h0s - lam vs) of a real float pencil, exact, then rounded once to doubles.
+
+    Every finite double is a dyadic rational, so for the largest
+    power-of-two denominator 2^e among the entries, a = 2^e h0s and
+    b = 2^e vs are integer matrices.  algebra._pencil_char_poly gives
+    det(w I - a - lam b) exactly, and w = 2^e z divides its w^j lam^k
+    coefficient by 2^(e (s - j)) into the z^j lam^k coefficient of the monic
+    polynomial.  Row j < s holds the z^j coefficients, ascending in lam;
+    the z^s coefficient is 1.
+    """
+    s = h0s.shape[0]
+    ratios = [[[x.as_integer_ratio() for x in row] for row in m.tolist()] for m in (h0s, vs)]
+    e = max(den.bit_length() - 1 for m in ratios for row in m for _, den in row)
+    a, b = ([[num << (e + 1 - den.bit_length()) for num, den in row] for row in m] for m in ratios)
+    out = np.zeros((s, s + 1))
+    for j, poly in enumerate(algebra._pencil_char_poly(a, b)[:s]):
+        out[j, :len(poly)] = [c / (1 << (e * (s - j))) for c in poly]
+    return out
+
+
+def _quadratic_roots(c0, c1) -> list:
+    """Roots of z^2 + c1 z + c0, the second from the product of the roots (no cancellation)."""
+    d = np.sqrt(c1 * c1 - 4 * c0)
+    d = np.where((d.conj() * c1).real >= 0, d, -d)
+    big = -(c1 + d) / 2
+    return [big, c0 / big]
+
+
+def _cubic_roots(c0, c1, c2) -> list:
+    """Roots of z^3 + c2 z^2 + c1 z + c0 by Cardano's formula.
+
+    z = t - c2/3 gives t^3 + p t + q; with u^3 the root of
+    u^6 + q u^3 - p^3/27 of the larger modulus, t = u w - p / (3 u w) over
+    the cube roots of unity w.
+    """
+    p = c1 - c2 * c2 / 3
+    q = (2 * c2 * c2 - 9 * c1) * c2 / 27 + c0
+    d = np.sqrt(q * q / 4 + p * p * p / 27)
+    u3 = np.where(np.abs(d - q / 2) >= np.abs(d + q / 2), d - q / 2, -d - q / 2)
+    u = u3 ** (1 / 3)
+    return [w * u - p / (3 * w * u) - c2 / 3 for w in _CUBE_ROOTS_OF_UNITY]
+
+
+def _quartic_roots(c0, c1, c2, c3) -> list:
+    """Roots of z^4 + c3 z^3 + c2 z^2 + c1 z + c0 by Ferrari's method.
+
+    z = y - c3/4 gives y^4 + p y^2 + q y + r.  For a root m of the resolvent
+    cubic m^3 + p m^2 + (p^2/4 - r) m - q^2/8, taken of the largest modulus
+    so that it is far from zero, y^4 + p y^2 + q y + r
+    = (y^2 + p/2 + m)^2 - 2m (y - q/(4m))^2, and with s^2 = 2m the roots are
+    (e s +- sqrt(-2p - 2m - 2 e q / s)) / 2 for e = +-1.
+    """
+    p = c2 - 3 * c3 * c3 / 8
+    q = c1 - c3 * c2 / 2 + c3 * c3 * c3 / 8
+    r = c0 - c3 * c1 / 4 + c3 * c3 * c2 / 16 - 3 * c3 ** 4 / 256
+    ms = np.stack(_cubic_roots(-q * q / 8, p * p / 4 - r, p))
+    m = np.take_along_axis(ms, np.abs(ms).argmax(axis=0)[None], axis=0)[0]
+    s = np.sqrt(2 * m)
+    roots = []
+    for e in (1, -1):
+        root = np.sqrt(-2 * p - 2 * m - 2 * e * q / s)
+        roots += [(e * s + root) / 2 - c3 / 4, (e * s - root) / 2 - c3 / 4]
+    return roots
+
+
+_CLOSED_FORMS = {2: _quadratic_roots, 3: _cubic_roots, 4: _quartic_roots}
+
+
+def _closed_form_gaps(poly: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Closest-pair gaps at each coupling from the closed-form roots of the table poly, NaN where lost.
+
+    poly is _float_char_poly's table.  Each coupling's coefficients come by
+    Horner in lam, its roots in closed form, and one vectorised Newton step
+    on the polynomial polishes each root before the closest pair is taken.
+    A coupling's roots are lost when one is not finite or its largest
+    Newton step is not below _NEWTON_STEP_TOL of its gap.
+    """
+    s = poly.shape[0]
+    with np.errstate(all="ignore"):  # an overflow or 0/0 gives a root that is not finite
+        coef = poly[:, s]
+        for k in range(s - 1, -1, -1):
+            coef = coef * lams[:, None] + poly[:, k]
+        z = np.stack(_CLOSED_FORMS[s](*coef.T), axis=1)
+        p, dp = np.ones_like(z), np.zeros_like(z)
+        for j in range(s - 1, -1, -1):
+            dp = dp * z + p
+            p = p * z + coef[:, j, None]
+        step = p / dp
+        gaps = np.abs(_closest_pair(z - step))
+        return np.where(np.abs(step).max(axis=1) < _NEWTON_STEP_TOL * gaps, gaps, np.nan)
+
+
+def _chunk_gaps(h0s: np.ndarray, vs: np.ndarray, poly: np.ndarray | None, lams: np.ndarray) -> np.ndarray:
+    """|min_sector_gaps| of h0s + lam vs at each coupling of the chunk lams.
+
+    With poly, the table of _float_char_poly, the gaps come from
+    _closed_form_gaps, and only the couplings whose roots it lost go to
+    min_sector_gaps; without it, every coupling does.
+    """
+    if poly is None:
+        return np.abs(min_sector_gaps(h0s, vs, lams))
+    gaps = _closed_form_gaps(poly, lams)
+    lost = np.isnan(gaps)
+    if lost.any():
+        gaps[lost] = np.abs(min_sector_gaps(h0s, vs, lams[lost]))
+    return gaps
 
 
 def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.ndarray:
@@ -312,20 +437,26 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
     The family is real, so H(conj lam) = conj H(lam) has the same gaps: the
     couplings are deduplicated on their exact (re lam, |im lam|) and each is
     solved once, at its representative re lam + i |im lam|, so the gap at
-    lam is by definition the gap solved there.  The representatives go to
-    the eigensolver in chunks of _GRID_CHUNK to 2 _GRID_CHUNK - 1
-    couplings.  With more than one chunk, the calling thread and up to
-    workers - 1 plain threads take the next unsolved chunk in turn, and the
-    gaps are put back by chunk index, so the result never depends on
-    scheduling.  A coupling whose solve fails reads NaN; an exception in
-    any thread stops the others taking chunks and is raised in the caller
-    once every thread has finished.
+    lam is by definition the gap solved there.  Blocks of 2 to
+    _CLOSED_FORM_LEVELS levels (n_max 4 to 8) need no eigensolve per
+    coupling: their characteristic polynomial is computed exactly once per
+    call (_float_char_poly) and each coupling's roots come in closed form
+    (_chunk_gaps); a coupling whose closed-form roots are lost goes to
+    min_sector_gaps, which solves every coupling of larger blocks.  The
+    representatives go to _chunk_gaps in chunks of _GRID_CHUNK to
+    2 _GRID_CHUNK - 1 couplings.  With more than one chunk, the calling
+    thread and up to workers - 1 plain threads take the next unsolved chunk
+    in turn, and the gaps are put back by chunk index, so the result never
+    depends on scheduling.  A coupling whose eigensolve fails reads NaN;
+    an exception in any thread stops the others taking chunks and is
+    raised in the caller once every thread has finished.
     """
     if workers < 1:
         raise ValueError(f"workers {workers!r} must be at least 1")
     lams = np.asarray(lams, dtype=complex)
     reps, where = np.unique(lams.real + 1j * np.abs(lams.imag), return_inverse=True)
     chunks = np.array_split(reps, max(1, reps.size // _GRID_CHUNK))
+    poly = _float_char_poly(h0s, vs) if 2 <= h0s.shape[0] <= _CLOSED_FORM_LEVELS else None
     gaps, errors = [None] * len(chunks), []
     todo, lock = iter(range(len(chunks))), threading.Lock()
 
@@ -336,7 +467,7 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
                     k = next(todo, None)
                 if k is None:
                     return
-                gaps[k] = np.abs(min_sector_gaps(h0s, vs, chunks[k]))
+                gaps[k] = _chunk_gaps(h0s, vs, poly, chunks[k])
         except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 

@@ -10,6 +10,8 @@ All but one of them leave the package alone:
   of the documented local terms and hop;
 - exceptional points are labelled by following eigenvalues along a ray in
   the complex coupling plane;
+- minimum sector gaps come from mpmath's QR eigenvalues of h0 + lam v at
+  30 digits, with the float entries taken exactly;
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
 - structural Pauli word sets also come from a 40-digit recursive split
   into qubit-0 quadrants at a fixed coupling;
@@ -134,6 +136,24 @@ def coalescing_levels(n_max: int, point: complex) -> tuple[int, int]:
     dist = nearest(ev)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return tuple(sorted((2 * int(i), 2 * int(j))))
+
+
+def mp_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams, dps: int = 30) -> np.ndarray:
+    """min_{i != j} |z_i - z_j| of h0s + lam vs at each coupling, from dps-digit eigenvalues.
+
+    The float entries and couplings are taken exactly; only the result is
+    rounded to a double.
+    """
+    s = h0s.shape[0]
+    out = []
+    with mp.workdps(dps):
+        for lam in np.ravel(lams):
+            lam = mp.mpc(float(lam.real), float(lam.imag))
+            block = mp.matrix([[mp.mpf(float(h0s[i, j])) + lam * mp.mpf(float(vs[i, j])) for j in range(s)]
+                               for i in range(s)])
+            z = mp.eig(block, left=False, right=False)
+            out.append(float(min(abs(z[i] - z[j]) for i in range(s) for j in range(i))))
+    return np.reshape(out, np.shape(lams))
 
 
 def _squarefree_split(k: int) -> tuple[int, int]:

@@ -365,13 +365,32 @@ def test_grid_commands_reject_bad_inputs_before_any_work(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["scan", "riemann"])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_grid_commands_reject_a_sector_of_one_level_before_any_work(tmp_path, command, sector):
+    code, outdir = run_cli([command, "--nmax", "2", "--sector", sector, "--res", "4 4"], tmp_path, "one")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError", "message": f"--nmax 2 leaves the {sector} sector 1 "
+                                 "level, and a gap needs a pair of levels"}
+    assert manifest["run"]["warnings"] == []
+    assert not list(outdir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("refine", ["0", "1"])
 def test_scan_whose_every_point_fails_names_the_grid(tmp_path, monkeypatch, refine):
     import numpy as np
 
+    import phi4trunc.singularities as sing
+
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    def lost(*coeffs):
+        return [np.full(coeffs[0].shape, np.nan + 0j) for _ in coeffs]
+
+    # the closed-form roots are lost at every point, so each goes on to the failing eigensolver
+    monkeypatch.setattr(sing, "_CLOSED_FORMS", {s: lost for s in sing._CLOSED_FORMS})
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.warns(RuntimeWarning, match="9 grid points failed"):
         code, outdir = run_cli(["scan", "--nmax", "4", "--res", "3 3", "--refine", refine], tmp_path, "failed")

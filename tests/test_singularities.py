@@ -19,10 +19,13 @@ from phi4trunc import (
 from phi4trunc.algebra import sector_char_poly
 from phi4trunc.hamiltonian import CouplingFamily
 from phi4trunc.singularities import (
+    _CLOSED_FORM_LEVELS,
     _GRID_CHUNK,
     ResultantPolynomial,
     _aberth_roots,
+    _closed_form_gaps,
     _disks_certify,
+    _float_char_poly,
     _mollweide,
     grid_gaps,
     min_sector_gaps,
@@ -33,6 +36,7 @@ from oracles import (
     coalescing_levels,
     lambda_to_sphere,
     mollweide_project,
+    mp_sector_gaps,
     sylvester_rows,
 )
 
@@ -354,7 +358,73 @@ def test_grid_gaps_are_the_pointwise_gaps_at_the_representatives(make_family, n_
     h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
     gaps = grid_gaps(h0s, vs, lams)
     assert gaps.shape == lams.shape
-    assert np.array_equal(gaps, _pointwise_gaps(h0s, vs, _representatives(lams)))
+    reps = _representatives(lams)
+    if n_max // 2 > _CLOSED_FORM_LEVELS:
+        assert np.array_equal(gaps, _pointwise_gaps(h0s, vs, reps))
+        return
+    # closed-form roots: a coupling and its conjugate read one gap, the 30-digit one
+    assert np.array_equal(gaps, grid_gaps(h0s, vs, reps))
+    unique, where = np.unique(reps, return_inverse=True)
+    want = mp_sector_gaps(h0s, vs, unique)[where].reshape(lams.shape)
+    assert np.all(np.abs(gaps - want) <= 1e-11 * want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make_family=st.sampled_from([anharmonic_family, strong_coupling_family]),
+       n_max=st.sampled_from([4, 6, 8]), sector=st.sampled_from(["even", "odd"]),
+       polar=st.lists(st.tuples(st.floats(-3, 2), st.floats(-np.pi, np.pi)), min_size=1, max_size=4))
+@example(make_family=anharmonic_family, n_max=8, sector="even",
+         polar=[(-3, 0.0), (2, np.pi), (-1.3, 1.9), (0, np.pi / 2)])
+@example(make_family=strong_coupling_family, n_max=8, sector="odd", polar=[(2, 0.0), (-3, -np.pi), (1.5, 2.3)])
+def test_closed_form_gaps_are_the_30_digit_gaps(make_family, n_max, sector, polar):
+    lams = np.array([10.0**e * np.exp(1j * phase) for e, phase in polar])
+    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    gaps = _closed_form_gaps(_float_char_poly(h0s, vs), lams)
+    want = mp_sector_gaps(h0s, vs, lams)
+    assert np.all(np.abs(gaps - want) <= 1e-11 * want)  # and none lost (NaN)
+
+
+def _benchmark_grid(name):
+    """The couplings of the benchmark's scan (100 x 100) or sphere (80 x 160) grid."""
+    if name == "scan":
+        return np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(-0.05, 0.05, 100)[:, None]
+    sin = np.sin(np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, 80))
+    return np.sqrt((1 + sin) / (1 - sin))[:, None] * np.exp(1j * np.linspace(-np.pi, np.pi, 160, endpoint=False))
+
+
+@pytest.mark.parametrize("grid", ["scan", "sphere"])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
+def test_closed_form_keeps_every_benchmark_grid_point_within_1e12_of_eigvals(make_family, sector, grid):
+    # the Newton step is what brings the sphere's gaps from 6.5e-12 to 1.3e-13 of eigvals'
+    h0s, vs = make_family(TruncationSpec(8)).sector_matrices(sector)
+    reps = np.unique(_representatives(_benchmark_grid(grid)))
+    gaps = _closed_form_gaps(_float_char_poly(h0s, vs), reps)
+    want = np.abs(min_sector_gaps(h0s, vs, reps))
+    assert np.all(np.abs(gaps - want) <= 1e-12 * want)  # and none lost (NaN)
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("n_max", [4, 6, 8])
+@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
+def test_float_char_poly_is_the_exact_polynomial_rounded_once(make_family, n_max, sector):
+    # at s + 1 couplings the table's z^j coefficient is within one rounding
+    # of det(z I - h0s - lam vs) from Bareiss elimination on polynomials in
+    # z, with every float entry taken exactly; the lam-degree is at most s - j
+    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    poly = _float_char_poly(h0s, vs)
+    s = len(poly)
+    assert poly.shape == (s, s + 1)
+    assert all(not poly[j, s - j + 1:].any() for j in range(s))
+    for lam in [Fraction(-k, 3) for k in range(1, s + 2)]:
+        matrix = [[[-Fraction(h0s[i, j]) - lam * Fraction(vs[i, j])] + ([1] if i == j else [])
+                   for j in range(s)] for i in range(s)]
+        det = bareiss_det_poly(matrix)
+        assert det[s] == 1
+        for j in range(s):
+            got = sum(Fraction(c) * lam**k for k, c in enumerate(poly[j]))
+            bound = sum(abs(Fraction(c)) * abs(lam) ** k for k, c in enumerate(poly[j])) / 2**52
+            assert abs(got - det[j]) <= bound
 
 
 @pytest.mark.parametrize("resolution", [(37, 41), (3 * _GRID_CHUNK + 1, 1), (10, 10), (1, 1)],
@@ -379,23 +449,23 @@ def test_grid_gaps_raises_a_failed_chunk_once_every_thread_has_ended(monkeypatch
 
     h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("even")
     lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
-    solve, worker_busy, finished = sing.min_sector_gaps, threading.Event(), []
+    solve, worker_busy, finished = sing._chunk_gaps, threading.Event(), []
 
-    def solve_or_fail(h0s, vs, chunk):
+    def solve_or_fail(h0s, vs, poly, chunk):
         # the failing side raises only once the other one is inside a chunk
         if threading.current_thread() is threading.main_thread():
             assert worker_busy.wait(10)
             if failing == "caller":
                 raise RuntimeError("chunk failed")
-            return solve(h0s, vs, chunk)
+            return solve(h0s, vs, poly, chunk)
         worker_busy.set()
         if failing == "worker":
             raise RuntimeError("chunk failed")
         time.sleep(0.05)
         finished.append(len(chunk))
-        return solve(h0s, vs, chunk)
+        return solve(h0s, vs, poly, chunk)
 
-    monkeypatch.setattr(sing, "min_sector_gaps", solve_or_fail)
+    monkeypatch.setattr(sing, "_chunk_gaps", solve_or_fail)
     threads = threading.active_count()
     assert lams.size // _GRID_CHUNK > 2
     with pytest.raises(RuntimeError, match="chunk failed"):
@@ -408,16 +478,17 @@ def test_grid_gaps_raises_a_failed_chunk_once_every_thread_has_ended(monkeypatch
 @pytest.mark.parametrize("resolution, solves", [((100, 100), 8500), ((80, 160), 8480)],
                          ids=["scan", "riemann"])
 def test_benchmark_grids_solve_each_conjugate_pair_once(monkeypatch, resolution, solves):
-    """The scan and riemann grids of the benchmark, in couplings handed to the eigensolver."""
+    """The scan and riemann grids of the benchmark, in couplings handed to the chunk solver."""
     import phi4trunc.singularities as sing
 
-    solved = []
+    solved, tables = [], []
 
-    def count(h0s, vs, lams):
+    def count(h0s, vs, poly, lams):
         solved.extend(lams)
-        return np.ones(len(lams), dtype=complex)
+        tables.append(poly)
+        return np.ones(len(lams))
 
-    monkeypatch.setattr(sing, "min_sector_gaps", count)
+    monkeypatch.setattr(sing, "_chunk_gaps", count)
     fam = anharmonic_family(TruncationSpec(8))
     if resolution == (100, 100):
         grid = gap_scan(fam, ((-0.1, 0.02), (-0.05, 0.05)), resolution, "even", workers=2)
@@ -426,6 +497,18 @@ def test_benchmark_grids_solve_each_conjugate_pair_once(monkeypatch, resolution,
         assert riemann_export(fam, "even", resolution, workers=2).shape == (80 * 160, 5)
     assert len(solved) == len(set(solved)) == solves
     assert min(z.imag for z in solved) >= 0
+    # one characteristic polynomial for the whole grid, shared by every chunk
+    assert all(poly is tables[0] for poly in tables) and tables[0].shape == (4, 5)
+
+
+def _lose_every_closed_form(monkeypatch):
+    """Make the closed-form roots of every block size come out NaN."""
+    import phi4trunc.singularities as sing
+
+    def lost(*coeffs):
+        return [np.full(coeffs[0].shape, np.nan + 0j) for _ in coeffs]
+
+    monkeypatch.setattr(sing, "_CLOSED_FORMS", {s: lost for s in sing._CLOSED_FORMS})
 
 
 def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
@@ -445,6 +528,8 @@ def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
             raise np.linalg.LinAlgError("poisoned coupling")
         return eigvals(stack)
 
+    # every coupling goes on to the eigensolver, which fails at one of them
+    _lose_every_closed_form(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     with pytest.warns(RuntimeWarning, match="2 grid points failed"):
         grid = gap_scan(fam, region, resolution, "even", workers=2)
@@ -452,6 +537,29 @@ def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
     assert np.isnan(grid.values[up, 4]) and np.isnan(grid.values[down, 4])
     assert np.isnan(grid.values).sum() == 2
     assert grid.min_point()[1] > 0
+
+
+@pytest.mark.parametrize("n_max", [4, 6, 8])
+def test_couplings_whose_closed_form_is_lost_go_to_the_eigensolver(monkeypatch, n_max):
+    import phi4trunc.singularities as sing
+
+    h0s, vs = strong_coupling_family(TruncationSpec(n_max)).sector_matrices("odd")
+    # past |lam| ~ 1e154 the lam^s coefficient of the characteristic polynomial overflows
+    huge = np.array([1e160 + 1e160j, -3e170 + 0j])
+    lams = np.concatenate([np.linspace(-2, 2, 7) + 0.5j, huge])
+    closed = _closed_form_gaps(_float_char_poly(h0s, vs), lams)
+    assert np.array_equal(np.isnan(closed), np.isin(lams, huge))
+    handed = []
+
+    def spy(h0s, vs, lams):
+        handed.extend(lams)
+        return min_sector_gaps(h0s, vs, lams)
+
+    monkeypatch.setattr(sing, "min_sector_gaps", spy)
+    gaps = grid_gaps(h0s, vs, lams)
+    assert sorted(handed, key=abs) == sorted(huge, key=abs)
+    assert np.array_equal(gaps[-2:], _pointwise_gaps(h0s, vs, huge))
+    assert np.array_equal(gaps[:-2], closed[:-2])
 
 
 # n_max=16 even-sector series-fit radii of levels 0, 2, ..., 14 (criterion 4b)
@@ -606,7 +714,7 @@ def test_riemann_export_of_grid_includes_gap_column():
         h0s, vs = fam.sector_matrices(sector)
         lams = rows[:, 0] + 1j * rows[:, 1]
         # the gap at lam is the one solved at its representative re + i |im| ...
-        assert np.array_equal(rows[:, 2], _pointwise_gaps(h0s, vs, _representatives(lams)))
-        # ... and within rounding of the one solved at lam itself (the odd 2 x 2 block
-        # differs by an ulp at some conjugate points)
-        assert np.allclose(rows[:, 2], _pointwise_gaps(h0s, vs, lams), rtol=1e-15, atol=0)
+        assert np.array_equal(rows[:, 2], grid_gaps(h0s, vs, _representatives(lams)))
+        # ... and the 30-digit gap at lam itself
+        want = mp_sector_gaps(h0s, vs, lams)
+        assert np.all(np.abs(rows[:, 2] - want) <= 1e-11 * want)

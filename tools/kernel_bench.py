@@ -6,9 +6,15 @@ Usage, from the root of a checkout, with the parent commit checked out at PARENT
 
 `import` spawns fresh interpreters that import `phi4trunc.cli` from each
 side's src/, alternating sides, and records the median wall time and peak
-RSS of the import, whether the interpreter ran with PYTHONDONTWRITEBYTECODE
-(so that src/ was compiled from source), and the sorted third-party
-top-level modules the import left in sys.modules.  `solve` times, in this checkout, spectral.lanczos_lowest
+RSS of the import, whether the interpreter ran with PYTHONDONTWRITEBYTECODE,
+the sorted third-party top-level modules the import left in sys.modules,
+and the bytecode cache it could read.  Every sample runs with
+PYTHONDONTWRITEBYTECODE set and PYTHONPYCACHEPREFIX at a fresh directory,
+so no __pycache__ in a side's src/ is ever read: one warm-up import per
+side first writes every module's bytecode there, and the sides' own
+src/ trees are then removed from it, so each sample reads the bytecode of
+the standard library and numpy, as an installed interpreter does, and
+compiles src/ from source.  `solve` times, in this checkout, spectral.lanczos_lowest
 against scipy's ARPACK called the way the parent's lanczos_lowest called it
 (Gershgorin shift, start vector from LANCZOS_SEED, ncv 40), on the even and
 odd momentum-0 sectors of the 8- and 10-site chains (n_max 4, kappa 0.1,
@@ -22,15 +28,14 @@ parent side a sweep may stop after its first few couplings, where the
 parent's path would take minutes and gigabytes.  Every process runs with
 perfbench's pinned settings (one BLAS thread, fixed mmap threshold, no
 numpy huge pages); the glibc setting takes effect only in the spawned
-interpreters.  `grid` times, in this checkout, singularities.grid_gaps on
-the benchmark's scan grid (n_max 8 even, 100 x 100 over [-0.1, 0.02] x
-[-0.05, 0.05]) and sphere grid (80 x 160), with 1 and 2 workers, against
-the row-by-row solves of the parent's gap_scan and riemann_export (one
-batched min_sector_gaps per grid row, no folding), and counts the solves
-before and after folding conjugates; then it writes the 12,800 x 5 sphere
-table with csvio.write_csv cell by cell (rows handed over one by one, the
-parent's path) and as an array (one row template), with the time and the
-traced allocation peak of each.  `rs` loads the parent's package next to
+interpreters.  `grid` loads the parent's package next to this checkout's
+in one process and times singularities.grid_gaps on each side, on the
+benchmark's scan grid (n_max 8 even, 100 x 100 over [-0.1, 0.02] x
+[-0.05, 0.05]) and sphere grid (80 x 160), with 1 and 2 workers,
+alternating the sides, median of --grid-repeats after a warm-up; each
+grid records its couplings, the solves left after folding conjugates, the
+largest relative difference of the two sides' gaps, and per side the
+couplings that went to the eigensolver (min_sector_gaps).  `rs` loads the parent's package next to
 this checkout's in one process and times weak_series on each side for
 every row of RS_ROWS (n_max, omega, level, orders), alternating the sides,
 median of --rs-repeats after a warm-up; each row records whether the two
@@ -47,9 +52,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -95,26 +102,34 @@ SWEEPS = {
 
 
 def alternate(sides: dict[str, Path], script: str, samples: int,
-              args: dict[str, list[str]] | None = None) -> dict[str, list[list]]:
+              args: dict[str, list[str]] | None = None, env: dict[str, str] | None = None) -> dict[str, list[list]]:
     """The JSON list script prints, per side, from fresh interpreters, alternating which side runs first.
 
-    args gives each side's command-line arguments to the script.
+    args gives each side's command-line arguments to the script, env
+    variables set on top of the pinned ones.
     """
     got = {side: [] for side in sides}
     for i in range(samples):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            env = {**os.environ, **PINNED, "PYTHONPATH": str(sides[side] / "src")}
-            out = subprocess.run([sys.executable, "-c", script, *(args or {}).get(side, [])], env=env,
+            env_side = {**os.environ, **PINNED, **(env or {}), "PYTHONPATH": str(sides[side] / "src")}
+            out = subprocess.run([sys.executable, "-c", script, *(args or {}).get(side, [])], env=env_side,
                                  capture_output=True, text=True, check=True)
             got[side].append(json.loads(out.stdout))
     return got
 
 
 def import_rows(sides: dict[str, Path], samples: int) -> dict:
+    with tempfile.TemporaryDirectory() as prefix:
+        alternate(sides, IMPORT, 1, env={"PYTHONPYCACHEPREFIX": prefix, "PYTHONDONTWRITEBYTECODE": ""})
+        for root in sides.values():  # the prefix mirrors absolute source paths
+            shutil.rmtree(Path(prefix) / (root / "src").relative_to(root.anchor), ignore_errors=True)
+        got = alternate(sides, IMPORT, samples, env={"PYTHONPYCACHEPREFIX": prefix, "PYTHONDONTWRITEBYTECODE": "1"})
     return {side: {"import_s": round(statistics.median(r[0] for r in rows), 4),
                    "import_rss_mb": round(statistics.median(r[1] for r in rows), 1),
-                   "dont_write_bytecode": bool(rows[0][2]), "third_party": rows[0][3], "samples": samples}
-            for side, rows in alternate(sides, IMPORT, samples).items()}
+                   "dont_write_bytecode": bool(rows[0][2]), "third_party": rows[0][3],
+                   "pycache_prefix": "fresh directory: standard library and numpy bytecode only",
+                   "samples": samples}
+            for side, rows in got.items()}
 
 
 def arpack_lowest(matrix, k: int, tol: float = 1e-12) -> np.ndarray:
@@ -196,14 +211,9 @@ def _median_times(calls: dict, repeats: int) -> dict[str, float]:
     return {name: round(statistics.median(t), 4) for name, t in times.items()}
 
 
-def grid_rows(repeats: int) -> dict:
-    import tempfile
-    import tracemalloc
-
-    from phi4trunc import TruncationSpec, anharmonic_family, csvio
-    from phi4trunc.singularities import grid_gaps, min_sector_gaps, riemann_export
-
-    fam = anharmonic_family(TruncationSpec(8))
+def grid_rows(sides: dict[str, Path], repeats: int) -> dict:
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    fam = packages["change"].anharmonic_family(packages["change"].TruncationSpec(8))
     h0s, vs = fam.sector_matrices("even")
     sin = np.sin(np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, 80))
     grids = {
@@ -213,29 +223,31 @@ def grid_rows(repeats: int) -> dict:
     }
     out = {}
     for name, lams in grids.items():
+        gaps, eigvals_points = {}, {}
+        for side, pkg in packages.items():
+            sing, handed = pkg.singularities, []
+            solve = sing.min_sector_gaps
+
+            def count(h0s, vs, lams, solve=solve, handed=handed):
+                handed.append(len(lams))
+                return solve(h0s, vs, lams)
+
+            sing.min_sector_gaps = count
+            try:
+                gaps[side] = sing.grid_gaps(h0s, vs, lams)
+            finally:
+                sing.min_sector_gaps = solve
+            eigvals_points[side] = sum(handed)
         row = {"points": lams.size, "solves": len(np.unique(lams.real + 1j * np.abs(lams.imag))),
-               **_median_times({
-                   "rowwise_s": lambda: [np.abs(min_sector_gaps(h0s, vs, r)) for r in lams],
-                   "workers_1_s": lambda: grid_gaps(h0s, vs, lams, 1),
-                   "workers_2_s": lambda: grid_gaps(h0s, vs, lams, 2),
-               }, repeats)}
+               "max_rel_diff": float(f"{np.max(np.abs(gaps['change'] - gaps['parent']) / gaps['parent']):.1e}"),
+               "eigvals_points": eigvals_points}
+        for workers in (1, 2):
+            calls = {f"{side}_s": (lambda pkg=pkg: pkg.singularities.grid_gaps(h0s, vs, lams, workers))
+                     for side, pkg in packages.items()}
+            times = _median_times(calls, repeats)
+            row[f"workers_{workers}"] = {**times, "ratio": round(times["change_s"] / times["parent_s"], 2)}
         out[name] = row
         print(json.dumps({name: row}), flush=True)
-
-    table = riemann_export(fam, "even", (80, 160))
-    header = ["re", "im", "gap", "x", "y"]
-    with tempfile.TemporaryDirectory() as tmp:
-        writes = {"per_cell": lambda: csvio.write_csv(Path(tmp) / "a.csv", header, iter(table)),
-                  "template": lambda: csvio.write_csv(Path(tmp) / "b.csv", header, table)}
-        row = {"rows": len(table), **{f"{k}_s": v for k, v in _median_times(writes, repeats).items()}}
-        for name, write in writes.items():
-            tracemalloc.start()
-            write()
-            row[f"{name}_peak_alloc_kb"] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
-            tracemalloc.stop()
-        row["same_bytes"] = (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
-    out["write_csv_riemann_table"] = row
-    print(json.dumps({"write_csv_riemann_table": row}), flush=True)
     return out
 
 
@@ -322,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
                        "sample, alternating which side runs first; solve, grid, rs and strong rows are "
-                       "medians in this process after a warm-up, rs and strong alternating the sides"}
+                       "medians in this process after a warm-up, grid, rs and strong alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -330,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     if "sweep" in args.parts:
         kernels.update(sweep_rows(sides))
     if "grid" in args.parts:
-        kernels["grid"] = grid_rows(args.grid_repeats)
+        kernels["grid"] = grid_rows(sides, args.grid_repeats)
     if "rs" in args.parts:
         kernels["rs"] = rs_rows(sides, args.rs_repeats)
     if "strong" in args.parts:
