@@ -294,19 +294,25 @@ def strong_series(
         raise ValueError(f"precision {digits} must be at least {MIN_DIGITS} digits, the fewest it can certify")
     import mpmath as mp
 
-    passes = []
-    for dps in (digits + 10, 2 * digits + 10):
-        p = mp.libmp.dps_to_prec(dps) + GUARD_BITS
+    passes, precs = [], [mp.libmp.dps_to_prec(dps) + GUARD_BITS for dps in (digits + 10, 2 * digits + 10)]
+    for p in precs:
         h0, w = _strong_blocks(trunc, sector, p)
         passes.append(_rs_fixed(h0, w, level, max_order, p))
+    # a coefficient that the rerun shrinks by half the bits it adds, or more,
+    # follows the working precision, not the series: it is the rounding
+    # residue of an exact zero, such as the odd orders of a two-level odd
+    # block, and reads zero; the recursion's states are left as they are
+    shrink = (precs[1] - precs[0]) // 2
     certified = digits
-    for (a, x), (b, y) in zip(*passes):
+    for k, ((a, x), (b, y)) in enumerate(zip(*passes)):
         z = max(x, y)
         a, b = a << (z - x), b << (z - y)
+        if a and abs(b) << shrink <= abs(a):
+            passes[0][k], a = (0, x), 0
         if a == b:
             continue
-        # log10 of |a - b| / |b|, with 10^-digits in place of a zero b
-        err = math.log10(abs(a - b)) - (math.log10(abs(b)) if b else z * math.log10(2) - digits)
+        # log10 of |a - b| / |b|, with 10^-digits in its place where a or b is zero
+        err = math.log10(abs(a - b)) - (math.log10(abs(b)) if a and b else z * math.log10(2) - digits)
         certified = min(certified, max(0, min(digits, int(-err))))
     if certified < MIN_DIGITS:
         raise PrecisionExhausted(

@@ -45,6 +45,12 @@ __all__ = [
 # order sqrt(eps) ||H||; an avoided crossing keeps a gap far above this
 EXCEPTIONAL_GAP_THRESHOLD = 1e-6
 _ABERTH_SWEEPS = 100
+# digits of the Aberth polish, tried in turn: the first is taken only where
+# each part of each root is decided to one double, the last as it stands
+_RUNG_DIGITS = (20, 60)
+# a root part below 2^-_CHOP_BITS reads exactly zero, as mp.polyroots chops
+# parts below its epsilon at 60 digits
+_CHOP_BITS = 202
 # grid bits beyond 2 dps digits and the root spread: they hold the Horner
 # error of at most 2n grid units with 32 bits to spare up to n = 2^30
 _GUARD_BITS = 64
@@ -54,7 +60,9 @@ _G = 1 << _G_BITS
 _SECANT_STEPS = 50
 _WALK_STEPS = 60  # doublings of the real-axis step: 1e-3 2^60 is past any resolved coupling
 # couplings per chunk of a grid: on 4 x 4 blocks a second thread gains
-# nothing on batched eigensolves of 100 couplings and 1.5-2x from about 500
+# nothing on batched eigensolves of 100 couplings and 1.5-2x from about 500;
+# closed-form chunks run on the calling thread, where a second one gained
+# nothing on grids of 10^4 couplings
 _GRID_CHUNK = 512
 # grids of blocks of 2 to this many levels take closed-form roots of the
 # characteristic polynomial (quadratic, Cardano, Ferrari)
@@ -113,8 +121,8 @@ class ResultantPolynomial:
     def degree_deficit(self) -> int:
         return self.expected_degree - self.degree
 
-    def roots(self, dps: int = 60) -> np.ndarray:
-        """All complex roots, each certified to dps significant digits.
+    def roots(self) -> np.ndarray:
+        """All complex roots, each the double nearest the exact root's parts.
 
         The integer coefficients span many orders of magnitude, so double
         precision companion-matrix roots are up to 8% off at n_max = 16; they
@@ -126,16 +134,24 @@ class ResultantPolynomial:
         N |p(z_i) / (c_N prod_{j != i} (z_i - z_j))|; pairwise disjoint disks
         hold one root each, and radii below 10^-dps |z_i| certify the digits
         (D. A. Bini and G. Fiorentino, Numer. Algorithms 23, 127 (2000)).
-        When the polish stalls or the disks fail, mpmath's Durand-Kerner
-        `polyroots` solves at dps instead.  n_max = 16 takes about 0.2 s.
+        The polish first runs at _RUNG_DIGITS[0] digits, and its roots are
+        taken only where every disk's real and imaginary intervals each
+        round to one double, so that each returned part is the double
+        nearest the exact root's.  Otherwise it reruns at _RUNG_DIGITS[-1]
+        digits and returns the doubles nearest the certified centres; when
+        that polish stalls or its disks fail, mpmath's Durand-Kerner
+        `polyroots` solves at as many digits instead.  n_max = 16 takes
+        about 0.08 s, three quarters of it in _horner.
         """
-        roots = _aberth_roots(self.coeffs, dps)
-        if roots is None:
-            import mpmath as mp
+        for dps in _RUNG_DIGITS:
+            roots = _aberth_roots(self.coeffs, dps, decided=dps < _RUNG_DIGITS[-1])
+            if roots is not None:
+                return np.array(roots)
+        import mpmath as mp
 
-            with mp.workdps(dps):
-                roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
-                                     maxsteps=200, extraprec=4 * dps)
+        with mp.workdps(dps):
+            roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
+                                 maxsteps=200, extraprec=4 * dps)
         return np.array([complex(z) for z in roots])
 
 
@@ -154,8 +170,8 @@ def _horner(fixed: list[int], x: int, y: int, bits: int) -> tuple[int, int, int,
     return pr, pi, dr, di
 
 
-def _disks_certify(fixed: list[int], xs: list[int], ys: list[int], bits: int, dps: int) -> bool:
-    """Whether the Weierstrass disks of the iterates certify each to dps digits.
+def _disks_certify(fixed: list[int], xs: list[int], ys: list[int], bits: int, dps: int) -> list[int] | None:
+    """The radii of the iterates' Weierstrass disks on the grid, or None where they do not certify dps digits.
 
     fixed are the ascending integer coefficients of p times 2^bits and the
     iterates are z_i = (xs[i] + i ys[i]) 2^-bits, inside the unit disk.  The
@@ -164,12 +180,13 @@ def _disks_certify(fixed: list[int], xs: list[int], ys: list[int], bits: int, dp
     10^-dps |z_i| and the disks must be pairwise disjoint, compared exactly
     in ints on radii rounded up: |p(z_i)| is taken at its Horner value plus
     the Horner error bound, and the product of distances is bounded below.
+    Each radius is returned in grid units, rounded up.
     """
     n = len(fixed) - 1
     one = 1 << bits
     # the 2n-unit Horner bound holds inside the unit disk only
     if any(x * x + y * y >= one * one for x, y in zip(xs, ys)):
-        return False
+        return None
     dist2 = [[(xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2 for j in range(n)] for i in range(n)]
     radii = []
     for i in range(n):
@@ -184,19 +201,21 @@ def _disks_certify(fixed: list[int], xs: list[int], ys: list[int], bits: int, dp
                 low >>= 2 * cut
                 half += cut
         if not low:
-            return False
+            return None
         # the radius on the grid, rounded up: n p_up 2^(bits n - half) / (|c_n| 2^bits isqrt(low))
         num, den, k = n * p_up, abs(fixed[-1]) * math.isqrt(low), bits * n - half
         num, den = (num << k, den) if k >= 0 else (num, den << -k)
         radii.append(-(-num // den))
     tol2 = 10 ** (2 * dps)
     if any(r * r * tol2 > x * x + y * y for r, x, y in zip(radii, xs, ys)):
-        return False
-    return all(dist2[i][j] > (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i))
+        return None
+    if any(dist2[i][j] <= (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i)):
+        return None
+    return radii
 
 
-def _aberth_roots(coeffs: list, dps: int) -> list | None:
-    """Certified roots of the integer polynomial sum_k coeffs[k] lam^k, or None.
+def _aberth_roots(coeffs: list, dps: int, decided: bool = False) -> list[complex] | None:
+    """Certified roots of the integer polynomial sum_k coeffs[k] lam^k, as doubles, or None.
 
     The iteration runs on mu = lam / 2^e, with 2^e above twice the largest
     seed modulus, so that every root lies well inside |mu| < 1.  Each iterate
@@ -208,12 +227,14 @@ def _aberth_roots(coeffs: list, dps: int) -> list | None:
     certification: |p(z_i)| is bounded above by the Horner error bound and
     the product of root distances below.  Only the Aberth correction
     sum_{j != i} 1/(z_i - z_j) runs in doubles; it sets how fast the
-    iteration converges, not where.  The roots come rounded to dps digits
-    and cleaned up as `mp.polyroots` cleans its own (parts below its
-    tolerance become exact zeros), so both paths give the same doubles.
+    iteration converges, not where.  The roots are cleaned up as
+    `mp.polyroots` cleans its own at 60 digits (a part below
+    2^-_CHOP_BITS becomes an exact zero), so both paths give the same
+    doubles, and each centre is rounded once, exactly, to doubles: Python's
+    int true division is correctly rounded.  With decided, the roots are
+    returned only if every other part rounds to one double over the whole
+    of its disk, which is then the double nearest the exact part.
     """
-    import mpmath as mp
-
     n = len(coeffs) - 1
     if n < 1 or not coeffs[0] or not coeffs[-1]:
         return None
@@ -222,7 +243,7 @@ def _aberth_roots(coeffs: list, dps: int) -> list | None:
     log_rho = (math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / n
     logs = [math.log(abs(c)) + k * log_rho if c else -math.inf for k, c in enumerate(coeffs)]
     top = max(logs)
-    scaled = [math.copysign(math.exp(v - top), c) for v, c in zip(logs, coeffs)]
+    scaled = [math.exp(v - top) if c > 0 else -math.exp(v - top) for v, c in zip(logs, coeffs)]
     seeds = np.roots(scaled[::-1]) * math.exp(log_rho)
     if len(seeds) != n or not np.all(np.isfinite(seeds)):
         return None
@@ -265,18 +286,25 @@ def _aberth_roots(coeffs: list, dps: int) -> list | None:
             return None
     except (ZeroDivisionError, OverflowError, ValueError):  # coinciding iterates, p' = 0, g not finite
         return None
-    if not _disks_certify(fixed, xs, ys, bits, dps):
+    radii = _disks_certify(fixed, xs, ys, bits, dps)
+    if radii is None:
         return None
-    with mp.workdps(dps):
-        chop = +mp.eps
-        out = []
-        for x, y in zip(xs, ys):
-            zi = mp.mpc(mp.mpf((x, e - bits)), mp.mpf((y, e - bits)))
-            if abs(zi.imag) < chop:
-                zi = mp.mpc(zi.real)
-            elif abs(zi.real) < chop:
-                zi = mp.mpc(0, zi.imag)
-            out.append(zi)
+    # a grid value v is v 2^(e - bits) = (v << up) / down
+    up, down = max(0, e - bits), 1 << max(0, bits - e)
+    out = []
+    for x, y, r in zip(xs, ys, radii):
+        if abs(y) << (_CHOP_BITS + e) < one:
+            y = 0
+        elif abs(x) << (_CHOP_BITS + e) < one:
+            x = 0
+        parts = []
+        for v in (x, y):
+            # a part that is not chopped must keep its double, and its sign, across [v - r, v + r]
+            lo, hi = v - r, v + r
+            if decided and v and ((lo << up) / down, lo < 0) != ((hi << up) / down, hi < 0):
+                return None
+            parts.append((v << up) / down)
+        out.append(complex(*parts))
     return out
 
 
@@ -444,10 +472,11 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
     (_chunk_gaps); a coupling whose closed-form roots are lost goes to
     min_sector_gaps, which solves every coupling of larger blocks.  The
     representatives go to _chunk_gaps in chunks of _GRID_CHUNK to
-    2 _GRID_CHUNK - 1 couplings.  With more than one chunk, the calling
-    thread and up to workers - 1 plain threads take the next unsolved chunk
-    in turn, and the gaps are put back by chunk index, so the result never
-    depends on scheduling.  A coupling whose eigensolve fails reads NaN;
+    2 _GRID_CHUNK - 1 couplings.  Closed-form chunks all run on the calling
+    thread.  Eigensolved chunks, when there is more than one, are taken in
+    turn by the calling thread and up to workers - 1 plain threads, and
+    the gaps are put back by chunk index, so the result never depends on
+    scheduling.  A coupling whose eigensolve fails reads NaN;
     an exception in any thread stops the others taking chunks and is
     raised in the caller once every thread has finished.
     """
@@ -471,7 +500,8 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
         except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(workers, len(chunks)) - 1)]
+    spare = 0 if poly is not None else min(workers, len(chunks)) - 1
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(spare)]
     for thread in threads:
         thread.start()
     work()
@@ -491,7 +521,7 @@ def gap_scan(
 ) -> GapGrid:
     """Minimum pairwise |z_i - z_j| within a sector over a complex-lam grid.
 
-    The whole grid goes to grid_gaps, on `workers` threads.  Isolated
+    The whole grid goes to grid_gaps, on up to `workers` threads.  Isolated
     eigensolver failures are recorded as NaN and counted, not raised.
     """
     (re_lo, re_hi), (im_lo, im_hi) = region
@@ -642,13 +672,14 @@ def strong_weak_map(point: complex, direction: str = "to_weak") -> complex:
 def _mollweide(lon, lat) -> tuple[np.ndarray, np.ndarray]:
     """Equal-area Mollweide (x, y) of longitudes and latitudes in radians, elementwise.
 
-    Solves 2 theta + sin 2 theta = pi sin(lat) by Newton iteration.  Each
-    element stops once its own step is below 1e-10, so it takes the steps it
-    would take alone; raises naming the first element still moving after
-    100 steps.  The derivative 2 + 2 cos 2 theta vanishes at the poles, so
-    |lat| must stay below pi/2.
+    Solves 2 theta + sin 2 theta = pi sin(lat) by Newton iteration, on the
+    latitudes only; lon and theta are broadcast in x and y.  Each element
+    stops once its own step is below 1e-10, so it takes the steps it would
+    take alone; raises naming the first element still moving after 100
+    steps.  The derivative 2 + 2 cos 2 theta vanishes at the poles, so |lat|
+    must stay below pi/2.
     """
-    lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
+    lon, lat = np.asarray(lon, dtype=float), np.asarray(lat, dtype=float)
     theta = lat.copy()
     target = np.pi * np.sin(lat)
     moving = np.ones(theta.shape, dtype=bool)
@@ -660,10 +691,11 @@ def _mollweide(lon, lat) -> tuple[np.ndarray, np.ndarray]:
         if not moving.any():
             break
     else:
+        lon, lat, moving = np.broadcast_arrays(lon, lat, moving)
         first = tuple(np.argwhere(moving)[0])
         raise RuntimeError(f"Mollweide iteration failed at lon={lon[first]}, lat={lat[first]}")
     x = 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(theta)
-    y = np.sqrt(2.0) * np.sin(theta)
+    y = np.broadcast_to(np.sqrt(2.0) * np.sin(theta), x.shape)
     return x, y
 
 
@@ -678,7 +710,7 @@ def riemann_export(family: CouplingFamily, sector: str, resolution: tuple[int, i
     zero meridian, so each point is the coupling r e^(i lon) with
     r = sqrt((1 + sin lat) / (1 - sin lat)).  Returns the rows
     (re lam, im lam, gap, x, y), latitude by latitude from the south; the
-    gaps of the whole sphere come from grid_gaps, on `workers` threads.
+    gaps of the whole sphere come from grid_gaps, on up to `workers` threads.
     """
     n_lat, n_lon = resolution
     h0s, vs = family.sector_matrices(sector)

@@ -289,6 +289,41 @@ def test_resultant_outputs(tmp_path):
     assert "-0.2222222" in roots
 
 
+def test_resultant_roots_of_coefficients_past_a_double(tmp_path):
+    # omega 1.1 is the double 2476979795053773 / 2^51: coefficients of over 2,000 bits
+    import mpmath
+    import numpy as np
+
+    code, outdir = run_cli(["resultant", "--nmax", "6", "--sector", "even", "--omega", "1.1"], tmp_path, "big")
+    assert code == 0
+    coeffs = [int(line.split(",")[1]) for line in (outdir / "resultant.csv").read_text().splitlines()
+              if line and line[0].isdigit()]
+    assert max(abs(c) for c in coeffs).bit_length() > 1100
+    rows = [line.split(",") for line in (outdir / "resultant_roots.csv").read_text().splitlines()
+            if line and not line.startswith("#")][1:]
+    got = [complex(float(re), float(im)) for re, im in rows]
+    with mpmath.workdps(60):
+        want = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=200, extraprec=240)
+    assert np.array_equal(np.sort_complex(got), np.sort_complex([complex(z) for z in want]))
+
+
+def test_resultant_leaves_mpmath_unimported(tmp_path):
+    # certified roots round their fixed-point centres to doubles without mpmath
+    script = (
+        "import sys\n"
+        "from phi4trunc.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for n_max in ('8', '12'):\n"
+        "    for sector in ('even', 'odd'):\n"
+        "        assert main(['resultant', '--nmax', n_max, '--sector', sector, f'--outdir={out}/{n_max}{sector}']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_riemann_output(tmp_path):
     code, outdir = run_cli(["riemann", "--nmax", "4", "--res", "7 12"], tmp_path, "ri")
     assert code == 0
@@ -476,6 +511,7 @@ def test_benchmark_commands_leave_scipy_unimported(tmp_path):
 def test_start_up_leaves_mpmath_and_thread_pools_unimported(tmp_path):
     # import loads numpy and the package only; the lattice-qubit ops never load
     # mpmath, and the grid commands run their threads without concurrent.futures
+    # (at n_max 10: closed-form grids, up to n_max 8, run on the calling thread)
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     script = (
         "import sys, threading\n"
@@ -493,9 +529,9 @@ def test_start_up_leaves_mpmath_and_thread_pools_unimported(tmp_path):
         "print(loaded())\n"
         "started, start = [], threading.Thread.start\n"
         "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
-        "assert main(['scan', '--nmax', '8', '--re', '-0.1 0.02', '--im', '-0.05 0.05', '--res', '60 60',"
+        "assert main(['scan', '--nmax', '10', '--re', '-0.1 0.02', '--im', '-0.05 0.05', '--res', '60 60',"
         " '--jobs', '2', f'--outdir={out}/s']) == 0\n"
-        "assert main(['riemann', '--nmax', '8', '--res', '40 80', '--jobs', '2', f'--outdir={out}/r']) == 0\n"
+        "assert main(['riemann', '--nmax', '10', '--res', '40 80', '--jobs', '2', f'--outdir={out}/r']) == 0\n"
         "print(len(started), 'concurrent.futures' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phi4trunc import (
@@ -143,12 +143,17 @@ def _agree_to(got: list, want: list, digits: int, certified: int) -> bool:
 
 @settings(max_examples=30, deadline=None)
 @given(n_max=st.integers(1, 8).map(lambda k: 2 * k), omega=st.sampled_from([1.0, 0.5, 1.5, 1.1]),
-       odd=st.booleans(), data=st.data(), max_order=st.integers(0, 60))
-def test_strong_series_matches_the_mpf_oracle_to_its_certified_digits(n_max, omega, odd, data, max_order):
+       odd=st.booleans(), level=st.integers(0, 7), max_order=st.integers(0, 60))
+# the odd orders of the two-level odd block are exact zeros: residues in both
+# passes, a residue in the first only, and one in the second only
+@example(n_max=4, omega=1.0, odd=True, level=1, max_order=46)
+@example(n_max=4, omega=1.1, odd=True, level=0, max_order=46)
+@example(n_max=4, omega=1.0, odd=True, level=0, max_order=12)
+def test_strong_series_matches_the_mpf_oracle_to_its_certified_digits(n_max, omega, odd, level, max_order):
     # each path's first pass is within 10^-certified of its second, so the
     # two first passes are within twice the larger error; the integer path
     # carries guard bits and never certifies fewer digits than the oracle
-    level = data.draw(st.integers(0, n_max // 2 - 1))
+    level %= n_max // 2
     sector = "odd" if odd else "even"
     digits = max(30, 4 * max_order)
     want, certified = strong_series_mp(n_max, omega, level, sector, max_order, digits)

@@ -67,7 +67,8 @@ def test_gap_scan_conjugation_symmetry():
 
 
 def test_gap_scan_threaded_matches_serial():
-    fam = anharmonic_family(TruncationSpec(4))
+    # n_max 10: five-level blocks go to the eigensolver, on threads
+    fam = anharmonic_family(TruncationSpec(10))
     region = ((-0.3, 0.0), (0.0, 0.25))
     # 61 x 41 couplings, none mirrored: four chunks of the grid kernel
     assert 61 * 41 >= 4 * _GRID_CHUNK
@@ -227,6 +228,57 @@ def test_roots_fall_back_when_doubles_cannot_separate_them(monkeypatch):
     roots = poly.roots()
     assert len(calls) == 1
     assert list(roots) == [1.0, 1.0]
+
+
+def test_roots_of_coefficients_past_a_double(monkeypatch):
+    # omega 11/10 at n_max 14: coefficients of up to 2,900 bits, where a
+    # float of one overflows; the seeds take each sign from the integer
+    poly = sylvester_discriminant(TruncationSpec(14, Fraction(11, 10)), "even")
+    assert max(abs(c) for c in poly.coeffs).bit_length() > 1100
+    with monkeypatch.context() as m:
+        m.setattr(mpmath, "polyroots", _fail)
+        roots = np.sort_complex(poly.roots())
+    assert np.array_equal(roots, np.sort_complex(_polyroots_oracle(poly.coeffs)))
+
+
+def _record_rungs(monkeypatch) -> list:
+    """The digits of each Aberth polish that roots() runs, in order."""
+    import phi4trunc.singularities as sing
+
+    rungs, aberth = [], sing._aberth_roots
+
+    def spy(coeffs, dps, decided=False):
+        rungs.append(dps)
+        return aberth(coeffs, dps, decided)
+
+    monkeypatch.setattr(sing, "_aberth_roots", spy)
+    return rungs
+
+
+@pytest.mark.parametrize("k", [199, 200, 201])
+def test_root_straddling_a_rounding_midpoint_takes_the_60_digit_rung(monkeypatch, k):
+    # (2^k lam - 2^k r)(lam - 2) with r = m - 2^-k, just below the midpoint
+    # m = 1 + 3 2^-53 of the doubles 1 + 2^-52 and 1 + 2^-51: the 20-digit
+    # grid, 2^-196 here, cannot tell r from m, whose tie rounds to the even
+    # 1 + 2^-51, and its disk spans m; the 60-digit rung resolves r
+    m = 1 + Fraction(3, 2**53)
+    r = m - Fraction(1, 2**k)
+    coeffs = _expand([[-r.numerator, r.denominator], [-2, 1]])
+    rungs = _record_rungs(monkeypatch)
+    with monkeypatch.context() as patched:
+        patched.setattr(mpmath, "polyroots", _fail)
+        roots = np.sort_complex(ResultantPolynomial(coeffs, "even", 4).roots())
+    assert rungs == [20, 60]
+    assert list(roots) == [float(r), 2.0] and float(r) == 1 + 2.0**-52
+    assert np.array_equal(roots, np.sort_complex(_polyroots_oracle(coeffs)))
+
+
+def test_resultant_roots_take_the_20_digit_rung_where_it_decides(monkeypatch):
+    rungs = _record_rungs(monkeypatch)
+    for n_max in (8, 12):
+        for sector in ("even", "odd"):
+            sylvester_discriminant(TruncationSpec(n_max), sector).roots()
+    assert rungs == [20] * 4
 
 
 def _expand(factors):
@@ -431,13 +483,28 @@ def test_float_char_poly_is_the_exact_polynomial_rounded_once(make_family, n_max
                          ids=["not-a-multiple", "three-chunks-and-one", "below-one-chunk", "one-point"])
 def test_grid_gaps_on_two_workers_are_the_serial_ones(resolution):
     n_re, n_im = resolution
-    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("even")
+    h0s, vs = anharmonic_family(TruncationSpec(10)).sector_matrices("even")
     lams = np.linspace(-0.1, 0.02, n_re) + 1j * np.linspace(0.01, 0.05, n_im)[:, None]
     serial = grid_gaps(h0s, vs, lams, workers=1)
     assert np.array_equal(grid_gaps(h0s, vs, lams, workers=2), serial)
     assert np.array_equal(grid_gaps(h0s, vs, lams, workers=3), serial)
     with pytest.raises(ValueError, match="workers 0 must be at least 1"):
         grid_gaps(h0s, vs, lams, workers=0)
+
+
+@pytest.mark.parametrize("n_max, threads", [(4, 0), (8, 0), (10, 1)])
+def test_only_eigensolved_grids_start_threads(monkeypatch, n_max, threads):
+    # closed-form chunks (up to 4 levels) all run on the calling thread
+    import threading
+
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self))[1])
+    h0s, vs = anharmonic_family(TruncationSpec(n_max)).sector_matrices("even")
+    lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
+    assert lams.size // _GRID_CHUNK > 2
+    gaps = grid_gaps(h0s, vs, lams, workers=2)
+    assert len(started) == threads
+    assert np.array_equal(gaps, grid_gaps(h0s, vs, lams, workers=1))
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
@@ -447,7 +514,7 @@ def test_grid_gaps_raises_a_failed_chunk_once_every_thread_has_ended(monkeypatch
 
     import phi4trunc.singularities as sing
 
-    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("even")
+    h0s, vs = anharmonic_family(TruncationSpec(10)).sector_matrices("even")
     lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
     solve, worker_busy, finished = sing._chunk_gaps, threading.Event(), []
 

@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the weak and strong series.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the weak and strong series, resultant roots.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -44,8 +44,12 @@ offset, base, the orders at which it widened, and the bits of Q^K and of
 A B^K at the last order K).  `strong` does the same for strong_series
 on every row of STRONG_ROWS (n_max, sector, level, orders) at the default
 precision; each row records whether the two sides print the same digits
-(mpmath.nstr at the precision) and each side's certified digits.  --parts
-picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
+(mpmath.nstr at the precision) and each side's certified digits.  `roots`
+does the same for ResultantPolynomial.roots on the resultant of every row
+of ROOTS_ROWS (n_max, sector), computed once; each row records the
+degree, each side's _horner calls, and whether the two sides' roots are
+the same doubles, bit for bit; its medians take --rs-repeats too.
+--parts picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
 
@@ -259,8 +263,11 @@ RS_ROWS = [(8, "1", level, 200) for level in (2, 3, 4)] + [(12, "1", level, 150)
 
 
 def _load_package(name: str, root: Path):
-    """The phi4trunc package under root/src, imported as the module name."""
+    """The phi4trunc package under root/src, imported as the module name once per process."""
     import importlib.util
+
+    if name in sys.modules:  # a second import would leave its submodules unbound
+        return sys.modules[name]
 
     pkg = root / "src" / "phi4trunc"
     spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -318,7 +325,41 @@ def strong_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
     return rows
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs", "strong")
+# (n_max, sector): the benchmark's resultants (n_max 8 and 12) and the largest at n_max 16
+ROOTS_ROWS = [(n_max, sector) for n_max in (8, 12, 16) for sector in ("even", "odd")]
+
+
+def roots_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    rows = []
+    for n_max, sector in ROOTS_ROWS:
+        coeffs = packages["change"].sylvester_discriminant(packages["change"].TruncationSpec(n_max), sector).coeffs
+        calls = {f"{side}_s": (lambda pkg=pkg: pkg.singularities.ResultantPolynomial(coeffs, sector, n_max).roots())
+                 for side, pkg in packages.items()}
+        roots, horner = {}, {}
+        for side, pkg in packages.items():
+            sing, counted = pkg.singularities, []
+            real = sing._horner
+
+            def count(*args, real=real, counted=counted):
+                counted.append(1)
+                return real(*args)
+
+            sing._horner = count
+            try:
+                roots[side] = np.sort_complex(calls[f"{side}_s"]())
+            finally:
+                sing._horner = real
+            horner[side] = len(counted)
+        row = {"n_max": n_max, "sector": sector, "degree": len(coeffs) - 1, **_median_times(calls, repeats),
+               "horner_calls": horner, "same": roots["parent"].tobytes() == roots["change"].tobytes()}
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid, rs and strong rows are "
-                       "medians in this process after a warm-up, grid, rs and strong alternating the sides"}
+                       "sample, alternating which side runs first; solve, grid, rs, strong and roots rows are "
+                       "medians in this process after a warm-up, grid, rs, strong and roots alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -347,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["rs"] = rs_rows(sides, args.rs_repeats)
     if "strong" in args.parts:
         kernels["strong"] = strong_rows(sides, args.rs_repeats)
+    if "roots" in args.parts:
+        kernels["roots"] = roots_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
