@@ -1,10 +1,15 @@
 """Deterministic CSV and manifest output.
 
-Every floating value is printed with a fixed 17-significant-digit format so
+Every floating value is printed exactly as Python's '%.17g' prints it, so
 identical configurations produce byte-identical file bodies; exact
 rationals are printed as numerator/denominator columns and never
-decimalized.  Each run directory carries a manifest.json echoing the fully
-resolved configuration.
+decimalized.  A large 2-D float64 table is printed through one vectorised
+kernel, _g17.g17_lines, and every other row cell by cell through fmt.
+Callers put a column into a float64 table only as the doubles that the
+per-cell path prints: a per-scalar `abs(a) ** 2` differs from
+`np.abs(amp) ** 2` in the last bit for about a third of amplitudes.  Each
+run directory carries a manifest.json echoing the fully resolved
+configuration.
 """
 from __future__ import annotations
 
@@ -20,12 +25,21 @@ __all__ = ["fmt", "write_csv", "write_matrix_csv", "mirror_csv_as_json",
            "write_manifest", "read_config_file"]
 
 
-# rows of an array formatted per write: a whole-file join costs megabytes of peak RSS
-_BLOCK_ROWS = 1024
+# a float64 array of fewer cells prints cell by cell: in a fresh interpreter
+# the kernel's first table costs about 3.5 ms more (compiling it and its
+# tables) and 1-1.6 MB of peak RSS (numpy code it is first to run), which
+# its 0.3 against 0.9 us a cell repays only at about 5,000 cells
+_KERNEL_CELLS = 6000
+# cells of a float64 array printed per write: a whole-file join costs megabytes
+# of peak RSS, and the kernel's (cells, 32) byte matrices stay below glibc's
+# default mmap threshold of 128 KiB
+_BLOCK_CELLS = 3072
 # the cell types the commands write, looked up by exact type first
 _FORMAT = {
     float: "{:.17g}".format,
+    np.float64: "{:.17g}".format,
     int: str,
+    np.int64: str,
     str: str,
     Fraction: lambda x: f"{x.numerator}/{x.denominator}",
     complex: lambda x: f"{x.real:.17g}+{x.imag:.17g}j",
@@ -47,8 +61,8 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
     """Write rows under a one-line header, with optional '#' metadata lines.
 
     Rows are written as they come; an ndarray row becomes Python scalars first.
-    A 2-D float64 ndarray is written block by block, each row through one
-    '%.17g,...' template, which prints every float as fmt does.
+    A 2-D float64 ndarray of at least _KERNEL_CELLS cells is written block by
+    block through _g17.g17_lines, which prints every float as fmt does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -57,10 +71,13 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
             for key in sorted(meta):
                 fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, len(rows), _BLOCK_ROWS):
-                fh.write("".join([line % tuple(row) for row in rows[start:start + _BLOCK_ROWS].tolist()]))
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64 \
+                and rows.size >= _KERNEL_CELLS:
+            from ._g17 import g17_lines  # compiled at the first large table, not at start-up
+
+            step = max(1, _BLOCK_CELLS // rows.shape[1])
+            for start in range(0, len(rows), step):
+                fh.write(g17_lines(rows[start:start + step]))
         else:
             for row in rows:
                 if isinstance(row, np.ndarray):

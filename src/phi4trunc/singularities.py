@@ -48,6 +48,8 @@ _ABERTH_SWEEPS = 100
 # digits of the Aberth polish, tried in turn: the first is taken only where
 # each part of each root is decided to one double, the last as it stands
 _RUNG_DIGITS = (20, 60)
+# Durand-Kerner steps of the mp.polyroots fallback
+_POLYROOTS_STEPS = 400
 # a root part below 2^-_CHOP_BITS reads exactly zero, as mp.polyroots chops
 # parts below its epsilon at 60 digits
 _CHOP_BITS = 202
@@ -140,8 +142,9 @@ class ResultantPolynomial:
         nearest the exact root's.  Otherwise it reruns at _RUNG_DIGITS[-1]
         digits and returns the doubles nearest the certified centres; when
         that polish stalls or its disks fail, mpmath's Durand-Kerner
-        `polyroots` solves at as many digits instead.  n_max = 16 takes
-        about 0.08 s, three quarters of it in _horner.
+        `polyroots` solves at as many digits instead, in up to 400 steps
+        (the n_max 16 even resultant at omega 0.5 needs more than 200).
+        n_max = 16 takes about 0.08 s, three quarters of it in _horner.
         """
         for dps in _RUNG_DIGITS:
             roots = _aberth_roots(self.coeffs, dps, decided=dps < _RUNG_DIGITS[-1])
@@ -150,8 +153,14 @@ class ResultantPolynomial:
         import mpmath as mp
 
         with mp.workdps(dps):
-            roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
-                                 maxsteps=200, extraprec=4 * dps)
+            try:
+                roots = mp.polyroots([mp.mpf(c) for c in reversed(self.coeffs)],
+                                     maxsteps=_POLYROOTS_STEPS, extraprec=4 * dps)
+            except mp.libmp.NoConvergence as exc:
+                raise ArithmeticError(
+                    f"roots of the degree-{self.degree} resultant (n_max {self.n_max}, {self.sector}): "
+                    f"the Aberth polish failed at {', '.join(map(str, _RUNG_DIGITS))} digits and "
+                    f"mp.polyroots did not converge in {_POLYROOTS_STEPS} steps") from exc
         return np.array([complex(z) for z in roots])
 
 

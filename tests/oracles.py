@@ -670,16 +670,25 @@ def strong_coefficients_mp(n_max: int, omega: float, pos: int, sector: str, max_
 
 def strong_series_mp(n_max: int, omega: float, level: int, sector: str, max_order: int,
                      digits: int) -> tuple[list, int]:
-    """(coefficients at digits + 10 dps, certified digits against a rerun at 2 digits + 10 dps)."""
+    """(coefficients at digits + 10 dps, certified digits against a rerun at 2 digits + 10 dps).
+
+    As in series.strong_series, a coefficient that the rerun shrinks by half
+    the bits it adds, or more, is the rounding residue of an exact zero and
+    reads 0, and a zero in either pass is compared with 10^-digits.
+    """
     with mp.workdps(digits + 10):
         coeffs = strong_coefficients_mp(n_max, omega, level, sector, max_order)
     with mp.workdps(2 * digits + 10):
         ref = strong_coefficients_mp(n_max, omega, level, sector, max_order)
+    dps_to_prec = mp.libmp.dps_to_prec
+    shrink = mp.mpf(2) ** ((dps_to_prec(2 * digits + 10) - dps_to_prec(digits + 10)) // 2)
     certified = digits
-    for a, b in zip(coeffs, ref):
-        if a == b == 0:
+    for k, (a, b) in enumerate(zip(coeffs, ref)):
+        if a and abs(b) * shrink <= abs(a):
+            coeffs[k] = a = mp.mpf(0)
+        if a == b:
             continue
-        denom = abs(b) if abs(b) > 0 else mp.mpf(10) ** (-digits)
+        denom = abs(b) if a and b else mp.mpf(10) ** (-digits)
         err = abs(a - b) / denom
         agree = digits if err == 0 else min(digits, int(-mp.log10(err)))
         certified = min(certified, max(agree, 0))

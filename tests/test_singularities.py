@@ -241,6 +241,28 @@ def test_roots_of_coefficients_past_a_double(monkeypatch):
     assert np.array_equal(roots, np.sort_complex(_polyroots_oracle(poly.coeffs)))
 
 
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_polyroots_fallback_returns_the_certified_roots(sector, monkeypatch):
+    import phi4trunc.singularities as sing
+
+    poly = sylvester_discriminant(TruncationSpec(8), sector)
+    certified = np.sort_complex(poly.roots())
+    monkeypatch.setattr(sing, "_aberth_roots", lambda *args, **kwargs: None)
+    assert np.array_equal(np.sort_complex(poly.roots()), certified)
+
+
+def test_polyroots_fallback_failure_names_the_degree(monkeypatch):
+    import phi4trunc.singularities as sing
+
+    def stall(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=400 steps.")
+
+    monkeypatch.setattr(sing, "_aberth_roots", lambda *args, **kwargs: None)
+    monkeypatch.setattr(mpmath, "polyroots", stall)
+    with pytest.raises(ArithmeticError, match=r"degree-12 resultant \(n_max 8, even\).*400 steps"):
+        sylvester_discriminant(TruncationSpec(8), "even").roots()
+
+
 def _record_rungs(monkeypatch) -> list:
     """The digits of each Aberth polish that roots() runs, in order."""
     import phi4trunc.singularities as sing

@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, the gap-grid kernel, the weak and strong series, resultant roots.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -48,7 +48,13 @@ precision; each row records whether the two sides print the same digits
 does the same for ResultantPolynomial.roots on the resultant of every row
 of ROOTS_ROWS (n_max, sector), computed once; each row records the
 degree, each side's _horner calls, and whether the two sides' roots are
-the same doubles, bit for bit; its medians take --rs-repeats too.
+the same doubles, bit for bit; its medians take --rs-repeats too.  `csv`
+times csvio.write_csv on each side on the tables that `scan` and `riemann`
+write for the benchmark's grids (n_max 8 even, 100 x 100 and 80 x 160),
+alternating the sides, median of --grid-repeats after a warm-up, and
+records whether the two files are equal byte for byte; the pinned glibc
+mmap threshold, under which the write's larger arrays are mapped and
+unmapped each time, holds here only when the tool itself runs under it.
 --parts picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
@@ -359,7 +365,35 @@ def roots_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
     return rows
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots")
+def csv_rows(sides: dict[str, Path], repeats: int) -> dict:
+    import importlib
+
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    writers = {side: importlib.import_module(f"phi4trunc_{side}.csvio").write_csv for side in sides}
+    pkg = packages["change"]
+    fam = pkg.anharmonic_family(pkg.TruncationSpec(8))
+    scan = pkg.gap_scan(fam, ((-0.1, 0.02), (-0.05, 0.05)), (100, 100), "even")
+    tables = {  # as the scan and riemann commands build them
+        "scan_100x100": (["re", "im", "gap"], np.column_stack(
+            [np.tile(scan.re_axis(), 100), np.repeat(scan.im_axis(), 100), scan.values.ravel()])),
+        "riemann_80x160": (["re", "im", "gap", "x", "y"], pkg.riemann_export(fam, "even", (80, 160))),
+    }
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (header, table) in tables.items():
+            paths = {side: Path(tmp) / f"{side}.csv" for side in sides}
+            calls = {f"{side}_s": (lambda side=side: writers[side](paths[side], header, table, {"n": 1}))
+                     for side in sides}
+            row = {"rows": len(table), "columns": table.shape[1], **_median_times(calls, repeats),
+                   "bytes_equal": paths["parent"].read_bytes() == paths["change"].read_bytes(),
+                   "bytes": paths["change"].stat().st_size}
+            row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+            out[name] = row
+            print(json.dumps({name: row}), flush=True)
+    return out
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -374,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid, rs, strong and roots rows are "
-                       "medians in this process after a warm-up, grid, rs, strong and roots alternating the sides"}
+                       "sample, alternating which side runs first; solve, grid, rs, strong, roots and csv rows "
+                       "are medians in this process after a warm-up, all but solve alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -390,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["strong"] = strong_rows(sides, args.rs_repeats)
     if "roots" in args.parts:
         kernels["roots"] = roots_rows(sides, args.rs_repeats)
+    if "csv" in args.parts:
+        kernels["csv"] = csv_rows(sides, args.grid_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
