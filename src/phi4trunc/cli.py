@@ -205,7 +205,6 @@ def _cmd_projector(cfg, outdir):
 
 def _cmd_evolve(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
     sin, sout = cfg["state_in"], cfg["state_out"]
     if cfg["method"] == "trotter":
         n_q = qubit_count(trunc.n_max)
@@ -221,6 +220,9 @@ def _cmd_evolve(cfg, outdir):
                                {"dt": cfg["dt"], "lambda": cfg["lam"], "norm_drift": f"{drift:.17g}",
                                 "ordering": plan.ordering})
         return [str(path)]
+    if cfg["nt"] < 1:
+        raise ValueError(f"--nt {cfg['nt']!r} must be at least 1")
+    t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
     if cfg["method"] == "exact":
         amp = exact_amplitude(single_site_hamiltonian(trunc, cfg["lam"]), t, sin, sout)
     elif cfg["method"] == "projector":

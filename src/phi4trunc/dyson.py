@@ -2,21 +2,21 @@
 
 In the interaction picture every matrix element of V(t) is a sum of terms
 c e^(i Omega t) with Omega an unperturbed energy difference, and each
-nested time-ordered integral maps the algebra of terms c t^k e^(i Omega t)
-into itself.  PhasePolynomial implements that closed algebra; when the
-coupling and omega are rational the coefficients stay exact Gaussian
-rationals, which is what lets low orders be compared symbolically against
-closed forms.
+nested time-ordered integral maps sums of terms c t^k e^(i Omega t) into
+themselves.  The expansion runs on graded real rationals and returns one
+exact term map, (k, Omega) -> c with c = (re, im) a pair of Fractions when
+the coupling and omega are rational; that is what lets low orders be
+compared symbolically against closed forms.
 
-The series itself never needs the Gaussian arithmetic.  Every Omega is
-omega m with m an integer (the levels are omega (n + 1/2)), so terms are
-keyed by (k, m).  Integrating t^k e^(i omega m t) by parts brings one
-factor 1/(i omega m) = -i/(omega m) per power of t it removes, plus one, so
-each int_0^t raises (number of such factors + t-degree) by exactly one.
-At order p the coefficient of t^k e^(i omega m t) is therefore a real
-rational times (-i)^(p-k), and the recursion carries only that real
-rational (_integrate_graded).  Order p enters the Gaussian total once, as
-lam^p (-i)^(2p-k) times it.
+Every Omega is omega m with m an integer (the levels are omega (n + 1/2)),
+so terms are keyed by (k, m).  Integrating t^k e^(i omega m t) by parts
+brings one factor 1/(i omega m) = -i/(omega m) per power of t it removes,
+plus one, so each int_0^t raises (number of such factors + t-degree) by
+exactly one.  At order p the coefficient of t^k e^(i omega m t) is
+therefore a real rational times (-i)^(p-k), and the recursion carries only
+that real rational (_integrate_graded).  With the factor (-i lam)^p it
+becomes (-lam)^p times that real times i^k, so the whole sum over orders
+is a real rational times i^k at every key, and it too is summed in reals.
 
 The amplitude <out|U(t)|in> is assembled in the sqrt(n!)-weighted basis
 (where the quartic term is rational) and carries the basis weight
@@ -33,50 +33,32 @@ import numpy as np
 from . import algebra
 from .oscillator import TruncationSpec
 
-__all__ = ["QQi", "PhasePolynomial", "DysonAmplitude", "dyson_series", "DEFAULT_ORDER_CAP"]
+__all__ = ["PhasePolynomial", "DysonAmplitude", "dyson_series", "DEFAULT_ORDER_CAP"]
 
 DEFAULT_ORDER_CAP = 6
 
 
-@dataclass(frozen=True)
-class QQi:
-    """Gaussian rational a + b i with exact Fraction components."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other: "QQi") -> "QQi":
-        return QQi(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QQi") -> "QQi":
-        return QQi(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "QQi") -> "QQi":
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    @staticmethod
-    def of(x) -> "QQi":
-        if isinstance(x, QQi):
-            return x
-        if isinstance(x, complex):
-            return QQi(Fraction(x.real), Fraction(x.imag))
-        return QQi(Fraction(x))
+def _times_i_power(r: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """(re, im) of the real r times i^k."""
+    zero = Fraction(0)
+    return ((r, zero), (zero, r), (-r, zero), (zero, -r))[k % 4]
 
 
-def _turn(re: Fraction, im: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Components of (re + i im) i^n: quarter turns, swaps and sign flips only."""
-    for _ in range(n % 4):
-        re, im = -im, re
-    return re, im
+def _merge(acc: dict, items) -> dict:
+    """acc with every (key, c) of items added in and zero sums dropped.
+
+    Keys keep the order of their first insertion; a key that sums to zero
+    leaves, and comes back at the end if a later item brings it back.
+    """
+    cancelled = False
+    for key, c in items:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = c
+        else:
+            acc[key] = c = old + c
+            cancelled = cancelled or not c
+    return {key: c for key, c in acc.items() if c} if cancelled else acc
 
 
 def _integrate_graded(terms, omega) -> dict:
@@ -111,76 +93,21 @@ def _integrate_graded(terms, omega) -> dict:
 
 @dataclass
 class PhasePolynomial:
-    """Finite sum of terms c t^k e^(i Omega t), closed under * and int_0^t.
+    """Finite sum of terms c t^k e^(i Omega t), as dyson_series returns it.
 
-    terms maps (k, Omega) -> QQi coefficient, with Omega a Fraction so that
-    equal frequencies merge exactly.  Zero coefficients are pruned on
-    canonicalization.
+    terms maps (k, Omega) -> c = (re, im), a pair of Fractions, with Omega a
+    Fraction, in the order the expansion first met each key.  No term is
+    zero.
     """
 
     terms: dict = field(default_factory=dict)
 
-    @staticmethod
-    def constant(c) -> "PhasePolynomial":
-        return PhasePolynomial({(0, Fraction(0)): QQi.of(c)}).canonical()
-
-    @staticmethod
-    def phase(omega) -> "PhasePolynomial":
-        """e^(i omega t)."""
-        return PhasePolynomial({(0, Fraction(omega)): QQi.of(1)}).canonical()
-
-    def canonical(self) -> "PhasePolynomial":
-        self.terms = {key: c for key, c in self.terms.items() if c}
-        return self
-
-    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, QQi()) + c
-        return PhasePolynomial(out).canonical()
-
-    def __mul__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        out: dict = {}
-        for (k1, w1), c1 in self.terms.items():
-            for (k2, w2), c2 in other.terms.items():
-                key = (k1 + k2, w1 + w2)
-                out[key] = out.get(key, QQi()) + c1 * c2
-        return PhasePolynomial(out).canonical()
-
-    def scaled(self, c) -> "PhasePolynomial":
-        cc = QQi.of(c)
-        return PhasePolynomial({key: v * cc for key, v in self.terms.items()}).canonical()
-
-    def integrate(self) -> "PhasePolynomial":
-        """int_0^t of every term, exactly.
-
-        The graded real and imaginary parts, x + i y = c (-i)^k, each go
-        through _integrate_graded (units 1 and i), and each result turns
-        back by i^(j-1) at its degree j.
-        """
-        parts: tuple[dict, dict] = ({}, {})
-        for (k, w), c in self.terms.items():
-            for part, r in zip(parts, _turn(c.re, c.im, -k)):
-                if r:
-                    part[(k, w)] = r
-        out: dict = {}
-        for unit, part in enumerate(parts):
-            for (j, w), r in _integrate_graded(part.items(), 1).items():
-                key = (j, Fraction(w))
-                out[key] = out.get(key, QQi()) + QQi(*_turn(r, Fraction(0), j - 1 + unit))
-        return PhasePolynomial(out).canonical()
-
     def _float_terms(self) -> list[tuple[complex, int, complex]]:
         """(c, k, i Omega) of every term as floats, the inputs of evaluate."""
-        return [(complex(c), k, 1j * float(w)) for (k, w), c in self.terms.items()]
+        return [(complex(float(re), float(im)), k, 1j * float(w)) for (k, w), (re, im) in self.terms.items()]
 
     def evaluate(self, t: float) -> complex:
         return _evaluate_terms(self._float_terms(), t)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhasePolynomial):
-            return NotImplemented
-        return self.canonical().terms == other.canonical().terms
 
 
 def _evaluate_terms(float_terms, t: float) -> complex:
@@ -242,12 +169,13 @@ def dyson_series(
 
     energies, v = algebra.weighted_hamiltonian(trunc)
     omega = energies[1] - energies[0]  # E_j - E_k = omega (j - k)
-    lam_frac = Fraction(lam)
+    minus_lam = -Fraction(lam)
 
     # current[j] = <j| (p-fold nested integral of V_I) |in>, graded: (k, m) -> r
     # stands for r (-i)^(p-k) t^k e^(i omega m t)
     current: dict[int, dict] = {state_in: {(0, 0): Fraction(1)}}
-    total = PhasePolynomial.constant(1 if state_in == state_out else 0)
+    # total: (k, m) -> R, the sum over orders, stands for R i^k t^k e^(i omega m t)
+    total = {(0, 0): Fraction(1)} if state_in == state_out else {}
     for p in range(1, order + 1):
         nxt: dict[int, dict] = {}
         for k_state, poly in current.items():
@@ -258,25 +186,14 @@ def dyson_series(
                 shift = j - k_state
                 contrib = _integrate_graded(
                     (((k, m + shift), vjk * r) for (k, m), r in poly.items()), omega)
-                acc = nxt.setdefault(j, {})
-                cancelled = False
-                for key, c in contrib.items():
-                    old = acc.get(key)
-                    if old is None:
-                        acc[key] = c
-                    else:
-                        acc[key] = c = old + c
-                        cancelled = cancelled or not c
-                if cancelled:  # prune as PhasePolynomial.__add__ does, so key order matches
-                    nxt[j] = {key: c for key, c in acc.items() if c}
+                nxt[j] = _merge(nxt.get(j, {}), contrib.items())
         current = nxt
-        lam_p = lam_frac**p
-        if state_out in current and lam_p:
-            # (-i lam)^p times r (-i)^(p-k) is lam^p r i^(k-2p)
-            total = total + PhasePolynomial({
-                (k, omega * m): QQi(*_turn(lam_p * r, Fraction(0), k - 2 * p))
-                for (k, m), r in current[state_out].items()})
+        # (-i lam)^p times r (-i)^(p-k) is (-lam)^p r i^k
+        scale = minus_lam**p
+        if state_out in current and scale:
+            total = _merge(total, ((key, scale * r) for key, r in current[state_out].items()))
 
-    # Schroedinger picture: multiply by the global phase e^(-i E_out t)
-    total = total * PhasePolynomial.phase(-energies[state_out])
-    return DysonAmplitude(total, state_in, state_out, order, lam)
+    # Schroedinger picture: the global phase e^(-i E_out t) shifts every frequency
+    shift = -energies[state_out]
+    terms = {(k, omega * m + shift): _times_i_power(r, k) for (k, m), r in total.items()}
+    return DysonAmplitude(PhasePolynomial(terms), state_in, state_out, order, lam)

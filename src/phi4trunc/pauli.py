@@ -34,6 +34,10 @@ __all__ = [
     "qubit_count",
 ]
 
+# count_resources holds arrays of 4^n_q words: about 35, 52 and 119 MB at
+# n_q = 8, 9 and 10, four times more per qubit
+MAX_RESOURCE_QUBITS = 10
+
 _LETTERS = np.array(list("IXYZ"))
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -252,10 +256,13 @@ def count_resources(n_q: int) -> ResourceEstimate:
 
     An exact count of the words whose coefficient is not identically zero
     in the coupling (_structural_words): 5, 19, 55, 143, 351, 831 and 1919
-    terms for n_q = 2..8.
+    terms for n_q = 2..8.  n_q past MAX_RESOURCE_QUBITS is refused before
+    anything is allocated.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
+    if n_q > MAX_RESOURCE_QUBITS:
+        raise ValueError(f"n_q {n_q} exceeds cap {MAX_RESOURCE_QUBITS}: the count holds 4^n_q words in memory")
     return ResourceEstimate(n_q, len(_structural_words(n_q)))
 
 

@@ -726,7 +726,12 @@ def riemann_export(family: CouplingFamily, sector: str, resolution: tuple[int, i
     lats = np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n_lat)
     lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
     sin = np.sin(lats)
-    lams = np.sqrt((1 + sin) / (1 - sin))[:, None] * np.exp(1j * lons)
+    phases = np.exp(1j * lons)
+    # lon = -pi + 2 pi k / n_lon lies on an axis where 4 k = q n_lon: the
+    # phase i^(q - 2) exactly, so re or im is 0 there, not a rounding residue
+    k = np.flatnonzero(4 * np.arange(n_lon) % n_lon == 0)
+    phases[k] = np.array([1, 1j, -1, -1j])[(4 * k // n_lon - 2) % 4]
+    lams = np.sqrt((1 + sin) / (1 - sin))[:, None] * phases
     rows = np.empty((n_lat, n_lon, 5))
     rows[..., 0], rows[..., 1] = lams.real, lams.imag
     rows[..., 2] = grid_gaps(h0s, vs, lams, workers)

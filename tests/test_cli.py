@@ -163,6 +163,9 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
 @pytest.mark.parametrize("args, named", [
     (["evolve", "--method", "dyson", "--order", "-2"], "order -2"),
     (["evolve", "--method", "projector", "--order", "-1"], "order -1"),
+    (["evolve", "--method", "exact", "--nt", "0"], "--nt 0 must be at least 1"),
+    (["evolve", "--method", "dyson", "--nt", "-1"], "--nt -1 must be at least 1"),
+    (["evolve", "--method", "projector", "--nt", "-5"], "--nt -5 must be at least 1"),
     (["spectrum", "--nsites", "4", "--kappa", "0.1", "--method", "lanczos", "--k", "0"],
      "k must be at least 1, got 0"),
     (["series", "--nmax", "8", "--level", "2", "--orders", "-1"], "--orders -1 must be at least 0"),

@@ -12,55 +12,48 @@ from phi4trunc import (
     exact_amplitude,
     single_site_hamiltonian,
 )
-from phi4trunc.dyson import PhasePolynomial, QQi
+from phi4trunc.dyson import _integrate_graded, _times_i_power
 
 from oracles import dyson_terms
 
 F = Fraction
 
 
-def test_phase_polynomial_algebra():
-    one = PhasePolynomial.constant(1)
-    e2 = PhasePolynomial.phase(F(2))
-    prod = e2 * e2
-    assert prod.terms == {(0, F(4)): QQi(F(1))}
-    summed = e2 + e2
-    assert summed.terms == {(0, F(2)): QQi(F(2))}
-    assert (one + one.scaled(-1)).terms == {}
+def _gaussian(graded: dict, unit: int) -> dict:
+    """(re, im) of every graded term: r at (k, m) stands for r i^k times the unit i^unit."""
+    return {key: _times_i_power(r, key[0] + unit) for key, r in graded.items()}
 
 
-def test_phase_polynomial_integration_exact():
+def test_graded_integration_exact():
+    # a graded r at (k, m) stands for r i^k u; the integral carries the unit -i u
     # int_0^t e^{2is} ds = (e^{2it} - 1)/(2i) = -i/2 e^{2it} + i/2
-    poly = PhasePolynomial.phase(F(2)).integrate()
-    assert poly.terms == {
-        (0, F(2)): QQi(F(0), F(-1, 2)),
-        (0, F(0)): QQi(F(0), F(1, 2)),
-    }
-    # int_0^t s e^{is} ds = -i t e^{it} + e^{it} - 1
-    tpoly = PhasePolynomial({(1, F(1)): QQi(F(1))}).integrate()
-    assert tpoly.terms == {
-        (1, F(1)): QQi(F(0), F(-1)),
-        (0, F(1)): QQi(F(1)),
-        (0, F(0)): QQi(F(-1)),
-    }
-    # int_0^t s^2 ds = t^3/3
-    zpoly = PhasePolynomial({(2, F(0)): QQi(F(1))}).integrate()
-    assert zpoly.terms == {(3, F(0)): QQi(F(1, 3))}
+    out = _integrate_graded([((0, 2), F(1))], F(1))
+    assert _gaussian(out, -1) == {(0, 2): (F(0), F(-1, 2)), (0, 0): (F(0), F(1, 2))}
+    # the same frequency as omega 2 times 1
+    assert _integrate_graded([((0, 1), F(1))], F(2)) == {(0, 1): out[0, 2], (0, 0): out[0, 0]}
+    # int_0^t s e^{is} ds = -i t e^{it} + e^{it} - 1; the input r i^k u is 1 with unit u = -i
+    out = _integrate_graded([((1, 1), F(1))], F(1))
+    assert _gaussian(out, -2) == {(1, 1): (F(0), F(-1)), (0, 1): (F(1), F(0)), (0, 0): (F(-1), F(0))}
+    # int_0^t s^2 ds = t^3/3; the input r i^k u is 1 with unit u = i^2
+    out = _integrate_graded([((2, 0), F(1))], F(1))
+    assert _gaussian(out, 1) == {(3, 0): (F(1, 3), F(0))}
 
 
-def test_integration_matches_numeric_quadrature():
+def test_graded_integration_matches_numeric_quadrature():
     rng = np.random.default_rng(11)
-    poly = PhasePolynomial({
-        (0, F(3)): QQi(F(1, 2), F(-1, 3)),
-        (2, F(-1)): QQi(F(2, 7)),
-        (1, F(0)): QQi(F(0), F(1, 5)),
-    })
-    anti = poly.integrate()
+    omega = F(1, 2)
+    terms = {(0, 6): F(1, 2), (0, -2): F(-1, 3), (2, -2): F(2, 7), (1, 0): F(1, 5)}
+    anti = _integrate_graded(terms.items(), omega)
+
+    def value(graded, unit, t):
+        # sum r i^k t^k e^(i omega m t) times the unit
+        return unit * sum(float(r) * 1j**k * t**k * np.exp(1j * float(omega) * m * t)
+                          for (k, m), r in graded.items())
+
     for t in rng.uniform(0.3, 4.0, size=3):
         xs = np.linspace(0.0, t, 20001)
-        vals = np.array([poly.evaluate(x) for x in xs])
-        quad = np.trapezoid(vals, xs)
-        assert abs(anti.evaluate(t) - quad) <= 1e-6
+        quad = np.trapezoid(value(terms, 1, xs), xs)
+        assert abs(value(anti, -1j, t) - quad) <= 1e-6
 
 
 def test_order_zero_amplitude():
@@ -75,17 +68,18 @@ def test_order_zero_amplitude():
 def test_order2_amplitude_matches_closed_form_symbolically():
     lam = F(1, 10)
     amp = dyson_series(TruncationSpec(4), 2, lam, 0, 2)
-    # the reference closed form omits the global phase e^{-i E_2 t}; multiply
-    # it back and divide out the basis weight sqrt(2) to compare exactly
-    poly_int = amp.poly * PhasePolynomial.phase(F(5, 2))
+    # the reference closed form omits the global phase e^{-i E_2 t}; shift
+    # every frequency by E_2 = 5/2 and divide out the basis weight sqrt(2)
+    # to compare exactly
+    terms = {(k, w + F(5, 2)): c for (k, w), c in amp.poly.terms.items()}
     c2 = F(9, 16) * lam * lam
     expected = {
-        (0, F(2)): QQi(F(-3, 4) * lam + 4 * c2),
-        (0, F(0)): QQi(F(3, 4) * lam - 4 * c2),
-        (1, F(2)): QQi(F(0), c2),
-        (1, F(0)): QQi(F(0), -9 * c2),
+        (0, F(2)): (F(-3, 4) * lam + 4 * c2, F(0)),
+        (0, F(0)): (F(3, 4) * lam - 4 * c2, F(0)),
+        (1, F(2)): (F(0), c2),
+        (1, F(0)): (F(0), -9 * c2),
     }
-    assert poly_int.terms == expected
+    assert terms == expected
     assert amp.prefactor == pytest.approx(np.sqrt(2))
 
 
@@ -195,8 +189,7 @@ def test_dyson_series_is_the_gaussian_oracle(n_max, order, lam, omega):
         expected = dyson_terms(n_max, omega, order, lam, state_in)
         for state_out in range(n_max):
             terms = dyson_series(trunc, order, lam, state_in, state_out).poly.terms
-            got = [((k, w), (c.re, c.im)) for (k, w), c in terms.items()]
-            assert got == list(expected[state_out].items()), (state_in, state_out)
+            assert list(terms.items()) == list(expected[state_out].items()), (state_in, state_out)
 
 
 def test_trace_is_evaluate_at_every_point():

@@ -18,7 +18,9 @@ from phi4trunc import (
     trotter_step_unitary,
 )
 from phi4trunc.oscillator import OperatorMatrix
+from phi4trunc import pauli
 from phi4trunc.pauli import (
+    MAX_RESOURCE_QUBITS,
     PauliTerm,
     TrotterPlan,
     _structural_words,
@@ -116,6 +118,18 @@ def test_resource_counts_match_reference(n_q):
     est = count_resources(n_q)
     assert est.n_nz == REF_NNZ[n_q] == structural_pauli_count(n_q)
     assert est.depth_bound == REF_BOUND[n_q]
+
+
+def test_resource_count_past_the_cap_is_refused_before_allocating(monkeypatch):
+    # the count's arrays grow 4x per qubit; past the cap nothing may be built
+    def refuse(*args):
+        raise AssertionError("allocated before the cap check")
+
+    for name in ("_structural_words", "_surd_groups", "_word_masks", "_walsh_hadamard"):
+        monkeypatch.setattr(pauli, name, refuse)
+    n_q = MAX_RESOURCE_QUBITS + 1
+    with pytest.raises(ValueError, match=f"n_q {n_q} exceeds cap {MAX_RESOURCE_QUBITS}"):
+        count_resources(n_q)
 
 
 @pytest.mark.parametrize("n_q", [6, 7, 8])

@@ -807,3 +807,34 @@ def test_riemann_export_of_grid_includes_gap_column():
         # ... and the 30-digit gap at lam itself
         want = mp_sector_gaps(h0s, vs, lams)
         assert np.all(np.abs(rows[:, 2] - want) <= 1e-11 * want)
+
+
+@pytest.mark.parametrize("resolution", [(80, 160), (7, 6), (7, 7)])
+def test_riemann_axis_couplings_have_exact_zero_parts(resolution):
+    # at the longitudes -pi, -pi/2, 0 and pi/2 the phase is exactly -1, -i, 1
+    # or i, so one part of lam is +0.0, which prints as 0, never -0
+    n_lat, n_lon = resolution
+    grid = riemann_export(anharmonic_family(TruncationSpec(8)), "even", resolution).reshape(n_lat, n_lon, 5)
+    axis = np.flatnonzero(4 * np.arange(n_lon) % n_lon == 0)
+    assert len(axis) == (4 if n_lon % 4 == 0 else 2 if n_lon % 2 == 0 else 1)
+    parts = grid[:, axis, :2]
+    zero = parts == 0.0
+    assert np.all(zero.sum(axis=2) == 1) and not np.any(np.signbit(parts[zero]))
+    # quarter turns from -pi: im on the real axis, re on the imaginary axis
+    assert np.all(zero[..., 1] == (4 * axis // n_lon % 2 == 0))
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_riemann_axis_gaps_are_those_of_the_rounded_couplings(sector):
+    # on the benchmark sphere the gap at each exact axis coupling stays
+    # within 1e-12 of the one at r e^(i lon) with the phase rounded by np.exp
+    n_lat, n_lon = 80, 160
+    fam = anharmonic_family(TruncationSpec(8))
+    grid = riemann_export(fam, sector, (n_lat, n_lon)).reshape(n_lat, n_lon, 5)
+    axis = np.flatnonzero(4 * np.arange(n_lon) % n_lon == 0)
+    sin = np.sin(np.linspace(-SPHERE_BAND, SPHERE_BAND, n_lat))
+    lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)[axis]
+    rounded = np.sqrt((1 + sin) / (1 - sin))[:, None] * np.exp(1j * lons)
+    assert np.all(rounded.real != 0) and np.count_nonzero(rounded.imag) == rounded.size - n_lat
+    ref = grid_gaps(*fam.sector_matrices(sector), rounded)
+    assert np.all(np.abs(grid[:, axis, 2] - ref) <= 1e-12 * ref)

@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes, Dyson.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -55,6 +55,11 @@ alternating the sides, median of --grid-repeats after a warm-up, and
 records whether the two files are equal byte for byte; the pinned glibc
 mmap threshold, under which the write's larger arrays are mapped and
 unmapped each time, holds here only when the tool itself runs under it.
+`dyson` times, on each side, the benchmark's Dyson op for every row of
+DYSON_ROWS (state in, state out, lam): dyson_series at n_max 8, order 6,
+plus its trace over 101 times in [0, 1], alternating the sides, median of
+--rs-repeats after a warm-up, and records the number of terms and whether
+the two traces are equal byte for byte.
 --parts picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
@@ -393,7 +398,33 @@ def csv_rows(sides: dict[str, Path], repeats: int) -> dict:
     return out
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv")
+# (state_in, state_out, lam): the benchmark's two Dyson transitions at couplings of its range
+DYSON_ROWS = [(2, 4, "0.0013"), (3, 5, "0.0017")]
+
+
+def dyson_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    from fractions import Fraction
+
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    t = np.linspace(0.0, 1.0, 101)
+    rows = []
+    for state_in, state_out, lam in DYSON_ROWS:
+        calls = {f"{side}_s": (lambda pkg=pkg: pkg.dyson_series(pkg.TruncationSpec(8), 6, Fraction(lam),
+                                                                 state_in, state_out).trace(t))
+                 for side, pkg in packages.items()}
+        traces = {name: call() for name, call in calls.items()}
+        terms = len(packages["change"].dyson_series(packages["change"].TruncationSpec(8), 6, Fraction(lam),
+                                                    state_in, state_out).poly.terms)
+        row = {"state_in": state_in, "state_out": state_out, "lam": lam, "terms": terms,
+               **_median_times(calls, repeats),
+               "same": traces["parent_s"].tobytes() == traces["change_s"].tobytes()}
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv", "dyson")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -408,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid, rs, strong, roots and csv rows "
-                       "are medians in this process after a warm-up, all but solve alternating the sides"}
+                       "sample, alternating which side runs first; solve, grid, rs, strong, roots, csv and dyson "
+                       "rows are medians in this process after a warm-up, all but solve alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -426,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["roots"] = roots_rows(sides, args.rs_repeats)
     if "csv" in args.parts:
         kernels["csv"] = csv_rows(sides, args.grid_repeats)
+    if "dyson" in args.parts:
+        kernels["dyson"] = dyson_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
