@@ -19,12 +19,10 @@ from .oscillator import (
 from .hamiltonian import (
     LatticeSpec,
     SparseOperator,
-    ParityBlocks,
-    ParityError,
+    affine_operator,
     single_site_hamiltonian,
     strong_coupling_hamiltonian,
     lattice_hamiltonian,
-    parity_decompose,
     anharmonic_family,
     strong_coupling_family,
     lattice_family,
@@ -48,7 +46,7 @@ from .series import (
     radius_estimate,
     benderwu_asymptote,
 )
-from .projector import ProjectorSeries, AmplitudeTrace, perturbed_projector, evolve_projector_method
+from .projector import ProjectorSeries, perturbed_projector, evolve_projector_method
 from .dyson import PhasePolynomial, DysonAmplitude, dyson_series
 from .singularities import (
     GapGrid,

@@ -27,12 +27,11 @@ from .algebra import sector_indices
 from .dyson import dyson_series
 from .hamiltonian import (
     LatticeSpec,
+    affine_operator,
     anharmonic_family,
     lattice_hamiltonian,
-    parity_decompose,
     single_site_hamiltonian,
     strong_coupling_family,
-    strong_coupling_hamiltonian,
 )
 from .oscillator import OperatorMatrix, TruncationSpec
 from .pauli import (
@@ -74,19 +73,28 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
-def _sector_handle(h, cfg):
-    if cfg["sector"] in ("even", "odd"):
-        blocks = parity_decompose(h, TruncationSpec(cfg["nmax"], cfg["omega"]))
-        return blocks.even if cfg["sector"] == "even" else blocks.odd
-    return h
+def _choice(cfg, key: str, *allowed: str) -> str:
+    """cfg[key], after checking that it is one of allowed."""
+    if cfg[key] not in allowed:
+        names = ", ".join(map(repr, allowed[:-1])) + f" or {allowed[-1]!r}"
+        raise ValueError(f"--{key} {cfg[key]!r} must be {names}")
+    return cfg[key]
+
+
+def _family(cfg, trunc: TruncationSpec):
+    """The single-site family of --domain, after checking it."""
+    if _choice(cfg, "domain", "weak", "strong") == "strong":
+        return strong_coupling_family(trunc)
+    return anharmonic_family(trunc)
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns a list of output paths
 
 def _cmd_spectrum(cfg, outdir):
-    if cfg["method"] not in ("dense", "lanczos"):
-        raise ValueError(f"--method {cfg['method']!r} must be 'dense' or 'lanczos'")
+    _choice(cfg, "method", "dense", "lanczos")
+    _choice(cfg, "sector", "full", "even", "odd")
+    _choice(cfg, "domain", "weak", "strong")
     if cfg["nsites"] < 1:
         raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
@@ -104,11 +112,9 @@ def _cmd_spectrum(cfg, outdir):
         else:
             eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian)).eigenvalues
     else:
-        if cfg["domain"] == "strong":
-            h = strong_coupling_hamiltonian(trunc, cfg["lam"])
-        else:
-            h = single_site_hamiltonian(trunc, cfg["lam"])
-        h = _sector_handle(h, cfg)
+        family = _family(cfg, trunc)
+        blocks = (family.h0, family.v) if cfg["sector"] == "full" else family.sector_matrices(cfg["sector"])
+        h = affine_operator(*blocks, cfg["lam"])
         eigenvalues = dense_spectrum(h).eigenvalues
     rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(eigenvalues)]
     path = csvio.write_csv(outdir / "spectrum.csv", ["index", "re", "im"], rows,
@@ -126,11 +132,11 @@ def _series(cfg):
     if cfg["orders"] < 0:
         raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    if cfg["domain"] == "weak":
+    if _choice(cfg, "domain", "weak", "strong") == "weak":
         return weak_series(trunc, cfg["level"], None, cfg["orders"])
     if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
         raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
-    return strong_series(trunc, cfg["level"], cfg["sector"], cfg["orders"], cfg["precision"])
+    return strong_series(trunc, cfg["level"], _choice(cfg, "sector", "even", "odd"), cfg["orders"], cfg["precision"])
 
 
 def _cmd_series(cfg, outdir):
@@ -180,7 +186,7 @@ def _cmd_projector(cfg, outdir):
     for m in range(series.order + 1):
         for i in range(trunc.n_max):
             for j in range(trunc.n_max):
-                c = series.entry_exact(m, i, j)
+                c = series.weighted[m][i][j]
                 if c != 0:
                     rows.append((m, i, j, c.numerator, c.denominator))
     p1 = csvio.write_csv(outdir / "projector_series.csv",
@@ -207,6 +213,10 @@ def _cmd_evolve(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     sin, sout = cfg["state_in"], cfg["state_out"]
     if cfg["method"] == "trotter":
+        if not cfg["dt"] > 0:
+            raise ValueError(f"--dt {cfg['dt']!r} must be positive")
+        if cfg["steps"] < 0:
+            raise ValueError(f"--steps {cfg['steps']!r} must be at least 0")
         n_q = qubit_count(trunc.n_max)
         dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
         steps = cfg["steps"] if cfg["steps"] else int(round(cfg["tmax"] / cfg["dt"]))
@@ -226,7 +236,7 @@ def _cmd_evolve(cfg, outdir):
     if cfg["method"] == "exact":
         amp = exact_amplitude(single_site_hamiltonian(trunc, cfg["lam"]), t, sin, sout)
     elif cfg["method"] == "projector":
-        amp = evolve_projector_method(trunc, cfg["order"], cfg["lam"], t, sin, sout).amplitude
+        amp = evolve_projector_method(trunc, cfg["order"], cfg["lam"], t, sin, sout)
     elif cfg["method"] == "dyson":
         damp = dyson_series(trunc, cfg["order"], Fraction(str(cfg["lam"])), sin, sout)
         amp = damp.trace(t)
@@ -266,7 +276,7 @@ def _jobs(cfg) -> int:
 def _grid_trunc(cfg) -> TruncationSpec:
     """The truncation of a scan or riemann grid, after checking that its sector has a level pair."""
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    levels = len(sector_indices(trunc.n_max, cfg["sector"]))
+    levels = len(sector_indices(trunc.n_max, _choice(cfg, "sector", "even", "odd")))
     if levels < 2:
         raise ValueError(f"--nmax {trunc.n_max} leaves the {cfg['sector']} sector {levels} level, "
                          "and a gap needs a pair of levels")
@@ -277,8 +287,7 @@ def _cmd_scan(cfg, outdir):
     (re_lo, re_hi), (im_lo, im_hi) = _scan_window(cfg)
     n_re, n_im = _grid_shape(cfg)
     jobs = _jobs(cfg)
-    trunc = _grid_trunc(cfg)
-    family = strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
+    family = _family(cfg, _grid_trunc(cfg))
     grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
     if grid.failures == grid.values.size:
         raise np.linalg.LinAlgError(f"scan grid {n_re}x{n_im}: all {grid.failures} points failed to "
@@ -322,7 +331,7 @@ def _cmd_scan(cfg, outdir):
 
 def _cmd_resultant(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    poly = sylvester_discriminant(trunc, cfg["sector"])
+    poly = sylvester_discriminant(trunc, _choice(cfg, "sector", "even", "odd"))
     rows = [(m, c, 1) for m, c in enumerate(poly.coeffs)]
     p1 = csvio.write_csv(outdir / "resultant.csv", ["order", "numerator", "denominator"],
                          rows, {"nmax": cfg["nmax"], "sector": cfg["sector"],
@@ -355,6 +364,8 @@ def _cmd_resources(cfg, outdir):
 
 
 def _cmd_trotter(cfg, outdir):
+    if not all(dt > 0 for dt in cfg["dts"]):
+        raise ValueError(f"--dts {cfg['dts']!r} must all be positive")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     n_q = qubit_count(trunc.n_max)
     h = single_site_hamiltonian(trunc, cfg["lam"])

@@ -1,29 +1,30 @@
 """Single-site, strong-coupling-form and 1+1D lattice Hamiltonians.
 
-The lattice Hamiltonian is a sum of local anharmonic terms and quadratic
-nearest-neighbor hops,
+Every Hamiltonian here is an affine family H(lam) = H0 + lam V in its
+coupling, and affine_operator evaluates one, real and flagged Hermitian
+exactly when lam is real, so the family can be scanned off the real axis.
+A single site keeps occupation parity, and CouplingFamily.sector_matrices
+cuts H0 and V to the even or the odd block.  The lattice Hamiltonian is a
+sum of local anharmonic terms and quadratic nearest-neighbor hops,
 
     H = sum_x [ omega (a_x^dag a_x + 1/2) + lam phi_x^4 ] - 2 kappa sum_x phi_x phi_{x+1},
 
-built once per kappa as the affine pair H(lam) = H0 + lam V: H0 holds the
-harmonic sites and the hop, V the phi^4 sites.  One builder, _orbit_pair,
-forms the pair by applying the local terms to the digits of basis states
-(site 0 the slowest-varying index).  _lattice_blocks gives it one of three
-bases: the full product basis, its two occupation-parity blocks, and the
-two momentum-0 sectors of a periodic chain, one state per translation
-orbit.  The product basis is the case where every state is its own orbit;
-lattice_hamiltonian and lattice_family evaluate it.  No other basis forms
-the full-space matrix.  H0 and V are CSRMatrix blocks on one shared pattern.
-CSRMatrix is the package's one sparse matrix and the one place that reads
-the CSR layout; lattice_hamiltonian hands one out, which scipy's sparse
-solvers take as a linear operator.
-Couplings may be complex; the hermitian flag is cleared accordingly so the
-analytic family H(lam) can be scanned off the real axis.
+built once per kappa: H0 holds the harmonic sites and the hop, V the
+phi^4 sites.  One builder, _orbit_pair, forms the pair by applying the
+local terms to the digits of basis states (site 0 the slowest-varying
+index).  _lattice_blocks gives it one of three bases: the full product
+basis, its two occupation-parity blocks, and the two momentum-0 sectors of
+a periodic chain, one state per translation orbit.  The product basis is
+the case where every state is its own orbit; lattice_hamiltonian and
+lattice_family evaluate it.  No other basis forms the full-space matrix.
+H0 and V are CSRMatrix blocks on one shared pattern.  CSRMatrix is the
+package's one sparse matrix and the one place that reads the CSR layout;
+lattice_hamiltonian hands one out, which scipy's sparse solvers take as a
+linear operator.
 """
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,13 +35,11 @@ __all__ = [
     "LatticeSpec",
     "CSRMatrix",
     "SparseOperator",
-    "ParityBlocks",
-    "ParityError",
+    "affine_operator",
     "single_site_hamiltonian",
     "strong_coupling_hamiltonian",
     "lattice_hamiltonian",
     "parity_indices",
-    "parity_decompose",
     "CouplingFamily",
     "anharmonic_family",
     "strong_coupling_family",
@@ -164,35 +163,27 @@ class SparseOperator:
         return list(zip(m.rows.tolist(), m.indices.tolist(), m.data.astype(complex).tolist()))
 
 
-@dataclass
-class ParityBlocks:
-    """Even/odd occupation-parity blocks with index maps back to the full basis."""
-
-    even: object
-    odd: object
-    even_indices: np.ndarray = field(repr=False)
-    odd_indices: np.ndarray = field(repr=False)
-
-
-class ParityError(ValueError):
-    """Raised when an operator does not commute with global parity."""
-
-
 def _phi4(spec: TruncationSpec) -> np.ndarray:
     phi, _ = build_field_ops(spec)
     return np.linalg.matrix_power(phi.entries, 4)
 
 
-def _evaluate(family: "CouplingFamily", lam: complex) -> OperatorMatrix:
-    """family.matrix(lam), Hermitian (and real) exactly when lam is real."""
-    lam_is_real = isinstance(lam, numbers.Real) or complex(lam).imag == 0.0
-    lam_c = complex(lam).real if lam_is_real else complex(lam)
-    return OperatorMatrix(family.matrix(lam_c), "occupation", hermitian=lam_is_real)
+def _coupling(lam: complex) -> tuple[complex, bool]:
+    """lam as a float when its imaginary part is zero, else as a complex, and whether it is real."""
+    lam = complex(lam)
+    return (lam.real, True) if lam.imag == 0.0 else (lam, False)
+
+
+def affine_operator(h0: np.ndarray, v: np.ndarray, lam: complex) -> OperatorMatrix:
+    """h0 + lam v, real and flagged Hermitian exactly when lam is real."""
+    lam, real = _coupling(lam)
+    return OperatorMatrix(h0 + lam * v, hermitian=real)
 
 
 def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> OperatorMatrix:
     """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
-    return _evaluate(anharmonic_family(trunc), lam)
+    family = anharmonic_family(trunc)
+    return affine_operator(family.h0, family.v, lam)
 
 
 def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> OperatorMatrix:
@@ -201,7 +192,8 @@ def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> Op
     Satisfies H_str(1/lam) = H_anh(lam)/lam entrywise for lam != 0, so both
     families share the same exceptional points up to inversion.
     """
-    return _evaluate(strong_coupling_family(trunc), lam_tilde)
+    family = strong_coupling_family(trunc)
+    return affine_operator(family.h0, family.v, lam_tilde)
 
 
 def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
@@ -224,13 +216,12 @@ def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     geometric bond twice (coefficient -4 kappa).
     """
     [(h0, v)] = _lattice_blocks(spec, "full")
-    lam_is_real = complex(spec.lam).imag == 0.0
-    lam = complex(spec.lam).real if lam_is_real else complex(spec.lam)
+    lam, real = _coupling(spec.lam)
     data = h0.data + lam * v.data
     live = data != 0
     # the live entries before each row start
     indptr = np.concatenate(([0], np.cumsum(live)))[h0.indptr].astype(h0.indptr.dtype)
-    return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]), hermitian=lam_is_real)
+    return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]), hermitian=real)
 
 
 def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,24 +389,6 @@ def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray
     return np.flatnonzero(par == 0), np.flatnonzero(par)
 
 
-def parity_decompose(h: OperatorMatrix, trunc: TruncationSpec) -> ParityBlocks:
-    """Split a dense single-site operator into even/odd occupation-parity blocks.
-
-    Raises ParityError, reporting the largest offender, if any cross-parity
-    entry is nonzero.  Lattice parity blocks come from the lattice builder.
-    """
-    even_idx, odd_idx = parity_indices(trunc.n_max)
-    m = h.entries
-    cross_block = np.abs(m[np.ix_(even_idx, odd_idx)])
-    cross_block2 = np.abs(m[np.ix_(odd_idx, even_idx)])
-    worst = max(cross_block.max(initial=0.0), cross_block2.max(initial=0.0))
-    if worst != 0.0:
-        raise ParityError(f"operator couples parity sectors; max cross entry {worst:.3e}")
-    even = OperatorMatrix(m[np.ix_(even_idx, even_idx)], h.basis, h.hermitian)
-    odd = OperatorMatrix(m[np.ix_(odd_idx, odd_idx)], h.basis, h.hermitian)
-    return ParityBlocks(even, odd, even_idx, odd_idx)
-
-
 @dataclass(frozen=True)
 class CouplingFamily:
     """Affine analytic family H(lam) = H0 + lam V with parity bookkeeping.
@@ -431,10 +404,8 @@ class CouplingFamily:
     n_sites: int = 1
     label: str = "anharmonic"
 
-    def matrix(self, lam: complex) -> np.ndarray:
-        return self.h0 + lam * self.v
-
     def sector_matrices(self, sector: str) -> tuple[np.ndarray, np.ndarray]:
+        """The even or the odd occupation-parity block of h0 and of v."""
         if sector not in ("even", "odd"):
             raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
         even_idx, odd_idx = parity_indices(self.n_max, self.n_sites)

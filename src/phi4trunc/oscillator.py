@@ -55,15 +55,14 @@ class TruncationSpec:
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator with basis metadata.
+    """Dense operator matrix.
 
     entries is one square matrix, or a stack of them along leading axes.
-    basis is 'occupation' or 'field'; the hermitian flag is an assertion
-    made by the constructor, not something recomputed on access.
+    The hermitian flag is an assertion made by the constructor, not
+    something recomputed on access.
     """
 
     entries: np.ndarray
-    basis: str = "occupation"
     hermitian: bool = False
 
     def __post_init__(self):
@@ -95,8 +94,8 @@ def build_ladder(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
     for k in range(1, n):
         a[k - 1, k] = np.sqrt(k)
     return (
-        OperatorMatrix(a, "occupation", hermitian=False),
-        OperatorMatrix(a.T.copy(), "occupation", hermitian=False),
+        OperatorMatrix(a),
+        OperatorMatrix(a.T.copy()),
     )
 
 
@@ -106,22 +105,22 @@ def build_field_ops(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatri
     phi = (a.entries + adag.entries) / np.sqrt(2.0 * spec.omega)
     pi = -1j * np.sqrt(spec.omega / 2.0) * (a.entries - adag.entries)
     return (
-        OperatorMatrix(phi, "occupation", hermitian=True),
-        OperatorMatrix(pi, "occupation", hermitian=True),
+        OperatorMatrix(phi, hermitian=True),
+        OperatorMatrix(pi, hermitian=True),
     )
 
 
 def harmonic_hamiltonian(spec: TruncationSpec) -> OperatorMatrix:
     """omega (a^dag a + 1/2): diagonal with entries omega (n + 1/2)."""
     diag = spec.omega * (np.arange(spec.n_max) + 0.5)
-    return OperatorMatrix(np.diag(diag), "occupation", hermitian=True)
+    return OperatorMatrix(np.diag(diag), hermitian=True)
 
 
 def top_projector(spec: TruncationSpec) -> OperatorMatrix:
     """Projector |n_max-1><n_max-1| onto the highest retained state."""
     p = np.zeros((spec.n_max, spec.n_max))
     p[-1, -1] = 1.0
-    return OperatorMatrix(p, "occupation", hermitian=True)
+    return OperatorMatrix(p, hermitian=True)
 
 
 def hermite_zeros(degree: int) -> np.ndarray:

@@ -317,7 +317,7 @@ def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
     u = np.eye(2**plan.n_q, dtype=complex)
     for src, c, g in _compile(plan):
         u = c * u + g[:, None] * u[src]
-    return OperatorMatrix(u, "occupation", hermitian=False)
+    return OperatorMatrix(u)
 
 
 def _basis_index(value, dim: int, what: str) -> int:

@@ -14,7 +14,9 @@ final entry, and the cost is polynomial in the order.  Time evolution
 follows by inserting the perturbed resolution of identity: each level
 contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak series
 at the same order, read off the same recursion, so phases stay bounded for
-all t.
+all t.  Evaluating a projector at lam, or evolving from a state, warns
+when |lam| is at or past the convergence radius fitted to the weak series
+of that level.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .series import PowerSeries, radius_estimate, weak_series
 
 __all__ = [
     "ProjectorSeries",
-    "AmplitudeTrace",
     "perturbed_projector",
     "evolve_projector_method",
 ]
@@ -41,10 +42,11 @@ __all__ = [
 class ProjectorSeries:
     """Coefficient matrices of |n><n| in powers of lam, and the level's energy series.
 
-    weighted[m][i][j] are exact rationals in the sqrt(n!)-weighted basis;
-    the standard-basis entry carries an extra sqrt(i!/j!), which is folded
-    in by coefficient_matrix.  energy holds E_n through the same order,
-    exact, from the recursion that gives the right states.
+    weighted[m][i][j] is the exact rational order-m (i, j) entry in the
+    sqrt(n!)-weighted basis; the standard-basis entry carries an extra
+    sqrt(i!/j!), which is folded in by coefficient_matrix.  energy holds
+    E_n through the same order, exact, from the recursion that gives the
+    right states.
     """
 
     level: int
@@ -52,10 +54,6 @@ class ProjectorSeries:
     weighted: list = field(repr=False)
     n_max: int
     energy: PowerSeries = field(repr=False)
-
-    def entry_exact(self, m: int, i: int, j: int) -> Fraction:
-        """Rational part of the order-m (i, j) entry; multiply by sqrt(i!/j!)."""
-        return self.weighted[m][i][j]
 
     def coefficient_matrix(self, m: int) -> np.ndarray:
         d = np.sqrt([math.factorial(k) for k in range(self.n_max)])
@@ -69,23 +67,16 @@ class ProjectorSeries:
         return acc
 
 
-@dataclass
-class AmplitudeTrace:
-    """Transition amplitude and probability sampled on a time grid."""
-
-    t: np.ndarray
-    amplitude: np.ndarray
-    method: str = "projector"
-
-    @property
-    def probability(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
-
 def _convergence_warning(trunc: TruncationSpec, level: int, lam: float) -> None:
+    """Warn when |lam| is at or past the radius fitted to orders 20-40 of the level's weak series.
+
+    The fit's own warnings, for the zero coefficients it skips (such as the
+    odd orders of a two-level odd block), are not passed on.
+    """
     try:
-        ser = weak_series(trunc, level, max_order=40)
-        radius, _ = radius_estimate(ser, 20, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            radius, _ = radius_estimate(weak_series(trunc, level, max_order=40), 20, 40)
     except (ValueError, ArithmeticError):
         return
     if abs(lam) >= radius:
@@ -145,7 +136,6 @@ def perturbed_projector(
     sector: str | None = None,
     order: int = 4,
     lam: float | None = None,
-    check_convergence: bool = True,
 ) -> tuple[ProjectorSeries, np.ndarray | None]:
     """Projector series for one level through the given order, plus its value.
 
@@ -165,8 +155,7 @@ def perturbed_projector(
     series = _level_projector(h0, v, level, sector, order, n)
     value = None
     if lam is not None:
-        if check_convergence:
-            _convergence_warning(trunc, level, lam)
+        _convergence_warning(trunc, level, lam)
         value = series.evaluate(lam)
     return series, value
 
@@ -178,15 +167,14 @@ def evolve_projector_method(
     t_grid,
     state_in: int,
     state_out: int,
-    check_convergence: bool = True,
-) -> AmplitudeTrace:
-    """Amplitude <out|U(t)|in> from order-truncated projectors and energies.
+) -> np.ndarray:
+    """Amplitude <out|U(t)|in> at each time of t_grid, from order-truncated projectors and energies.
 
     Sums e^(-i E_n(lam) t) weighted by the projector matrix elements over
     every level in the input state's parity sector; both P_n and E_n are
     partial sums through the same order, and both come from one
     Rayleigh-Schrodinger run per level on the sector block, built once.
-    States of opposite parity give an identically zero trace.
+    States of opposite parity give an identically zero amplitude.
     """
     if order < 0:
         raise ValueError(f"order {order} must be at least 0")
@@ -194,9 +182,8 @@ def evolve_projector_method(
         raise ValueError(f"states {state_in}->{state_out} outside 0..{trunc.n_max - 1}")
     t = np.asarray(t_grid, dtype=float)
     if state_in % 2 != state_out % 2:
-        return AmplitudeTrace(t, np.zeros(len(t), dtype=complex))
-    if check_convergence:
-        _convergence_warning(trunc, state_in, lam)
+        return np.zeros(len(t), dtype=complex)
+    _convergence_warning(trunc, state_in, lam)
 
     n = trunc.n_max
     sector = algebra.level_sector(state_in)
@@ -209,4 +196,4 @@ def evolve_projector_method(
             continue
         energy = float(series.energy.evaluate(lam))
         amplitude += weight * np.exp(-1j * energy * t)
-    return AmplitudeTrace(t, amplitude)
+    return amplitude

@@ -57,15 +57,14 @@ class PowerSeries:
     """Energy expansion coefficients, exact rationals or high-precision floats.
 
     domain is 'weak_lambda' (expansion in lam around 0) or
-    'strong_lambda_tilde' (expansion in 1/lam around 0); origin records the
-    expansion point.  precision_digits is set only for the float domain.
+    'strong_lambda_tilde' (expansion in 1/lam around 0).  precision_digits
+    is set only for the float domain.
     """
 
     coeffs: list
     domain: str
     level: int = 0
     sector: str = "even"
-    origin: float = 0.0
     precision_digits: int | None = None
     certified_digits: int | None = None
     meta: dict = field(default_factory=dict)

@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra
 from .hamiltonian import CouplingFamily
 from .oscillator import TruncationSpec
-from .spectral import SingularityEstimate, _golden_max
+from .spectral import _golden_max
 
 __all__ = [
     "GapGrid",
@@ -324,7 +324,6 @@ class RefineResult:
     location: complex
     gap: float
     exceptional: bool
-    estimate: SingularityEstimate | None
 
 
 def _closest_pair(z: np.ndarray) -> np.ndarray:
@@ -565,8 +564,7 @@ def refine_exceptional_point(
     finds the smallest gap: there the family is real symmetric, hence
     diagonalizable, so the minimum is an avoided crossing.  It doubles a downhill step from 1e-3 max(1, |guess|) until
     the gap rises, then runs golden section in that bracket; ValueError
-    names a guess whose walk never turns.  The reported estimate is folded
-    into the upper half-plane (the conjugate point is implied).
+    names a guess whose walk never turns.
     """
     h0s, vs = family.sector_matrices(sector)
 
@@ -590,7 +588,7 @@ def refine_exceptional_point(
         else:
             raise ValueError(f"no real-axis gap minimum bracketed downhill of the guess {guess}")
         loc = complex(_golden_max(lambda x: -gap(x), min(a, c), max(a, c)), 0.0)
-        return RefineResult(loc, float(abs(pair(loc))), False, None)
+        return RefineResult(loc, float(abs(pair(loc))), False)
 
     converged = False
     prev, g_prev = guess, pair(guess) ** 2
@@ -613,10 +611,7 @@ def refine_exceptional_point(
     loc = complex(loc)
     gap = float(abs(pair(loc)))
     exceptional = converged and gap <= EXCEPTIONAL_GAP_THRESHOLD * max(1.0, np.linalg.norm(h0s + loc * vs, 2))
-    estimate = None
-    if exceptional and abs(loc.imag) > 0:
-        estimate = SingularityEstimate(loc.real, abs(loc.imag), (-1, -1), "grid_scan")
-    return RefineResult(loc, gap, bool(exceptional), estimate)
+    return RefineResult(loc, gap, bool(exceptional))
 
 
 def sylvester_discriminant(trunc: TruncationSpec, sector: str) -> ResultantPolynomial:
@@ -669,10 +664,8 @@ def sylvester_discriminant(trunc: TruncationSpec, sector: str) -> ResultantPolyn
     return poly
 
 
-def strong_weak_map(point: complex, direction: str = "to_weak") -> complex:
-    """Inversion lam <-> lam_tilde = 1/lam between the two coupling planes."""
-    if direction not in ("to_weak", "to_strong"):
-        raise ValueError(f"direction must be 'to_weak' or 'to_strong', got {direction!r}")
+def strong_weak_map(point: complex) -> complex:
+    """Inversion lam <-> lam_tilde = 1/lam between the two coupling planes, the same map both ways."""
     if point == 0:
         raise ZeroDivisionError("zero has no image under the inversion map")
     return 1.0 / point

@@ -1,12 +1,12 @@
 """Eigensolution and coupling-derivative analysis of H(lam) families.
 
-Derivatives of an eigenvalue with respect to the coupling are computed two
-ways: a sum-over-states evaluation of the nondegenerate perturbation
-formulas in the eigenbasis at lam0 (exact up to the eigensolve), and
-five-point central finite differences with one Richardson step.  The
-location and width of the peak in the second derivative on the real axis
-estimate the nearest complex singularity: the peak sits at its real part,
-and the imaginary part follows either from the width at half maximum
+Derivatives of an eigenvalue with respect to the coupling come from a
+sum-over-states evaluation of the nondegenerate perturbation formulas in
+the eigenbasis at lam0, exact up to the eigensolve; lattice sweeps take
+five-point stencils on a grid of couplings instead.  The location and
+width of the peak in the second derivative on the real axis estimate the
+nearest complex singularity: the peak sits at its real part, and the
+imaginary part follows either from the width at half maximum
 (W = 2 sqrt(2^(2/3)-1) Im lam_s, exact for a two-level square-root gap) or
 from the curvature ratio Im lam_s = sqrt(-3 E''/E'''') at the peak.
 """
@@ -64,7 +64,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    sector: str = "full"
 
 
 @dataclass
@@ -76,7 +75,6 @@ class DerivativeEstimate:
     d1: float
     d2: float
     d4: float
-    scheme: str = "sum_over_states"
 
 
 @dataclass
@@ -97,7 +95,7 @@ class SingularityEstimate:
         return float(np.hypot(self.re, self.im))
 
 
-def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = "full") -> SpectrumResult:
+def dense_spectrum(h: OperatorMatrix) -> SpectrumResult:
     """Full dense spectrum; Hermitian solver when the flag allows it.
 
     A stack of matrices gives one row of eigenvalues per matrix.
@@ -106,21 +104,16 @@ def dense_spectrum(h: OperatorMatrix, want_vectors: bool = False, sector: str = 
         raise ValueError(f"dimension {h.dim} exceeds dense cap {DENSE_CAP}")
     try:
         if h.hermitian:
-            if want_vectors:
-                w, v = np.linalg.eigh(h.entries)
-            else:
-                w, v = np.linalg.eigvalsh(h.entries), None
+            w = np.linalg.eigvalsh(h.entries)
         else:
-            w, v = np.linalg.eig(h.entries)
-            order = np.argsort(w.real, axis=-1, kind="stable")
-            w = np.take_along_axis(w, order, axis=-1)
-            v = np.take_along_axis(v, order[..., None, :], axis=-1) if want_vectors else None
+            w = np.linalg.eigvals(h.entries)
+            w = np.take_along_axis(w, np.argsort(w.real, axis=-1, kind="stable"), axis=-1)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"dense eigensolver failed on {h.dim}x{h.dim} "
             f"{'Hermitian' if h.hermitian else 'general'} matrix: {exc}"
         ) from exc
-    return SpectrumResult(w, v, sector)
+    return SpectrumResult(w)
 
 
 def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
@@ -150,7 +143,7 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
     dim = h.dim
     if k >= dim - 1:
         w, u = np.linalg.eigh(h.matrix.toarray())
-        return SpectrumResult(w[:k], u[:, :k], "full")
+        return SpectrumResult(w[:k], u[:, :k])
     if k > LANCZOS_MAX_STEPS:
         raise ValueError(f"k={k} needs more than the {LANCZOS_MAX_STEPS} steps of one Lanczos run")
     matvec = h.matrix.matvec
@@ -168,7 +161,7 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
             break
         order = np.argsort(np.r_[theta, mu], kind="stable")[:k]
         theta, y = np.r_[theta, mu][order], np.concatenate([y, u])[order]
-    return SpectrumResult(theta, y.T, "full")
+    return SpectrumResult(theta, y.T)
 
 
 def _lanczos(matvec, q: np.ndarray, k: int, tol: float, fresh,
@@ -346,30 +339,13 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
     return np.sort(levels, axis=1)[:, :k]
 
 
-def _tracked_sector_level(family: CouplingFamily, sector: str, pos: int, lam: float,
-                          ref_vec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    h0s, vs = family.sector_matrices(sector)
-    w, u = np.linalg.eigh(h0s + lam * vs)
-    if ref_vec is None:
-        j = pos
-    else:
-        j = int(np.argmax(np.abs(ref_vec @ u)))
-    return float(w[j]), u[:, j]
-
-
-def energy_derivatives(
-    family: CouplingFamily,
-    level: int,
-    sector: str,
-    lambda0: float,
-    scheme: str = "sum_over_states",
-    fd_step: float | None = None,
-) -> DerivativeEstimate:
-    """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector.
+def energy_derivatives(family: CouplingFamily, level: int, sector: str, lambda0: float) -> DerivativeEstimate:
+    """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector, by sum over states.
 
     level is the global harmonic label; its position inside the sector is
-    level // 2, and sector must be the one that holds it.  Near-degeneracy (sector gap < 1e-8) triggers a warning,
-    since both schemes lose accuracy there.
+    level // 2, and sector must be the one that holds it.  Near-degeneracy
+    (sector gap < 1e-8) triggers a warning, since the sum over states loses
+    accuracy there.
     """
     sector = algebra.level_sector(level, sector)
     pos = level // 2
@@ -381,30 +357,9 @@ def energy_derivatives(
             f"level {level} nearly degenerate at lambda0={lambda0} (gap {gaps.min():.2e})",
             RuntimeWarning,
         )
-    if scheme not in ("sum_over_states", "finite_difference"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "sum_over_states":
-        veig = u.T @ vs @ u
-        c, _ = algebra.rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
-        return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4], scheme)
-
-    h = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(lambda0))
-    ref = u[:, pos]
-
-    def energy(x: float) -> float:
-        return _tracked_sector_level(family, sector, pos, x, ref)[0]
-
-    # nine-point sampling serves both the h and h/2 stencils
-    es = {k: energy(lambda0 + k * h / 2.0) for k in range(-4, 5)}
-
-    def stencils(step_mult: int) -> tuple[float, float, float]:
-        return _five_point_stencil([es[k * step_mult] for k in (-2, -1, 0, 1, 2)],
-                                  h * step_mult / 2.0)
-
-    coarse = stencils(2)
-    fine = stencils(1)
-    d1, d2, d4 = ((4 * fi - co) / 3.0 for fi, co in zip(fine, coarse))
-    return DerivativeEstimate(level, lambda0, d1, d2, d4, scheme)
+    veig = u.T @ vs @ u
+    c, _ = algebra.rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
+    return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4])
 
 
 def _five_point_stencil(f, h: float) -> tuple[float, float, float]:
@@ -462,11 +417,12 @@ def _pair_d2(family: CouplingFamily, sector: str, pos: int, lam: float) -> float
     return energy_derivatives(family, level, sector, lam).d2
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-12) -> float:
+def _golden_max(f, a: float, b: float) -> float:
+    """A maximum of f on [a, b] by golden-section search, to a bracket of 1e-12."""
     g = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)

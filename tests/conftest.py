@@ -1,7 +1,17 @@
-"""Shared fixtures: expensive exact series are computed once per session."""
+"""Shared fixtures: expensive exact series are computed once per session.
+
+pytest puts src/ on sys.path (pyproject.toml); the interpreters that some
+tests start find the package there too, through PYTHONPATH.
+"""
+import os
+from pathlib import Path
+
 import pytest
 
 from phi4trunc import TruncationSpec, weak_series
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

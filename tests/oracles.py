@@ -10,6 +10,10 @@ All but one of them leave the package alone:
   of the documented local terms and hop;
 - exceptional points are labelled by following eigenvalues along a ray in
   the complex coupling plane;
+- coupling derivatives of one level come from nine-point finite
+  differences: five-point stencils at steps h and h/2 and one Richardson
+  step, the level followed by its overlap with the eigenvector at the
+  middle point;
 - minimum sector gaps come from mpmath's QR eigenvalues of h0 + lam v at
   30 digits, with the float entries taken exactly;
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
@@ -136,6 +140,38 @@ def coalescing_levels(n_max: int, point: complex) -> tuple[int, int]:
     dist = nearest(ev)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return tuple(sorted((2 * int(i), 2 * int(j))))
+
+
+def tracked_sector_level(family, sector: str, pos: int, lam: float,
+                         ref_vec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Eigenpair of the family's sector block at lam: position pos, or the one most like ref_vec."""
+    h0s, vs = family.sector_matrices(sector)
+    w, u = np.linalg.eigh(h0s + lam * vs)
+    j = pos if ref_vec is None else int(np.argmax(np.abs(ref_vec @ u)))
+    return float(w[j]), u[:, j]
+
+
+def finite_difference_derivatives(family, level: int, lambda0: float,
+                                  step: float | None = None) -> tuple[float, float, float]:
+    """d1, d2 and d4 of E_level(lam) at lambda0 from nine samples spaced step/2 apart.
+
+    step defaults to 1e-4 max(1, |lambda0|).  Five-point central stencils
+    at step and at step/2 are combined by one Richardson step,
+    (4 fine - coarse) / 3.
+    """
+    sector, pos = ("even", "odd")[level % 2], level // 2
+    h = step if step is not None else 1e-4 * max(1.0, abs(lambda0))
+    _, ref = tracked_sector_level(family, sector, pos, lambda0)
+    es = {k: tracked_sector_level(family, sector, pos, lambda0 + k * h / 2.0, ref)[0] for k in range(-4, 5)}
+
+    def stencil(mult: int) -> tuple[float, float, float]:
+        f, s = [es[k * mult] for k in (-2, -1, 0, 1, 2)], h * mult / 2.0
+        return ((f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * s),
+                (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * s**2),
+                (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / s**4)
+
+    d1, d2, d4 = ((4 * fine - coarse) / 3.0 for fine, coarse in zip(stencil(1), stencil(2)))
+    return d1, d2, d4
 
 
 def mp_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams, dps: int = 30) -> np.ndarray:

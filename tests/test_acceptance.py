@@ -12,6 +12,7 @@ import pytest
 from phi4trunc import (
     LatticeSpec,
     TruncationSpec,
+    affine_operator,
     anharmonic_family,
     build_trotter_plan,
     count_resources,
@@ -23,7 +24,6 @@ from phi4trunc import (
     lanczos_lowest,
     lattice_ground_energies,
     lattice_hamiltonian,
-    parity_decompose,
     pauli_decompose,
     perturbed_projector,
     radius_estimate,
@@ -64,10 +64,10 @@ def criterion(num, title):
 @criterion("1", "n_max=4 closed forms, exceptional points, radius")
 def test_c01_nmax4_exact_closed_forms():
     trunc = TruncationSpec(4)
+    blocks = anharmonic_family(trunc).sector_matrices
     for lam in np.linspace(-0.5, 1.0, 151):
-        blocks = parity_decompose(single_site_hamiltonian(trunc, lam), trunc)
-        even = dense_spectrum(blocks.even).eigenvalues
-        odd = dense_spectrum(blocks.odd).eigenvalues
+        even = dense_spectrum(affine_operator(*blocks("even"), lam)).eigenvalues
+        odd = dense_spectrum(affine_operator(*blocks("odd"), lam)).eigenvalues
         root_e = 2 * np.sqrt(2) * np.sqrt(27 * lam**2 + 12 * lam + 2)
         root_o = 2 * np.sqrt(2) * np.sqrt(27 * lam**2 + 2)
         expect_e = np.sort([(15 * lam + 6 - root_e) / 4, (15 * lam + 6 + root_e) / 4])
@@ -167,11 +167,11 @@ def test_c05_direct_search_values():
 def test_c06_projector_series_values():
     trunc = TruncationSpec(4)
     ser, _ = perturbed_projector(trunc, 0, order=4)
-    assert [ser.entry_exact(m, 0, 0) for m in range(5)] == \
+    assert [ser.weighted[m][0][0] for m in range(5)] == \
         [F(1), F(0), F(-9, 8), F(27, 4), F(-1701, 64)]
-    assert [ser.entry_exact(m, 0, 2) for m in range(5)] == \
+    assert [ser.weighted[m][0][2] for m in range(5)] == \
         [F(0), F(-3, 2), F(9, 2), F(-81, 8), F(81, 8)]
-    assert [ser.entry_exact(m, 2, 2) for m in range(5)] == \
+    assert [ser.weighted[m][2][2] for m in range(5)] == \
         [F(0), F(0), F(9, 8), F(-27, 4), F(1701, 64)]
 
     e_sums = [float(s) for s in weak_series(trunc, 0, max_order=4).partial_sums(F(1, 10))]
@@ -184,9 +184,9 @@ def test_c06_projector_series_values():
         [0.0, -0.106066, -0.0742462, -0.0814057, -0.0806897], abs=5e-7)
 
     t = np.linspace(0.0, 20.0, 401)
-    trace = evolve_projector_method(trunc, 4, 0.1, t, 0, 2, check_convergence=False)
+    amp = evolve_projector_method(trunc, 4, 0.1, t, 0, 2)
     exact = np.abs(exact_amplitude(single_site_hamiltonian(trunc, 0.1), t, 0, 2)) ** 2
-    assert np.max(np.abs(trace.probability - exact)) <= 1e-3
+    assert np.max(np.abs(np.abs(amp) ** 2 - exact)) <= 1e-3
 
 
 @criterion("7", "Dyson order-2 closed form, symbolic and numeric")
@@ -252,7 +252,7 @@ def test_c09_strong_weak_map():
     seed, _ = grid.min_point()
     refined = refine_exceptional_point(strong, seed, "even")
     assert refined.exceptional
-    mapped = strong_weak_map(refined.location, "to_weak")
+    mapped = strong_weak_map(refined.location)
     assert abs(mapped.real - (-0.0093)) <= 0.1 * 0.0093
     assert abs(mapped.imag - (-0.032)) <= 0.1 * 0.032
 

@@ -161,6 +161,64 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
 
 
 @pytest.mark.parametrize("args, named", [
+    (["spectrum", "--nmax", "4", "--sector", "evn"], "--sector 'evn' must be 'full', 'even' or 'odd'"),
+    (["spectrum", "--nmax", "4", "--domain", "strng"], "--domain 'strng' must be 'weak' or 'strong'"),
+    (["spectrum", "--nsites", "2", "--nmax", "2", "--kappa", "0.1", "--sector", "evn"], "--sector 'evn' must be"),
+    (["scan", "--nmax", "4", "--res", "4,4", "--domain", "strng"], "--domain 'strng' must be 'weak' or 'strong'"),
+    (["series", "--nmax", "4", "--domain", "strng"], "--domain 'strng' must be 'weak' or 'strong'"),
+    (["radius", "--nmax", "4", "--domain", "strng"], "--domain 'strng' must be 'weak' or 'strong'"),
+    (["series", "--nmax", "4", "--domain", "strong", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
+    (["scan", "--nmax", "4", "--res", "4,4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
+    (["riemann", "--nmax", "4", "--res", "4,4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
+    (["resultant", "--nmax", "4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
+])
+def test_misspelled_sector_or_domain_is_recorded_naming_the_flag(tmp_path, args, named):
+    code, outdir = run_cli(args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"]["type"] == "ValueError"
+    assert named in manifest["error"]["message"]
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args, named", [
+    (["evolve", "--method", "trotter", "--dt", "0"], "--dt 0.0 must be positive"),
+    (["evolve", "--method", "trotter", "--dt", "-0.1", "--steps", "5"], "--dt -0.1 must be positive"),
+    (["evolve", "--method", "trotter", "--steps", "-1"], "--steps -1 must be at least 0"),
+    (["trotter", "--dts", "0.1,0"], "--dts [0.1, 0.0] must all be positive"),
+    (["trotter", "--dts", "-0.05"], "--dts [-0.05] must all be positive"),
+])
+def test_bad_trotter_steps_are_recorded_naming_the_flag_before_any_work(tmp_path, monkeypatch, args, named):
+    from phi4trunc import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the Pauli decomposition ran")
+
+    monkeypatch.setattr(cli, "pauli_decompose", no_work)
+    code, outdir = run_cli(args + ["--nmax", "4"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError", "message": named}
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args, warned", [
+    (["projector", "--level", "1", "--lam", "0.05"], []),
+    (["evolve", "--method", "projector", "--state-in", "1", "--state-out", "3", "--lam", "0.05", "--nt", "3"], []),
+    (["projector", "--level", "1", "--lam", "0.5"], ["|lam|=0.5 is outside the estimated convergence radius"]),
+])
+def test_convergence_check_records_only_its_radius_warning(tmp_path, monkeypatch, args, warned):
+    # the check's 20-40 order fit skips the vanishing odd orders of the two-level odd block unheard
+    monkeypatch.setattr(warnings, "showwarning", lambda *args, **kwargs: None)
+    code, outdir = run_cli(args + ["--nmax", "4"], tmp_path, "conv")
+    assert code == 0
+    recorded = json.loads((outdir / "manifest.json").read_text())["run"]["warnings"]
+    assert len(recorded) == len(warned)
+    assert all(w["category"] == "RuntimeWarning" and w["message"].startswith(text)
+               for w, text in zip(recorded, warned))
+
+
+@pytest.mark.parametrize("args, named", [
     (["evolve", "--method", "dyson", "--order", "-2"], "order -2"),
     (["evolve", "--method", "projector", "--order", "-1"], "order -1"),
     (["evolve", "--method", "exact", "--nt", "0"], "--nt 0 must be at least 1"),

@@ -5,17 +5,23 @@ import pytest
 
 from phi4trunc import (
     LatticeSpec,
-    ParityError,
     TruncationSpec,
+    affine_operator,
+    anharmonic_family,
     field_eigenbasis,
     lattice_hamiltonian,
-    parity_decompose,
     single_site_hamiltonian,
+    strong_coupling_family,
     strong_coupling_hamiltonian,
 )
 from phi4trunc.algebra import sector_char_poly
-from phi4trunc.hamiltonian import _lattice_blocks
-from phi4trunc.oscillator import OperatorMatrix
+from phi4trunc.hamiltonian import _lattice_blocks, parity_indices
+
+
+def site_block(trunc, sector, lam):
+    """The even or odd block of the single-site H(lam), cut from the family's H0 and V."""
+    h0, v = anharmonic_family(trunc).sector_matrices(sector)
+    return h0 + lam * v
 
 
 def anh4_expected(lam):
@@ -41,9 +47,7 @@ def test_single_site_harmonic_limit():
 
 
 def test_single_site_lowest_even_eigenvalue():
-    h = single_site_hamiltonian(TruncationSpec(4), 0.1)
-    blocks = parity_decompose(h, TruncationSpec(4))
-    e0 = np.linalg.eigvalsh(blocks.even.entries)[0]
+    e0 = np.linalg.eigvalsh(site_block(TruncationSpec(4), "even", 0.1))[0]
     assert abs(e0 - 0.557806) < 5e-7
 
 
@@ -154,10 +158,8 @@ def test_lattice_dimension_cap():
 
 def test_parity_blocks_nmax4_and_characteristic_factor():
     trunc = TruncationSpec(4)
-    h = single_site_hamiltonian(trunc, 0.1)
-    blocks = parity_decompose(h, trunc)
-    assert blocks.even.entries.shape == (2, 2)
-    assert list(blocks.even_indices) == [0, 2]
+    assert site_block(trunc, "even", 0.1).shape == (2, 2)
+    assert list(parity_indices(4)[0]) == [0, 2]
     # even-sector characteristic polynomial, cleared to integers by 16
     zc = sector_char_poly(trunc, "even")
     assert zc[0] == [20, 84, 9]
@@ -171,33 +173,35 @@ def test_parity_blocks_nmax4_and_characteristic_factor():
 
 def test_parity_nmax2_blocks_trivial():
     trunc = TruncationSpec(2)
-    h = single_site_hamiltonian(trunc, 0.4)
-    blocks = parity_decompose(h, trunc)
-    assert blocks.even.entries.shape == (1, 1)
-    assert blocks.odd.entries.shape == (1, 1)
+    assert site_block(trunc, "even", 0.4).shape == (1, 1)
+    assert site_block(trunc, "odd", 0.4).shape == (1, 1)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.9])
 def test_parity_block_spectra_unite(lam):
     trunc = TruncationSpec(8)
     h = single_site_hamiltonian(trunc, lam)
-    blocks = parity_decompose(h, trunc)
     union = np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks.even.entries),
-        np.linalg.eigvalsh(blocks.odd.entries),
+        np.linalg.eigvalsh(site_block(trunc, "even", lam)),
+        np.linalg.eigvalsh(site_block(trunc, "odd", lam)),
     ]))
     assert np.max(np.abs(union - np.linalg.eigvalsh(h.entries))) <= 1e-12
 
 
-def test_parity_decompose_rejects_parity_breaking():
-    trunc = TruncationSpec(4)
-    m = single_site_hamiltonian(trunc, 0.1).entries.copy()
-    m[0, 1] = m[1, 0] = 0.5
-    with pytest.raises(ParityError, match="couples parity.*5"):
-        parity_decompose(OperatorMatrix(m, hermitian=True), trunc)
+@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family])
+@pytest.mark.parametrize("lam", [0.1, -0.3, 0.1 + 0.05j, 2 + 0j])
+def test_sector_blocks_evaluate_to_the_cut_of_the_full_operator(make_family, lam):
+    # h0[ix] + lam v[ix] is (h0 + lam v)[ix], double for double, under one real/complex rule
+    fam = make_family(TruncationSpec(8))
+    full = affine_operator(fam.h0, fam.v, lam)
+    for sector, idx in zip(("even", "odd"), parity_indices(8)):
+        block = affine_operator(*fam.sector_matrices(sector), lam)
+        assert np.array_equal(block.entries, full.entries[np.ix_(idx, idx)])
+        assert block.entries.dtype == full.entries.dtype == (float if complex(lam).imag == 0 else complex)
+        assert block.hermitian == full.hermitian == (complex(lam).imag == 0)
 
 
-def test_parity_decompose_sparse_lattice():
+def test_lattice_parity_blocks_unite_to_the_full_spectrum():
     # the builder's parity blocks split the whole lattice spectrum, on both boundaries
     for n_sites in (1, 2, 3, 4):
         for boundary in ("open", "periodic"):
@@ -220,18 +224,17 @@ def test_sparse_triplets_sorted_and_hermitian():
 
 
 def test_single_site_builders_evaluate_their_families_with_exact_diagonal():
-    from phi4trunc import anharmonic_family, strong_coupling_family
-
     trunc = TruncationSpec(16, 0.75)
+    fam, strong = anharmonic_family(trunc), strong_coupling_family(trunc)
     harmonic = np.diag(0.75 * (np.arange(16) + 0.5))
     assert np.array_equal(single_site_hamiltonian(trunc, 0.0).entries, harmonic)
-    assert np.array_equal(strong_coupling_family(trunc).v, harmonic)
+    assert np.array_equal(strong.v, harmonic)
     for lam in (0.3, -0.05 + 0.02j, 1 + 0j):
         h = single_site_hamiltonian(trunc, lam)
-        assert np.array_equal(h.entries, anharmonic_family(trunc).matrix(lam))
+        assert np.array_equal(h.entries, fam.h0 + lam * fam.v)
         assert h.hermitian == (complex(lam).imag == 0.0)
         hs = strong_coupling_hamiltonian(trunc, lam)
-        assert np.array_equal(hs.entries, strong_coupling_family(trunc).matrix(lam))
+        assert np.array_equal(hs.entries, strong.h0 + lam * strong.v)
         assert hs.hermitian == h.hermitian
     assert single_site_hamiltonian(trunc, 1 + 0j).entries.dtype == float
 
@@ -311,8 +314,8 @@ def test_lattice_family_is_the_affine_lattice(boundary):
     fam = lattice_family(spec)
     for lam in (-0.3, 0.25):
         h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.2, lam, boundary))
-        assert np.max(np.abs(fam.matrix(lam) - h.matrix.toarray())) <= 1e-13
-        assert np.max(np.abs(fam.matrix(lam) - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13
+        assert np.max(np.abs(fam.h0 + lam * fam.v - h.matrix.toarray())) <= 1e-13
+        assert np.max(np.abs(fam.h0 + lam * fam.v - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13
 
 
 @pytest.mark.parametrize("data_dtype, x_dtype", [(float, float), (float, complex), (complex, float),
