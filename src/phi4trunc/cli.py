@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import csvio
-from .algebra import sector_indices
+from .algebra import level_sector, sector_indices
 from .dyson import dyson_series
 from .hamiltonian import (
     LatticeSpec,
@@ -128,15 +128,26 @@ def _cmd_spectrum(cfg, outdir):
 
 
 def _series(cfg):
-    """The weak or strong series of a series or radius run, after checking --orders (and --precision if strong)."""
+    """The weak or strong series of a series or radius run, after checking its flags.
+
+    --sector defaults to the level's own sector in the weak domain, where
+    a named one must hold the level, and to even in the strong domain.
+    """
     if cfg["orders"] < 0:
         raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
+    sector = cfg["sector"]
+    if sector is not None:
+        _choice(cfg, "sector", "even", "odd")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if _choice(cfg, "domain", "weak", "strong") == "weak":
+        held = level_sector(cfg["level"])
+        if sector not in (None, held):
+            raise ValueError(f"--sector {sector!r} does not hold --level {cfg['level']}, "
+                             f"which lies in the {held} sector")
         return weak_series(trunc, cfg["level"], None, cfg["orders"])
     if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
         raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
-    return strong_series(trunc, cfg["level"], _choice(cfg, "sector", "even", "odd"), cfg["orders"], cfg["precision"])
+    return strong_series(trunc, cfg["level"], sector or "even", cfg["orders"], cfg["precision"])
 
 
 def _cmd_series(cfg, outdir):
@@ -217,9 +228,12 @@ def _cmd_evolve(cfg, outdir):
             raise ValueError(f"--dt {cfg['dt']!r} must be positive")
         if cfg["steps"] < 0:
             raise ValueError(f"--steps {cfg['steps']!r} must be at least 0")
+        steps = cfg["steps"] if cfg["steps"] else int(round(cfg["tmax"] / cfg["dt"]))
+        if steps < 0:
+            raise ValueError(f"--tmax {cfg['tmax']!r} over --dt {cfg['dt']!r} gives {steps} Trotter steps; "
+                             "--tmax must be at least 0")
         n_q = qubit_count(trunc.n_max)
         dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
-        steps = cfg["steps"] if cfg["steps"] else int(round(cfg["tmax"] / cfg["dt"]))
         plan = build_trotter_plan(dec, cfg["dt"], steps, cfg["ordering"])
         sim = simulate_trotter(plan, sin, [sout])
         # step and state are integers far below 2^53, which print as str does
@@ -446,12 +460,12 @@ COMMANDS = {
     }),
     "series": (_cmd_series, {
         "nmax": (int, 4), "omega": (float, 1.0), "domain": (str, "weak"),
-        "level": (int, 0), "sector": (str, "even"), "orders": (int, 10),
+        "level": (int, 0), "sector": (str, None), "orders": (int, 10),
         "precision": (int, None),
     }),
     "radius": (_cmd_radius, {
         "nmax": (int, 4), "omega": (float, 1.0), "domain": (str, "weak"),
-        "level": (int, 0), "sector": (str, "even"), "orders": (int, 200),
+        "level": (int, 0), "sector": (str, None), "orders": (int, 200),
         "fit": (_int_list, [100, 200]), "precision": (int, None),
     }),
     "projector": (_cmd_projector, {

@@ -13,10 +13,12 @@ built once per kappa: H0 holds the harmonic sites and the hop, V the
 phi^4 sites.  One builder, _orbit_pair, forms the pair by applying the
 local terms to the digits of basis states (site 0 the slowest-varying
 index).  _lattice_blocks gives it one of three bases: the full product
-basis, its two occupation-parity blocks, and the two momentum-0 sectors of
-a periodic chain, one state per translation orbit.  The product basis is
-the case where every state is its own orbit; lattice_hamiltonian and
-lattice_family evaluate it.  No other basis forms the full-space matrix.
+basis, its two occupation-parity blocks, and the two symmetric sectors,
+one state per orbit of the site permutations that keep the bonds (the
+translations and the reflection of a periodic chain, the reflection of an
+open one).  The product basis is the case where every state is its own
+orbit; lattice_hamiltonian and lattice_family evaluate it.  No other basis
+forms the full-space matrix.
 H0 and V are CSRMatrix blocks on one shared pattern.  CSRMatrix is the
 package's one sparse matrix and the one place that reads the CSR layout;
 lattice_hamiltonian hands one out, which scipy's sparse solvers take as a
@@ -224,22 +226,37 @@ def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]), hermitian=real)
 
 
-def _translation_orbits(n_max: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per product index: its orbit representative (least index) and orbit size.
+def _chain_orbits(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per product index: its orbit representative (least index) and orbit size under the chain's group.
 
-    One translation moves site 0's digit to the last site.  The arithmetic
-    runs in int32, which halves its time; indices stay below the lattice
-    dimension cap.
+    The group holds every site permutation that keeps the bonds: the
+    reflection x -> N-1-x, and on a periodic chain the translations too (the
+    dihedral group).  One translation moves site 0's digit to the last site.
+    The orbit of s under the whole group is the translation orbit of s (s
+    alone on an open chain) joined with that of its digit reversal, which
+    is the same orbit or a disjoint one of the same size.  The arithmetic runs in int32, which
+    halves its time; indices stay below the lattice dimension cap.
     """
+    n_max, n_sites = spec.trunc.n_max, spec.n_sites
     index = np.arange(n_max**n_sites, dtype=np.int32)
-    top = n_max ** (n_sites - 1)
     rep = index.copy()
-    size = np.zeros_like(index)
-    shifted = index
-    for j in range(1, n_sites + 1):
-        shifted = (shifted % top) * n_max + shifted // top
-        np.minimum(rep, shifted, out=rep)
-        size[(size == 0) & (shifted == index)] = j
+    if spec.boundary == "periodic":
+        top = n_max ** (n_sites - 1)
+        size = np.zeros_like(index)
+        shifted = index
+        for j in range(1, n_sites + 1):
+            shifted = (shifted % top) * n_max + shifted // top
+            np.minimum(rep, shifted, out=rep)
+            size[(size == 0) & (shifted == index)] = j
+    else:
+        size = np.ones_like(index)
+    rev, rest = np.zeros_like(index), index.copy()
+    for _ in range(n_sites):
+        rev = rev * n_max + rest % n_max
+        rest //= n_max
+    mirror = rep[rev]
+    size[mirror != rep] *= 2
+    np.minimum(rep, mirror, out=rep)
     return rep, size
 
 
@@ -259,11 +276,12 @@ def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[CSRMatrix, CSRM
     basis "full" is the product basis as one block.  "parity" is its even
     and its odd total-occupation block, exact on every chain: phi changes
     one occupation by one, so phi^4 and the hop phi_x phi_y change the
-    total by an even number.  "momentum" is the even and the odd
-    momentum-0 sector of a periodic chain, one state per translation orbit.
+    total by an even number.  "symmetric" is the even and the odd sector of
+    states invariant under every site permutation that keeps the bonds
+    (_chain_orbits), one state per orbit: on a periodic chain the dihedral
+    group's trivial sector, which lies at momentum 0, and on an open chain
+    the reflection-even states.
     """
-    if basis == "momentum" and spec.boundary != "periodic":
-        raise ValueError(f"the momentum sector needs a periodic chain, got {spec.boundary!r}")
     if spec.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"lattice dimension {spec.dim} exceeds cap {DEFAULT_DIM_CAP}")
     n, ns = spec.trunc.n_max, spec.n_sites
@@ -272,7 +290,7 @@ def _lattice_blocks(spec: LatticeSpec, basis: str) -> list[tuple[CSRMatrix, CSRM
     odd = _parity_array(n, ns)
     if basis == "parity":
         return [_orbit_pair(spec, np.flatnonzero(odd == parity)) for parity in (0, 1)]
-    rep, size = _translation_orbits(n, ns)
+    rep, size = _chain_orbits(spec)
     own = rep == np.arange(spec.dim)
     return [_orbit_pair(spec, np.flatnonzero(own & (odd == parity)), rep, size) for parity in (0, 1)]
 
@@ -281,11 +299,12 @@ def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = No
                 size: np.ndarray | None = None) -> tuple[CSRMatrix, CSRMatrix]:
     """(H0, V) on the orbit states |R>, one per representative r in reps.
 
-    |R> is the normalised sum over the orbit O_R of r.  rep maps each
-    product index to the representative of its orbit and size gives |O_R|;
-    without them every index is its own orbit.  Applying the local terms
-    of H to the digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|)
-    sum_{s' in O_R'} H_{s',r} without the full-space matrix.
+    |R> is the normalised sum over the orbit O_R of r under a group of
+    site permutations that commutes with H.  rep maps each product index to
+    the representative of its orbit and size gives |O_R|; without them
+    every index is its own orbit.  Applying the local terms of H to the
+    digits of r gives <R'|H|R> = sqrt(|O_R|/|O_R'|) sum_{s' in O_R'}
+    H_{s',r} without the full-space matrix.
     """
     n, ns = spec.trunc.n_max, spec.n_sites
     dim = reps.size

@@ -40,14 +40,15 @@ __all__ = [
 DENSE_CAP = 4096
 # Above this dimension a warm-started Lanczos sweep beats one stacked dense
 # eigvalsh over the couplings of a lattice block (2-core x86-64, OpenBLAS,
-# one thread; tools/sector_bench.py, 41 couplings on momentum-0 sectors,
-# per coupling: dense 1.9 against Lanczos 2.6 ms at 174 states, 1.8 against
-# 1.7 ms at 180, 5.4 against 4.9 ms at 292, 8.4 against 3.5 ms at 356).
+# one thread; tools/sector_bench.py, 41 couplings on symmetric sectors,
+# per coupling: dense 0.47 against Lanczos 0.76 ms at 122 states, 1.1
+# against 2.0 ms at 182, 1.3 against 0.81 ms at 190, 1.9 against 1.4 ms at
+# 226, 4.7 against 2.1 ms at 346).
 SECTOR_DENSE_DIM = 180
 LANCZOS_SEED = 0x5EED
 # Lanczos steps between two checks of the Ritz residuals, and the most
-# steps of one run: at 300, the basis of a 10-site momentum-0 sector
-# (52,536 states) stays under 130 MB
+# steps of one run: at 300, the basis of a 10-site symmetric sector
+# (27,036 states) stays under 65 MB
 LANCZOS_CHECK = 4
 LANCZOS_MAX_STEPS = 300
 # the random vector's share of a start from a given near vector: small, so
@@ -254,18 +255,22 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _sectors_hold_ground(spec: LatticeSpec, lams: list[float], k: int) -> bool:
-    """Whether the two momentum-0 sectors provably hold the ground energy at every coupling of lams.
+    """Whether the two symmetric sectors provably hold the ground energy at every coupling of lams.
 
-    If every off-diagonal entry of H is <= 0 in a product basis that
-    translations permute, the ground space holds a nonnegative vector
-    (Perron-Frobenius; Bravyi, DiVincenzo, Oliveira and Terhal, Quantum
-    Inf. Comput. 8, 361 (2008)).  On a periodic chain its translation
-    average is a nonzero momentum-0 ground state, and so is its even or its
-    odd part.  For kappa > 0 and lam <= 0 the occupation basis is one:
-    phi and phi^4 have nonnegative entries.  For lam > 0 the product of site
-    eigenstates is one when _site_field_gauges shows it.
+    If every off-diagonal entry of H is <= 0 in a product basis, the ground
+    space holds a nonnegative vector (Perron-Frobenius; Bravyi, DiVincenzo,
+    Oliveira and Terhal, Quantum Inf. Comput. 8, 361 (2008)).  The site
+    permutations that keep the bonds (translations and the reflection of a
+    periodic chain, the reflection of an open one) commute with H and
+    permute that basis, so each maps the vector to another nonnegative
+    ground vector.  Their average over the group is nonzero, being a sum of
+    nonnegative vectors, and invariant under every permutation, and so is
+    its even or its odd part: a ground state in one of the two symmetric
+    sectors, on either boundary.  For kappa > 0 and lam <= 0 the occupation
+    basis is one: phi and phi^4 have nonnegative entries.  For lam > 0 the
+    product of site eigenstates is one when _site_field_gauges shows it.
     """
-    if not (k == 1 and spec.boundary == "periodic" and spec.kappa > 0):
+    if not (k == 1 and spec.kappa > 0):
         return False
     positive = [lam for lam in lams if lam > 0]
     return not positive or _site_field_gauges(spec.trunc, positive)
@@ -319,13 +324,14 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
 
     spec.lam is not used.  A k past the lattice dimension gives every
     eigenvalue.  H0 and V are built once, block by block
-    (hamiltonian._lattice_blocks): in the even and the odd momentum-0
-    sector where those provably hold the ground state (_sectors_hold_ground:
-    a periodic chain, kappa > 0, k = 1, and at each coupling lam <= 0 or
-    site eigenstates in which phi is nonnegative), and in the even and the
-    odd parity block of the full basis everywhere else.  Each block gives
-    its k lowest energies at each coupling, and the k lowest of their union
-    are returned.
+    (hamiltonian._lattice_blocks): in the even and the odd symmetric
+    sector, the states that every site permutation of the chain keeps,
+    where the group average of a nonnegative ground vector provably lies
+    there (_sectors_hold_ground: kappa > 0, k = 1, and at each coupling
+    lam <= 0 or site eigenstates in which phi is nonnegative), and in the
+    even and the odd parity block of the full basis everywhere else.  Each
+    block gives its k lowest energies at each coupling, and the k lowest of
+    their union are returned.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -334,7 +340,7 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
         if complex(lam).imag != 0.0:
             raise ValueError(f"lattice ground energies need a Hermitian H(lam); coupling {lam!r} is complex")
     lams = [complex(lam).real for lam in lams]
-    basis = "momentum" if _sectors_hold_ground(spec, lams, k) else "parity"
+    basis = "symmetric" if _sectors_hold_ground(spec, lams, k) else "parity"
     levels = np.hstack([_sector_ground(h0, v, lams, k, tol) for h0, v in _lattice_blocks(spec, basis)])
     return np.sort(levels, axis=1)[:, :k]
 

@@ -391,7 +391,7 @@ def test_c11b_lattice_peak_location():
         f"peak at {peak:.4f} vs single-site {target:.4f}"
 
     # At kappa = 0.1 the peak sits at -0.146 for the package's sweep (the
-    # momentum-0, even-parity sector) and for an independent dense build of
+    # dihedral-symmetric, even-parity sector) and for an independent dense build of
     # the same H on the full space.
     spec = LatticeSpec(4, TruncationSpec(4), 0.1, -0.146, "periodic")
     assert np.max(np.abs(lattice_hamiltonian(spec).matrix.toarray()

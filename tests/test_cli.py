@@ -135,6 +135,36 @@ def test_numeric_failure_exit_code_and_manifest(tmp_path, capsys):
     assert manifest["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("args, held", [
+    (["series", "--level", "0", "--sector", "odd"], "even"),
+    (["radius", "--level", "1", "--sector", "even", "--orders", "20", "--fit", "5,10"], "odd"),
+])
+def test_weak_series_refuses_a_sector_that_does_not_hold_the_level_before_any_work(tmp_path, monkeypatch,
+                                                                                    args, held):
+    from phi4trunc import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the weak series ran")
+
+    monkeypatch.setattr(cli, "weak_series", no_work)
+    code, outdir = run_cli(args + ["--nmax", "4"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    level, sector = args[2], args[4]
+    assert manifest["error"] == {"type": "ValueError", "message": f"--sector {sector!r} does not hold "
+                                                                  f"--level {level}, which lies in the {held} sector"}
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_weak_series_takes_the_level_sector_named_or_not(tmp_path):
+    bodies = []
+    for name, extra in (("named", ["--sector", "odd"]), ("unnamed", [])):
+        code, outdir = run_cli(["series", "--nmax", "4", "--level", "1", "--orders", "4"] + extra, tmp_path, name)
+        assert code == 0
+        bodies.append((outdir / "series.csv").read_text())
+    assert bodies[0] == bodies[1]
+
+
 @pytest.mark.parametrize("flag, value", [("--sector", "even"), ("--domain", "strong")])
 def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     code, outdir = run_cli(["spectrum", "--nsites", "2", "--nmax", "2", "--kappa", "0.1",
@@ -185,6 +215,8 @@ def test_misspelled_sector_or_domain_is_recorded_naming_the_flag(tmp_path, args,
     (["evolve", "--method", "trotter", "--dt", "0"], "--dt 0.0 must be positive"),
     (["evolve", "--method", "trotter", "--dt", "-0.1", "--steps", "5"], "--dt -0.1 must be positive"),
     (["evolve", "--method", "trotter", "--steps", "-1"], "--steps -1 must be at least 0"),
+    (["evolve", "--method", "trotter", "--tmax=-1"],
+     "--tmax -1.0 over --dt 0.1 gives -10 Trotter steps; --tmax must be at least 0"),
     (["trotter", "--dts", "0.1,0"], "--dts [0.1, 0.0] must all be positive"),
     (["trotter", "--dts", "-0.05"], "--dts [-0.05] must all be positive"),
 ])

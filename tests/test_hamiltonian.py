@@ -251,57 +251,84 @@ def test_parity_indices_match_per_index_parity(n_max, n_sites):
     assert odd.tolist() == [i for i, p in enumerate(par) if p == 1]
 
 
-def _burnside_orbits(n_max, n_sites):
-    """Translation orbits of even and of odd total occupation, by Burnside's lemma (even n_max).
+def _chain_group(n_sites, boundary):
+    """The distinct site permutations x -> p[x] of the chain's group.
 
-    A state fixed by a shift of j sites repeats a block of g = gcd(j, N)
-    digits N/g times; its occupation is even when N/g is even, and for odd
-    N/g when the block sum is, which half of the n^g blocks satisfy.
+    Periodic: the dihedral group, translations x -> x + j and reflections
+    x -> j - x mod N.  Open: the identity and the reflection x -> N-1-x.
     """
+    if boundary == "open":
+        return {tuple(range(n_sites)), tuple(range(n_sites))[::-1]}
+    return {tuple((sign * x + j) % n_sites for x in range(n_sites)) for j in range(n_sites) for sign in (1, -1)}
+
+
+def _burnside_orbits(n_max, n_sites, boundary):
+    """Orbits of even and of odd total occupation under the chain's group, by Burnside's lemma.
+
+    A state fixed by a permutation is constant on each of its cycles, and
+    a cycle of length L adds L times its digit to the occupation.  The
+    fixed states are even when every cycle is even, and otherwise half of
+    them are (half the n_max digits are odd).  A reflection of an odd
+    periodic or open chain fixes n^((N+1)/2) states; one of an even chain
+    n^(N/2) (no site fixed) or n^(N/2+1) (two sites fixed, periodic only).
+    """
+    group = _chain_group(n_sites, boundary)
     fixed_even = fixed_all = 0
-    for j in range(n_sites):
-        g = math.gcd(j, n_sites)
-        fixed_all += n_max**g
-        fixed_even += n_max**g if (n_sites // g) % 2 == 0 else n_max**g // 2
-    return fixed_even // n_sites, (fixed_all - fixed_even) // n_sites
+    for perm in group:
+        seen, lengths = set(), []
+        for x in range(n_sites):
+            length = 0
+            while x not in seen:
+                seen.add(x)
+                x, length = perm[x], length + 1
+            if length:
+                lengths.append(length)
+        fixed_all += n_max ** len(lengths)
+        fixed_even += n_max ** len(lengths) // (2 if any(length % 2 for length in lengths) else 1)
+    assert fixed_all % len(group) == fixed_even % len(group) == 0
+    return fixed_even // len(group), (fixed_all - fixed_even) // len(group)
 
 
-@pytest.mark.parametrize("n_max, n_sites, count", [(4, 4, 38), (4, 8, 4134), (2, 5, 4),
-                                                   (6, 3, 38), (4, 1, 2), (4, 2, 6)])
-def test_sector_dimension_is_the_burnside_count(n_max, n_sites, count):
-    even, odd = _burnside_orbits(n_max, n_sites)
-    assert even == count
-    sectors = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
+@pytest.mark.parametrize("n_max, n_sites, boundary, counts", [
+    (4, 4, "periodic", (31, 24)), (4, 8, "periodic", (2259, 2176)), (2, 5, "periodic", (4, 4)),
+    (6, 3, "periodic", (28, 28)), (4, 1, "periodic", (2, 2)), (4, 2, "periodic", (6, 4)),
+    (6, 4, "periodic", (123, 108)), (2, 6, "periodic", (8, 5)),
+    (4, 4, "open", (72, 64)), (4, 8, "open", (16512, 16384)), (2, 5, "open", (10, 10)),
+    (6, 3, "open", (63, 63)), (4, 1, "open", (2, 2)), (6, 4, "open", (342, 324)), (2, 6, "open", (20, 16)),
+])
+def test_sector_dimension_is_the_burnside_count(n_max, n_sites, boundary, counts):
+    even, odd = _burnside_orbits(n_max, n_sites, boundary)
+    assert (even, odd) == counts
+    spec = LatticeSpec(n_sites, TruncationSpec(n_max), 0.1, boundary=boundary)
+    sectors = _lattice_blocks(spec, "symmetric")
     assert [(h0.shape, v.shape) for h0, v in sectors] == [((even, even),) * 2, ((odd, odd),) * 2]
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
-def test_sector_matrix_is_the_projected_full_matrix(n_sites):
-    # P^T H P with the columns of P the normalised orbit sums of the
-    # representatives of each parity, built from the independent dense Hamiltonian
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_sector_matrix_is_the_projected_full_matrix(n_sites, boundary):
+    # P^T H P with the columns of P the normalised sums over the orbits of
+    # the representatives of each parity, the orbits gathered from the
+    # rolled (periodic) and the reversed digits, and H the independent
+    # dense Hamiltonian
     from oracles import dense_lattice_hamiltonian
 
     n_max, kappa, lam = 4, 0.3, -0.2
-    dim = n_max**n_sites
-    digits = np.array(np.unravel_index(np.arange(dim), (n_max,) * n_sites)).T
-    h = dense_lattice_hamiltonian(n_sites, n_max, kappa, lam)
-    sectors = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), kappa), "momentum")
+    dim, shape = n_max**n_sites, (n_max,) * n_sites
+    digits = np.array(np.unravel_index(np.arange(dim), shape)).T
+    h = dense_lattice_hamiltonian(n_sites, n_max, kappa, lam, boundary)
+    sectors = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), kappa, boundary=boundary), "symmetric")
+    shifts = range(n_sites) if boundary == "periodic" else [0]
     for parity, (h0, v) in enumerate(sectors):
         orbits = {}
         for d in digits:
             if d.sum() % 2 == parity:
-                shifts = {int(np.ravel_multi_index(np.roll(d, -j), (n_max,) * n_sites))
-                          for j in range(n_sites)}
-                orbits.setdefault(min(shifts), shifts)
+                images = {int(np.ravel_multi_index(np.roll(e, -j), shape)) for e in (d, d[::-1]) for j in shifts}
+                orbits.setdefault(min(images), images)
         p = np.zeros((dim, len(orbits)))
         for col, rep in enumerate(sorted(orbits)):
             p[sorted(orbits[rep]), col] = 1.0 / np.sqrt(len(orbits[rep]))
         assert np.max(np.abs(h0.toarray() + lam * v.toarray() - p.T @ h @ p)) <= 1e-13
-
-
-def test_sector_needs_a_periodic_chain():
-    with pytest.raises(ValueError, match="'open'"):
-        _lattice_blocks(LatticeSpec(4, TruncationSpec(4), 0.1, boundary="open"), "momentum")
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import finite_difference_derivatives
 
@@ -138,11 +138,11 @@ def test_lanczos_restarts_when_the_krylov_space_is_exhausted(m, k, want):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_lanczos_is_arpack_on_the_eight_site_sectors(k):
-    # both momentum-0 sectors of the benchmark's 8-site chain (4134 and 4096 states)
+    # both symmetric sectors of the benchmark's 8-site chain (2259 and 2176 states)
     import scipy.sparse.linalg as spla
 
     lam = 0.15
-    for h0, v in _lattice_blocks(LatticeSpec(8, TruncationSpec(4), 0.1), "momentum"):
+    for h0, v in _lattice_blocks(LatticeSpec(8, TruncationSpec(4), 0.1), "symmetric"):
         m = sp.csr_matrix((h0.data + lam * v.data, h0.indices, h0.indptr), shape=h0.shape)
         want = np.sort(spla.eigsh(m, k=k, which="SA", tol=1e-14, v0=np.ones(m.shape[0]),
                                   return_eigenvectors=False))
@@ -159,7 +159,7 @@ def test_lanczos_and_lattice_energies_reject_k_below_one():
 
 def test_lanczos_reads_a_tol_of_zero_or_below_as_machine_epsilon():
     # as ARPACK does: the parent solver's eigsh read tol <= 0 so
-    h0, v = _lattice_blocks(LatticeSpec(6, TruncationSpec(4), 0.1), "momentum")[0]
+    h0, v = _lattice_blocks(LatticeSpec(6, TruncationSpec(4), 0.1), "symmetric")[0]
     m = sp.csr_matrix((h0.data + 0.15 * v.data, h0.indices, h0.indptr), shape=h0.shape)
     eps = lanczos_lowest(_operator(m), 2, tol=np.finfo(float).eps).eigenvalues
     for tol in (0.0, -1.0):
@@ -196,7 +196,7 @@ def test_warm_started_sweep_is_the_dense_sector_minimum():
     spec = LatticeSpec(6, TruncationSpec(4), 0.2)
     lams = np.linspace(-0.3, -0.05, 6)
     got = lattice_ground_energies(spec, lams)[:, 0]
-    blocks = [(h0.toarray(), v.toarray()) for h0, v in _lattice_blocks(spec, "momentum")]
+    blocks = [(h0.toarray(), v.toarray()) for h0, v in _lattice_blocks(spec, "symmetric")]
     assert min(h0.shape[0] for h0, _ in blocks) > spectral.SECTOR_DENSE_DIM
     want = [min(np.linalg.eigvalsh(h0 + lam * v)[0] for h0, v in blocks) for lam in lams]
     assert np.allclose(got, want, rtol=1e-12, atol=0)
@@ -366,7 +366,7 @@ def test_sector_ground_energy_is_the_dense_ground_energy(size, omega, kappa, lam
     n_max, n_sites = size
     basis, got = _basis_used(LatticeSpec(n_sites, TruncationSpec(n_max, omega), kappa), [lam])
     if n_max <= 4:  # the site field gauges nonnegative at every coupling
-        assert basis == "momentum"
+        assert basis == "symmetric"
     dense = _dense_ground(n_sites, n_max, kappa, lam, omega)
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - dense) <= 1e-10
@@ -374,14 +374,14 @@ def test_sector_ground_energy_is_the_dense_ground_energy(size, omega, kappa, lam
 
 @pytest.mark.parametrize("n_max, lam, basis", [
     # 1.39e-17 is the coupling linspace puts in some benchmark lattice-sweep grids
-    (4, 1.3877787807814457e-17, "momentum"),
-    (4, 1e-16, "momentum"),
-    (4, 1e-12, "momentum"),
+    (4, 1.3877787807814457e-17, "symmetric"),
+    (4, 1e-16, "symmetric"),
+    (4, 1e-12, "symmetric"),
     (8, 0.1, "parity"),
 ])
 def test_the_sign_proof_picks_the_basis(n_max, lam, basis):
     spec = LatticeSpec(3, TruncationSpec(n_max), 0.1)
-    assert _sectors_hold_ground(spec, [-0.2, lam], 1) is (basis == "momentum")
+    assert _sectors_hold_ground(spec, [-0.2, lam], 1) is (basis == "symmetric")
     used, got = _basis_used(spec, [lam])
     assert used == basis
     dense = _dense_ground(3, n_max, 0.1, lam)
@@ -405,13 +405,13 @@ def test_ground_energy_is_the_lower_of_the_two_sector_minima(monkeypatch):
 
     spec, lams = LatticeSpec(4, TruncationSpec(4), 0.1), [-0.2, 0.1]
     want = lattice_ground_energies(spec, lams)
-    sectors = spectral._lattice_blocks(spec, "momentum")
+    sectors = spectral._lattice_blocks(spec, "symmetric")
     monkeypatch.setattr(spectral, "_lattice_blocks", lambda _, basis: sectors[::-1])
     assert np.array_equal(lattice_ground_energies(spec, lams), want)
 
 
 def test_eight_site_sector_lanczos_is_the_full_space_lanczos():
-    # both sectors (4134 and 4096 states) are past SECTOR_DENSE_DIM, so both sides are Lanczos
+    # both sectors (2259 and 2176 states) are past SECTOR_DENSE_DIM, so both sides are Lanczos
     trunc = TruncationSpec(4)
     points = [(0.05, 0.1), (0.1, 0.15), (0.15, 0.2)]
     for kappa, lam in points:
@@ -451,7 +451,6 @@ def _dense_lowest(spec, lams, k):
 
 
 @pytest.mark.parametrize("kappa, boundary, k, lams, n_max, n_sites", [
-    (0.1, "open", 1, [-0.2, 0.1], 4, 4),
     (0.0, "periodic", 1, [-0.2, 0.1], 4, 4),
     (-0.3, "periodic", 1, [-0.2, 0.1], 4, 4),
     (0.1, "periodic", 3, [-0.2, 0.1], 4, 4),
@@ -470,17 +469,35 @@ def test_ground_energies_outside_the_sector_are_full_space_lanczos(kappa, bounda
     assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
 
-@pytest.mark.parametrize("kappa, lams, n_max, n_sites", [
-    (0.1, [-0.2, 0.1], 6, 2),
-    (1.5, [-0.2, 0.1], 4, 4),
-    (0.1, [-0.2, 2.5], 4, 4),
+@pytest.mark.parametrize("kappa, lams, n_max, n_sites, boundary", [
+    (0.1, [-0.2, 0.1], 6, 2, "periodic"),
+    (1.5, [-0.2, 0.1], 4, 4, "periodic"),
+    (0.1, [-0.2, 2.5], 4, 4, "periodic"),
+    (0.1, [-0.2, 0.1], 4, 4, "open"),
+    (1.5, [-0.2, 0.1], 4, 5, "open"),
 ])
-def test_ground_energies_in_the_proven_sector_are_the_full_space_ones(kappa, lams, n_max, n_sites):
-    spec = LatticeSpec(n_sites, TruncationSpec(n_max), kappa)
+def test_ground_energies_in_the_proven_sector_are_the_full_space_ones(kappa, lams, n_max, n_sites, boundary):
+    spec = LatticeSpec(n_sites, TruncationSpec(n_max), kappa, boundary=boundary)
     dense = _dense_lowest(spec, lams, 1)
     basis, got = _basis_used(spec, lams)
-    assert basis == "momentum"
+    assert basis == "symmetric"
     assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([2, 4]), st.sampled_from(["periodic", "open"]),
+       st.floats(0.0, 3.0, exclude_min=True), st.floats(-5.0, 5.0))
+def test_symmetric_sectors_hold_the_dense_ground_energy(n_sites, n_max, boundary, kappa, lam):
+    # wherever the proof holds, on either boundary, the lower of the two
+    # symmetric blocks' ground energies is the full-space one
+    from oracles import dense_lattice_hamiltonian
+
+    spec = LatticeSpec(n_sites, TruncationSpec(n_max), kappa, boundary=boundary)
+    assume(_sectors_hold_ground(spec, [lam], 1))
+    got = min(np.linalg.eigvalsh(h0.toarray() + lam * v.toarray())[0]
+              for h0, v in _lattice_blocks(spec, "symmetric"))
+    want = np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam, boundary))[0]
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_complex_coupling_keeps_the_full_space_error():

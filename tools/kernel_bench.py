@@ -17,12 +17,13 @@ the standard library and numpy, as an installed interpreter does, and
 compiles src/ from source.  `solve` times, in this checkout, spectral.lanczos_lowest
 against scipy's ARPACK called the way the parent's lanczos_lowest called it
 (Gershgorin shift, start vector from LANCZOS_SEED, ncv 40), on the even and
-odd momentum-0 sectors of the 8- and 10-site chains (n_max 4, kappa 0.1,
-lam 0.15), median per solve after a warm-up, alternating the solvers.
+odd symmetric sectors of the 8- and 10-site periodic chains and the 8-site
+open chain (n_max 4, kappa 0.1, lam 0.15), median per solve after a
+warm-up, alternating the solvers.
 `sweep` runs lattice_ground_energies over the couplings of each of SWEEPS
 (n_sites, n_max, kappa, and count couplings in [lo, hi]) in fresh
 interpreters, alternating sides: wall time, peak RSS, whether
-spectral._sectors_hold_ground chose the momentum-0 sectors, and the
+spectral._sectors_hold_ground chose the symmetric sectors, and the
 largest relative difference of the two sides' ground energies.  On the
 parent side a sweep may stop after its first few couplings, where the
 parent's path would take minutes and gigabytes.  Every process runs with
@@ -171,8 +172,8 @@ def solve_rows(repeats: int) -> list[dict]:
     from phi4trunc.spectral import lanczos_lowest
 
     rows, lam = [], 0.15
-    for n_sites in (8, 10):
-        blocks = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(4), 0.1), "momentum")
+    for n_sites, boundary in ((8, "periodic"), (10, "periodic"), (8, "open")):
+        blocks = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(4), 0.1, boundary=boundary), "symmetric")
         for parity, (h0, v) in zip(("even", "odd"), blocks):
             data = h0.data + lam * v.data
             ours = SparseOperator(CSRMatrix(h0.indptr, h0.indices, data))
@@ -186,7 +187,7 @@ def solve_rows(repeats: int) -> list[dict]:
                     begin = time.perf_counter()
                     solvers[name]()
                     times[name].append(time.perf_counter() - begin)
-            row = {"n_sites": n_sites, "sector": parity, "dim": h0.shape[0], "nnz": h0.nnz,
+            row = {"n_sites": n_sites, "boundary": boundary, "sector": parity, "dim": h0.shape[0], "nnz": h0.nnz,
                    **{name: round(statistics.median(t), 4) for name, t in times.items()}}
             row["ratio"] = round(row["numpy_lanczos_s"] / row["arpack_s"], 2)
             e, ref = values["numpy_lanczos_s"][0], values["arpack_s"][0]
@@ -203,7 +204,7 @@ def sweep_rows(sides: dict[str, Path]) -> dict:
         got = alternate(sides, SWEEP, samples, {side: [json.dumps([*config, firsts[side]])] for side in sides})
         row = {side: {"couplings": firsts[side], "wall_s": round(statistics.median(r[0] for r in rows), 3),
                       "peak_rss_mb": round(statistics.median(r[1] for r in rows), 1),
-                      "momentum_sectors": bool(rows[0][2]), "e0": rows[0][3:], "samples": samples}
+                      "symmetric_sectors": bool(rows[0][2]), "e0": rows[0][3:], "samples": samples}
                for side, rows in got.items()}
         both = min(firsts.values())
         e, ref = np.array(row["change"]["e0"][:both]), np.array(row["parent"]["e0"][:both])

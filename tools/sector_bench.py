@@ -5,7 +5,7 @@ Usage:
     PYTHONPATH=src python3 tools/sector_bench.py --out sector.json
 
 `crossover` times a sweep of spectral._sector_ground over 41 couplings on
-the even momentum-0 sector of several lattices, once with
+the even symmetric sector of several periodic lattices, once with
 spectral.SECTOR_DENSE_DIM at the sector's size (one stacked dense
 eigvalsh) and once just below it (a Lanczos sweep, each coupling started
 from the previous one's ground vector), best of 3, with one BLAS thread as
@@ -48,7 +48,7 @@ def crossover() -> list[dict]:
     rows, dense_dim = [], spectral.SECTOR_DENSE_DIM
     try:
         for n_max, n_sites in CROSSOVER:
-            (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "momentum")
+            (h0, v), _ = _lattice_blocks(LatticeSpec(n_sites, TruncationSpec(n_max), 0.1), "symmetric")
             dim, times = h0.shape[0], {}
             for path, limit in (("dense", dim), ("lanczos", dim - 1)):
                 spectral.SECTOR_DENSE_DIM = limit
