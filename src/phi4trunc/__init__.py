@@ -9,33 +9,24 @@ __version__ = "0.1.0"
 from .oscillator import (
     TruncationSpec,
     OperatorMatrix,
-    FieldEigenpair,
     build_ladder,
     build_field_ops,
     harmonic_hamiltonian,
-    top_projector,
-    field_eigenbasis,
 )
 from .hamiltonian import (
     LatticeSpec,
     SparseOperator,
     affine_operator,
     single_site_hamiltonian,
-    strong_coupling_hamiltonian,
     lattice_hamiltonian,
     anharmonic_family,
     strong_coupling_family,
-    lattice_family,
 )
 from .spectral import (
     SpectrumResult,
-    DerivativeEstimate,
-    SingularityEstimate,
     dense_spectrum,
     lanczos_lowest,
     lattice_ground_energies,
-    energy_derivatives,
-    singularity_from_derivatives,
     exact_amplitude,
 )
 from .series import (
@@ -44,7 +35,6 @@ from .series import (
     weak_series_charpoly,
     strong_series,
     radius_estimate,
-    benderwu_asymptote,
 )
 from .projector import ProjectorSeries, perturbed_projector, evolve_projector_method
 from .dyson import PhasePolynomial, DysonAmplitude, dyson_series
@@ -54,7 +44,6 @@ from .singularities import (
     gap_scan,
     refine_exceptional_point,
     sylvester_discriminant,
-    strong_weak_map,
     riemann_export,
 )
 from .pauli import (

@@ -5,16 +5,13 @@ matrix with superdiagonal (1, 2, ..., n_max-1) and subdiagonal ones, leaving
 the spectrum untouched.  In that weighted basis the quartic perturbation
 X^4/(4 omega^2) is a matrix of exact rationals, so perturbative recursions
 and characteristic polynomials can be carried out over Q with no rounding.
-The Rayleigh-Schrodinger recursion of the package lives here as two loops.
+The exact Rayleigh-Schrodinger recursion of the package lives here:
 _rs_scaled_integer runs it on exact rational blocks as integers at a scale
 A B^k, with one reduction per coefficient.  The projectors keep B = Q, the
 lcm of the one-step denominators, and A = 1.  The weak series reads a
 tighter B dividing Q and a small offset A off its first orders, and the
 loop widens that scale in place at any order whose exact division leaves a
-remainder.  rayleigh_schrodinger is the generic loop over any scalar field:
-the sum-over-states derivatives run it on doubles, and the tests on
-Fractions, as the oracle for the integer loop, and on mpmath floats, as
-the oracle for the strong series' fixed-point loop (series._rs_fixed).
+remainder.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int.  Two integer kernels carry the exact polynomial work:
@@ -41,9 +38,6 @@ __all__ = [
     "weighted_sector_blocks",
     "sector_indices",
     "level_sector",
-    # rs_rational_series calls the engine rayleigh_schrodinger, which stays
-    # out: perfbench's tracer wraps only __all__ names, and a span around
-    # the engine would leave the algebra.rs kernel with no self time
     "rs_rational_series",
     "sector_char_poly",
     "poly_trim",
@@ -88,12 +82,9 @@ def sector_indices(n_max: int, sector: str) -> list[int]:
     return [n for n in range(n_max) if n % 2 == rem]
 
 
-def level_sector(level: int, sector: str | None = None) -> str:
-    """Parity sector of a global harmonic level; a named sector must match it."""
-    derived = "even" if level % 2 == 0 else "odd"
-    if sector is not None and sector != derived:
-        raise ValueError(f"level {level} lies in the {derived} sector, not {sector!r}")
-    return derived
+def level_sector(level: int) -> str:
+    """Parity sector of a global harmonic level."""
+    return "even" if level % 2 == 0 else "odd"
 
 
 def weighted_hamiltonian(trunc: TruncationSpec) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -128,40 +119,6 @@ def _resolvent(h0: list, pos: int) -> list:
     return [h0[pos] - e if m == pos else 1 / (h0[pos] - e) for m, e in enumerate(h0)]
 
 
-def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> tuple[list, list]:
-    """Nondegenerate Rayleigh-Schrodinger series over any scalar field.
-
-    h0 is the diagonal unperturbed block and v the perturbation, both in
-    one field: float for the sum-over-states derivatives; Fraction and
-    mpmath mpf in the tests, as the oracles of the two integer loops.
-    Returns (energies, states): energies [E_0, ..., E_max_order] of the
-    level at diagonal position pos, and the state corrections psi_k,
-    normalised so that <pos|psi_k> is 1 for k = 0 and 0 above, which solve
-    h0 psi_k + v psi_{k-1} = sum_j E_j psi_{k-j}.  Products with an exact
-    zero are skipped.  Raises ValueError when h0[pos] is degenerate.
-    """
-    s = len(h0)
-    resolvent = _resolvent(h0, pos)
-    e0 = h0[pos]
-    zero = e0 - e0
-    one = zero + 1
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in v]
-    energies = [e0]
-    states = [[one if i == pos else zero for i in range(s)]]
-    for k in range(1, max_order + 1):
-        prev = states[k - 1]
-        rhs = [sum((x * prev[j] for j, x in row if prev[j]), zero) for row in rows]
-        energies.append(rhs[pos])
-        for j in range(1, k):
-            ej = energies[j]
-            if ej:
-                pk = states[k - j]
-                for i in range(s):
-                    rhs[i] -= ej * pk[i]
-        states.append([resolvent[i] * rhs[i] for i in range(s)])
-    return energies, states
-
-
 def _prime_exponents(n: int) -> dict[int, int]:
     """{p: e} for the primes p below 1024 that divide n, by trial division.
 
@@ -192,11 +149,14 @@ def _rs_scaled_integer(
     h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int,
     base: int | None = None, offset: int = 1,
 ) -> tuple[list[Fraction], list[list[int]], int, int, list[int]]:
-    """The Rayleigh-Schrodinger recursion of rayleigh_schrodinger on exact blocks, in integers.
+    """The nondegenerate Rayleigh-Schrodinger recursion on exact blocks, in integers.
 
-    With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of base and of the
-    denominators of V[pos, i], R_m V[m, i] and R_m V[pos, i], the states
-    are kept at the scale A B^k of an offset A and a base B dividing Q,
+    h0 is the diagonal unperturbed block and v the perturbation.  The state
+    corrections psi_k of the level at diagonal position pos solve
+    h0 psi_k + v psi_(k-1) = sum_j E_j psi_(k-j), with <pos|psi_k> 1 at
+    k = 0 and 0 above.  With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of
+    base and of the denominators of V[pos, i], R_m V[m, i] and
+    R_m V[pos, i], the states are kept at the scale A B^k of an offset A and a base B dividing Q,
     psi~_k = A B^k psi_k.  B holds every prime of Q past _prime_exponents'
     reach to its full power in Q, and A none.  With integer rows Q V and
     Q R V,
@@ -338,26 +298,23 @@ def poly_trim(p: Poly) -> Poly:
     return p
 
 
-def _newton_interpolate(nodes: list[int], values: list) -> Poly:
-    """Ascending coefficients of the polynomial of degree < len(nodes) through the points, exact.
+def _newton_interpolate(nodes: list[int], values: list[int]) -> Poly:
+    """Ascending integer coefficients of the polynomial of degree < len(nodes) through the points, exact.
 
     Newton divided differences over the distinct integer nodes, then the
-    nested form expanded from the top.  Fraction values divide exactly; int
-    values divide as integers, which is exact whenever the interpolant has
-    integer coefficients, and raise ArithmeticError when it has not.
+    nested form expanded from the top.  The values divide as integers,
+    which is exact whenever the interpolant has integer coefficients, and
+    raise ArithmeticError when it has not.
     """
     c = list(values)
     n = len(c)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
             num, den = c[i] - c[i - 1], nodes[i] - nodes[i - k]
-            if isinstance(num, int):
-                q, r = divmod(num, den)
-                if r:
-                    raise ArithmeticError(f"divided difference {num}/{den} of integer values is not integral")
-                c[i] = q
-            else:
-                c[i] = num / den
+            q, r = divmod(num, den)
+            if r:
+                raise ArithmeticError(f"divided difference {num}/{den} of integer values is not integral")
+            c[i] = q
     out = [c[-1]]
     for i in range(n - 2, -1, -1):  # out <- out * (lam - nodes[i]) + c[i]
         x = nodes[i]

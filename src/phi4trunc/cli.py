@@ -81,6 +81,11 @@ def _choice(cfg, key: str, *allowed: str) -> str:
     return cfg[key]
 
 
+def _ordering(cfg) -> str:
+    """The --ordering of the Trotter terms, after checking it."""
+    return _choice(cfg, "ordering", "by_magnitude_desc", "lexicographic", "as_given")
+
+
 def _family(cfg, trunc: TruncationSpec):
     """The single-site family of --domain, after checking it."""
     if _choice(cfg, "domain", "weak", "strong") == "strong":
@@ -95,8 +100,11 @@ def _cmd_spectrum(cfg, outdir):
     _choice(cfg, "method", "dense", "lanczos")
     _choice(cfg, "sector", "full", "even", "odd")
     _choice(cfg, "domain", "weak", "strong")
+    _choice(cfg, "boundary", "periodic", "open")
     if cfg["nsites"] < 1:
         raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
+    if cfg["k"] < 1:
+        raise ValueError(f"--k {cfg['k']!r} must be at least 1")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["nsites"] > 1:
         # the lattice path takes the whole weak-coupling chain, with no parity split
@@ -144,7 +152,7 @@ def _series(cfg):
         if sector not in (None, held):
             raise ValueError(f"--sector {sector!r} does not hold --level {cfg['level']}, "
                              f"which lies in the {held} sector")
-        return weak_series(trunc, cfg["level"], None, cfg["orders"])
+        return weak_series(trunc, cfg["level"], cfg["orders"])
     if cfg["precision"] is not None and cfg["precision"] < MIN_DIGITS:
         raise ValueError(f"--precision {cfg['precision']!r} must be at least {MIN_DIGITS}")
     return strong_series(trunc, cfg["level"], sector or "even", cfg["orders"], cfg["precision"])
@@ -192,7 +200,7 @@ def _cmd_projector(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if len(cfg["entry"]) != 2 or not all(0 <= i < trunc.n_max for i in cfg["entry"]):
         raise ValueError(f"--entry {cfg['entry']!r} needs exactly 2 indices in 0..{trunc.n_max - 1}")
-    series, value = perturbed_projector(trunc, cfg["level"], None, cfg["order"], cfg["lam"])
+    series, value = perturbed_projector(trunc, cfg["level"], cfg["order"], cfg["lam"])
     rows = []
     for m in range(series.order + 1):
         for i in range(trunc.n_max):
@@ -221,9 +229,11 @@ def _cmd_projector(cfg, outdir):
 
 
 def _cmd_evolve(cfg, outdir):
+    method = _choice(cfg, "method", "exact", "projector", "dyson", "trotter")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     sin, sout = cfg["state_in"], cfg["state_out"]
-    if cfg["method"] == "trotter":
+    if method == "trotter":
+        ordering = _ordering(cfg)
         if not cfg["dt"] > 0:
             raise ValueError(f"--dt {cfg['dt']!r} must be positive")
         if cfg["steps"] < 0:
@@ -234,7 +244,7 @@ def _cmd_evolve(cfg, outdir):
                              "--tmax must be at least 0")
         n_q = qubit_count(trunc.n_max)
         dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
-        plan = build_trotter_plan(dec, cfg["dt"], steps, cfg["ordering"])
+        plan = build_trotter_plan(dec, cfg["dt"], steps, ordering)
         sim = simulate_trotter(plan, sin, [sout])
         # step and state are integers far below 2^53, which print as str does
         rows = np.column_stack([np.arange(steps + 1), sim["t"], np.full(steps + 1, sout),
@@ -247,19 +257,17 @@ def _cmd_evolve(cfg, outdir):
     if cfg["nt"] < 1:
         raise ValueError(f"--nt {cfg['nt']!r} must be at least 1")
     t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
-    if cfg["method"] == "exact":
+    if method == "exact":
         amp = exact_amplitude(single_site_hamiltonian(trunc, cfg["lam"]), t, sin, sout)
-    elif cfg["method"] == "projector":
+    elif method == "projector":
         amp = evolve_projector_method(trunc, cfg["order"], cfg["lam"], t, sin, sout)
-    elif cfg["method"] == "dyson":
+    else:
         damp = dyson_series(trunc, cfg["order"], Fraction(str(cfg["lam"])), sin, sout)
         amp = damp.trace(t)
-    else:
-        raise ValueError(f"unknown evolve method {cfg['method']!r}")
     # per scalar: np.abs(amp) ** 2 differs from abs(a) ** 2 in the last bit
     rows = np.column_stack([t, amp.real, amp.imag, [abs(a) ** 2 for a in amp]])
     path = csvio.write_csv(outdir / "evolve.csv", ["t", "re", "im", "prob"], rows,
-                           {"method": cfg["method"], "lambda": cfg["lam"],
+                           {"method": method, "lambda": cfg["lam"],
                             "order": cfg["order"], "transition": f"{sin}->{sout}"})
     return [str(path)]
 
@@ -380,6 +388,7 @@ def _cmd_resources(cfg, outdir):
 def _cmd_trotter(cfg, outdir):
     if not all(dt > 0 for dt in cfg["dts"]):
         raise ValueError(f"--dts {cfg['dts']!r} must all be positive")
+    ordering = _ordering(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     n_q = qubit_count(trunc.n_max)
     h = single_site_hamiltonian(trunc, cfg["lam"])
@@ -388,7 +397,7 @@ def _cmd_trotter(cfg, outdir):
     rows = []
     prev = None
     for dt in cfg["dts"]:
-        plan = build_trotter_plan(dec, dt, 1, cfg["ordering"])
+        plan = build_trotter_plan(dec, dt, 1, ordering)
         step = trotter_step_unitary(plan).entries
         exact = (u * np.exp(-1j * w * dt)) @ u.conj().T
         # identity-term phase is not in the plan; restore it for the comparison
@@ -416,6 +425,9 @@ def _sweep_grid(cfg) -> np.ndarray:
 
 
 def _cmd_lattice_sweep(cfg, outdir):
+    if cfg["nsites"] < 1:
+        raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
+    _choice(cfg, "boundary", "periodic", "open")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     lams = _sweep_grid(cfg)
     outputs = []

@@ -17,8 +17,8 @@ basis, its two occupation-parity blocks, and the two symmetric sectors,
 one state per orbit of the site permutations that keep the bonds (the
 translations and the reflection of a periodic chain, the reflection of an
 open one).  The product basis is the case where every state is its own
-orbit; lattice_hamiltonian and lattice_family evaluate it.  No other basis
-forms the full-space matrix.
+orbit; lattice_hamiltonian evaluates it.  No other basis forms the
+full-space matrix.
 H0 and V are CSRMatrix blocks on one shared pattern.  CSRMatrix is the
 package's one sparse matrix and the one place that reads the CSR layout;
 lattice_hamiltonian hands one out, which scipy's sparse solvers take as a
@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import sector_indices
 from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops, harmonic_hamiltonian
 
 __all__ = [
@@ -39,13 +40,10 @@ __all__ = [
     "SparseOperator",
     "affine_operator",
     "single_site_hamiltonian",
-    "strong_coupling_hamiltonian",
     "lattice_hamiltonian",
-    "parity_indices",
     "CouplingFamily",
     "anharmonic_family",
     "strong_coupling_family",
-    "lattice_family",
 ]
 
 DEFAULT_DIM_CAP = 2**20
@@ -186,16 +184,6 @@ def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> OperatorMatr
     """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
     family = anharmonic_family(trunc)
     return affine_operator(family.h0, family.v, lam)
-
-
-def strong_coupling_hamiltonian(trunc: TruncationSpec, lam_tilde: complex) -> OperatorMatrix:
-    """H_str = phi^4 + lam_tilde omega (a^dag a + 1/2).
-
-    Satisfies H_str(1/lam) = H_anh(lam)/lam entrywise for lam != 0, so both
-    families share the same exceptional points up to inversion.
-    """
-    family = strong_coupling_family(trunc)
-    return affine_operator(family.h0, family.v, lam_tilde)
 
 
 def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
@@ -403,48 +391,33 @@ def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
     return total % 2
 
 
-def parity_indices(n_max: int, n_sites: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    par = _parity_array(n_max, n_sites)
-    return np.flatnonzero(par == 0), np.flatnonzero(par)
-
-
 @dataclass(frozen=True)
 class CouplingFamily:
-    """Affine analytic family H(lam) = H0 + lam V with parity bookkeeping.
+    """Affine analytic family H(lam) = H0 + lam V of one site, with parity bookkeeping.
 
-    h0 and v are dense arrays on the full local (or lattice) basis; the
-    derivative of H with respect to lam is exactly v, which is what the
-    sum-over-states derivative formulas need.
+    h0 and v are dense arrays on the n_max occupation states.
     """
 
     h0: np.ndarray
     v: np.ndarray
     n_max: int
-    n_sites: int = 1
-    label: str = "anharmonic"
 
     def sector_matrices(self, sector: str) -> tuple[np.ndarray, np.ndarray]:
         """The even or the odd occupation-parity block of h0 and of v."""
-        if sector not in ("even", "odd"):
-            raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-        even_idx, odd_idx = parity_indices(self.n_max, self.n_sites)
-        idx = even_idx if sector == "even" else odd_idx
+        idx = sector_indices(self.n_max, sector)
         return self.h0[np.ix_(idx, idx)], self.v[np.ix_(idx, idx)]
 
 
 def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
     """H(lam) = H_har + lam phi^4 for one site."""
-    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc), trunc.n_max, 1,
-                          "anharmonic")
+    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc), trunc.n_max)
 
 
 def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
-    """H_str(lam_tilde) = phi^4 + lam_tilde H_har for one site."""
-    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries, trunc.n_max, 1,
-                          "strong")
+    """H_str(lam_tilde) = phi^4 + lam_tilde H_har for one site.
 
+    H_str(1/lam) = H_anh(lam)/lam for lam != 0, so both families share the
+    same exceptional points up to inversion.
+    """
+    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries, trunc.n_max)
 
-def lattice_family(spec: LatticeSpec) -> CouplingFamily:
-    """Lattice family in lam at fixed kappa, as dense arrays (small lattices only)."""
-    [(h0, v)] = _lattice_blocks(spec, "full")
-    return CouplingFamily(h0.toarray(), v.toarray(), spec.trunc.n_max, spec.n_sites, "lattice")

@@ -1,4 +1,4 @@
-"""Truncated ladder algebra and the local field eigenbasis.
+"""Truncated ladder algebra and the Hermite zeros of the field.
 
 The local Hilbert space keeps the lowest n_max occupation states of a
 harmonic oscillator of frequency omega.  All ladder relations survive the
@@ -8,26 +8,21 @@ canonical commutator into
     [a, a^dag] = 1 - n_max |n_max-1><n_max-1|.
 
 Field eigenvalues are the zeros of the degree-n_max (physicists') Hermite
-polynomial scaled by 1/sqrt(omega); the eigenvector amplitudes are ratios
-of Hermite polynomials, evaluated here through the normalized recurrence
-so that nothing overflows up to n_max = 128.
+polynomial scaled by 1/sqrt(omega); the strong series refines them and
+builds the field eigenbasis from them on integers (series._field_zeros).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TruncationSpec",
     "OperatorMatrix",
-    "FieldEigenpair",
     "build_ladder",
     "build_field_ops",
     "harmonic_hamiltonian",
-    "top_projector",
-    "field_eigenbasis",
     "hermite_zeros",
 ]
 
@@ -75,14 +70,6 @@ class OperatorMatrix:
         return self.entries.shape[-1]
 
 
-@dataclass
-class FieldEigenpair:
-    """One field eigenvalue phi_j with its amplitudes <n|phi_j>."""
-
-    phi: float
-    vector: np.ndarray = field(repr=False)
-
-
 def build_ladder(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation and creation operators on the truncated space.
 
@@ -116,13 +103,6 @@ def harmonic_hamiltonian(spec: TruncationSpec) -> OperatorMatrix:
     return OperatorMatrix(np.diag(diag), hermitian=True)
 
 
-def top_projector(spec: TruncationSpec) -> OperatorMatrix:
-    """Projector |n_max-1><n_max-1| onto the highest retained state."""
-    p = np.zeros((spec.n_max, spec.n_max))
-    p[-1, -1] = 1.0
-    return OperatorMatrix(p, hermitian=True)
-
-
 def hermite_zeros(degree: int) -> np.ndarray:
     """Zeros of the physicists' Hermite polynomial H_degree, ascending.
 
@@ -137,34 +117,3 @@ def hermite_zeros(degree: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Hermite root solve failed at degree {degree}: {exc}") from exc
     return np.sort(roots)
-
-
-def _hermite_normalized(n_top: int, x: float) -> list[float]:
-    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top.
-
-    The rescaling keeps the recurrence bounded by ~exp(x^2/2), so the
-    ratio formula below stays inside double range for n_max <= 128.  The
-    strong series runs the same recurrence on fixed-point integers
-    (series._field_zeros).
-    """
-    h = [1.0, x * math.sqrt(2)][: n_top + 1]
-    for n in range(1, n_top):
-        h.append(x * math.sqrt(2 / (n + 1)) * h[n] - math.sqrt(n / (n + 1)) * h[n - 1])
-    return h
-
-
-def field_eigenbasis(spec: TruncationSpec) -> list[FieldEigenpair]:
-    """All n_max field eigenpairs, sorted by ascending eigenvalue.
-
-    The amplitude of |phi_j> on |n> is h_n(x_j) / (sqrt(n_max) h_{n_max-1}(x_j))
-    with x_j = sqrt(omega) phi_j a zero of H_{n_max}; this is the normalized
-    Hermite-ratio expression rewritten in the overflow-safe h_n basis.
-    """
-    n = spec.n_max
-    xs = hermite_zeros(n)
-    pairs = []
-    for x in xs:
-        h = np.array(_hermite_normalized(n - 1, x))
-        vec = h / (np.sqrt(n) * h[n - 1])
-        pairs.append(FieldEigenpair(phi=x / np.sqrt(spec.omega), vector=vec))
-    return pairs

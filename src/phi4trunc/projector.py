@@ -49,7 +49,6 @@ class ProjectorSeries:
     right states.
     """
 
-    level: int
     order: int
     weighted: list = field(repr=False)
     n_max: int
@@ -126,14 +125,13 @@ def _level_projector(
                 full[i][j] = Fraction(sum(scaled[a][bi] * left[m - a][bj] for a in range(m + 1)),
                                       q**m)
         coeff_mats.append(full)
-    energy = PowerSeries(energies, "weak_lambda", level, sector)
-    return ProjectorSeries(level, order, coeff_mats, n, energy)
+    energy = PowerSeries(energies, "weak_lambda")
+    return ProjectorSeries(order, coeff_mats, n, energy)
 
 
 def perturbed_projector(
     trunc: TruncationSpec,
     level: int,
-    sector: str | None = None,
     order: int = 4,
     lam: float | None = None,
 ) -> tuple[ProjectorSeries, np.ndarray | None]:
@@ -150,7 +148,7 @@ def perturbed_projector(
         raise ValueError(f"level {level} outside 0..{n - 1}")
     if order < 0:
         raise ValueError(f"order {order} must be at least 0")
-    sector = algebra.level_sector(level, sector)
+    sector = algebra.level_sector(level)
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
     series = _level_projector(h0, v, level, sector, order, n)
     value = None

@@ -6,8 +6,9 @@ recursion restricted to a parity sector closes over exact rationals; it
 runs on integers at a scale A B^k read off the block's first orders and
 widened where an exact division fails, so each coefficient is reduced
 once (algebra.rs_rational_series).  The same
-expansion solved from the characteristic polynomial, order by order, is
-kept as an independent cross-check path.
+expansion solved from the characteristic polynomial, order by order
+(weak_series_charpoly), is kept as an independent cross-check path, which
+the benchmark's series check runs.
 
 Strong coupling expands around phi^4 in powers of lam_tilde = 1/lam.  The
 unperturbed energies are fourth powers of Hermite zeros, so the zeros, the
@@ -35,7 +36,6 @@ __all__ = [
     "weak_series_charpoly",
     "strong_series",
     "radius_estimate",
-    "benderwu_asymptote",
     "log_abs_coefficient",
 ]
 
@@ -63,8 +63,6 @@ class PowerSeries:
 
     coeffs: list
     domain: str
-    level: int = 0
-    sector: str = "even"
     precision_digits: int | None = None
     certified_digits: int | None = None
     meta: dict = field(default_factory=dict)
@@ -89,9 +87,7 @@ class PowerSeries:
         return out
 
 
-def weak_series(
-    trunc: TruncationSpec, level: int, sector: str | None = None, max_order: int = 10
-) -> PowerSeries:
+def weak_series(trunc: TruncationSpec, level: int, max_order: int = 10) -> PowerSeries:
     """Exact rational expansion of E_level(lam) around lam = 0.
 
     level is the global harmonic label (0 .. n_max-1); within its parity
@@ -102,25 +98,23 @@ def weak_series(
     """
     if max_order < 0:
         raise ValueError(f"order {max_order} must be at least 0")
-    sector = algebra.level_sector(level, sector)
+    sector = algebra.level_sector(level)
     if not 0 <= level < trunc.n_max:
         raise ValueError(f"level {level} outside 0..{trunc.n_max - 1}")
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
     scale: dict = {}
     coeffs = algebra.rs_rational_series(h0, v, level // 2, max_order, scale)
-    return PowerSeries(coeffs, "weak_lambda", level, sector, meta={"scale": scale})
+    return PowerSeries(coeffs, "weak_lambda", meta={"scale": scale})
 
 
-def weak_series_charpoly(
-    trunc: TruncationSpec, level: int, sector: str | None = None, max_order: int = 10
-) -> PowerSeries:
+def weak_series_charpoly(trunc: TruncationSpec, level: int, max_order: int = 10) -> PowerSeries:
     """Same expansion obtained by solving the characteristic equation.
 
     Substitutes z(lam) = sum_m e_m lam^m into the exact sector polynomial
     f(z, lam) and solves order by order; kept as an independent check on
     the recursion path.
     """
-    sector = algebra.level_sector(level, sector)
+    sector = algebra.level_sector(level)
     zc = algebra.sector_char_poly(trunc, sector)  # z-coeffs of integer lam-polys
     s = len(zc) - 1
     pos = level // 2
@@ -145,7 +139,7 @@ def weak_series_charpoly(
     for m in range(1, max_order + 1):
         resid = f_of_series(e + [Fraction(0)], m)
         e.append(-resid[m] / dfdz0 if m < len(resid) else Fraction(0))
-    return PowerSeries(e, "weak_lambda", level, sector, meta={"path": "charpoly"})
+    return PowerSeries(e, "weak_lambda", meta={"path": "charpoly"})
 
 
 def _trunc_mul(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction]:
@@ -171,9 +165,10 @@ def _trunc_add(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction
 def _field_zeros(n: int, p: int) -> list[tuple[int, list[int]]]:
     """Positive zeros x of H_n, ascending, each with h_0(x), ..., h_n(x); integers at the scale 2^p.
 
-    h_k are the values of oscillator._hermite_normalized, from its
-    recurrence h_(k+1) = x a_k h_k - b_k h_(k-1) with the constants
-    a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)) rounded by math.isqrt.
+    h_k(x) = H_k(x)/sqrt(2^k k!) are the normalised Hermite values, bounded
+    by about exp(x^2/2), from the recurrence h_(k+1) = x a_k h_k - b_k h_(k-1)
+    with the constants a_k = sqrt(2/(k+1)) and b_k = sqrt(k/(k+1)) rounded by
+    math.isqrt.
     Newton's method, h'_n = sqrt(2n) h_(n-1), starts from the double
     zeros and runs on a ladder of precisions that about doubles per step
     up to p, then takes one more step at p.
@@ -225,7 +220,7 @@ def _strong_blocks(trunc: TruncationSpec, sector: str, p: int) -> tuple[list[int
 
 
 def _rs_fixed(h0: list[int], w: list[list[int]], pos: int, max_order: int, p: int) -> list[tuple[int, int]]:
-    """algebra.rayleigh_schrodinger on integers in binary block floating point.
+    """The nondegenerate Rayleigh-Schrodinger recursion on integers in binary block floating point.
 
     h0 and w are integers at the scale 2^p.  Each state psi_k is kept as
     integers P_k at its own scale 2^t_k, chosen so that its largest entry
@@ -320,10 +315,7 @@ def strong_series(
         )
     with mp.workdps(digits + 10):
         coeffs = [mp.mpf((m, -e)) for m, e in passes[0]]
-    return PowerSeries(
-        coeffs, "strong_lambda_tilde", level, sector,
-        precision_digits=digits, certified_digits=certified,
-    )
+    return PowerSeries(coeffs, "strong_lambda_tilde", precision_digits=digits, certified_digits=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +359,3 @@ def radius_estimate(series: PowerSeries, fit_lo: int, fit_hi: int) -> tuple[floa
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     return math.exp(-slope), slope
 
-
-def benderwu_asymptote(m: int) -> float:
-    """Large-order growth sqrt(6/pi^3) 3^m Gamma(m + 1/2) of the untruncated series."""
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m}")
-    log_val = 0.5 * math.log(6.0 / math.pi**3) + m * math.log(3.0) + math.lgamma(m + 0.5)
-    if log_val > 700.0:
-        raise OverflowError(f"asymptote at order {m} exceeds double range; use the log form")
-    return math.exp(log_val)

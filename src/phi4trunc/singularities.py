@@ -10,10 +10,10 @@ built from a sector's exact characteristic polynomial f and its
 z-derivative f', whose roots in lam are precisely the couplings where f has
 a double root.
 
-Also provides the weak/strong inversion map and the one sphere path,
-`riemann_export`: the minimum gaps over the whole Riemann sphere of
-couplings, from lam = 0 to lam = infinity, in Mollweide plot coordinates,
-which show that nothing pinches the positive real axis.
+Also provides the one sphere path, `riemann_export`: the minimum gaps over
+the whole Riemann sphere of couplings, from lam = 0 to lam = infinity, in
+Mollweide plot coordinates, which show that nothing pinches the positive
+real axis.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import numpy as np
 from . import algebra
 from .hamiltonian import CouplingFamily
 from .oscillator import TruncationSpec
-from .spectral import _golden_max
 
 __all__ = [
     "GapGrid",
@@ -36,7 +35,6 @@ __all__ = [
     "gap_scan",
     "refine_exceptional_point",
     "sylvester_discriminant",
-    "strong_weak_map",
     "riemann_export",
     "EXCEPTIONAL_GAP_THRESHOLD",
 ]
@@ -60,7 +58,6 @@ _GUARD_BITS = 64
 _G_BITS = 60
 _G = 1 << _G_BITS
 _SECANT_STEPS = 50
-_WALK_STEPS = 60  # doublings of the real-axis step: 1e-3 2^60 is past any resolved coupling
 # couplings per chunk of a grid: on 4 x 4 blocks a second thread gains
 # nothing on batched eigensolves of 100 couplings and 1.5-2x from about 500;
 # closed-form chunks run on the calling thread, where a second one gained
@@ -84,9 +81,6 @@ class GapGrid:
     im_range: tuple[float, float]
     resolution: tuple[int, int]
     values: np.ndarray = field(repr=False)
-    sector: str = "even"
-    domain: str = "lambda"
-    n_max: int = 0
     failures: int = 0
 
     def re_axis(self) -> np.ndarray:
@@ -541,9 +535,7 @@ def gap_scan(
     failures = int(np.isnan(values).sum())
     if failures:
         warnings.warn(f"{failures} grid points failed to diagonalize", RuntimeWarning)
-    domain = "lambda_tilde" if family.label == "strong" else "lambda"
-    return GapGrid((re_lo, re_hi), (im_lo, im_hi), (n_re, n_im), values,
-                   sector, domain, family.n_max, failures)
+    return GapGrid((re_lo, re_hi), (im_lo, im_hi), (n_re, n_im), values, failures)
 
 
 def refine_exceptional_point(
@@ -559,36 +551,16 @@ def refine_exceptional_point(
     exceptional when the iteration converged and the gap is at most
     EXCEPTIONAL_GAP_THRESHOLD * max(1, ||H(lam)||_2), since the
     floating-point eigensolver splits a coalesced pair by about
-    sqrt(eps) ||H||; an avoided crossing is a result, not an error.  An
-    exactly real guess stays on the real axis, where a bracketed 1-D search
-    finds the smallest gap: there the family is real symmetric, hence
-    diagonalizable, so the minimum is an avoided crossing.  It doubles a downhill step from 1e-3 max(1, |guess|) until
-    the gap rises, then runs golden section in that bracket; ValueError
-    names a guess whose walk never turns.
+    sqrt(eps) ||H||; an avoided crossing is a result, not an error.  On the
+    real axis H(lam) is real symmetric, hence diagonalizable, so no
+    exceptional point lies there: ValueError names an exactly real guess.
     """
+    if guess.imag == 0.0:
+        raise ValueError(f"guess {guess!r} is real, where H(lam) is real symmetric and has no exceptional point")
     h0s, vs = family.sector_matrices(sector)
 
     def pair(lam: complex) -> complex:
         return min_sector_gaps(h0s, vs, np.array([lam], dtype=complex))[0]
-
-    if guess.imag == 0.0:
-        def gap(x: float) -> float:
-            return abs(pair(complex(x, 0.0)))
-
-        step = 1e-3 * max(1.0, abs(guess.real))
-        a, b = guess.real, guess.real + step
-        if gap(b) > gap(a):
-            a, b, step = b, a, -step
-        for _ in range(_WALK_STEPS):  # gap(b) <= gap(a) holds throughout
-            step *= 2
-            c = b + step
-            if gap(c) > gap(b):
-                break
-            a, b = b, c
-        else:
-            raise ValueError(f"no real-axis gap minimum bracketed downhill of the guess {guess}")
-        loc = complex(_golden_max(lambda x: -gap(x), min(a, c), max(a, c)), 0.0)
-        return RefineResult(loc, float(abs(pair(loc))), False)
 
     converged = False
     prev, g_prev = guess, pair(guess) ** 2
@@ -662,13 +634,6 @@ def sylvester_discriminant(trunc: TruncationSpec, sector: str) -> ResultantPolyn
             RuntimeWarning,
         )
     return poly
-
-
-def strong_weak_map(point: complex) -> complex:
-    """Inversion lam <-> lam_tilde = 1/lam between the two coupling planes, the same map both ways."""
-    if point == 0:
-        raise ZeroDivisionError("zero has no image under the inversion map")
-    return 1.0 / point
 
 
 def _mollweide(lon, lat) -> tuple[np.ndarray, np.ndarray]:

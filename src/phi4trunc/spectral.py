@@ -1,14 +1,13 @@
-"""Eigensolution and coupling-derivative analysis of H(lam) families.
+"""Eigensolutions of H(lam) families and real-axis curvature peaks.
 
-Derivatives of an eigenvalue with respect to the coupling come from a
-sum-over-states evaluation of the nondegenerate perturbation formulas in
-the eigenbasis at lam0, exact up to the eigensolve; lattice sweeps take
-five-point stencils on a grid of couplings instead.  The location and
-width of the peak in the second derivative on the real axis estimate the
-nearest complex singularity: the peak sits at its real part, and the
-imaginary part follows either from the width at half maximum
-(W = 2 sqrt(2^(2/3)-1) Im lam_s, exact for a two-level square-root gap) or
-from the curvature ratio Im lam_s = sqrt(-3 E''/E'''') at the peak.
+Dense and Lanczos eigensolvers, the lattice ground energies over the
+chain's symmetric sectors or parity blocks, and exact time evolution.
+Lattice sweeps take five-point stencils of the ground energy on a grid of
+couplings.  The location and width of the peak in the second derivative
+on the real axis estimate the nearest complex singularity: the peak sits
+at its real part, and the imaginary part follows from the width at half
+maximum (W = 2 sqrt(2^(2/3)-1) Im lam_s, exact for a two-level
+square-root gap).
 """
 from __future__ import annotations
 
@@ -17,20 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
-from .hamiltonian import (CouplingFamily, CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, anharmonic_family,
-                          parity_indices)
+from .hamiltonian import CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, anharmonic_family
 from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops
 
 __all__ = [
     "SpectrumResult",
-    "DerivativeEstimate",
-    "SingularityEstimate",
     "dense_spectrum",
     "lanczos_lowest",
     "lattice_ground_energies",
-    "energy_derivatives",
-    "singularity_from_derivatives",
     "exact_amplitude",
     "stencil_derivatives",
     "curvature_peak",
@@ -65,35 +58,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-
-
-@dataclass
-class DerivativeEstimate:
-    """First, second and fourth lam-derivatives of one tracked level."""
-
-    level: int
-    lambda0: float
-    d1: float
-    d2: float
-    d4: float
-
-
-@dataclass
-class SingularityEstimate:
-    """Nearest-singularity estimate; the conjugate partner is implied."""
-
-    re: float
-    im: float
-    level_pair: tuple[int, int]
-    method: str
-
-    def __post_init__(self):
-        if not self.im > 0:
-            raise ValueError(f"im must be positive (upper half-plane), got {self.im}")
-
-    @property
-    def radius(self) -> float:
-        return float(np.hypot(self.re, self.im))
 
 
 def dense_spectrum(h: OperatorMatrix) -> SpectrumResult:
@@ -291,7 +255,8 @@ def _site_field_gauges(trunc: TruncationSpec, lams: list[float]) -> bool:
     lam = np.reshape(lams, (-1, 1, 1))
     blocks = map(anharmonic_family(trunc).sector_matrices, ("even", "odd"))
     _, u = np.linalg.eigh([h0 + lam * v for h0, v in blocks])
-    phi = build_field_ops(trunc)[0].entries[np.ix_(*parity_indices(trunc.n_max))]
+    n = trunc.n_max
+    phi = build_field_ops(trunc)[0].entries[np.ix_(np.arange(0, n, 2), np.arange(1, n, 2))]
     b = np.swapaxes(u[0], 1, 2) @ phi @ u[1]
     b *= np.where(b[:, :, :1] < 0, -1.0, 1.0)
     b *= np.where(b.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
@@ -345,29 +310,6 @@ def lattice_ground_energies(spec: LatticeSpec, lams, k: int = 1, tol: float = 1e
     return np.sort(levels, axis=1)[:, :k]
 
 
-def energy_derivatives(family: CouplingFamily, level: int, sector: str, lambda0: float) -> DerivativeEstimate:
-    """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector, by sum over states.
-
-    level is the global harmonic label; its position inside the sector is
-    level // 2, and sector must be the one that holds it.  Near-degeneracy
-    (sector gap < 1e-8) triggers a warning, since the sum over states loses
-    accuracy there.
-    """
-    sector = algebra.level_sector(level, sector)
-    pos = level // 2
-    h0s, vs = family.sector_matrices(sector)
-    w, u = np.linalg.eigh(h0s + lambda0 * vs)
-    gaps = np.abs(np.delete(w - w[pos], pos))
-    if gaps.size and gaps.min() < 1e-8:
-        warnings.warn(
-            f"level {level} nearly degenerate at lambda0={lambda0} (gap {gaps.min():.2e})",
-            RuntimeWarning,
-        )
-    veig = u.T @ vs @ u
-    c, _ = algebra.rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
-    return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4])
-
-
 def _five_point_stencil(f, h: float) -> tuple[float, float, float]:
     """d1, d2 and d4 at the middle of five samples f spaced h apart."""
     d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
@@ -416,106 +358,6 @@ def curvature_peak(lams: np.ndarray, d2: np.ndarray, label: str = "") -> tuple[f
             right = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
             break
     return lams[ipk], (right - left) / HALF_WIDTH_FACTOR
-
-
-def _pair_d2(family: CouplingFamily, sector: str, pos: int, lam: float) -> float:
-    level = 2 * pos + (0 if sector == "even" else 1)
-    return energy_derivatives(family, level, sector, lam).d2
-
-
-def _golden_max(f, a: float, b: float) -> float:
-    """A maximum of f on [a, b] by golden-section search, to a bracket of 1e-12."""
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def singularity_from_derivatives(
-    family: CouplingFamily,
-    level_pair: tuple[int, int],
-    scan_range: tuple[float, float],
-    member: str = "upper",
-) -> tuple[SingularityEstimate, SingularityEstimate]:
-    """Width-based and curvature-ratio estimates of the pair's singularity.
-
-    Scans the sum-over-states |E''| of the chosen pair member (upper or
-    lower level) at 101 points across scan_range, refines the interior
-    extremum by golden section, then reads the imaginary part from the
-    width at half maximum and from the fourth-derivative ratio.  Both estimates are returned so callers can
-    cross-check them against each other.
-    """
-    lo, hi = scan_range
-    if not lo < hi:
-        raise ValueError(f"empty scan range {scan_range}")
-    low, high = sorted(level_pair)
-    if low % 2 != high % 2:
-        raise ValueError(f"level pair {level_pair} spans parity sectors")
-    sector = "even" if low % 2 == 0 else "odd"
-    level = high if member == "upper" else low
-    pos = level // 2
-
-    def absd2(x: float) -> float:
-        return abs(_pair_d2(family, sector, pos, x))
-
-    grid = np.linspace(lo, hi, 101)
-    vals = np.array([absd2(x) for x in grid])
-    imax = int(np.argmax(vals))
-    if imax in (0, grid.size - 1):
-        raise ValueError(
-            f"no interior |E''| extremum of pair {level_pair} in {scan_range}; "
-            f"max sits at boundary lambda={grid[imax]:.6g}"
-        )
-    re = _golden_max(absd2, grid[imax - 1], grid[imax + 1])
-    peak = absd2(re)
-    half = peak / 2.0
-
-    def cross(inner: float, outer: float) -> float:
-        a, b = inner, outer  # absd2(a) > half >= absd2(b)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if absd2(m) > half:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    step = (hi - lo) / (grid.size - 1)
-    left = re
-    while absd2(left) > half:
-        left -= step
-        if left < lo - (hi - lo):
-            raise ValueError(f"half-maximum width of pair {level_pair} spans the scan boundary")
-    right = re
-    while absd2(right) > half:
-        right += step
-        if right > hi + (hi - lo):
-            raise ValueError(f"half-maximum width of pair {level_pair} spans the scan boundary")
-    width = cross(re, right) - cross(re, left)
-    im_width = width / HALF_WIDTH_FACTOR
-
-    est = energy_derivatives(family, level, sector, re)
-    ratio = -3.0 * est.d2 / est.d4
-    if ratio <= 0:
-        warnings.warn(
-            f"curvature ratio not sign-definite at pair {level_pair} extremum; using |ratio|",
-            RuntimeWarning,
-        )
-    im_ratio = float(np.sqrt(abs(ratio)))
-    pair = (low, high)
-    return (
-        SingularityEstimate(re, im_width, pair, "derivative_width"),
-        SingularityEstimate(re, im_ratio, pair, "derivative_ratio"),
-    )
 
 
 def exact_amplitude(

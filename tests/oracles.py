@@ -1,11 +1,13 @@
-"""Independent oracles used only by the tests.
+"""Independent oracles and reference paths used only by the tests.
 
-All but one of them leave the package alone:
+They leave the package alone: the only name they import from it is
+hermite_zeros, whose doubles seed the strong-series oracle's Newton.
 
 - the continuum quartic-oscillator coefficients come from the classic
   wavefunction recursion: write psi = e^(-x^2/2) sum_m lam^m B_m(x) with
   B_m an even polynomial, match powers of x in the Schroedinger equation and
-  read the energy coefficient off the constant term;
+  read the energy coefficient off the constant term; its large-order growth
+  is the Bender-Wu asymptote;
 - the dense lattice Hamiltonian is assembled from numpy Kronecker products
   of the documented local terms and hop;
 - exceptional points are labelled by following eigenvalues along a ray in
@@ -14,6 +16,15 @@ All but one of them leave the package alone:
   differences: five-point stencils at steps h and h/2 and one Richardson
   step, the level followed by its overlap with the eigenvector at the
   middle point;
+- they also come by sum over states, the Rayleigh-Schrodinger
+  coefficients in the eigenbasis at the coupling; the peak of |E''| on the
+  real axis, its width at half maximum and the curvature ratio there
+  estimate the nearest exceptional point (singularity_from_derivatives);
+- the Rayleigh-Schrodinger recursion runs as one generic loop over any
+  scalar field: doubles for those derivatives, Fractions as the oracle of
+  the package's integer loop, mpmath floats for the strong series;
+- the field eigenbasis comes from the normalized Hermite recurrence at the
+  double Hermite zeros;
 - minimum sector gaps come from mpmath's QR eigenvalues of h0 + lam v at
   30 digits, with the float entries taken exactly;
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
@@ -36,10 +47,12 @@ All but one of them leave the package alone:
   rationals, each integral by parts with division by i Omega;
 - strong-coupling series run on mpmath floats: Newton-refined Hermite
   zeros from the package's double seeds, the field eigenbasis from the
-  normalized Hermite recurrence, and the package's generic
-  Rayleigh-Schrodinger engine, at two precisions.
+  normalized Hermite recurrence, and the generic Rayleigh-Schrodinger loop
+  above, at two precisions.
 """
 import math
+import warnings
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,8 +60,9 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from phi4trunc.algebra import rayleigh_schrodinger
 from phi4trunc.oscillator import hermite_zeros
+
+HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
 
 def benderwu_continuum(max_order: int) -> list[Fraction]:
@@ -69,6 +83,16 @@ def benderwu_continuum(max_order: int) -> list[Fraction]:
         bm[0] = Fraction(0)
         table[m] = bm
     return a
+
+
+def benderwu_asymptote(m: int) -> float:
+    """Large-order growth sqrt(6/pi^3) 3^m Gamma(m + 1/2) of the untruncated series."""
+    if m < 0:
+        raise ValueError(f"order must be nonnegative, got {m}")
+    log_val = 0.5 * math.log(6.0 / math.pi**3) + m * math.log(3.0) + math.lgamma(m + 0.5)
+    if log_val > 700.0:
+        raise OverflowError(f"asymptote at order {m} exceeds double range; use the log form")
+    return math.exp(log_val)
 
 
 def dense_lattice_hamiltonian(n_sites: int, n_max: int, kappa: float, lam: complex,
@@ -172,6 +196,163 @@ def finite_difference_derivatives(family, level: int, lambda0: float,
 
     d1, d2, d4 = ((4 * fine - coarse) / 3.0 for fine, coarse in zip(stencil(1), stencil(2)))
     return d1, d2, d4
+
+
+@dataclass
+class DerivativeEstimate:
+    """First, second and fourth lam-derivatives of one tracked level."""
+
+    level: int
+    lambda0: float
+    d1: float
+    d2: float
+    d4: float
+
+
+@dataclass
+class SingularityEstimate:
+    """Nearest-singularity estimate; the conjugate partner is implied."""
+
+    re: float
+    im: float
+    level_pair: tuple[int, int]
+    method: str
+
+    def __post_init__(self):
+        if not self.im > 0:
+            raise ValueError(f"im must be positive (upper half-plane), got {self.im}")
+
+    @property
+    def radius(self) -> float:
+        return float(np.hypot(self.re, self.im))
+
+
+def energy_derivatives(family, level: int, sector: str, lambda0: float) -> DerivativeEstimate:
+    """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector, by sum over states.
+
+    level is the global harmonic label; its position inside the sector is
+    level // 2, and sector must be the one that holds it.  The derivatives
+    are 1!, 2! and 4! times the Rayleigh-Schrodinger coefficients in the
+    eigenbasis at lambda0.  Near-degeneracy (sector gap < 1e-8) triggers a
+    warning, since the sum over states loses accuracy there.
+    """
+    held = "even" if level % 2 == 0 else "odd"
+    if sector != held:
+        raise ValueError(f"level {level} lies in the {held} sector, not {sector!r}")
+    pos = level // 2
+    h0s, vs = family.sector_matrices(sector)
+    w, u = np.linalg.eigh(h0s + lambda0 * vs)
+    gaps = np.abs(np.delete(w - w[pos], pos))
+    if gaps.size and gaps.min() < 1e-8:
+        warnings.warn(
+            f"level {level} nearly degenerate at lambda0={lambda0} (gap {gaps.min():.2e})",
+            RuntimeWarning,
+        )
+    veig = u.T @ vs @ u
+    c, _ = rayleigh_schrodinger(w.tolist(), veig.tolist(), pos, 4)
+    return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4])
+
+
+def _pair_d2(family, sector: str, pos: int, lam: float) -> float:
+    level = 2 * pos + (0 if sector == "even" else 1)
+    return energy_derivatives(family, level, sector, lam).d2
+
+
+def _golden_max(f, a: float, b: float) -> float:
+    """A maximum of f on [a, b] by golden-section search, to a bracket of 1e-12."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > 1e-12:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def singularity_from_derivatives(
+    family,
+    level_pair: tuple[int, int],
+    scan_range: tuple[float, float],
+    member: str = "upper",
+) -> tuple[SingularityEstimate, SingularityEstimate]:
+    """Width-based and curvature-ratio estimates of the pair's singularity.
+
+    Scans the sum-over-states |E''| of the chosen pair member (upper or
+    lower level) at 101 points across scan_range, refines the interior
+    extremum by golden section, then reads the imaginary part from the
+    width at half maximum (W = HALF_WIDTH_FACTOR Im lam_s, exact for a
+    two-level square-root gap) and from the curvature ratio
+    Im lam_s = sqrt(-3 E''/E'''') at the peak.  Both estimates are
+    returned so callers can cross-check them against each other.
+    """
+    lo, hi = scan_range
+    if not lo < hi:
+        raise ValueError(f"empty scan range {scan_range}")
+    low, high = sorted(level_pair)
+    if low % 2 != high % 2:
+        raise ValueError(f"level pair {level_pair} spans parity sectors")
+    sector = "even" if low % 2 == 0 else "odd"
+    level = high if member == "upper" else low
+    pos = level // 2
+
+    def absd2(x: float) -> float:
+        return abs(_pair_d2(family, sector, pos, x))
+
+    grid = np.linspace(lo, hi, 101)
+    vals = np.array([absd2(x) for x in grid])
+    imax = int(np.argmax(vals))
+    if imax in (0, grid.size - 1):
+        raise ValueError(
+            f"no interior |E''| extremum of pair {level_pair} in {scan_range}; "
+            f"max sits at boundary lambda={grid[imax]:.6g}"
+        )
+    re = _golden_max(absd2, grid[imax - 1], grid[imax + 1])
+    peak = absd2(re)
+    half = peak / 2.0
+
+    def cross(inner: float, outer: float) -> float:
+        a, b = inner, outer  # absd2(a) > half >= absd2(b)
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            if absd2(m) > half:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+    step = (hi - lo) / (grid.size - 1)
+    left = re
+    while absd2(left) > half:
+        left -= step
+        if left < lo - (hi - lo):
+            raise ValueError(f"half-maximum width of pair {level_pair} spans the scan boundary")
+    right = re
+    while absd2(right) > half:
+        right += step
+        if right > hi + (hi - lo):
+            raise ValueError(f"half-maximum width of pair {level_pair} spans the scan boundary")
+    width = cross(re, right) - cross(re, left)
+    im_width = width / HALF_WIDTH_FACTOR
+
+    est = energy_derivatives(family, level, sector, re)
+    ratio = -3.0 * est.d2 / est.d4
+    if ratio <= 0:
+        warnings.warn(
+            f"curvature ratio not sign-definite at pair {level_pair} extremum; using |ratio|",
+            RuntimeWarning,
+        )
+    im_ratio = float(np.sqrt(abs(ratio)))
+    pair = (low, high)
+    return (
+        SingularityEstimate(re, im_width, pair, "derivative_width"),
+        SingularityEstimate(re, im_ratio, pair, "derivative_ratio"),
+    )
 
 
 def mp_sector_gaps(h0s: np.ndarray, vs: np.ndarray, lams, dps: int = 30) -> np.ndarray:
@@ -654,6 +835,83 @@ def dyson_terms(n_max: int, omega: Fraction, order: int, lam: Fraction,
             scaled = {key: _gauss_mul(c, factor) for key, c in poly.items()}
             totals[out] = _phase_add(totals[out], {key: c for key, c in scaled.items() if any(c)})
     return {out: _phase_mul(total, {(0, -energies[out]): one}) for out, total in totals.items()}
+
+
+@dataclass
+class FieldEigenpair:
+    """One field eigenvalue phi_j with its amplitudes <n|phi_j>."""
+
+    phi: float
+    vector: np.ndarray = field(repr=False)
+
+
+def _hermite_normalized(n_top: int, x: float) -> list[float]:
+    """Values h_n(x) = H_n(x)/sqrt(2^n n!) for n = 0..n_top.
+
+    The rescaling keeps the recurrence bounded by ~exp(x^2/2), so the
+    ratio formula of field_eigenbasis stays inside double range for
+    n_max <= 128.
+    """
+    h = [1.0, x * math.sqrt(2)][: n_top + 1]
+    for n in range(1, n_top):
+        h.append(x * math.sqrt(2 / (n + 1)) * h[n] - math.sqrt(n / (n + 1)) * h[n - 1])
+    return h
+
+
+def field_eigenbasis(spec) -> list[FieldEigenpair]:
+    """All n_max field eigenpairs of a TruncationSpec, sorted by ascending eigenvalue.
+
+    The amplitude of |phi_j> on |n> is h_n(x_j) / (sqrt(n_max) h_{n_max-1}(x_j))
+    with x_j = sqrt(omega) phi_j a zero of H_{n_max}; this is the normalized
+    Hermite-ratio expression rewritten in the overflow-safe h_n basis.
+    """
+    n = spec.n_max
+    xs = hermite_zeros(n)
+    pairs = []
+    for x in xs:
+        h = np.array(_hermite_normalized(n - 1, x))
+        vec = h / (np.sqrt(n) * h[n - 1])
+        pairs.append(FieldEigenpair(phi=x / np.sqrt(spec.omega), vector=vec))
+    return pairs
+
+
+def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> tuple[list, list]:
+    """Nondegenerate Rayleigh-Schrodinger series over any scalar field.
+
+    h0 is the diagonal unperturbed block and v the perturbation, both in
+    one field: float for the sum-over-states derivatives, Fraction as the
+    oracle of the package's integer loop (algebra._rs_scaled_integer), and
+    mpmath mpf as the oracle of the strong series' fixed-point loop
+    (series._rs_fixed).  Returns (energies, states): energies
+    [E_0, ..., E_max_order] of the level at diagonal position pos, and the
+    state corrections psi_k, normalised so that <pos|psi_k> is 1 for k = 0
+    and 0 above, which solve h0 psi_k + v psi_{k-1} = sum_j E_j psi_{k-j}.
+    Products with an exact zero are skipped.  Raises ValueError when
+    h0[pos] is degenerate.
+    """
+    s = len(h0)
+    for m, e in enumerate(h0):
+        if m != pos and e == h0[pos]:
+            raise ValueError(f"unperturbed level at position {pos} is degenerate with {m}")
+    e0 = h0[pos]
+    zero = e0 - e0
+    one = zero + 1
+    resolvent = [zero if m == pos else 1 / (e0 - e) for m, e in enumerate(h0)]
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in v]
+    energies = [e0]
+    states = [[one if i == pos else zero for i in range(s)]]
+    for k in range(1, max_order + 1):
+        prev = states[k - 1]
+        rhs = [sum((x * prev[j] for j, x in row if prev[j]), zero) for row in rows]
+        energies.append(rhs[pos])
+        for j in range(1, k):
+            ej = energies[j]
+            if ej:
+                pk = states[k - j]
+                for i in range(s):
+                    rhs[i] -= ej * pk[i]
+        states.append([resolvent[i] * rhs[i] for i in range(s)])
+    return energies, states
 
 
 def _hermite_mp(n_top: int, x) -> list:

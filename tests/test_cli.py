@@ -180,6 +180,8 @@ def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     (["--method", "lanzcos"], "--method 'lanzcos'"),
     (["--nsites", "0"], "--nsites 0"),
     (["--nsites", "-3"], "--nsites -3"),
+    (["--nsites", "4", "--kappa", "0.1", "--boundary", "twisted"],
+     "--boundary 'twisted' must be 'periodic' or 'open'"),
 ])
 def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     code, outdir = run_cli(["spectrum"] + args, tmp_path, "bad")
@@ -201,6 +203,8 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     (["scan", "--nmax", "4", "--res", "4,4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
     (["riemann", "--nmax", "4", "--res", "4,4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
     (["resultant", "--nmax", "4", "--sector", "evn"], "--sector 'evn' must be 'even' or 'odd'"),
+    (["evolve", "--nmax", "4", "--method", "bogus"],
+     "--method 'bogus' must be 'exact', 'projector', 'dyson' or 'trotter'"),
 ])
 def test_misspelled_sector_or_domain_is_recorded_naming_the_flag(tmp_path, args, named):
     code, outdir = run_cli(args, tmp_path, "bad")
@@ -219,6 +223,10 @@ def test_misspelled_sector_or_domain_is_recorded_naming_the_flag(tmp_path, args,
      "--tmax -1.0 over --dt 0.1 gives -10 Trotter steps; --tmax must be at least 0"),
     (["trotter", "--dts", "0.1,0"], "--dts [0.1, 0.0] must all be positive"),
     (["trotter", "--dts", "-0.05"], "--dts [-0.05] must all be positive"),
+    (["evolve", "--method", "trotter", "--ordering", "bogus"],
+     "--ordering 'bogus' must be 'by_magnitude_desc', 'lexicographic' or 'as_given'"),
+    (["trotter", "--ordering", "bogus"],
+     "--ordering 'bogus' must be 'by_magnitude_desc', 'lexicographic' or 'as_given'"),
 ])
 def test_bad_trotter_steps_are_recorded_naming_the_flag_before_any_work(tmp_path, monkeypatch, args, named):
     from phi4trunc import cli
@@ -257,7 +265,7 @@ def test_convergence_check_records_only_its_radius_warning(tmp_path, monkeypatch
     (["evolve", "--method", "dyson", "--nt", "-1"], "--nt -1 must be at least 1"),
     (["evolve", "--method", "projector", "--nt", "-5"], "--nt -5 must be at least 1"),
     (["spectrum", "--nsites", "4", "--kappa", "0.1", "--method", "lanczos", "--k", "0"],
-     "k must be at least 1, got 0"),
+     "--k 0 must be at least 1"),
     (["series", "--nmax", "8", "--level", "2", "--orders", "-1"], "--orders -1 must be at least 0"),
     (["series", "--nmax", "8", "--level", "2", "--domain", "strong", "--orders", "-3"],
      "--orders -3 must be at least 0"),
@@ -457,6 +465,8 @@ def test_qubit_commands_name_a_non_power_of_two_nmax(tmp_path, args, n_max):
     ("--lam-grid=0.1,-0.3,41", "0.1"),
     ("--lam-grid=-0.3,0.1,4", "4.0"),
     ("--lam-grid=-0.3,0.1,40.5", "40.5"),
+    ("--boundary=twisted", "--boundary 'twisted' must be 'periodic' or 'open'"),
+    ("--nsites=0", "--nsites 0 must be at least 1"),
 ])
 def test_lattice_sweep_rejects_bad_grids_before_any_work(tmp_path, flag, named):
     code, outdir = run_cli(["lattice-sweep", "--nsites", "2", "--nmax", "2", flag], tmp_path, "bad")

@@ -8,20 +8,26 @@ from phi4trunc import (
     TruncationSpec,
     affine_operator,
     anharmonic_family,
-    field_eigenbasis,
     lattice_hamiltonian,
     single_site_hamiltonian,
     strong_coupling_family,
-    strong_coupling_hamiltonian,
 )
-from phi4trunc.algebra import sector_char_poly
-from phi4trunc.hamiltonian import _lattice_blocks, parity_indices
+from phi4trunc.algebra import sector_char_poly, sector_indices
+from phi4trunc.hamiltonian import _lattice_blocks
+
+from oracles import field_eigenbasis
 
 
 def site_block(trunc, sector, lam):
     """The even or odd block of the single-site H(lam), cut from the family's H0 and V."""
     h0, v = anharmonic_family(trunc).sector_matrices(sector)
     return h0 + lam * v
+
+
+def strong_coupling_hamiltonian(trunc, lam_tilde):
+    """H_str = phi^4 + lam_tilde omega (a^dag a + 1/2), evaluated from its family."""
+    family = strong_coupling_family(trunc)
+    return affine_operator(family.h0, family.v, lam_tilde)
 
 
 def anh4_expected(lam):
@@ -159,7 +165,7 @@ def test_lattice_dimension_cap():
 def test_parity_blocks_nmax4_and_characteristic_factor():
     trunc = TruncationSpec(4)
     assert site_block(trunc, "even", 0.1).shape == (2, 2)
-    assert list(parity_indices(4)[0]) == [0, 2]
+    assert sector_indices(4, "even") == [0, 2]
     # even-sector characteristic polynomial, cleared to integers by 16
     zc = sector_char_poly(trunc, "even")
     assert zc[0] == [20, 84, 9]
@@ -194,7 +200,8 @@ def test_sector_blocks_evaluate_to_the_cut_of_the_full_operator(make_family, lam
     # h0[ix] + lam v[ix] is (h0 + lam v)[ix], double for double, under one real/complex rule
     fam = make_family(TruncationSpec(8))
     full = affine_operator(fam.h0, fam.v, lam)
-    for sector, idx in zip(("even", "odd"), parity_indices(8)):
+    for sector in ("even", "odd"):
+        idx = sector_indices(8, sector)
         block = affine_operator(*fam.sector_matrices(sector), lam)
         assert np.array_equal(block.entries, full.entries[np.ix_(idx, idx)])
         assert block.entries.dtype == full.entries.dtype == (float if complex(lam).imag == 0 else complex)
@@ -241,14 +248,16 @@ def test_single_site_builders_evaluate_their_families_with_exact_diagonal():
 
 @pytest.mark.parametrize("n_max, n_sites", [(2, 1), (4, 1), (4, 3), (6, 2), (2, 5)])
 def test_parity_indices_match_per_index_parity(n_max, n_sites):
-    from phi4trunc.hamiltonian import parity_indices
+    from phi4trunc.hamiltonian import _parity_array
 
     from oracles import parity_of_index
 
-    even, odd = parity_indices(n_max, n_sites)
+    # the parity of each product index under the lattice blocks, and the single-site sectors
     par = [parity_of_index(i, n_max, n_sites) for i in range(n_max**n_sites)]
-    assert even.tolist() == [i for i, p in enumerate(par) if p == 0]
-    assert odd.tolist() == [i for i, p in enumerate(par) if p == 1]
+    assert _parity_array(n_max, n_sites).tolist() == par
+    if n_sites == 1:
+        assert sector_indices(n_max, "even") == [i for i, p in enumerate(par) if p == 0]
+        assert sector_indices(n_max, "odd") == [i for i, p in enumerate(par) if p == 1]
 
 
 def _chain_group(n_sites, boundary):
@@ -333,16 +342,15 @@ def test_sector_matrix_is_the_projected_full_matrix(n_sites, boundary):
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_lattice_family_is_the_affine_lattice(boundary):
-    from phi4trunc import lattice_family
-
     from oracles import dense_lattice_hamiltonian
 
     spec = LatticeSpec(3, TruncationSpec(4), 0.2, 0.0, boundary)
-    fam = lattice_family(spec)
+    [(h0, v)] = _lattice_blocks(spec, "full")
+    h0, v = h0.toarray(), v.toarray()
     for lam in (-0.3, 0.25):
         h = lattice_hamiltonian(LatticeSpec(3, TruncationSpec(4), 0.2, lam, boundary))
-        assert np.max(np.abs(fam.h0 + lam * fam.v - h.matrix.toarray())) <= 1e-13
-        assert np.max(np.abs(fam.h0 + lam * fam.v - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13
+        assert np.max(np.abs(h0 + lam * v - h.matrix.toarray())) <= 1e-13
+        assert np.max(np.abs(h0 + lam * v - dense_lattice_hamiltonian(3, 4, 0.2, lam, boundary))) <= 1e-13
 
 
 @pytest.mark.parametrize("data_dtype, x_dtype", [(float, float), (float, complex), (complex, float),

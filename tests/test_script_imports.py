@@ -1,9 +1,12 @@
-"""The names that the benchmark and the tools import from the package still exist.
+"""The package's surface against its scripts: what they import exists, and what it exports is reached.
 
 perfbench/ and tools/ run as scripts, and Tier-1 imports neither, so a
 removal that breaks one of their imports would first show up as failed
 benchmark ops.  Each script is parsed with ast, not run; code that a
 script hands to a fresh interpreter as a string literal is parsed too.
+The same parse pins the package's public surface from the other side: a
+name that phi4trunc re-exports must be reached by the package itself, the
+benchmark or a tool, not only by the tests.
 """
 import ast
 import importlib
@@ -17,6 +20,7 @@ import phi4trunc
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])
+PACKAGE = ROOT / "src" / "phi4trunc"
 
 
 def package_imports(tree: ast.AST) -> list[tuple[str, str | None]]:
@@ -55,3 +59,34 @@ def test_every_all_entry_exists(module):
     imported = importlib.import_module(f"phi4trunc.{module}")
     missing = [name for name in getattr(imported, "__all__", []) if not hasattr(imported, name)]
     assert not missing, f"phi4trunc.{module}.__all__ names missing {missing}"
+
+
+def uses(tree: ast.AST, name: str) -> bool:
+    """Whether tree loads name, or reads an attribute of that name, outside a definition of it.
+
+    Code in a string literal that names the package is parsed and searched too.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "phi4trunc" in node.value:
+            try:
+                if uses(ast.parse(node.value), name):
+                    return True
+            except SyntaxError:
+                pass
+        if uses(node, name):
+            return True
+    return False
+
+
+def test_every_exported_name_is_reached_outside_the_tests():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"] + SCRIPTS
+    trees = [ast.parse(path.read_text(), str(path)) for path in sources]
+    unreached = [name for name in exported if not any(uses(tree, name) for tree in trees)]
+    assert not unreached, f"phi4trunc exports names that only the tests reach: {unreached}"

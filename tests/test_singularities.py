@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import mpmath
@@ -12,12 +13,10 @@ from phi4trunc import (
     gap_scan,
     refine_exceptional_point,
     strong_coupling_family,
-    strong_weak_map,
     sylvester_discriminant,
     riemann_export,
 )
 from phi4trunc.algebra import sector_char_poly
-from phi4trunc.hamiltonian import CouplingFamily
 from phi4trunc.singularities import (
     _CLOSED_FORM_LEVELS,
     _GRID_CHUNK,
@@ -96,35 +95,13 @@ def test_refine_nmax8_ground_pair_direct_search_values():
     assert abs(abs(res.location.imag) - 0.00391) <= 1e-4
 
 
-def test_real_axis_guess_classified_avoided():
-    fam = anharmonic_family(TruncationSpec(4))
-    res = refine_exceptional_point(fam, 0.3 + 0.0j, "even")
-    assert not res.exceptional
-    assert res.gap > 1e-3
-    assert res.location.imag == 0.0
-    # with V = 0 the gap never rises, so the downhill walk runs out
-    flat = CouplingFamily(fam.h0, np.zeros_like(fam.v), 4)
-    with pytest.raises(ValueError, match=r"guess \(0\.3\+0j\)"):
-        refine_exceptional_point(flat, 0.3 + 0.0j, "even")
-
-
-@pytest.mark.parametrize("n_max, sector, x0", [(4, "even", 0.3), (8, "even", -0.05), (8, "odd", 0.1)])
-def test_real_axis_minimum_is_the_scipy_minimum(n_max, sector, x0):
-    # scipy's Brent search from the same first step is the reference; at
-    # (8, even, -0.05) the minimum lies 0.015 away, past that first step
-    from scipy.optimize import minimize_scalar
-
-    fam = anharmonic_family(TruncationSpec(n_max))
-    h0s, vs = fam.sector_matrices(sector)
-
-    def gap(x):
-        return abs(min_sector_gaps(h0s, vs, np.array([complex(x, 0.0)]))[0])
-
-    ref = minimize_scalar(gap, bracket=(x0, x0 + 1e-3 * max(1.0, abs(x0))))
-    res = refine_exceptional_point(fam, complex(x0, 0.0), sector)
-    assert res.location.imag == 0.0 and not res.exceptional
-    assert abs(res.location.real - ref.x) <= 1e-6
-    assert abs(res.gap - gap(ref.x)) <= 1e-9
+@pytest.mark.parametrize("make_family, guess", [(anharmonic_family, 0.3 + 0.0j), (anharmonic_family, -0.05),
+                                                (strong_coupling_family, complex(-8.8, 0.0))])
+def test_refine_refuses_a_real_guess(make_family, guess):
+    # H(lam) is real symmetric on the real axis, so no exceptional point lies there
+    fam = make_family(TruncationSpec(8))
+    with pytest.raises(ValueError, match=rf"guess {re.escape(repr(guess))} is real"):
+        refine_exceptional_point(fam, guess, "even")
 
 
 def test_resultant_nmax4_even_exact():
@@ -705,24 +682,6 @@ def test_no_pinching_on_positive_real_axis_nmax8():
     for sector in ("even", "odd"):
         grid = gap_scan(fam, ((1e-3, 1.0), (0.0, 0.0)), (200, 1), sector)
         assert np.nanmin(grid.values) > 1e-5
-
-
-def test_strong_weak_map_properties():
-    assert strong_weak_map(1.0) == 1.0
-    z = -8.8 + 29.45j
-    assert abs(strong_weak_map(strong_weak_map(z)) - z) <= 1e-12
-    mapped = strong_weak_map(z)
-    assert mapped == pytest.approx(-0.009315 - 0.031173j, abs=1e-5)
-    with pytest.raises(ZeroDivisionError):
-        strong_weak_map(0.0)
-
-
-def test_gap_grid_domain_tags():
-    trunc = TruncationSpec(4)
-    weak = gap_scan(anharmonic_family(trunc), ((0.0, 0.1), (0.0, 0.1)), (3, 3), "even")
-    assert weak.domain == "lambda"
-    strong = gap_scan(strong_coupling_family(trunc), ((0.0, 0.1), (0.0, 0.1)), (3, 3), "even")
-    assert strong.domain == "lambda_tilde"
 
 
 def test_strong_family_shares_inverted_singularities():

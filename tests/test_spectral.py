@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import finite_difference_derivatives
+from oracles import (SingularityEstimate, energy_derivatives, finite_difference_derivatives,
+                     singularity_from_derivatives)
 
 from phi4trunc import (
     LatticeSpec,
@@ -11,16 +12,14 @@ from phi4trunc import (
     affine_operator,
     anharmonic_family,
     dense_spectrum,
-    energy_derivatives,
     lanczos_lowest,
     lattice_ground_energies,
     lattice_hamiltonian,
     single_site_hamiltonian,
-    singularity_from_derivatives,
 )
 from phi4trunc import spectral
 from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
-from phi4trunc.spectral import SingularityEstimate, _sectors_hold_ground
+from phi4trunc.spectral import _sectors_hold_ground
 
 
 def even_levels_nmax4(lam):
@@ -257,7 +256,7 @@ def test_near_degeneracy_warning():
 
     h0 = np.diag([0.0, 5.0, 1e-9, 7.0])  # even sector holds indices 0 and 2
     v = np.full((4, 4), 0.1)
-    fam2 = ham.CouplingFamily(h0, v, 4, 1, "synthetic")
+    fam2 = ham.CouplingFamily(h0, v, 4)
     with pytest.warns(RuntimeWarning, match="degenerate"):
         energy_derivatives(fam2, 0, "even", 0.0)
     del fam
@@ -266,7 +265,11 @@ def test_near_degeneracy_warning():
 def test_lattice_family_derivatives_decoupled_limit():
     # at kappa = 0 the lattice ground energy is n_sites times the
     # single-site one, so every lam-derivative scales the same way
-    from phi4trunc import lattice_family
+    from types import SimpleNamespace
+
+    def lattice_family(spec):
+        blocks = dict(zip(("even", "odd"), _lattice_blocks(spec, "parity")))
+        return SimpleNamespace(sector_matrices=lambda sector: tuple(m.toarray() for m in blocks[sector]))
 
     trunc = TruncationSpec(4)
     single = energy_derivatives(anharmonic_family(trunc), 0, "even", 0.1)
@@ -328,7 +331,7 @@ def test_sum_over_states_rejects_exact_degeneracy():
     import phi4trunc.hamiltonian as ham
 
     # the even sector (indices 0, 2) holds two equal unperturbed energies
-    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)), 4, 1, "synthetic")
+    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)), 4)
     with pytest.warns(RuntimeWarning, match="degenerate"), \
             pytest.raises(ValueError, match="degenerate"):
         energy_derivatives(fam, 0, "even", 0.0)
