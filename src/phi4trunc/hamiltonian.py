@@ -400,17 +400,16 @@ class CouplingFamily:
 
     h0: np.ndarray
     v: np.ndarray
-    n_max: int
 
     def sector_matrices(self, sector: str) -> tuple[np.ndarray, np.ndarray]:
         """The even or the odd occupation-parity block of h0 and of v."""
-        idx = sector_indices(self.n_max, sector)
+        idx = sector_indices(self.h0.shape[0], sector)
         return self.h0[np.ix_(idx, idx)], self.v[np.ix_(idx, idx)]
 
 
 def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
     """H(lam) = H_har + lam phi^4 for one site."""
-    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc), trunc.n_max)
+    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc))
 
 
 def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
@@ -419,5 +418,5 @@ def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
     H_str(1/lam) = H_anh(lam)/lam for lam != 0, so both families share the
     same exceptional points up to inversion.
     """
-    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries, trunc.n_max)
+    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries)
 

@@ -5,9 +5,11 @@ the slowest-varying index, matching the lattice site ordering.  The Pauli
 word with X/Y mask f and Z/Y mask z maps |x> to
 i^popcount(f & z) (-1)^popcount(x & z) |x ^ f>, so its coefficient
 tr(P H)/2^n_q is i^popcount(f & z)/2^n_q times the Walsh-Hadamard
-transform at z of the diagonal i -> H[i, i ^ f].  One transform of all
-2^n_q diagonals gives all 4^n_q coefficients.  The gate-resource count runs
-the same transform on exact integers.  A Trotter plan compiles to one source permutation x ^ f
+transform at z of the diagonal i -> H[i, i ^ f].  Only the flips
+f = i ^ j of the nonzero entries H[i, j] have a nonzero diagonal, so only
+those diagonals are gathered and transformed; every other word's
+coefficient is exactly zero.  The gate-resource count runs the same
+transform on exact integers.  A Trotter plan compiles to one source permutation x ^ f
 and one phase vector per term; applied to the identity they give the step
 unitary, which then advances the state.
 """
@@ -34,8 +36,9 @@ __all__ = [
     "qubit_count",
 ]
 
-# count_resources holds arrays of 4^n_q words: about 35, 52 and 119 MB at
-# n_q = 8, 9 and 10, four times more per qubit
+# count_resources transforms a (surd groups x 2^n_q) integer array, which
+# grows four times per qubit: peak RSS about 34, 45 and 88 MB at n_q = 8, 9
+# and 10, of which 30 MB is the interpreter and numpy
 MAX_RESOURCE_QUBITS = 10
 
 _LETTERS = np.array(list("IXYZ"))
@@ -108,47 +111,55 @@ def qubit_count(n_max: int) -> int:
     return n_q
 
 
-def _check_input(h: OperatorMatrix, n_q: int) -> np.ndarray:
+def _check_input(h: OperatorMatrix, n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix and the rows and columns of its nonzero entries, once it is Hermitian.
+
+    The test is the dense allclose(m, m^H, atol=1e-10), run on the nonzero
+    entries only.  It holds where m[r, c] and m[c, r] are both zero.  Where
+    only m[c, r] is nonzero, |m[c, r]| <= atol, its own test, is stricter
+    than |m[c, r]| <= atol + rtol |m[c, r]|, the test at (r, c).
+    """
     m = np.asarray(h.entries, dtype=complex)
     if m.shape[0] != 2**n_q:
         raise ValueError(f"dimension {m.shape[0]} is not 2^{n_q}")
-    if not np.allclose(m, m.conj().T, atol=1e-10):
+    i, j = np.nonzero(m)
+    if not np.allclose(m[i, j], m[j, i].conj(), atol=1e-10):
         raise ValueError("Pauli decomposition requires a Hermitian matrix")
-    return m
+    return m, i, j
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """Unnormalised transform of each row: out[r, z] = sum_i (-1)^popcount(i & z) a[r, i].
 
     Butterflies run from the most significant bit down, the order in which
-    a recursive split into qubit-0 quadrants adds the entries.
+    a recursive split into qubit-0 quadrants adds the entries.  They run in
+    place on one copy of a, with one buffer for the halves they overwrite.
     """
     rows, dim = a.shape
+    out = a.copy()
+    buf = np.empty((rows, dim // 2), dtype=out.dtype)
     half = dim // 2
     while half:
-        a = a.reshape(rows, -1, 2, half)
-        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        v = out.reshape(rows, -1, 2, half)
+        lo = buf.reshape(rows, -1, half)
+        np.copyto(lo, v[:, :, 0])
+        v[:, :, 0] += v[:, :, 1]
+        np.subtract(lo, v[:, :, 1], out=v[:, :, 1])
         half //= 2
-    return a.reshape(rows, dim)
+    return out
 
 
-def _word_masks(n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, z, Y count) of all 4^n_q words, in lexicographic I < X < Y < Z order.
+def _word_index(f: np.ndarray, z: np.ndarray, n_q: int) -> np.ndarray:
+    """Lexicographic I < X < Y < Z index of the word with X/Y mask f and Z/Y mask z.
 
-    Word w has the base-4 digit (w >> 2(n_q-1-q)) & 3 on qubit q, 0..3 for
-    I, X, Y, Z, so f has a bit for digits 1 and 2 and z for digits 2 and 3.
+    Qubit q is the base-4 digit n_q-1-q of the index, 0..3 for I, X, Y, Z:
+    its high bit is the qubit's z bit and its low bit its f ^ z bit.
     """
-    w = np.arange(4**n_q)
-    f = np.zeros_like(w)
-    z = np.zeros_like(w)
-    ys = np.zeros_like(w)
-    for q in range(n_q):
-        digit = (w >> (2 * (n_q - 1 - q))) & 3
-        bit = 1 << (n_q - 1 - q)
-        f |= np.where((digit == 1) | (digit == 2), bit, 0)
-        z |= np.where(digit >= 2, bit, 0)
-        ys += digit == 2
-    return f, z, ys
+    low = f ^ z
+    word = np.zeros(low.shape, dtype=np.int64)
+    for k in range(n_q):
+        word |= (((z >> k) & 1) << (2 * k + 1)) | (((low >> k) & 1) << (2 * k))
+    return word
 
 
 def _word_strings(words: np.ndarray, n_q: int) -> list[str]:
@@ -168,27 +179,32 @@ def pauli_decompose(h: OperatorMatrix, n_q: int) -> PauliDecomposition:
     so a change of units drops nothing new.  Terms come in lexicographic
     I < X < Y < Z order.
     """
-    m = _check_input(h, n_q)
+    m, i, j = _check_input(h, n_q)
     dim = 2**n_q
     idx = np.arange(dim)
-    # row f of the gather is the diagonal i -> m[i, i ^ f]
-    diagonals = m[idx, idx ^ idx[:, None]]
-    spectrum = _walsh_hadamard(diagonals)
-    f, z, ys = _word_masks(n_q)
-    vals = spectrum[f, z] * _I_POWERS[ys % 4] / dim
+    flips = np.union1d([0], i ^ j)  # flip 0 holds the identity word
+    # row r of the gather is the diagonal i -> m[i, i ^ flips[r]]
+    diagonals = m[idx, idx ^ flips[:, None]]
+    words = _word_index(flips[:, None], idx, n_q).ravel()
+    order = np.argsort(words)
+    words = words[order]
+    row, z = np.divmod(order, dim)
+    fz = flips[row] & z
+    ys = sum((fz >> k) & 1 for k in range(n_q))  # the Y count popcount(f & z)
+    vals = _walsh_hadamard(diagonals).ravel()[order] * _I_POWERS[ys % 4] / dim
     bad = np.flatnonzero(np.abs(vals.imag) > 1e-9)
     if bad.size:
-        word = _word_strings(bad[:1], n_q)[0]
+        word = _word_strings(words[bad[:1]], n_q)[0]
         raise ValueError(f"non-real coefficient {vals[bad[0]]} on {word}; input not Hermitian")
     coeffs = vals.real
     # n_q butterfly levels each round a partial sum bounded by dim max|H[i, i ^ f]|
     # by eps; the structural words of the phi^4 site sit 39x or more above it
     # at n_q <= 8, and the roundoff of summed Pauli words stays below 0.1x
-    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[f]
+    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[row]
     size, cut = np.abs(coeffs[1:]), cut[1:]  # word 0 is the identity
     kept = np.flatnonzero(size > cut) + 1
     dropped = int(np.count_nonzero((size <= cut) & (size != 0.0)))
-    terms = [PauliTerm(s, float(c)) for s, c in zip(_word_strings(kept, n_q), coeffs[kept])]
+    terms = [PauliTerm(s, float(c)) for s, c in zip(_word_strings(words[kept], n_q), coeffs[kept])]
     return PauliDecomposition(terms, float(coeffs[0]), n_q, dropped)
 
 
@@ -244,11 +260,12 @@ def _structural_words(n_q: int) -> list[str]:
     vecs = np.stack(list(groups.values()))
     if int(np.abs(vecs).max()) * n >= 2**63:  # |transform| <= n max|v| at every butterfly
         raise OverflowError(f"integer transform at n_q={n_q} exceeds int64")
-    hit = np.zeros((n, n), dtype=bool)
-    np.logical_or.at(hit, flips, _walsh_hadamard(vecs) != 0)
-    hit[0, 0] = False  # the identity word is a global phase
-    f, z, _ = _word_masks(n_q)
-    return _word_strings(np.flatnonzero(hit[f, z]), n_q)
+    reached, row = np.unique(flips, return_inverse=True)
+    hit = np.zeros((reached.size, n), dtype=bool)
+    np.logical_or.at(hit, row, _walsh_hadamard(vecs) != 0)
+    hit[0, 0] = False  # reached[0] is flip 0: the identity word is a global phase
+    r, z = np.nonzero(hit)
+    return _word_strings(np.sort(_word_index(reached[r], z, n_q)), n_q)
 
 
 def count_resources(n_q: int) -> ResourceEstimate:
@@ -262,7 +279,8 @@ def count_resources(n_q: int) -> ResourceEstimate:
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
     if n_q > MAX_RESOURCE_QUBITS:
-        raise ValueError(f"n_q {n_q} exceeds cap {MAX_RESOURCE_QUBITS}: the count holds 4^n_q words in memory")
+        raise ValueError(f"n_q {n_q} exceeds cap {MAX_RESOURCE_QUBITS}: the count's integer transform "
+                         "grows four times in memory per qubit")
     return ResourceEstimate(n_q, len(_structural_words(n_q)))
 
 

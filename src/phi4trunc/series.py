@@ -139,7 +139,7 @@ def weak_series_charpoly(trunc: TruncationSpec, level: int, max_order: int = 10)
     for m in range(1, max_order + 1):
         resid = f_of_series(e + [Fraction(0)], m)
         e.append(-resid[m] / dfdz0 if m < len(resid) else Fraction(0))
-    return PowerSeries(e, "weak_lambda", meta={"path": "charpoly"})
+    return PowerSeries(e, "weak_lambda")
 
 
 def _trunc_mul(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction]:

@@ -31,7 +31,9 @@ hermite_zeros, whose doubles seed the strong-series oracle's Newton.
 - structural Pauli word sets also come from a 40-digit recursive split
   into qubit-0 quadrants at a fixed coupling;
 - Pauli coefficients also come from explicit traces tr(P H)/2^n_q of
-  dense Kronecker-product words;
+  dense Kronecker-product words, and bit for bit from the full gather:
+  the Walsh-Hadamard transform of all 2^n_q diagonals i -> H[i, i ^ f],
+  read at the masks of all 4^n_q words;
 - occupation parity is summed digit by digit, one product index at a time;
 - Trotter steps are dense products of cos(theta) 1 - i sin(theta) P, and
   Trotter evolution applies each rotation to the statevector in turn;
@@ -405,15 +407,19 @@ def _surd_matmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalised transform: out[z] = sum_j (-1)^popcount(j & z) v[j]."""
-    n = v.size
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        v = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(n)
-        h *= 2
-    return v
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised transform of each row: out[r, z] = sum_i (-1)^popcount(i & z) a[r, i].
+
+    Butterflies run from the most significant bit down, each level a new
+    stacked array.
+    """
+    rows, dim = a.shape
+    half = dim // 2
+    while half:
+        a = a.reshape(rows, -1, 2, half)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        half //= 2
+    return a.reshape(rows, dim)
 
 
 def structural_pauli_count(n_q: int) -> int:
@@ -446,7 +452,7 @@ def structural_pauli_count(n_q: int) -> int:
     for (flip, _), vec in groups.items():
         # |transform| <= n max|v| bounds every butterfly stage: no int64 overflow
         assert int(np.abs(vec).max()) * n < 2**63
-        nonzero.setdefault(flip, set()).update(np.flatnonzero(_walsh_hadamard(vec)).tolist())
+        nonzero.setdefault(flip, set()).update(np.flatnonzero(_walsh_hadamard(vec[None])).tolist())
     nonzero[0].discard(0)  # the identity word is a global phase
     return sum(len(zs) for zs in nonzero.values())
 
@@ -529,6 +535,60 @@ def pauli_decompose_trace(m: np.ndarray, n_q: int) -> dict[str, float]:
     for _ in range(n_q):
         words = [w + ch for w in words for ch in "IXYZ"]
     return {w: float(np.trace(pauli_matrix(w) @ m).real) / 2**n_q for w in words}
+
+
+def _word_masks(n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, z, Y count) of all 4^n_q words, in lexicographic I < X < Y < Z order.
+
+    Word w has the base-4 digit (w >> 2(n_q-1-q)) & 3 on qubit q, 0..3 for
+    I, X, Y, Z, so f has a bit for digits 1 and 2 and z for digits 2 and 3.
+    """
+    w = np.arange(4**n_q)
+    f = np.zeros_like(w)
+    z = np.zeros_like(w)
+    ys = np.zeros_like(w)
+    for q in range(n_q):
+        digit = (w >> (2 * (n_q - 1 - q))) & 3
+        bit = 1 << (n_q - 1 - q)
+        f |= np.where((digit == 1) | (digit == 2), bit, 0)
+        z |= np.where(digit >= 2, bit, 0)
+        ys += digit == 2
+    return f, z, ys
+
+
+def _word_string(word: int, n_q: int) -> str:
+    return "".join("IXYZ"[(word >> 2 * (n_q - 1 - q)) & 3] for q in range(n_q))
+
+
+def pauli_decompose_full_gather(m: np.ndarray, n_q: int) -> tuple[list[tuple[str, float]], float, int]:
+    """(terms, identity coefficient, dropped count) from every flip's diagonal and every word.
+
+    The dense path that the package's pauli_decompose restricts to the flips of
+    the nonzero entries: the dense Hermitian test, the gather and transform
+    of all 2^n_q diagonals i -> m[i, i ^ f], the masks of all 4^n_q words,
+    and the same per-flip cut n_q eps max_i |m[i, i ^ f]|.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape[0] != 2**n_q:
+        raise ValueError(f"dimension {m.shape[0]} is not 2^{n_q}")
+    if not np.allclose(m, m.conj().T, atol=1e-10):
+        raise ValueError("Pauli decomposition requires a Hermitian matrix")
+    dim = 2**n_q
+    idx = np.arange(dim)
+    diagonals = m[idx, idx ^ idx[:, None]]
+    spectrum = _walsh_hadamard(diagonals)
+    f, z, ys = _word_masks(n_q)
+    vals = spectrum[f, z] * np.array([1, 1j, -1, -1j])[ys % 4] / dim
+    bad = np.flatnonzero(np.abs(vals.imag) > 1e-9)
+    if bad.size:
+        word = _word_string(int(bad[0]), n_q)
+        raise ValueError(f"non-real coefficient {vals[bad[0]]} on {word}; input not Hermitian")
+    coeffs = vals.real
+    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[f]
+    size, cut = np.abs(coeffs[1:]), cut[1:]
+    kept = np.flatnonzero(size > cut) + 1
+    dropped = int(np.count_nonzero((size <= cut) & (size != 0.0)))
+    return [(_word_string(int(w), n_q), float(coeffs[w])) for w in kept], float(coeffs[0]), dropped
 
 
 def dense_trotter_step(terms: list[tuple[str, float]], dt: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from phi4trunc.pauli import (
     MAX_RESOURCE_QUBITS,
     PauliTerm,
     TrotterPlan,
+    _check_input,
     _structural_words,
     _surd_groups,
 )
@@ -30,6 +31,7 @@ from phi4trunc.pauli import (
 from oracles import (
     dense_trotter_step,
     mp_pauli_words,
+    pauli_decompose_full_gather,
     pauli_decompose_trace,
     pauli_matrix,
     rotate_pauli,
@@ -125,7 +127,7 @@ def test_resource_count_past_the_cap_is_refused_before_allocating(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated before the cap check")
 
-    for name in ("_structural_words", "_surd_groups", "_word_masks", "_walsh_hadamard"):
+    for name in ("_structural_words", "_surd_groups", "_word_index", "_walsh_hadamard"):
         monkeypatch.setattr(pauli, name, refuse)
     n_q = MAX_RESOURCE_QUBITS + 1
     with pytest.raises(ValueError, match=f"n_q {n_q} exceeds cap {MAX_RESOURCE_QUBITS}"):
@@ -214,6 +216,98 @@ def test_decomposition_rebuilds_random_hermitian(parts):
         assert dec.identity_coeff == pytest.approx(oracle["I" * n_q], abs=1e-12)
         for term in dec.terms:
             assert term.coeff == pytest.approx(oracle[term.string], abs=1e-12)
+
+
+def _outcome(decompose):
+    """Terms with their coefficient bits, identity bits and drop count, or the ValueError's message."""
+    try:
+        terms, identity, dropped = decompose()
+    except ValueError as err:
+        return str(err)
+    return [(s, c.hex()) for s, c in terms], identity.hex(), dropped
+
+
+@st.composite
+def _decomposition_inputs(draw):
+    """(matrix, n_q): dense complex Hermitian, banded real symmetric, or the single-site H."""
+    kind = draw(st.sampled_from(["dense", "banded", "site"]))
+    if kind == "site":
+        n_max = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]))
+        trunc = TruncationSpec(n_max, draw(st.sampled_from([0.25, 1.0, 1.5, 4.0])))
+        lam = draw(st.sampled_from([0.0, 0.0417, 1.0 / 3.0, 1.4, 25.0]))
+        return single_site_hamiltonian(trunc, lam).entries, n_max.bit_length() - 1
+    n_q = draw(st.integers(1, 6))
+    dim = 2**n_q
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":  # every flip's diagonal is nonzero
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (m + m.conj().T) / 2, n_q
+    band = draw(st.integers(0, dim - 1))
+    m = np.triu(rng.standard_normal((dim, dim))) * (np.subtract.outer(np.arange(dim), np.arange(dim)) >= -band)
+    return m + np.triu(m, 1).T, n_q
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_decomposition_inputs())
+@example(case=(single_site_hamiltonian(TruncationSpec(256), 0.0417).entries, 8))
+@example(case=(np.eye(4), 2))
+@example(case=(np.zeros((2, 2)), 1))
+def test_decomposition_on_the_reached_flips_is_the_full_gather(case):
+    # the same words, coefficient bits, identity and drop count as the
+    # transform of every flip's diagonal read at all 4^n_q words
+    m, n_q = case
+
+    def ours():
+        dec = pauli_decompose(OperatorMatrix(m), n_q)
+        return [(t.string, t.coeff) for t in dec.terms], dec.identity_coeff, dec.n_dropped
+
+    assert _outcome(ours) == _outcome(lambda: pauli_decompose_full_gather(m, n_q))
+
+
+ATOL = 1e-10  # the Hermitian test's absolute tolerance
+
+
+@st.composite
+def _near_hermitian(draw):
+    """A sparse or dense Hermitian matrix with a few entries spoilt: one-sided, NaN, or moved by about atol."""
+    dim = 2 ** draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = rng.random((dim, dim)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    m = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * fill
+    m = m + m.conj().T
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(["one_sided", "nan", "near_atol"]))
+        unit = draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+        factor = draw(st.floats(0.999, 1.001))
+        if kind == "one_sided":  # m[c, r] = 0 != m[r, c]
+            m[c, r] = 0.0
+            m[r, c] = unit * draw(st.sampled_from([ATOL * factor, 1.0]))
+        elif kind == "nan":
+            m[r, c] = draw(st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), complex(1.0, np.nan)]))
+        else:  # |m[r, c] - conj(m[c, r])| next to atol + rtol |m[c, r]|
+            m[r, c] = np.conj(m[c, r]) + unit * (ATOL + 1e-5 * abs(m[c, r])) * factor
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_near_hermitian())
+@example(m=np.array([[0.0, 0.0], [1.0, 0.0]]))
+@example(m=np.array([[0.0, ATOL * (1 + 1e-6)], [0.0, 0.0]]))
+@example(m=np.array([[0.0, ATOL * (1 - 1e-6)], [0.0, 0.0]]))
+@example(m=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@example(m=np.array([[2.0, 1.0 + ATOL + 1e-5 * (1 + 1e-9)], [1.0, 0.0]]))
+@example(m=np.array([[ATOL * 0.6j, 0.0], [0.0, 0.0]]))
+def test_hermitian_check_on_the_nonzero_pattern_is_the_dense_check(m):
+    n_q = m.shape[0].bit_length() - 1
+    try:
+        _check_input(OperatorMatrix(m), n_q)
+        accepted = True
+    except ValueError as err:
+        assert "Hermitian" in str(err)
+        accepted = False
+    with np.errstate(invalid="ignore"):
+        assert accepted == np.allclose(m, m.conj().T, atol=ATOL)
 
 
 def _random_plan(data, n_q, last_letters="IXYZ"):

@@ -256,7 +256,7 @@ def test_near_degeneracy_warning():
 
     h0 = np.diag([0.0, 5.0, 1e-9, 7.0])  # even sector holds indices 0 and 2
     v = np.full((4, 4), 0.1)
-    fam2 = ham.CouplingFamily(h0, v, 4)
+    fam2 = ham.CouplingFamily(h0, v)
     with pytest.warns(RuntimeWarning, match="degenerate"):
         energy_derivatives(fam2, 0, "even", 0.0)
     del fam
@@ -331,7 +331,7 @@ def test_sum_over_states_rejects_exact_degeneracy():
     import phi4trunc.hamiltonian as ham
 
     # the even sector (indices 0, 2) holds two equal unperturbed energies
-    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)), 4)
+    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)))
     with pytest.warns(RuntimeWarning, match="degenerate"), \
             pytest.raises(ValueError, match="degenerate"):
         energy_derivatives(fam, 0, "even", 0.0)

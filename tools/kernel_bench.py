@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes, Dyson.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes, Dyson, Pauli.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -61,6 +61,13 @@ DYSON_ROWS (state in, state out, lam): dyson_series at n_max 8, order 6,
 plus its trace over 101 times in [0, 1], alternating the sides, median of
 --rs-repeats after a warm-up, and records the number of terms and whether
 the two traces are equal byte for byte.
+`pauli` times, on each side, pauli_decompose of the single-site
+Hamiltonian for every n_max of PAULI_NMAX (the benchmark's pauli ops run
+n_max 64 and 256) and count_resources for every n_q of PAULI_NQ,
+alternating the sides, median of --rs-repeats after a warm-up, and records
+whether the two sides' results are equal bit for bit and the median minor
+page faults per call; run the tool under perfbench's pinned glibc mmap
+threshold for fault counts that match the benchmark's.
 --parts picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
@@ -214,16 +221,26 @@ def sweep_rows(sides: dict[str, Path]) -> dict:
     return out
 
 
-def _median_times(calls: dict, repeats: int) -> dict[str, float]:
-    """Median seconds of each call after a warm-up, alternating the order of the calls."""
+def _median_times(calls: dict, repeats: int, faults: dict | None = None) -> dict[str, float]:
+    """Median seconds of each call after a warm-up, alternating the order of the calls.
+
+    A faults dict, when given, receives each call's median minor page faults.
+    """
+    import resource
+
     for call in calls.values():
         call()
     times = {name: [] for name in calls}
+    minflt = {name: [] for name in calls}
     for i in range(repeats):
         for name in (list(calls) if i % 2 == 0 else list(calls)[::-1]):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             begin = time.perf_counter()
             calls[name]()
             times[name].append(time.perf_counter() - begin)
+            minflt[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    if faults is not None:
+        faults.update({name: int(statistics.median(n)) for name, n in minflt.items()})
     return {name: round(statistics.median(t), 4) for name, t in times.items()}
 
 
@@ -425,7 +442,41 @@ def dyson_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
     return rows
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv", "dyson")
+# pauli_decompose sizes and count_resources registers: the benchmark's pauli
+# and resources ops and the counts up to MAX_RESOURCE_QUBITS
+PAULI_NMAX = (16, 64, 256)
+PAULI_NQ = (7, 8, 9, 10)
+
+
+def pauli_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+
+    def decompose(pkg, n_max: int):
+        return pkg.pauli_decompose(pkg.single_site_hamiltonian(pkg.TruncationSpec(n_max), 0.1), n_max.bit_length() - 1)
+
+    def bits(dec) -> tuple:
+        return [(t.string, t.coeff.hex()) for t in dec.terms], dec.identity_coeff.hex(), dec.n_dropped
+
+    # (row, the call on one side's package, the result's bits and its term count)
+    cases = [({"op": "pauli_decompose", "n_max": n, "lam": 0.1}, lambda pkg, n=n: decompose(pkg, n),
+              lambda dec: (bits(dec), len(dec.terms))) for n in PAULI_NMAX] \
+        + [({"op": "count_resources", "n_q": n}, lambda pkg, n=n: pkg.count_resources(n),
+            lambda est: ((est.n_q, est.n_nz), est.n_nz)) for n in PAULI_NQ]
+    rows = []
+    for row, run, key in cases:
+        calls = {f"{side}_s": (lambda pkg=pkg: run(pkg)) for side, pkg in packages.items()}
+        results = {name: key(call()) for name, call in calls.items()}
+        faults = {}
+        row.update(terms=results["change_s"][1], **_median_times(calls, repeats, faults))
+        row["minor_faults_per_call"] = {name[:-2]: n for name, n in faults.items()}
+        row["same"] = results["parent_s"] == results["change_s"]
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv", "dyson", "pauli")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid, rs, strong, roots, csv and dyson "
+                       "sample, alternating which side runs first; solve, grid, rs, strong, roots, csv, dyson and pauli "
                        "rows are medians in this process after a warm-up, all but solve alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
@@ -460,6 +511,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["csv"] = csv_rows(sides, args.grid_repeats)
     if "dyson" in args.parts:
         kernels["dyson"] = dyson_rows(sides, args.rs_repeats)
+    if "pauli" in args.parts:
+        kernels["pauli"] = pauli_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
