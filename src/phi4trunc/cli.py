@@ -2,13 +2,17 @@
 
 Configuration precedence per key: built-in default, then `key = value`
 lines from --config, then environment variables with the PHI4TRUNC_ prefix,
-then explicit flags.  Every run writes its outputs plus a manifest.json
-echoing the fully resolved configuration; identical manifests produce
-byte-identical CSV bodies (floats are printed at fixed 17 significant
-digits, rationals as numerator/denominator).
+then explicit flags.  Every value, whichever of the four it comes from,
+takes one path: _resolve casts it and checks it against the rule declared
+beside its flag in COMMANDS, and names each refused value with where it
+came from.  Command bodies check only what reads two flags together.
+Every run writes its outputs plus a manifest.json echoing the fully
+resolved configuration; identical manifests produce byte-identical CSV
+bodies (floats are printed at fixed 17 significant digits, rationals as
+numerator/denominator).
 
-Exit codes: 0 success, 1 numeric failure (recorded in the manifest),
-2 usage errors.
+Exit codes: 0 success, 1 a refused value or a numeric failure (recorded in
+the manifest), 2 an unknown command or flag.
 """
 from __future__ import annotations
 
@@ -73,38 +77,44 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]
 
 
-def _choice(cfg, key: str, *allowed: str) -> str:
-    """cfg[key], after checking that it is one of allowed."""
-    if cfg[key] not in allowed:
-        names = ", ".join(map(repr, allowed[:-1])) + f" or {allowed[-1]!r}"
-        raise ValueError(f"--{key} {cfg[key]!r} must be {names}")
-    return cfg[key]
+# A flag's rule maps its cast value to the reason the value is refused, or None.
+
+def _one_of(*allowed: str):
+    names = ", ".join(map(repr, allowed[:-1])) + f" or {allowed[-1]!r}"
+    return lambda v: None if v in allowed else f"must be {names}"
 
 
-def _ordering(cfg) -> str:
-    """The --ordering of the Trotter terms, after checking it."""
-    return _choice(cfg, "ordering", "by_magnitude_desc", "lexicographic", "as_given")
+def _at_least(low: int):
+    return lambda v: None if v >= low else f"must be at least {low}"
+
+
+def _grid_res(v: list[int]) -> str | None:
+    return None if len(v) == 2 and min(v) >= 1 else "needs exactly 2 integers >= 1"
+
+
+def _window(v: list[float]) -> str | None:
+    return None if len(v) == 2 and v[0] < v[1] else "needs exactly 2 values, lo < hi"
+
+
+def _lam_grid(v: list[float]) -> str | None:
+    if len(v) != 3:
+        return "needs exactly 3 values: lo, hi, count"
+    if not v[0] < v[1]:
+        return "needs lo < hi"
+    if not (v[2] >= 5 and float(v[2]).is_integer()):
+        return "needs an integer count >= 5 (one 5-point stencil)"
+    return None
 
 
 def _family(cfg, trunc: TruncationSpec):
-    """The single-site family of --domain, after checking it."""
-    if _choice(cfg, "domain", "weak", "strong") == "strong":
-        return strong_coupling_family(trunc)
-    return anharmonic_family(trunc)
+    """The single-site family of --domain."""
+    return strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns a list of output paths
 
 def _cmd_spectrum(cfg, outdir):
-    _choice(cfg, "method", "dense", "lanczos")
-    _choice(cfg, "sector", "full", "even", "odd")
-    _choice(cfg, "domain", "weak", "strong")
-    _choice(cfg, "boundary", "periodic", "open")
-    if cfg["nsites"] < 1:
-        raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
-    if cfg["k"] < 1:
-        raise ValueError(f"--k {cfg['k']!r} must be at least 1")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     if cfg["nsites"] > 1:
         # the lattice path takes the whole weak-coupling chain, with no parity split
@@ -136,18 +146,14 @@ def _cmd_spectrum(cfg, outdir):
 
 
 def _series(cfg):
-    """The weak or strong series of a series or radius run, after checking its flags.
+    """The weak or strong series of a series or radius run.
 
     --sector defaults to the level's own sector in the weak domain, where
     a named one must hold the level, and to even in the strong domain.
     """
-    if cfg["orders"] < 0:
-        raise ValueError(f"--orders {cfg['orders']!r} must be at least 0")
     sector = cfg["sector"]
-    if sector is not None:
-        _choice(cfg, "sector", "even", "odd")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    if _choice(cfg, "domain", "weak", "strong") == "weak":
+    if cfg["domain"] == "weak":
         held = level_sector(cfg["level"])
         if sector not in (None, held):
             raise ValueError(f"--sector {sector!r} does not hold --level {cfg['level']}, "
@@ -179,11 +185,8 @@ def mp_str(c, digits: int) -> str:
 
 
 def _cmd_radius(cfg, outdir):
-    if len(cfg["fit"]) != 2:
-        raise ValueError(f"--fit {cfg['fit']!r} needs exactly 2 orders")
     fit_lo, fit_hi = cfg["fit"]
-    # a negative --orders is named by _series
-    if cfg["orders"] >= 0 and not 0 <= fit_lo < fit_hi <= cfg["orders"]:
+    if not 0 <= fit_lo < fit_hi <= cfg["orders"]:
         raise ValueError(f"--fit {cfg['fit']!r} needs 0 <= first < second <= --orders {cfg['orders']}")
     ser = _series(cfg)
     radius, slope = radius_estimate(ser, fit_lo, fit_hi)
@@ -229,22 +232,17 @@ def _cmd_projector(cfg, outdir):
 
 
 def _cmd_evolve(cfg, outdir):
-    method = _choice(cfg, "method", "exact", "projector", "dyson", "trotter")
+    method = cfg["method"]
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     sin, sout = cfg["state_in"], cfg["state_out"]
     if method == "trotter":
-        ordering = _ordering(cfg)
-        if not cfg["dt"] > 0:
-            raise ValueError(f"--dt {cfg['dt']!r} must be positive")
-        if cfg["steps"] < 0:
-            raise ValueError(f"--steps {cfg['steps']!r} must be at least 0")
         steps = cfg["steps"] if cfg["steps"] else int(round(cfg["tmax"] / cfg["dt"]))
         if steps < 0:
             raise ValueError(f"--tmax {cfg['tmax']!r} over --dt {cfg['dt']!r} gives {steps} Trotter steps; "
                              "--tmax must be at least 0")
         n_q = qubit_count(trunc.n_max)
         dec = pauli_decompose(single_site_hamiltonian(trunc, cfg["lam"]), n_q)
-        plan = build_trotter_plan(dec, cfg["dt"], steps, ordering)
+        plan = build_trotter_plan(dec, cfg["dt"], steps, cfg["ordering"])
         sim = simulate_trotter(plan, sin, [sout])
         # step and state are integers far below 2^53, which print as str does
         rows = np.column_stack([np.arange(steps + 1), sim["t"], np.full(steps + 1, sout),
@@ -254,8 +252,6 @@ def _cmd_evolve(cfg, outdir):
                                {"dt": cfg["dt"], "lambda": cfg["lam"], "norm_drift": f"{drift:.17g}",
                                 "ordering": plan.ordering})
         return [str(path)]
-    if cfg["nt"] < 1:
-        raise ValueError(f"--nt {cfg['nt']!r} must be at least 1")
     t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
     if method == "exact":
         amp = exact_amplitude(single_site_hamiltonian(trunc, cfg["lam"]), t, sin, sout)
@@ -272,33 +268,10 @@ def _cmd_evolve(cfg, outdir):
     return [str(path)]
 
 
-def _grid_shape(cfg) -> tuple[int, int]:
-    """The --res of a scan or riemann grid, after checking it."""
-    res = cfg["res"]
-    if len(res) != 2 or min(res) < 1:
-        raise ValueError(f"--res {res!r} needs exactly 2 integers >= 1")
-    return res[0], res[1]
-
-
-def _scan_window(cfg) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The --re and --im ranges of a scan, after checking them."""
-    for key in ("re", "im"):
-        if len(cfg[key]) != 2 or not cfg[key][0] < cfg[key][1]:
-            raise ValueError(f"--{key} {cfg[key]!r} needs exactly 2 values, lo < hi")
-    return (cfg["re"][0], cfg["re"][1]), (cfg["im"][0], cfg["im"][1])
-
-
-def _jobs(cfg) -> int:
-    """The --jobs of a scan or riemann grid, after checking it."""
-    if cfg["jobs"] < 1:
-        raise ValueError(f"--jobs {cfg['jobs']!r} must be at least 1")
-    return cfg["jobs"]
-
-
 def _grid_trunc(cfg) -> TruncationSpec:
     """The truncation of a scan or riemann grid, after checking that its sector has a level pair."""
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    levels = len(sector_indices(trunc.n_max, _choice(cfg, "sector", "even", "odd")))
+    levels = len(sector_indices(trunc.n_max, cfg["sector"]))
     if levels < 2:
         raise ValueError(f"--nmax {trunc.n_max} leaves the {cfg['sector']} sector {levels} level, "
                          "and a gap needs a pair of levels")
@@ -306,11 +279,10 @@ def _grid_trunc(cfg) -> TruncationSpec:
 
 
 def _cmd_scan(cfg, outdir):
-    (re_lo, re_hi), (im_lo, im_hi) = _scan_window(cfg)
-    n_re, n_im = _grid_shape(cfg)
-    jobs = _jobs(cfg)
+    (re_lo, re_hi), (im_lo, im_hi) = cfg["re"], cfg["im"]
+    n_re, n_im = cfg["res"]
     family = _family(cfg, _grid_trunc(cfg))
-    grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], jobs)
+    grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], cfg["jobs"])
     if grid.failures == grid.values.size:
         raise np.linalg.LinAlgError(f"scan grid {n_re}x{n_im}: all {grid.failures} points failed to "
                                     "diagonalize, so no gap is left")
@@ -353,7 +325,7 @@ def _cmd_scan(cfg, outdir):
 
 def _cmd_resultant(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    poly = sylvester_discriminant(trunc, _choice(cfg, "sector", "even", "odd"))
+    poly = sylvester_discriminant(trunc, cfg["sector"])
     rows = [(m, c, 1) for m, c in enumerate(poly.coeffs)]
     p1 = csvio.write_csv(outdir / "resultant.csv", ["order", "numerator", "denominator"],
                          rows, {"nmax": cfg["nmax"], "sector": cfg["sector"],
@@ -386,9 +358,6 @@ def _cmd_resources(cfg, outdir):
 
 
 def _cmd_trotter(cfg, outdir):
-    if not all(dt > 0 for dt in cfg["dts"]):
-        raise ValueError(f"--dts {cfg['dts']!r} must all be positive")
-    ordering = _ordering(cfg)
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     n_q = qubit_count(trunc.n_max)
     h = single_site_hamiltonian(trunc, cfg["lam"])
@@ -397,7 +366,7 @@ def _cmd_trotter(cfg, outdir):
     rows = []
     prev = None
     for dt in cfg["dts"]:
-        plan = build_trotter_plan(dec, dt, 1, ordering)
+        plan = build_trotter_plan(dec, dt, 1, cfg["ordering"])
         step = trotter_step_unitary(plan).entries
         exact = (u * np.exp(-1j * w * dt)) @ u.conj().T
         # identity-term phase is not in the plan; restore it for the comparison
@@ -410,26 +379,10 @@ def _cmd_trotter(cfg, outdir):
     return [str(path)]
 
 
-def _sweep_grid(cfg) -> np.ndarray:
-    """The lambda grid of a lattice sweep, after checking it and the kappas."""
-    if not cfg["kappas"]:
-        raise ValueError(f"--kappas {cfg['kappas']!r} names no kappa")
-    if len(cfg["lam_grid"]) != 3:
-        raise ValueError(f"--lam-grid {cfg['lam_grid']!r} needs exactly 3 values: lo, hi, count")
-    lam_lo, lam_hi, n_lam = cfg["lam_grid"]
-    if not lam_lo < lam_hi:
-        raise ValueError(f"--lam-grid lo {lam_lo!r} must be below hi {lam_hi!r}")
-    if n_lam != int(n_lam) or n_lam < 5:
-        raise ValueError(f"--lam-grid count {n_lam!r} must be an integer >= 5 (one 5-point stencil)")
-    return np.linspace(lam_lo, lam_hi, int(n_lam))
-
-
 def _cmd_lattice_sweep(cfg, outdir):
-    if cfg["nsites"] < 1:
-        raise ValueError(f"--nsites {cfg['nsites']!r} must be at least 1")
-    _choice(cfg, "boundary", "periodic", "open")
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
-    lams = _sweep_grid(cfg)
+    lam_lo, lam_hi, n_lam = cfg["lam_grid"]
+    lams = np.linspace(lam_lo, lam_hi, int(n_lam))
     outputs = []
     summary = []
     for kappa in cfg["kappas"]:
@@ -450,10 +403,9 @@ def _cmd_lattice_sweep(cfg, outdir):
 
 
 def _cmd_riemann(cfg, outdir):
-    n_lat, n_lon = _grid_shape(cfg)
-    jobs = _jobs(cfg)
+    n_lat, n_lon = cfg["res"]
     family = anharmonic_family(_grid_trunc(cfg))
-    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon), jobs)
+    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon), cfg["jobs"])
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"],
                             "orientation": "0->south,inf->north,arg(lambda)->longitude",
@@ -462,61 +414,65 @@ def _cmd_riemann(cfg, outdir):
 
 
 # ---------------------------------------------------------------------------
+# each flag is (cast, default, rule); the entries below are shared by several commands
+
+_TRUNC = {"nmax": (int, 4, None), "omega": (float, 1.0, None)}
+_DOMAIN = (str, "weak", _one_of("weak", "strong"))
+_PARITY = _one_of("even", "odd")
+_SECTOR = (str, "even", _PARITY)
+_BOUNDARY = (str, "periodic", _one_of("periodic", "open"))
+_ORDERING = (str, "by_magnitude_desc", _one_of("by_magnitude_desc", "lexicographic", "as_given"))
+_JOBS = (int, os.cpu_count() or 1, _at_least(1))
+_SERIES = {**_TRUNC, "domain": _DOMAIN, "level": (int, 0, None), "sector": (str, None, _PARITY),
+           "precision": (int, None, None)}
 
 COMMANDS = {
     "spectrum": (_cmd_spectrum, {
-        "nmax": (int, 4), "omega": (float, 1.0), "lam": (_parse_complex, 0.1),
-        "sector": (str, "full"), "method": (str, "dense"), "domain": (str, "weak"),
-        "nsites": (int, 1), "kappa": (float, 0.0), "boundary": (str, "periodic"),
-        "k": (int, 4), "tol": (float, 1e-12), "dump_matrix": (int, 0),
+        **_TRUNC, "lam": (_parse_complex, 0.1, None),
+        "sector": (str, "full", _one_of("full", "even", "odd")),
+        "method": (str, "dense", _one_of("dense", "lanczos")), "domain": _DOMAIN,
+        "nsites": (int, 1, _at_least(1)), "kappa": (float, 0.0, None), "boundary": _BOUNDARY,
+        "k": (int, 4, _at_least(1)), "tol": (float, 1e-12, None), "dump_matrix": (int, 0, None),
     }),
-    "series": (_cmd_series, {
-        "nmax": (int, 4), "omega": (float, 1.0), "domain": (str, "weak"),
-        "level": (int, 0), "sector": (str, None), "orders": (int, 10),
-        "precision": (int, None),
-    }),
+    "series": (_cmd_series, {**_SERIES, "orders": (int, 10, _at_least(0))}),
     "radius": (_cmd_radius, {
-        "nmax": (int, 4), "omega": (float, 1.0), "domain": (str, "weak"),
-        "level": (int, 0), "sector": (str, None), "orders": (int, 200),
-        "fit": (_int_list, [100, 200]), "precision": (int, None),
+        **_SERIES, "orders": (int, 200, _at_least(0)),
+        "fit": (_int_list, [100, 200], lambda v: None if len(v) == 2 else "needs exactly 2 orders"),
     }),
     "projector": (_cmd_projector, {
-        "nmax": (int, 4), "omega": (float, 1.0), "level": (int, 0),
-        "order": (int, 4), "lam": (float, 0.1), "entry": (_int_list, [2, 0]),
+        **_TRUNC, "level": (int, 0, None), "order": (int, 4, None), "lam": (float, 0.1, None),
+        "entry": (_int_list, [2, 0], None),
     }),
     "evolve": (_cmd_evolve, {
-        "nmax": (int, 4), "omega": (float, 1.0), "method": (str, "exact"),
-        "lam": (float, 0.1), "order": (int, 4), "tmax": (float, 20.0),
-        "nt": (int, 201), "state_in": (int, 0), "state_out": (int, 2),
-        "dt": (float, 0.1), "steps": (int, 0), "ordering": (str, "by_magnitude_desc"),
+        **_TRUNC, "method": (str, "exact", _one_of("exact", "projector", "dyson", "trotter")),
+        "lam": (float, 0.1, None), "order": (int, 4, None), "tmax": (float, 20.0, None),
+        "nt": (int, 201, _at_least(1)), "state_in": (int, 0, None), "state_out": (int, 2, None),
+        "dt": (float, 0.1, lambda v: None if v > 0 else "must be positive"),
+        "steps": (int, 0, _at_least(0)), "ordering": _ORDERING,
     }),
     "scan": (_cmd_scan, {
-        "nmax": (int, 4), "omega": (float, 1.0), "sector": (str, "even"),
-        "domain": (str, "weak"), "re": (_float_list, [-0.4, 0.1]),
-        "im": (_float_list, [-0.3, 0.3]), "res": (_int_list, [400, 400]),
-        "refine": (int, 1), "jobs": (int, os.cpu_count() or 1),
+        **_TRUNC, "sector": _SECTOR, "domain": _DOMAIN,
+        "re": (_float_list, [-0.4, 0.1], _window), "im": (_float_list, [-0.3, 0.3], _window),
+        "res": (_int_list, [400, 400], _grid_res), "refine": (int, 1, None), "jobs": _JOBS,
     }),
-    "resultant": (_cmd_resultant, {
-        "nmax": (int, 4), "omega": (float, 1.0), "sector": (str, "even"),
-    }),
-    "pauli": (_cmd_pauli, {
-        "nmax": (int, 4), "omega": (float, 1.0), "lam": (float, 0.1),
-    }),
-    "resources": (_cmd_resources, {
-        "nq": (_int_list, [2, 3, 4, 5, 6, 7, 8]),
-    }),
+    "resultant": (_cmd_resultant, {**_TRUNC, "sector": _SECTOR}),
+    "pauli": (_cmd_pauli, {**_TRUNC, "lam": (float, 0.1, None)}),
+    "resources": (_cmd_resources, {"nq": (_int_list, [2, 3, 4, 5, 6, 7, 8], None)}),
     "trotter": (_cmd_trotter, {
-        "nmax": (int, 4), "omega": (float, 1.0), "lam": (float, 0.1),
-        "dts": (_float_list, [0.2, 0.1, 0.05]), "ordering": (str, "by_magnitude_desc"),
+        **_TRUNC, "lam": (float, 0.1, None),
+        "dts": (_float_list, [0.2, 0.1, 0.05],
+                lambda v: None if all(dt > 0 for dt in v) else "must all be positive"),
+        "ordering": _ORDERING,
     }),
     "lattice-sweep": (_cmd_lattice_sweep, {
-        "nsites": (int, 4), "nmax": (int, 4), "omega": (float, 1.0),
-        "kappas": (_float_list, [0.1]), "lam_grid": (_float_list, [-0.32, -0.02, 121]),
-        "boundary": (str, "periodic"), "tol": (float, 1e-11),
+        "nsites": (int, 4, _at_least(1)), **_TRUNC,
+        "kappas": (_float_list, [0.1], lambda v: None if v else "names no kappa"),
+        "lam_grid": (_float_list, [-0.32, -0.02, 121], _lam_grid), "boundary": _BOUNDARY,
+        "tol": (float, 1e-11, None),
     }),
     "riemann": (_cmd_riemann, {
-        "nmax": (int, 8), "omega": (float, 1.0), "sector": (str, "even"),
-        "res": (_int_list, [60, 120]), "jobs": (int, os.cpu_count() or 1),
+        **_TRUNC, "nmax": (int, 8, None), "sector": _SECTOR,
+        "res": (_int_list, [60, 120], _grid_res), "jobs": _JOBS,
     }),
 }
 
@@ -533,21 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--outdir", default=None, help="output directory (default: out/<command>)")
         p.add_argument("--json", type=int, default=0, help="also mirror each CSV as JSON")
-        for key, (caster, default) in spec.items():
-            # list flags arrive as text and are cast in _resolve
-            kind = str if caster in (_int_list, _float_list) else caster
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind, help=f"default: {default}")
+        for key, (_cast, default, _rule) in spec.items():
+            # the text is cast and checked in _resolve
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=f"default: {default}")
     return parser
 
 
 def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    """Each key's value by precedence, cast, and the values that do not cast.
+    """Each key's value by precedence, cast and checked, and the values refused.
 
-    argparse casts the scalar flags; list flags, PHI4TRUNC_ variables and
-    --config lines arrive as text and are cast here.  A value that does not
-    cast stays text in the config and is named, with where it came from, in
-    the second list, so that main records the failure in the manifest; so
-    is a --config file that cannot be read or parsed.
+    Flags, PHI4TRUNC_ variables and --config lines arrive as text and are
+    cast here; every value, a default too, is then checked by its flag's
+    rule (None, the default of an optional flag, is not checked).  Each
+    refused value is named in the second list with where it came from, so
+    that main records the failure in the manifest; one that does not cast
+    stays text in the config.  So is a --config file that cannot be read
+    or parsed.
     """
     cfg, bad = {}, []
     try:
@@ -555,22 +512,26 @@ def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
     except (OSError, ValueError) as exc:
         config_file = {}
         bad.append(f"--config {args.config}: {exc}")
-    for key, (caster, default) in spec.items():
-        raw, origin = getattr(args, key, None), ""
-        if raw is None:
+    for key, (cast, default, rule) in spec.items():
+        value, origin = getattr(args, key), ""
+        if value is None:
             env = os.environ.get(ENV_PREFIX + key.upper())
             if env is not None:
-                raw, origin = env, f" (from {ENV_PREFIX}{key.upper()})"
+                value, origin = env, f" (from {ENV_PREFIX}{key.upper()})"
             elif key in config_file:
-                raw, origin = config_file[key], f" (from {args.config})"
+                value, origin = config_file[key], f" (from {args.config})"
             else:
-                raw = default
-        if isinstance(raw, str) and caster is not str:
-            try:
-                raw = caster(raw)
-            except ValueError as exc:
-                bad.append(f"--{key.replace('_', '-')}{origin} {raw!r}: {exc}")
-        cfg[key] = raw
+                value = default
+        flag = f"--{key.replace('_', '-')}{origin}"
+        try:
+            value = cast(value) if isinstance(value, str) else value
+        except ValueError as exc:
+            bad.append(f"{flag} {value!r}: {exc}")
+        else:
+            reason = rule(value) if rule and value is not None else None
+            if reason:
+                bad.append(f"{flag} {value!r} {reason}")
+        cfg[key] = value
     return cfg, bad
 
 

@@ -14,6 +14,7 @@ configuration.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,14 +35,29 @@ _KERNEL_CELLS = 6000
 # of peak RSS, and the kernel's (cells, 32) byte matrices stay below glibc's
 # default mmap threshold of 128 KiB
 _BLOCK_CELLS = 3072
+
+
+def _int_text(n: int) -> str:
+    """str(n), also past the interpreter's digit limit on int-to-text conversion.
+
+    A float omega enters an exact series as its binary fraction, and its
+    denominators outgrow the limit (4300 digits by default) at a few
+    hundred orders; Decimal prints an int exactly and has no such limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 # the cell types the commands write, looked up by exact type first
 _FORMAT = {
     float: "{:.17g}".format,
     np.float64: "{:.17g}".format,
-    int: str,
+    int: _int_text,
     np.int64: str,
     str: str,
-    Fraction: lambda x: f"{x.numerator}/{x.denominator}",
+    Fraction: lambda x: f"{_int_text(x.numerator)}/{_int_text(x.denominator)}",
     complex: lambda x: f"{x.real:.17g}+{x.imag:.17g}j",
 }
 

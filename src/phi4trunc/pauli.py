@@ -36,9 +36,9 @@ __all__ = [
     "qubit_count",
 ]
 
-# count_resources transforms a (surd groups x 2^n_q) integer array, which
-# grows four times per qubit: peak RSS about 34, 45 and 88 MB at n_q = 8, 9
-# and 10, of which 30 MB is the interpreter and numpy
+# count_resources transforms a (surd groups x 2^n_q) integer array in place,
+# which grows four times per qubit: peak RSS about 33, 39 and 62 MiB at
+# n_q = 8, 9 and 10, of which 30 MiB is the interpreter and numpy
 MAX_RESOURCE_QUBITS = 10
 
 _LETTERS = np.array(list("IXYZ"))
@@ -129,24 +129,23 @@ def _check_input(h: OperatorMatrix, n_q: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Unnormalised transform of each row: out[r, z] = sum_i (-1)^popcount(i & z) a[r, i].
+    """Unnormalised transform of each row, in place: a[r, z] becomes sum_i (-1)^popcount(i & z) a[r, i].
 
     Butterflies run from the most significant bit down, the order in which
-    a recursive split into qubit-0 quadrants adds the entries.  They run in
-    place on one copy of a, with one buffer for the halves they overwrite.
+    a recursive split into qubit-0 quadrants adds the entries, with one
+    buffer for the halves they overwrite.  Returns a.
     """
     rows, dim = a.shape
-    out = a.copy()
-    buf = np.empty((rows, dim // 2), dtype=out.dtype)
     half = dim // 2
+    buf = np.empty((rows, half), dtype=a.dtype)
     while half:
-        v = out.reshape(rows, -1, 2, half)
+        v = a.reshape(rows, -1, 2, half)
         lo = buf.reshape(rows, -1, half)
         np.copyto(lo, v[:, :, 0])
         v[:, :, 0] += v[:, :, 1]
         np.subtract(lo, v[:, :, 1], out=v[:, :, 1])
         half //= 2
-    return out
+    return a
 
 
 def _word_index(f: np.ndarray, z: np.ndarray, n_q: int) -> np.ndarray:
@@ -191,16 +190,16 @@ def pauli_decompose(h: OperatorMatrix, n_q: int) -> PauliDecomposition:
     row, z = np.divmod(order, dim)
     fz = flips[row] & z
     ys = sum((fz >> k) & 1 for k in range(n_q))  # the Y count popcount(f & z)
+    # n_q butterfly levels each round a partial sum bounded by dim max|H[i, i ^ f]|
+    # by eps; the structural words of the phi^4 site sit 39x or more above it
+    # at n_q <= 8, and the roundoff of summed Pauli words stays below 0.1x
+    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[row]
     vals = _walsh_hadamard(diagonals).ravel()[order] * _I_POWERS[ys % 4] / dim
     bad = np.flatnonzero(np.abs(vals.imag) > 1e-9)
     if bad.size:
         word = _word_strings(words[bad[:1]], n_q)[0]
         raise ValueError(f"non-real coefficient {vals[bad[0]]} on {word}; input not Hermitian")
     coeffs = vals.real
-    # n_q butterfly levels each round a partial sum bounded by dim max|H[i, i ^ f]|
-    # by eps; the structural words of the phi^4 site sit 39x or more above it
-    # at n_q <= 8, and the roundoff of summed Pauli words stays below 0.1x
-    cut = n_q * np.finfo(float).eps * np.abs(diagonals).max(axis=1)[row]
     size, cut = np.abs(coeffs[1:]), cut[1:]  # word 0 is the identity
     kept = np.flatnonzero(size > cut) + 1
     dropped = int(np.count_nonzero((size <= cut) & (size != 0.0)))
@@ -223,21 +222,28 @@ def _surd_sqrt(factors) -> tuple[int, int]:
     return m, s
 
 
-def _surd_groups(n: int) -> dict[tuple[int, int], np.ndarray]:
+def _surd_groups(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Integer vectors v of H on n levels by (flip f, squarefree s), see _structural_words.
 
-    Each occupation entry X^4[i, i ^ f] is v[i] sqrt(s) in exactly one
-    group (f, s) and zero in the others; the key (0, 0) holds 2i + 1, the
-    harmonic diagonal in units of omega / 2.
+    Returns the keys (f, s) and one (keys x n) int64 array whose row k is
+    the vector of key k.  Each occupation entry X^4[i, i ^ f] is
+    v[i] sqrt(s) in exactly one group (f, s) and zero in the others; the
+    first key, (0, 0), holds 2i + 1, the harmonic diagonal in units of
+    omega / 2.
     """
-    groups = {(0, 0): 2 * np.arange(n, dtype=np.int64) + 1}  # harmonic: s = 0 is no surd
+    keys = {(0, 0): 0}  # harmonic: s = 0 is no surd
+    entries = []  # (row, index, value), written into the array once its row count is known
     for hi, row in enumerate(_x4_band(n)):
         for lo, big_n in row.items():
             if lo <= hi:
                 m, s = _surd_sqrt(range(lo + 1, hi + 1))
-                vec = groups.setdefault((hi ^ lo, s), np.zeros(n, dtype=np.int64))
-                vec[hi] = vec[lo] = big_n * m
-    return groups
+                k = keys.setdefault((hi ^ lo, s), len(keys))
+                entries += [(k, hi, big_n * m), (k, lo, big_n * m)]
+    vecs = np.zeros((len(keys), n), dtype=np.int64)
+    vecs[0] = 2 * np.arange(n) + 1
+    k, i, v = zip(*entries)
+    vecs[k, i] = v
+    return list(keys), vecs
 
 
 def _structural_words(n_q: int) -> list[str]:
@@ -255,9 +261,8 @@ def _structural_words(n_q: int) -> list[str]:
     enter, and no omega > 0 changes the set.
     """
     n = 2**n_q
-    groups = _surd_groups(n)
-    flips = np.array([flip for flip, _ in groups])
-    vecs = np.stack(list(groups.values()))
+    keys, vecs = _surd_groups(n)
+    flips = np.array([flip for flip, _ in keys])
     if int(np.abs(vecs).max()) * n >= 2**63:  # |transform| <= n max|v| at every butterfly
         raise OverflowError(f"integer transform at n_q={n_q} exceeds int64")
     reached, row = np.unique(flips, return_inverse=True)

@@ -182,6 +182,7 @@ def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     (["--nsites", "-3"], "--nsites -3"),
     (["--nsites", "4", "--kappa", "0.1", "--boundary", "twisted"],
      "--boundary 'twisted' must be 'periodic' or 'open'"),
+    (["--nmax", "x"], "--nmax 'x': invalid literal for int()"),
 ])
 def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     code, outdir = run_cli(["spectrum"] + args, tmp_path, "bad")
@@ -218,6 +219,7 @@ def test_misspelled_sector_or_domain_is_recorded_naming_the_flag(tmp_path, args,
 @pytest.mark.parametrize("args, named", [
     (["evolve", "--method", "trotter", "--dt", "0"], "--dt 0.0 must be positive"),
     (["evolve", "--method", "trotter", "--dt", "-0.1", "--steps", "5"], "--dt -0.1 must be positive"),
+    (["evolve", "--method", "exact", "--dt", "0"], "--dt 0.0 must be positive"),
     (["evolve", "--method", "trotter", "--steps", "-1"], "--steps -1 must be at least 0"),
     (["evolve", "--method", "trotter", "--tmax=-1"],
      "--tmax -1.0 over --dt 0.1 gives -10 Trotter steps; --tmax must be at least 0"),
@@ -556,6 +558,40 @@ def test_list_values_from_variables_and_files_that_do_not_cast_are_recorded(tmp_
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, key, text, refused", [
+    ("spectrum", "method", "bogus", "'bogus' must be 'dense' or 'lanczos'"),
+    ("scan", "jobs", "0", "0 must be at least 1"),
+    ("riemann", "res", "0 5", "[0, 5] needs exactly 2 integers >= 1"),
+    ("spectrum", "nmax", "x", "'x': invalid literal for int() with base 10: 'x'"),
+])
+def test_a_refused_value_names_its_flag_and_where_it_came_from(tmp_path, monkeypatch, command, key, text, refused):
+    # a flag, a PHI4TRUNC_ variable and a --config line take one cast-and-check path
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {text}\n")
+    variable = f"PHI4TRUNC_{key.upper()}"
+    for source, args, origin in [("flag", [f"--{key}", text], ""),
+                                 ("env", [], f" (from {variable})"),
+                                 ("config", ["--config", str(conf)], f" (from {conf})")]:
+        if source == "env":
+            monkeypatch.setenv(variable, text)
+        else:
+            monkeypatch.delenv(variable, raising=False)
+        code, outdir = run_cli([command] + args, tmp_path, source)
+        assert code == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {"type": "ValueError", "message": f"--{key}{origin} {refused}"}
+        assert not list(outdir.glob("*.csv"))
+
+
+def test_unknown_command_is_a_usage_error(tmp_path):
+    # as an unknown flag is (test_usage_error_exit_code): exit 2 and no manifest
+    with pytest.raises(SystemExit) as exit_:
+        main(["no-such-command", "--outdir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("text, named", [("dts 0.1\n", "expected 'key = value'"),
                                          (None, "No such file")], ids=["unparsed-line", "missing-file"])
 def test_config_files_that_cannot_be_read_are_recorded(tmp_path, text, named):
@@ -568,6 +604,24 @@ def test_config_files_that_cannot_be_read_are_recorded(tmp_path, text, named):
     assert manifest["status"] == "error"
     assert str(conf) in manifest["error"]["message"] and named in manifest["error"]["message"]
     assert not list(outdir.glob("*.csv"))
+
+
+def test_series_past_the_int_digit_limit_prints_every_digit(tmp_path):
+    # omega 1.1 enters as its binary fraction: by order 200 the denominators
+    # outgrow the interpreter's 4300-digit limit on int-to-text conversion
+    args = ["series", "--nmax", "4", "--omega", "1.1", "--orders", "200"]
+    code, outdir = run_cli(args, tmp_path, "limited")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, lifted = run_cli(args, tmp_path, "lifted")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    text = (outdir / "series.csv").read_text()
+    assert max(map(len, text.splitlines())) > 2 * limit
+    assert text == (lifted / "series.csv").read_text()
 
 
 def test_exact_and_scan_commands_leave_scipy_optimize_unimported(tmp_path):

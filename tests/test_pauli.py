@@ -173,7 +173,8 @@ def test_surd_groups_sum_to_the_occupation_quartic(n_q):
     n = 2**n_q
     x = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     x4 = np.linalg.matrix_power(x + x.T, 4)
-    groups = _surd_groups(n)
+    keys, vecs = _surd_groups(n)
+    groups = dict(zip(keys, vecs))
     assert np.array_equal(groups.pop((0, 0)), 2 * np.arange(n) + 1)
     rebuilt = np.zeros((n, n))
     for (flip, s), vec in groups.items():

@@ -9,14 +9,18 @@ and the change) for the same workloads and seeds:
 Each run is the record perfbench writes to `.perfbench/<run>/result.json`
 (environment, correct, attempted, failed, metrics, per-op wall times); the
 raw per-pass samples are left out.  `pairs` lines up the metrics of each
-named run side by side.  Each side also gets `wc -l src/phi4trunc/*.py`
-and the wall time and summary line of the Tier-1 suite, run in that
-checkout.  --extra merges the keys of a JSON object file (for example the
-rows of tools/sector_bench.py) into the output.  Standard library only.
+named run side by side.  Each side also gets `wc -l src/phi4trunc/*.py`,
+its settable values (defaulted parameters and dataclass fields, counted
+by `ast`), the flag count of each command in `phi4trunc.cli.COMMANDS`
+(each command also takes --config, --outdir and --json), and the wall
+time and summary line of the Tier-1 suite, run in that checkout.  --extra
+merges the keys of a JSON object file (for example the rows of
+tools/sector_bench.py) into the output.  Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -33,10 +37,43 @@ def line_counts(root: Path) -> dict[str, int]:
     return {**counts, "total": sum(counts.values())}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d  # @dataclass(frozen=True)
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(root: Path) -> dict[str, int]:
+    """Defaulted parameters of every function and fields of every dataclass in src/phi4trunc."""
+    params = fields = 0
+    for path in sorted((root / "src" / "phi4trunc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return {"defaulted_params": params, "dataclass_fields": fields, "total": params + fields}
+
+
+def _src_env(root: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def cli_flags(root: Path) -> dict:
+    """Flag count of each command in that side's cli.COMMANDS, read in a fresh interpreter."""
+    script = ("import json\nfrom phi4trunc.cli import COMMANDS\n"
+              "print(json.dumps({name: len(spec) for name, (_fn, spec) in COMMANDS.items()}))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=_src_env(root),
+                          capture_output=True, text=True, check=True)
+    per_command = json.loads(proc.stdout)
+    return {"per_command": per_command, "total": sum(per_command.values())}
+
+
 def tier1(root: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     begin = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=root, env=_src_env(root), capture_output=True, text=True)
     wall = time.perf_counter() - begin
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "summary": lines[-1] if lines else "", "exit": proc.returncode}
@@ -66,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         print(f"error: no result.json for {', '.join(missing)}", file=sys.stderr)
         return 2
-    bench = {side: {"src_lines": line_counts(root), "tier1": tier1(root),
+    bench = {side: {"src_lines": line_counts(root), "settable_values": settable_values(root),
+                    "cli_flags": cli_flags(root), "tier1": tier1(root),
                     "runs": {n: found[side][n] for n in args.runs}}
              for side, root in sides.items()}
     bench["pairs"] = [
