@@ -23,7 +23,6 @@ from .hamiltonian import (
     strong_coupling_family,
 )
 from .spectral import (
-    SpectrumResult,
     dense_spectrum,
     lanczos_lowest,
     lattice_ground_energies,

@@ -39,6 +39,7 @@ from .hamiltonian import (
 )
 from .oscillator import OperatorMatrix, TruncationSpec
 from .pauli import (
+    MAX_RESOURCE_QUBITS,
     build_trotter_plan,
     count_resources,
     pauli_decompose,
@@ -96,6 +97,20 @@ def _window(v: list[float]) -> str | None:
     return None if len(v) == 2 and v[0] < v[1] else "needs exactly 2 values, lo < hi"
 
 
+def _each(what: str, ok, reason: str):
+    """The rule of a list flag that must name at least one value, each passing ok."""
+    return lambda v: f"names no {what}" if not v else None if all(map(ok, v)) else reason
+
+
+_SWEEP_CSV = "sweep_kappa{:g}.csv"
+
+
+def _kappas(v: list[float]) -> str | None:
+    names = [_SWEEP_CSV.format(kappa) for kappa in v]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    return "names no kappa" if not v else f"share the output file {', '.join(shared)}" if shared else None
+
+
 def _lam_grid(v: list[float]) -> str | None:
     if len(v) != 3:
         return "needs exactly 3 values: lo, hi, count"
@@ -128,12 +143,12 @@ def _cmd_spectrum(cfg, outdir):
         if cfg["method"] == "lanczos":
             eigenvalues = lattice_ground_energies(spec, [cfg["lam"]], cfg["k"], cfg["tol"])[0]
         else:
-            eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian)).eigenvalues
+            eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian))
     else:
         family = _family(cfg, trunc)
         blocks = (family.h0, family.v) if cfg["sector"] == "full" else family.sector_matrices(cfg["sector"])
         h = affine_operator(*blocks, cfg["lam"])
-        eigenvalues = dense_spectrum(h).eigenvalues
+        eigenvalues = dense_spectrum(h)
     rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(eigenvalues)]
     path = csvio.write_csv(outdir / "spectrum.csv", ["index", "re", "im"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"]})
@@ -250,7 +265,7 @@ def _cmd_evolve(cfg, outdir):
         drift = np.max(np.abs(sim["norms"] - 1.0))
         path = csvio.write_csv(outdir / "trotter_trace.csv", ["step", "t", "state", "prob"], rows,
                                {"dt": cfg["dt"], "lambda": cfg["lam"], "norm_drift": f"{drift:.17g}",
-                                "ordering": plan.ordering})
+                                "ordering": cfg["ordering"]})
         return [str(path)]
     t = np.linspace(0.0, cfg["tmax"], cfg["nt"])
     if method == "exact":
@@ -389,7 +404,7 @@ def _cmd_lattice_sweep(cfg, outdir):
         spec = LatticeSpec(cfg["nsites"], trunc, kappa, boundary=cfg["boundary"])
         energies = lattice_ground_energies(spec, lams, tol=cfg["tol"])[:, 0]
         derivs = stencil_derivatives(lams, energies)
-        path = csvio.write_csv(outdir / f"sweep_kappa{kappa:g}.csv",
+        path = csvio.write_csv(outdir / _SWEEP_CSV.format(kappa),
                                ["lambda", "E", "d1", "d2", "d4"], np.column_stack([lams, energies, derivs]),
                                {"kappa": kappa, "nsites": cfg["nsites"], "nmax": cfg["nmax"],
                                 "boundary": cfg["boundary"], "scheme": "finite_difference_5pt"})
@@ -457,16 +472,18 @@ COMMANDS = {
     }),
     "resultant": (_cmd_resultant, {**_TRUNC, "sector": _SECTOR}),
     "pauli": (_cmd_pauli, {**_TRUNC, "lam": (float, 0.1, None)}),
-    "resources": (_cmd_resources, {"nq": (_int_list, [2, 3, 4, 5, 6, 7, 8], None)}),
+    "resources": (_cmd_resources, {
+        "nq": (_int_list, [2, 3, 4, 5, 6, 7, 8], _each("register", lambda n_q: 1 <= n_q <= MAX_RESOURCE_QUBITS,
+                                                         f"needs each n_q in 1..{MAX_RESOURCE_QUBITS}")),
+    }),
     "trotter": (_cmd_trotter, {
         **_TRUNC, "lam": (float, 0.1, None),
-        "dts": (_float_list, [0.2, 0.1, 0.05],
-                lambda v: None if all(dt > 0 for dt in v) else "must all be positive"),
+        "dts": (_float_list, [0.2, 0.1, 0.05], _each("step", lambda dt: dt > 0, "must all be positive")),
         "ordering": _ORDERING,
     }),
     "lattice-sweep": (_cmd_lattice_sweep, {
         "nsites": (int, 4, _at_least(1)), **_TRUNC,
-        "kappas": (_float_list, [0.1], lambda v: None if v else "names no kappa"),
+        "kappas": (_float_list, [0.1], _kappas),
         "lam_grid": (_float_list, [-0.32, -0.02, 121], _lam_grid), "boundary": _BOUNDARY,
         "tol": (float, 1e-11, None),
     }),
@@ -488,30 +505,45 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--outdir", default=None, help="output directory (default: out/<command>)")
-        p.add_argument("--json", type=int, default=0, help="also mirror each CSV as JSON")
+        p.add_argument("--json", default=0, help="also mirror each CSV as JSON")
         for key, (_cast, default, _rule) in spec.items():
             # the text is cast and checked in _resolve
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=f"default: {default}")
     return parser
 
 
-def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    """Each key's value by precedence, cast and checked, and the values refused.
+def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, object, list[str]]:
+    """Each key's value by precedence, cast and checked; the --json value; and the values refused.
 
     Flags, PHI4TRUNC_ variables and --config lines arrive as text and are
-    cast here; every value, a default too, is then checked by its flag's
-    rule (None, the default of an optional flag, is not checked).  Each
-    refused value is named in the second list with where it came from, so
-    that main records the failure in the manifest; one that does not cast
-    stays text in the config.  So is a --config file that cannot be read
-    or parsed.
+    cast here; every value, a default too, is then checked: a real or
+    complex one must be finite, and each must pass its flag's rule (None,
+    the default of an optional flag, is not checked).  Each refused value
+    is named in the last list with where it came from, so that main records
+    the failure in the manifest; one that does not cast stays text in the
+    config.  So is a --config file that cannot be read or parsed.  --json,
+    a flag only, is checked the same way and kept out of the config.
     """
-    cfg, bad = {}, []
+    bad = []
+
+    def checked(flag: str, value, cast, rule):
+        try:
+            value = cast(value) if isinstance(value, str) else value
+        except ValueError as exc:
+            bad.append(f"{flag} {value!r}: {exc}")
+            return value
+        if value is not None and cast in (float, _float_list, _parse_complex) and not np.isfinite(value).all():
+            bad.append(f"{flag} {value!r} must be finite")
+        elif value is not None and rule and (reason := rule(value)):
+            bad.append(f"{flag} {value!r} {reason}")
+        return value
+
     try:
         config_file = csvio.read_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         config_file = {}
         bad.append(f"--config {args.config}: {exc}")
+    cfg = {}
     for key, (cast, default, rule) in spec.items():
         value, origin = getattr(args, key), ""
         if value is None:
@@ -522,23 +554,14 @@ def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, list[str]]:
                 value, origin = config_file[key], f" (from {args.config})"
             else:
                 value = default
-        flag = f"--{key.replace('_', '-')}{origin}"
-        try:
-            value = cast(value) if isinstance(value, str) else value
-        except ValueError as exc:
-            bad.append(f"{flag} {value!r}: {exc}")
-        else:
-            reason = rule(value) if rule and value is not None else None
-            if reason:
-                bad.append(f"{flag} {value!r} {reason}")
-        cfg[key] = value
-    return cfg, bad
+        cfg[key] = checked(f"--{key.replace('_', '-')}{origin}", value, cast, rule)
+    return cfg, checked("--json", args.json, int, None), bad
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     fn, spec = COMMANDS[args.command]
-    cfg, bad = _resolve(spec, args)
+    cfg, mirror, bad = _resolve(spec, args)
 
     from pathlib import Path
 
@@ -563,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
                              error={"type": type(exc).__name__, "message": str(exc)}, run=run)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
+    if mirror:
         outputs = outputs + [
             str(csvio.mirror_csv_as_json(path)) for path in outputs if path.endswith(".csv")
         ]

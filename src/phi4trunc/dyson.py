@@ -102,47 +102,29 @@ class PhasePolynomial:
 
     terms: dict = field(default_factory=dict)
 
-    def _float_terms(self) -> list[tuple[complex, int, complex]]:
-        """(c, k, i Omega) of every term as floats, the inputs of evaluate."""
-        return [(complex(float(re), float(im)), k, 1j * float(w)) for (k, w), (re, im) in self.terms.items()]
-
-    def evaluate(self, t: float) -> complex:
-        return _evaluate_terms(self._float_terms(), t)
-
-
-def _evaluate_terms(float_terms, t: float) -> complex:
-    val = 0j
-    for c, k, iw in float_terms:
-        val += c * t**k * np.exp(iw * t)
-    return complex(val)
-
 
 @dataclass
 class DysonAmplitude:
-    """Phase polynomial for <out|U(t)|in> with its basis-weight prefactor.
+    """Phase polynomial for <out|U(t)|in> and its basis-weight prefactor.
 
     The polynomial is exact in the weighted basis; the physical amplitude
     is prefactor * poly(t) with prefactor = sqrt(out!/in!).
     """
 
     poly: PhasePolynomial
-    state_in: int
-    state_out: int
-    order: int
-    lam: object
-
-    @property
-    def prefactor(self) -> float:
-        return math.sqrt(math.factorial(self.state_out) / math.factorial(self.state_in))
-
-    def evaluate(self, t: float) -> complex:
-        return self.prefactor * self.poly.evaluate(t)
+    prefactor: float
 
     def trace(self, t_grid) -> np.ndarray:
-        """evaluate at every t, with each coefficient and frequency converted once."""
-        prefactor, terms = self.prefactor, self.poly._float_terms()
-        return np.array([prefactor * _evaluate_terms(terms, t)
-                         for t in np.asarray(t_grid, dtype=float)])
+        """prefactor * poly(t) at every t of t_grid, with each coefficient and frequency converted once."""
+        terms = [(complex(float(re), float(im)), k, 1j * float(w))
+                 for (k, w), (re, im) in self.poly.terms.items()]
+        out = []
+        for t in np.asarray(t_grid, dtype=float):
+            val = 0j
+            for c, k, iw in terms:
+                val += c * t**k * np.exp(iw * t)
+            out.append(self.prefactor * complex(val))
+        return np.array(out)
 
 
 def dyson_series(
@@ -196,4 +178,5 @@ def dyson_series(
     # Schroedinger picture: the global phase e^(-i E_out t) shifts every frequency
     shift = -energies[state_out]
     terms = {(k, omega * m + shift): _times_i_power(r, k) for (k, m), r in total.items()}
-    return DysonAmplitude(PhasePolynomial(terms), state_in, state_out, order, lam)
+    prefactor = math.sqrt(math.factorial(state_out) / math.factorial(state_in))
+    return DysonAmplitude(PhasePolynomial(terms), prefactor)

@@ -73,7 +73,6 @@ class TrotterPlan:
     terms: list[PauliTerm]
     dt: float
     steps: int
-    ordering: str = "by_magnitude_desc"
     n_q: int | None = None
 
     def __post_init__(self):
@@ -303,7 +302,7 @@ def build_trotter_plan(
         terms.sort(key=lambda t: t.string)
     elif ordering != "as_given":
         raise ValueError(f"unknown ordering {ordering!r}")
-    return TrotterPlan(terms, dt, steps, ordering, decomposition.n_qubits)
+    return TrotterPlan(terms, dt, steps, decomposition.n_qubits)
 
 
 def _compile(plan: TrotterPlan) -> list[tuple[np.ndarray, float, np.ndarray]]:

@@ -49,10 +49,16 @@ class ProjectorSeries:
     right states.
     """
 
-    order: int
     weighted: list = field(repr=False)
-    n_max: int
     energy: PowerSeries = field(repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.weighted) - 1
+
+    @property
+    def n_max(self) -> int:
+        return len(self.weighted[0])
 
     def coefficient_matrix(self, m: int) -> np.ndarray:
         d = np.sqrt([math.factorial(k) for k in range(self.n_max)])
@@ -126,7 +132,7 @@ def _level_projector(
                                       q**m)
         coeff_mats.append(full)
     energy = PowerSeries(energies, "weak_lambda")
-    return ProjectorSeries(order, coeff_mats, n, energy)
+    return ProjectorSeries(coeff_mats, energy)
 
 
 def perturbed_projector(

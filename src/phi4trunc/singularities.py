@@ -75,25 +75,25 @@ _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
 
 @dataclass
 class GapGrid:
-    """Minimum within-sector eigenvalue gap over a rectangular coupling grid."""
+    """Minimum within-sector eigenvalue gap over a rectangular coupling grid.
+
+    values[j, i] is the gap at re_axis()[i] + 1j im_axis()[j], NaN where
+    the eigensolver failed.
+    """
 
     re_range: tuple[float, float]
     im_range: tuple[float, float]
-    resolution: tuple[int, int]
     values: np.ndarray = field(repr=False)
-    failures: int = 0
+
+    @property
+    def failures(self) -> int:
+        return int(np.isnan(self.values).sum())
 
     def re_axis(self) -> np.ndarray:
-        return np.linspace(self.re_range[0], self.re_range[1], self.resolution[0])
+        return np.linspace(self.re_range[0], self.re_range[1], self.values.shape[1])
 
     def im_axis(self) -> np.ndarray:
-        return np.linspace(self.im_range[0], self.im_range[1], self.resolution[1])
-
-    def min_point(self) -> tuple[complex, float]:
-        """Grid point with the smallest finite gap."""
-        vals = np.where(np.isnan(self.values), np.inf, self.values)
-        j, i = np.unravel_index(np.argmin(vals), vals.shape)
-        return complex(self.re_axis()[i], self.im_axis()[j]), float(vals[j, i])
+        return np.linspace(self.im_range[0], self.im_range[1], self.values.shape[0])
 
 
 @dataclass
@@ -531,11 +531,10 @@ def gap_scan(
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
     h0s, vs = family.sector_matrices(sector)
-    values = grid_gaps(h0s, vs, res + 1j * ims[:, None], workers)
-    failures = int(np.isnan(values).sum())
-    if failures:
-        warnings.warn(f"{failures} grid points failed to diagonalize", RuntimeWarning)
-    return GapGrid((re_lo, re_hi), (im_lo, im_hi), (n_re, n_im), values, failures)
+    grid = GapGrid((re_lo, re_hi), (im_lo, im_hi), grid_gaps(h0s, vs, res + 1j * ims[:, None], workers))
+    if grid.failures:
+        warnings.warn(f"{grid.failures} grid points failed to diagonalize", RuntimeWarning)
+    return grid
 
 
 def refine_exceptional_point(

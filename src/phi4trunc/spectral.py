@@ -12,7 +12,6 @@ square-root gap).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .hamiltonian import CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks
 from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops
 
 __all__ = [
-    "SpectrumResult",
     "dense_spectrum",
     "lanczos_lowest",
     "lattice_ground_energies",
@@ -52,16 +50,8 @@ LANCZOS_WARM_SHARE = 1e-2
 HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
 
-@dataclass
-class SpectrumResult:
-    """Eigenvalues sorted by ascending real part, optionally with vectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
-def dense_spectrum(h: OperatorMatrix) -> SpectrumResult:
-    """Full dense spectrum; Hermitian solver when the flag allows it.
+def dense_spectrum(h: OperatorMatrix) -> np.ndarray:
+    """Full dense spectrum by ascending real part; Hermitian solver when the flag allows it.
 
     A stack of matrices gives one row of eigenvalues per matrix.
     """
@@ -78,12 +68,12 @@ def dense_spectrum(h: OperatorMatrix) -> SpectrumResult:
             f"dense eigensolver failed on {h.dim}x{h.dim} "
             f"{'Hermitian' if h.hermitian else 'general'} matrix: {exc}"
         ) from exc
-    return SpectrumResult(w)
+    return w
 
 
 def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
-                   near: np.ndarray | None = None) -> SpectrumResult:
-    """k lowest eigenpairs of a Hermitian sparse operator, by Lanczos with full reorthogonalisation.
+                   near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors), the k lowest eigenpairs of a Hermitian sparse operator, by reorthogonalised Lanczos.
 
     The start is the first LANCZOS_SEED random vector (_random_vectors)
     plus an equal-norm vector weighted by exp(-(H_ii - min H_ii)), or,
@@ -96,8 +86,8 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
     orthogonal to them, looks for the lowest eigenvalue left; while that
     falls below the k-th, it joins the k lowest and the search repeats.
     This finds repeated eigenvalues, such as the +-k momentum pairs of a
-    periodic chain's parity blocks.  The eigenvectors are the Ritz
-    vectors, one column each.
+    periodic chain's parity blocks.  The values ascend; the vectors are
+    the Ritz vectors, one column each.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -108,7 +98,7 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
     dim = h.dim
     if k >= dim - 1:
         w, u = np.linalg.eigh(h.matrix.toarray())
-        return SpectrumResult(w[:k], u[:, :k])
+        return w[:k], u[:, :k]
     if k > LANCZOS_MAX_STEPS:
         raise ValueError(f"k={k} needs more than the {LANCZOS_MAX_STEPS} steps of one Lanczos run")
     matvec = h.matrix.matvec
@@ -126,7 +116,7 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
             break
         order = np.argsort(np.r_[theta, mu], kind="stable")[:k]
         theta, y = np.r_[theta, mu][order], np.concatenate([y, u])[order]
-    return SpectrumResult(theta, y.T)
+    return theta, y.T
 
 
 def _lanczos(matvec, q: np.ndarray, k: int, tol: float, fresh,
@@ -274,13 +264,13 @@ def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
     dim = h0.shape[0]
     if dim <= SECTOR_DENSE_DIM:
         stack = h0.toarray() + np.reshape(lams, (-1, 1, 1)) * v.toarray()
-        return dense_spectrum(OperatorMatrix(stack, hermitian=True)).eigenvalues[:, :k]
+        return dense_spectrum(OperatorMatrix(stack, hermitian=True))[:, :k]
     rows, near = [], None
     for lam in lams:
-        found = lanczos_lowest(SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data)),
-                               k, tol, near)
-        rows.append(found.eigenvalues)
-        near = found.eigenvectors[:, 0]
+        h = SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data))
+        values, vectors = lanczos_lowest(h, k, tol, near)
+        rows.append(values)
+        near = vectors[:, 0]
     return np.array(rows).reshape(len(lams), min(k, dim))
 
 

@@ -321,15 +321,17 @@ def test_bad_state_and_entry_indices_are_recorded_before_any_output(tmp_path, ar
 
 
 def test_lanczos_spectrum_takes_a_tol_of_zero(tmp_path):
+    # the finite check refuses only inf and nan: 0 and below stay machine epsilon
     args = ["spectrum", "--nsites", "6", "--nmax", "4", "--kappa", "0.1", "--lam", "0.15",
             "--method", "lanczos", "--k", "1", "--tol"]
     energies = []
-    for tol in ("0", "1e-12"):
+    for tol in ("0", "-1", "1e-12"):
         code, outdir = run_cli(args + [tol], tmp_path, f"tol{tol}")
         assert code == 0
         rows = [l for l in (outdir / "spectrum.csv").read_text().splitlines() if not l.startswith("#")]
         energies.append(float(rows[1].split(",")[1]))
-    assert abs(energies[0] - energies[1]) <= 1e-12 * abs(energies[1])
+    assert energies[0] == energies[1]
+    assert abs(energies[0] - energies[2]) <= 1e-12 * abs(energies[2])
 
 
 def test_lanczos_past_its_step_limit_is_recorded(tmp_path, monkeypatch):
@@ -582,6 +584,71 @@ def test_a_refused_value_names_its_flag_and_where_it_came_from(tmp_path, monkeyp
         assert manifest["status"] == "error"
         assert manifest["error"] == {"type": "ValueError", "message": f"--{key}{origin} {refused}"}
         assert not list(outdir.glob("*.csv"))
+
+
+def test_a_json_value_that_does_not_cast_is_recorded_outside_the_config(tmp_path):
+    # --json is cast with the other values, so a bad one is a refused value (exit 1), not a usage error
+    code, outdir = run_cli(["spectrum", "--json", "x"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError",
+                                 "message": "--json 'x': invalid literal for int() with base 10: 'x'"}
+    assert "json" not in manifest["config"]
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("args, refused", [
+    (["evolve", "--method", "exact", "--tmax", "nan", "--nt", "3"], "--tmax nan must be finite"),
+    (["evolve", "--method", "trotter", "--tmax", "inf"], "--tmax inf must be finite"),
+    (["spectrum", "--nsites", "8", "--kappa", "0.1", "--lam", "0.15", "--method", "lanczos", "--k", "1",
+      "--tol", "inf"], "--tol inf must be finite"),
+    (["spectrum", "--lam", "inf+1j"], "--lam (inf+1j) must be finite"),
+    (["spectrum", "--lam", "nan"], "--lam (nan+0j) must be finite"),
+    (["scan", "--re", "nan,0.1"], "--re [nan, 0.1] must be finite"),
+    (["trotter", "--dts", "0.1,inf"], "--dts [0.1, inf] must be finite"),
+    (["lattice-sweep", "--nsites", "2", "--lam-grid=-0.3,0.1,-inf"], "--lam-grid [-0.3, 0.1, -inf] must be finite"),
+], ids=["scalar-nan", "scalar-inf", "tol-inf", "complex-inf", "complex-nan", "list-nan", "list-inf", "list-minus-inf"])
+def test_non_finite_floats_are_refused(tmp_path, args, refused):
+    code, outdir = run_cli(args + ["--nmax", "4"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError", "message": refused}
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_a_non_finite_value_from_a_variable_names_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("PHI4TRUNC_KAPPA", "-inf")
+    code, outdir = run_cli(["spectrum", "--nsites", "2", "--nmax", "2"], tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"]["message"] == "--kappa (from PHI4TRUNC_KAPPA) -inf must be finite"
+
+
+@pytest.mark.parametrize("args, refused", [
+    (["resources", "--nq", ""], "--nq [] names no register"),
+    (["resources", "--nq", "11"], "--nq [11] needs each n_q in 1..10"),
+    (["resources", "--nq", "0,3"], "--nq [0, 3] needs each n_q in 1..10"),
+    (["trotter", "--nmax", "4", "--dts", ""], "--dts [] names no step"),
+    (["lattice-sweep", "--nsites", "2", "--nmax", "2", "--kappas", "0.1,0.1000001"],
+     "--kappas [0.1, 0.1000001] share the output file sweep_kappa0.1.csv"),
+    (["lattice-sweep", "--nsites", "2", "--nmax", "2", "--kappas", "0.2,0.05,0.2"],
+     "--kappas [0.2, 0.05, 0.2] share the output file sweep_kappa0.2.csv"),
+], ids=["nq-empty", "nq-past-cap", "nq-zero", "dts-empty", "kappas-same-name", "kappas-repeated"])
+def test_list_flags_that_name_nothing_or_collide_are_refused(tmp_path, args, refused):
+    code, outdir = run_cli(args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError", "message": refused}
+    assert not list(outdir.glob("*.csv"))
+
+
+def test_distinct_kappas_keep_their_file_names(tmp_path):
+    code, outdir = run_cli(["lattice-sweep", "--nsites", "2", "--nmax", "2", "--kappas", "0.1,0.10001,-0.1",
+                            "--lam-grid", "-0.35 0.05 21"], tmp_path, "lat")
+    assert code == 0
+    outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
+    assert sorted(p.rsplit("/", 1)[1] for p in outputs) == [
+        "sweep_kappa-0.1.csv", "sweep_kappa0.1.csv", "sweep_kappa0.10001.csv", "sweep_singularities.csv"]
 
 
 def test_unknown_command_is_a_usage_error(tmp_path):

@@ -60,9 +60,9 @@ def test_order_zero_amplitude():
     trunc = TruncationSpec(4)
     amp = dyson_series(trunc, 0, F(1, 10), 2, 2)
     for t in (0.0, 1.3):
-        assert abs(amp.evaluate(t) - np.exp(-2.5j * t)) <= 1e-14
+        assert abs(amp.trace([t])[0] - np.exp(-2.5j * t)) <= 1e-14
     cross = dyson_series(trunc, 0, F(1, 10), 0, 2)
-    assert abs(cross.evaluate(2.0)) == 0.0
+    assert abs(cross.trace([2.0])[0]) == 0.0
 
 
 def test_order2_amplitude_matches_closed_form_symbolically():
@@ -94,11 +94,11 @@ def test_order2_matches_lambda_taylor_of_exact_amplitude():
         c1 = (vals[-2] - 8 * vals[-1] + 8 * vals[1] - vals[2]) / (12 * h)
         c2 = (-vals[-2] + 16 * vals[-1] - 30 * vals[0] + 16 * vals[1] - vals[2]) / (24 * h * h)
         taylor = c0 + c1 * 0.1 + c2 * 0.01
-        assert abs(amp.evaluate(t) - taylor) <= 1e-9  # stencil-limited
+        assert abs(amp.trace([t])[0] - taylor) <= 1e-9  # stencil-limited
     # tighter check against the even-sector 2x2 closed form at one point
     t = 2.0
     taylor_exact = _even_sector_taylor_order2(t)
-    assert abs(amp.evaluate(t) - taylor_exact) <= 1e-12
+    assert abs(amp.trace([t])[0] - taylor_exact) <= 1e-12
 
 
 def _even_sector_taylor_order2(t: float) -> complex:
@@ -190,7 +190,21 @@ def test_dyson_series_is_the_gaussian_oracle(n_max, order, lam, omega):
             assert list(terms.items()) == list(expected[state_out].items()), (state_in, state_out)
 
 
-def test_trace_is_evaluate_at_every_point():
+def test_trace_is_the_exact_term_sum_at_every_point():
+    # sqrt(4!/2!) sum c t^k e^(i Omega t) over the exact terms, at 30 digits
+    import mpmath as mp
+
     amp = dyson_series(TruncationSpec(8), 4, F(3, 2000), 2, 4)
     t = np.linspace(0.0, 3.0, 31)
-    assert amp.trace(t).tobytes() == np.array([amp.evaluate(x) for x in t]).tobytes()
+    with mp.workdps(30):
+        def real(f):
+            return mp.mpf(f.numerator) / f.denominator
+
+        def exact(x):
+            x = mp.mpf(x)
+            return mp.sqrt(12) * sum(mp.mpc(real(re), real(im)) * x**k * mp.expj(real(w) * x)
+                                     for (k, w), (re, im) in amp.poly.terms.items())
+
+        want = np.array([complex(exact(x)) for x in t])
+    assert amp.prefactor == np.sqrt(12)
+    assert np.max(np.abs(amp.trace(t) - want)) <= 1e-14 * np.max(np.abs(want))

@@ -323,7 +323,7 @@ def _random_plan(data, n_q, last_letters="IXYZ"):
 @given(data=st.data(), n_q=st.integers(1, 4))
 def test_compiled_step_unitary_matches_dense_product(data, n_q):
     terms, dt = _random_plan(data, n_q)
-    u = trotter_step_unitary(TrotterPlan(terms, dt, 1, "as_given")).entries
+    u = trotter_step_unitary(TrotterPlan(terms, dt, 1)).entries
     assert np.max(np.abs(u - dense_trotter_step([(t.string, t.coeff) for t in terms], dt))) <= 1e-13
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n_q))) <= 1e-13
 

@@ -11,9 +11,10 @@ Each run is the record perfbench writes to `.perfbench/<run>/result.json`
 raw per-pass samples are left out.  `pairs` lines up the metrics of each
 named run side by side.  Each side also gets `wc -l src/phi4trunc/*.py`,
 its settable values (defaulted parameters and dataclass fields, counted
-by `ast`), the flag count of each command in `phi4trunc.cli.COMMANDS`
-(each command also takes --config, --outdir and --json), and the wall
-time and summary line of the Tier-1 suite, run in that checkout.  --extra
+by `ast`, the fields also per class), the flag count of each command in
+`phi4trunc.cli.COMMANDS` (each command also takes --config, --outdir and
+--json), and the wall time and summary line of the Tier-1 suite, run in
+that checkout.  --extra
 merges the keys of a JSON object file (for example the rows of
 tools/sector_bench.py) into the output.  Standard library only.
 """
@@ -45,16 +46,21 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def settable_values(root: Path) -> dict[str, int]:
-    """Defaulted parameters of every function and fields of every dataclass in src/phi4trunc."""
-    params = fields = 0
+def settable_values(root: Path) -> dict:
+    """Defaulted parameters of every function and fields of every dataclass in src/phi4trunc.
+
+    The fields are also given per class, keyed module.Class.
+    """
+    params, per_class = 0, {}
     for path in sorted((root / "src" / "phi4trunc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 params += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-    return {"defaulted_params": params, "dataclass_fields": fields, "total": params + fields}
+                per_class[f"{path.stem}.{node.name}"] = sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    fields = sum(per_class.values())
+    return {"defaulted_params": params, "dataclass_fields": fields, "total": params + fields,
+            "fields_per_class": per_class}
 
 
 def _src_env(root: Path) -> dict[str, str]:
