@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .oscillator import (
     TruncationSpec,
-    OperatorMatrix,
     build_ladder,
     build_field_ops,
     harmonic_hamiltonian,

@@ -37,7 +37,7 @@ from .hamiltonian import (
     single_site_hamiltonian,
     strong_coupling_family,
 )
-from .oscillator import OperatorMatrix, TruncationSpec
+from .oscillator import TruncationSpec
 from .pauli import (
     MAX_RESOURCE_QUBITS,
     build_trotter_plan,
@@ -56,6 +56,7 @@ from .singularities import (
     sylvester_discriminant,
 )
 from .spectral import (
+    DENSE_CAP,
     curvature_peak,
     dense_spectrum,
     exact_amplitude,
@@ -138,12 +139,15 @@ def _cmd_spectrum(cfg, outdir):
         if cfg["domain"] != "weak":
             raise ValueError(f"--domain {cfg['domain']!r} needs --nsites 1 (lattice spectra are weak coupling)")
         spec = LatticeSpec(cfg["nsites"], trunc, cfg["kappa"], cfg["lam"], cfg["boundary"])
+        if cfg["method"] == "dense" and spec.dim > DENSE_CAP:
+            raise ValueError(f"--nsites {cfg['nsites']} at --nmax {cfg['nmax']} gives {spec.dim} states, "
+                             f"past the dense cap {DENSE_CAP}; use --method lanczos")
         # the full-space matrix is built only for the dense path and the dump
         h = lattice_hamiltonian(spec) if cfg["method"] != "lanczos" or cfg["dump_matrix"] else None
         if cfg["method"] == "lanczos":
             eigenvalues = lattice_ground_energies(spec, [cfg["lam"]], cfg["k"], cfg["tol"])[0]
         else:
-            eigenvalues = dense_spectrum(OperatorMatrix(h.matrix.toarray(), hermitian=h.hermitian))
+            eigenvalues = dense_spectrum(h.matrix.toarray())
     else:
         family = _family(cfg, trunc)
         blocks = (family.h0, family.v) if cfg["sector"] == "full" else family.sector_matrices(cfg["sector"])
@@ -377,12 +381,12 @@ def _cmd_trotter(cfg, outdir):
     n_q = qubit_count(trunc.n_max)
     h = single_site_hamiltonian(trunc, cfg["lam"])
     dec = pauli_decompose(h, n_q)
-    w, u = np.linalg.eigh(h.entries)
+    w, u = np.linalg.eigh(h)
     rows = []
     prev = None
     for dt in cfg["dts"]:
         plan = build_trotter_plan(dec, dt, 1, cfg["ordering"])
-        step = trotter_step_unitary(plan).entries
+        step = trotter_step_unitary(plan)
         exact = (u * np.exp(-1j * w * dt)) @ u.conj().T
         # identity-term phase is not in the plan; restore it for the comparison
         exact = exact * np.exp(1j * dec.identity_coeff * dt)

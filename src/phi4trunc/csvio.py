@@ -105,14 +105,14 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> Path:
 def write_matrix_csv(path, op, meta: dict | None = None) -> Path:
     """Operator entries as `row,col,re,im` rows under a one-line header.
 
-    Accepts a dense OperatorMatrix or a SparseOperator; only nonzero
-    entries are emitted, in (row, col) order.
+    Accepts a dense array or a SparseOperator; only nonzero entries are
+    emitted, in (row, col) order.
     """
     if isinstance(op, SparseOperator):
         entries = op.triplets()
     else:
-        rows, cols = np.nonzero(op.entries)
-        entries = zip(rows.tolist(), cols.tolist(), op.entries[rows, cols].astype(complex).tolist())
+        rows, cols = np.nonzero(op)
+        entries = zip(rows.tolist(), cols.tolist(), op[rows, cols].astype(complex).tolist())
     rows = [(r, c, v.real, v.imag) for r, c, v in entries if v != 0]
     return write_csv(path, ["row", "col", "re", "im"], rows, meta)
 

@@ -1,8 +1,10 @@
 """Single-site, strong-coupling-form and 1+1D lattice Hamiltonians.
 
 Every Hamiltonian here is an affine family H(lam) = H0 + lam V in its
-coupling, and affine_operator evaluates one, real and flagged Hermitian
-exactly when lam is real, so the family can be scanned off the real axis.
+coupling, with H0 and V real and symmetric (to rounding), so H(lam) is
+self-adjoint exactly on the real axis.  affine_operator evaluates one as
+a plain array, real exactly when lam is real: its dtype is its Hermitian
+flag, and the family can be scanned off the real axis.
 A single site keeps occupation parity, and CouplingFamily.sector_matrices
 cuts H0 and V to the even or the odd block.  The lattice Hamiltonian is a
 sum of local anharmonic terms and quadratic nearest-neighbor hops,
@@ -21,8 +23,8 @@ orbit; lattice_hamiltonian evaluates it.  No other basis forms the
 full-space matrix.
 H0 and V are CSRMatrix blocks on one shared pattern.  CSRMatrix is the
 package's one sparse matrix and the one place that reads the CSR layout;
-lattice_hamiltonian hands one out, which scipy's sparse solvers take as a
-linear operator.
+lattice_hamiltonian hands one out in a SparseOperator, whose matrix
+scipy's sparse solvers take as a linear operator.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import sector_indices
-from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops, harmonic_hamiltonian
+from .oscillator import TruncationSpec, build_field_ops, harmonic_hamiltonian
 
 __all__ = [
     "LatticeSpec",
@@ -144,10 +146,13 @@ class CSRMatrix:
 
 @dataclass
 class SparseOperator:
-    """Hermitian-by-construction sparse operator: a CSRMatrix and its Hermitian flag."""
+    """The full-space lattice Hamiltonian: its CSRMatrix, real exactly when its coupling is.
+
+    Beside matrix it has only what the benchmark and write_matrix_csv
+    read: the dimension, the entry count and the (row, col, value) list.
+    """
 
     matrix: CSRMatrix
-    hermitian: bool = True
 
     @property
     def dim(self) -> int:
@@ -165,22 +170,21 @@ class SparseOperator:
 
 def _phi4(spec: TruncationSpec) -> np.ndarray:
     phi, _ = build_field_ops(spec)
-    return np.linalg.matrix_power(phi.entries, 4)
+    return np.linalg.matrix_power(phi, 4)
 
 
-def _coupling(lam: complex) -> tuple[complex, bool]:
-    """lam as a float when its imaginary part is zero, else as a complex, and whether it is real."""
+def _coupling(lam: complex) -> complex:
+    """lam as a float when its imaginary part is zero, else as a complex."""
     lam = complex(lam)
-    return (lam.real, True) if lam.imag == 0.0 else (lam, False)
+    return lam.real if lam.imag == 0.0 else lam
 
 
-def affine_operator(h0: np.ndarray, v: np.ndarray, lam: complex) -> OperatorMatrix:
-    """h0 + lam v, real and flagged Hermitian exactly when lam is real."""
-    lam, real = _coupling(lam)
-    return OperatorMatrix(h0 + lam * v, hermitian=real)
+def affine_operator(h0: np.ndarray, v: np.ndarray, lam: complex) -> np.ndarray:
+    """h0 + lam v, real (and then Hermitian) exactly when lam's imaginary part is 0."""
+    return h0 + _coupling(lam) * v
 
 
-def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> OperatorMatrix:
+def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> np.ndarray:
     """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
     family = anharmonic_family(trunc)
     return affine_operator(family.h0, family.v, lam)
@@ -206,12 +210,11 @@ def lattice_hamiltonian(spec: LatticeSpec) -> SparseOperator:
     geometric bond twice (coefficient -4 kappa).
     """
     [(h0, v)] = _lattice_blocks(spec, "full")
-    lam, real = _coupling(spec.lam)
-    data = h0.data + lam * v.data
+    data = h0.data + _coupling(spec.lam) * v.data
     live = data != 0
     # the live entries before each row start
     indptr = np.concatenate(([0], np.cumsum(live)))[h0.indptr].astype(h0.indptr.dtype)
-    return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]), hermitian=real)
+    return SparseOperator(CSRMatrix(indptr, h0.indices[live], data[live]))
 
 
 def _chain_orbits(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +305,8 @@ def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = No
     pos[reps] = np.arange(dim)
     # keys source * dim + target in int32 where they fit
     itype = np.int32 if dim * dim < 2**31 else np.int64
-    har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc).entries,
-                                           _phi4(spec.trunc), build_field_ops(spec.trunc)[0].entries))
+    har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc),
+                                           _phi4(spec.trunc), build_field_ops(spec.trunc)[0]))
 
     def assemble(terms: list[tuple[float, list]]) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values of the entries of a sum of products of local operators.
@@ -409,7 +412,7 @@ class CouplingFamily:
 
 def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
     """H(lam) = H_har + lam phi^4 for one site."""
-    return CouplingFamily(harmonic_hamiltonian(trunc).entries, _phi4(trunc))
+    return CouplingFamily(harmonic_hamiltonian(trunc), _phi4(trunc))
 
 
 def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
@@ -418,5 +421,5 @@ def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
     H_str(1/lam) = H_anh(lam)/lam for lam != 0, so both families share the
     same exceptional points up to inversion.
     """
-    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc).entries)
+    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc))
 

@@ -7,9 +7,12 @@ canonical commutator into
 
     [a, a^dag] = 1 - n_max |n_max-1><n_max-1|.
 
-Field eigenvalues are the zeros of the degree-n_max (physicists') Hermite
-polynomial scaled by 1/sqrt(omega); the strong series refines them and
-builds the field eigenbasis from them on integers (series._field_zeros).
+Every operator is a plain square ndarray: a and a^dag are real, phi and
+the harmonic Hamiltonian real symmetric, and pi, the one complex
+operator, Hermitian.  Field eigenvalues are the zeros of the degree-n_max
+(physicists') Hermite polynomial scaled by 1/sqrt(omega); the strong
+series refines them and builds the field eigenbasis from them on integers
+(series._field_zeros).
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "TruncationSpec",
-    "OperatorMatrix",
     "build_ladder",
     "build_field_ops",
     "harmonic_hamiltonian",
@@ -48,29 +50,7 @@ class TruncationSpec:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense operator matrix.
-
-    entries is one square matrix, or a stack of them along leading axes.
-    The hermitian flag is an assertion made by the constructor, not
-    something recomputed on access.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries)
-        if self.entries.ndim < 2 or self.entries.shape[-2] != self.entries.shape[-1]:
-            raise ValueError(f"operator must be square, got shape {self.entries.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
-
-
-def build_ladder(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
+def build_ladder(spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation operators on the truncated space.
 
     a|n> = sqrt(n)|n-1>, a^dag|n> = sqrt(n+1)|n+1> for n < n_max-1, and
@@ -80,27 +60,20 @@ def build_ladder(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
     a = np.zeros((n, n))
     for k in range(1, n):
         a[k - 1, k] = np.sqrt(k)
-    return (
-        OperatorMatrix(a),
-        OperatorMatrix(a.T.copy()),
-    )
+    return a, a.T.copy()
 
 
-def build_field_ops(spec: TruncationSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
+def build_field_ops(spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Field phi = (a + a^dag)/sqrt(2 omega) and momentum pi = -i sqrt(omega/2)(a - a^dag)."""
     a, adag = build_ladder(spec)
-    phi = (a.entries + adag.entries) / np.sqrt(2.0 * spec.omega)
-    pi = -1j * np.sqrt(spec.omega / 2.0) * (a.entries - adag.entries)
-    return (
-        OperatorMatrix(phi, hermitian=True),
-        OperatorMatrix(pi, hermitian=True),
-    )
+    phi = (a + adag) / np.sqrt(2.0 * spec.omega)
+    pi = -1j * np.sqrt(spec.omega / 2.0) * (a - adag)
+    return phi, pi
 
 
-def harmonic_hamiltonian(spec: TruncationSpec) -> OperatorMatrix:
+def harmonic_hamiltonian(spec: TruncationSpec) -> np.ndarray:
     """omega (a^dag a + 1/2): diagonal with entries omega (n + 1/2)."""
-    diag = spec.omega * (np.arange(spec.n_max) + 0.5)
-    return OperatorMatrix(np.diag(diag), hermitian=True)
+    return np.diag(spec.omega * (np.arange(spec.n_max) + 0.5))
 
 
 def hermite_zeros(degree: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _x4_band
-from .oscillator import OperatorMatrix
 
 __all__ = [
     "PauliTerm",
@@ -110,7 +109,7 @@ def qubit_count(n_max: int) -> int:
     return n_q
 
 
-def _check_input(h: OperatorMatrix, n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_input(h: np.ndarray, n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The matrix and the rows and columns of its nonzero entries, once it is Hermitian.
 
     The test is the dense allclose(m, m^H, atol=1e-10), run on the nonzero
@@ -118,7 +117,7 @@ def _check_input(h: OperatorMatrix, n_q: int) -> tuple[np.ndarray, np.ndarray, n
     only m[c, r] is nonzero, |m[c, r]| <= atol, its own test, is stricter
     than |m[c, r]| <= atol + rtol |m[c, r]|, the test at (r, c).
     """
-    m = np.asarray(h.entries, dtype=complex)
+    m = np.asarray(h, dtype=complex)
     if m.shape[0] != 2**n_q:
         raise ValueError(f"dimension {m.shape[0]} is not 2^{n_q}")
     i, j = np.nonzero(m)
@@ -167,7 +166,7 @@ def _word_strings(words: np.ndarray, n_q: int) -> list[str]:
     return chars.view(f"<U{n_q}").ravel().tolist()
 
 
-def pauli_decompose(h: OperatorMatrix, n_q: int) -> PauliDecomposition:
+def pauli_decompose(h: np.ndarray, n_q: int) -> PauliDecomposition:
     """Expansion of a Hermitian matrix on the Pauli basis.
 
     Coefficients are tr(P H)/2^n_q; the identity coefficient is reported
@@ -330,7 +329,7 @@ def _compile(plan: TrotterPlan) -> list[tuple[np.ndarray, float, np.ndarray]]:
     return out
 
 
-def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
+def trotter_step_unitary(plan: TrotterPlan) -> np.ndarray:
     """Product of the plan's rotations, each applied to the rows of the identity.
 
     P^2 = 1 gives exp(-i theta P) = cos(theta) 1 - i sin(theta) P, so each
@@ -339,7 +338,7 @@ def trotter_step_unitary(plan: TrotterPlan) -> OperatorMatrix:
     u = np.eye(2**plan.n_q, dtype=complex)
     for src, c, g in _compile(plan):
         u = c * u + g[:, None] * u[src]
-    return OperatorMatrix(u)
+    return u
 
 
 def _basis_index(value, dim: int, what: str) -> int:
@@ -375,7 +374,7 @@ def simulate_trotter(
     obs = np.array([_basis_index(m, dim, "observable state") for m in observable_states],
                    dtype=np.intp)
 
-    u = trotter_step_unitary(plan).entries
+    u = trotter_step_unitary(plan)
     probs = np.empty((plan.steps + 1, obs.size))
     norms = np.empty(plan.steps + 1)
     probs[0] = np.abs(psi[obs]) ** 2

@@ -2,6 +2,10 @@
 
 Dense and Lanczos eigensolvers, the lattice ground energies over the
 chain's symmetric sectors or parity blocks, and exact time evolution.
+A Hamiltonian is a plain array (or a CSRMatrix) whose dtype is its
+Hermitian flag: every family here is real and symmetric at a real
+coupling and complex off the real axis, so a real matrix takes the
+Hermitian solvers and a complex one the general dense solver.
 Lattice sweeps take five-point stencils of the ground energy on a grid of
 couplings.  The location and width of the peak in the second derivative
 on the real axis estimate the nearest complex singularity: the peak sits
@@ -16,7 +20,7 @@ import warnings
 import numpy as np
 
 from .hamiltonian import CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, anharmonic_family
-from .oscillator import OperatorMatrix, TruncationSpec, build_field_ops
+from .oscillator import TruncationSpec, build_field_ops
 
 __all__ = [
     "dense_spectrum",
@@ -50,23 +54,26 @@ LANCZOS_WARM_SHARE = 1e-2
 HALF_WIDTH_FACTOR = 2.0 * np.sqrt(2.0 ** (2.0 / 3.0) - 1.0)
 
 
-def dense_spectrum(h: OperatorMatrix) -> np.ndarray:
-    """Full dense spectrum by ascending real part; Hermitian solver when the flag allows it.
+def dense_spectrum(h: np.ndarray) -> np.ndarray:
+    """Full dense spectrum by ascending real part: eigvalsh for a real h, eigvals for a complex one.
 
-    A stack of matrices gives one row of eigenvalues per matrix.
+    A real h is taken to be symmetric.  A stack of matrices gives one row
+    of eigenvalues per matrix.
     """
-    if h.dim > DENSE_CAP:
-        raise ValueError(f"dimension {h.dim} exceeds dense cap {DENSE_CAP}")
+    dim = h.shape[-1]
+    if dim > DENSE_CAP:
+        raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_CAP}")
+    general = np.iscomplexobj(h)
     try:
-        if h.hermitian:
-            w = np.linalg.eigvalsh(h.entries)
-        else:
-            w = np.linalg.eigvals(h.entries)
+        if general:
+            w = np.linalg.eigvals(h)
             w = np.take_along_axis(w, np.argsort(w.real, axis=-1, kind="stable"), axis=-1)
+        else:
+            w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"dense eigensolver failed on {h.dim}x{h.dim} "
-            f"{'Hermitian' if h.hermitian else 'general'} matrix: {exc}"
+            f"dense eigensolver failed on {dim}x{dim} "
+            f"{'general' if general else 'Hermitian'} matrix: {exc}"
         ) from exc
     return w
 
@@ -87,12 +94,11 @@ def lanczos_lowest(h: SparseOperator, k: int, tol: float = 1e-12,
     falls below the k-th, it joins the k lowest and the search repeats.
     This finds repeated eigenvalues, such as the +-k momentum pairs of a
     periodic chain's parity blocks.  The values ascend; the vectors are
-    the Ritz vectors, one column each.
+    the Ritz vectors, one column each.  h is taken to be Hermitian:
+    lattice_ground_energies refuses a complex coupling.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if not h.hermitian:
-        raise ValueError("lanczos_lowest requires a Hermitian operator")
     if tol <= 0:
         tol = float(np.finfo(float).eps)
     dim = h.dim
@@ -246,7 +252,7 @@ def _site_field_gauges(trunc: TruncationSpec, lams: list[float]) -> bool:
     blocks = map(anharmonic_family(trunc).sector_matrices, ("even", "odd"))
     _, u = np.linalg.eigh([h0 + lam * v for h0, v in blocks])
     n = trunc.n_max
-    phi = build_field_ops(trunc)[0].entries[np.ix_(np.arange(0, n, 2), np.arange(1, n, 2))]
+    phi = build_field_ops(trunc)[0][np.ix_(np.arange(0, n, 2), np.arange(1, n, 2))]
     b = np.swapaxes(u[0], 1, 2) @ phi @ u[1]
     b *= np.where(b[:, :, :1] < 0, -1.0, 1.0)
     b *= np.where(b.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
@@ -264,7 +270,7 @@ def _sector_ground(h0, v, lams: list[float], k: int, tol: float) -> np.ndarray:
     dim = h0.shape[0]
     if dim <= SECTOR_DENSE_DIM:
         stack = h0.toarray() + np.reshape(lams, (-1, 1, 1)) * v.toarray()
-        return dense_spectrum(OperatorMatrix(stack, hermitian=True))[:, :k]
+        return dense_spectrum(stack)[:, :k]
     rows, near = [], None
     for lam in lams:
         h = SparseOperator(CSRMatrix(h0.indptr, h0.indices, h0.data + lam * v.data))
@@ -351,17 +357,17 @@ def curvature_peak(lams: np.ndarray, d2: np.ndarray, label: str = "") -> tuple[f
 
 
 def exact_amplitude(
-    h: OperatorMatrix, t_grid: np.ndarray, state_in: int, state_out: int
+    h: np.ndarray, t_grid: np.ndarray, state_in: int, state_out: int
 ) -> np.ndarray:
-    """<out| exp(-i H t) |in> on a grid of times, via full diagonalization."""
-    if not (0 <= state_in < h.dim and 0 <= state_out < h.dim):
-        raise ValueError(f"states {state_in}->{state_out} outside 0..{h.dim - 1}")
-    if h.hermitian:
-        w, u = np.linalg.eigh(h.entries)
-        w = w.astype(complex)
-        weights = u[state_out, :] * np.conj(u[state_in, :])
-    else:
-        w, u = np.linalg.eig(h.entries)
-        weights = u[state_out, :] * np.linalg.inv(u)[:, state_in]
+    """<out| exp(-i H t) |in> on a grid of times, via full diagonalization of a real symmetric H."""
+    dim = h.shape[-1]
+    if not (0 <= state_in < dim and 0 <= state_out < dim):
+        raise ValueError(f"states {state_in}->{state_out} outside 0..{dim - 1}")
+    if np.iscomplexobj(h):
+        raise ValueError("exact evolution needs a Hermitian H, a real matrix at a real coupling; "
+                         f"this H is {h.dtype}, from a complex coupling")
+    w, u = np.linalg.eigh(h)
+    w = w.astype(complex)
+    weights = u[state_out, :] * np.conj(u[state_in, :])
     t = np.asarray(t_grid, dtype=float)
     return np.exp(-1j * np.outer(t, w)) @ weights

@@ -308,11 +308,11 @@ def test_c10c_trotter_scaling_parity():
     trunc = TruncationSpec(4)
     h = single_site_hamiltonian(trunc, 0.1)
     dec = pauli_decompose(h, 2)
-    w, v = np.linalg.eigh(h.entries)
+    w, v = np.linalg.eigh(h)
     errs = []
     for dt in (0.2, 0.1, 0.05):
         plan = build_trotter_plan(dec, dt, 1)
-        u = trotter_step_unitary(plan).entries
+        u = trotter_step_unitary(plan)
         exact = (v * np.exp(-1j * w * dt)) @ v.conj().T * np.exp(1j * dec.identity_coeff * dt)
         errs.append(np.linalg.norm(u - exact, 2))
     assert abs(errs[0] / errs[1] - 4.0) <= 0.5

@@ -193,6 +193,29 @@ def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args, states", [
+    (["--nsites", "7", "--nmax", "4"], 16384),
+    (["--nsites", "8", "--nmax", "4", "--dump-matrix", "1"], 65536),
+    (["--nsites", "13", "--nmax", "2", "--lam", "0.1+0.05j"], 8192),
+])
+def test_dense_lattice_spectrum_past_the_cap_is_refused_before_any_work(tmp_path, monkeypatch, args, states):
+    # the full-space matrix and its dense array would be built before the solver's own cap check
+    from phi4trunc import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the full-space lattice Hamiltonian was built")
+
+    monkeypatch.setattr(cli, "lattice_hamiltonian", no_work)
+    code, outdir = run_cli(["spectrum", "--kappa", "0.1"] + args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    sites, n_max = args[1], args[3]
+    assert manifest["error"] == {"type": "ValueError",
+                                 "message": f"--nsites {sites} at --nmax {n_max} gives {states} states, "
+                                            "past the dense cap 4096; use --method lanczos"}
+    assert not list(outdir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("args, named", [
     (["spectrum", "--nmax", "4", "--sector", "evn"], "--sector 'evn' must be 'full', 'even' or 'odd'"),
     (["spectrum", "--nmax", "4", "--domain", "strng"], "--domain 'strng' must be 'weak' or 'strong'"),

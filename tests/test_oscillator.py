@@ -18,17 +18,17 @@ def test_ladder_nmax4_matches_closed_form():
     a, adag = build_ladder(TruncationSpec(4))
     expect = np.zeros((4, 4))
     expect[0, 1], expect[1, 2], expect[2, 3] = 1.0, np.sqrt(2), np.sqrt(3)
-    assert np.array_equal(a.entries, expect)
-    assert np.array_equal(adag.entries, expect.T)
+    assert np.array_equal(a, expect)
+    assert np.array_equal(adag, expect.T)
     # raising the top state gives zero
     top = np.zeros(4)
     top[3] = 1.0
-    assert np.array_equal(adag.entries @ top, np.zeros(4))
+    assert np.array_equal(adag @ top, np.zeros(4))
 
 
 def test_modified_commutator_nmax2():
     a, adag = build_ladder(TruncationSpec(2))
-    comm = a.entries @ adag.entries - adag.entries @ a.entries
+    comm = a @ adag - adag @ a
     assert np.array_equal(comm, np.diag([1.0, -1.0]))
 
 
@@ -36,7 +36,7 @@ def test_modified_commutator_nmax2():
 def test_modified_commutator_general(n_max):
     spec = TruncationSpec(n_max)
     a, adag = build_ladder(spec)
-    comm = a.entries @ adag.entries - adag.entries @ a.entries
+    comm = a @ adag - adag @ a
     expect = np.eye(n_max) - n_max * top_projector(spec)
     assert np.allclose(comm, expect, atol=1e-14)
     assert abs(np.trace(comm)) <= 1e-12
@@ -45,7 +45,7 @@ def test_modified_commutator_general(n_max):
 
 def test_number_operator_nmax8():
     a, adag = build_ladder(TruncationSpec(8))
-    num = adag.entries @ a.entries
+    num = adag @ a
     assert np.allclose(num, np.diag(np.arange(8.0)), atol=1e-14)
 
 
@@ -53,11 +53,11 @@ def test_top_projector_annihilation_identities():
     spec = TruncationSpec(6)
     a, adag = build_ladder(spec)
     p = top_projector(spec)
-    assert np.array_equal(adag.entries @ p, np.zeros((6, 6)))
-    assert np.array_equal(p @ a.entries, np.zeros((6, 6)))
-    num = adag.entries @ a.entries
-    assert np.allclose(num @ a.entries - a.entries @ num, -a.entries, atol=1e-14)
-    assert np.allclose(num @ adag.entries - adag.entries @ num, adag.entries, atol=1e-14)
+    assert np.array_equal(adag @ p, np.zeros((6, 6)))
+    assert np.array_equal(p @ a, np.zeros((6, 6)))
+    num = adag @ a
+    assert np.allclose(num @ a - a @ num, -a, atol=1e-14)
+    assert np.allclose(num @ adag - adag @ num, adag, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_max", [1, 3, 5])
@@ -73,8 +73,8 @@ def test_rejects_nonpositive_omega():
 
 def test_field_ops_nmax2():
     phi, pi = build_field_ops(TruncationSpec(2))
-    assert np.allclose(phi.entries, np.array([[0, 1], [1, 0]]) / np.sqrt(2))
-    assert phi.hermitian and pi.hermitian
+    assert np.allclose(phi, np.array([[0, 1], [1, 0]]) / np.sqrt(2))
+    assert np.array_equal(phi, phi.T) and np.array_equal(pi, pi.conj().T)
 
 
 @pytest.mark.parametrize("n_max,omega", [(4, 1.0), (8, 1.0), (6, 2.5)])
@@ -82,8 +82,8 @@ def test_quadratic_identity_with_top_projector(n_max, omega):
     # pi^2/2 + omega^2 phi^2/2 = H_har - (n_max/2) omega P_top
     spec = TruncationSpec(n_max, omega)
     phi, pi = build_field_ops(spec)
-    lhs = 0.5 * (pi.entries @ pi.entries + omega**2 * phi.entries @ phi.entries)
-    rhs = harmonic_hamiltonian(spec).entries - (n_max / 2.0) * omega * top_projector(spec)
+    lhs = 0.5 * (pi @ pi + omega**2 * phi @ phi)
+    rhs = harmonic_hamiltonian(spec) - (n_max / 2.0) * omega * top_projector(spec)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_quadratic_identity_with_top_projector(n_max, omega):
 def test_field_momentum_commutator(n_max):
     spec = TruncationSpec(n_max)
     phi, pi = build_field_ops(spec)
-    comm = phi.entries @ pi.entries - pi.entries @ phi.entries
+    comm = phi @ pi - pi @ phi
     expect = 1j * (np.eye(n_max) - n_max * top_projector(spec))
     assert np.allclose(comm, expect, atol=1e-13)
 
@@ -100,10 +100,10 @@ def test_field_momentum_commutator(n_max):
 def test_interaction_picture_rotation(t):
     spec = TruncationSpec(8)
     a, _ = build_ladder(spec)
-    h = harmonic_hamiltonian(spec).entries
+    h = harmonic_hamiltonian(spec)
     u = np.diag(np.exp(1j * np.diag(h) * t))
-    rotated = u @ a.entries @ u.conj().T
-    assert np.max(np.abs(rotated - np.exp(-1j * spec.omega * t) * a.entries)) <= 1e-12
+    rotated = u @ a @ u.conj().T
+    assert np.max(np.abs(rotated - np.exp(-1j * spec.omega * t) * a)) <= 1e-12
 
 
 def test_field_eigenvalues_nmax2():
@@ -125,7 +125,7 @@ def test_field_eigenbasis_is_orthonormal_eigenbasis(n_max):
     vecs = np.array([p.vector for p in pairs]).T
     assert np.allclose(vecs.T @ vecs, np.eye(n_max), atol=1e-10)
     for p in pairs:
-        assert np.max(np.abs(phi.entries @ p.vector - p.phi * p.vector)) <= 1e-10
+        assert np.max(np.abs(phi @ p.vector - p.phi * p.vector)) <= 1e-10
     # completeness per occupation level
     assert np.allclose((vecs**2).sum(axis=1), np.ones(n_max), atol=1e-10)
 
@@ -134,7 +134,7 @@ def test_field_eigenbasis_is_orthonormal_eigenbasis(n_max):
 def test_hermite_roots_match_direct_diagonalization(n_max):
     spec = TruncationSpec(n_max)
     phi, _ = build_field_ops(spec)
-    direct = np.linalg.eigvalsh(phi.entries)
+    direct = np.linalg.eigvalsh(phi)
     roots = hermite_zeros(n_max) / np.sqrt(spec.omega)
     assert np.max(np.abs(np.sort(direct) - roots)) <= 1e-12
 

@@ -17,7 +17,6 @@ from phi4trunc import (
     single_site_hamiltonian,
     trotter_step_unitary,
 )
-from phi4trunc.oscillator import OperatorMatrix
 from phi4trunc import pauli
 from phi4trunc.pauli import (
     MAX_RESOURCE_QUBITS,
@@ -84,7 +83,7 @@ def test_nmax4_coefficients_are_linear_in_lambda():
 
 
 def test_identity_input():
-    dec = pauli_decompose(OperatorMatrix(np.eye(4), hermitian=True), 2)
+    dec = pauli_decompose(np.eye(4), 2)
     assert dec.terms == []
     assert dec.identity_coeff == 1.0
 
@@ -95,8 +94,7 @@ def test_roundtrip_random_hermitian(n_q):
     dim = 2**n_q
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = (m + m.conj().T) / 2
-    h = OperatorMatrix(m, hermitian=True)
-    dec = pauli_decompose(h, n_q)
+    dec = pauli_decompose(m, n_q)
     rebuilt = dec.identity_coeff * np.eye(dim, dtype=complex)
     for term in dec.terms:
         rebuilt += term.coeff * pauli_matrix(term.string)
@@ -109,8 +107,8 @@ def test_roundtrip_random_hermitian(n_q):
 
 def test_decompose_input_validation():
     with pytest.raises(ValueError, match="2"):
-        pauli_decompose(OperatorMatrix(np.eye(3)), 2)
-    bad = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        pauli_decompose(np.eye(3), 2)
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         pauli_decompose(bad, 1)
 
@@ -206,8 +204,7 @@ def test_decomposition_rebuilds_random_hermitian(parts):
     dim = re.shape[0]
     n_q = dim.bit_length() - 1
     m = (re + 1j * im + (re + 1j * im).conj().T) / 2
-    h = OperatorMatrix(m, hermitian=True)
-    dec = pauli_decompose(h, n_q)
+    dec = pauli_decompose(m, n_q)
     rebuilt = dec.identity_coeff * np.eye(dim, dtype=complex)
     for term in dec.terms:
         rebuilt += term.coeff * pauli_matrix(term.string)
@@ -236,7 +233,7 @@ def _decomposition_inputs(draw):
         n_max = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]))
         trunc = TruncationSpec(n_max, draw(st.sampled_from([0.25, 1.0, 1.5, 4.0])))
         lam = draw(st.sampled_from([0.0, 0.0417, 1.0 / 3.0, 1.4, 25.0]))
-        return single_site_hamiltonian(trunc, lam).entries, n_max.bit_length() - 1
+        return single_site_hamiltonian(trunc, lam), n_max.bit_length() - 1
     n_q = draw(st.integers(1, 6))
     dim = 2**n_q
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -250,7 +247,7 @@ def _decomposition_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_decomposition_inputs())
-@example(case=(single_site_hamiltonian(TruncationSpec(256), 0.0417).entries, 8))
+@example(case=(single_site_hamiltonian(TruncationSpec(256), 0.0417), 8))
 @example(case=(np.eye(4), 2))
 @example(case=(np.zeros((2, 2)), 1))
 def test_decomposition_on_the_reached_flips_is_the_full_gather(case):
@@ -259,7 +256,7 @@ def test_decomposition_on_the_reached_flips_is_the_full_gather(case):
     m, n_q = case
 
     def ours():
-        dec = pauli_decompose(OperatorMatrix(m), n_q)
+        dec = pauli_decompose(m, n_q)
         return [(t.string, t.coeff) for t in dec.terms], dec.identity_coeff, dec.n_dropped
 
     assert _outcome(ours) == _outcome(lambda: pauli_decompose_full_gather(m, n_q))
@@ -302,7 +299,7 @@ def _near_hermitian(draw):
 def test_hermitian_check_on_the_nonzero_pattern_is_the_dense_check(m):
     n_q = m.shape[0].bit_length() - 1
     try:
-        _check_input(OperatorMatrix(m), n_q)
+        _check_input(m, n_q)
         accepted = True
     except ValueError as err:
         assert "Hermitian" in str(err)
@@ -323,7 +320,7 @@ def _random_plan(data, n_q, last_letters="IXYZ"):
 @given(data=st.data(), n_q=st.integers(1, 4))
 def test_compiled_step_unitary_matches_dense_product(data, n_q):
     terms, dt = _random_plan(data, n_q)
-    u = trotter_step_unitary(TrotterPlan(terms, dt, 1)).entries
+    u = trotter_step_unitary(TrotterPlan(terms, dt, 1))
     assert np.max(np.abs(u - dense_trotter_step([(t.string, t.coeff) for t in terms], dt))) <= 1e-13
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n_q))) <= 1e-13
 
@@ -348,7 +345,7 @@ def test_nnz_growth_slower_than_4_to_nq():
 
 def test_single_term_plan_is_exact():
     plan = TrotterPlan([PauliTerm("XZ", 0.37)], dt=0.5, steps=1)
-    u = trotter_step_unitary(plan).entries
+    u = trotter_step_unitary(plan)
     p = pauli_matrix("XZ")
     w, v = np.linalg.eigh(p)
     exact = (v * np.exp(-1j * 0.5 * 0.37 * w)) @ v.conj().T
@@ -359,11 +356,11 @@ def test_step_error_scales_quadratically():
     trunc = TruncationSpec(4)
     h = single_site_hamiltonian(trunc, 0.1)
     dec = pauli_decompose(h, 2)
-    w, v = np.linalg.eigh(h.entries)
+    w, v = np.linalg.eigh(h)
     errs = []
     for dt in (0.2, 0.1, 0.05):
         plan = build_trotter_plan(dec, dt, 1)
-        u = trotter_step_unitary(plan).entries
+        u = trotter_step_unitary(plan)
         exact = (v * np.exp(-1j * w * dt)) @ v.conj().T * np.exp(1j * dec.identity_coeff * dt)
         errs.append(np.linalg.norm(u - exact, 2))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
@@ -374,15 +371,15 @@ def test_step_unitarity():
     dec = pauli_decompose(single_site_hamiltonian(TruncationSpec(8), 0.3), 3)
     for ordering in ("by_magnitude_desc", "lexicographic", "as_given"):
         plan = build_trotter_plan(dec, 0.17, 1, ordering)
-        u = trotter_step_unitary(plan).entries
+        u = trotter_step_unitary(plan)
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-12
 
 
 def test_identity_only_plan_keeps_its_register_width():
-    dec = pauli_decompose(OperatorMatrix(3.0 * np.eye(4), hermitian=True), 2)
+    dec = pauli_decompose(3.0 * np.eye(4), 2)
     plan = build_trotter_plan(dec, 0.1, 3)
     assert dec.terms == [] and plan.n_q == 2
-    assert np.array_equal(trotter_step_unitary(plan).entries, np.eye(4))
+    assert np.array_equal(trotter_step_unitary(plan), np.eye(4))
     sim = simulate_trotter(plan, 2, [3])
     assert np.all(sim["probabilities"] == 0.0)
     assert np.array_equal(sim["state"], np.eye(4)[2])
@@ -428,7 +425,7 @@ def test_simulation_matches_step_unitary_powers():
     dec = pauli_decompose(single_site_hamiltonian(trunc, 0.1), 2)
     plan = build_trotter_plan(dec, 0.2, 5)
     sim = simulate_trotter(plan, 0, [0, 2])
-    u = trotter_step_unitary(plan).entries
+    u = trotter_step_unitary(plan)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     for step in range(1, 6):
@@ -466,7 +463,7 @@ def test_global_error_first_order_in_dt():
     trunc = TruncationSpec(4)
     h = single_site_hamiltonian(trunc, 0.1)
     dec = pauli_decompose(h, 2)
-    w, v = np.linalg.eigh(h.entries)
+    w, v = np.linalg.eigh(h)
     total_t = 2.0
     state_errs, prob_errs = [], []
     for dt in (0.1, 0.05, 0.025):

@@ -78,9 +78,9 @@ def test_nmax32_low_orders_equal_continuum():
 def test_truncation_changes_second_order_through_missing_channel():
     # <0|phi^4|4> vanishes at n_max=4 but equals sqrt(6)/2 untruncated; the
     # second-order coefficient moves from -21/8 to -9/4 by exactly its term
-    phi4_trunc = np.linalg.matrix_power(build_field_ops(TruncationSpec(4))[0].entries, 4)
+    phi4_trunc = np.linalg.matrix_power(build_field_ops(TruncationSpec(4))[0], 4)
     assert phi4_trunc[0, 3] == 0.0  # the |4> channel is cut entirely
-    phi4_full = np.linalg.matrix_power(build_field_ops(TruncationSpec(8))[0].entries, 4)
+    phi4_full = np.linalg.matrix_power(build_field_ops(TruncationSpec(8))[0], 4)
     v04 = phi4_full[0, 4]
     assert abs(v04 - np.sqrt(6) / 2) <= 1e-12
     missing = F(-3, 8)  # -|v04|^2/(E4 - E0) = -(3/2)/4
@@ -124,7 +124,7 @@ def test_strong_series_duality_against_dense():
     lam = 5.0
     val = float(ser.evaluate(mp.mpf(1) / 5))
     h = single_site_hamiltonian(trunc, lam)
-    target = np.linalg.eigvalsh(h.entries)[0] / lam
+    target = np.linalg.eigvalsh(h)[0] / lam
     assert abs(val - target) <= 1e-10
 
 

@@ -12,10 +12,12 @@ from phi4trunc import (
     affine_operator,
     anharmonic_family,
     dense_spectrum,
+    exact_amplitude,
     lanczos_lowest,
     lattice_ground_energies,
     lattice_hamiltonian,
     single_site_hamiltonian,
+    strong_coupling_family,
 )
 from phi4trunc import spectral
 from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
@@ -56,14 +58,27 @@ def test_dense_complex_coupling_uses_general_solver():
     h = single_site_hamiltonian(TruncationSpec(4), 0.1 + 0.05j)
     res = dense_spectrum(h)
     assert np.diff(res.real).min() >= 0
-    assert np.max(np.abs(res - np.sort_complex(np.linalg.eigvals(h.entries)))) <= 1e-12
+    assert np.max(np.abs(res - np.sort_complex(np.linalg.eigvals(h)))) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16), st.floats(0.1, 10.0), st.sampled_from([anharmonic_family, strong_coupling_family]),
+       st.sampled_from(["full", "even", "odd"]), st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 0.05, -1.5]))
+def test_dense_spectrum_takes_its_solver_from_the_dtype(half, omega, make_family, cut, re, im):
+    # a zero imaginary part, signed or not, gives a real matrix and eigvalsh
+    fam = make_family(TruncationSpec(2 * half, omega))
+    h = affine_operator(*((fam.h0, fam.v) if cut == "full" else fam.sector_matrices(cut)), complex(re, im))
+    got = dense_spectrum(h)
+    if im == 0.0:
+        assert h.dtype == float and np.array_equal(got, np.linalg.eigvalsh(h))
+    else:
+        w = np.linalg.eigvals(h)
+        assert h.dtype == complex and np.array_equal(got, w[np.argsort(w.real, kind="stable")])
 
 
 def test_dense_cap():
-    from phi4trunc.oscillator import OperatorMatrix
-
     with pytest.raises(ValueError, match="cap"):
-        dense_spectrum(OperatorMatrix(np.eye(5000), hermitian=True))
+        dense_spectrum(np.eye(5000))
 
 
 def test_lanczos_matches_dense_on_small_lattice():
@@ -199,12 +214,6 @@ def test_warm_started_sweep_is_the_dense_sector_minimum():
     assert min(h0.shape[0] for h0, _ in blocks) > spectral.SECTOR_DENSE_DIM
     want = [min(np.linalg.eigvalsh(h0 + lam * v)[0] for h0, v in blocks) for lam in lams]
     assert np.allclose(got, want, rtol=1e-12, atol=0)
-
-
-def test_lanczos_rejects_non_hermitian():
-    m = _operator(np.array([[0.0, 1.0], [0.0, 0.0]])).matrix
-    with pytest.raises(ValueError, match="Hermitian"):
-        lanczos_lowest(SparseOperator(m, hermitian=False), 1)
 
 
 def test_derivatives_at_zero_coupling():
@@ -501,6 +510,12 @@ def test_symmetric_sectors_hold_the_dense_ground_energy(n_sites, n_max, boundary
               for h0, v in _lattice_blocks(spec, "symmetric"))
     want = np.linalg.eigvalsh(dense_lattice_hamiltonian(n_sites, n_max, kappa, lam, boundary))[0]
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_exact_evolution_refuses_a_complex_hamiltonian():
+    h = single_site_hamiltonian(TruncationSpec(4), 0.1 + 0.05j)
+    with pytest.raises(ValueError, match="exact evolution needs a Hermitian H.*complex128, from a complex coupling"):
+        exact_amplitude(h, [0.0, 1.0], 0, 2)
 
 
 def test_complex_coupling_keeps_the_full_space_error():
