@@ -18,8 +18,7 @@ from .hamiltonian import (
     affine_operator,
     single_site_hamiltonian,
     lattice_hamiltonian,
-    anharmonic_family,
-    strong_coupling_family,
+    site_blocks,
 )
 from .spectral import (
     dense_spectrum,

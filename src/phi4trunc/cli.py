@@ -29,14 +29,7 @@ import numpy as np
 from . import csvio
 from .algebra import level_sector, sector_indices
 from .dyson import dyson_series
-from .hamiltonian import (
-    LatticeSpec,
-    affine_operator,
-    anharmonic_family,
-    lattice_hamiltonian,
-    single_site_hamiltonian,
-    strong_coupling_family,
-)
+from .hamiltonian import LatticeSpec, affine_operator, lattice_hamiltonian, single_site_hamiltonian, site_blocks
 from .oscillator import TruncationSpec
 from .pauli import (
     MAX_RESOURCE_QUBITS,
@@ -122,9 +115,14 @@ def _lam_grid(v: list[float]) -> str | None:
     return None
 
 
-def _family(cfg, trunc: TruncationSpec):
-    """The single-site family of --domain."""
-    return strong_coupling_family(trunc) if cfg["domain"] == "strong" else anharmonic_family(trunc)
+def _domain_blocks(domain: str, trunc: TruncationSpec, sector: str) -> tuple[np.ndarray, np.ndarray]:
+    """(H0, V) of one site in --domain: H_har + lam phi^4, or swapped, phi^4 + lam H_har, when strong.
+
+    H_str(1/lam) = H(lam)/lam for lam != 0, so both domains share the same
+    exceptional points up to inversion.
+    """
+    pair = site_blocks(trunc, sector)
+    return pair[::-1] if domain == "strong" else pair
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +147,11 @@ def _cmd_spectrum(cfg, outdir):
         else:
             eigenvalues = dense_spectrum(h.matrix.toarray())
     else:
-        family = _family(cfg, trunc)
-        blocks = (family.h0, family.v) if cfg["sector"] == "full" else family.sector_matrices(cfg["sector"])
-        h = affine_operator(*blocks, cfg["lam"])
+        if cfg["method"] != "dense":
+            raise ValueError(f"--method {cfg['method']!r} needs --nsites > 1 (a single site is solved dense)")
+        if cfg["kappa"] != 0.0:
+            raise ValueError(f"--kappa {cfg['kappa']!r} needs --nsites > 1 (a single site has no hop)")
+        h = affine_operator(*_domain_blocks(cfg["domain"], trunc, cfg["sector"]), cfg["lam"])
         eigenvalues = dense_spectrum(h)
     rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(eigenvalues)]
     path = csvio.write_csv(outdir / "spectrum.csv", ["index", "re", "im"], rows,
@@ -300,8 +300,8 @@ def _grid_trunc(cfg) -> TruncationSpec:
 def _cmd_scan(cfg, outdir):
     (re_lo, re_hi), (im_lo, im_hi) = cfg["re"], cfg["im"]
     n_re, n_im = cfg["res"]
-    family = _family(cfg, _grid_trunc(cfg))
-    grid = gap_scan(family, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["sector"], cfg["jobs"])
+    blocks = _domain_blocks(cfg["domain"], _grid_trunc(cfg), cfg["sector"])
+    grid = gap_scan(*blocks, ((re_lo, re_hi), (im_lo, im_hi)), (n_re, n_im), cfg["jobs"])
     if grid.failures == grid.values.size:
         raise np.linalg.LinAlgError(f"scan grid {n_re}x{n_im}: all {grid.failures} points failed to "
                                     "diagonalize, so no gap is left")
@@ -330,7 +330,7 @@ def _cmd_scan(cfg, outdir):
                 break
             if any(abs(seed - v) < basin for v in visited):
                 continue
-            res = refine_exceptional_point(family, seed, cfg["sector"])
+            res = refine_exceptional_point(*blocks, seed)
             loc = res.location
             visited.append(loc)
             if res.exceptional and not any(abs(loc - complex(r, i)) < 1e-9
@@ -423,8 +423,7 @@ def _cmd_lattice_sweep(cfg, outdir):
 
 def _cmd_riemann(cfg, outdir):
     n_lat, n_lon = cfg["res"]
-    family = anharmonic_family(_grid_trunc(cfg))
-    rows = riemann_export(family, cfg["sector"], (n_lat, n_lon), cfg["jobs"])
+    rows = riemann_export(*site_blocks(_grid_trunc(cfg), cfg["sector"]), (n_lat, n_lon), cfg["jobs"])
     path = csvio.write_csv(outdir / "riemann.csv", ["re", "im", "gap", "x", "y"], rows,
                            {"nmax": cfg["nmax"], "sector": cfg["sector"],
                             "orientation": "0->south,inf->north,arg(lambda)->longitude",

@@ -1,26 +1,29 @@
-"""Single-site, strong-coupling-form and 1+1D lattice Hamiltonians.
+"""Single-site and 1+1D lattice Hamiltonians.
 
 Every Hamiltonian here is an affine family H(lam) = H0 + lam V in its
-coupling, with H0 and V real and symmetric (to rounding), so H(lam) is
+coupling, with H0 and V real and symmetric by construction, so H(lam) is
 self-adjoint exactly on the real axis.  affine_operator evaluates one as
 a plain array, real exactly when lam is real: its dtype is its Hermitian
 flag, and the family can be scanned off the real axis.
-A single site keeps occupation parity, and CouplingFamily.sector_matrices
-cuts H0 and V to the even or the odd block.  The lattice Hamiltonian is a
-sum of local anharmonic terms and quadratic nearest-neighbor hops,
+One site is H_har + lam phi^4; site_blocks gives the pair on the full
+site or cut to its even or odd occupation-parity block, and _phi4 is the
+one place phi^4 is formed.  The strong-coupling form phi^4 + lam H_har is
+the same pair swapped.  The lattice Hamiltonian is a sum of local
+anharmonic terms and quadratic nearest-neighbor hops,
 
     H = sum_x [ omega (a_x^dag a_x + 1/2) + lam phi_x^4 ] - 2 kappa sum_x phi_x phi_{x+1},
 
 built once per kappa: H0 holds the harmonic sites and the hop, V the
 phi^4 sites.  One builder, _orbit_pair, forms the pair by applying the
-local terms to the digits of basis states (site 0 the slowest-varying
-index).  _lattice_blocks gives it one of three bases: the full product
-basis, its two occupation-parity blocks, and the two symmetric sectors,
-one state per orbit of the site permutations that keep the bonds (the
-translations and the reflection of a periodic chain, the reflection of an
-open one).  The product basis is the case where every state is its own
-orbit; lattice_hamiltonian evaluates it.  No other basis forms the
-full-space matrix.
+local terms, the site pair of site_blocks and the hop phi_x phi_y, to
+the digits of basis states (site 0 the slowest-varying index).
+_lattice_blocks gives it one of three bases: the full product basis, its
+two occupation-parity blocks, and the two symmetric sectors, one state
+per orbit of the site permutations that keep the bonds (the translations
+and the reflection of a periodic chain, the reflection of an open one).
+The product basis is the case where every state is its own orbit;
+lattice_hamiltonian evaluates it.  No other basis forms the full-space
+matrix.
 H0 and V are CSRMatrix blocks on one shared pattern.  CSRMatrix is the
 package's one sparse matrix and the one place that reads the CSR layout;
 lattice_hamiltonian hands one out in a SparseOperator, whose matrix
@@ -43,9 +46,7 @@ __all__ = [
     "affine_operator",
     "single_site_hamiltonian",
     "lattice_hamiltonian",
-    "CouplingFamily",
-    "anharmonic_family",
-    "strong_coupling_family",
+    "site_blocks",
 ]
 
 DEFAULT_DIM_CAP = 2**20
@@ -169,8 +170,30 @@ class SparseOperator:
 
 
 def _phi4(spec: TruncationSpec) -> np.ndarray:
+    """phi^4, symmetric by construction: the lower triangle of matrix_power(phi, 4) mirrored onto the upper.
+
+    The BLAS products of matrix_power do not sum the two sides of an entry
+    in one order, so its two triangles can differ in the last bit (n_max
+    26 and 28 at omega 1).  The lower one is the triangle eigvalsh and eigh
+    read.
+    """
     phi, _ = build_field_ops(spec)
-    return np.linalg.matrix_power(phi, 4)
+    low = np.tril(np.linalg.matrix_power(phi, 4))
+    return low + np.tril(low, -1).T
+
+
+def site_blocks(trunc: TruncationSpec, sector: str) -> tuple[np.ndarray, np.ndarray]:
+    """(H_har, phi^4) of one site, on sector "full" or cut to its "even" or "odd" occupation-parity block.
+
+    H(lam) = H_har + lam phi^4 keeps occupation parity, as phi^4 changes
+    the occupation by an even number.  Swapped, the pair is the
+    strong-coupling form H_str(mu) = phi^4 + mu H_har.
+    """
+    h0, v = harmonic_hamiltonian(trunc), _phi4(trunc)
+    if sector == "full":
+        return h0, v
+    cut = sector_indices(trunc.n_max, sector)
+    return h0[np.ix_(cut, cut)], v[np.ix_(cut, cut)]
 
 
 def _coupling(lam: complex) -> complex:
@@ -186,8 +209,7 @@ def affine_operator(h0: np.ndarray, v: np.ndarray, lam: complex) -> np.ndarray:
 
 def single_site_hamiltonian(trunc: TruncationSpec, lam: complex) -> np.ndarray:
     """H = omega (a^dag a + 1/2) + lam phi^4 on one site."""
-    family = anharmonic_family(trunc)
-    return affine_operator(family.h0, family.v, lam)
+    return affine_operator(*site_blocks(trunc, "full"), lam)
 
 
 def _bonds(spec: LatticeSpec) -> list[tuple[int, int]]:
@@ -305,8 +327,7 @@ def _orbit_pair(spec: LatticeSpec, reps: np.ndarray, rep: np.ndarray | None = No
     pos[reps] = np.arange(dim)
     # keys source * dim + target in int32 where they fit
     itype = np.int32 if dim * dim < 2**31 else np.int64
-    har, phi4, phi = (_band(op) for op in (harmonic_hamiltonian(spec.trunc),
-                                           _phi4(spec.trunc), build_field_ops(spec.trunc)[0]))
+    har, phi4, phi = map(_band, (*site_blocks(spec.trunc, "full"), build_field_ops(spec.trunc)[0]))
 
     def assemble(terms: list[tuple[float, list]]) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values of the entries of a sum of products of local operators.
@@ -392,34 +413,3 @@ def _parity_array(n_max: int, n_sites: int) -> np.ndarray:
         total += index % n_max
         index //= n_max
     return total % 2
-
-
-@dataclass(frozen=True)
-class CouplingFamily:
-    """Affine analytic family H(lam) = H0 + lam V of one site, with parity bookkeeping.
-
-    h0 and v are dense arrays on the n_max occupation states.
-    """
-
-    h0: np.ndarray
-    v: np.ndarray
-
-    def sector_matrices(self, sector: str) -> tuple[np.ndarray, np.ndarray]:
-        """The even or the odd occupation-parity block of h0 and of v."""
-        idx = sector_indices(self.h0.shape[0], sector)
-        return self.h0[np.ix_(idx, idx)], self.v[np.ix_(idx, idx)]
-
-
-def anharmonic_family(trunc: TruncationSpec) -> CouplingFamily:
-    """H(lam) = H_har + lam phi^4 for one site."""
-    return CouplingFamily(harmonic_hamiltonian(trunc), _phi4(trunc))
-
-
-def strong_coupling_family(trunc: TruncationSpec) -> CouplingFamily:
-    """H_str(lam_tilde) = phi^4 + lam_tilde H_har for one site.
-
-    H_str(1/lam) = H_anh(lam)/lam for lam != 0, so both families share the
-    same exceptional points up to inversion.
-    """
-    return CouplingFamily(_phi4(trunc), harmonic_hamiltonian(trunc))
-

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .hamiltonian import CouplingFamily
 from .oscillator import TruncationSpec
 
 __all__ = [
@@ -515,48 +514,45 @@ def grid_gaps(h0s: np.ndarray, vs: np.ndarray, lams, workers: int = 1) -> np.nda
 
 
 def gap_scan(
-    family: CouplingFamily,
+    h0s: np.ndarray,
+    vs: np.ndarray,
     region: tuple[tuple[float, float], tuple[float, float]],
     resolution: tuple[int, int],
-    sector: str = "even",
     workers: int = 1,
 ) -> GapGrid:
-    """Minimum pairwise |z_i - z_j| within a sector over a complex-lam grid.
+    """Minimum pairwise |z_i - z_j| of the eigenvalues of h0s + lam vs over a complex-lam grid.
 
-    The whole grid goes to grid_gaps, on up to `workers` threads.  Isolated
-    eigensolver failures are recorded as NaN and counted, not raised.
+    h0s and vs are a sector block pair, such as hamiltonian.site_blocks
+    gives.  The whole grid goes to grid_gaps, on up to `workers` threads.
+    Isolated eigensolver failures are recorded as NaN and counted, not
+    raised.
     """
     (re_lo, re_hi), (im_lo, im_hi) = region
     n_re, n_im = resolution
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
-    h0s, vs = family.sector_matrices(sector)
     grid = GapGrid((re_lo, re_hi), (im_lo, im_hi), grid_gaps(h0s, vs, res + 1j * ims[:, None], workers))
     if grid.failures:
         warnings.warn(f"{grid.failures} grid points failed to diagonalize", RuntimeWarning)
     return grid
 
 
-def refine_exceptional_point(
-    family: CouplingFamily,
-    guess: complex,
-    sector: str = "even",
-) -> RefineResult:
-    """Secant iteration on g(lam) = (z_i - z_j)^2 of the closest eigenvalue pair.
+def refine_exceptional_point(h0s: np.ndarray, vs: np.ndarray, guess: complex) -> RefineResult:
+    """Secant iteration on g(lam) = (z_i - z_j)^2 of the closest eigenvalue pair of h0s + lam vs.
 
-    g is analytic with a simple zero at an exceptional point, so the secant
-    converges superlinearly where a search on the gap |z_i - z_j| itself
-    would crawl along its square-root valley.  The minimum is classified as
-    exceptional when the iteration converged and the gap is at most
-    EXCEPTIONAL_GAP_THRESHOLD * max(1, ||H(lam)||_2), since the
-    floating-point eigensolver splits a coalesced pair by about
+    h0s and vs are a sector block pair, such as hamiltonian.site_blocks
+    gives.  g is analytic with a simple zero at an exceptional point, so
+    the secant converges superlinearly where a search on the gap
+    |z_i - z_j| itself would crawl along its square-root valley.  The
+    minimum is classified as exceptional when the iteration converged and
+    the gap is at most EXCEPTIONAL_GAP_THRESHOLD * max(1, ||H(lam)||_2),
+    since the floating-point eigensolver splits a coalesced pair by about
     sqrt(eps) ||H||; an avoided crossing is a result, not an error.  On the
     real axis H(lam) is real symmetric, hence diagonalizable, so no
     exceptional point lies there: ValueError names an exactly real guess.
     """
     if guess.imag == 0.0:
         raise ValueError(f"guess {guess!r} is real, where H(lam) is real symmetric and has no exceptional point")
-    h0s, vs = family.sector_matrices(sector)
 
     def pair(lam: complex) -> complex:
         return min_sector_gaps(h0s, vs, np.array([lam], dtype=complex))[0]
@@ -665,21 +661,21 @@ def _mollweide(lon, lat) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def riemann_export(family: CouplingFamily, sector: str, resolution: tuple[int, int],
+def riemann_export(h0s: np.ndarray, vs: np.ndarray, resolution: tuple[int, int],
                    workers: int = 1) -> np.ndarray:
-    """Minimum sector gaps over the Riemann sphere, in Mollweide plot coordinates.
+    """Minimum gaps of h0s + lam vs over the Riemann sphere, in Mollweide plot coordinates.
 
-    The sphere is sampled at n_lat latitudes from -0.98 pi/2 to 0.98 pi/2
-    and n_lon longitudes from -pi up to (not including) pi, resolution =
-    (n_lat, n_lon).  Inverse stereographic projection puts lam = 0 at the
-    south pole, infinity at the north pole and the positive real axis on the
-    zero meridian, so each point is the coupling r e^(i lon) with
-    r = sqrt((1 + sin lat) / (1 - sin lat)).  Returns the rows
+    h0s and vs are a sector block pair, such as hamiltonian.site_blocks
+    gives.  The sphere is sampled at n_lat latitudes from -0.98 pi/2 to
+    0.98 pi/2 and n_lon longitudes from -pi up to (not including) pi,
+    resolution = (n_lat, n_lon).  Inverse stereographic projection puts
+    lam = 0 at the south pole, infinity at the north pole and the positive
+    real axis on the zero meridian, so each point is the coupling
+    r e^(i lon) with r = sqrt((1 + sin lat) / (1 - sin lat)).  Returns the rows
     (re lam, im lam, gap, x, y), latitude by latitude from the south; the
     gaps of the whole sphere come from grid_gaps, on up to `workers` threads.
     """
     n_lat, n_lon = resolution
-    h0s, vs = family.sector_matrices(sector)
     lats = np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n_lat)
     lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)
     sin = np.sin(lats)

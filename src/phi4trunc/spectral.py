@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .hamiltonian import CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, anharmonic_family
+from .hamiltonian import CSRMatrix, LatticeSpec, SparseOperator, _lattice_blocks, site_blocks
 from .oscillator import TruncationSpec, build_field_ops
 
 __all__ = [
@@ -249,7 +249,7 @@ def _site_field_gauges(trunc: TruncationSpec, lams: list[float]) -> bool:
     max|B| count as zero, a change of H at rounding level (Weyl).
     """
     lam = np.reshape(lams, (-1, 1, 1))
-    blocks = map(anharmonic_family(trunc).sector_matrices, ("even", "odd"))
+    blocks = (site_blocks(trunc, sector) for sector in ("even", "odd"))
     _, u = np.linalg.eigh([h0 + lam * v for h0, v in blocks])
     n = trunc.n_max
     phi = build_field_ops(trunc)[0][np.ix_(np.arange(0, n, 2), np.arange(1, n, 2))]

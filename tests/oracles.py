@@ -168,16 +168,20 @@ def coalescing_levels(n_max: int, point: complex) -> tuple[int, int]:
     return tuple(sorted((2 * int(i), 2 * int(j))))
 
 
-def tracked_sector_level(family, sector: str, pos: int, lam: float,
+def tracked_sector_level(blocks, sector: str, pos: int, lam: float,
                          ref_vec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Eigenpair of the family's sector block at lam: position pos, or the one most like ref_vec."""
-    h0s, vs = family.sector_matrices(sector)
+    """Eigenpair of the sector block h0s + lam vs at lam: position pos, or the one most like ref_vec.
+
+    blocks maps a sector to its pair (h0s, vs), as
+    functools.partial(site_blocks, trunc) does.
+    """
+    h0s, vs = blocks(sector)
     w, u = np.linalg.eigh(h0s + lam * vs)
     j = pos if ref_vec is None else int(np.argmax(np.abs(ref_vec @ u)))
     return float(w[j]), u[:, j]
 
 
-def finite_difference_derivatives(family, level: int, lambda0: float,
+def finite_difference_derivatives(blocks, level: int, lambda0: float,
                                   step: float | None = None) -> tuple[float, float, float]:
     """d1, d2 and d4 of E_level(lam) at lambda0 from nine samples spaced step/2 apart.
 
@@ -187,8 +191,8 @@ def finite_difference_derivatives(family, level: int, lambda0: float,
     """
     sector, pos = ("even", "odd")[level % 2], level // 2
     h = step if step is not None else 1e-4 * max(1.0, abs(lambda0))
-    _, ref = tracked_sector_level(family, sector, pos, lambda0)
-    es = {k: tracked_sector_level(family, sector, pos, lambda0 + k * h / 2.0, ref)[0] for k in range(-4, 5)}
+    _, ref = tracked_sector_level(blocks, sector, pos, lambda0)
+    es = {k: tracked_sector_level(blocks, sector, pos, lambda0 + k * h / 2.0, ref)[0] for k in range(-4, 5)}
 
     def stencil(mult: int) -> tuple[float, float, float]:
         f, s = [es[k * mult] for k in (-2, -1, 0, 1, 2)], h * mult / 2.0
@@ -229,7 +233,7 @@ class SingularityEstimate:
         return float(np.hypot(self.re, self.im))
 
 
-def energy_derivatives(family, level: int, sector: str, lambda0: float) -> DerivativeEstimate:
+def energy_derivatives(blocks, level: int, sector: str, lambda0: float) -> DerivativeEstimate:
     """d1, d2, d4 of E_level(lam) at lambda0 within its parity sector, by sum over states.
 
     level is the global harmonic label; its position inside the sector is
@@ -242,7 +246,7 @@ def energy_derivatives(family, level: int, sector: str, lambda0: float) -> Deriv
     if sector != held:
         raise ValueError(f"level {level} lies in the {held} sector, not {sector!r}")
     pos = level // 2
-    h0s, vs = family.sector_matrices(sector)
+    h0s, vs = blocks(sector)
     w, u = np.linalg.eigh(h0s + lambda0 * vs)
     gaps = np.abs(np.delete(w - w[pos], pos))
     if gaps.size and gaps.min() < 1e-8:
@@ -255,9 +259,9 @@ def energy_derivatives(family, level: int, sector: str, lambda0: float) -> Deriv
     return DerivativeEstimate(level, lambda0, c[1], 2.0 * c[2], 24.0 * c[4])
 
 
-def _pair_d2(family, sector: str, pos: int, lam: float) -> float:
+def _pair_d2(blocks, sector: str, pos: int, lam: float) -> float:
     level = 2 * pos + (0 if sector == "even" else 1)
-    return energy_derivatives(family, level, sector, lam).d2
+    return energy_derivatives(blocks, level, sector, lam).d2
 
 
 def _golden_max(f, a: float, b: float) -> float:
@@ -278,7 +282,7 @@ def _golden_max(f, a: float, b: float) -> float:
 
 
 def singularity_from_derivatives(
-    family,
+    blocks,
     level_pair: tuple[int, int],
     scan_range: tuple[float, float],
     member: str = "upper",
@@ -304,7 +308,7 @@ def singularity_from_derivatives(
     pos = level // 2
 
     def absd2(x: float) -> float:
-        return abs(_pair_d2(family, sector, pos, x))
+        return abs(_pair_d2(blocks, sector, pos, x))
 
     grid = np.linspace(lo, hi, 101)
     vals = np.array([absd2(x) for x in grid])
@@ -342,7 +346,7 @@ def singularity_from_derivatives(
     width = cross(re, right) - cross(re, left)
     im_width = width / HALF_WIDTH_FACTOR
 
-    est = energy_derivatives(family, level, sector, re)
+    est = energy_derivatives(blocks, level, sector, re)
     ratio = -3.0 * est.d2 / est.d4
     if ratio <= 0:
         warnings.warn(

@@ -13,7 +13,6 @@ from phi4trunc import (
     LatticeSpec,
     TruncationSpec,
     affine_operator,
-    anharmonic_family,
     build_trotter_plan,
     count_resources,
     dense_spectrum,
@@ -30,11 +29,12 @@ from phi4trunc import (
     refine_exceptional_point,
     simulate_trotter,
     single_site_hamiltonian,
-    strong_coupling_family,
+    site_blocks,
     sylvester_discriminant,
     trotter_step_unitary,
     weak_series,
 )
+from phi4trunc.cli import _domain_blocks
 from phi4trunc.spectral import curvature_peak, stencil_derivatives
 
 from oracles import (benderwu_continuum, dense_lattice_hamiltonian, singularity_from_derivatives,
@@ -63,7 +63,7 @@ def criterion(num, title):
 @criterion("1", "n_max=4 closed forms, exceptional points, radius")
 def test_c01_nmax4_exact_closed_forms():
     trunc = TruncationSpec(4)
-    blocks = anharmonic_family(trunc).sector_matrices
+    blocks = functools.partial(site_blocks, trunc)
     for lam in np.linspace(-0.5, 1.0, 151):
         even = dense_spectrum(affine_operator(*blocks("even"), lam))
         odd = dense_spectrum(affine_operator(*blocks("odd"), lam))
@@ -74,10 +74,9 @@ def test_c01_nmax4_exact_closed_forms():
         assert np.max(np.abs(even - expect_e)) <= 1e-12
         assert np.max(np.abs(odd - expect_o)) <= 1e-12
 
-    fam = anharmonic_family(trunc)
-    refined_e = refine_exceptional_point(fam, -0.2 + 0.15j, "even")
+    refined_e = refine_exceptional_point(*blocks("even"), -0.2 + 0.15j)
     assert refined_e.exceptional and abs(refined_e.location - EP4_EVEN) <= 1e-6
-    refined_o = refine_exceptional_point(fam, 0.02 + 0.26j, "odd")
+    refined_o = refine_exceptional_point(*blocks("odd"), 0.02 + 0.26j)
     assert refined_o.exceptional and abs(refined_o.location - EP4_ODD) <= 1e-6
 
     res_e = sylvester_discriminant(trunc, "even").roots()
@@ -122,11 +121,11 @@ def test_c04a_nmax8_radii(n8_even_series_200):
         radius, _ = radius_estimate(n8_even_series_200[level], 100, 200)
         assert abs(radius - expect) <= 2e-4, f"series radius level {level}: {radius:.5f}"
 
-    fam = anharmonic_family(TruncationSpec(8))
+    blocks = functools.partial(site_blocks, TruncationSpec(8))
     windows = {(0, 2): (-0.09, -0.05), (2, 4): (-0.055, -0.03), (4, 6): (-0.03, 0.01)}
     der_expect = {(0, 2): 0.0649, (2, 4): 0.0456, (4, 6): 0.0330}
     for pair, window in windows.items():
-        _, ratio_est = singularity_from_derivatives(fam, pair, window, member="upper")
+        _, ratio_est = singularity_from_derivatives(blocks, pair, window, member="upper")
         assert abs(ratio_est.radius - der_expect[pair]) <= 2e-4, \
             f"derivative radius pair {pair}: {ratio_est.radius:.5f}"
 
@@ -149,13 +148,13 @@ def test_c04b_nmax16_radii(n16_even_series_100):
 
 @criterion("5", "n_max=8 pair (0,2): direct search and derivative estimate")
 def test_c05_direct_search_values():
-    fam = anharmonic_family(TruncationSpec(8))
-    width_est, _ = singularity_from_derivatives(fam, (0, 2), (-0.09, -0.05), member="lower")
+    blocks = functools.partial(site_blocks, TruncationSpec(8))
+    width_est, _ = singularity_from_derivatives(blocks, (0, 2), (-0.09, -0.05), member="lower")
     assert abs(width_est.re - (-0.0648)) < 5e-5
     assert abs(width_est.im - 0.00399) < 5e-6
 
     seed = complex(width_est.re, width_est.im)
-    refined = refine_exceptional_point(fam, seed, "even")
+    refined = refine_exceptional_point(*blocks("even"), seed)
     assert refined.exceptional
     target = complex(-0.06473, 0.00391)
     found = complex(refined.location.real, abs(refined.location.imag))
@@ -234,11 +233,11 @@ def test_c08_resultants():
                4112778331991700, 2446821666009000, 828875955639375]
     assert poly8.coeffs == [(1 << 60) * c for c in bracket]
 
-    fam = anharmonic_family(TruncationSpec(8))
+    blocks = site_blocks(TruncationSpec(8), "even")
     for root in poly8.roots():
         if root.imag <= 1e-9:
             continue
-        refined = refine_exceptional_point(fam, root, "even")
+        refined = refine_exceptional_point(*blocks, root)
         assert refined.exceptional
         assert abs(complex(refined.location.real, abs(refined.location.imag)) - root) <= 1e-6
 
@@ -246,18 +245,17 @@ def test_c08_resultants():
 @criterion("9", "strong-to-weak singularity inversion")
 def test_c09_strong_weak_map():
     trunc = TruncationSpec(8)
-    strong = strong_coupling_family(trunc)
-    grid = gap_scan(strong, ((-13.0, -5.0), (25.0, 34.0)), (65, 70), "even")
+    strong = _domain_blocks("strong", trunc, "even")
+    grid = gap_scan(*strong, ((-13.0, -5.0), (25.0, 34.0)), (65, 70))
     j, i = np.unravel_index(np.nanargmin(grid.values), grid.values.shape)
     seed = complex(grid.re_axis()[i], grid.im_axis()[j])
-    refined = refine_exceptional_point(strong, seed, "even")
+    refined = refine_exceptional_point(*strong, seed)
     assert refined.exceptional
     mapped = 1 / refined.location
     assert abs(mapped.real - (-0.0093)) <= 0.1 * 0.0093
     assert abs(mapped.imag - (-0.032)) <= 0.1 * 0.032
 
-    weak = anharmonic_family(trunc)
-    wgrid = gap_scan(weak, ((-0.016, -0.003), (-0.038, -0.026)), (53, 49), "even")
+    wgrid = gap_scan(*site_blocks(trunc, "even"), ((-0.016, -0.003), (-0.038, -0.026)), (53, 49))
     j, i = np.unravel_index(np.nanargmin(wgrid.values), wgrid.values.shape)
     wmin = complex(wgrid.re_axis()[i], wgrid.im_axis()[j])
     assert abs(wmin.real - (-0.0093)) <= 0.1 * 0.0093
@@ -421,7 +419,6 @@ def test_c11c_lattice_imaginary_part_monotone():
 @criterion("12", "no gap minima on the positive real axis (n_max = 8, 16, 32)")
 def test_c12_no_positive_axis_pinching():
     for n_max in (8, 16, 32):
-        fam = anharmonic_family(TruncationSpec(n_max))
         for sector in ("even", "odd"):
-            grid = gap_scan(fam, ((1e-3, 1.0), (0.0, 0.0)), (200, 1), sector)
+            grid = gap_scan(*site_blocks(TruncationSpec(n_max), sector), ((1e-3, 1.0), (0.0, 0.0)), (200, 1))
             assert np.nanmin(grid.values) > 1e-5, f"n_max={n_max} {sector}"

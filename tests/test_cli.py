@@ -183,6 +183,9 @@ def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     (["--nsites", "4", "--kappa", "0.1", "--boundary", "twisted"],
      "--boundary 'twisted' must be 'periodic' or 'open'"),
     (["--nmax", "x"], "--nmax 'x': invalid literal for int()"),
+    # a single site is solved dense and has no hop, so these would be ignored
+    (["--nmax", "8", "--method", "lanczos", "--k", "2"], "--method 'lanczos' needs --nsites > 1"),
+    (["--nmax", "8", "--kappa", "0.1"], "--kappa 0.1 needs --nsites > 1"),
 ])
 def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     code, outdir = run_cli(["spectrum"] + args, tmp_path, "bad")

@@ -2,38 +2,37 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phi4trunc import (
     LatticeSpec,
     TruncationSpec,
     affine_operator,
-    anharmonic_family,
     lattice_hamiltonian,
     single_site_hamiltonian,
-    strong_coupling_family,
+    site_blocks,
 )
 from phi4trunc.algebra import sector_char_poly, sector_indices
+from phi4trunc.cli import _domain_blocks
 from phi4trunc.hamiltonian import _lattice_blocks
 
 from oracles import field_eigenbasis
 
 
 def site_block(trunc, sector, lam):
-    """The even or odd block of the single-site H(lam), cut from the family's H0 and V."""
-    h0, v = anharmonic_family(trunc).sector_matrices(sector)
+    """The even or odd block of the single-site H(lam), from the cut H0 and V."""
+    h0, v = site_blocks(trunc, sector)
     return h0 + lam * v
 
 
 def strong_coupling_hamiltonian(trunc, lam_tilde):
-    """H_str = phi^4 + lam_tilde omega (a^dag a + 1/2), evaluated from its family."""
-    family = strong_coupling_family(trunc)
-    return affine_operator(family.h0, family.v, lam_tilde)
+    """H_str = phi^4 + lam_tilde omega (a^dag a + 1/2), evaluated from the swapped site pair."""
+    return affine_operator(*_domain_blocks("strong", trunc, "full"), lam_tilde)
 
 
-def assert_real_symmetric(m, ulps=4):
-    """m is real and symmetric to within ulps units in the last place of its largest entry."""
+def assert_real_symmetric(m, ulps=0):
+    """m is real and symmetric: exactly, or to within ulps units in the last place of its largest entry."""
     assert m.dtype == float
     assert np.abs(m - m.T).max() <= ulps * np.finfo(float).eps * np.abs(m).max()
 
@@ -201,15 +200,14 @@ def test_parity_block_spectra_unite(lam):
     assert np.max(np.abs(union - np.linalg.eigvalsh(h))) <= 1e-12
 
 
-@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family])
+@pytest.mark.parametrize("domain", ["weak", "strong"])
 @pytest.mark.parametrize("lam", [0.1, -0.3, 0.1 + 0.05j, 2 + 0j])
-def test_sector_blocks_evaluate_to_the_cut_of_the_full_operator(make_family, lam):
+def test_sector_blocks_evaluate_to_the_cut_of_the_full_operator(domain, lam):
     # h0[ix] + lam v[ix] is (h0 + lam v)[ix], double for double, under one real/complex rule
-    fam = make_family(TruncationSpec(8))
-    full = affine_operator(fam.h0, fam.v, lam)
+    full = affine_operator(*_domain_blocks(domain, TruncationSpec(8), "full"), lam)
     for sector in ("even", "odd"):
         idx = sector_indices(8, sector)
-        block = affine_operator(*fam.sector_matrices(sector), lam)
+        block = affine_operator(*_domain_blocks(domain, TruncationSpec(8), sector), lam)
         assert np.array_equal(block, full[np.ix_(idx, idx)])
         assert block.dtype == full.dtype == (float if complex(lam).imag == 0 else complex)
 
@@ -238,16 +236,16 @@ def test_sparse_triplets_sorted_and_hermitian():
 
 def test_single_site_builders_evaluate_their_families_with_exact_diagonal():
     trunc = TruncationSpec(16, 0.75)
-    fam, strong = anharmonic_family(trunc), strong_coupling_family(trunc)
+    h0, v = site_blocks(trunc, "full")
     harmonic = np.diag(0.75 * (np.arange(16) + 0.5))
     assert np.array_equal(single_site_hamiltonian(trunc, 0.0), harmonic)
-    assert np.array_equal(strong.v, harmonic)
+    assert np.array_equal(h0, harmonic)
     for lam in (0.3, -0.05 + 0.02j, 1 + 0j):
         h = single_site_hamiltonian(trunc, lam)
-        assert np.array_equal(h, fam.h0 + lam * fam.v)
+        assert np.array_equal(h, h0 + lam * v)
         assert np.isrealobj(h) == (complex(lam).imag == 0.0)
         hs = strong_coupling_hamiltonian(trunc, lam)
-        assert np.array_equal(hs, strong.h0 + lam * strong.v)
+        assert np.array_equal(hs, v + lam * h0)
         assert hs.dtype == h.dtype
     assert single_site_hamiltonian(trunc, 1 + 0j).dtype == float
 
@@ -414,15 +412,17 @@ def test_lattice_matrix_stores_only_the_nonzero_entries(lam):
 # The dense solvers pick eigvalsh for a real matrix, so every Hamiltonian
 # the package builds at a real coupling must be real and symmetric.  The
 # BLAS product behind phi^4 need not sum the two sides of an entry in one
-# order: with OpenBLAS on x86-64, phi^4 is exactly symmetric at n_max
-# 2..16, 22, 24, 30 and 32 and off by up to 0.62 ulp of its largest entry
-# at n_max 18, 20, 26 and 28 (eigvalsh reads one triangle).
+# order (with OpenBLAS on x86-64 its triangles differ by up to 0.62 ulp of
+# the largest entry at n_max 18, 20, 26 and 28), so _phi4 mirrors one
+# triangle, and the site pair and the lattice blocks on the product basis
+# are symmetric exactly.
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 16), st.floats(1e-3, 1e3), st.sampled_from([anharmonic_family, strong_coupling_family]),
+@given(st.integers(1, 16), st.floats(1e-3, 1e3), st.sampled_from(["weak", "strong"]),
        st.sampled_from(["full", "even", "odd"]))
-def test_single_site_families_are_real_and_symmetric(half, omega, make_family, cut):
-    fam = make_family(TruncationSpec(2 * half, omega))
-    for m in (fam.h0, fam.v) if cut == "full" else fam.sector_matrices(cut):
+@example(half=13, omega=1.0, domain="weak", cut="full")  # matrix_power's phi^4 is asymmetric at n_max 26
+@example(half=14, omega=1.0, domain="strong", cut="even")  # and at 28
+def test_single_site_pairs_are_real_and_exactly_symmetric(half, omega, domain, cut):
+    for m in _domain_blocks(domain, TruncationSpec(2 * half, omega), cut):
         assert_real_symmetric(m)
 
 
@@ -430,9 +430,21 @@ def test_single_site_families_are_real_and_symmetric(half, omega, make_family, c
 @given(st.integers(1, 4), st.sampled_from([2, 4, 6]), st.floats(0.1, 10.0), st.floats(-3.0, 3.0),
        st.sampled_from(["periodic", "open"]), st.sampled_from(["full", "parity", "symmetric"]))
 def test_lattice_blocks_are_real_and_symmetric(n_sites, n_max, omega, kappa, boundary, basis):
-    # the orbit weights sqrt(|O_R| / |O_R'|) round, so a symmetric sector
-    # is symmetric only to within rounding
+    # exact on the product basis; the orbit weights sqrt(|O_R| / |O_R'|)
+    # round, so a symmetric sector is symmetric only to within rounding
     spec = LatticeSpec(n_sites, TruncationSpec(n_max, omega), kappa, boundary=boundary)
     for h0, v in _lattice_blocks(spec, basis):
         for m in (h0, v):
-            assert_real_symmetric(m.toarray())
+            assert_real_symmetric(m.toarray(), ulps=4 if basis == "symmetric" else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([*range(2, 33, 2), 64, 128, 256]), st.floats(1e-3, 1e3), st.sampled_from(["full", "parity"]))
+@example(n_max=26, omega=1.0, basis="full")  # where the chain held matrix_power's transpose
+@example(n_max=28, omega=1.0, basis="parity")
+def test_one_site_chain_is_the_site_pair_bit_for_bit(n_max, omega, basis):
+    trunc = TruncationSpec(n_max, omega)
+    sectors = ["full"] if basis == "full" else ["even", "odd"]
+    for (h0, v), sector in zip(_lattice_blocks(LatticeSpec(1, trunc), basis), sectors, strict=True):
+        for got, want in zip((h0, v), site_blocks(trunc, sector)):
+            assert got.toarray().tobytes() == want.tobytes()

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from phi4trunc import (
     TruncationSpec,
-    anharmonic_family,
     gap_scan,
     refine_exceptional_point,
-    strong_coupling_family,
+    site_blocks,
     sylvester_discriminant,
     riemann_export,
 )
+from phi4trunc.cli import _domain_blocks
 from phi4trunc.algebra import sector_char_poly
 from phi4trunc.singularities import (
     _CLOSED_FORM_LEVELS,
@@ -49,8 +49,7 @@ N8_BRACKET = [36864, 3698688, 194833408, 6739041792, 157100611648, 2408867895168
 
 
 def test_gap_scan_finds_nmax4_even_minima():
-    fam = anharmonic_family(TruncationSpec(4))
-    grid = gap_scan(fam, ((-0.4, 0.1), (-0.3, 0.3)), (101, 121), "even")
+    grid = gap_scan(*site_blocks(TruncationSpec(4), "even"), ((-0.4, 0.1), (-0.3, 0.3)), (101, 121))
     j, i = np.unravel_index(np.nanargmin(grid.values), grid.values.shape)
     point, gap = complex(grid.re_axis()[i], grid.im_axis()[j]), grid.values[j, i]
     assert min(abs(point - EP4_EVEN), abs(point - np.conj(EP4_EVEN))) < 0.01
@@ -60,49 +59,45 @@ def test_gap_scan_finds_nmax4_even_minima():
 
 
 def test_gap_scan_conjugation_symmetry():
-    fam = anharmonic_family(TruncationSpec(8))
-    grid = gap_scan(fam, ((-0.08, -0.05), (-0.02, 0.02)), (21, 21), "even")
+    grid = gap_scan(*site_blocks(TruncationSpec(8), "even"), ((-0.08, -0.05), (-0.02, 0.02)), (21, 21))
     vals = grid.values
     assert np.max(np.abs(vals - vals[::-1, :])) <= 1e-10
 
 
 def test_gap_scan_threaded_matches_serial():
     # n_max 10: five-level blocks go to the eigensolver, on threads
-    fam = anharmonic_family(TruncationSpec(10))
+    blocks = site_blocks(TruncationSpec(10), "even")
     region = ((-0.3, 0.0), (0.0, 0.25))
     # 61 x 41 couplings, none mirrored: four chunks of the grid kernel
     assert 61 * 41 >= 4 * _GRID_CHUNK
-    serial = gap_scan(fam, region, (61, 41), "even", workers=1)
-    threaded = gap_scan(fam, region, (61, 41), "even", workers=4)
+    serial = gap_scan(*blocks, region, (61, 41), workers=1)
+    threaded = gap_scan(*blocks, region, (61, 41), workers=4)
     assert np.array_equal(serial.values, threaded.values)
 
 
 def test_refine_even_and_odd_nmax4():
-    fam = anharmonic_family(TruncationSpec(4))
-    even = refine_exceptional_point(fam, -0.2 + 0.15j, "even")
+    trunc = TruncationSpec(4)
+    even = refine_exceptional_point(*site_blocks(trunc, "even"), -0.2 + 0.15j)
     assert even.exceptional
     assert abs(even.location - EP4_EVEN) <= 1e-6
-    odd = refine_exceptional_point(fam, 0.02 + 0.25j, "odd")
+    odd = refine_exceptional_point(*site_blocks(trunc, "odd"), 0.02 + 0.25j)
     assert odd.exceptional
     assert abs(odd.location - EP4_ODD) <= 1e-6
     assert odd.location.imag != 0
 
 
 def test_refine_nmax8_ground_pair_direct_search_values():
-    fam = anharmonic_family(TruncationSpec(8))
-    res = refine_exceptional_point(fam, -0.065 + 0.004j, "even")
+    res = refine_exceptional_point(*site_blocks(TruncationSpec(8), "even"), -0.065 + 0.004j)
     assert res.exceptional
     assert abs(res.location.real - (-0.06473)) <= 1e-4
     assert abs(abs(res.location.imag) - 0.00391) <= 1e-4
 
 
-@pytest.mark.parametrize("make_family, guess", [(anharmonic_family, 0.3 + 0.0j), (anharmonic_family, -0.05),
-                                                (strong_coupling_family, complex(-8.8, 0.0))])
-def test_refine_refuses_a_real_guess(make_family, guess):
+@pytest.mark.parametrize("domain, guess", [("weak", 0.3 + 0.0j), ("weak", -0.05), ("strong", complex(-8.8, 0.0))])
+def test_refine_refuses_a_real_guess(domain, guess):
     # H(lam) is real symmetric on the real axis, so no exceptional point lies there
-    fam = make_family(TruncationSpec(8))
     with pytest.raises(ValueError, match=rf"guess {re.escape(repr(guess))} is real"):
-        refine_exceptional_point(fam, guess, "even")
+        refine_exceptional_point(*_domain_blocks(domain, TruncationSpec(8), "even"), guess)
 
 
 def test_resultant_nmax4_even_exact():
@@ -141,12 +136,12 @@ def test_interpolated_resultant_is_the_polynomial_bareiss_oracle(n_max, sector, 
 @pytest.mark.parametrize("n_max", [4, 8])
 def test_resultant_roots_match_refined_points(n_max, sector):
     trunc = TruncationSpec(n_max)
-    fam = anharmonic_family(trunc)
+    blocks = site_blocks(trunc, sector)
     poly = sylvester_discriminant(trunc, sector)
     roots = [z for z in poly.roots() if z.imag > -1e-12]
     for root in roots:
         seed = complex(root.real, root.imag if root.imag > 1e-9 else 1e-4)
-        res = refine_exceptional_point(fam, seed, sector)
+        res = refine_exceptional_point(*blocks, seed)
         assert res.exceptional, f"root {root} did not refine to an exceptional point"
         target = complex(root.real, abs(root.imag))
         found = complex(res.location.real, abs(res.location.imag))
@@ -330,9 +325,9 @@ def test_disks_need_every_radius_small_and_every_pair_apart():
 @pytest.mark.parametrize("sector", ["even", "odd"])
 def test_refine_lands_on_every_nmax8_resultant_root(sector):
     trunc = TruncationSpec(8)
-    fam = anharmonic_family(trunc)
+    blocks = site_blocks(trunc, sector)
     for root in sylvester_discriminant(trunc, sector).roots():
-        res = refine_exceptional_point(fam, root, sector)
+        res = refine_exceptional_point(*blocks, root)
         assert res.exceptional, f"root {root} did not refine to an exceptional point"
         assert abs(res.location - root) <= 1e-12
 
@@ -342,7 +337,7 @@ def test_refine_classifies_noise_floor_ep_at_ulp_neighbours():
     # nudges of lam, so a fixed 1e-7 gap threshold rejected correctly
     # located points by chance.
     trunc = TruncationSpec(8)
-    fam = anharmonic_family(trunc)
+    blocks = site_blocks(trunc, "even")
     root = min(sylvester_discriminant(trunc, "even").roots(),
                key=lambda z: abs(z - (-0.00933 + 0.03118j)))
     assert abs(root - (-0.00933 + 0.03118j)) < 1e-5
@@ -351,13 +346,13 @@ def test_refine_classifies_noise_floor_ep_at_ulp_neighbours():
         seeds.append(complex(np.nextafter(root.real, toward), root.imag))
         seeds.append(complex(root.real, np.nextafter(root.imag, toward)))
     for seed in seeds:
-        res = refine_exceptional_point(fam, seed, "even")
+        res = refine_exceptional_point(*blocks, seed)
         assert res.exceptional, f"seed {seed!r}: gap {res.gap:.3g}"
         assert abs(res.location - root) <= 1e-12
 
 
 def test_min_sector_gaps_matches_pointwise_solves():
-    h0s, vs = anharmonic_family(TruncationSpec(8)).sector_matrices("odd")
+    h0s, vs = site_blocks(TruncationSpec(8), "odd")
     lams = 0.3 * np.exp(1j * np.linspace(-np.pi, np.pi, 17))
     gaps = np.abs(min_sector_gaps(h0s, vs, lams))
     for lam, gap in zip(lams, gaps):
@@ -399,15 +394,15 @@ FOLD_GRIDS = {
 @pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
 @pytest.mark.parametrize("sector", ["even", "odd"])
 @pytest.mark.parametrize("n_max", [4, 6, 8, 12, 16])
-@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
-def test_grid_gaps_are_the_pointwise_gaps_at_the_representatives(make_family, n_max, sector, grid):
+@pytest.mark.parametrize("domain", ["weak", "strong"])
+def test_grid_gaps_are_the_pointwise_gaps_at_the_representatives(domain, n_max, sector, grid):
     (re_lo, re_hi), (im_lo, im_hi), n_re, n_im = FOLD_GRIDS[grid]
     ims = np.linspace(im_lo, im_hi, n_im)
     lams = np.linspace(re_lo, re_hi, n_re) + 1j * ims[:, None]
     mirrored = np.isin(ims, -ims[ims < 0]).sum()
     assert mirrored == {"mirrored": 3, "unmirrored": 0, "real-row": 1}[grid]
     assert (0.0 in ims) == (grid == "real-row")
-    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    h0s, vs = _domain_blocks(domain, TruncationSpec(n_max), sector)
     gaps = grid_gaps(h0s, vs, lams)
     assert gaps.shape == lams.shape
     reps = _representatives(lams)
@@ -422,15 +417,15 @@ def test_grid_gaps_are_the_pointwise_gaps_at_the_representatives(make_family, n_
 
 
 @settings(max_examples=60, deadline=None)
-@given(make_family=st.sampled_from([anharmonic_family, strong_coupling_family]),
+@given(domain=st.sampled_from(["weak", "strong"]),
        n_max=st.sampled_from([4, 6, 8]), sector=st.sampled_from(["even", "odd"]),
        polar=st.lists(st.tuples(st.floats(-3, 2), st.floats(-np.pi, np.pi)), min_size=1, max_size=4))
-@example(make_family=anharmonic_family, n_max=8, sector="even",
+@example(domain="weak", n_max=8, sector="even",
          polar=[(-3, 0.0), (2, np.pi), (-1.3, 1.9), (0, np.pi / 2)])
-@example(make_family=strong_coupling_family, n_max=8, sector="odd", polar=[(2, 0.0), (-3, -np.pi), (1.5, 2.3)])
-def test_closed_form_gaps_are_the_30_digit_gaps(make_family, n_max, sector, polar):
+@example(domain="strong", n_max=8, sector="odd", polar=[(2, 0.0), (-3, -np.pi), (1.5, 2.3)])
+def test_closed_form_gaps_are_the_30_digit_gaps(domain, n_max, sector, polar):
     lams = np.array([10.0**e * np.exp(1j * phase) for e, phase in polar])
-    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    h0s, vs = _domain_blocks(domain, TruncationSpec(n_max), sector)
     gaps = _closed_form_gaps(_float_char_poly(h0s, vs), lams)
     want = mp_sector_gaps(h0s, vs, lams)
     assert np.all(np.abs(gaps - want) <= 1e-11 * want)  # and none lost (NaN)
@@ -446,10 +441,10 @@ def _benchmark_grid(name):
 
 @pytest.mark.parametrize("grid", ["scan", "sphere"])
 @pytest.mark.parametrize("sector", ["even", "odd"])
-@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
-def test_closed_form_keeps_every_benchmark_grid_point_within_1e12_of_eigvals(make_family, sector, grid):
+@pytest.mark.parametrize("domain", ["weak", "strong"])
+def test_closed_form_keeps_every_benchmark_grid_point_within_1e12_of_eigvals(domain, sector, grid):
     # the Newton step is what brings the sphere's gaps from 6.5e-12 to 1.3e-13 of eigvals'
-    h0s, vs = make_family(TruncationSpec(8)).sector_matrices(sector)
+    h0s, vs = _domain_blocks(domain, TruncationSpec(8), sector)
     reps = np.unique(_representatives(_benchmark_grid(grid)))
     gaps = _closed_form_gaps(_float_char_poly(h0s, vs), reps)
     want = np.abs(min_sector_gaps(h0s, vs, reps))
@@ -458,12 +453,12 @@ def test_closed_form_keeps_every_benchmark_grid_point_within_1e12_of_eigvals(mak
 
 @pytest.mark.parametrize("sector", ["even", "odd"])
 @pytest.mark.parametrize("n_max", [4, 6, 8])
-@pytest.mark.parametrize("make_family", [anharmonic_family, strong_coupling_family], ids=["weak", "strong"])
-def test_float_char_poly_is_the_exact_polynomial_rounded_once(make_family, n_max, sector):
+@pytest.mark.parametrize("domain", ["weak", "strong"])
+def test_float_char_poly_is_the_exact_polynomial_rounded_once(domain, n_max, sector):
     # at s + 1 couplings the table's z^j coefficient is within one rounding
     # of det(z I - h0s - lam vs) from Bareiss elimination on polynomials in
     # z, with every float entry taken exactly; the lam-degree is at most s - j
-    h0s, vs = make_family(TruncationSpec(n_max)).sector_matrices(sector)
+    h0s, vs = _domain_blocks(domain, TruncationSpec(n_max), sector)
     poly = _float_char_poly(h0s, vs)
     s = len(poly)
     assert poly.shape == (s, s + 1)
@@ -483,7 +478,7 @@ def test_float_char_poly_is_the_exact_polynomial_rounded_once(make_family, n_max
                          ids=["not-a-multiple", "three-chunks-and-one", "below-one-chunk", "one-point"])
 def test_grid_gaps_on_two_workers_are_the_serial_ones(resolution):
     n_re, n_im = resolution
-    h0s, vs = anharmonic_family(TruncationSpec(10)).sector_matrices("even")
+    h0s, vs = site_blocks(TruncationSpec(10), "even")
     lams = np.linspace(-0.1, 0.02, n_re) + 1j * np.linspace(0.01, 0.05, n_im)[:, None]
     serial = grid_gaps(h0s, vs, lams, workers=1)
     assert np.array_equal(grid_gaps(h0s, vs, lams, workers=2), serial)
@@ -499,7 +494,7 @@ def test_only_eigensolved_grids_start_threads(monkeypatch, n_max, threads):
 
     started, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self))[1])
-    h0s, vs = anharmonic_family(TruncationSpec(n_max)).sector_matrices("even")
+    h0s, vs = site_blocks(TruncationSpec(n_max), "even")
     lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
     assert lams.size // _GRID_CHUNK > 2
     gaps = grid_gaps(h0s, vs, lams, workers=2)
@@ -514,7 +509,7 @@ def test_grid_gaps_raises_a_failed_chunk_once_every_thread_has_ended(monkeypatch
 
     import phi4trunc.singularities as sing
 
-    h0s, vs = anharmonic_family(TruncationSpec(10)).sector_matrices("even")
+    h0s, vs = site_blocks(TruncationSpec(10), "even")
     lams = np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(0.01, 0.05, 40)[:, None]
     solve, worker_busy, finished = sing._chunk_gaps, threading.Event(), []
 
@@ -556,12 +551,12 @@ def test_benchmark_grids_solve_each_conjugate_pair_once(monkeypatch, resolution,
         return np.ones(len(lams))
 
     monkeypatch.setattr(sing, "_chunk_gaps", count)
-    fam = anharmonic_family(TruncationSpec(8))
+    blocks = site_blocks(TruncationSpec(8), "even")
     if resolution == (100, 100):
-        grid = gap_scan(fam, ((-0.1, 0.02), (-0.05, 0.05)), resolution, "even", workers=2)
+        grid = gap_scan(*blocks, ((-0.1, 0.02), (-0.05, 0.05)), resolution, workers=2)
         assert grid.values.shape == (100, 100)
     else:
-        assert riemann_export(fam, "even", resolution, workers=2).shape == (80 * 160, 5)
+        assert riemann_export(*blocks, resolution, workers=2).shape == (80 * 160, 5)
     assert len(solved) == len(set(solved)) == solves
     assert min(z.imag for z in solved) >= 0
     # one characteristic polynomial for the whole grid, shared by every chunk
@@ -579,9 +574,8 @@ def _lose_every_closed_form(monkeypatch):
 
 
 def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
-    fam = anharmonic_family(TruncationSpec(8))
     region, resolution = ((-0.1, 0.02), (-0.05, 0.05)), (9, 10)
-    h0s, vs = fam.sector_matrices("even")
+    h0s, vs = site_blocks(TruncationSpec(8), "even")
     ims = np.linspace(-0.05, 0.05, 10)
     # a coupling in the upper half-plane whose conjugate is on the grid too
     up = next(j for j in range(10) if ims[j] > 0 and -ims[j] in ims)
@@ -599,7 +593,7 @@ def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
     _lose_every_closed_form(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     with pytest.warns(RuntimeWarning, match="2 grid points failed"):
-        grid = gap_scan(fam, region, resolution, "even", workers=2)
+        grid = gap_scan(h0s, vs, region, resolution, workers=2)
     assert grid.failures == 2
     assert np.isnan(grid.values[up, 4]) and np.isnan(grid.values[down, 4])
     assert np.isnan(grid.values).sum() == 2
@@ -610,7 +604,7 @@ def test_failed_solves_reach_the_gap_grid_failures(monkeypatch):
 def test_couplings_whose_closed_form_is_lost_go_to_the_eigensolver(monkeypatch, n_max):
     import phi4trunc.singularities as sing
 
-    h0s, vs = strong_coupling_family(TruncationSpec(n_max)).sector_matrices("odd")
+    h0s, vs = _domain_blocks("strong", TruncationSpec(n_max), "odd")
     # past |lam| ~ 1e154 the lam^s coefficient of the characteristic polynomial overflows
     huge = np.array([1e160 + 1e160j, -3e170 + 0j])
     lams = np.concatenate([np.linspace(-2, 2, 7) + 0.5j, huge])
@@ -679,17 +673,14 @@ def test_nmax16_level_radii_are_nearest_coalescences(n16_even_resultant):
 
 
 def test_no_pinching_on_positive_real_axis_nmax8():
-    fam = anharmonic_family(TruncationSpec(8))
     for sector in ("even", "odd"):
-        grid = gap_scan(fam, ((1e-3, 1.0), (0.0, 0.0)), (200, 1), sector)
+        grid = gap_scan(*site_blocks(TruncationSpec(8), sector), ((1e-3, 1.0), (0.0, 0.0)), (200, 1))
         assert np.nanmin(grid.values) > 1e-5
 
 
 def test_strong_family_shares_inverted_singularities():
-    trunc = TruncationSpec(4)
-    fam = strong_coupling_family(trunc)
     target = 1.0 / EP4_EVEN
-    res = refine_exceptional_point(fam, target * (1 + 1e-3), "even")
+    res = refine_exceptional_point(*_domain_blocks("strong", TruncationSpec(4), "even"), target * (1 + 1e-3))
     assert res.exceptional
     assert abs(res.location - target) <= 1e-5 * abs(target)
 
@@ -707,7 +698,7 @@ def _grid_angles(resolution):
 
 def test_sphere_projection_orientation():
     for resolution in [(5, 4), (7, 12)]:
-        rows = riemann_export(anharmonic_family(TruncationSpec(4)), "even", resolution)
+        rows = riemann_export(*site_blocks(TruncationSpec(4), "even"), resolution)
         lats, lons = _grid_angles(resolution)
         back = np.array([lambda_to_sphere(complex(re, im)) for re, im in rows[:, :2]])
         # the longitudes -pi and pi are one meridian
@@ -741,7 +732,7 @@ def test_mollweide_matches_the_scalar_oracle_bit_for_bit(points):
 
 def test_riemann_export_positive_axis_and_mirror():
     for n_lat, n_lon in [(5, 4), (7, 12)]:
-        rows = riemann_export(anharmonic_family(TruncationSpec(4)), "even", (n_lat, n_lon))
+        rows = riemann_export(*site_blocks(TruncationSpec(4), "even"), (n_lat, n_lon))
         grid = rows.reshape(n_lat, n_lon, 5)
         zero = grid[:, n_lon // 2]  # longitude 0
         assert np.all(np.abs(zero[:, 3]) <= 1e-12)
@@ -754,11 +745,10 @@ def test_riemann_export_positive_axis_and_mirror():
 
 
 def test_riemann_export_of_grid_includes_gap_column():
-    fam = anharmonic_family(TruncationSpec(4))
     for sector in ("even", "odd"):
-        rows = riemann_export(fam, sector, (5, 4))
+        h0s, vs = site_blocks(TruncationSpec(4), sector)
+        rows = riemann_export(h0s, vs, (5, 4))
         assert rows.shape == (20, 5)
-        h0s, vs = fam.sector_matrices(sector)
         lams = rows[:, 0] + 1j * rows[:, 1]
         # the gap at lam is the one solved at its representative re + i |im| ...
         assert np.array_equal(rows[:, 2], grid_gaps(h0s, vs, _representatives(lams)))
@@ -772,7 +762,7 @@ def test_riemann_axis_couplings_have_exact_zero_parts(resolution):
     # at the longitudes -pi, -pi/2, 0 and pi/2 the phase is exactly -1, -i, 1
     # or i, so one part of lam is +0.0, which prints as 0, never -0
     n_lat, n_lon = resolution
-    grid = riemann_export(anharmonic_family(TruncationSpec(8)), "even", resolution).reshape(n_lat, n_lon, 5)
+    grid = riemann_export(*site_blocks(TruncationSpec(8), "even"), resolution).reshape(n_lat, n_lon, 5)
     axis = np.flatnonzero(4 * np.arange(n_lon) % n_lon == 0)
     assert len(axis) == (4 if n_lon % 4 == 0 else 2 if n_lon % 2 == 0 else 1)
     parts = grid[:, axis, :2]
@@ -787,12 +777,12 @@ def test_riemann_axis_gaps_are_those_of_the_rounded_couplings(sector):
     # on the benchmark sphere the gap at each exact axis coupling stays
     # within 1e-12 of the one at r e^(i lon) with the phase rounded by np.exp
     n_lat, n_lon = 80, 160
-    fam = anharmonic_family(TruncationSpec(8))
-    grid = riemann_export(fam, sector, (n_lat, n_lon)).reshape(n_lat, n_lon, 5)
+    blocks = site_blocks(TruncationSpec(8), sector)
+    grid = riemann_export(*blocks, (n_lat, n_lon)).reshape(n_lat, n_lon, 5)
     axis = np.flatnonzero(4 * np.arange(n_lon) % n_lon == 0)
     sin = np.sin(np.linspace(-SPHERE_BAND, SPHERE_BAND, n_lat))
     lons = np.linspace(-np.pi, np.pi, n_lon, endpoint=False)[axis]
     rounded = np.sqrt((1 + sin) / (1 - sin))[:, None] * np.exp(1j * lons)
     assert np.all(rounded.real != 0) and np.count_nonzero(rounded.imag) == rounded.size - n_lat
-    ref = grid_gaps(*fam.sector_matrices(sector), rounded)
+    ref = grid_gaps(*blocks, rounded)
     assert np.all(np.abs(grid[:, axis, 2] - ref) <= 1e-12 * ref)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,16 +12,16 @@ from phi4trunc import (
     LatticeSpec,
     TruncationSpec,
     affine_operator,
-    anharmonic_family,
     dense_spectrum,
     exact_amplitude,
     lanczos_lowest,
     lattice_ground_energies,
     lattice_hamiltonian,
     single_site_hamiltonian,
-    strong_coupling_family,
+    site_blocks,
 )
 from phi4trunc import spectral
+from phi4trunc.cli import _domain_blocks
 from phi4trunc.hamiltonian import CSRMatrix, SparseOperator, _lattice_blocks
 from phi4trunc.spectral import _sectors_hold_ground
 
@@ -35,14 +37,14 @@ def odd_levels_nmax4(lam):
 
 
 def test_dense_even_sector_closed_form():
-    res = dense_spectrum(affine_operator(*anharmonic_family(TruncationSpec(4)).sector_matrices("even"), 0.1))
+    res = dense_spectrum(affine_operator(*site_blocks(TruncationSpec(4), "even"), 0.1))
     assert abs(res[0] - 0.557806) < 5e-7
     e0, e2 = even_levels_nmax4(0.1)
     assert np.allclose(res, [e0, e2], atol=1e-13)
 
 
 def test_dense_odd_sector_closed_form():
-    res = dense_spectrum(affine_operator(*anharmonic_family(TruncationSpec(4)).sector_matrices("odd"), 0.1))
+    res = dense_spectrum(affine_operator(*site_blocks(TruncationSpec(4), "odd"), 0.1))
     e1, e3 = odd_levels_nmax4(0.1)
     expect1 = (11.5 - 2 * np.sqrt(2) * np.sqrt(2.27)) / 4
     assert abs(e1 - expect1) < 1e-14
@@ -62,12 +64,11 @@ def test_dense_complex_coupling_uses_general_solver():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 16), st.floats(0.1, 10.0), st.sampled_from([anharmonic_family, strong_coupling_family]),
+@given(st.integers(1, 16), st.floats(0.1, 10.0), st.sampled_from(["weak", "strong"]),
        st.sampled_from(["full", "even", "odd"]), st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 0.05, -1.5]))
-def test_dense_spectrum_takes_its_solver_from_the_dtype(half, omega, make_family, cut, re, im):
+def test_dense_spectrum_takes_its_solver_from_the_dtype(half, omega, domain, cut, re, im):
     # a zero imaginary part, signed or not, gives a real matrix and eigvalsh
-    fam = make_family(TruncationSpec(2 * half, omega))
-    h = affine_operator(*((fam.h0, fam.v) if cut == "full" else fam.sector_matrices(cut)), complex(re, im))
+    h = affine_operator(*_domain_blocks(domain, TruncationSpec(2 * half, omega), cut), complex(re, im))
     got = dense_spectrum(h)
     if im == 0.0:
         assert h.dtype == float and np.array_equal(got, np.linalg.eigvalsh(h))
@@ -217,18 +218,16 @@ def test_warm_started_sweep_is_the_dense_sector_minimum():
 
 
 def test_derivatives_at_zero_coupling():
-    fam = anharmonic_family(TruncationSpec(4))
-    est = energy_derivatives(fam, 0, "even", 0.0)
+    est = energy_derivatives(partial(site_blocks, TruncationSpec(4)), 0, "even", 0.0)
     assert abs(est.d1 - 0.75) <= 1e-12
     assert abs(est.d2 - (-4.5)) <= 1e-10
 
 
 def test_hellmann_feynman_first_derivative():
     trunc = TruncationSpec(8)
-    fam = anharmonic_family(trunc)
     lam0 = 0.3
-    est = energy_derivatives(fam, 0, "even", lam0)
-    h0s, vs = fam.sector_matrices("even")
+    est = energy_derivatives(partial(site_blocks, trunc), 0, "even", lam0)
+    h0s, vs = site_blocks(trunc, "even")
     w, u = np.linalg.eigh(h0s + lam0 * vs)
     expect = u[:, 0] @ vs @ u[:, 0]
     assert abs(est.d1 - expect) <= 1e-10
@@ -236,52 +235,43 @@ def test_hellmann_feynman_first_derivative():
 
 def test_second_derivative_matches_closed_form():
     # analytic d2 of the even ground level at n_max=4
-    fam = anharmonic_family(TruncationSpec(4))
+    blocks = partial(site_blocks, TruncationSpec(4))
     lam0 = 0.05
     q = 27 * lam0**2 + 12 * lam0 + 2
     d2_exact = -np.sqrt(2) / 2 * (27 / np.sqrt(q) - (27 * lam0 + 6) ** 2 / q**1.5)
-    est = energy_derivatives(fam, 0, "even", lam0)
+    est = energy_derivatives(blocks, 0, "even", lam0)
     assert abs(est.d2 - d2_exact) <= 1e-8
 
 
 def test_schemes_agree_away_from_singularity():
-    fam = anharmonic_family(TruncationSpec(4))
+    blocks = partial(site_blocks, TruncationSpec(4))
     lam0 = 0.6  # more than 2 |lam_s| from the exceptional points
-    sos = energy_derivatives(fam, 0, "even", lam0)
-    d1, d2, _ = finite_difference_derivatives(fam, 0, lam0)
+    sos = energy_derivatives(blocks, 0, "even", lam0)
+    d1, d2, _ = finite_difference_derivatives(blocks, 0, lam0)
     assert abs(sos.d1 - d1) / abs(sos.d1) <= 1e-3
     assert abs(sos.d2 - d2) / abs(sos.d2) <= 1e-3
     # fourth differences need a coarser step to beat roundoff
-    _, _, d4 = finite_difference_derivatives(fam, 0, lam0, step=0.02)
+    _, _, d4 = finite_difference_derivatives(blocks, 0, lam0, step=0.02)
     assert abs(sos.d4 - d4) / abs(sos.d4) <= 1e-3
 
 
 def test_near_degeneracy_warning():
-    fam = anharmonic_family(TruncationSpec(4))
     # at the real part of the exceptional point the even gap is ~ sqrt(2/3),
-    # so fabricate a close pair instead: strong family at tiny coupling has
-    # well-separated sector levels; use a custom family with a tuned gap
-    import phi4trunc.hamiltonian as ham
-
-    h0 = np.diag([0.0, 5.0, 1e-9, 7.0])  # even sector holds indices 0 and 2
-    v = np.full((4, 4), 0.1)
-    fam2 = ham.CouplingFamily(h0, v)
+    # so fabricate a close pair instead: an even block with a tuned gap
+    blocks = {"even": (np.diag([0.0, 1e-9]), np.full((2, 2), 0.1))}
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        energy_derivatives(fam2, 0, "even", 0.0)
-    del fam
+        energy_derivatives(blocks.get, 0, "even", 0.0)
 
 
 def test_lattice_family_derivatives_decoupled_limit():
     # at kappa = 0 the lattice ground energy is n_sites times the
     # single-site one, so every lam-derivative scales the same way
-    from types import SimpleNamespace
-
     def lattice_family(spec):
         blocks = dict(zip(("even", "odd"), _lattice_blocks(spec, "parity")))
-        return SimpleNamespace(sector_matrices=lambda sector: tuple(m.toarray() for m in blocks[sector]))
+        return lambda sector: tuple(m.toarray() for m in blocks[sector])
 
     trunc = TruncationSpec(4)
-    single = energy_derivatives(anharmonic_family(trunc), 0, "even", 0.1)
+    single = energy_derivatives(partial(site_blocks, trunc), 0, "even", 0.1)
     lat = lattice_family(LatticeSpec(2, trunc, kappa=0.0, lam=0.0))
     coupled = energy_derivatives(lat, 0, "even", 0.1)
     assert coupled.d1 == pytest.approx(2 * single.d1, rel=1e-9)
@@ -294,8 +284,7 @@ def test_lattice_family_derivatives_decoupled_limit():
 
 
 def test_singularity_estimate_nmax4_exact_relations():
-    fam = anharmonic_family(TruncationSpec(4))
-    width, ratio = singularity_from_derivatives(fam, (0, 2), (-0.35, -0.1))
+    width, ratio = singularity_from_derivatives(partial(site_blocks, TruncationSpec(4)), (0, 2), (-0.35, -0.1))
     assert abs(width.re - (-2.0 / 9.0)) <= 1e-6
     assert abs(width.im - np.sqrt(2) / 9.0) <= 1e-6
     assert abs(ratio.im - np.sqrt(2) / 9.0) <= 1e-6
@@ -305,16 +294,15 @@ def test_singularity_estimate_nmax4_exact_relations():
 
 
 def test_singularity_reference_values_nmax8_ground_pair():
-    fam = anharmonic_family(TruncationSpec(8))
-    width, _ = singularity_from_derivatives(fam, (0, 2), (-0.09, -0.05), member="lower")
+    width, _ = singularity_from_derivatives(partial(site_blocks, TruncationSpec(8)), (0, 2), (-0.09, -0.05),
+                                            member="lower")
     assert abs(width.re - (-0.0648)) < 5e-5
     assert abs(width.im - 0.00399) < 5e-6
 
 
 def test_singularity_no_interior_extremum_raises():
-    fam = anharmonic_family(TruncationSpec(4))
     with pytest.raises(ValueError, match="interior"):
-        singularity_from_derivatives(fam, (0, 2), (0.1, 0.3))
+        singularity_from_derivatives(partial(site_blocks, TruncationSpec(4)), (0, 2), (0.1, 0.3))
 
 
 def test_singularity_estimate_requires_upper_half_plane():
@@ -323,27 +311,24 @@ def test_singularity_estimate_requires_upper_half_plane():
 
 
 def test_mixed_parity_pair_rejected():
-    fam = anharmonic_family(TruncationSpec(4))
     with pytest.raises(ValueError, match="parity"):
-        singularity_from_derivatives(fam, (0, 1), (-0.3, -0.1))
+        singularity_from_derivatives(partial(site_blocks, TruncationSpec(4)), (0, 1), (-0.3, -0.1))
 
 
 def test_energy_derivatives_rejects_a_misspelled_sector():
-    fam = anharmonic_family(TruncationSpec(4))
+    blocks = partial(site_blocks, TruncationSpec(4))
     with pytest.raises(ValueError, match="'evn'"):
-        energy_derivatives(fam, 0, "evn", 0.1)
+        energy_derivatives(blocks, 0, "evn", 0.1)
     with pytest.raises(ValueError, match="level 1 lies in the odd sector, not 'even'"):
-        energy_derivatives(fam, 1, "even", 0.1)
+        energy_derivatives(blocks, 1, "even", 0.1)
 
 
 def test_sum_over_states_rejects_exact_degeneracy():
-    import phi4trunc.hamiltonian as ham
-
-    # the even sector (indices 0, 2) holds two equal unperturbed energies
-    fam = ham.CouplingFamily(np.diag([1.0, 5.0, 1.0, 7.0]), np.zeros((4, 4)))
+    # the even block holds two equal unperturbed energies
+    blocks = {"even": (np.diag([1.0, 1.0]), np.zeros((2, 2)))}
     with pytest.warns(RuntimeWarning, match="degenerate"), \
             pytest.raises(ValueError, match="degenerate"):
-        energy_derivatives(fam, 0, "even", 0.0)
+        energy_derivatives(blocks.get, 0, "even", 0.0)
 
 
 def _dense_ground(n_sites, n_max, kappa, lam, omega=1.0):

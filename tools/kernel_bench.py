@@ -246,8 +246,7 @@ def _median_times(calls: dict, repeats: int, faults: dict | None = None) -> dict
 
 def grid_rows(sides: dict[str, Path], repeats: int) -> dict:
     packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
-    fam = packages["change"].anharmonic_family(packages["change"].TruncationSpec(8))
-    h0s, vs = fam.sector_matrices("even")
+    h0s, vs = packages["change"].site_blocks(packages["change"].TruncationSpec(8), "even")
     sin = np.sin(np.linspace(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, 80))
     grids = {
         "scan_100x100": np.linspace(-0.1, 0.02, 100) + 1j * np.linspace(-0.05, 0.05, 100)[:, None],
@@ -394,12 +393,12 @@ def csv_rows(sides: dict[str, Path], repeats: int) -> dict:
     packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
     writers = {side: importlib.import_module(f"phi4trunc_{side}.csvio").write_csv for side in sides}
     pkg = packages["change"]
-    fam = pkg.anharmonic_family(pkg.TruncationSpec(8))
-    scan = pkg.gap_scan(fam, ((-0.1, 0.02), (-0.05, 0.05)), (100, 100), "even")
+    blocks = pkg.site_blocks(pkg.TruncationSpec(8), "even")
+    scan = pkg.gap_scan(*blocks, ((-0.1, 0.02), (-0.05, 0.05)), (100, 100))
     tables = {  # as the scan and riemann commands build them
         "scan_100x100": (["re", "im", "gap"], np.column_stack(
             [np.tile(scan.re_axis(), 100), np.repeat(scan.im_axis(), 100), scan.values.ravel()])),
-        "riemann_80x160": (["re", "im", "gap", "x", "y"], pkg.riemann_export(fam, "even", (80, 160))),
+        "riemann_80x160": (["re", "im", "gap", "x", "y"], pkg.riemann_export(*blocks, (80, 160))),
     }
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
