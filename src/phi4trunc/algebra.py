@@ -5,6 +5,10 @@ matrix with superdiagonal (1, 2, ..., n_max-1) and subdiagonal ones, leaving
 the spectrum untouched.  In that weighted basis the quartic perturbation
 X^4/(4 omega^2) is a matrix of exact rationals, so perturbative recursions
 and characteristic polynomials can be carried out over Q with no rounding.
+An occupation-basis double is derived from those exact numbers in one
+place, _nearest_sqrt: the double nearest sqrt(num/den) of two integers.
+It gives phi^4 (hamiltonian._phi4, from the entries of _x4_lower), the
+weights sqrt(k!) of the projector and the Dyson prefactor sqrt(out!/in!).
 The exact Rayleigh-Schrodinger recursion of the package lives here:
 _rs_scaled_integer runs it on exact rational blocks as integers at a scale
 A B^k, with one reduction per coefficient.  The projectors keep B = Q, the
@@ -73,6 +77,29 @@ def _x4_band(n: int) -> list[dict]:
             square.append(acc)
         x = square
     return x
+
+
+def _x4_lower(n: int) -> list[tuple[int, int, int, int]]:
+    """(hi, lo, N, P) for every nonzero X_w^4[hi][lo] = N with lo <= hi, and P = (lo+1)...hi.
+
+    The occupation-basis quartic is symmetric, with X^4[lo, hi] =
+    X^4[hi, lo] = N sqrt(P): the weight sqrt(hi!/lo!) of the similarity.
+    """
+    return [(hi, lo, big_n, math.prod(range(lo + 1, hi + 1)))
+            for hi, row in enumerate(_x4_band(n)) for lo, big_n in row.items() if lo <= hi]
+
+
+def _nearest_sqrt(num: int, den: int) -> float:
+    """The double nearest sqrt(num / den) for positive integers num and den, ties to even.
+
+    math.isqrt gives q = floor(sqrt(num / den) 2^s) with at least 56 bits.
+    Setting its last bit when the root is inexact rounds it to odd, which
+    keeps the rounding of q to a double, done once by float(), correct.
+    """
+    s = 56 - (num.bit_length() - den.bit_length()) // 2
+    top, bottom = (num << 2 * s, den) if s >= 0 else (num, den << -2 * s)
+    q = math.isqrt(top // bottom)
+    return math.ldexp(float(q | (q * q * bottom != top)), -s)
 
 
 def sector_indices(n_max: int, sector: str) -> list[int]:

@@ -20,6 +20,7 @@ import argparse
 import functools
 import gc
 import os
+import platform
 import sys
 import warnings
 from fractions import Fraction
@@ -151,6 +152,8 @@ def _cmd_spectrum(cfg, outdir):
             raise ValueError(f"--method {cfg['method']!r} needs --nsites > 1 (a single site is solved dense)")
         if cfg["kappa"] != 0.0:
             raise ValueError(f"--kappa {cfg['kappa']!r} needs --nsites > 1 (a single site has no hop)")
+        if cfg["boundary"] != "periodic":
+            raise ValueError(f"--boundary {cfg['boundary']!r} needs --nsites > 1 (a single site has no bond)")
         h = affine_operator(*_domain_blocks(cfg["domain"], trunc, cfg["sector"]), cfg["lam"])
         eigenvalues = dense_spectrum(h)
     rows = [(i, complex(z).real, complex(z).imag) for i, z in enumerate(eigenvalues)]
@@ -401,6 +404,11 @@ def _cmd_trotter(cfg, outdir):
 def _cmd_lattice_sweep(cfg, outdir):
     trunc = TruncationSpec(cfg["nmax"], cfg["omega"])
     lam_lo, lam_hi, n_lam = cfg["lam_grid"]
+    if cfg["nsites"] == 1 and any(cfg["kappas"]):
+        raise ValueError(f"--kappas {cfg['kappas']!r} needs --nsites > 1 for a nonzero kappa "
+                         "(a single site has no hop)")
+    if cfg["nsites"] == 1 and cfg["boundary"] != "periodic":
+        raise ValueError(f"--boundary {cfg['boundary']!r} needs --nsites > 1 (a single site has no bond)")
     lams = np.linspace(lam_lo, lam_hi, int(n_lam))
     outputs = []
     summary = []
@@ -561,6 +569,15 @@ def _resolve(spec: dict, args: argparse.Namespace) -> tuple[dict, object, list[s
     return cfg, checked("--json", args.json, int, None), bad
 
 
+def _environment() -> dict:
+    """What a float output's last bits can follow: Python, numpy, its BLAS and thread settings, the CPUs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     fn, spec = COMMANDS[args.command]
@@ -569,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     from pathlib import Path
 
     outdir = Path(args.outdir) if args.outdir else Path("out") / args.command
-    run = {"warnings": []}
+    run = {"environment": _environment(), "warnings": []}
     try:
         if bad:
             raise ValueError("; ".join(bad))

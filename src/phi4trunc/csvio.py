@@ -121,8 +121,9 @@ def write_manifest(outdir, command: str, config: dict, outputs: list[str],
                    status: str = "ok", error: dict | None = None, run: dict | None = None) -> Path:
     """Record the resolved run configuration next to its outputs.
 
-    run holds what the run did rather than what it was asked (its warnings),
-    under its own key so that config and outputs stay deterministic.
+    run holds what the run met rather than what it was asked (the
+    environment and the warnings), under its own key so that config and
+    outputs stay deterministic.
     """
     from . import __version__
 

@@ -20,7 +20,8 @@ is a real rational times i^k at every key, and it too is summed in reals.
 
 The amplitude <out|U(t)|in> is assembled in the sqrt(n!)-weighted basis
 (where the quartic term is rational) and carries the basis weight
-sqrt(out!/in!) as an explicit prefactor.
+sqrt(out!/in!) as an explicit prefactor, rounded once from the exact
+factorials (algebra._nearest_sqrt), so it stays finite at every n_max.
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ class DysonAmplitude:
     """Phase polynomial for <out|U(t)|in> and its basis-weight prefactor.
 
     The polynomial is exact in the weighted basis; the physical amplitude
-    is prefactor * poly(t) with prefactor = sqrt(out!/in!).
+    is prefactor * poly(t) with prefactor the double nearest sqrt(out!/in!).
     """
 
     poly: PhasePolynomial
@@ -178,5 +179,5 @@ def dyson_series(
     # Schroedinger picture: the global phase e^(-i E_out t) shifts every frequency
     shift = -energies[state_out]
     terms = {(k, omega * m + shift): _times_i_power(r, k) for (k, m), r in total.items()}
-    prefactor = math.sqrt(math.factorial(state_out) / math.factorial(state_in))
+    prefactor = algebra._nearest_sqrt(math.factorial(state_out), math.factorial(state_in))
     return DysonAmplitude(PhasePolynomial(terms), prefactor)

@@ -7,8 +7,10 @@ a plain array, real exactly when lam is real: its dtype is its Hermitian
 flag, and the family can be scanned off the real axis.
 One site is H_har + lam phi^4; site_blocks gives the pair on the full
 site or cut to its even or odd occupation-parity block, and _phi4 is the
-one place phi^4 is formed.  The strong-coupling form phi^4 + lam H_har is
-the same pair swapped.  The lattice Hamiltonian is a sum of local
+one place phi^4 is formed: each entry is the double nearest its exact
+value, read from algebra's weighted integers, and is written to both of
+its places.  The strong-coupling form phi^4 + lam H_har is the same pair
+swapped.  The lattice Hamiltonian is a sum of local
 anharmonic terms and quadratic nearest-neighbor hops,
 
     H = sum_x [ omega (a_x^dag a_x + 1/2) + lam phi_x^4 ] - 2 kappa sum_x phi_x phi_{x+1},
@@ -32,11 +34,12 @@ scipy's sparse solvers take as a linear operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import sector_indices
+from .algebra import _nearest_sqrt, _x4_lower, sector_indices
 from .oscillator import TruncationSpec, build_field_ops, harmonic_hamiltonian
 
 __all__ = [
@@ -170,16 +173,20 @@ class SparseOperator:
 
 
 def _phi4(spec: TruncationSpec) -> np.ndarray:
-    """phi^4, symmetric by construction: the lower triangle of matrix_power(phi, 4) mirrored onto the upper.
+    """phi^4 = X^4 / (4 omega^2), each entry the double nearest its exact value.
 
-    The BLAS products of matrix_power do not sum the two sides of an entry
-    in one order, so its two triangles can differ in the last bit (n_max
-    26 and 28 at omega 1).  The lower one is the triangle eigvalsh and eigh
-    read.
+    With omega = a/b exactly, the entries at (hi, lo) and (lo, hi) are both
+    N sqrt(P) b^2 / (4 a^2) = sqrt(N^2 P b^4 / (16 a^4)) for the weighted
+    integers N and P of algebra._x4_lower, so phi^4 is symmetric by
+    construction and needs no matrix product.
     """
-    phi, _ = build_field_ops(spec)
-    low = np.tril(np.linalg.matrix_power(phi, 4))
-    return low + np.tril(low, -1).T
+    a, b = Fraction(spec.omega).as_integer_ratio()
+    b4, den = b**4, 16 * a**4
+    hi, lo, vals = zip(*[(hi, lo, _nearest_sqrt(big_n * big_n * p * b4, den))
+                         for hi, lo, big_n, p in _x4_lower(spec.n_max)])
+    v = np.zeros((spec.n_max, spec.n_max))
+    v[hi, lo] = v[lo, hi] = vals
+    return v
 
 
 def site_blocks(trunc: TruncationSpec, sector: str) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _x4_band
+from .algebra import _x4_lower
 
 __all__ = [
     "PauliTerm",
@@ -224,19 +224,18 @@ def _surd_groups(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Integer vectors v of H on n levels by (flip f, squarefree s), see _structural_words.
 
     Returns the keys (f, s) and one (keys x n) int64 array whose row k is
-    the vector of key k.  Each occupation entry X^4[i, i ^ f] is
+    the vector of key k, from the (hi, lo, N) entries of algebra._x4_lower
+    that hamiltonian._phi4 rounds.  Each occupation entry X^4[i, i ^ f] is
     v[i] sqrt(s) in exactly one group (f, s) and zero in the others; the
     first key, (0, 0), holds 2i + 1, the harmonic diagonal in units of
     omega / 2.
     """
     keys = {(0, 0): 0}  # harmonic: s = 0 is no surd
     entries = []  # (row, index, value), written into the array once its row count is known
-    for hi, row in enumerate(_x4_band(n)):
-        for lo, big_n in row.items():
-            if lo <= hi:
-                m, s = _surd_sqrt(range(lo + 1, hi + 1))
-                k = keys.setdefault((hi ^ lo, s), len(keys))
-                entries += [(k, hi, big_n * m), (k, lo, big_n * m)]
+    for hi, lo, big_n, _ in _x4_lower(n):
+        m, s = _surd_sqrt(range(lo + 1, hi + 1))
+        k = keys.setdefault((hi ^ lo, s), len(keys))
+        entries += [(k, hi, big_n * m), (k, lo, big_n * m)]
     vecs = np.zeros((len(keys), n), dtype=np.int64)
     vecs[0] = 2 * np.arange(n) + 1
     k, i, v = zip(*entries)

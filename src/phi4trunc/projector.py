@@ -14,7 +14,9 @@ final entry, and the cost is polynomial in the order.  Time evolution
 follows by inserting the perturbed resolution of identity: each level
 contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak series
 at the same order, read off the same recursion, so phases stay bounded for
-all t.  Evaluating a projector at lam, or evolving from a state, warns
+all t.  Only evaluation rounds: a weighted entry becomes a double scaled
+by sqrt(i!)/sqrt(j!), each root correctly rounded (algebra._nearest_sqrt).
+Evaluating a projector at lam, or evolving from a state, warns
 when |lam| is at or past the convergence radius fitted to the weak series
 of that level.
 """
@@ -61,7 +63,7 @@ class ProjectorSeries:
         return len(self.weighted[0])
 
     def coefficient_matrix(self, m: int) -> np.ndarray:
-        d = np.sqrt([math.factorial(k) for k in range(self.n_max)])
+        d = np.array([algebra._nearest_sqrt(math.factorial(k), 1) for k in range(self.n_max)])
         w = np.array([[float(x) for x in row] for row in self.weighted[m]])
         return (d[:, None] * w) / d[None, :]
 

@@ -28,8 +28,10 @@ hermite_zeros, whose doubles seed the strong-series oracle's Newton.
 - minimum sector gaps come from mpmath's QR eigenvalues of h0 + lam v at
   30 digits, with the float entries taken exactly;
 - structural Pauli counts are exact integer Walsh-Hadamard transforms;
+- the occupation-basis quartic X^4 comes from banded products of X in
+  mpmath floats (mp_x4);
 - structural Pauli word sets also come from a 40-digit recursive split
-  into qubit-0 quadrants at a fixed coupling;
+  of that X^4 into qubit-0 quadrants at a fixed coupling;
 - Pauli coefficients also come from explicit traces tr(P H)/2^n_q of
   dense Kronecker-product words, and bit for bit from the full gather:
   the Walsh-Hadamard transform of all 2^n_q diagonals i -> H[i, i ^ f],
@@ -461,6 +463,28 @@ def structural_pauli_count(n_q: int) -> int:
     return sum(len(zs) for zs in nonzero.values())
 
 
+def mp_x4(n: int) -> list[list]:
+    """X^4 = (a + a^dag)^4 on n levels in the occupation basis, in mpmath floats at the working precision.
+
+    X has sqrt(k) beside the diagonal; two banded products square it twice.
+    """
+    x = [[mp.mpf(0)] * n for _ in range(n)]
+    for k in range(1, n):
+        x[k - 1][k] = x[k][k - 1] = mp.sqrt(k)
+
+    def banded_mul(a, b, band):
+        out = [[mp.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(max(0, i - band), min(n, i + band + 1)):
+                if a[i][k]:
+                    for j in range(max(0, k - band), min(n, k + band + 1)):
+                        out[i][j] += a[i][k] * b[k][j]
+        return out
+
+    x2 = banded_mul(x, x, 1)
+    return banded_mul(x2, x2, 2)
+
+
 def mp_pauli_words(n_q: int, lam: Fraction, dps: int = 40) -> set[str]:
     """Non-identity Pauli words of (n + 1/2) + lam phi^4 above 10^-(dps-10) at one coupling.
 
@@ -476,21 +500,7 @@ def mp_pauli_words(n_q: int, lam: Fraction, dps: int = 40) -> set[str]:
     """
     n = 2**n_q
     with mp.workdps(dps):
-        x = [[mp.mpf(0)] * n for _ in range(n)]
-        for k in range(1, n):
-            x[k - 1][k] = x[k][k - 1] = mp.sqrt(k)
-
-        def banded_mul(a, b, band):
-            out = [[mp.mpf(0)] * n for _ in range(n)]
-            for i in range(n):
-                for k in range(max(0, i - band), min(n, i + band + 1)):
-                    if a[i][k]:
-                        for j in range(max(0, k - band), min(n, k + band + 1)):
-                            out[i][j] += a[i][k] * b[k][j]
-            return out
-
-        x2 = banded_mul(x, x, 1)
-        x4 = banded_mul(x2, x2, 2)
+        x4 = mp_x4(n)
         coupling = mp.mpf(lam.numerator) / lam.denominator
         h = [[coupling * x4[i][j] / 4 for j in range(n)] for i in range(n)]
         for k in range(n):

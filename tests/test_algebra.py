@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phi4trunc import TruncationSpec, algebra, weak_series, weak_series_charpoly
@@ -175,3 +175,20 @@ def test_sector_char_poly_is_the_exact_characteristic_polynomial(n_max, sector, 
                    for j in idx] for i in idx]
         det = bareiss_det_poly(matrix)
         assert [sum(c * lam**k for k, c in enumerate(poly)) for poly in zc] == [zc[s][0] * c for c in det]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**600), st.integers(1, 2**600))
+@example(num=(2**53 + 1) ** 2, den=1)  # a tie: rounds to the even 2^53
+@example(num=(2**53 + 3) ** 2, den=1)  # a tie: rounds to the even 2^53 + 4
+@example(num=2**106 - 1, den=1)  # just below a power of two, where the gap halves
+def test_nearest_sqrt_is_the_double_nearest_the_exact_root(num, den):
+    # the exact bracket: sqrt(num / den) lies between the midpoints to d's
+    # neighbours, compared squared as Fractions, and a tie keeps an even
+    # significand
+    d = algebra._nearest_sqrt(num, den)
+    exact = Fraction(num, den)
+    low, high = ((Fraction(d) + Fraction(math.nextafter(d, toward))) / 2 for toward in (0.0, math.inf))
+    assert low**2 <= exact <= high**2
+    if exact in (low**2, high**2):
+        assert int(math.ldexp(math.frexp(d)[0], 53)) % 2 == 0

@@ -186,6 +186,7 @@ def test_lattice_spectrum_rejects_single_site_flags(tmp_path, flag, value):
     # a single site is solved dense and has no hop, so these would be ignored
     (["--nmax", "8", "--method", "lanczos", "--k", "2"], "--method 'lanczos' needs --nsites > 1"),
     (["--nmax", "8", "--kappa", "0.1"], "--kappa 0.1 needs --nsites > 1"),
+    (["--nmax", "4", "--boundary", "open"], "--boundary 'open' needs --nsites > 1"),
 ])
 def test_spectrum_rejects_a_bad_method_or_site_count(tmp_path, args, named):
     code, outdir = run_cli(["spectrum"] + args, tmp_path, "bad")
@@ -668,6 +669,18 @@ def test_list_flags_that_name_nothing_or_collide_are_refused(tmp_path, args, ref
     assert not list(outdir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args, refused", [
+    (["--kappas", "0.1,0.3"], "--kappas [0.1, 0.3] needs --nsites > 1 for a nonzero kappa (a single site has no hop)"),
+    (["--kappas", "0", "--boundary", "open"], "--boundary 'open' needs --nsites > 1 (a single site has no bond)"),
+], ids=["hop", "boundary"])
+def test_a_single_site_sweep_refuses_what_would_not_change_its_body(tmp_path, args, refused):
+    code, outdir = run_cli(["lattice-sweep", "--nsites", "1", "--nmax", "4"] + args, tmp_path, "bad")
+    assert code == 1
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["error"] == {"type": "ValueError", "message": refused}
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_distinct_kappas_keep_their_file_names(tmp_path):
     code, outdir = run_cli(["lattice-sweep", "--nsites", "2", "--nmax", "2", "--kappas", "0.1,0.10001,-0.1",
                             "--lam-grid", "-0.35 0.05 21"], tmp_path, "lat")
@@ -806,7 +819,8 @@ def test_manifest_records_warnings_and_still_shows_them(tmp_path, monkeypatch):
     assert "grid boundary" in manifest["run"]["warnings"][0]["message"]
     assert shown == [manifest["run"]["warnings"][0]["message"]]
     code, outdir = run_cli(["series", "--orders", "2"], tmp_path, "quiet")
-    assert json.loads((outdir / "manifest.json").read_text())["run"] == {"warnings": []}
+    run = json.loads((outdir / "manifest.json").read_text())["run"]
+    assert run.keys() == {"environment", "warnings"} and run["warnings"] == []
 
 
 def test_first_commands_run_no_full_collection(tmp_path):
@@ -858,3 +872,41 @@ def test_successive_commands_match_fresh_calls(tmp_path):
         assert main(args + ["--outdir", str(tmp_path / f"c{i}")]) == 0
         assert outputs(i) == fresh[i]
     assert build_parser.cache_info().misses == 1
+
+
+def test_a_dyson_amplitude_past_a_double_quotient_of_factorials_runs(tmp_path):
+    # 200!/0! overflows a double; one order of phi^4 moves 0 by at most 4, so
+    # the amplitude is exactly zero
+    code, outdir = run_cli(["evolve", "--method", "dyson", "--nmax", "256", "--state-in", "0",
+                            "--state-out", "200", "--order", "1", "--nt", "5"], tmp_path, "dyson")
+    assert code == 0
+    rows = [line for line in (outdir / "evolve.csv").read_text().splitlines() if not line.startswith("#")][1:]
+    assert [row.split(",")[1:] for row in rows] == [["0", "0", "0"]] * 5
+
+
+def test_run_records_the_environment_and_the_rest_stays_deterministic(tmp_path, monkeypatch):
+    # two runs of one config under other thread settings: config, outputs
+    # and CSV bytes agree, and only run.environment tells them apart
+    import platform
+
+    import numpy as np
+
+    seen = []
+    for threads in ("1", None):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        code, outdir = run_cli(["spectrum", "--nmax", "6", "--lam", "0.2", "--dump-matrix", "1"], tmp_path, "env")
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        seen.append((manifest, {p.name: p.read_bytes() for p in outdir.glob("*.csv")}))
+        env = manifest["run"]["environment"]
+        assert env["OPENBLAS_NUM_THREADS"] == threads
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS") and env["cpu_count"] == os.cpu_count()
+        assert env["blas"] and not env["blas"].startswith("None")
+    (first, first_csv), (second, second_csv) = seen
+    assert len(first_csv) == 2 and first_csv == second_csv
+    assert first["config"] == second["config"] and first["outputs"] == second["outputs"]
+    assert first["run"] != second["run"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from phi4trunc.algebra import sector_char_poly, sector_indices
 from phi4trunc.cli import _domain_blocks
 from phi4trunc.hamiltonian import _lattice_blocks
 
-from oracles import field_eigenbasis
+from oracles import field_eigenbasis, mp_x4
 
 
 def site_block(trunc, sector, lam):
@@ -410,16 +411,14 @@ def test_lattice_matrix_stores_only_the_nonzero_entries(lam):
 
 
 # The dense solvers pick eigvalsh for a real matrix, so every Hamiltonian
-# the package builds at a real coupling must be real and symmetric.  The
-# BLAS product behind phi^4 need not sum the two sides of an entry in one
-# order (with OpenBLAS on x86-64 its triangles differ by up to 0.62 ulp of
-# the largest entry at n_max 18, 20, 26 and 28), so _phi4 mirrors one
-# triangle, and the site pair and the lattice blocks on the product basis
-# are symmetric exactly.
+# the package builds at a real coupling must be real and symmetric.  _phi4
+# writes each correctly rounded entry to both of its places, so the site
+# pair and the lattice blocks on the product basis are symmetric exactly
+# (a phi^4 formed by BLAS products was not, at n_max 18, 20, 26 and 28).
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 16), st.floats(1e-3, 1e3), st.sampled_from(["weak", "strong"]),
        st.sampled_from(["full", "even", "odd"]))
-@example(half=13, omega=1.0, domain="weak", cut="full")  # matrix_power's phi^4 is asymmetric at n_max 26
+@example(half=13, omega=1.0, domain="weak", cut="full")  # matrix_power's phi^4 was asymmetric at n_max 26
 @example(half=14, omega=1.0, domain="strong", cut="even")  # and at 28
 def test_single_site_pairs_are_real_and_exactly_symmetric(half, omega, domain, cut):
     for m in _domain_blocks(domain, TruncationSpec(2 * half, omega), cut):
@@ -448,3 +447,20 @@ def test_one_site_chain_is_the_site_pair_bit_for_bit(n_max, omega, basis):
     for (h0, v), sector in zip(_lattice_blocks(LatticeSpec(1, trunc), basis), sectors, strict=True):
         for got, want in zip((h0, v), site_blocks(trunc, sector)):
             assert got.toarray().tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 128), st.floats(1e-3, 1e3))
+@example(half=4, omega=1.0)  # matrix_power missed the nearest double in all 18 distinct entries
+@example(half=128, omega=1.0)  # and in 670 of 762
+@example(half=5, omega=0.3)
+def test_phi4_is_the_nearest_double_of_every_exact_entry(half, omega):
+    # X^4 / (4 omega^2) at 40 digits from banded mpmath products of X,
+    # rounded once; zero wherever X^4 is
+    n = 2 * half
+    v = site_blocks(TruncationSpec(n, omega), "full")[1]
+    assert v.tobytes() == v.T.tobytes()
+    with mp.workdps(40):
+        x4, scale = mp_x4(n), 4 * mp.mpf(omega) ** 2
+        want = np.array([[float(x / scale) for x in row] for row in x4])
+    assert np.array_equal(v, want)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,3 +230,16 @@ def test_projector_algebra_exact_at_every_order(n_max, order, omega):
             assert comm == zero
     assert total[0] == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     assert all(total[m] == zero for m in range(1, order + 1))
+
+
+@pytest.mark.parametrize("n_max, level", [(22, 0), (24, 3), (64, 10)])
+def test_coefficient_matrix_is_the_weighted_entry_times_the_basis_weight(n_max, level):
+    # the standard-basis entry is sqrt(i!/j!) times the exact weighted one;
+    # past n_max 21, sqrt(k!) is no longer an int64 (and float(k!) not exact past 22)
+    ser, _ = perturbed_projector(TruncationSpec(n_max), level, order=2)
+    with mp.workdps(40):
+        weight = [[mp.sqrt(mp.factorial(i) / mp.factorial(j)) for j in range(n_max)] for i in range(n_max)]
+        for m in range(ser.order + 1):
+            want = np.array([[float(w * mp.mpf(c.numerator) / c.denominator) for w, c in zip(rw, rc)]
+                             for rw, rc in zip(weight, ser.weighted[m])])
+            assert np.allclose(ser.coefficient_matrix(m), want, rtol=1e-15, atol=0)

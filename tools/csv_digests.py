@@ -30,16 +30,16 @@ from pathlib import Path
 
 os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-import numpy as np  # noqa: E402  (after the thread pinning)
-
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-# off the benchmark: the sizes where phi^4 formed by matrix_power was
-# asymmetric (n_max 18, 20, 26 and 28), complex and strong couplings,
+# off the benchmark: spectra at n_max 18, 20, 26 and 28 (where a phi^4 formed
+# by BLAS products once lost its symmetry), complex and strong couplings,
 # matrix dumps, the full grid commands, a 2-site chain and an open chain
 # with a negative hop, the qubit commands at larger sizes, and a few more
 # paths: a lanczos k > 1, a Trotter evolution, every register size of
-# resources, a weak series off omega 1
+# resources, a weak series off omega 1; pauli at every n_max from 2 to 256,
+# the projector past n_max 21, where sqrt(k!) leaves int64, and a Dyson
+# amplitude whose sqrt(out!/in!) overflows a double quotient of factorials
 OFF_BENCHMARK = [
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j"],
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j", "--sector=even"],
@@ -60,6 +60,10 @@ OFF_BENCHMARK = [
     ["spectrum", "--nsites=6", "--nmax=4", "--kappa=0.1", "--lam=0.15", "--method=lanczos", "--k=3"],
     ["resources", "--nq=1,2,3,4,5,6,7,8,9,10"],
     ["series", "--nmax=8", "--omega=1.1", "--level=2", "--orders=200"],
+    *[["pauli", f"--nmax={n_max}", "--lam=0.05"] for n_max in (2, 4, 8, 16, 32, 64, 256)],
+    ["projector", "--nmax=24", "--lam=0.01"],
+    ["evolve", "--method=projector", "--nmax=24", "--lam=0.01"],
+    ["evolve", "--method=dyson", "--nmax=256", "--state-in=0", "--state-out=200", "--order=1"],
 ]
 
 
@@ -108,9 +112,10 @@ def digests() -> dict[str, dict[str, str]]:
 
 
 def environment() -> dict[str, str]:
-    """The numpy version and the BLAS it was built with."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    """The numpy version and the BLAS it was built with, as a manifest's run.environment names them."""
+    from phi4trunc.cli import _environment
+
+    return {key: _environment()[key] for key in ("numpy", "blas")}
 
 
 def main(argv: list[str] | None = None) -> int:
