@@ -9,13 +9,14 @@ An occupation-basis double is derived from those exact numbers in one
 place, _nearest_sqrt: the double nearest sqrt(num/den) of two integers.
 It gives phi^4 (hamiltonian._phi4, from the entries of _x4_lower), the
 weights sqrt(k!) of the projector and the Dyson prefactor sqrt(out!/in!).
-The exact Rayleigh-Schrodinger recursion of the package lives here:
-_rs_scaled_integer runs it on exact rational blocks as integers at a scale
-A B^k, with one reduction per coefficient.  The projectors keep B = Q, the
-lcm of the one-step denominators, and A = 1.  The weak series reads a
-tighter B dividing Q and a small offset A off its first orders, and the
-loop widens that scale in place at any order whose exact division leaves a
-remainder.
+The exact Rayleigh-Schrodinger recursion of the package lives here.
+_rs_scaled_integer runs it on exact rational blocks as integers at the
+scale Q^k, Q the lcm of the one-step denominators, with no division; the
+projectors read its states.  The weak series (rs_rational_series) runs
+the same recursion modulo word-size primes and takes each numerator
+Q^k E_k back by Chinese remaindering.  The prime count is proven by a
+float run of the recursion on absolute values that bounds the numerators,
+and every int64 sum is kept under 2^63 by the primes' width.
 
 Polynomials in the coupling are plain coefficient lists (index = power),
 over Fraction or int.  Two integer kernels carry the exact polynomial work:
@@ -35,6 +36,8 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 from .oscillator import TruncationSpec
 
 __all__ = [
@@ -48,9 +51,6 @@ __all__ = [
 ]
 
 Poly = list  # coefficient list, index = power
-
-# orders of the exact weak series run at Q^k before its scale is tightened
-PROBE_ORDERS = 16
 
 
 def _as_fraction(x, what: str) -> Fraction:
@@ -146,174 +146,186 @@ def _resolvent(h0: list, pos: int) -> list:
     return [h0[pos] - e if m == pos else 1 / (h0[pos] - e) for m, e in enumerate(h0)]
 
 
-def _prime_exponents(n: int) -> dict[int, int]:
-    """{p: e} for the primes p below 1024 that divide n, by trial division.
+def _rs_rows(h0: list[Fraction], v: list[list[Fraction]], pos: int, scale: int) -> tuple[int, list, list, list]:
+    """Q and the integer rows [Q V[pos]], Q R_m V[m] and Q R_m V[pos] of the recursion, R_m = 1/(h0[pos] - h0[m]).
 
-    The rest of n is left out: an omega read from a float puts primes of
-    up to 16 digits into a block denominator, which trial division would
-    take minutes to find.
+    Q is the lcm of scale and the rows' denominators; a degenerate h0[pos] raises ValueError (_resolvent).
     """
-    out = {}
-    for p in range(2, 1024):
-        if n == 1:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    return out
-
-
-def _valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer n."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    res = _resolvent([Fraction(x) for x in h0], pos)
+    rows = [[Fraction(x) if x else 0 for x in row] for row in v]
+    state_rows = [[r * x if r and x else 0 for x in row] for r, row in zip(res, rows)]
+    shift_rows = [[r * x if r and x else 0 for x in rows[pos]] for r in res]
+    q = math.lcm(scale, *(x.denominator for row in (rows[pos], *state_rows, *shift_rows) for x in row if x))
+    return q, *([[x.numerator * (q // x.denominator) if x else 0 for x in row] for row in block]
+                for block in ([rows[pos]], state_rows, shift_rows))
 
 
 def _rs_scaled_integer(
-    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int,
-    base: int | None = None, offset: int = 1,
-) -> tuple[list[Fraction], list[list[int]], int, int, list[int]]:
-    """The nondegenerate Rayleigh-Schrodinger recursion on exact blocks, in integers.
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, scale: int = 1
+) -> tuple[list[Fraction], list[list[int]], int]:
+    """The nondegenerate Rayleigh-Schrodinger recursion on exact blocks, in integers at the scale Q^k.
 
     h0 is the diagonal unperturbed block and v the perturbation.  The state
     corrections psi_k of the level at diagonal position pos solve
     h0 psi_k + v psi_(k-1) = sum_j E_j psi_(k-j), with <pos|psi_k> 1 at
-    k = 0 and 0 above.  With R_m = 1/(h0[pos] - h0[m]) and Q the lcm of
-    base and of the denominators of V[pos, i], R_m V[m, i] and
-    R_m V[pos, i], the states are kept at the scale A B^k of an offset A and a base B dividing Q,
-    psi~_k = A B^k psi_k.  B holds every prime of Q past _prime_exponents'
-    reach to its full power in Q, and A none.  With integer rows Q V and
-    Q R V,
+    k = 0 and 0 above.  With the integer rows of _rs_rows, the states
+    psi~_k = Q^k psi_k are integers, and no step divides:
 
-        X         = sum_i (Q R_m V[m, i]) psi~_(k-1)[i]            at Q A B^(k-1)
-        Y         = sum_(j<k) shift_j psi~_(k-j)[m]                at Q A^2 B^(k-1)
-        shift_j   = sum_i (Q R_m V[pos, i]) psi~_(j-1)[i]          at Q A B^(j-1)
-        psi~_k[m] = (A X - Y) / (Q A / B)
-        E_k       = Fraction(sum_i (Q V[pos, i]) psi~_(k-1)[i], Q A B^(k-1))
+        shift_j   = sum_i (Q R_m V[pos, i]) psi~_(j-1)[i]            (= Q^j R_m E_j)
+        psi~_k[m] = sum_i (Q R_m V[m, i]) psi~_(k-1)[i] - sum_(j<k) shift_j psi~_(k-j)[m]
+        N_k       = sum_i (Q V[pos, i]) psi~_(k-1)[i],    E_k = N_k / Q^k
 
-    Every term of the convolution Y sits at the one scale, so it needs no
-    multiplier, and each new entry costs one exact division.  The default,
-    A = 1 and B = Q, divides by 1 and keeps Q^k psi_k.  A smaller scale is
-    checked entry by entry: when a division leaves a remainder, the rate of
-    each prime short in that order's denominator is raised towards its
-    exponent in Q, the stored columns and shifts are multiplied up to the
-    wider scale in place, and the order is redone.  Returns (energies,
-    scaled states psi~_k, A, B, the orders at which the scale widened).
-    Raises ValueError when h0[pos] is degenerate.
+    Q is the lcm of the rows' denominators and of scale, so that two blocks
+    can share one.  Returns (energies, scaled states psi~_k, Q).
     """
-    h0 = [Fraction(x) for x in h0]
-    s = len(h0)
-    res = _resolvent(h0, pos)
-    rows = [[(j, Fraction(x)) for j, x in enumerate(row) if x] for row in v]
-    top = rows[pos]
-    state_rows = [[(j, r * x) for j, x in row] if r else [] for r, row in zip(res, rows)]
-    shift_rows = [[(j, r * x) for j, x in top] if r else [] for r in res]
-    q = math.lcm(base or 1, *(x.denominator for row in (top, *state_rows, *shift_rows) for _, x in row))
-    if base is None:
-        base = q
-    top = [(j, int(x * q)) for j, x in top]
-    shift_rows = [[(j, int(x * q)) for j, x in row] for row in shift_rows]
-    lifted = [[(j, int(x * q) * offset) for j, x in row] for row in state_rows]  # A Q R_m V[m, i]
-    cols = [[offset * (m == pos)] for m in range(s)]  # cols[m][k] = psi~_k[m]
-    shifts: list[list[int]] = [[] for _ in range(s)]  # shifts[m][j - 1] = shift_j
-    energies = [h0[pos]]
-    widened: list[int] = []
-    scale = offset  # A B^(k-1), the scale of the newest column
-    k = 1
-    while k <= max_order:
+    q, top, lifted, shift_rows = ([[(j, x) for j, x in enumerate(row) if x] for row in rows] if i else rows
+                                  for i, rows in enumerate(_rs_rows(h0, v, pos, scale)))
+    cols = [[int(m == pos)] for m in range(len(h0))]  # cols[m][k] = psi~_k[m]
+    shifts: list[list[int]] = [[] for _ in cols]  # shifts[m][j - 1] = shift_j
+    energies = [Fraction(h0[pos])]
+    for k in range(1, max_order + 1):
         prev = [col[-1] for col in cols]
-        new = [sum(x * prev[j] for j, x in row) - sum(map(operator.mul, shift, reversed(col)))
-               for row, shift, col in zip(lifted, shifts, cols)]
-        div = q * offset // base
-        if div != 1:
-            split = [divmod(x, div) for x in new]
-            if any(r for _, r in split):
-                short = math.lcm(*(div // math.gcd(r, div) for _, r in split))
-                grow = 1
-                for p, e in _prime_exponents(short).items():
-                    rate = _valuation(base, p)
-                    grow *= p ** (min(_valuation(q, p), rate - -e // k) - rate)
-                powers = [grow**j for j in range(k)]
-                for col, shift in zip(cols, shifts):
-                    col[:] = map(operator.mul, col, powers)
-                    shift[:] = map(operator.mul, shift, powers)
-                base, scale = base * grow, scale * powers[-1]
-                widened.append(k)
-                continue
-            new = [x for x, _ in split]
-        energies.append(Fraction(sum(x * prev[j] for j, x in top), q * scale))
-        for m in range(s):
-            cols[m].append(new[m])
-            shifts[m].append(sum(x * prev[j] for j, x in shift_rows[m]))
-        scale *= base
-        k += 1
-    return energies, [list(psi) for psi in zip(*cols)], offset, base, widened
+        energies.append(Fraction(sum(x * prev[j] for j, x in top[0]), q**k))
+        for row, shift_row, shift, col in zip(lifted, shift_rows, shifts, cols):
+            col.append(sum(x * prev[j] for j, x in row) - sum(map(operator.mul, shift, reversed(col))))
+            shift.append(sum(x * prev[j] for j, x in shift_row))
+    return energies, [list(psi) for psi in zip(*cols)], q
 
 
-def _reach(v: list[list], pos: int) -> int:
-    """Orders it takes the states psi_k of the level at pos to touch every position they reach."""
-    into = [[m for m, row in enumerate(v) if row[i]] for i in range(len(v))]
-    seen, front, k = {pos}, {pos}, 0
-    while front := {m for i in front for m in into[i]} - seen:
-        seen |= front
-        k += 1
-    return k
+# every prime lies above 2^16, so a 16-bit limb is a residue of each
+LIMB_BITS = 16
+_PRIMES: dict[int, list[int]] = {}  # per width, the primes below 2^width sieved so far, descending
 
 
-def _tight_scale(states: list[list[int]], q: int) -> tuple[int, int]:
-    """An offset A and a base B | Q with A B^k a multiple of the denominator of psi_k at every order given.
+def _prime_width(terms: int) -> int:
+    """The widest w with terms (2^w - 1)^2 < 2^63: a sum of terms products of residues below 2^w fits int64."""
+    return (math.isqrt(((1 << 63) - 1) // terms) + 1).bit_length() - 1
 
-    states are the scaled states Q^k psi_k.  Per prime p of Q, e_k is the
-    exponent of p in the denominator of psi_k.  The rate of p in B is the
-    slope of e_k over the later half of the orders, rounded to the nearest
-    integer; its exponent in A is the least offset that keeps the line at
-    or above every e_k.  A rate read too low costs the recursion a widening,
-    one too high costs bits in every later order.
+
+def _primes_below(width: int, count: int) -> list[int]:
+    """The count largest primes below 2^width, descending, above 2^16; sieved on first use, 2^12 integers at a time."""
+    found = _PRIMES.get(width, [])
+    top = found[-1] if found else 1 << width
+    while len(found) < count:
+        lo = max(top - (1 << 12), 1 << LIMB_BITS)
+        if lo >= top:
+            raise ValueError(f"the residue recursion needs {count} primes between 2^16 and 2^{width}, not {len(found)}")
+        small = np.ones(math.isqrt(top) + 1, bool)
+        small[:2] = False
+        for i in range(2, math.isqrt(len(small) - 1) + 1):
+            if small[i]:
+                small[i * i :: i] = False
+        small = np.flatnonzero(small)
+        first = (-lo) % small
+        hits = (top - lo - first + small - 1) // small
+        steps = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
+        composite = np.zeros(top - lo, bool)
+        composite[np.repeat(first, hits) + steps * np.repeat(small, hits)] = True
+        found = found + (lo + np.flatnonzero(~composite))[::-1].tolist()  # a new list: a cached one never changes
+        top = lo
+    _PRIMES[width] = found
+    return found[:count]
+
+
+def _rs_bound_bits(rows: list[list[int]], pos: int, max_order: int) -> int:
+    """B with |N_k| < 2^B for k = 1 .. K = max_order: _rs_scaled_integer's recursion on absolute values, in floats.
+
+    rows are the integer rows [Q V[pos]; Q R_m V[m]; Q R_m V[pos]].  They
+    enter as floats at or above their absolute values over 2^e, e their
+    largest bit length, each nonzero one at 2^-62 or more; each state at a
+    power of two of its own, its largest entry in [1/2, 1) and every nonzero
+    one raised to 2^-62 or more; each shift at its state's power.  So
+    nothing overflows and no product underflows.  A term passes at most
+    K + s + 5 roundings of relative 2^-53, all on nonnegative values, so
+    rows and weights scaled by 1 + (K + s + 8) 2^-50 keep every sum an upper
+    bound; weights below 2^-800 are raised to it, which only raises them.
     """
-    dens, qk = [], 1
-    for psi in states:
-        dens.append(qk // math.gcd(qk, *psi))
-        qk *= q
-    last = len(dens) - 1
-    mid = last // 2
-    primes = _prime_exponents(q)
-    offset, base = 1, q // math.prod(p**cap for p, cap in primes.items())  # larger primes stay whole
-    for p, cap in primes.items():
-        e = [_valuation(d, p) for d in dens]
-        rise, run = max(0, e[last] - e[mid]), last - mid
-        rate = min(cap, (2 * rise + run) // (2 * run)) if run else cap
-        offset *= p ** max(0, *(x - rate * k for k, x in enumerate(e)))
-        base *= p**rate
-    return offset, base
+    s, e0 = len(rows[0]), max(x.bit_length() for row in rows for x in row)
+    margin, cut = 1 + (max_order + s + 8) * 2.0**-50, max(e0 - 62, 0)
+    a = np.ldexp([[float((abs(x) >> cut) + 1) if x else 0.0 for x in row] for row in rows], cut - e0) * margin
+    beta, ex = np.zeros((max_order + 1, s)), np.zeros(max_order + 1, np.int64)  # psi~_k <= beta[k] 2^ex[k]
+    sig = np.zeros((max_order, s))  # shift_(j+1) <= sig[j] 2^(e0 + ex[j])
+    beta[0, pos], bits = 1.0, 0
+    for k in range(1, max_order + 1):
+        out, e = a @ beta[k - 1], int(ex[k - 1])
+        bits = max(bits, math.frexp(out[0])[1] + e0 + e if out[0] else 0)
+        sig[k - 1] = out[s + 1 :]
+        exps = ex[: k - 1] + ex[k - 1 : 0 : -1]  # of the convolution's terms, less e0
+        high = int(np.max(exps, initial=e))
+        b = np.ldexp(out[1 : s + 1], max(e - high, -800)) + np.einsum(
+            "j,jm,jm->m", np.ldexp(margin, np.maximum(exps - high, -800)), sig[: k - 1], beta[k - 1 : 0 : -1])
+        x = math.frexp(b.max())[1]
+        beta[k], ex[k] = np.ldexp(b, -x), e0 + high + x
+        np.maximum(beta[k], 2.0**-62, out=beta[k], where=beta[k] > 0)
+    return bits
+
+
+def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """The integers N with |N| < M/2, M the primes' product, from their residues, one row each.
+
+    N = sum_i c_i M/p_i mod M, c_i = r_i (M/p_i)^-1 mod p_i: one int64 matmul
+    of the c against the 16-bit limbs of the M/p_i, whose limb sums are read
+    as four runs of 64-bit words at bit offsets 0, 16, 32 and 48, with no carries.
+    """
+    m = math.prod(primes)
+    cofactors = [m // p for p in primes]
+    c = residues * np.array([pow(x, -1, p) for x, p in zip(cofactors, primes)], np.int64) % np.array(primes)
+    n = -(-m.bit_length() // (4 * LIMB_BITS)) * 4
+    limbs = np.frombuffer(b"".join(x.to_bytes(2 * n, "little") for x in cofactors), "<u2").reshape(-1, n)
+    words = (c @ limbs.astype(np.int64)).reshape(len(c), n // 4, 4).transpose(0, 2, 1).astype("<i8")
+    out = (sum(int.from_bytes(run.tobytes(), "little") << LIMB_BITS * i for i, run in enumerate(row)) % m
+           for row in words)
+    return [x - m if 2 * x > m else x for x in out]
 
 
 def rs_rational_series(
     h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, record: dict | None = None
 ) -> list[Fraction]:
-    """Nondegenerate Rayleigh-Schrodinger energy coefficients, exact.
+    """Nondegenerate Rayleigh-Schrodinger energy coefficients, exact, from the recursion on residues.
 
     h0 is the diagonal unperturbed block (all entries distinct), v the
-    perturbation; returns [E_0, E_1, ..., E_max_order] for the level at
-    the given diagonal position, from the scaled-integer recursion.  A
-    probe runs the first orders at Q^k: PROBE_ORDERS of them, or twice the
-    block's reach if that is more, so that the later half from which
-    _tight_scale reads the rates starts once every resolvent has entered.
-    The series then runs again from order zero at the tight scale A B^k.
-    A given record dict receives q, offset, base and the orders at which
-    the scale widened.
+    perturbation; returns [E_0, ..., E_max_order] of the level at diagonal
+    position pos.  _rs_scaled_integer's recursion runs modulo P primes at
+    once, on int64 arrays (rows x states x primes): an order is one einsum
+    for N_k, the states' matrix part and shift_k, and one for the
+    convolution.  N_k = Q^k E_k comes back by Chinese remaindering (_crt).
+
+    The prime count is proven: _rs_bound_bits gives |N_k| < 2^B, and the
+    primes' product M reaches 2^(B+1), so N_k is the one integer with its
+    residues and |N_k| < M/2.  So is the int64 headroom: each sum adds at
+    most `terms` products of two residues below 2^w (s in a row, k - 1 in
+    the convolution, P in the CRT matmul, one per limb of the largest row
+    entry), and w is the widest with terms (2^w - 1)^2 < 2^63
+    (_prime_width).  A given record dict receives q, P and B.
     """
-    probe = min(max_order, max(PROBE_ORDERS, 2 * _reach(v, pos)))
-    energies, states, _, q, _ = _rs_scaled_integer(h0, v, pos, probe)
-    offset, base, widened = 1, q, []
-    if max_order > probe:
-        offset, base = _tight_scale(states, q)
-        energies, _, offset, base, widened = _rs_scaled_integer(h0, v, pos, max_order, base, offset)
+    q, *blocks = _rs_rows(h0, v, pos, 1)
+    rows = [row for block in blocks for row in block]
+    s, flat, energies = len(rows[0]), [x for row in rows for x in row], [Fraction(h0[pos])]
+    bits = _rs_bound_bits(rows, pos, max_order) if max_order else 0
+    n = -(-max(1, *(abs(x).bit_length() for x in flat)) // LIMB_BITS)
+    terms, count = max(s, max_order - 1, n), 0
+    # P can set the width only on short series of large entries; each prime adds under w bits to M
+    while max_order and (short := bits + 2 - math.prod(
+            primes := _primes_below(width := _prime_width(max(terms, count)), count)).bit_length()) > 0:
+        count += -(-short // width)
     if record is not None:
-        record.update(q=q, offset=offset, base=base, widened=widened)
-    return energies
+        record.update(q=q, primes=count, bound_bits=bits)
+    if not max_order:
+        return energies
+    p, powers = np.array(primes, np.int64), np.ones((n, count), np.int64)  # 2^(16 t) mod p
+    for t in range(1, n):
+        powers[t] = (powers[t - 1] << LIMB_BITS) % p
+    limbs = np.frombuffer(b"".join(abs(x).to_bytes(2 * n, "little") for x in flat), "<u2").reshape(-1, n)
+    mats = (np.where(np.array([x < 0 for x in flat])[:, None], -1, 1) * (limbs.astype(np.int64) @ powers) % p
+            ).reshape(2 * s + 1, s, count)
+    states, shifts = np.zeros((max_order + 1, s, count), np.int64), np.zeros((max_order, s, count), np.int64)
+    states[0, pos] = 1
+    numerators = np.empty((max_order, count), np.int64)
+    for k in range(1, max_order + 1):
+        out = np.einsum("rip,ip->rp", mats, states[k - 1])
+        numerators[k - 1], shifts[k - 1] = out[0], out[s + 1 :] % p
+        states[k] = (out[1 : s + 1] - np.einsum("jmp,jmp->mp", shifts[: k - 1], states[k - 1 : 0 : -1])) % p
+    return energies + [Fraction(num, q**k) for k, num in enumerate(_crt(numerators % p, primes), 1)]
 
 
 # ---------------------------------------------------------------------------

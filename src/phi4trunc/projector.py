@@ -107,11 +107,9 @@ def _level_projector(
     """
     pos, idx = level // 2, algebra.sector_indices(n, sector)
     vt = [list(col) for col in zip(*v)]
-    # an order-0 run returns the base Q each block needs; at the shared base,
-    # with offset 1, both state series are Q^m psi_m
-    q = math.lcm(algebra._rs_scaled_integer(h0, v, pos, 0)[3],
-                 algebra._rs_scaled_integer(h0, vt, pos, 0)[3])
-    energies, right = algebra._rs_scaled_integer(h0, v, pos, order, q)[:2]
+    # at the lcm of the scales Q the two blocks need, both state series are Q^m psi_m
+    q = math.lcm(algebra._rs_rows(h0, v, pos, 1)[0], algebra._rs_rows(h0, vt, pos, 1)[0])
+    energies, right, _ = algebra._rs_scaled_integer(h0, v, pos, order, q)
     left = algebra._rs_scaled_integer(h0, vt, pos, order, q)[1]
 
     # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),

@@ -2,13 +2,13 @@
 
 Weak coupling expands around the harmonic spectrum in powers of lam; since
 the unperturbed energies are half-integers, the Rayleigh-Schrodinger
-recursion restricted to a parity sector closes over exact rationals; it
-runs on integers at a scale A B^k read off the block's first orders and
-widened where an exact division fails, so each coefficient is reduced
-once (algebra.rs_rational_series).  The same
-expansion solved from the characteristic polynomial, order by order
-(weak_series_charpoly), is kept as an independent cross-check path, which
-the benchmark's series check runs.
+recursion restricted to a parity sector closes over exact rationals.  It
+runs on the integers Q^k psi_k modulo word-size primes, as many as a float
+bound on the numerators proves enough, and each coefficient comes back by
+Chinese remaindering and is reduced once (algebra.rs_rational_series).
+The same expansion solved from the characteristic polynomial, order by
+order (weak_series_charpoly), is kept as an independent cross-check path,
+which the benchmark's series check runs.
 
 Strong coupling expands around phi^4 in powers of lam_tilde = 1/lam.  The
 unperturbed energies are fourth powers of Hermite zeros, so the zeros, the
@@ -92,9 +92,10 @@ def weak_series(trunc: TruncationSpec, level: int, max_order: int = 10) -> Power
 
     level is the global harmonic label (0 .. n_max-1); within its parity
     sector the unperturbed spectrum is nondegenerate, so the plain
-    nondegenerate recursion applies at every truncation.  meta["scale"]
-    records the integer scale the recursion ran at: q, offset, base and
-    the orders at which it widened (algebra.rs_rational_series).
+    nondegenerate recursion applies at every truncation.  meta["residues"]
+    records how the recursion ran: the scale q of E_k = N_k / q^k, the
+    number of primes, and the bits B of the bound |N_k| < 2^B that set it
+    (algebra.rs_rational_series).
     """
     if max_order < 0:
         raise ValueError(f"order {max_order} must be at least 0")
@@ -102,9 +103,9 @@ def weak_series(trunc: TruncationSpec, level: int, max_order: int = 10) -> Power
     if not 0 <= level < trunc.n_max:
         raise ValueError(f"level {level} outside 0..{trunc.n_max - 1}")
     h0, v = algebra.weighted_sector_blocks(trunc, sector)
-    scale: dict = {}
-    coeffs = algebra.rs_rational_series(h0, v, level // 2, max_order, scale)
-    return PowerSeries(coeffs, "weak_lambda", meta={"scale": scale})
+    record: dict = {}
+    coeffs = algebra.rs_rational_series(h0, v, level // 2, max_order, record)
+    return PowerSeries(coeffs, "weak_lambda", meta={"residues": record})
 
 
 def weak_series_charpoly(trunc: TruncationSpec, level: int, max_order: int = 10) -> PowerSeries:
@@ -117,18 +118,14 @@ def weak_series_charpoly(trunc: TruncationSpec, level: int, max_order: int = 10)
     sector = algebra.level_sector(level)
     zc = algebra.sector_char_poly(trunc, sector)  # z-coeffs of integer lam-polys
     s = len(zc) - 1
-    pos = level // 2
 
-    e = [Fraction(2 * pos + (0 if sector == "even" else 1)) + Fraction(1, 2)]
-    e[0] *= Fraction(trunc.omega)
+    e = [Fraction(trunc.omega) * (level + Fraction(1, 2))]
 
     def f_of_series(zser: list[Fraction], upto: int) -> list[Fraction]:
         """Coefficients of f(z(lam), lam) through lam^upto, by Horner in z."""
         acc = [Fraction(c) for c in zc[s][: upto + 1]]
         for j in range(s - 1, -1, -1):
-            acc = _trunc_mul(acc, zser, upto)
-            cj = [Fraction(c) for c in zc[j][: upto + 1]]
-            acc = _trunc_add(acc, cj, upto)
+            acc = [a + (zc[j][i] if i < len(zc[j]) else 0) for i, a in enumerate(_trunc_mul(acc, zser, upto))]
         return acc
 
     # df/dz at (e0, 0) must be nonzero for a simple root
@@ -149,13 +146,6 @@ def _trunc_mul(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction
             for j in range(min(len(q), upto + 1 - i)):
                 if q[j]:
                     out[i + j] += a * q[j]
-    return out
-
-
-def _trunc_add(p: list[Fraction], q: list[Fraction], upto: int) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-           for i in range(min(n, upto + 1))]
     return out
 
 

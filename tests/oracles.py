@@ -954,8 +954,9 @@ def rayleigh_schrodinger(h0: list, v: list[list], pos: int, max_order: int) -> t
 
     h0 is the diagonal unperturbed block and v the perturbation, both in
     one field: float for the sum-over-states derivatives, Fraction as the
-    oracle of the package's integer loop (algebra._rs_scaled_integer), and
-    mpmath mpf as the oracle of the strong series' fixed-point loop
+    oracle of the package's integer loop (algebra._rs_scaled_integer) and of
+    the weak series on residues (algebra.rs_rational_series), and mpmath
+    mpf as the oracle of the strong series' fixed-point loop
     (series._rs_fixed).  Returns (energies, states): energies
     [E_0, ..., E_max_order] of the level at diagonal position pos, and the
     state corrections psi_k, normalised so that <pos|psi_k> is 1 for k = 0

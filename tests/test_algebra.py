@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -11,6 +15,7 @@ from phi4trunc import TruncationSpec, algebra, weak_series, weak_series_charpoly
 from oracles import bareiss_det_poly, rayleigh_schrodinger, weighted_quartic
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @settings(max_examples=40, deadline=None)
@@ -34,94 +39,142 @@ def test_rs_engine_solves_the_order_by_order_equations(data, s, max_order):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 8))
-def test_scaled_integer_recursion_is_the_fraction_engine(data, s, max_order):
+@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 8), scale=st.integers(1, 12))
+def test_scaled_integer_recursion_is_the_fraction_engine(data, s, max_order, scale):
     # the generic loop on Fractions is the oracle: the same energies, and
-    # integer states that are Q^k times its states by default, and A B^k
-    # times them at a drawn offset A and a base B dividing Q, at the A and
-    # B returned once the scale has widened where it had to
+    # integer states that are Q^k times its states, with Q the lcm of the
+    # rows' denominators and of any scale given, as two projector blocks
+    # share one Q
     h0 = data.draw(st.lists(rationals, min_size=s, max_size=s, unique=True))
     v = data.draw(st.lists(st.lists(rationals, min_size=s, max_size=s), min_size=s, max_size=s))
     pos = data.draw(st.integers(0, s - 1))
     energies, states = rayleigh_schrodinger(h0, v, pos, max_order)
-    e_int, scaled, offset, q, widened = algebra._rs_scaled_integer(h0, v, pos, max_order)
+    e_int, scaled, q = algebra._rs_scaled_integer(h0, v, pos, max_order)
     assert e_int == energies
     assert all(type(e) is Fraction for e in e_int)
-    assert (offset, widened) == (1, [])
     assert len(scaled) == max_order + 1
     for k, (psi_int, psi) in enumerate(zip(scaled, states)):
         assert all(type(x) is int for x in psi_int)
         assert [Fraction(x, q**k) for x in psi_int] == psi
 
-    base = math.prod(p ** data.draw(st.integers(0, e)) for p, e in algebra._prime_exponents(q).items())
-    offset = data.draw(st.integers(1, 12))
-    e_int, scaled, a, b, widened = algebra._rs_scaled_integer(h0, v, pos, max_order, base, offset)
-    assert e_int == energies
-    assert a == offset and b % base == 0 and q % b == 0
-    assert widened == sorted(set(widened)) and all(1 <= k <= max_order for k in widened)
+    e_int, scaled, wide = algebra._rs_scaled_integer(h0, v, pos, max_order, scale)
+    assert e_int == energies and wide == math.lcm(q, scale)
     for k, (psi_int, psi) in enumerate(zip(scaled, states)):
-        assert all(type(x) is int for x in psi_int)
-        assert [Fraction(x, a * b**k) for x in psi_int] == psi
+        assert [Fraction(x, wide**k) for x in psi_int] == psi
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 10), probe=st.integers(0, 3))
-def test_rs_rational_series_is_the_fraction_engine_on_random_blocks(data, s, max_order, probe):
-    # a short probe leaves most of each series to the tight scale, and rates
-    # read off two or three orders of a random block often fall short, so
-    # the property meets the tight path and the widening path alike
+# mostly small rationals, with some past 62 bits, where the bound's floats
+# cut the integer rows, and past a double's exponent range
+wide_rationals = st.one_of(rationals, rationals, rationals,
+                           st.fractions(min_value=-2**90, max_value=2**90, max_denominator=2**70),
+                           st.integers(2**1030, 2**1100).map(Fraction))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(0, 12))
+def test_rs_rational_series_is_the_fraction_engine_on_random_blocks(data, s, max_order):
     h0 = data.draw(st.lists(rationals, min_size=s, max_size=s, unique=True))
     v = data.draw(st.lists(st.lists(rationals, min_size=s, max_size=s), min_size=s, max_size=s))
     pos = data.draw(st.integers(0, s - 1))
     record: dict = {}
-    with patch.object(algebra, "PROBE_ORDERS", probe):
-        coeffs = algebra.rs_rational_series(h0, v, pos, max_order, record)
+    coeffs = algebra.rs_rational_series(h0, v, pos, max_order, record)
     assert coeffs == rayleigh_schrodinger(h0, v, pos, max_order)[0]
-    assert set(record) == {"q", "offset", "base", "widened"}
-    assert record["q"] % record["base"] == 0
+    assert all(type(e) is Fraction for e in coeffs)
+    assert set(record) == {"q", "primes", "bound_bits"}
+    assert record["q"] == algebra._rs_scaled_integer(h0, v, pos, 0)[2]
 
 
-def test_tight_scale_widens_in_place_where_a_prime_enters_after_the_probe():
-    # n_max 24, level 18: the prime 3 first divides the denominator of psi_k
-    # at order 22, after the 16-order probe, so the rates read off the probe
-    # leave 3 out of B, and the recursion widens at order 22 without a restart
-    h0, v = algebra.weighted_sector_blocks(TruncationSpec(24), "even")
-    pos, order = 9, 40
-    assert max(algebra.PROBE_ORDERS, 2 * algebra._reach(v, pos)) == 16
-    energies, states, _, q, _ = algebra._rs_scaled_integer(h0, v, pos, order)
-    offset, base = algebra._tight_scale(states[:17], q)
-    assert base % 3
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), s=st.integers(1, 5), max_order=st.integers(1, 8))
+def test_float_bound_covers_every_numerator(data, s, max_order):
+    # B is an upper bound, |N_k| < 2^B for N_k = Q^k E_k, also for entries
+    # of hundreds of bits; and the primes' product M covers 2 |N_k|
+    h0 = data.draw(st.lists(wide_rationals, min_size=s, max_size=s, unique=True))
+    v = data.draw(st.lists(st.lists(wide_rationals, min_size=s, max_size=s), min_size=s, max_size=s))
+    pos = data.draw(st.integers(0, s - 1))
     record: dict = {}
-    assert algebra.rs_rational_series(h0, v, pos, order, record) == energies
-    assert record == {"q": q, "offset": offset, "base": 3 * base, "widened": [22]}
-    tight, a, b, widened = algebra._rs_scaled_integer(h0, v, pos, order, base, offset)[1:]
-    assert (a, b, widened) == (offset, 3 * base, [22])
-    assert all(x * q**k == y * a * b**k for k in range(order + 1) for x, y in zip(tight[k], states[k]))
+    coeffs = algebra.rs_rational_series(h0, v, pos, max_order, record)
+    energies = rayleigh_schrodinger(h0, v, pos, max_order)[0]
+    assert coeffs == energies
+    q, bits = record["q"], record["bound_bits"]
+    numerators = [e * q**k for k, e in enumerate(energies)][1:]
+    assert all(n.denominator == 1 for n in numerators)
+    assert max(abs(n.numerator).bit_length() for n in numerators) <= bits
+    width = algebra._prime_width(max(s, max_order - 1, record["primes"]))
+    assert math.prod(algebra._primes_below(width, record["primes"])) >= 2 ** (bits + 1)
 
 
-def test_tight_scale_keeps_the_large_primes_of_q_whole():
-    # omega = 1.1 read from a float brings primes of up to 16 digits into Q,
-    # which trial division would take minutes to split; they stay in B at
-    # their full power
-    h0, v = algebra.weighted_sector_blocks(TruncationSpec(8, 1.1), "even")
-    record: dict = {}
-    assert algebra.rs_rational_series(h0, v, 1, 24, record) == rayleigh_schrodinger(h0, v, 1, 24)[0]
-    small = math.prod(p**e for p, e in algebra._prime_exponents(record["q"]).items())
-    assert record["q"] // small > 2**40
-    assert record["base"] % (record["q"] // small) == 0
+@pytest.mark.parametrize("omega", [1, Fraction(1, 2), Fraction(3, 2), 1.1])
+@pytest.mark.parametrize("n_max", range(4, 17, 2))
+def test_residues_are_the_integer_loop_on_every_level(n_max, omega):
+    # 60 orders of every level, against the plain Q^k loop; at the float
+    # omega 1.1, Q has about 150 bits and the series takes hundreds of primes
+    for sector in ("even", "odd"):
+        h0, v = algebra.weighted_sector_blocks(TruncationSpec(n_max, omega), sector)
+        for pos in range(len(h0)):
+            assert algebra.rs_rational_series(h0, v, pos, 60) == algebra._rs_scaled_integer(h0, v, pos, 60)[0]
 
 
-def test_scaled_integer_recursion_widens_a_base_that_leaves_fractions():
-    h0, v = algebra.weighted_sector_blocks(TruncationSpec(8), "even")
-    q = algebra._rs_scaled_integer(h0, v, 1, 0)[3]
-    energies = algebra.rs_rational_series(h0, v, 1, 6)
-    # a multiple of Q runs as Q does; half of Q widens back to Q at order 1
-    assert algebra._rs_scaled_integer(h0, v, 1, 6, 3 * q)[0] == energies
-    e_int, _, offset, base, widened = algebra._rs_scaled_integer(h0, v, 1, 6, q // 2)
-    assert (e_int, offset, base, widened) == (energies, 1, q, [1])
-    with pytest.raises(ValueError, match="position 0 is degenerate with 2"):
-        algebra._rs_scaled_integer([Fraction(1), Fraction(2), Fraction(1)],
-                                   [[Fraction(1)] * 3] * 3, 0, 2)
+def test_prime_width_keeps_every_int64_sum_exact():
+    # a sum of `terms` products of residues below p must stay under 2^63 at
+    # every order count to 10^5 and block size to 256, and the width is the
+    # widest that does; a fixed 27-bit width would not: its sums can
+    # overflow from 513 terms on, long before the 2199 of a 2200-order series
+    assert algebra._prime_width(1) == 31
+    for terms in range(1, 10**5 + 1):
+        w = algebra._prime_width(terms)
+        p = algebra._primes_below(w, 1)[0]
+        assert terms * (p - 1) ** 2 < 2**63 <= terms * (2 ** (w + 1) - 1) ** 2
+    assert algebra._prime_width(2199) == 25
+    p27 = algebra._primes_below(27, 1)[0]
+    assert 512 * (p27 - 1) ** 2 < 2**63 <= 513 * (p27 - 1) ** 2
+
+
+def test_residue_recursion_sizes_its_primes_by_its_longest_sum():
+    # the width is asked for at least the longest sum of the run: the
+    # convolution's k - 1 terms, a row's s, the primes of the CRT matmul
+    asked = []
+    width = algebra._prime_width
+
+    def spy(terms):
+        asked.append(terms)
+        return width(terms)
+
+    for n_max, level, orders in [(4, 0, 300), (64, 31, 3), (8, 1, 1)]:
+        h0, v = algebra.weighted_sector_blocks(TruncationSpec(n_max), algebra.level_sector(level))
+        record: dict = {}
+        asked.clear()
+        with patch.object(algebra, "_prime_width", spy):
+            coeffs = algebra.rs_rational_series(h0, v, level // 2, orders, record)
+        assert coeffs == algebra._rs_scaled_integer(h0, v, level // 2, orders)[0]
+        assert asked[-1] >= max(len(h0), orders - 1, record["primes"])
+
+
+def test_prime_table_is_every_prime_of_its_window():
+    # the sieved primes below 2^17 are all those above 2^16, none skipped,
+    # and asking for one more is refused
+    flags = [True] * (1 << 17)
+    for i in range(2, 363):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, 1 << 17, i))
+    want = [n for n in range((1 << 17) - 1, 1 << 16, -1) if flags[n]]
+    assert algebra._primes_below(17, len(want)) == want
+    with pytest.raises(ValueError, match=f"needs {len(want) + 1} primes"):
+        algebra._primes_below(17, len(want) + 1)
+
+
+def test_primes_are_sieved_on_first_use():
+    script = "import phi4trunc.cli, phi4trunc.algebra as a; print(a._PRIMES)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "{}"
+
+
+def test_both_recursions_reject_a_degenerate_level():
+    h0, v = [Fraction(1), Fraction(2), Fraction(1)], [[Fraction(1)] * 3] * 3
+    for run in (algebra.rs_rational_series, lambda *args: algebra._rs_scaled_integer(*args)):
+        with pytest.raises(ValueError, match="^unperturbed level at position 0 is degenerate with 2$"):
+            run(h0, v, 0, 2)
 
 
 @pytest.mark.parametrize("omega", [1, Fraction(1, 2), Fraction(3, 2)])

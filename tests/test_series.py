@@ -52,15 +52,15 @@ def test_weak_series_rational_omega():
     assert ser.coeffs == [F(1), F(3, 16)]
 
 
-def test_weak_series_records_the_scale_it_ran_at():
-    # a series inside the probe runs at Q^k; n_max 8 past it keeps the
-    # tight 2 * 8^k throughout, and n_max 24, level 18 widens at order 22
+def test_weak_series_records_the_residues_it_ran_on():
+    # the scale q of E_k = N_k / q^k, the primes, and the bound bits B with
+    # |N_k| < 2^B that the primes' product covers twice over
     assert weak_series(TruncationSpec(8), 2, max_order=10).meta == \
-        {"scale": {"q": 16, "offset": 1, "base": 16, "widened": []}}
+        {"residues": {"q": 16, "primes": 4, "bound_bits": 87}}
     assert weak_series(TruncationSpec(8), 2, max_order=30).meta == \
-        {"scale": {"q": 16, "offset": 2, "base": 8, "widened": []}}
+        {"residues": {"q": 16, "primes": 10, "bound_bits": 272}}
     assert weak_series(TruncationSpec(24), 18, max_order=40).meta == \
-        {"scale": {"q": 20160, "offset": 2, "base": 24, "widened": [22]}}
+        {"residues": {"q": 20160, "primes": 35, "bound_bits": 967}}
 
 
 def test_weak_series_level_validation():

@@ -39,7 +39,10 @@ SEEDS = (1, 2, 3)
 # paths: a lanczos k > 1, a Trotter evolution, every register size of
 # resources, a weak series off omega 1; pauli at every n_max from 2 to 256,
 # the projector past n_max 21, where sqrt(k!) leaves int64, and a Dyson
-# amplitude whose sqrt(out!/in!) overflows a double quotient of factorials
+# amplitude whose sqrt(out!/in!) overflows a double quotient of factorials;
+# weak series at the edges of the residue recursion: 2200 orders, which
+# narrow its primes past 27 bits, the widest block, two omegas off 1, and
+# order zero
 OFF_BENCHMARK = [
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j"],
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j", "--sector=even"],
@@ -64,6 +67,11 @@ OFF_BENCHMARK = [
     ["projector", "--nmax=24", "--lam=0.01"],
     ["evolve", "--method=projector", "--nmax=24", "--lam=0.01"],
     ["evolve", "--method=dyson", "--nmax=256", "--state-in=0", "--state-out=200", "--order=1"],
+    ["series", "--nmax=4", "--level=0", "--orders=2200"],
+    ["series", "--nmax=64", "--level=31", "--orders=60"],
+    ["series", "--omega=0.5", "--nmax=8", "--level=3", "--orders=120"],
+    ["radius", "--nmax=16", "--omega=1.5", "--level=7", "--orders=150", "--fit=75,150"],
+    ["series", "--orders=0"],
 ]
 
 

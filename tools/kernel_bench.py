@@ -40,9 +40,9 @@ couplings that went to the eigensolver (min_sector_gaps).  `rs` loads the parent
 this checkout's in one process and times weak_series on each side for
 every row of RS_ROWS (n_max, omega, level, orders), alternating the sides,
 median of --rs-repeats after a warm-up; each row records whether the two
-sides' coefficients are equal and the scale this checkout ran at (q,
-offset, base, the orders at which it widened, and the bits of Q^K and of
-A B^K at the last order K).  `strong` does the same for strong_series
+sides' coefficients are equal and how this checkout's residue recursion
+ran (q, the prime count, the bits B of its bound |N_k| < 2^B, and the
+true bits of the largest numerator N_k = q^k E_k).  `strong` does the same for strong_series
 on every row of STRONG_ROWS (n_max, sector, level, orders) at the default
 precision; each row records whether the two sides print the same digits
 (mpmath.nstr at the precision) and each side's certified digits.  `roots`
@@ -284,10 +284,11 @@ def grid_rows(sides: dict[str, Path], repeats: int) -> dict:
 
 
 # (n_max, omega, level, orders): the benchmark's weak-series blocks, two wide
-# n_max 64 blocks, and two blocks at a rational omega
+# n_max 64 blocks, two blocks at a rational omega, and two 40-order series
+# of the projector's radius check
 RS_ROWS = [(8, "1", level, 200) for level in (2, 3, 4)] + [(12, "1", level, 150) for level in (4, 5)] \
     + [(32, "1", level, 100) for level in (8, 12, 16, 20)] + [(64, "1", level, 100) for level in (8, 30)] \
-    + [(16, "1/2", 0, 120), (16, "3/2", 1, 120)]
+    + [(16, "1/2", 0, 120), (16, "3/2", 1, 120), (8, "1", 3, 40), (8, "1", 6, 40)]
 
 
 def _load_package(name: str, root: Path):
@@ -306,7 +307,6 @@ def _load_package(name: str, root: Path):
 
 
 def rs_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
-    import math
     from fractions import Fraction
 
     packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
@@ -316,11 +316,11 @@ def rs_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
                                                               level, max_order=orders))
                  for side, pkg in packages.items()}
         series = {name: call() for name, call in calls.items()}
-        scale = series["change_s"].meta["scale"]
+        residues = series["change_s"].meta["residues"]
+        numerators = [c * residues["q"] ** k for k, c in enumerate(series["change_s"].coeffs)]
         row = {"n_max": n_max, "omega": omega, "level": level, "orders": orders, **_median_times(calls, repeats),
-               "same": series["parent_s"].coeffs == series["change_s"].coeffs, **scale,
-               "bits_q": round(orders * math.log2(scale["q"])),
-               "bits_scale": round(math.log2(scale["offset"]) + orders * math.log2(scale["base"]))}
+               "same": series["parent_s"].coeffs == series["change_s"].coeffs, **residues,
+               "true_bits": max(abs(n.numerator).bit_length() for n in numerators[1:])}
         row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
         rows.append(row)
         print(json.dumps(row), flush=True)
