@@ -146,22 +146,22 @@ def _resolvent(h0: list, pos: int) -> list:
     return [h0[pos] - e if m == pos else 1 / (h0[pos] - e) for m, e in enumerate(h0)]
 
 
-def _rs_rows(h0: list[Fraction], v: list[list[Fraction]], pos: int, scale: int) -> tuple[int, list, list, list]:
+def _rs_rows(h0: list[Fraction], v: list[list[Fraction]], pos: int) -> tuple[int, list, list, list]:
     """Q and the integer rows [Q V[pos]], Q R_m V[m] and Q R_m V[pos] of the recursion, R_m = 1/(h0[pos] - h0[m]).
 
-    Q is the lcm of scale and the rows' denominators; a degenerate h0[pos] raises ValueError (_resolvent).
+    Q is the lcm of the rows' denominators; a degenerate h0[pos] raises ValueError (_resolvent).
     """
     res = _resolvent([Fraction(x) for x in h0], pos)
     rows = [[Fraction(x) if x else 0 for x in row] for row in v]
     state_rows = [[r * x if r and x else 0 for x in row] for r, row in zip(res, rows)]
     shift_rows = [[r * x if r and x else 0 for x in rows[pos]] for r in res]
-    q = math.lcm(scale, *(x.denominator for row in (rows[pos], *state_rows, *shift_rows) for x in row if x))
+    q = math.lcm(*(x.denominator for row in (rows[pos], *state_rows, *shift_rows) for x in row if x))
     return q, *([[x.numerator * (q // x.denominator) if x else 0 for x in row] for row in block]
                 for block in ([rows[pos]], state_rows, shift_rows))
 
 
 def _rs_scaled_integer(
-    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int, scale: int = 1
+    h0: list[Fraction], v: list[list[Fraction]], pos: int, max_order: int
 ) -> tuple[list[Fraction], list[list[int]], int]:
     """The nondegenerate Rayleigh-Schrodinger recursion on exact blocks, in integers at the scale Q^k.
 
@@ -175,11 +175,11 @@ def _rs_scaled_integer(
         psi~_k[m] = sum_i (Q R_m V[m, i]) psi~_(k-1)[i] - sum_(j<k) shift_j psi~_(k-j)[m]
         N_k       = sum_i (Q V[pos, i]) psi~_(k-1)[i],    E_k = N_k / Q^k
 
-    Q is the lcm of the rows' denominators and of scale, so that two blocks
-    can share one.  Returns (energies, scaled states psi~_k, Q).
+    Q is the lcm of the rows' denominators.  Returns (energies, scaled
+    states psi~_k, Q).
     """
     q, top, lifted, shift_rows = ([[(j, x) for j, x in enumerate(row) if x] for row in rows] if i else rows
-                                  for i, rows in enumerate(_rs_rows(h0, v, pos, scale)))
+                                  for i, rows in enumerate(_rs_rows(h0, v, pos)))
     cols = [[int(m == pos)] for m in range(len(h0))]  # cols[m][k] = psi~_k[m]
     shifts: list[list[int]] = [[] for _ in cols]  # shifts[m][j - 1] = shift_j
     energies = [Fraction(h0[pos])]
@@ -298,7 +298,7 @@ def rs_rational_series(
     entry), and w is the widest with terms (2^w - 1)^2 < 2^63
     (_prime_width).  A given record dict receives q, P and B.
     """
-    q, *blocks = _rs_rows(h0, v, pos, 1)
+    q, *blocks = _rs_rows(h0, v, pos)
     rows = [row for block in blocks for row in block]
     s, flat, energies = len(rows[0]), [x for row in rows for x in row], [Fraction(h0[pos])]
     bits = _rs_bound_bits(rows, pos, max_order) if max_order else 0

@@ -59,26 +59,19 @@ class PauliDecomposition:
     terms: list[PauliTerm]
     identity_coeff: float
     n_qubits: int
-    n_dropped: int = 0
+    n_dropped: int
 
 
 @dataclass
 class TrotterPlan:
-    """Ordered Pauli terms with step size and count for first-order evolution.
-
-    n_q is the register width; it may be left out when a term gives it.
-    """
+    """Ordered Pauli terms with step size and count for first-order evolution on n_q qubits."""
 
     terms: list[PauliTerm]
     dt: float
     steps: int
-    n_q: int | None = None
+    n_q: int
 
     def __post_init__(self):
-        if self.n_q is None:
-            if not self.terms:
-                raise ValueError("a plan with no terms needs its register width n_q")
-            self.n_q = len(self.terms[0].string)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:

@@ -5,20 +5,22 @@ A nondegenerate level of H0 + lam V has the rank-one projector
     P(lam) = |psi_R(lam)><psi_L(lam)| / <psi_L(lam)|psi_R(lam)>
 
 (Kato, Perturbation Theory for Linear Operators, ch. II), with psi_R and
-psi_L its right and left eigenvectors.  In the sqrt(n!)-weighted basis V is
-rational but not symmetric, so psi_R is the Rayleigh-Schrodinger state
-series on the level's sector block of V and psi_L the same series on its
-transpose; the normalisation series is inverted term by term.  Everything
-stays exact, as integers at a common scale Q^m with one rational per
-final entry, and the cost is polynomial in the order.  Time evolution
-follows by inserting the perturbed resolution of identity: each level
-contributes <out|P_n|in> e^(-i E_n t) with the energy from its weak series
-at the same order, read off the same recursion, so phases stay bounded for
-all t.  Only evaluation rounds: a weighted entry becomes a double scaled
-by sqrt(i!)/sqrt(j!), each root correctly rounded (algebra._nearest_sqrt).
-Evaluating a projector at lam, or evolving from a state, warns
-when |lam| is at or past the convergence radius fitted to the weak series
-of that level.
+psi_L its right and left eigenvectors.  In the sqrt(n!)-weighted basis,
+V = D^-1 V_occ D is rational but not symmetric; with V_occ symmetric and
+D^2 = diag(k!), V^T = D^2 V D^-2.  So psi_L, the Rayleigh-Schrodinger
+state series on the transpose, is psi_R times k!/level! entry by entry,
+and one run of the recursion gives both; a scale of psi_L cancels between
+the outer product and <psi_L|psi_R>.  The normalisation series is
+inverted term by term.  Everything stays exact, as integers at the scale
+Q^m with one rational per final entry, and the cost is polynomial in the
+order.  Time evolution follows by inserting the perturbed resolution of
+identity: each level contributes <out|P_n|in> e^(-i E_n t) with the
+energy from its weak series at the same order, read off the same
+recursion, so phases stay bounded for all t.  Only evaluation rounds: a
+weighted entry becomes a double scaled by sqrt(i!)/sqrt(j!), each root
+correctly rounded (algebra._nearest_sqrt).  Evaluating a projector at
+lam, or evolving from a state, warns when |lam| is at or past the
+convergence radius fitted to the weak series of that level.
 """
 from __future__ import annotations
 
@@ -99,37 +101,40 @@ def _level_projector(
 ) -> ProjectorSeries:
     """Projector and energy series of one level of its sector block.
 
-    Both state series come from the scaled-integer recursion at one scale
-    Q that clears v and its transpose, so the order-m terms of
-    <psi_L|psi_R>, of its inverse and of the outer products are integers
-    at scale Q^m, and each matrix entry is reduced once.  The block sits at
-    the sector's rows and columns of an n x n matrix that is zero elsewhere.
+    One run of the scaled-integer recursion gives the right states as the
+    integers Q^m psi_R,m.  By the similarity the left states are g_k / g_level
+    times them, g_k = k! over the sector's global indices; any scale of psi_L
+    cancels in P.  The norm series Q^m <psi_L|psi_R>_m is a Fraction over
+    g_level with constant term 1; its term-by-term inverse is cleared by the
+    lcm d of its denominators, and each entry is reduced once, over
+    d g_level Q^m.  The block sits at the sector's rows and columns of an
+    n x n matrix that is zero elsewhere.
     """
     pos, idx = level // 2, algebra.sector_indices(n, sector)
-    vt = [list(col) for col in zip(*v)]
-    # at the lcm of the scales Q the two blocks need, both state series are Q^m psi_m
-    q = math.lcm(algebra._rs_rows(h0, v, pos, 1)[0], algebra._rs_rows(h0, vt, pos, 1)[0])
-    energies, right, _ = algebra._rs_scaled_integer(h0, v, pos, order, q)
-    left = algebra._rs_scaled_integer(h0, vt, pos, order, q)[1]
+    energies, right, q = algebra._rs_scaled_integer(h0, v, pos, order)
+    g = [math.factorial(k) for k in idx]
 
-    # <psi_L|psi_R> order by order, its inverse term by term (norm[0] = 1),
-    # and psi_R / <psi_L|psi_R>, each order-m term scaled by Q^m
+    # Q^m <psi_L|psi_R>_m, its inverse term by term (norm[0] = 1) cleared
+    # by d, and d Q^m (psi_R / <psi_L|psi_R>)_m
     s, orders = len(h0), range(order + 1)
-    norm = [sum(left[m - a][i] * right[a][i] for a in range(m + 1) for i in range(s))
-            for m in orders]
-    inv = [1]
+    norm = [Fraction(sum(g[i] * sum(right[m - a][i] * right[a][i] for a in range(m + 1)) for i in range(s)),
+                     g[pos]) for m in orders]
+    inv = [Fraction(1)]
     for m in range(1, order + 1):
         inv.append(-sum(norm[j] * inv[m - j] for j in range(1, m + 1)))
+    d = math.lcm(*(x.denominator for x in inv))
+    inv = [x.numerator * (d // x.denominator) for x in inv]
     scaled = [[sum(inv[m - a] * right[a][i] for a in range(m + 1)) for i in range(s)]
               for m in orders]
 
     coeff_mats = []
     for m in orders:
         full = [[Fraction(0)] * n for _ in range(n)]
+        den = d * g[pos] * q**m
         for bi, i in enumerate(idx):
             for bj, j in enumerate(idx):
-                full[i][j] = Fraction(sum(scaled[a][bi] * left[m - a][bj] for a in range(m + 1)),
-                                      q**m)
+                if x := sum(scaled[a][bi] * right[m - a][bj] for a in range(m + 1)):
+                    full[i][j] = Fraction(g[bj] * x, den)
         coeff_mats.append(full)
     energy = PowerSeries(energies, "weak_lambda")
     return ProjectorSeries(coeff_mats, energy)
@@ -143,11 +148,12 @@ def perturbed_projector(
 ) -> tuple[ProjectorSeries, np.ndarray | None]:
     """Projector series for one level through the given order, plus its value.
 
-    Built from the Rayleigh-Schrodinger right and left state series on the
-    level's parity-sector block, with exact rationals throughout, then
-    embedded in the full weighted basis (entries outside the sector are
-    zero).  Returns (series, evaluated matrix at lam in the standard
-    basis), the second entry None when lam is not supplied.
+    Built from the Rayleigh-Schrodinger state series on the level's
+    parity-sector block, whose left states are k!/level! times its right
+    ones, with exact rationals throughout, then embedded in the full
+    weighted basis (entries outside the sector are zero).  Returns
+    (series, evaluated matrix at lam in the standard basis), the second
+    entry None when lam is not supplied.
     """
     n = trunc.n_max
     if not 0 <= level < n:

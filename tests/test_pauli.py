@@ -320,7 +320,7 @@ def _random_plan(data, n_q, last_letters="IXYZ"):
 @given(data=st.data(), n_q=st.integers(1, 4))
 def test_compiled_step_unitary_matches_dense_product(data, n_q):
     terms, dt = _random_plan(data, n_q)
-    u = trotter_step_unitary(TrotterPlan(terms, dt, 1))
+    u = trotter_step_unitary(TrotterPlan(terms, dt, 1, n_q))
     assert np.max(np.abs(u - dense_trotter_step([(t.string, t.coeff) for t in terms], dt))) <= 1e-13
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n_q))) <= 1e-13
 
@@ -332,7 +332,7 @@ def test_parity_even_plans_leak_nothing_into_odd_states(data, n_q, steps):
     terms, dt = _random_plan(data, n_q, last_letters="IZ")
     start = data.draw(st.integers(0, 2 ** (n_q - 1) - 1)) * 2
     odd = list(range(1, 2**n_q, 2))
-    sim = simulate_trotter(TrotterPlan(terms, dt, steps), start, odd)
+    sim = simulate_trotter(TrotterPlan(terms, dt, steps, n_q), start, odd)
     assert np.all(sim["probabilities"] == 0.0)
 
 
@@ -344,7 +344,7 @@ def test_nnz_growth_slower_than_4_to_nq():
 
 
 def test_single_term_plan_is_exact():
-    plan = TrotterPlan([PauliTerm("XZ", 0.37)], dt=0.5, steps=1)
+    plan = TrotterPlan([PauliTerm("XZ", 0.37)], dt=0.5, steps=1, n_q=2)
     u = trotter_step_unitary(plan)
     p = pauli_matrix("XZ")
     w, v = np.linalg.eigh(p)
@@ -386,11 +386,10 @@ def test_identity_only_plan_keeps_its_register_width():
 
 
 def test_plan_width_must_be_known_and_shared():
-    assert TrotterPlan([PauliTerm("XZI", 1.0)], 0.1, 1).n_q == 3
-    with pytest.raises(ValueError, match="no terms needs its register width"):
-        TrotterPlan([], 0.1, 1)
+    with pytest.raises(TypeError, match="n_q"):
+        TrotterPlan([PauliTerm("XZI", 1.0)], 0.1, 1)
     with pytest.raises(ValueError, match="register width 2"):
-        TrotterPlan([PauliTerm("XZ", 1.0), PauliTerm("XZI", 1.0)], 0.1, 1)
+        TrotterPlan([PauliTerm("XZ", 1.0), PauliTerm("XZI", 1.0)], 0.1, 1, n_q=2)
     with pytest.raises(ValueError, match="register width 3"):
         TrotterPlan([PauliTerm("XZ", 1.0)], 0.1, 1, n_q=3)
 
@@ -400,9 +399,9 @@ def test_plan_rejects_identity_and_bad_ordering():
     with pytest.raises(ValueError, match="ordering"):
         build_trotter_plan(dec, 0.1, 1, "random")
     with pytest.raises(ValueError, match="identity"):
-        TrotterPlan([PauliTerm("II", 1.0)], 0.1, 1)
+        TrotterPlan([PauliTerm("II", 1.0)], 0.1, 1, n_q=2)
     with pytest.raises(ValueError, match="positive"):
-        TrotterPlan([PauliTerm("XI", 1.0)], -0.1, 1)
+        TrotterPlan([PauliTerm("XI", 1.0)], -0.1, 1, n_q=2)
 
 
 def test_simulation_matches_rotation_by_rotation_update():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import kato_projector_series, weighted_quartic
+from oracles import kato_projector_series, rayleigh_schrodinger, weighted_quartic
 
 from phi4trunc import (
     TruncationSpec,
@@ -208,7 +209,8 @@ def _matmul(a, b):
 def test_projector_algebra_exact_at_every_order(n_max, order, omega):
     # with P = sum_m lam^m P_m and H = H0 + lam V, order by order and with
     # no tolerance: sum over levels of P_m = delta_m0 I, sum_a P_a P_(m-a)
-    # = P_m, and [H0, P_m] + [V, P_(m-1)] = 0
+    # = P_m, [H0, P_m] + [V, P_(m-1)] = 0, and the occupation-basis P_m,
+    # sqrt(i!/j!) times the weighted one, is symmetric
     h0, v = weighted_quartic(n_max, omega)
     n = n_max
     zero = [[Fraction(0)] * n for _ in range(n)]
@@ -228,8 +230,40 @@ def test_projector_algebra_exact_at_every_order(n_max, order, omega):
                 comm = [[c + x - y for c, x, y in zip(rc, rx, ry)]
                         for rc, rx, ry in zip(comm, vp, pv)]
             assert comm == zero
+            assert all(p[m][i][j] * math.factorial(i) == p[m][j][i] * math.factorial(j)
+                       for i in range(n) for j in range(i))
     assert total[0] == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     assert all(total[m] == zero for m in range(1, order + 1))
+
+
+def _two_sided_projector(h0, v, level, order):
+    """|psi_R><psi_L| / <psi_L|psi_R> order by order, from the Fraction recursion on v and on its transpose."""
+    n_max = len(h0)
+    right = rayleigh_schrodinger(h0, v, level, order)[1]
+    left = rayleigh_schrodinger(h0, [list(col) for col in zip(*v)], level, order)[1]
+    norm = [sum(left[m - a][i] * right[a][i] for a in range(m + 1) for i in range(n_max))
+            for m in range(order + 1)]
+    inv = [Fraction(1)]
+    for m in range(1, order + 1):
+        inv.append(-sum(norm[j] * inv[m - j] for j in range(1, m + 1)))
+    scaled = [[sum(inv[m - a] * right[a][i] for a in range(m + 1)) for i in range(n_max)]
+              for m in range(order + 1)]
+    return [[[sum(scaled[a][i] * left[m - a][j] for a in range(m + 1) if scaled[a][i] and left[m - a][j])
+              for j in range(n_max)] for i in range(n_max)] for m in range(order + 1)]
+
+
+@pytest.mark.parametrize("omega", [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(1.1)])
+def test_projector_is_the_two_sided_rank_one_form(omega):
+    # the left states, read off the right ones by the k!/level! similarity,
+    # against a second recursion on the transposed block, every level of
+    # n_max 2-16 at every order up to 6
+    for n_max in range(2, 17, 2):
+        h0, v = weighted_quartic(n_max, omega)
+        for level in range(n_max):
+            want = _two_sided_projector(h0, v, level, 6)
+            for order in range(7):
+                ser, _ = perturbed_projector(TruncationSpec(n_max, float(omega)), level, order=order)
+                assert ser.weighted == want[: order + 1]
 
 
 @pytest.mark.parametrize("n_max, level", [(22, 0), (24, 3), (64, 10)])

@@ -42,7 +42,8 @@ SEEDS = (1, 2, 3)
 # amplitude whose sqrt(out!/in!) overflows a double quotient of factorials;
 # weak series at the edges of the residue recursion: 2200 orders, which
 # narrow its primes past 27 bits, the widest block, two omegas off 1, and
-# order zero
+# order zero; the projector and its evolution at order 6 off omega 1, with
+# lam inside the radius
 OFF_BENCHMARK = [
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j"],
     ["spectrum", "--nmax=28", "--lam=0.2-0.1j", "--sector=even"],
@@ -72,6 +73,8 @@ OFF_BENCHMARK = [
     ["series", "--omega=0.5", "--nmax=8", "--level=3", "--orders=120"],
     ["radius", "--nmax=16", "--omega=1.5", "--level=7", "--orders=150", "--fit=75,150"],
     ["series", "--orders=0"],
+    ["projector", "--nmax=10", "--omega=1.1", "--level=3", "--order=6", "--lam=0.02", "--entry=3,1"],
+    ["evolve", "--method=projector", "--omega=0.5", "--nmax=12", "--order=6", "--lam=0.002"],
 ]
 
 

@@ -1,4 +1,4 @@
-"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes, Dyson, Pauli.
+"""Kernel rows: import cost, Lanczos against ARPACK, lattice sweeps, gap grids, weak and strong series, roots, CSV writes, Dyson, Pauli, projector.
 
 Usage, from the root of a checkout, with the parent commit checked out at PARENT:
 
@@ -68,6 +68,12 @@ alternating the sides, median of --rs-repeats after a warm-up, and records
 whether the two sides' results are equal bit for bit and the median minor
 page faults per call; run the tool under perfbench's pinned glibc mmap
 threshold for fault counts that match the benchmark's.
+`projector` times, on each side, perturbed_projector for every row of
+PROJECTOR_ROWS (n_max, level, order) and evolve_projector_method over 201
+times in [0, 20] for every row of EVOLVE_ROWS (n_max, order, lam, state in,
+with state out two above), alternating the sides, median of --rs-repeats
+after a warm-up, and records whether the two sides give equal Fractions
+(projector coefficients and energies) and byte-equal traces.
 --parts picks the parts to run (default: all).  Pass the file to tools/bench_collect.py with --extra.
 """
 from __future__ import annotations
@@ -475,7 +481,36 @@ def pauli_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
     return rows
 
 
-PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv", "dyson", "pauli")
+# perturbed_projector (n_max, level, order): every level at the benchmark's projector
+# op, the ends of a 24-level truncation at order 6, and two levels of a 64-level one;
+# evolve_projector_method (n_max, order, lam, state_in): the benchmark's evolve op
+PROJECTOR_ROWS = [(8, level, 4) for level in range(8)] + [(24, 0, 6), (24, 22, 6), (64, 10, 4), (64, 63, 4)]
+EVOLVE_ROWS = [(8, 4, 0.0074, state_in) for state_in in (2, 3)]
+
+
+def projector_rows(sides: dict[str, Path], repeats: int) -> list[dict]:
+    packages = {side: _load_package(f"phi4trunc_{side}", root) for side, root in sides.items()}
+    t = np.linspace(0.0, 20.0, 201)
+    # (row, the call on one side's package, what must be equal across the sides)
+    cases = [({"op": "perturbed_projector", "n_max": n, "level": level, "order": order},
+              lambda pkg, n=n, level=level, order=order: pkg.perturbed_projector(pkg.TruncationSpec(n), level, order)[0],
+              lambda ser: (ser.weighted, ser.energy.coeffs)) for n, level, order in PROJECTOR_ROWS] \
+        + [({"op": "evolve_projector_method", "n_max": n, "order": order, "lam": lam, "state_in": s, "state_out": s + 2},
+            lambda pkg, n=n, order=order, lam=lam, s=s: pkg.evolve_projector_method(pkg.TruncationSpec(n), order, lam,
+                                                                                    t, s, s + 2),
+            lambda amp: amp.tobytes()) for n, order, lam, s in EVOLVE_ROWS]
+    rows = []
+    for row, run, key in cases:
+        calls = {f"{side}_s": (lambda pkg=pkg: run(pkg)) for side, pkg in packages.items()}
+        results = {name: key(call()) for name, call in calls.items()}
+        row.update(_median_times(calls, repeats), same=results["parent_s"] == results["change_s"])
+        row["ratio"] = round(row["change_s"] / row["parent_s"], 2)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+PARTS = ("import", "solve", "sweep", "grid", "rs", "strong", "roots", "csv", "dyson", "pauli", "projector")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -490,8 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": Path(__file__).resolve().parents[1]}
     kernels = {"note": "perfbench's pinned settings; import and sweep rows are fresh interpreters per "
-                       "sample, alternating which side runs first; solve, grid, rs, strong, roots, csv, dyson and pauli "
-                       "rows are medians in this process after a warm-up, all but solve alternating the sides"}
+                       "sample, alternating which side runs first; solve, grid, rs, strong, roots, csv, dyson, "
+                       "pauli and projector rows are medians in this process after a warm-up, all but solve "
+                       "alternating the sides"}
     if "import" in args.parts:
         kernels["import_phi4trunc_cli"] = import_rows(sides, args.import_samples)
     if "solve" in args.parts:
@@ -512,6 +548,8 @@ def main(argv: list[str] | None = None) -> int:
         kernels["dyson"] = dyson_rows(sides, args.rs_repeats)
     if "pauli" in args.parts:
         kernels["pauli"] = pauli_rows(sides, args.rs_repeats)
+    if "projector" in args.parts:
+        kernels["projector"] = projector_rows(sides, args.rs_repeats)
     out = {"kernels": kernels}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
